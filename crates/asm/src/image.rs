@@ -171,8 +171,8 @@ impl Page {
 /// next fetch does to the word.
 ///
 /// Disabling the cache ([`DecodedMem::set_enabled`]) makes every fetch
-/// decode afresh — the word-decode baseline the `machine_steps` benchmark
-/// and the decode differential test compare against.
+/// decode afresh — the word-decode baseline the decode differential test
+/// compares against.
 pub struct DecodedMem {
     /// `(page number, page)` — a handful of pages in practice, scanned
     /// linearly with a most-recently-used fast path.

@@ -13,7 +13,7 @@
 //! scheduler the real per-branch probabilities (the profile-guided
 //! technique of McFarling & Hennessy).
 
-use mipsx_core::MachineConfig;
+use mipsx_core::{MachineConfig, RunStats};
 use mipsx_reorg::{BranchScheme, RawProgram, Terminator};
 use mipsx_workloads::synth::{generate, SynthConfig};
 
@@ -64,16 +64,10 @@ fn profile_blind(raw: &RawProgram) -> RawProgram {
     blind
 }
 
-fn cycles_per_branch(stats: &mipsx_core::RunStats) -> f64 {
-    (stats.branches + stats.branch_slot_nops + stats.branch_slot_squashed) as f64
-        / stats.branches.max(1) as f64
-}
-
 /// Run the experiment.
 pub fn run() -> ReorgQuality {
     let scheme = BranchScheme::mipsx();
-    let mut acc = [0.0f64; 3];
-    let mut branches = [0u64; 3];
+    let mut totals = [RunStats::default(); 3];
     for &seed in &SEEDS {
         let synth = generate(SynthConfig::pascal_like(seed));
         let blind = profile_blind(&synth.raw);
@@ -82,16 +76,15 @@ pub fn run() -> ReorgQuality {
             super::run_scheduled(&blind, scheme, MachineConfig::ideal_memory()).0,
             super::run_scheduled(&synth.raw, scheme, MachineConfig::ideal_memory()).0,
         ];
-        for (i, stats) in runs.iter().enumerate() {
-            acc[i] += (stats.branches + stats.branch_slot_nops + stats.branch_slot_squashed) as f64;
-            branches[i] += stats.branches;
+        for (total, stats) in totals.iter_mut().zip(&runs) {
+            total.merge(stats);
         }
     }
-    let _ = cycles_per_branch;
+    let [unscheduled, traditional, improved] = totals.map(|t| t.cycles_per_branch());
     ReorgQuality {
-        unscheduled: acc[0] / branches[0] as f64,
-        traditional: acc[1] / branches[1] as f64,
-        improved: acc[2] / branches[2] as f64,
+        unscheduled,
+        traditional,
+        improved,
     }
 }
 

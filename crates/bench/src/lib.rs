@@ -1,9 +1,10 @@
 //! # mipsx-bench — reproducing the paper's evaluation
 //!
 //! One module per experiment; each returns a typed result struct carrying
-//! both the measured values and the paper's published values, so the
-//! `reproduce` binary (and EXPERIMENTS.md) can print paper-vs-measured
-//! tables. The experiment IDs match DESIGN.md §5:
+//! both the measured values and the paper's published values, so
+//! `mipsx reproduce` (and EXPERIMENTS.md) can print paper-vs-measured
+//! tables; [`experiments::ALL`] lists them in `reproduce all` order. The
+//! experiment IDs match DESIGN.md §5:
 //!
 //! | ID | paper artifact | module |
 //! |----|----------------|--------|
@@ -18,6 +19,7 @@
 //! | E9 | VAX 11/780 comparison | [`experiments::e9_vax`] |
 //! | E10 | branch cache vs static prediction | [`experiments::e10_btb`] |
 //! | E11 | Ecache late-miss contribution | [`experiments::e11_ecache`] |
+//! | E12 | sub-block valid bits vs whole-block fill | [`experiments::e12_subblock`] |
 
 pub mod experiments;
 pub mod fp_workload;
@@ -105,7 +107,7 @@ pub fn rows_to_json(name: &str, title: &str, rows: &[Row]) -> String {
 }
 
 /// [`rows_to_json`] plus the experiment's wall-clock time in milliseconds
-/// (`reproduce --json` reports how long each experiment took).
+/// (`mipsx reproduce --json` reports how long each experiment took).
 pub fn rows_to_json_timed(name: &str, title: &str, rows: &[Row], wall_ms: u128) -> String {
     let obj = rows_to_json(name, title, rows);
     format!(
@@ -114,167 +116,10 @@ pub fn rows_to_json_timed(name: &str, title: &str, rows: &[Row], wall_ms: u128) 
     )
 }
 
-/// Assemble the full `reproduce --json` document from per-experiment
+/// Assemble the full `mipsx reproduce --json` document from per-experiment
 /// objects produced by [`rows_to_json`].
 pub fn json_document(experiments: &[String]) -> String {
     format!("{{\"experiments\":[{}]}}", experiments.join(","))
-}
-
-/// Minimal RFC 8259 validity checker (no DOM, no numbers parsed to f64 —
-/// just "is this well-formed JSON"), used by tests consuming the
-/// `reproduce --json` output.
-pub fn json_is_valid(text: &str) -> bool {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    fn skip_ws(b: &[u8], p: &mut usize) {
-        while *p < b.len() && matches!(b[*p], b' ' | b'\t' | b'\n' | b'\r') {
-            *p += 1;
-        }
-    }
-    fn value(b: &[u8], p: &mut usize) -> bool {
-        skip_ws(b, p);
-        match b.get(*p) {
-            Some(b'{') => {
-                *p += 1;
-                skip_ws(b, p);
-                if b.get(*p) == Some(&b'}') {
-                    *p += 1;
-                    return true;
-                }
-                loop {
-                    skip_ws(b, p);
-                    if !string(b, p) {
-                        return false;
-                    }
-                    skip_ws(b, p);
-                    if b.get(*p) != Some(&b':') {
-                        return false;
-                    }
-                    *p += 1;
-                    if !value(b, p) {
-                        return false;
-                    }
-                    skip_ws(b, p);
-                    match b.get(*p) {
-                        Some(b',') => *p += 1,
-                        Some(b'}') => {
-                            *p += 1;
-                            return true;
-                        }
-                        _ => return false,
-                    }
-                }
-            }
-            Some(b'[') => {
-                *p += 1;
-                skip_ws(b, p);
-                if b.get(*p) == Some(&b']') {
-                    *p += 1;
-                    return true;
-                }
-                loop {
-                    if !value(b, p) {
-                        return false;
-                    }
-                    skip_ws(b, p);
-                    match b.get(*p) {
-                        Some(b',') => *p += 1,
-                        Some(b']') => {
-                            *p += 1;
-                            return true;
-                        }
-                        _ => return false,
-                    }
-                }
-            }
-            Some(b'"') => string(b, p),
-            Some(b't') => literal(b, p, b"true"),
-            Some(b'f') => literal(b, p, b"false"),
-            Some(b'n') => literal(b, p, b"null"),
-            Some(c) if *c == b'-' || c.is_ascii_digit() => number(b, p),
-            _ => false,
-        }
-    }
-    fn literal(b: &[u8], p: &mut usize, lit: &[u8]) -> bool {
-        if b[*p..].starts_with(lit) {
-            *p += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-    fn string(b: &[u8], p: &mut usize) -> bool {
-        if b.get(*p) != Some(&b'"') {
-            return false;
-        }
-        *p += 1;
-        while let Some(&c) = b.get(*p) {
-            match c {
-                b'"' => {
-                    *p += 1;
-                    return true;
-                }
-                b'\\' => {
-                    *p += 1;
-                    match b.get(*p) {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *p += 1,
-                        Some(b'u') => {
-                            *p += 1;
-                            for _ in 0..4 {
-                                if !b.get(*p).is_some_and(u8::is_ascii_hexdigit) {
-                                    return false;
-                                }
-                                *p += 1;
-                            }
-                        }
-                        _ => return false,
-                    }
-                }
-                0x00..=0x1F => return false,
-                _ => *p += 1,
-            }
-        }
-        false
-    }
-    fn number(b: &[u8], p: &mut usize) -> bool {
-        if b.get(*p) == Some(&b'-') {
-            *p += 1;
-        }
-        let digits = |b: &[u8], p: &mut usize| {
-            let start = *p;
-            while b.get(*p).is_some_and(u8::is_ascii_digit) {
-                *p += 1;
-            }
-            *p > start
-        };
-        // Integer part: "0" or a nonzero-leading digit run (no leading zeros).
-        match b.get(*p) {
-            Some(b'0') => *p += 1,
-            Some(c) if c.is_ascii_digit() => {
-                digits(b, p);
-            }
-            _ => return false,
-        }
-        if b.get(*p) == Some(&b'.') {
-            *p += 1;
-            if !digits(b, p) {
-                return false;
-            }
-        }
-        if matches!(b.get(*p), Some(b'e' | b'E')) {
-            *p += 1;
-            if matches!(b.get(*p), Some(b'+' | b'-')) {
-                *p += 1;
-            }
-            if !digits(b, p) {
-                return false;
-            }
-        }
-        true
-    }
-    let ok = value(bytes, &mut pos);
-    skip_ws(bytes, &mut pos);
-    ok && pos == bytes.len()
 }
 
 #[cfg(test)]
@@ -312,7 +157,7 @@ mod tests {
     }
 
     #[test]
-    fn rows_serialize_to_valid_json() {
+    fn rows_serialize_to_json() {
         let rows = [
             Row {
                 label: "taken \"fast\"".into(),
@@ -322,47 +167,22 @@ mod tests {
             Row {
                 label: "no paper value".into(),
                 paper: None,
-                measured: f64::NAN,
+                measured: f64::NAN, // degrades to null
             },
         ];
-        let obj = rows_to_json("table1", "E1 — branches", &rows);
-        assert!(json_is_valid(&obj), "invalid: {obj}");
-        assert!(obj.contains("\"paper\":1.5"));
-        assert!(obj.contains("\"paper\":null"));
-        assert!(obj.contains("\"measured\":null")); // NaN degrades to null
-        assert!(obj.contains(r#"taken \"fast\""#));
-        let doc = json_document(&[obj.clone(), obj]);
-        assert!(json_is_valid(&doc));
-        assert!(json_is_valid(&json_document(&[])));
-    }
-
-    #[test]
-    fn json_checker_accepts_and_rejects() {
-        for good in [
-            "{}",
-            "[]",
-            "null",
-            "-1.5e+10",
-            r#"{"a":[1,2,{"b":"é\n"}],"c":false}"#,
-            "  [ 1 , 2 ]  ",
-        ] {
-            assert!(json_is_valid(good), "should accept: {good}");
-        }
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\":}",
-            "{'a':1}",
-            "01",
-            "1.",
-            "nul",
-            "\"unterminated",
-            "\"bad\\x\"",
-            "[1] trailing",
-            "{\"a\":1,}",
-        ] {
-            assert!(!json_is_valid(bad), "should reject: {bad}");
-        }
+        let obj = rows_to_json("table1", "E1", &rows);
+        assert_eq!(
+            obj,
+            r#"{"name":"table1","title":"E1","rows":[{"label":"taken \"fast\"","paper":1.5,"measured":1.47},{"label":"no paper value","paper":null,"measured":null}]}"#
+        );
+        assert_eq!(
+            rows_to_json_timed("table1", "E1", &rows, 12),
+            format!("{{\"wall_ms\":12,{}", &obj[1..])
+        );
+        assert_eq!(
+            json_document(&[obj.clone(), obj.clone()]),
+            format!("{{\"experiments\":[{obj},{obj}]}}")
+        );
+        assert_eq!(json_document(&[]), r#"{"experiments":[]}"#);
     }
 }

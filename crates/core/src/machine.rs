@@ -244,8 +244,8 @@ impl Machine {
     /// Enable or disable the decode-once fetch cache (enabled by default).
     ///
     /// Disabling makes every IF fetch decode its word afresh — the
-    /// word-decode baseline the `machine_steps` benchmark and the decode
-    /// differential test compare against. Simulated behaviour is identical
+    /// word-decode baseline the decode differential test compares
+    /// against. Simulated behaviour is identical
     /// either way; this is deliberately not a [`MachineConfig`] field so it
     /// cannot perturb the sweep engine's config-keyed result cache.
     pub fn set_decode_cache_enabled(&mut self, enabled: bool) {

@@ -11,8 +11,8 @@
 //!
 //! The sink is a *generic* parameter, so the default [`NullSink`]
 //! monomorphises to nothing: the hot path pays zero cost when nobody is
-//! watching (verified by the `probe_overhead` criterion A/B in
-//! `crates/bench`).
+//! watching (verified by the `zero_cost` A/B bench in `crates/bench`;
+//! `perfbench` times the stepper itself as `core.ns_per_cycle`).
 //!
 //! Three real sinks ship here:
 //!

@@ -200,8 +200,7 @@ fn parse_record(text: &str) -> Parsed {
     Parsed::Ok(result)
 }
 
-/// A store rooted in a fresh, unique temporary directory (test helper;
-/// also used by `--bench` to guarantee cold-cache timings).
+/// A store rooted in a fresh, unique temporary directory (test helper).
 pub fn temp_store(tag: &str) -> ResultStore {
     use std::sync::atomic::{AtomicU64, Ordering};
     static COUNTER: AtomicU64 = AtomicU64::new(0);

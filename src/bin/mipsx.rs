@@ -37,6 +37,9 @@
 //!                                   completion, print the final stats
 //! mipsx snapshot info <path>        print a snapshot's header, section
 //!                                   sizes and checksum without restoring
+//! mipsx reproduce [names...] [options]
+//!                                   regenerate the paper's tables (E1..E12),
+//!                                   paper vs measured
 //! mipsx info                        print the modeled machine's parameters
 //!
 //! run options:
@@ -114,9 +117,6 @@
 //!   --store <dir>       result-cache directory (default $MIPSX_SWEEP_DIR
 //!                       or sweeps/)
 //!   --no-cache          disable the result cache entirely
-//!   --bench <path>      run the built-in E1+E11 grids serial vs parallel
-//!                       on cold caches, verify byte-identical reports,
-//!                       and write the timing baseline JSON to <path>
 //!   --metrics <path>    record host telemetry and write it to <path>
 //!                       (JSON) plus a Prometheus text exposition at
 //!                       <path>.prom
@@ -147,6 +147,15 @@
 //!   prints its fallback-cause breakdown; a .sweep file or
 //!   --grid/--workload flags profile a whole sweep with the same flags as
 //!   `mipsx sweep`. `--metrics <path>` works here too.
+//!
+//! reproduce options:
+//!   names               experiments to run, in table order: table1 icache
+//!                       orgs quickcmp reorg fsm cpi coproc vax btb ecache
+//!                       subblock, or all (the default)
+//!   --json              one JSON document instead of text tables
+//!   --threads <n>       worker threads for the sweep-backed experiments
+//!                       (E1, E3, E11, E12; default 1); the tables are
+//!                       identical for every n
 //! ```
 //!
 //! A failing soak run prints a copy-pasteable `mipsx soak --runs 1 --seed N
@@ -164,6 +173,8 @@
 use std::process::ExitCode;
 
 use mipsx::asm::{assemble, assemble_at, disassemble};
+use mipsx::bench::experiments;
+use mipsx::bench::{json_document, render_table, rows_to_json_timed};
 use mipsx::cli::{flag, parse_args, switch, ArgError, FlagSpec, ParsedArgs};
 use mipsx::core::probe::{CpiAttribution, JsonlSink, NullSink, PipeDiagram};
 use mipsx::core::{FaultPlan, InterlockPolicy, Machine, MachineConfig, RunError};
@@ -182,7 +193,7 @@ use mipsx::workloads::{all_kernels, find_kernel, kernel_names, random_scheduled_
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: mipsx <asm|dis|run|trace|soak|lint|analyze|sweep|profile|snapshot|info> \
+        "usage: mipsx <asm|dis|run|trace|soak|lint|analyze|sweep|profile|snapshot|reproduce|info> \
          [file.s|kernel|spec.sweep] \
          [--cycles N] [--slots 1|2] [--trust] [--ideal] [--engine interp|block|checked] [--regs] \
          [--diagram N] [--jsonl path] \
@@ -191,7 +202,7 @@ fn usage() -> ExitCode {
          [--timing] [--differential] \
          [--grid f=v1,v2] \
          [--workload id] [--fault spec] [--base mipsx|ideal] [--threads N] [--csv] \
-         [--store dir] [--no-cache] [--bench path] [--metrics path] [--timings] \
+         [--store dir] [--no-cache] [--metrics path] [--timings] \
          [--journal path] [--snapshot-every N] [--resume] [--out path]"
     );
     ExitCode::FAILURE
@@ -988,7 +999,6 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             switch("--json"),
             switch("--csv"),
             switch("--no-cache"),
-            flag("--bench"),
             flag("--metrics"),
             switch("--timings"),
             flag("--journal"),
@@ -1020,9 +1030,6 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             None
         }
     };
-    if let Some(bench_path) = parsed.value("--bench") {
-        return sweep_bench(bench_path, threads.max(2));
-    }
     let spec = match sweep_spec_from(&parsed) {
         Ok(s) => s,
         Err(e) => {
@@ -1120,96 +1127,56 @@ fn write_metrics(path: &str, snapshot: &mipsx::telemetry::Snapshot) -> Result<()
     Ok(())
 }
 
-/// The `--bench` mode: run the E1 and E11 experiment grids serial and
-/// parallel on *cold* caches, check the reports match byte for byte, check
-/// a warm re-run is served fully from cache, and write the timing baseline.
-fn sweep_bench(path: &str, threads: usize) -> ExitCode {
-    let grids: [(&str, SweepSpec); 2] = [
-        (
-            "e1_branch_schemes",
-            mipsx::bench::experiments::e1_branch_schemes::sweep_spec(),
-        ),
-        (
-            "e11_ecache",
-            mipsx::bench::experiments::e11_ecache::sweep_spec(),
-        ),
-    ];
-    let mut entries: Vec<String> = Vec::new();
-    for (name, spec) in grids {
-        let cold = |threads: usize, telemetry: Telemetry| {
-            let opts = SweepOptions {
-                threads,
-                store: mipsx::explore::temp_store(&format!("bench-{name}-{threads}")),
-                telemetry,
-                ..SweepOptions::default()
-            };
-            let start = std::time::Instant::now();
-            let outcome = run_sweep(&spec, &opts).expect("bench sweep");
-            (outcome, start.elapsed(), opts.store)
-        };
-        // One untimed warm-up run: the first sweep in a fresh process is
-        // up to 2x slower (page faults, allocator growth, CPU frequency
-        // ramp), which would poison every ratio derived below.
-        let _ = cold(1, Telemetry::disabled());
-        let (serial, serial_wall, _) = cold(1, Telemetry::disabled());
-        let (parallel, parallel_wall, warm_store) = cold(threads, Telemetry::disabled());
-        let identical = serial.to_json() == parallel.to_json();
-        // A third cold serial run with telemetry live prices the
-        // instrumentation itself: enabled wall / disabled wall.
-        let (traced, traced_wall, _) = cold(1, Telemetry::enabled());
-        let telemetry_identical = traced.to_json() == serial.to_json();
-        let telemetry_overhead = traced_wall.as_secs_f64() / serial_wall.as_secs_f64().max(1e-9);
-        // Re-run against the parallel run's store: every job must hit.
-        let rerun = run_sweep(
-            &spec,
-            &SweepOptions {
-                threads,
-                store: warm_store,
-                ..SweepOptions::default()
-            },
-        )
-        .expect("bench rerun");
-        let speedup = serial_wall.as_secs_f64() / parallel_wall.as_secs_f64().max(1e-9);
+/// `mipsx reproduce`: regenerate the paper's tables in `reproduce all`
+/// order, as text tables or as one JSON document. It never touches the
+/// result cache, so its output is the determinism baseline.
+fn cmd_reproduce(args: &[String]) -> ExitCode {
+    let parsed = match parse_or_usage(args, &[switch("--json"), flag("--threads")]) {
+        Ok(p) => p,
+        Err(code) => return code,
+    };
+    let threads = match numeric(&parsed, "--threads", 1usize) {
+        Ok(t) => t.max(1),
+        Err(code) => return code,
+    };
+    let names = &parsed.positionals;
+    let known = |name: &str| name == "all" || experiments::ALL.iter().any(|x| x.name == name);
+    if let Some(unknown) = names.iter().find(|n| !known(n.as_str())) {
+        let all: Vec<&str> = experiments::ALL.iter().map(|x| x.name).collect();
         eprintln!(
-            "mipsx sweep --bench {name}: {} jobs, serial {serial_wall:.2?}, \
-             {threads} threads {parallel_wall:.2?} ({speedup:.2}x), identical={identical}, \
-             telemetry {telemetry_overhead:.3}x, rerun {}/{} from cache",
-            serial.rows.len(),
-            rerun.cache_hits,
-            rerun.rows.len(),
+            "mipsx: unknown experiment {unknown:?} (known: {}, all)",
+            all.join(", ")
         );
-        if !identical || !telemetry_identical {
-            eprintln!("mipsx: BENCH FAILURE: reports differ across thread/telemetry modes");
-            return ExitCode::FAILURE;
-        }
-        if rerun.cache_hits != rerun.rows.len() {
-            eprintln!("mipsx: BENCH FAILURE: warm re-run was not fully served from cache");
-            return ExitCode::FAILURE;
-        }
-        entries.push(format!(
-            "{{\"grid\":\"{name}\",\"jobs\":{},\"threads\":{threads},\
-             \"serial_ms\":{},\"parallel_ms\":{},\"speedup\":{speedup:.3},\
-             \"telemetry_overhead\":{telemetry_overhead:.3},\
-             \"byte_identical\":true,\"rerun_cache_hits\":{},\"rerun_jobs\":{}}}",
-            serial.rows.len(),
-            serial_wall.as_millis(),
-            parallel_wall.as_millis(),
-            rerun.cache_hits,
-            rerun.rows.len(),
-        ));
-    }
-    // Speedups are only meaningful relative to the cores the host actually
-    // had, so the baseline records it.
-    let doc = format!(
-        "{{\"bench\":\"mipsx sweep --bench\",\"host_cpus\":{},\"grids\":[{}]}}\n",
-        default_threads(),
-        entries.join(",")
-    );
-    if let Err(e) = std::fs::write(path, &doc) {
-        eprintln!("mipsx: cannot write {path}: {e}");
         return ExitCode::FAILURE;
     }
-    print!("{doc}");
+    let everything = names.is_empty() || names.iter().any(|n| n == "all");
+    let json = parsed.has("--json");
+    let store = ResultStore::disabled();
+    if !json {
+        println!("MIPS-X reproduction — paper vs measured ({threads} thread(s))");
+        println!("=======================================\n");
+    }
+    let mut emitted = Vec::new();
+    for x in experiments::ALL
+        .iter()
+        .filter(|x| everything || names.iter().any(|n| n == x.name))
+    {
+        let start = std::time::Instant::now();
+        let (rows, note) = (x.run)(threads, &store);
+        let wall_ms = start.elapsed().as_millis();
+        if json {
+            emitted.push(rows_to_json_timed(x.name, x.title, &rows, wall_ms));
+        } else {
+            println!("{}", render_table(x.title, &rows));
+            if let Some(note) = note {
+                println!("{note}");
+            }
+            println!("  ({wall_ms} ms)\n");
+        }
+    }
+    if json {
+        println!("{}", json_document(&emitted));
+    }
     ExitCode::SUCCESS
 }
 
@@ -1649,6 +1616,7 @@ fn main() -> ExitCode {
         "sweep" => cmd_sweep(&args[1..]),
         "profile" => cmd_profile(&args[1..]),
         "snapshot" => cmd_snapshot(&args[1..]),
+        "reproduce" => cmd_reproduce(&args[1..]),
         "asm" | "dis" => {
             let Some(path) = args.get(1) else {
                 return usage();
