@@ -4,13 +4,17 @@
 //! - **Probe layer.** Running the machine through the generic
 //!   `run_with::<NullSink>` path must cost within 2 % of nothing:
 //!   `NullSink` sets `TraceSink::ENABLED = false`, so every event emission
-//!   monomorphises away. Case A runs `Machine::run` (which is itself
-//!   `run_with(&mut NullSink)`), case B passes an explicit `NullSink`, and
-//!   a live `CpiAttribution` sink shows what a real observer costs.
+//!   monomorphises away. Case A runs `Machine::run`, case B passes an
+//!   explicit `NullSink` to `Machine::run_with`; both are one-line
+//!   delegations to `run_with_faults`, so B may cost no more than A. A live
+//!   `CpiAttribution` sink shows what a real observer costs.
 //! - **Sweep telemetry.** A sweep with the default (disabled) `Telemetry`
 //!   handle must keep ≥ 0.97× the throughput of the instrumented one: a
 //!   disabled handle never reads the clock and every recording site is a
 //!   single `Option` branch.
+//!
+//! Both gates compare medians of interleaved samples (A, B, A, B, ...),
+//! so a slow stretch on a shared host hits both sides alike.
 //!
 //! Throughput and per-layer timing of everything else is measured by
 //! `perfbench`.
@@ -26,30 +30,45 @@ use mipsx_reorg::{BranchScheme, Reorganizer};
 use mipsx_workloads::synth::{generate, SynthConfig};
 
 const WARM_UP: Duration = Duration::from_millis(300);
-const SAMPLE_TIME: Duration = Duration::from_millis(200);
-const SAMPLES: u32 = 10;
+const SAMPLE_TIME: Duration = Duration::from_millis(50);
+const SAMPLES: usize = 41;
 
-/// Mean nanoseconds per call of `f`: calls it for the warm-up budget to
-/// estimate its cost, then averages `SAMPLES` samples of about
-/// `SAMPLE_TIME` each.
-fn mean_ns<R>(mut f: impl FnMut() -> R) -> f64 {
-    let mut timed = |iters: u64| {
+/// Median nanoseconds per call of each case. Each case is warmed up for
+/// the warm-up budget, which also sizes its samples to about
+/// `SAMPLE_TIME`; then the cases take turns, one sample each per round,
+/// for `SAMPLES` rounds.
+fn median_ns(cases: &mut [&mut dyn FnMut() -> u64]) -> Vec<f64> {
+    let timed = |f: &mut dyn FnMut() -> u64, iters: u64| {
         let start = Instant::now();
         for _ in 0..iters {
             black_box(f());
         }
         start.elapsed()
     };
-    let warm_up = Instant::now();
-    let mut per_iter = timed(1);
-    while warm_up.elapsed() < WARM_UP {
-        per_iter = timed(1);
+    let iters: Vec<u64> = cases
+        .iter_mut()
+        .map(|f| {
+            let warm_up = Instant::now();
+            let mut per_iter = timed(*f, 1);
+            while warm_up.elapsed() < WARM_UP {
+                per_iter = timed(*f, 1);
+            }
+            (SAMPLE_TIME.as_nanos() / per_iter.as_nanos().max(1)).clamp(1, 1 << 24) as u64
+        })
+        .collect();
+    let mut samples = vec![Vec::with_capacity(SAMPLES); cases.len()];
+    for _ in 0..SAMPLES {
+        for ((f, &n), out) in cases.iter_mut().zip(&iters).zip(&mut samples) {
+            out.push(timed(*f, n).as_nanos() as f64 / n as f64);
+        }
     }
-    let iters = (SAMPLE_TIME.as_nanos() / per_iter.as_nanos().max(1)).clamp(1, 1 << 24) as u64;
-    let total: f64 = (0..SAMPLES)
-        .map(|_| timed(iters).as_nanos() as f64 / iters as f64)
-        .sum();
-    total / f64::from(SAMPLES)
+    samples
+        .into_iter()
+        .map(|mut s| {
+            s.sort_by(f64::total_cmp);
+            s[SAMPLES / 2]
+        })
+        .collect()
 }
 
 fn probe_overhead() {
@@ -66,20 +85,23 @@ fn probe_overhead() {
         machine
     };
 
-    let plain = mean_ns(|| fresh_machine().run(200_000_000).expect("run").cycles);
-    let null = mean_ns(|| {
-        fresh_machine()
-            .run_with(200_000_000, &mut NullSink)
-            .expect("run")
-            .cycles
-    });
-    let attributed = mean_ns(|| {
-        let mut att = CpiAttribution::new();
-        fresh_machine()
-            .run_with(200_000_000, &mut att)
-            .expect("run")
-            .cycles
-    });
+    let medians = median_ns(&mut [
+        &mut || fresh_machine().run(200_000_000).expect("run").cycles,
+        &mut || {
+            fresh_machine()
+                .run_with(200_000_000, &mut NullSink)
+                .expect("run")
+                .cycles
+        },
+        &mut || {
+            let mut att = CpiAttribution::new();
+            fresh_machine()
+                .run_with(200_000_000, &mut att)
+                .expect("run")
+                .cycles
+        },
+    ]);
+    let (plain, null, attributed) = (medians[0], medians[1], medians[2]);
 
     let overhead = null / plain - 1.0;
     println!("probe_overhead/plain-run       {plain:14.1} ns/iter");
@@ -91,8 +113,8 @@ fn probe_overhead() {
         "probe_overhead/cpi-attribution {attributed:14.1} ns/iter  ({:+.2}% vs plain)",
         (attributed / plain - 1.0) * 100.0
     );
-    // The two cases are the same monomorphised code, so anything beyond
-    // timer noise means an event emission survived in the NullSink path.
+    // Both cases reach the same monomorphised loop, so anything beyond
+    // timer noise means one of them grew work the other does not do.
     assert!(
         overhead < 0.02,
         "NullSink overhead {:.2}% exceeds the 2% budget",
@@ -123,8 +145,10 @@ fn sweep_overhead() {
         outcome.rows.iter().map(|r| r.result.cycles).sum::<u64>()
     };
 
-    let disabled = mean_ns(|| sweep(Telemetry::disabled()));
-    let enabled = mean_ns(|| sweep(Telemetry::enabled()));
+    let medians = median_ns(&mut [&mut || sweep(Telemetry::disabled()), &mut || {
+        sweep(Telemetry::enabled())
+    }]);
+    let (disabled, enabled) = (medians[0], medians[1]);
     println!("sweep_overhead/telemetry-off   {disabled:14.1} ns/iter");
     println!(
         "sweep_overhead/telemetry-on    {enabled:14.1} ns/iter  ({:+.2}% vs off)",

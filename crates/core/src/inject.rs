@@ -8,7 +8,7 @@
 //! misfortunes — maskable interrupts, NMIs, Icache parity errors that force
 //! a sub-block refetch, Ecache late-miss latency jitter, and
 //! coprocessor-busy faults — threaded into the pipeline through
-//! [`Machine::step_with_faults`] next to the [`TraceSink`] hook.
+//! [`Machine::step`] next to the [`TraceSink`] hook.
 //!
 //! Every fault is either **architecturally invisible** (parity, jitter,
 //! coprocessor busy perturb timing only) or **architecturally precise**
@@ -18,7 +18,7 @@
 //! round-trip through a compact text spec (`120:irq,340:nmi,500:parity`)
 //! so a failing fuzz case reproduces from its command line.
 //!
-//! [`Machine::step_with_faults`]: crate::Machine::step_with_faults
+//! [`Machine::step`]: crate::Machine::step
 //! [`TraceSink`]: crate::probe::TraceSink
 
 use std::fmt;

@@ -31,12 +31,11 @@
 //!
 //! ## Observability
 //!
-//! [`Machine::step_with`] and [`Machine::run_with`] take a
+//! [`Machine::step`] and [`Machine::run_with_faults`] take a
 //! [`TraceSink`](crate::probe::TraceSink) and report every cycle's stage
 //! occupancy, bypass activations, squashes, freezes and tagged stalls.
-//! [`Machine::step`]/[`Machine::run`] are the same code monomorphised over
-//! the no-op [`NullSink`](crate::probe::NullSink), so the untraced path
-//! pays nothing.
+//! [`Machine::run`] is the same code monomorphised over the no-op
+//! [`NullSink`](crate::probe::NullSink), so the untraced path pays nothing.
 
 use mipsx_asm::{DecodedEntry, DecodedMem, Program};
 use mipsx_coproc::Coprocessor;
@@ -422,62 +421,41 @@ impl Machine {
         self.halted = true;
     }
 
-    /// Run until `halt` completes or the cycle budget expires.
+    /// [`Machine::run_with_faults`] untraced and fault-free.
     ///
     /// # Errors
-    /// [`RunError::CycleLimit`] if the budget expires;
-    /// [`RunError::AlreadyHalted`] if the machine already halted; any
-    /// [`RunError`] from [`Machine::step`].
+    /// As [`Machine::run_with_faults`].
+    // Inlined so callers instantiate the loop as they do for `run_with`:
+    // the untraced and `NullSink` paths then compile to the same code.
+    #[inline]
     pub fn run(&mut self, max_cycles: u64) -> Result<RunStats, RunError> {
-        self.run_with(max_cycles, &mut NullSink)
+        self.run_with_faults(max_cycles, &mut NullSink, &mut FaultPlan::none())
     }
 
-    /// [`Machine::run`], reporting every cycle to `sink`.
+    /// [`Machine::run_with_faults`] fault-free, reporting every cycle to
+    /// `sink`.
     ///
     /// # Errors
-    /// As [`Machine::run`].
+    /// As [`Machine::run_with_faults`].
     pub fn run_with<S: TraceSink>(
         &mut self,
         max_cycles: u64,
         sink: &mut S,
     ) -> Result<RunStats, RunError> {
-        if self.halted {
-            return Err(RunError::AlreadyHalted);
-        }
-        let start = self.stats.cycles;
-        while !self.halted {
-            if self.stats.cycles - start >= max_cycles {
-                return Err(RunError::CycleLimit { limit: max_cycles });
-            }
-            self.step_with(sink)?;
-        }
-        Ok(self.stats)
+        self.run_with_faults(max_cycles, sink, &mut FaultPlan::none())
     }
 
-    /// Simulate one clock cycle.
+    /// Run until `halt` completes or `max_cycles` more cycles have passed,
+    /// reporting every cycle to `sink` and injecting faults from `plan` as
+    /// their cycles come due. The budget is relative, so an expired run
+    /// resumes with another call. The plan is consumed in place: after a
+    /// run its cursor sits past every delivered event
+    /// ([`FaultPlan::rewind`] replays it).
     ///
     /// # Errors
-    /// Returns scheduling violations under [`InterlockPolicy::Detect`],
-    /// illegal instructions, and privilege violations. Architectural
-    /// exceptions (overflow trap, interrupts) are handled, not returned.
-    pub fn step(&mut self) -> Result<(), RunError> {
-        self.step_with(&mut NullSink)
-    }
-
-    /// [`Machine::step`], reporting the cycle's events to `sink`.
-    ///
-    /// # Errors
-    /// As [`Machine::step`].
-    pub fn step_with<S: TraceSink>(&mut self, sink: &mut S) -> Result<(), RunError> {
-        self.step_with_faults(sink, &mut FaultPlan::none())
-    }
-
-    /// [`Machine::run_with`], injecting faults from `plan` as their cycles
-    /// come due. The plan is consumed in place: after a run its cursor sits
-    /// past every delivered event ([`FaultPlan::rewind`] replays it).
-    ///
-    /// # Errors
-    /// As [`Machine::run`].
+    /// [`RunError::CycleLimit`] if the budget expires;
+    /// [`RunError::AlreadyHalted`] if the machine already halted; any
+    /// [`RunError`] from [`Machine::step`].
     pub fn run_with_faults<S: TraceSink>(
         &mut self,
         max_cycles: u64,
@@ -492,17 +470,20 @@ impl Machine {
             if self.stats.cycles - start >= max_cycles {
                 return Err(RunError::CycleLimit { limit: max_cycles });
             }
-            self.step_with_faults(sink, plan)?;
+            self.step(sink, plan)?;
         }
         Ok(self.stats)
     }
 
-    /// [`Machine::step_with`], injecting any faults from `plan` due this
-    /// cycle before the pipeline phases run.
+    /// Simulate one clock cycle, reporting its events to `sink` and
+    /// injecting any faults from `plan` due this cycle before the pipeline
+    /// phases run.
     ///
     /// # Errors
-    /// As [`Machine::step`].
-    pub fn step_with_faults<S: TraceSink>(
+    /// Returns scheduling violations under [`InterlockPolicy::Detect`],
+    /// illegal instructions, and privilege violations. Architectural
+    /// exceptions (overflow trap, interrupts) are handled, not returned.
+    pub fn step<S: TraceSink>(
         &mut self,
         sink: &mut S,
         plan: &mut FaultPlan,

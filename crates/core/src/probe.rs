@@ -4,7 +4,7 @@
 //! trace-driven simulation, the FSM diagrams of Figures 3 and 4, and the
 //! CPI decomposition (1.24 average fetch cycles growing to ≈1.7 total CPI).
 //! This module gives the simulator the same visibility: [`Machine`]
-//! (via [`Machine::step_with`]/[`Machine::run_with`]) drives a
+//! (via [`Machine::step`]/[`Machine::run_with`]) drives a
 //! [`TraceSink`] with typed per-cycle events — stage occupancy, bypass
 //! activations, squash/exception FSM transitions, cache-miss-FSM freezes,
 //! and stall events tagged with a [`StallCause`].
@@ -25,7 +25,7 @@
 //! - [`JsonlSink`] — one JSON event per line, for external tooling.
 //!
 //! [`Machine`]: crate::Machine
-//! [`Machine::step_with`]: crate::Machine::step_with
+//! [`Machine::step`]: crate::Machine::step
 //! [`Machine::run_with`]: crate::Machine::run_with
 
 use std::collections::BTreeMap;
@@ -159,7 +159,7 @@ impl std::fmt::Display for SquashReason {
 /// Receiver of per-cycle pipeline events.
 ///
 /// Every method has an empty default body, so a sink implements only what
-/// it needs. [`crate::Machine::step_with`] is generic over the sink and the
+/// it needs. [`crate::Machine::step`] is generic over the sink and the
 /// no-op [`NullSink`] monomorphises away entirely; event-argument
 /// construction that cannot be proven dead is additionally gated on
 /// [`TraceSink::ENABLED`].

@@ -554,38 +554,9 @@ fn apply_fsms(m: &mut Machine, body: &[u8]) -> Result<(), SnapshotError> {
     Ok(())
 }
 
-/// [`RunStats`] fields in declaration order — the STAT section's layout.
-fn stats_fields(s: &RunStats) -> [u64; 24] {
-    [
-        s.cycles,
-        s.instructions,
-        s.nops,
-        s.squashed,
-        s.branches,
-        s.branches_taken,
-        s.branch_slot_nops,
-        s.branch_slot_squashed,
-        s.jumps,
-        s.loads,
-        s.stores,
-        s.coproc_ops,
-        s.exceptions,
-        s.icache_stall_cycles,
-        s.ecache_stall_cycles,
-        s.coproc_stall_cycles,
-        s.coproc_forced_miss_cycles,
-        s.frozen_cycles,
-        s.interlock_stall_cycles,
-        s.injected_interrupts,
-        s.injected_nmis,
-        s.injected_parity_retries,
-        s.injected_jitter_cycles,
-        s.injected_coproc_busy_cycles,
-    ]
-}
-
+/// The STAT section: the field count, then [`RunStats::to_fields`].
 fn encode_stats(s: &RunStats) -> Enc {
-    let fields = stats_fields(s);
+    let fields = s.to_fields();
     let mut e = Enc::new();
     e.u32(fields.len() as u32);
     for f in fields {
@@ -597,41 +568,17 @@ fn encode_stats(s: &RunStats) -> Enc {
 fn decode_stats(body: &[u8]) -> Result<RunStats, SnapshotError> {
     let mut d = Dec::new(body);
     let count = d.u32()? as usize;
-    if count != 24 {
+    if count != RunStats::FIELDS {
         return Err(SnapshotError::Malformed(format!(
-            "{count} statistics fields, expected 24"
+            "{count} statistics fields, expected {}",
+            RunStats::FIELDS
         )));
     }
-    let mut f = [0u64; 24];
+    let mut f = [0u64; RunStats::FIELDS];
     for v in &mut f {
         *v = d.u64()?;
     }
-    Ok(RunStats {
-        cycles: f[0],
-        instructions: f[1],
-        nops: f[2],
-        squashed: f[3],
-        branches: f[4],
-        branches_taken: f[5],
-        branch_slot_nops: f[6],
-        branch_slot_squashed: f[7],
-        jumps: f[8],
-        loads: f[9],
-        stores: f[10],
-        coproc_ops: f[11],
-        exceptions: f[12],
-        icache_stall_cycles: f[13],
-        ecache_stall_cycles: f[14],
-        coproc_stall_cycles: f[15],
-        coproc_forced_miss_cycles: f[16],
-        frozen_cycles: f[17],
-        interlock_stall_cycles: f[18],
-        injected_interrupts: f[19],
-        injected_nmis: f[20],
-        injected_parity_retries: f[21],
-        injected_jitter_cycles: f[22],
-        injected_coproc_busy_cycles: f[23],
-    })
+    Ok(RunStats::from_fields(f))
 }
 
 fn encode_cache_stats(e: &mut Enc, s: &CacheStats) {
@@ -1106,6 +1053,45 @@ mod tests {
             other => panic!("expected the cycle budget to expire, got {other:?}"),
         }
         m
+    }
+
+    /// The STAT section layout is part of the format: the field count,
+    /// then every counter as a little-endian `u64` in this order.
+    #[test]
+    fn stat_section_layout_is_pinned() {
+        let stats = RunStats {
+            cycles: 1,
+            instructions: 2,
+            nops: 3,
+            squashed: 4,
+            branches: 5,
+            branches_taken: 6,
+            branch_slot_nops: 7,
+            branch_slot_squashed: 8,
+            jumps: 9,
+            loads: 10,
+            stores: 11,
+            coproc_ops: 12,
+            exceptions: 13,
+            icache_stall_cycles: 14,
+            ecache_stall_cycles: 15,
+            coproc_stall_cycles: 16,
+            coproc_forced_miss_cycles: 17,
+            frozen_cycles: 18,
+            interlock_stall_cycles: 19,
+            injected_interrupts: 20,
+            injected_nmis: 21,
+            injected_parity_retries: 22,
+            injected_jitter_cycles: 23,
+            injected_coproc_busy_cycles: 24,
+        };
+        let mut expected = 24u32.to_le_bytes().to_vec();
+        for v in 1..=24u64 {
+            expected.extend_from_slice(&v.to_le_bytes());
+        }
+        let bytes = encode_stats(&stats).buf;
+        assert_eq!(bytes, expected);
+        assert_eq!(decode_stats(&bytes).unwrap(), stats);
     }
 
     #[test]

@@ -2,72 +2,106 @@
 
 use std::fmt;
 
-/// Everything a simulation run measures.
-///
-/// The paper's headline numbers come straight out of this struct:
-/// [`RunStats::nop_fraction`] (15.6 % Pascal / 18.3 % Lisp),
-/// [`RunStats::cpi`] (≈1.7 with memory overhead),
-/// [`RunStats::sustained_mips`] (>11 at 20 MHz), and
-/// [`RunStats::cycles_per_branch`] (Table 1: 1.1–2.0 depending on scheme).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct RunStats {
+/// Declares [`RunStats`] from one list of its `u64` counters, in the
+/// order the snapshot STAT section stores them, and generates everything
+/// that walks every field: [`RunStats::FIELDS`], [`RunStats::to_fields`],
+/// [`RunStats::from_fields`] and [`RunStats::merge`].
+macro_rules! run_stats {
+    ($($(#[$doc:meta])* $field:ident,)*) => {
+        /// Everything a simulation run measures.
+        ///
+        /// The paper's headline numbers come straight out of this struct:
+        /// [`RunStats::nop_fraction`] (15.6 % Pascal / 18.3 % Lisp),
+        /// [`RunStats::cpi`] (≈1.7 with memory overhead),
+        /// [`RunStats::sustained_mips`] (>11 at 20 MHz), and
+        /// [`RunStats::cycles_per_branch`] (Table 1: 1.1–2.0 depending on scheme).
+        #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+        pub struct RunStats {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl RunStats {
+            /// Number of counters.
+            pub(crate) const FIELDS: usize = [$(stringify!($field)),*].len();
+
+            /// Every counter, in declaration order.
+            pub(crate) fn to_fields(self) -> [u64; Self::FIELDS] {
+                [$(self.$field),*]
+            }
+
+            /// The inverse of [`RunStats::to_fields`].
+            pub(crate) fn from_fields(fields: [u64; Self::FIELDS]) -> RunStats {
+                let [$($field),*] = fields;
+                RunStats { $($field),* }
+            }
+
+            /// Merge another run's statistics into this one (for
+            /// suite-level averages).
+            pub fn merge(&mut self, other: &RunStats) {
+                $(self.$field += other.$field;)*
+            }
+        }
+    };
+}
+
+run_stats! {
     /// Total clock cycles, including all stall (frozen) cycles.
-    pub cycles: u64,
+    cycles,
     /// Instructions completed (reached WB un-killed) — explicit no-ops
     /// included, squashed instructions excluded.
-    pub instructions: u64,
+    instructions,
     /// Completed explicit `nop` instructions.
-    pub nops: u64,
+    nops,
     /// Instructions killed by squash or exception that drained at WB.
-    pub squashed: u64,
+    squashed,
     /// Conditional branches executed.
-    pub branches: u64,
+    branches,
     /// Conditional branches that took.
-    pub branches_taken: u64,
+    branches_taken,
     /// `nop`s observed in branch delay slots (unfillable slots).
-    pub branch_slot_nops: u64,
+    branch_slot_nops,
     /// Branch delay-slot instructions squashed (wrong-way penalty).
-    pub branch_slot_squashed: u64,
+    branch_slot_squashed,
     /// Unconditional jumps executed (including the special jumps).
-    pub jumps: u64,
+    jumps,
     /// Data loads completed (including `ldf` and `mvfc`).
-    pub loads: u64,
+    loads,
     /// Data stores completed (including `stf`).
-    pub stores: u64,
+    stores,
     /// Coprocessor operations issued.
-    pub coproc_ops: u64,
+    coproc_ops,
     /// Exceptions taken (traps and interrupts).
-    pub exceptions: u64,
+    exceptions,
     /// Cycles frozen for instruction-cache miss service.
-    pub icache_stall_cycles: u64,
+    icache_stall_cycles,
     /// Cycles frozen in the external-cache late-miss retry loop (data side).
-    pub ecache_stall_cycles: u64,
+    ecache_stall_cycles,
     /// Cycles frozen waiting on a busy coprocessor.
-    pub coproc_stall_cycles: u64,
+    coproc_stall_cycles,
     /// Cycles charged by the non-cached coprocessor scheme's forced misses.
-    pub coproc_forced_miss_cycles: u64,
+    coproc_forced_miss_cycles,
     /// Total cycles the qualified clock ψ1 was withheld (the sum of the
     /// per-cause stall counters, measured independently at the gate).
-    pub frozen_cycles: u64,
+    frozen_cycles,
     /// Cycles a hardware load-use interlock would freeze. MIPS-X has no
     /// such interlock — the reorganizer schedules around the hazard — so
     /// this stays zero on the shipped pipeline; interlocking variants fill
     /// it so CPI decomposes uniformly.
-    pub interlock_stall_cycles: u64,
+    interlock_stall_cycles,
     /// Maskable-interrupt pulses delivered by the fault-injection harness
     /// (delivered ≠ accepted: a masked pulse may be ignored).
-    pub injected_interrupts: u64,
+    injected_interrupts,
     /// Non-maskable-interrupt pulses delivered by the harness.
-    pub injected_nmis: u64,
+    injected_nmis,
     /// Icache parity faults that actually invalidated a resident word and
     /// so forced a sub-block refetch.
-    pub injected_parity_retries: u64,
+    injected_parity_retries,
     /// Extra Ecache retry-loop cycles injected as latency jitter (also
     /// counted in [`RunStats::ecache_stall_cycles`]).
-    pub injected_jitter_cycles: u64,
+    injected_jitter_cycles,
     /// Coprocessor-busy cycles injected (also counted in
     /// [`RunStats::coproc_stall_cycles`]).
-    pub injected_coproc_busy_cycles: u64,
+    injected_coproc_busy_cycles,
 }
 
 impl RunStats {
@@ -145,35 +179,6 @@ impl RunStats {
         } else {
             self.cycles as f64 / secs
         }
-    }
-
-    /// Merge another run's statistics into this one (for suite-level
-    /// averages).
-    pub fn merge(&mut self, other: &RunStats) {
-        self.cycles += other.cycles;
-        self.instructions += other.instructions;
-        self.nops += other.nops;
-        self.squashed += other.squashed;
-        self.branches += other.branches;
-        self.branches_taken += other.branches_taken;
-        self.branch_slot_nops += other.branch_slot_nops;
-        self.branch_slot_squashed += other.branch_slot_squashed;
-        self.jumps += other.jumps;
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.coproc_ops += other.coproc_ops;
-        self.exceptions += other.exceptions;
-        self.icache_stall_cycles += other.icache_stall_cycles;
-        self.ecache_stall_cycles += other.ecache_stall_cycles;
-        self.coproc_stall_cycles += other.coproc_stall_cycles;
-        self.coproc_forced_miss_cycles += other.coproc_forced_miss_cycles;
-        self.frozen_cycles += other.frozen_cycles;
-        self.interlock_stall_cycles += other.interlock_stall_cycles;
-        self.injected_interrupts += other.injected_interrupts;
-        self.injected_nmis += other.injected_nmis;
-        self.injected_parity_retries += other.injected_parity_retries;
-        self.injected_jitter_cycles += other.injected_jitter_cycles;
-        self.injected_coproc_busy_cycles += other.injected_coproc_busy_cycles;
     }
 
     /// Total fault-injection events and cycles delivered this run.
@@ -295,32 +300,7 @@ mod tests {
     /// field-wise as `+` makes the whole struct linear in `k` — any dropped,
     /// duplicated or cross-wired counter breaks the linearity check below.
     fn filled(k: u64) -> RunStats {
-        RunStats {
-            cycles: k,
-            instructions: 2 * k,
-            nops: 3 * k,
-            squashed: 4 * k,
-            branches: 5 * k,
-            branches_taken: 6 * k,
-            branch_slot_nops: 7 * k,
-            branch_slot_squashed: 8 * k,
-            jumps: 9 * k,
-            loads: 10 * k,
-            stores: 11 * k,
-            coproc_ops: 12 * k,
-            exceptions: 13 * k,
-            icache_stall_cycles: 14 * k,
-            ecache_stall_cycles: 15 * k,
-            coproc_stall_cycles: 16 * k,
-            coproc_forced_miss_cycles: 17 * k,
-            frozen_cycles: 18 * k,
-            interlock_stall_cycles: 19 * k,
-            injected_interrupts: 20 * k,
-            injected_nmis: 21 * k,
-            injected_parity_retries: 22 * k,
-            injected_jitter_cycles: 23 * k,
-            injected_coproc_busy_cycles: 24 * k,
-        }
+        RunStats::from_fields(std::array::from_fn(|i| (i as u64 + 1) * k))
     }
 
     fn merged(a: &RunStats, b: &RunStats) -> RunStats {

@@ -7,7 +7,7 @@
 //! point that *"all instructions are restartable."*
 
 use mipsx_asm::{assemble, assemble_at};
-use mipsx_core::{Machine, MachineConfig, RunError};
+use mipsx_core::{FaultPlan, Machine, MachineConfig, NullSink, RunError};
 use mipsx_isa::{ExceptionCause, Instr, Mode, Reg};
 
 /// A do-nothing exception handler: restart immediately via the three
@@ -38,6 +38,11 @@ fn machine_with_handler(user_src: &str, handler_src: &str, origin: u32) -> Machi
 
 fn reg(m: &Machine, n: u8) -> u32 {
     m.cpu().reg(Reg::new(n))
+}
+
+/// One untraced, fault-free clock.
+fn step(m: &mut Machine) -> Result<(), RunError> {
+    m.step(&mut NullSink, &mut FaultPlan::none())
 }
 
 #[test]
@@ -110,7 +115,7 @@ fn psw_records_cause_and_modes_switch() {
     // so cap the test at the FIRST entry by reading the captured PSW after
     // a bounded number of steps.
     for _ in 0..60 {
-        if m.step().is_err() || m.halted() {
+        if step(&mut m).is_err() || m.halted() {
             break;
         }
         if reg(&m, 20) != 0 {
@@ -142,12 +147,12 @@ fn interrupt_enters_handler_once() {
     let mut m = machine_with_handler(user, COUNTING_HANDLER, 0x400);
     // Run a while, pulse the interrupt line for one accepted exception.
     for _ in 0..100 {
-        m.step().unwrap();
+        step(&mut m).unwrap();
     }
     m.set_interrupt_line(true);
     let before = m.stats().exceptions;
     while m.stats().exceptions == before {
-        m.step().unwrap();
+        step(&mut m).unwrap();
     }
     m.set_interrupt_line(false);
     let stats = m.run(1_000_000).expect("completes");
@@ -186,7 +191,7 @@ fn nmi_ignores_the_mask() {
     ";
     let mut m = machine_with_handler(user, COUNTING_HANDLER, 0x400);
     for _ in 0..50 {
-        m.step().unwrap();
+        step(&mut m).unwrap();
     }
     m.pulse_nmi();
     let stats = m.run(1_000_000).expect("completes");
@@ -247,8 +252,7 @@ fn interrupt_at_every_cycle_preserves_architectural_state() {
             if m.halted() {
                 break;
             }
-            m.step()
-                .unwrap_or_else(|e| panic!("cycle error at {fire_at}: {e}"));
+            step(&mut m).unwrap_or_else(|e| panic!("cycle error at {fire_at}: {e}"));
         }
         if m.halted() {
             break;
@@ -261,8 +265,7 @@ fn interrupt_at_every_cycle_preserves_architectural_state() {
             if m.halted() || m.stats().exceptions > before {
                 break;
             }
-            m.step()
-                .unwrap_or_else(|e| panic!("interrupt error at {fire_at}: {e}"));
+            step(&mut m).unwrap_or_else(|e| panic!("interrupt error at {fire_at}: {e}"));
         }
         m.set_interrupt_line(false);
         if !m.halted() {
@@ -304,7 +307,7 @@ fn pc_chain_is_readable_and_writable_in_handler() {
         if m.halted() {
             break;
         }
-        let _ = m.step();
+        let _ = step(&mut m);
     }
     // Chain = PCs of the instructions that were in MEM, ALU, RF: the sll,
     // the add (faulter), and the li after it.
@@ -370,7 +373,7 @@ fn squashed_slots_replay_as_dead_after_interrupt() {
             if m.halted() {
                 break;
             }
-            m.step().unwrap();
+            step(&mut m).unwrap();
         }
         if m.halted() {
             continue;
@@ -380,7 +383,7 @@ fn squashed_slots_replay_as_dead_after_interrupt() {
             if m.halted() || m.stats().exceptions > 0 {
                 break;
             }
-            m.step().unwrap();
+            step(&mut m).unwrap();
         }
         m.set_interrupt_line(false);
         if !m.halted() {

@@ -1,9 +1,8 @@
 //! Pluggable execution backends for the MIPS-X model.
 //!
-//! Before this crate, "how to run cycles" was decided ad hoc at every call
-//! site: `mipsx run` special-cased the block engine, the sweep engine and
-//! the profiler hard-wired the cycle-accurate stepper, and the lockstep
-//! differ owned its own machine. [`ExecBackend`] makes the choice a value:
+//! "How to run cycles" is a value, not a decision made at every call site:
+//! `mipsx run`/`profile`/`soak`, the sweep engine and the differ tests all
+//! pick an [`ExecBackend`]:
 //!
 //! - [`Stepper`] — the cycle-accurate five-stage pipeline, unchanged;
 //! - [`BlockBackend`] — the basic-block superop engine from
@@ -11,7 +10,7 @@
 //!   don't apply;
 //! - [`CheckedBackend`] — the stepper shadowed by the functional
 //!   reference model, comparing architectural state at every retirement
-//!   (the `mipsx soak` differ, available as an engine).
+//!   (the `mipsx soak` differ, also available as an engine).
 //!
 //! All three run a **caller-owned** [`Machine`] — construction, program
 //! loading, and machine pooling stay with the caller — and all three are
@@ -30,7 +29,7 @@ use std::fmt;
 use mipsx_asm::Program;
 use mipsx_core::{FaultPlan, Machine, NullSink, RunError, RunStats, TraceSink};
 use mipsx_engine::{BlockEngine, EngineStats};
-use mipsx_ref::{Divergence, LockstepError, Shadow};
+use mipsx_ref::{Divergence, Shadow};
 
 /// Which execution backend to run cycles on. The engine is a *host-side*
 /// choice: every kind retires the same instructions and books the same
@@ -75,6 +74,21 @@ impl EngineKind {
     }
 }
 
+impl EngineKind {
+    /// Whether this engine can run a pipeline with `slots` branch delay
+    /// slots: `checked` needs the 2-slot pipeline, because the reference
+    /// model hard-codes that ISA.
+    pub fn check_slots(self, slots: usize) -> Result<(), String> {
+        if self == EngineKind::Checked && slots != 2 {
+            return Err(format!(
+                "engine=checked needs the 2-delay-slot pipeline (the reference model \
+                 hard-codes that ISA); got {slots} slots"
+            ));
+        }
+        Ok(())
+    }
+}
+
 impl fmt::Display for EngineKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
@@ -88,16 +102,6 @@ pub enum ExecError {
     Run(RunError),
     /// The checked backend's reference model disagreed with the pipeline.
     Diverged(Box<Divergence>),
-}
-
-impl ExecError {
-    /// The underlying [`RunError`], if this is one.
-    pub fn as_run(&self) -> Option<&RunError> {
-        match self {
-            ExecError::Run(e) => Some(e),
-            ExecError::Diverged(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for ExecError {
@@ -117,12 +121,9 @@ impl From<RunError> for ExecError {
     }
 }
 
-impl From<LockstepError> for ExecError {
-    fn from(e: LockstepError) -> ExecError {
-        match e {
-            LockstepError::Machine(e) => ExecError::Run(e),
-            LockstepError::Diverged(d) => ExecError::Diverged(d),
-        }
+impl From<Box<Divergence>> for ExecError {
+    fn from(d: Box<Divergence>) -> ExecError {
+        ExecError::Diverged(d)
     }
 }
 
@@ -185,10 +186,6 @@ impl ExecBackend for Stepper {
         m.run_with_faults(max_cycles, sink, plan)
             .map_err(Into::into)
     }
-
-    fn run(&mut self, m: &mut Machine, max_cycles: u64) -> Result<RunStats, ExecError> {
-        m.run(max_cycles).map_err(Into::into)
-    }
 }
 
 /// The basic-block superop engine as a backend.
@@ -238,10 +235,6 @@ impl ExecBackend for BlockBackend {
             .map_err(Into::into)
     }
 
-    fn run(&mut self, m: &mut Machine, max_cycles: u64) -> Result<RunStats, ExecError> {
-        self.engine.run(m, max_cycles).map_err(Into::into)
-    }
-
     fn engine_stats(&self) -> Option<&EngineStats> {
         Some(self.engine.stats())
     }
@@ -276,6 +269,18 @@ impl CheckedBackend {
     pub fn shadow(&self) -> &Shadow {
         &self.shadow
     }
+
+    /// Load an exception handler image at its origin on both sides.
+    pub fn install_handler(&mut self, m: &mut Machine, handler: &Program) {
+        m.load_at(handler.origin, &handler.words);
+        self.shadow.load_image(handler.origin, &handler.words);
+    }
+
+    /// Enable maskable interrupts on both sides (boot software would).
+    pub fn enable_interrupts(&mut self, m: &mut Machine) {
+        m.cpu_mut().psw.set_interrupts_enabled(true);
+        self.shadow.enable_interrupts();
+    }
 }
 
 impl ExecBackend for CheckedBackend {
@@ -293,12 +298,15 @@ impl ExecBackend for CheckedBackend {
         if m.halted() {
             return Err(RunError::AlreadyHalted.into());
         }
+        // `Machine::run_with_faults`'s loop, plus a compare after every
+        // cycle: the oracle must see machine state between cycles.
         let start = m.stats().cycles;
         while !m.halted() {
             if m.stats().cycles - start >= max_cycles {
                 return Err(RunError::CycleLimit { limit: max_cycles }.into());
             }
-            self.shadow.step(m, plan, sink)?;
+            m.step(&mut (&mut self.shadow, &mut *sink), plan)?;
+            self.shadow.compare(m, plan)?;
         }
         Ok(*m.stats())
     }
@@ -354,14 +362,6 @@ impl ExecBackend for AnyBackend {
             AnyBackend::Interp(b) => b.run_with_faults(m, max_cycles, sink, plan),
             AnyBackend::Block(b) => b.run_with_faults(m, max_cycles, sink, plan),
             AnyBackend::Checked(b) => b.run_with_faults(m, max_cycles, sink, plan),
-        }
-    }
-
-    fn run(&mut self, m: &mut Machine, max_cycles: u64) -> Result<RunStats, ExecError> {
-        match self {
-            AnyBackend::Interp(b) => b.run(m, max_cycles),
-            AnyBackend::Block(b) => b.run(m, max_cycles),
-            AnyBackend::Checked(b) => b.run(m, max_cycles),
         }
     }
 

@@ -115,12 +115,8 @@ impl SimPoint {
                 ic.ways, ic.fetch_words
             ));
         }
-        if self.engine == EngineKind::Checked && self.scheme.slots != 2 {
-            return err(format!(
-                "engine=checked needs the 2-delay-slot pipeline (the reference model \
-                 hard-codes that ISA); got {} slots",
-                self.scheme.slots
-            ));
+        if let Err(e) = self.engine.check_slots(self.scheme.slots) {
+            return err(e);
         }
         let ec = &self.cfg.ecache;
         if !ec.size_words.is_power_of_two()

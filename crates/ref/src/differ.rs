@@ -1,6 +1,6 @@
 //! The lockstep differ.
 //!
-//! [`Lockstep`] runs the cycle-accurate pipeline and the functional
+//! [`Shadow`] follows the cycle-accurate pipeline with the functional
 //! reference model over the *same* program and the *same* fault plan, and
 //! compares architectural state at every retirement:
 //!
@@ -24,9 +24,7 @@
 use std::fmt;
 
 use mipsx_asm::Program;
-use mipsx_core::{
-    FaultEvent, FaultPlan, Machine, MachineConfig, NullSink, RunError, RunStats, TraceSink,
-};
+use mipsx_core::{FaultEvent, FaultPlan, Machine, MachineConfig, TraceSink};
 use mipsx_isa::{ExceptionCause, Instr};
 
 use crate::interp::RefMachine;
@@ -34,24 +32,6 @@ use crate::interp::RefMachine;
 /// The minimal exception handler: restart immediately via the three
 /// special jumps through the PC chain.
 pub const NULL_HANDLER: &str = "jpc\njpc\njpcrs";
-
-/// Per-cycle events captured from the pipeline's trace probe: what
-/// drained at write-back and whether an exception was taken.
-#[derive(Default)]
-struct StepEvents {
-    retires: Vec<(u32, Instr, bool)>,
-    exceptions: Vec<ExceptionCause>,
-}
-
-impl TraceSink for StepEvents {
-    fn exception(&mut self, _cycle: u64, cause: ExceptionCause) {
-        self.exceptions.push(cause);
-    }
-
-    fn retire(&mut self, _cycle: u64, pc: u32, instr: Instr, killed: bool) {
-        self.retires.push((pc, instr, killed));
-    }
-}
 
 /// The first point where pipeline and reference model disagree.
 #[derive(Debug, Clone)]
@@ -90,42 +70,30 @@ impl fmt::Display for Divergence {
     }
 }
 
-/// Why a lockstep run stopped early.
-#[derive(Debug, Clone)]
-pub enum LockstepError {
-    /// The pipeline itself reported a simulator-level error.
-    Machine(RunError),
-    /// Pipeline and reference model disagreed.
-    Diverged(Box<Divergence>),
-}
-
-impl fmt::Display for LockstepError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LockstepError::Machine(e) => write!(f, "machine error: {e}"),
-            LockstepError::Diverged(d) => d.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for LockstepError {}
-
-impl From<RunError> for LockstepError {
-    fn from(e: RunError) -> LockstepError {
-        LockstepError::Machine(e)
-    }
-}
-
 /// A reference-model oracle shadowing a pipeline it does **not** own.
 ///
-/// [`Shadow`] holds only the functional model; each [`Shadow::step`]
-/// advances a borrowed [`Machine`] one cycle, mirrors its retirements and
-/// exceptions, and compares. This is the machine-external core of the
-/// differ: [`Lockstep`] (which owns both sides) and the `checked`
-/// execution backend (which verifies a caller-owned machine in place) are
-/// both thin wrappers around it.
+/// [`Shadow`] holds only the functional model. It is a [`TraceSink`]: the
+/// caller steps its own [`Machine`] with the shadow attached, and
+/// [`Shadow::compare`] then mirrors the cycle's retirements and
+/// exceptions into the oracle and compares. The `checked` execution
+/// backend in `mipsx-exec` drives it to verify a caller-owned machine in
+/// place.
 pub struct Shadow {
     oracle: RefMachine,
+    /// This cycle's drained `(pc, instr, killed)` triples, in order.
+    retires: Vec<(u32, Instr, bool)>,
+    /// This cycle's exceptions.
+    exceptions: Vec<ExceptionCause>,
+}
+
+impl TraceSink for Shadow {
+    fn exception(&mut self, _cycle: u64, cause: ExceptionCause) {
+        self.exceptions.push(cause);
+    }
+
+    fn retire(&mut self, _cycle: u64, pc: u32, instr: Instr, killed: bool) {
+        self.retires.push((pc, instr, killed));
+    }
 }
 
 impl Shadow {
@@ -141,7 +109,11 @@ impl Shadow {
         );
         let mut oracle = RefMachine::new(cfg.exception_vector);
         oracle.load_program(program);
-        Shadow { oracle }
+        Shadow {
+            oracle,
+            retires: Vec::new(),
+            exceptions: Vec::new(),
+        }
     }
 
     /// Load an image (e.g. an exception handler) on the oracle side.
@@ -159,75 +131,84 @@ impl Shadow {
         &self.oracle
     }
 
-    /// Advance `machine` one cycle under `plan`, mirror its retirements
-    /// and exceptions into the oracle, and compare. Per-cycle probe events
-    /// are forwarded to `extra` so a traced run stays byte-identical to an
-    /// unshadowed one. Returns whether the pipeline has halted.
-    pub fn step<S: TraceSink>(
-        &mut self,
-        machine: &mut Machine,
-        plan: &mut FaultPlan,
-        extra: &mut S,
-    ) -> Result<bool, LockstepError> {
-        let mut ev = StepEvents::default();
-        machine
-            .step_with_faults(&mut (&mut ev, &mut *extra), plan)
-            .map_err(LockstepError::Machine)?;
-        for (pc, instr, killed) in std::mem::take(&mut ev.retires) {
-            let step = self.oracle.step_retire();
-            if step.pc != pc {
-                return Err(self.diverge(
-                    machine,
-                    plan,
-                    format!("retired pc: pipeline {:#x}, reference {:#x}", pc, step.pc),
-                ));
-            }
-            if step.killed != killed {
-                return Err(self.diverge(
-                    machine,
-                    plan,
-                    format!(
-                        "kill bit at {pc:#x} ({instr}): pipeline {killed}, reference {}",
-                        step.killed
-                    ),
-                ));
-            }
-            if !killed {
-                if step.instr != Some(instr) {
-                    return Err(self.diverge(
-                        machine,
-                        plan,
-                        format!(
-                            "instruction at {pc:#x}: pipeline {instr}, reference {}",
-                            step.instr
-                                .map_or_else(|| "<drain>".into(), |i| i.to_string())
-                        ),
-                    ));
-                }
-                let m = machine.cpu().regs_snapshot();
-                let o = self.oracle.regs_snapshot();
-                if m != o {
-                    let r = (0..32).find(|&i| m[i] != o[i]).unwrap_or(0);
-                    return Err(self.diverge(
-                        machine,
-                        plan,
-                        format!(
-                            "r{r} after {instr} at {pc:#x}: pipeline {:#x}, reference {:#x}",
-                            m[r], o[r]
-                        ),
-                    ));
-                }
-            }
-        }
-        for cause in ev.exceptions.drain(..) {
+    /// Mirror the retirements and exceptions recorded since the last call
+    /// (one cycle of `machine`, stepped with this shadow as its sink) into
+    /// the oracle, comparing each retirement. `plan` supplies the last
+    /// injected fault for a divergence report.
+    pub fn compare(&mut self, machine: &Machine, plan: &FaultPlan) -> Result<(), Box<Divergence>> {
+        let mut retires = std::mem::take(&mut self.retires);
+        let checked = retires
+            .drain(..)
+            .try_for_each(|(pc, instr, killed)| self.retire_one(machine, plan, pc, instr, killed));
+        self.retires = retires;
+        checked?;
+        for cause in self.exceptions.drain(..) {
             self.oracle.take_exception(cause);
         }
-        Ok(machine.halted())
+        Ok(())
+    }
+
+    /// Retire the oracle's next stream position and compare it with the
+    /// pipeline's drained `(pc, instr, killed)`.
+    fn retire_one(
+        &mut self,
+        machine: &Machine,
+        plan: &FaultPlan,
+        pc: u32,
+        instr: Instr,
+        killed: bool,
+    ) -> Result<(), Box<Divergence>> {
+        let step = self.oracle.step_retire();
+        if step.pc != pc {
+            return Err(self.diverge(
+                machine,
+                plan,
+                format!("retired pc: pipeline {:#x}, reference {:#x}", pc, step.pc),
+            ));
+        }
+        if step.killed != killed {
+            return Err(self.diverge(
+                machine,
+                plan,
+                format!(
+                    "kill bit at {pc:#x} ({instr}): pipeline {killed}, reference {}",
+                    step.killed
+                ),
+            ));
+        }
+        if killed {
+            return Ok(());
+        }
+        if step.instr != Some(instr) {
+            return Err(self.diverge(
+                machine,
+                plan,
+                format!(
+                    "instruction at {pc:#x}: pipeline {instr}, reference {}",
+                    step.instr
+                        .map_or_else(|| "<drain>".into(), |i| i.to_string())
+                ),
+            ));
+        }
+        let m = machine.cpu().regs_snapshot();
+        let o = self.oracle.regs_snapshot();
+        if m != o {
+            let r = (0..32).find(|&i| m[i] != o[i]).unwrap_or(0);
+            return Err(self.diverge(
+                machine,
+                plan,
+                format!(
+                    "r{r} after {instr} at {pc:#x}: pipeline {:#x}, reference {:#x}",
+                    m[r], o[r]
+                ),
+            ));
+        }
+        Ok(())
     }
 
     /// The final architectural comparison at halt: registers, PSW, PSWold,
     /// MD and every memory word the reference model stored to.
-    pub fn final_check(&self, machine: &Machine, plan: &FaultPlan) -> Result<(), LockstepError> {
+    pub fn final_check(&self, machine: &Machine, plan: &FaultPlan) -> Result<(), Box<Divergence>> {
         if !self.oracle.halted() {
             return Err(self.diverge(
                 machine,
@@ -293,95 +274,14 @@ impl Shadow {
         Ok(())
     }
 
-    fn diverge(&self, machine: &Machine, plan: &FaultPlan, what: String) -> LockstepError {
-        LockstepError::Diverged(Box::new(Divergence {
+    fn diverge(&self, machine: &Machine, plan: &FaultPlan, what: String) -> Box<Divergence> {
+        Box::new(Divergence {
             cycle: machine.stats().cycles,
             committed: machine.stats().instructions,
             what,
             machine_pc: machine.cpu().pc,
             oracle_pc: self.oracle.pc(),
             pending_fault: plan.last_fired(),
-        }))
-    }
-}
-
-/// Pipeline + reference model in lockstep under one fault plan.
-pub struct Lockstep {
-    machine: Machine,
-    shadow: Shadow,
-    plan: FaultPlan,
-}
-
-impl Lockstep {
-    /// Build both models over `program` with `plan` scheduled against the
-    /// pipeline.
-    ///
-    /// # Panics
-    /// Panics unless `cfg` uses the shipped two-delay-slot pipeline — the
-    /// reference model hard-codes that ISA.
-    pub fn new(cfg: MachineConfig, program: &Program, plan: FaultPlan) -> Lockstep {
-        let mut machine = Machine::new(cfg);
-        machine.load_program(program);
-        let shadow = Shadow::new(&cfg, program);
-        Lockstep {
-            machine,
-            shadow,
-            plan,
-        }
-    }
-
-    /// Load an exception handler image at its origin on both sides.
-    pub fn install_handler(&mut self, handler: &Program) {
-        for (i, &w) in handler.words.iter().enumerate() {
-            self.machine
-                .write_word(handler.origin.wrapping_add(i as u32), w);
-        }
-        self.shadow.load_image(handler.origin, &handler.words);
-    }
-
-    /// Enable maskable interrupts on both sides (boot software would).
-    pub fn enable_interrupts(&mut self) {
-        self.machine.cpu_mut().psw.set_interrupts_enabled(true);
-        self.shadow.enable_interrupts();
-    }
-
-    /// The pipeline side.
-    pub fn machine(&self) -> &Machine {
-        &self.machine
-    }
-
-    /// The pipeline side, mutable — robustness tests use this to corrupt
-    /// machine state and prove the differ notices.
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
-    }
-
-    /// The reference side.
-    pub fn oracle(&self) -> &RefMachine {
-        self.shadow.oracle()
-    }
-
-    /// Advance the pipeline one cycle, mirror its retirements and
-    /// exceptions into the reference model, and compare. Returns whether
-    /// the pipeline has halted.
-    pub fn step(&mut self) -> Result<bool, LockstepError> {
-        self.shadow
-            .step(&mut self.machine, &mut self.plan, &mut NullSink)
-    }
-
-    /// Run to halt (or `max_cycles`) and make the final architectural
-    /// comparison: registers, PSW, PSWold, MD and every memory word the
-    /// reference model stored to.
-    pub fn run(&mut self, max_cycles: u64) -> Result<RunStats, LockstepError> {
-        while !self.machine.halted() {
-            if self.machine.stats().cycles >= max_cycles {
-                return Err(LockstepError::Machine(RunError::CycleLimit {
-                    limit: max_cycles,
-                }));
-            }
-            self.step()?;
-        }
-        self.shadow.final_check(&self.machine, &self.plan)?;
-        Ok(*self.machine.stats())
+        })
     }
 }

@@ -10,20 +10,20 @@
 //!   pipeline, caches or stalls. It knows only what the ISA makes
 //!   architectural: delay slots, squashing, the PC chain, and the PSW
 //!   exception rules.
-//! - [`Lockstep`] — runs the cycle-accurate pipeline and the reference
-//!   model over the same program and the same injected-fault schedule
-//!   (interrupts, NMIs, Icache parity refetches, Ecache latency jitter,
-//!   coprocessor-busy stalls), comparing every retirement and the final
-//!   architectural state. The first disagreement becomes a [`Divergence`]
-//!   report.
+//! - [`Shadow`] — follows a caller-owned cycle-accurate pipeline with the
+//!   reference model over the same program and the same injected-fault
+//!   schedule (interrupts, NMIs, Icache parity refetches, Ecache latency
+//!   jitter, coprocessor-busy stalls), comparing every retirement and the
+//!   final architectural state. The first disagreement becomes a
+//!   [`Divergence`] report.
 //!
-//! The `mipsx soak` subcommand drives [`Lockstep`] over random programs
-//! and random fault plans; `crates/ref/tests/lockstep.rs` drives it over
-//! the workload kernels and proves a deliberately corrupted restart path
-//! is caught.
+//! `mipsx-exec`'s `CheckedBackend` runs a machine under a [`Shadow`]; the
+//! `mipsx soak` subcommand drives it over random programs and random fault
+//! plans, and `crates/exec/tests/lockstep.rs` drives it over the workload
+//! kernels and proves a deliberately corrupted restart path is caught.
 
 mod differ;
 mod interp;
 
-pub use differ::{Divergence, Lockstep, LockstepError, Shadow, NULL_HANDLER};
+pub use differ::{Divergence, Shadow, NULL_HANDLER};
 pub use interp::{RefMachine, RetireStep};

@@ -9,7 +9,9 @@
 //!                                   ASCII pipe diagram + CPI attribution
 //! mipsx soak  [options]             fuzz random programs under random
 //!                                   fault plans against the lockstep
-//!                                   reference model
+//!                                   reference model, and each program
+//!                                   fault-free across the interp and
+//!                                   block engines
 //! mipsx lint  <kernel|file.s> [options]
 //!                                   static hazard verifier: prove the
 //!                                   program satisfies the pipeline
@@ -177,14 +179,14 @@ use mipsx::bench::experiments;
 use mipsx::bench::{json_document, render_table, rows_to_json_timed};
 use mipsx::cli::{flag, parse_args, switch, ArgError, FlagSpec, ParsedArgs};
 use mipsx::core::probe::{CpiAttribution, JsonlSink, NullSink, PipeDiagram};
-use mipsx::core::{FaultPlan, InterlockPolicy, Machine, MachineConfig, RunError};
-use mipsx::exec::{AnyBackend, EngineKind, ExecBackend};
+use mipsx::core::{FaultPlan, InterlockPolicy, Machine, MachineConfig, RunError, RunStats};
+use mipsx::exec::{AnyBackend, CheckedBackend, EngineKind, ExecBackend, ExecError};
 use mipsx::explore::{
     run_sweep, Axis, Grid, JournalConfig, ResultStore, SimPoint, SweepOptions, SweepSpec,
     Telemetry, Workload,
 };
 use mipsx::isa::Reg;
-use mipsx::refmodel::{Lockstep, NULL_HANDLER};
+use mipsx::refmodel::NULL_HANDLER;
 use mipsx::reorg::{BranchScheme, Reorganizer, SquashPolicy};
 use mipsx::verify::{
     differential, verify, verify_with_timing, BlockAttribution, TimingAnalysis, VerifyConfig,
@@ -688,6 +690,40 @@ const SOAK_VECTOR: u32 = 0x8000;
 /// within a few thousand cycles of the divergence.
 const SOAK_CHECKPOINT_CYCLES: u64 = 2048;
 
+/// Run `program` fault-free under `interp` and `block` on the ideal-cache
+/// machine (soak exception vector, `handler` installed) and require
+/// identical books and final registers.
+fn engines_agree(
+    program: &mipsx::asm::Program,
+    handler: &mipsx::asm::Program,
+    cycles: u64,
+) -> Result<(), String> {
+    let cfg = MachineConfig {
+        exception_vector: SOAK_VECTOR,
+        ..MachineConfig::cache_ideal()
+    };
+    let run = |kind| {
+        let mut machine = Machine::new(cfg);
+        machine.load_program(program);
+        machine.load_at(handler.origin, &handler.words);
+        // A budget expiry still compares: the engines splice cycle-exactly
+        // at any budget.
+        match AnyBackend::new(kind, program, &machine).run(&mut machine, cycles) {
+            Ok(_) | Err(ExecError::Run(RunError::CycleLimit { .. })) => {
+                Ok((*machine.stats(), machine.cpu().regs_snapshot()))
+            }
+            Err(e) => Err(format!("{kind} engine: {e}")),
+        }
+    };
+    let (interp, block) = (run(EngineKind::Interp)?, run(EngineKind::Block)?);
+    if interp != block {
+        return Err(format!(
+            "block engine books or registers differ from interp:\n  interp {interp:?}\n  block  {block:?}"
+        ));
+    }
+    Ok(())
+}
+
 fn cmd_soak(args: &[String]) -> ExitCode {
     let parsed = match parse_or_usage(
         args,
@@ -749,7 +785,7 @@ fn cmd_soak(args: &[String]) -> ExitCode {
             eprintln!("{lint}");
             return ExitCode::FAILURE;
         }
-        let plan = match &fixed_plan {
+        let mut plan = match &fixed_plan {
             Some(p) => p.clone(),
             None => {
                 // Size the plan's horizon to this program's fault-free run
@@ -768,34 +804,44 @@ fn cmd_soak(args: &[String]) -> ExitCode {
         };
         let plan_spec = plan.to_string();
         faults += plan.events().len() as u64;
-        let mut lockstep = Lockstep::new(cfg, &program, plan);
-        lockstep.install_handler(&handler);
-        lockstep.enable_interrupts();
-        // Step with a checkpoint cadence: the last snapshot taken before a
-        // divergence is written out, so the failing window can be replayed
-        // under `mipsx snapshot restore` / a debugger without re-running
-        // the whole soak from cycle zero.
+        let mut machine = Machine::new(cfg);
+        machine.load_program(&program);
+        let mut checked = CheckedBackend::new(&machine, &program);
+        checked.install_handler(&mut machine, &handler);
+        checked.enable_interrupts(&mut machine);
+        // Run in checkpoint-sized budget chunks: the last snapshot taken
+        // before a divergence is written out, so the failing window can be
+        // replayed under `mipsx snapshot restore` / a debugger without
+        // re-running the whole soak from cycle zero.
         let mut last_good: Option<(u64, Vec<u8>)> = None;
-        let mut since_checkpoint = 0u64;
         let outcome = loop {
-            if lockstep.machine().stats().cycles >= cycles {
+            let left = cycles.saturating_sub(machine.stats().cycles);
+            if left == 0 {
                 break Ok(());
             }
-            match lockstep.step() {
-                Ok(true) => break Ok(()),
-                Ok(false) => {}
+            let chunk = left.min(SOAK_CHECKPOINT_CYCLES);
+            match checked.run_with_faults(&mut machine, chunk, &mut NullSink, &mut plan) {
+                Ok(_) => break checked.final_check(&machine),
+                Err(ExecError::Run(RunError::CycleLimit { .. })) => {
+                    if let Ok(bytes) = machine.save_snapshot(None) {
+                        last_good = Some((machine.stats().cycles, bytes));
+                    }
+                }
                 Err(e) => break Err(e),
             }
-            since_checkpoint += 1;
-            if since_checkpoint >= SOAK_CHECKPOINT_CYCLES {
-                since_checkpoint = 0;
-                if let Ok(bytes) = lockstep.machine().save_snapshot(None) {
-                    last_good = Some((lockstep.machine().stats().cycles, bytes));
-                }
+        };
+        // Cross-engine check: the same program, fault-free, must book
+        // identically on the stepper and the block engine. The checked
+        // run's snapshot says nothing about a failure here.
+        let outcome = match outcome {
+            Ok(()) => {
+                last_good = None;
+                engines_agree(&program, &handler, cycles)
             }
+            Err(e) => Err(e.to_string()),
         };
         match outcome {
-            Ok(()) => exceptions += lockstep.machine().stats().exceptions,
+            Ok(()) => exceptions += machine.stats().exceptions,
             Err(e) => {
                 divergences += 1;
                 eprintln!("mipsx: seed {seed}: {e}");
@@ -822,6 +868,85 @@ fn cmd_soak(args: &[String]) -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+/// A single-target run of `mipsx run` or `mipsx profile`.
+struct EngineRun {
+    backend: AnyBackend,
+    result: Result<RunStats, ExecError>,
+    /// Host time of the run and its final check.
+    wall: std::time::Duration,
+}
+
+/// The single-target run path: parse `--engine` (interp by default) for
+/// the loaded `machine`'s pipeline, build that backend — the block
+/// engine's compile under a `compile` span of `tele` — then run it for
+/// `cycles` and make the final check under a `run` span.
+fn run_engine(
+    parsed: &ParsedArgs,
+    program: &mipsx::asm::Program,
+    machine: &mut Machine,
+    cycles: u64,
+    tele: &Telemetry,
+) -> Result<EngineRun, ExitCode> {
+    let kind = parsed
+        .value("--engine")
+        .map_or(Ok(EngineKind::Interp), EngineKind::parse)
+        .and_then(|kind| {
+            kind.check_slots(machine.config().branch_delay_slots)
+                .map(|()| kind)
+        })
+        .map_err(|e| {
+            eprintln!("mipsx: --engine: {e}");
+            ExitCode::FAILURE
+        })?;
+    let mut backend = {
+        // Only the block backend does real work here (compiling the
+        // image into superop blocks); the span prices exactly that.
+        let _s = (kind == EngineKind::Block).then(|| tele.span("compile"));
+        AnyBackend::new(kind, program, machine)
+    };
+    let start = std::time::Instant::now();
+    let result = {
+        let _s = tele.span("run");
+        backend
+            .run(machine, cycles)
+            .and_then(|stats| backend.final_check(machine).map(|()| stats))
+    };
+    Ok(EngineRun {
+        backend,
+        result,
+        wall: start.elapsed(),
+    })
+}
+
+/// The block engine's summary and fallback-cause breakdown (nothing for
+/// the other backends). `run_cycles`, from `mipsx profile`, adds the
+/// fast path's share of the run and a line when nothing fell back.
+fn print_engine_summary(backend: &AnyBackend, run_cycles: Option<u64>) {
+    let Some(es) = backend.engine_stats() else {
+        return;
+    };
+    let share = run_cycles.map_or(String::new(), |cycles| {
+        format!(
+            " ({:.1}% of run)",
+            100.0 * es.fast_cycles as f64 / (cycles as f64).max(1.0)
+        )
+    });
+    if run_cycles.is_some() {
+        println!();
+    }
+    println!(
+        "engine: {} blocks compiled ({} fallback-only), {} visits, \
+         {} fast cycles{share}, {} recompiles",
+        es.blocks_compiled, es.fallback_blocks, es.block_visits, es.fast_cycles, es.recompiles
+    );
+    if run_cycles.is_some() && es.total_fallbacks() == 0 {
+        println!("engine: no stepper fallbacks");
+    }
+    for (cause, count) in es.fallback_breakdown() {
+        println!("engine: fallback {cause:<16} x{count}");
     }
 }
 
@@ -861,18 +986,6 @@ fn cmd_run(path: &str, args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let kind = match parsed.value("--engine").map(EngineKind::parse) {
-        None => EngineKind::Interp,
-        Some(Ok(kind)) => kind,
-        Some(Err(e)) => {
-            eprintln!("mipsx: --engine: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if kind == EngineKind::Checked && slots != 2 {
-        eprintln!("mipsx: --engine checked models the 2-delay-slot pipeline only");
-        return ExitCode::FAILURE;
-    }
     let mut cfg = if parsed.has("--ideal") {
         MachineConfig::cache_ideal()
     } else {
@@ -884,27 +997,24 @@ fn cmd_run(path: &str, args: &[String]) -> ExitCode {
     }
     let mut machine = Machine::new(cfg);
     machine.load_program(&program);
-    let mut backend = AnyBackend::new(kind, &program, &machine);
-    let result = backend
-        .run(&mut machine, cycles)
-        .and_then(|stats| backend.final_check(&machine).map(|()| stats));
-    if let Some(es) = backend.engine_stats() {
-        println!(
-            "engine: {} blocks compiled ({} fallback-only), {} visits, \
-             {} fast cycles, {} recompiles",
-            es.blocks_compiled, es.fallback_blocks, es.block_visits, es.fast_cycles, es.recompiles
-        );
-        for (cause, count) in es.fallback_breakdown() {
-            println!("engine: fallback {cause:<16} x{count}");
-        }
-    }
-    match result {
+    let run = match run_engine(
+        &parsed,
+        &program,
+        &mut machine,
+        cycles,
+        &Telemetry::disabled(),
+    ) {
+        Ok(run) => run,
+        Err(code) => return code,
+    };
+    print_engine_summary(&run.backend, None);
+    match run.result {
         Ok(stats) => {
             println!("{stats}");
             // The block engine only fast-paths ideal-cache configs; its
             // demoted runs still keep the cache books, so print them in
             // the stepper-driven modes only (where they are the point).
-            if kind != EngineKind::Block {
+            if run.backend.kind() != EngineKind::Block {
                 println!("icache: {}", machine.icache().stats());
                 println!("ecache: {}", machine.ecache().stats());
             }
@@ -1304,18 +1414,6 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         (Ok(c), Ok(s)) => (c, s),
         (Err(code), _) | (_, Err(code)) => return code,
     };
-    let kind = match parsed.value("--engine").map(EngineKind::parse) {
-        None => EngineKind::Interp,
-        Some(Ok(kind)) => kind,
-        Some(Err(e)) => {
-            eprintln!("mipsx: --engine: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if kind == EngineKind::Checked && slots != 2 {
-        eprintln!("mipsx: --engine checked models the 2-delay-slot pipeline only");
-        return ExitCode::FAILURE;
-    }
     let root = tele.span_root("profile");
     let program = {
         let _s = tele.span("assemble");
@@ -1337,27 +1435,18 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         let _s = tele.span("decode");
         machine.load_program(&program);
     }
-    let mut backend = {
-        // Only the block backend does real work here (compiling the
-        // image into superop blocks); the span prices exactly that.
-        let _s = (kind == EngineKind::Block).then(|| tele.span("compile"));
-        AnyBackend::new(kind, &program, &machine)
+    let run = match run_engine(&parsed, &program, &mut machine, cycles, &tele) {
+        Ok(run) => run,
+        Err(code) => return code,
     };
-    let run_start = std::time::Instant::now();
-    let stats = {
-        let _s = tele.span("run");
-        let finished = backend
-            .run(&mut machine, cycles)
-            .and_then(|s| backend.final_check(&machine).map(|()| s));
-        match finished {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("mipsx: execution failed: {e}");
-                return ExitCode::FAILURE;
-            }
+    let stats = match run.result {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("mipsx: execution failed: {e}");
+            return ExitCode::FAILURE;
         }
     };
-    let run_wall = run_start.elapsed();
+    let run_wall = run.wall;
     drop(root);
     let snap = tele.snapshot();
     println!("profile: {target} ({cycles} cycle budget)");
@@ -1371,25 +1460,7 @@ fn cmd_profile(args: &[String]) -> ExitCode {
         stats.dynamic_instructions() as f64 / run_wall.as_secs_f64().max(1e-9) / 1e6,
     );
     println!("guest: {stats}");
-    if let Some(es) = backend.engine_stats() {
-        println!();
-        println!(
-            "engine: {} blocks compiled ({} fallback-only), {} visits, \
-             {} fast cycles ({:.1}% of run), {} recompiles",
-            es.blocks_compiled,
-            es.fallback_blocks,
-            es.block_visits,
-            es.fast_cycles,
-            100.0 * es.fast_cycles as f64 / (stats.cycles as f64).max(1.0),
-            es.recompiles,
-        );
-        if es.total_fallbacks() == 0 {
-            println!("engine: no stepper fallbacks");
-        }
-        for (cause, count) in es.fallback_breakdown() {
-            println!("engine: fallback {cause:<16} x{count}");
-        }
-    }
+    print_engine_summary(&run.backend, Some(stats.cycles));
     if let Some(path) = parsed.value("--metrics") {
         if let Err(e) = write_metrics(path, &snap) {
             eprintln!("mipsx: {e}");

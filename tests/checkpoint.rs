@@ -11,7 +11,7 @@
 
 use mipsx_core::probe::JsonlSink;
 use mipsx_core::{FaultPlan, Machine, MachineConfig, RunError};
-use mipsx_ref::Lockstep;
+use mipsx_exec::{CheckedBackend, ExecBackend, ExecError};
 use mipsx_reorg::{BranchScheme, Reorganizer};
 use mipsx_workloads::find_kernel;
 
@@ -121,16 +121,22 @@ fn lockstep_differ_accepts_a_restored_machine_mid_run() {
     let (program, _) = Reorganizer::new(BranchScheme::mipsx())
         .reorganize(&raw)
         .expect("schedulable");
-    let mut ls = Lockstep::new(MachineConfig::default(), &program, FaultPlan::none());
-    for _ in 0..800 {
-        assert!(!ls.step().expect("no divergence before the swap"));
+    let mut machine = Machine::new(MachineConfig::default());
+    machine.load_program(&program);
+    let mut checked = CheckedBackend::new(&machine, &program);
+    match checked.run(&mut machine, 800) {
+        Err(ExecError::Run(RunError::CycleLimit { .. })) => {}
+        other => panic!("expected 800 clean cycles before the swap, got {other:?}"),
     }
 
     // Swap the pipeline out from under the differ for its own
     // save/restore image. If restore dropped or invented any in-flight
     // state, the very next retirement comparison would diverge.
-    let bytes = ls.machine().save_snapshot(None).expect("snapshottable");
-    *ls.machine_mut() = Machine::restore_snapshot(&bytes).expect("restorable").0;
-    let stats = ls.run(BUDGET).expect("restored machine stays in lockstep");
+    let bytes = machine.save_snapshot(None).expect("snapshottable");
+    machine = Machine::restore_snapshot(&bytes).expect("restorable").0;
+    let stats = checked
+        .run(&mut machine, BUDGET)
+        .and_then(|stats| checked.final_check(&machine).map(|()| stats))
+        .expect("restored machine stays in lockstep");
     assert!(stats.instructions > 0);
 }
