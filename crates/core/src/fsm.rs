@@ -84,6 +84,18 @@ impl CacheMissFsm {
         };
     }
 
+    /// Service a miss whose `cycles` frozen cycles pass at once: the
+    /// counters end as [`CacheMissFsm::start`] followed by `cycles` ticks
+    /// leave them. The block engine books its stalls this way; the FSM
+    /// must be running.
+    pub fn serve(&mut self, cycles: u32) {
+        debug_assert!(!self.stalled(), "serve() while a stall is in service");
+        if cycles > 0 {
+            self.misses_serviced += 1;
+            self.frozen_cycles += u64::from(cycles);
+        }
+    }
+
     /// Advance one clock. Returns whether the pipeline may advance (ψ1
     /// rises) this cycle.
     pub fn tick(&mut self) -> bool {

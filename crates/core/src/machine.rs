@@ -421,6 +421,41 @@ impl Machine {
         self.halted = true;
     }
 
+    /// The memory hierarchy — Icache, Ecache and main memory — for a block
+    /// engine that drives the cache models itself. A fetch through the
+    /// Icache or an [`Ecache::read`] here is exactly the access the
+    /// stepper's IF or MEM stage makes; its stall cycles are then booked
+    /// with [`Machine::book_stall`] or [`Machine::start_stall`].
+    pub fn memory_mut(&mut self) -> (&mut Icache, &mut Ecache, &mut MainMemory) {
+        (&mut self.icache, &mut self.ecache, &mut self.mem)
+    }
+
+    /// Book, at once, a stall whose frozen cycles a block-engine fast path
+    /// runs through: the cause's `RunStats` counter, `cycles` and
+    /// `frozen_cycles` on the clock, and the cache-miss FSM's counters —
+    /// everything the stepper books over the stall's lifetime. Stalls add
+    /// (each event freezes the pipe for its own cycles, in any order), so
+    /// a block visit costs its length plus its stalls.
+    pub fn book_stall(&mut self, cause: StallCause, cycles: u32) {
+        if cycles == 0 {
+            return;
+        }
+        let n = u64::from(cycles);
+        *self.stats.stall_cycles_mut(cause) += n;
+        self.stats.cycles += n;
+        self.stats.frozen_cycles += n;
+        self.miss_fsm.serve(cycles);
+    }
+
+    /// Start a stall as the stepper does at the event that causes it: the
+    /// cause's `RunStats` counter now, frozen cycles as the clock runs.
+    /// For accesses a block engine replays among stepper cycles, and for
+    /// those in a `halt`'s retiring cycle, whose freeze never comes.
+    pub fn start_stall(&mut self, cause: StallCause, cycles: u32) {
+        let pc = self.cpu.pc;
+        self.stall(cause, cycles, pc, &mut NullSink);
+    }
+
     /// [`Machine::run_with_faults`] untraced and fault-free.
     ///
     /// # Errors
@@ -587,24 +622,16 @@ impl Machine {
                 }
                 FaultKind::EcacheJitter { extra } => {
                     let extra = extra.max(1);
-                    self.miss_fsm.start(extra);
-                    self.stats.ecache_stall_cycles += u64::from(extra);
+                    self.stall(StallCause::EcacheRetry, extra, self.cpu.pc, sink);
                     self.stats.injected_jitter_cycles += u64::from(extra);
-                    if S::ENABLED {
-                        sink.stall(cycle, StallCause::EcacheRetry, extra, self.cpu.pc);
-                    }
                 }
                 FaultKind::CoprocBusy { cycles } => {
                     let cycles = cycles.max(1);
                     for c in self.coprocs.iter_mut().flatten() {
                         c.inject_busy(cycles);
                     }
-                    self.miss_fsm.start(cycles);
-                    self.stats.coproc_stall_cycles += u64::from(cycles);
+                    self.stall(StallCause::CoprocBusy, cycles, self.cpu.pc, sink);
                     self.stats.injected_coproc_busy_cycles += u64::from(cycles);
-                    if S::ENABLED {
-                        sink.stall(cycle, StallCause::CoprocBusy, cycles, self.cpu.pc);
-                    }
                 }
             }
         }
@@ -846,13 +873,7 @@ impl Machine {
             Instr::Ld { .. } => {
                 let (data, extra) = self.ecache.read(slot.addr, &mut self.mem);
                 slot.mem_data = data;
-                if extra > 0 {
-                    self.miss_fsm.start(extra);
-                    self.stats.ecache_stall_cycles += extra as u64;
-                    if S::ENABLED {
-                        sink.stall(self.stats.cycles, StallCause::EcacheRetry, extra, pc);
-                    }
-                }
+                self.stall(StallCause::EcacheRetry, extra, pc, sink);
             }
             Instr::St { rsrc, .. } => {
                 let v = self.operand(rsrc, MEM, pc, sink)?;
@@ -860,24 +881,12 @@ impl Machine {
                 // entry so the next fetch re-decodes the written word.
                 self.decoded.invalidate(slot.addr);
                 let extra = self.ecache.write(slot.addr, v, &mut self.mem);
-                if extra > 0 {
-                    self.miss_fsm.start(extra);
-                    self.stats.ecache_stall_cycles += extra as u64;
-                    if S::ENABLED {
-                        sink.stall(self.stats.cycles, StallCause::EcacheRetry, extra, pc);
-                    }
-                }
+                self.stall(StallCause::EcacheRetry, extra, pc, sink);
             }
             Instr::Ldf { fr, .. } => {
                 self.stall_if_coproc_busy(1, pc, sink);
                 let (data, extra) = self.ecache.read(slot.addr, &mut self.mem);
-                if extra > 0 {
-                    self.miss_fsm.start(extra);
-                    self.stats.ecache_stall_cycles += extra as u64;
-                    if S::ENABLED {
-                        sink.stall(self.stats.cycles, StallCause::EcacheRetry, extra, pc);
-                    }
-                }
+                self.stall(StallCause::EcacheRetry, extra, pc, sink);
                 if let Some(c) = &mut self.coprocs[1] {
                     c.load_direct(fr, data);
                 }
@@ -887,13 +896,7 @@ impl Machine {
                 let v = self.coprocs[1].as_mut().map_or(0, |c| c.store_direct(fr));
                 self.decoded.invalidate(slot.addr);
                 let extra = self.ecache.write(slot.addr, v, &mut self.mem);
-                if extra > 0 {
-                    self.miss_fsm.start(extra);
-                    self.stats.ecache_stall_cycles += extra as u64;
-                    if S::ENABLED {
-                        sink.stall(self.stats.cycles, StallCause::EcacheRetry, extra, pc);
-                    }
-                }
+                self.stall(StallCause::EcacheRetry, extra, pc, sink);
             }
             Instr::Cpop { cop, op, .. } => {
                 self.stall_if_coproc_busy(cop, pc, sink);
@@ -924,13 +927,22 @@ impl Machine {
     fn stall_if_coproc_busy<S: TraceSink>(&mut self, cop: u8, pc: u32, sink: &mut S) {
         if let Some(c) = &self.coprocs[cop as usize & 7] {
             let busy = c.busy_cycles();
-            if busy > 0 {
-                self.miss_fsm.start(busy);
-                self.stats.coproc_stall_cycles += busy as u64;
-                if S::ENABLED {
-                    sink.stall(self.stats.cycles, StallCause::CoprocBusy, busy, pc);
-                }
-            }
+            self.stall(StallCause::CoprocBusy, busy, pc, sink);
+        }
+    }
+
+    /// Start a stall of `cycles` frozen cycles at the event that caused it:
+    /// the cause's `RunStats` counter now, and the cache-miss FSM withholds
+    /// ψ1 for the next `cycles` cycles (stalls already in service add up).
+    #[inline]
+    fn stall<S: TraceSink>(&mut self, cause: StallCause, cycles: u32, pc: u32, sink: &mut S) {
+        if cycles == 0 {
+            return;
+        }
+        self.miss_fsm.start(cycles);
+        *self.stats.stall_cycles_mut(cause) += u64::from(cycles);
+        if S::ENABLED {
+            sink.stall(self.stats.cycles, cause, cycles, pc);
         }
     }
 
@@ -1104,13 +1116,7 @@ impl Machine {
         let (word, stall) = self
             .icache
             .fetch_through(pc, &mut self.ecache, &mut self.mem);
-        if stall > 0 {
-            self.miss_fsm.start(stall);
-            self.stats.icache_stall_cycles += stall as u64;
-            if S::ENABLED {
-                sink.stall(self.stats.cycles, StallCause::IcacheMiss, stall, pc);
-            }
-        }
+        self.stall(StallCause::IcacheMiss, stall, pc, sink);
         // Decode-once: the side-car table serves the memoized entry; only a
         // first fetch (or one after an invalidating store) decodes `word`.
         let entry = self.decoded.fetch_with(pc, || word);
@@ -1122,13 +1128,7 @@ impl Machine {
                 .cfg
                 .coproc_scheme
                 .per_op_stall(self.cfg.icache.miss_penalty);
-            if forced > 0 {
-                self.miss_fsm.start(forced);
-                self.stats.coproc_forced_miss_cycles += forced as u64;
-                if S::ENABLED {
-                    sink.stall(self.stats.cycles, StallCause::CoprocForcedMiss, forced, pc);
-                }
-            }
+            self.stall(StallCause::CoprocForcedMiss, forced, pc, sink);
         }
         let kill = std::mem::take(&mut self.pending_fetch_kill);
         self.slots[IF] = Some(Slot::new(pc, entry, kill));

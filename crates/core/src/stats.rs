@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use crate::probe::StallCause;
+
 /// Declares [`RunStats`] from one list of its `u64` counters, in the
 /// order the snapshot STAT section stores them, and generates everything
 /// that walks every field: [`RunStats::FIELDS`], [`RunStats::to_fields`],
@@ -105,6 +107,18 @@ run_stats! {
 }
 
 impl RunStats {
+    /// The per-cause stall counter `cause` adds to.
+    #[inline]
+    pub(crate) fn stall_cycles_mut(&mut self, cause: StallCause) -> &mut u64 {
+        match cause {
+            StallCause::IcacheMiss => &mut self.icache_stall_cycles,
+            StallCause::EcacheRetry => &mut self.ecache_stall_cycles,
+            StallCause::CoprocBusy => &mut self.coproc_stall_cycles,
+            StallCause::CoprocForcedMiss => &mut self.coproc_forced_miss_cycles,
+            StallCause::Interlock => &mut self.interlock_stall_cycles,
+        }
+    }
+
     /// Dynamic instruction count as the paper counts it: completed
     /// instructions plus squashed ones — *"Squashing an instruction
     /// converts it into a no-op instruction"*, and those no-ops are part of

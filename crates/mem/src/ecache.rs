@@ -136,10 +136,12 @@ impl Ecache {
 
     #[inline]
     fn index_and_tag(&self, addr: u32) -> (usize, u32) {
-        let block = addr / self.cfg.block_words;
+        // Sizes are powers of two: shifts and masks, not divisions.
+        let block = addr >> self.cfg.block_words.trailing_zeros();
+        let frames = self.cfg.num_blocks();
         (
-            (block % self.cfg.num_blocks()) as usize,
-            block / self.cfg.num_blocks(),
+            (block & (frames - 1)) as usize,
+            block >> frames.trailing_zeros(),
         )
     }
 

@@ -200,10 +200,11 @@ impl Icache {
 
     #[inline]
     fn locate(&self, addr: u32) -> (u32, u32, u32) {
-        let block_addr = addr / self.cfg.block_words;
-        let row = block_addr % self.cfg.rows;
-        let tag = block_addr / self.cfg.rows;
-        let word = addr % self.cfg.block_words;
+        // Rows and block words are powers of two: shifts and masks.
+        let block_addr = addr >> self.cfg.block_words.trailing_zeros();
+        let row = block_addr & (self.cfg.rows - 1);
+        let tag = block_addr >> self.cfg.rows.trailing_zeros();
+        let word = addr & (self.cfg.block_words - 1);
         (row, tag, word)
     }
 
@@ -284,6 +285,67 @@ impl Icache {
         FetchOutcome::Miss
     }
 
+    /// The runs of `len` sequential fetches from `start` that fall in one
+    /// block (line), in fetch order, as `(row, tag, valid bits needed,
+    /// fetches)`. Organizations are powers of two, so this is shifts and
+    /// masks.
+    #[inline]
+    fn line_runs(&self, start: u32, len: u32) -> impl Iterator<Item = (u32, u32, u64, u32)> {
+        let word_bits = self.cfg.block_words.trailing_zeros();
+        let row_bits = self.cfg.rows.trailing_zeros();
+        let end = u64::from(start) + u64::from(len);
+        let mut addr = u64::from(start);
+        std::iter::from_fn(move || {
+            if addr >= end {
+                return None;
+            }
+            let line = addr >> word_bits;
+            let next = ((line + 1) << word_bits).min(end);
+            let (lo, words) = ((addr & ((1 << word_bits) - 1)) as u32, (next - addr) as u32);
+            let mask = (u64::MAX >> (64 - words)) << lo;
+            addr = next;
+            let (row, tag) = (
+                line as u32 & ((1 << row_bits) - 1),
+                (line >> row_bits) as u32,
+            );
+            Some((row, tag, mask, words))
+        })
+    }
+
+    /// The way holding line `(row, tag)` with every word of `mask` valid.
+    #[inline]
+    fn resident_way(&self, row: u32, tag: u32, mask: u64) -> Option<usize> {
+        let base = self.block_index(row, 0);
+        self.blocks[base..base + self.cfg.ways as usize]
+            .iter()
+            .position(|b| b.tag == Some(tag) && b.valid & mask == mask)
+            .map(|way| base + way)
+    }
+
+    /// Book `len` sequential fetches from `start` that all hit, in one
+    /// step. If every word is resident, record one hit per word and stamp
+    /// each line's recency as its last fetch would have — exactly what
+    /// [`Icache::fetch`] does word by word — and return true. Otherwise
+    /// change nothing and return false; the caller then fetches the words
+    /// one at a time.
+    pub fn hit_run(&mut self, start: u32, len: u32) -> bool {
+        if !self.cfg.enabled
+            || !self
+                .line_runs(start, len)
+                .all(|(row, tag, mask, _)| self.resident_way(row, tag, mask).is_some())
+        {
+            return false;
+        }
+        for (row, tag, mask, words) in self.line_runs(start, len) {
+            let index = self.resident_way(row, tag, mask).expect("checked resident");
+            self.clock += u64::from(words);
+            self.blocks[index].stamp = self.clock;
+        }
+        self.stats.accesses += u64::from(len);
+        self.stats.hits += u64::from(len);
+        true
+    }
+
     /// Install `addr` (allocating a block if its tag is absent) and mark its
     /// word valid. Returns true if a whole block had to be (re)allocated.
     pub fn fill(&mut self, addr: u32) -> bool {
@@ -355,7 +417,24 @@ impl Icache {
         if self.fetch(addr) == FetchOutcome::Hit {
             return (mem.peek(addr), 0);
         }
-        // Miss: the word comes on-chip through the Ecache.
+        self.service_miss(addr, ecache, mem)
+    }
+
+    /// [`Icache::fetch_through`] for a caller that needs only the stall
+    /// cycles (a block engine replaying fetches it has already decoded): a
+    /// hit skips the memory read.
+    pub fn fetch_stall(&mut self, addr: u32, ecache: &mut Ecache, mem: &mut MainMemory) -> u32 {
+        match self.fetch(addr) {
+            FetchOutcome::Hit => 0,
+            FetchOutcome::Miss => self.service_miss(addr, ecache, mem).1,
+        }
+    }
+
+    /// Service the miss [`Icache::fetch`] just recorded for `addr`: bring
+    /// the word (and its fetch-back partner) on-chip through the external
+    /// cache. Returns `(instruction word, stall cycles)`.
+    fn service_miss(&mut self, addr: u32, ecache: &mut Ecache, mem: &mut MainMemory) -> (u32, u32) {
+        // The word comes on-chip through the Ecache.
         let (word, ecache_extra) = ecache.read(addr, mem);
         let mut stall;
         let mut filled;
@@ -738,6 +817,35 @@ mod tests {
         // (word 0) in way 1 — one valid word each.
         assert_eq!(occ[0].iter().sum::<u32>(), 2);
         assert!(c.occupancy_report().contains("icache occupancy"));
+    }
+
+    #[test]
+    fn hit_run_books_like_word_by_word_fetches() {
+        let cfg = IcacheConfig {
+            replacement: Replacement::Lru,
+            ..IcacheConfig::mipsx()
+        };
+        // Warm a 40-word range that spans three lines, then replay a
+        // 20-word sequence crossing a line boundary both ways.
+        let mut warm = Icache::new(cfg);
+        let _ = warm.simulate_trace(100..140);
+        let mut bulk = warm.clone();
+        let mut words = warm.clone();
+        assert!(bulk.hit_run(110, 20));
+        for a in 110..130 {
+            assert_eq!(words.fetch(a), FetchOutcome::Hit);
+        }
+        assert_eq!(bulk.snapshot_state(), words.snapshot_state());
+
+        // One absent word refuses the whole sequence and leaves no trace.
+        let before = warm.snapshot_state();
+        assert!(!warm.hit_run(130, 20));
+        assert_eq!(warm.snapshot_state(), before);
+        let disabled = IcacheConfig {
+            enabled: false,
+            ..cfg
+        };
+        assert!(!Icache::new(disabled).hit_run(0, 1));
     }
 
     #[test]
