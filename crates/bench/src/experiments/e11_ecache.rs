@@ -14,7 +14,7 @@
 
 use mipsx_core::SimConfig;
 use mipsx_explore::{
-    run_sweep, Axis, Grid, ResultStore, SimPoint, SweepOptions, SweepSpec, Workload,
+    run_sweep, Axis, EngineKind, Grid, ResultStore, SimPoint, SweepOptions, SweepSpec, Workload,
 };
 use mipsx_mem::EcacheConfig;
 use mipsx_reorg::BranchScheme;
@@ -67,7 +67,8 @@ const MEM_LATENCIES: [u32; 3] = [3, 5, 10];
 /// The experiment as a declarative sweep. A small Ecache (4K words) keeps
 /// the sweep fast while preserving the fits/doesn't-fit boundary; the full
 /// 64K configuration behaves identically in shape, just needs
-/// proportionally larger sets.
+/// proportionally larger sets. Jobs run on the block engine, which drives
+/// the same cache models and books the stepper's cycles exactly.
 pub fn sweep_spec() -> SweepSpec {
     let cfg = SimConfig {
         ecache: EcacheConfig {
@@ -76,7 +77,8 @@ pub fn sweep_spec() -> SweepSpec {
         },
         ..SimConfig::mipsx()
     };
-    let mut spec = SweepSpec::new(SimPoint::new(cfg, BranchScheme::mipsx()));
+    let mut spec =
+        SweepSpec::new(SimPoint::new(cfg, BranchScheme::mipsx()).with_engine(EngineKind::Block));
     spec.grid = Grid::Axes(vec![
         Axis::parse_flag("mem_latency=3,5,10").expect("static axis")
     ]);

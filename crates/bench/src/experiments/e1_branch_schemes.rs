@@ -10,7 +10,7 @@
 //! (`branch.slots` × `branch.squash`, reproducing the Table 1 row order)
 //! crossed with the five calibrated seeds, merged per scheme.
 
-use mipsx_explore::{run_sweep, Grid, ResultStore, SimPoint, SweepOptions, SweepSpec};
+use mipsx_explore::{run_sweep, EngineKind, Grid, ResultStore, SimPoint, SweepOptions, SweepSpec};
 use mipsx_reorg::BranchScheme;
 
 use crate::{Row, SEEDS};
@@ -53,9 +53,10 @@ impl Table1 {
 
 /// The experiment as a declarative sweep. The axis order reproduces
 /// [`BranchScheme::table1`]: slots vary slowest (2 then 1), squash policy
-/// fastest (none, always, optional).
+/// fastest (none, always, optional). Jobs run on the block engine, which
+/// books the stepper's cycles exactly.
 pub fn sweep_spec() -> SweepSpec {
-    let mut spec = SweepSpec::new(SimPoint::ideal_memory());
+    let mut spec = SweepSpec::new(SimPoint::ideal_memory().with_engine(EngineKind::Block));
     spec.grid = Grid::Axes(vec![
         mipsx_explore::Axis::parse_flag("branch.slots=2,1").expect("static axis"),
         mipsx_explore::Axis::parse_flag("branch.squash=none,always,optional").expect("static axis"),

@@ -55,43 +55,29 @@ impl FetchBack {
     }
 }
 
-fn miss_ratio(cfg: IcacheConfig, traces: &[Vec<u32>]) -> (f64, f64) {
-    let mut cache = Icache::new(cfg);
-    for t in traces {
-        let _ = cache.simulate_trace(t.iter().copied());
-    }
-    (
-        cache.stats().miss_ratio(),
-        cache.stats().avg_access_cycles(),
-    )
-}
-
-/// Run the experiment.
+/// Run the experiment. Each cache sees its traces in seed order, and only
+/// one seed's medium and large traces are alive at a time.
 pub fn run() -> FetchBack {
-    let medium: Vec<Vec<u32>> = SEEDS
-        .iter()
-        .map(|&s| instruction_trace(TraceConfig::medium(s)))
-        .collect();
-    let large: Vec<Vec<u32>> = SEEDS
-        .iter()
-        .map(|&s| instruction_trace(TraceConfig::large(s)))
-        .collect();
-
     let single = IcacheConfig {
         fetch_words: 1,
         ..IcacheConfig::mipsx()
     };
     let double = IcacheConfig::mipsx();
-
-    let (single_miss_medium, _) = miss_ratio(single, &medium);
-    let (double_miss_medium, _) = miss_ratio(double, &medium);
-    let (double_miss_large, fetch_cost_large) = miss_ratio(double, &large);
+    let mut single_medium = Icache::new(single);
+    let mut double_medium = Icache::new(double);
+    let mut double_large = Icache::new(double);
+    for &seed in SEEDS.iter() {
+        let medium = instruction_trace(TraceConfig::medium(seed));
+        let _ = single_medium.simulate_trace(medium.iter().copied());
+        let _ = double_medium.simulate_trace(medium);
+        let _ = double_large.simulate_trace(instruction_trace(TraceConfig::large(seed)));
+    }
 
     FetchBack {
-        single_miss_medium,
-        double_miss_medium,
-        double_miss_large,
-        fetch_cost_large,
+        single_miss_medium: single_medium.stats().miss_ratio(),
+        double_miss_medium: double_medium.stats().miss_ratio(),
+        double_miss_large: double_large.stats().miss_ratio(),
+        fetch_cost_large: double_large.stats().avg_access_cycles(),
     }
 }
 

@@ -2,6 +2,7 @@
 
 use std::collections::HashSet;
 
+use crate::hash::BuildU32Hasher;
 use crate::stats::MissCause;
 use crate::{CacheStats, MainMemory};
 
@@ -58,6 +59,11 @@ impl Default for EcacheConfig {
     }
 }
 
+/// Most frames one tag page holds. A page of 4K `Option<u32>` tags is
+/// 32 KiB: a small heap block, allocated the first time one of its frames
+/// is written.
+const TAG_PAGE_FRAMES: u32 = 4096;
+
 /// The 64K-word external cache.
 ///
 /// Direct-mapped, write-through with buffered (non-stalling) writes, and the
@@ -68,13 +74,20 @@ impl Default for EcacheConfig {
 /// Data is not duplicated here — the cache tracks only tags and validity and
 /// reads through to [`MainMemory`], which is exact for a write-through
 /// hierarchy (the cache can never hold a value that differs from memory).
+///
+/// The tag store is paged: a program touches a few frames of the
+/// ideal-memory configuration's million, so only the pages it writes are
+/// allocated, and a cold start clears only those.
 #[derive(Clone, Debug)]
 pub struct Ecache {
     cfg: EcacheConfig,
-    /// `tags[index]` = tag of the block cached in that frame.
-    tags: Vec<Option<u32>>,
+    /// `tag_pages[index >> page_bits][index & page mask]` = tag of the
+    /// block cached in frame `index`; an unallocated page holds no tags.
+    tag_pages: Vec<Option<Box<[Option<u32>]>>>,
+    /// log2 of the frames per tag page.
+    page_bits: u32,
     /// Block addresses ever read, for cold/conflict classification.
-    seen_blocks: HashSet<u32>,
+    seen_blocks: HashSet<u32, BuildU32Hasher>,
     stats: CacheStats,
 }
 
@@ -86,9 +99,11 @@ impl Ecache {
     /// block.
     pub fn new(cfg: EcacheConfig) -> Ecache {
         cfg.validate();
+        let page_frames = cfg.num_blocks().min(TAG_PAGE_FRAMES);
         Ecache {
-            tags: vec![None; cfg.num_blocks() as usize],
-            seen_blocks: HashSet::new(),
+            tag_pages: vec![None; (cfg.num_blocks() / page_frames) as usize],
+            page_bits: page_frames.trailing_zeros(),
+            seen_blocks: HashSet::default(),
             cfg,
             stats: CacheStats::new(),
         }
@@ -117,21 +132,31 @@ impl Ecache {
     /// Invalidate all blocks (cold start — miss classification restarts
     /// too).
     pub fn invalidate_all(&mut self) {
-        // Every tag ever written belongs to a block in `seen_blocks`
-        // (insert and tag-write happen together in `access`), so when few
-        // blocks were touched, clearing just their frames restores the
-        // cold state without sweeping the full tag array — which for the
-        // ideal-memory configurations spans millions of frames and would
-        // dominate `Machine::reset_with`.
-        if self.seen_blocks.len() < self.tags.len() / 8 {
-            let n = self.cfg.num_blocks();
-            for &b in &self.seen_blocks {
-                self.tags[(b % n) as usize] = None;
-            }
-        } else {
-            self.tags.fill(None);
+        for page in self.tag_pages.iter_mut().flatten() {
+            page.fill(None);
         }
         self.seen_blocks.clear();
+    }
+
+    fn page_frames(&self) -> usize {
+        1 << self.page_bits
+    }
+
+    /// The tag held in frame `index`.
+    #[inline]
+    fn tag(&self, index: usize) -> Option<u32> {
+        self.tag_pages[index >> self.page_bits]
+            .as_ref()
+            .and_then(|page| page[index & (self.page_frames() - 1)])
+    }
+
+    /// Install `tag` in frame `index`, allocating its page on first write.
+    #[inline]
+    fn set_tag(&mut self, index: usize, tag: u32) {
+        let frames = self.page_frames();
+        let page = self.tag_pages[index >> self.page_bits]
+            .get_or_insert_with(|| vec![None; frames].into_boxed_slice());
+        page[index & (frames - 1)] = Some(tag);
     }
 
     #[inline]
@@ -151,7 +176,7 @@ impl Ecache {
             return false;
         }
         let (index, tag) = self.index_and_tag(addr);
-        self.tags[index] == Some(tag)
+        self.tag(index) == Some(tag)
     }
 
     /// Read a word through the cache.
@@ -168,12 +193,12 @@ impl Ecache {
             return (mem.read(addr), extra);
         }
         let (index, tag) = self.index_and_tag(addr);
-        if self.tags[index] == Some(tag) {
+        if self.tag(index) == Some(tag) {
             self.stats.record_hit();
             (mem.read(addr), 0)
         } else {
             let extra = self.cfg.late_miss_overhead + mem.latency_cycles;
-            self.tags[index] = Some(tag);
+            self.set_tag(index, tag);
             self.stats
                 .record_miss(extra as u64, self.cfg.block_words as u64);
             let cause = if self.seen_blocks.insert(addr / self.cfg.block_words) {
@@ -202,7 +227,12 @@ impl Ecache {
     /// `(allocated frames, total frames)` — the direct-mapped cache's
     /// occupancy.
     pub fn occupancy(&self) -> (u32, u32) {
-        let allocated = self.tags.iter().filter(|t| t.is_some()).count() as u32;
+        let allocated = self
+            .tag_pages
+            .iter()
+            .flatten()
+            .map(|page| page.iter().filter(|t| t.is_some()).count() as u32)
+            .sum();
         (allocated, self.cfg.num_blocks())
     }
 
@@ -242,8 +272,14 @@ impl Ecache {
     pub fn snapshot_state(&self) -> EcacheState {
         let mut seen_blocks: Vec<u32> = self.seen_blocks.iter().copied().collect();
         seen_blocks.sort_unstable();
+        let mut tags = vec![None; self.cfg.num_blocks() as usize];
+        for (chunk, page) in tags.chunks_mut(self.page_frames()).zip(&self.tag_pages) {
+            if let Some(page) = page {
+                chunk.copy_from_slice(page);
+            }
+        }
         EcacheState {
-            tags: self.tags.clone(),
+            tags,
             seen_blocks,
             stats: self.stats,
         }
@@ -253,14 +289,25 @@ impl Ecache {
     /// cache with the same configuration. Fails (leaving the cache
     /// untouched) if the frame count does not match this organization.
     pub fn restore_state(&mut self, state: &EcacheState) -> Result<(), String> {
-        if state.tags.len() != self.tags.len() {
+        let frames = self.cfg.num_blocks() as usize;
+        if state.tags.len() != frames {
             return Err(format!(
-                "ecache state has {} frames, organization needs {}",
+                "ecache state has {} frames, organization needs {frames}",
                 state.tags.len(),
-                self.tags.len()
             ));
         }
-        self.tags.copy_from_slice(&state.tags);
+        let page_frames = self.page_frames();
+        for (page, chunk) in self
+            .tag_pages
+            .iter_mut()
+            .zip(state.tags.chunks(page_frames))
+        {
+            match page {
+                Some(page) => page.copy_from_slice(chunk),
+                None if chunk.iter().any(Option::is_some) => *page = Some(chunk.into()),
+                None => {}
+            }
+        }
         self.seen_blocks = state.seen_blocks.iter().copied().collect();
         self.stats = state.stats;
         Ok(())

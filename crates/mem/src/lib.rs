@@ -22,6 +22,7 @@
 //! organization experiments (see [`Icache::simulate_trace`]).
 
 mod ecache;
+mod hash;
 mod icache;
 mod main_memory;
 mod stats;

@@ -2,6 +2,8 @@
 
 use std::collections::HashMap;
 
+use crate::hash::BuildU32Hasher;
+
 /// Words per allocation page of the sparse store (must be a power of two).
 const PAGE_WORDS: u32 = 4096;
 
@@ -17,7 +19,7 @@ const PAGE_WORDS: u32 = 4096;
 /// trip around the late-miss retry loop.
 #[derive(Clone, Debug)]
 pub struct MainMemory {
-    pages: HashMap<u32, Box<[u32]>>,
+    pages: HashMap<u32, Box<[u32]>, BuildU32Hasher>,
     /// Cycles per access once an Ecache miss is detected.
     pub latency_cycles: u32,
     reads: u64,
@@ -41,7 +43,7 @@ impl MainMemory {
     /// An empty memory with an explicit access latency.
     pub fn with_latency(latency_cycles: u32) -> MainMemory {
         MainMemory {
-            pages: HashMap::new(),
+            pages: HashMap::default(),
             latency_cycles,
             reads: 0,
             writes: 0,

@@ -1,7 +1,7 @@
 //! Property tests: the instruction cache against a brute-force reference
 //! model, plus structural invariants.
 
-use mipsx_mem::{FetchOutcome, Icache, IcacheConfig, Replacement};
+use mipsx_mem::{CacheStats, FetchOutcome, Icache, IcacheConfig, IcacheState, Replacement};
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
 
@@ -50,6 +50,42 @@ impl RefCache {
         valid.insert(word, true);
         self.rows[row].push_back((tag, valid));
     }
+}
+
+/// What [`Icache::simulate_trace`] must book, built word by word from the
+/// public surface: `fetch` each address, and on a miss apply the miss-fill
+/// rule through `fill`, keeping the service cost beside the cache with
+/// [`CacheStats::add_miss_cost`]. Returns the cache's final state with that
+/// cost folded into its statistics.
+fn word_by_word(cfg: IcacheConfig, trace: &[u32]) -> IcacheState {
+    let mut cache = Icache::new(cfg);
+    let mut cost = CacheStats::new();
+    for &a in trace {
+        if cache.fetch(a) == FetchOutcome::Hit {
+            continue;
+        }
+        if cfg.whole_block_fill {
+            let base = a - a % cfg.block_words;
+            for w in 0..cfg.block_words {
+                cache.fill(base + w);
+            }
+            cost.add_miss_cost(
+                u64::from(cfg.block_words.max(2)),
+                u64::from(cfg.block_words),
+            );
+        } else {
+            cache.fill(a);
+            if cfg.fetch_words == 2 {
+                cache.fill(a + 1);
+            }
+            cost.add_miss_cost(u64::from(cfg.miss_penalty), u64::from(cfg.fetch_words));
+        }
+    }
+    let mut state = cache.snapshot_state();
+    state
+        .stats
+        .add_miss_cost(cost.stall_cycles, cost.words_filled);
+    state
 }
 
 fn small_cfg() -> IcacheConfig {
@@ -132,5 +168,43 @@ proptest! {
             c.simulate_trace(trace.iter().copied()).stats.misses
         };
         prop_assert!(run(2) <= run(1));
+    }
+
+    /// The trace kernel books exactly what word-by-word fetches and fills
+    /// book — statistics (miss causes included) and the whole cache state —
+    /// over sequentially biased traces on organizations from direct-mapped
+    /// to 32 ways, 1- to 64-word blocks, every replacement policy, single
+    /// and double fetch-back, whole-block fill, and a disabled cache.
+    #[test]
+    fn trace_kernel_books_like_word_by_word(
+        runs in prop::collection::vec((0u32..4096, 0u32..40), 1..80),
+        rows in prop::sample::select(vec![1u32, 2, 4, 8]),
+        ways in 1u32..=32,
+        block_words in prop::sample::select(vec![1u32, 2, 4, 8, 16, 32, 64]),
+        policy in prop::sample::select(vec![Replacement::Fifo, Replacement::Lru, Replacement::Random]),
+        flags in (1u32..=2, any::<bool>(), 0u32..8),
+    ) {
+        let (fetch_words, whole_block_fill, enabled) = flags;
+        let cfg = IcacheConfig {
+            rows,
+            ways,
+            block_words,
+            fetch_words,
+            miss_penalty: 2,
+            replacement: policy,
+            enabled: enabled != 0,
+            whole_block_fill,
+        };
+        // Sequential runs from scattered starts, so lines are both re-hit
+        // and evicted.
+        let trace: Vec<u32> = runs.iter().flat_map(|&(start, len)| start..=start + len).collect();
+        let mut kernel = Icache::new(cfg);
+        // Two calls: the kernel's last-line memory must not leak across.
+        let (head, tail) = trace.split_at(trace.len() / 2);
+        let _ = kernel.simulate_trace(head.iter().copied());
+        let _ = kernel.simulate_trace(tail.iter().copied());
+        let reference = word_by_word(cfg, &trace);
+        prop_assert_eq!(*kernel.stats(), reference.stats);
+        prop_assert_eq!(kernel.snapshot_state(), reference);
     }
 }
