@@ -14,7 +14,7 @@
 
 use mipsx_core::SimConfig;
 use mipsx_explore::{
-    run_sweep, Axis, EngineKind, Grid, ResultStore, SimPoint, SweepOptions, SweepSpec, Workload,
+    run_sweep, Axis, EngineKind, Grid, SimPoint, SweepOptions, SweepSpec, Workload,
 };
 use mipsx_mem::EcacheConfig;
 use mipsx_reorg::BranchScheme;
@@ -90,14 +90,9 @@ pub fn sweep_spec() -> SweepSpec {
     spec
 }
 
-/// Run the sweep on `threads` workers, serving repeats from `store`.
-pub fn run_with(threads: usize, store: &ResultStore) -> EcacheResult {
-    let opts = SweepOptions {
-        threads,
-        store: store.clone(),
-        ..SweepOptions::default()
-    };
-    let outcome = run_sweep(&sweep_spec(), &opts).expect("E11 sweep");
+/// Run the sweep under `opts` (workers, result store, shared images).
+pub fn run_with(opts: &SweepOptions) -> EcacheResult {
+    let outcome = run_sweep(&sweep_spec(), opts).expect("E11 sweep");
     // Rows are (latency point × working-set workload); report them in the
     // historical working-set-major order.
     let mut points = Vec::with_capacity(outcome.rows.len());
@@ -108,7 +103,7 @@ pub fn run_with(threads: usize, store: &ResultStore) -> EcacheResult {
                 working_set,
                 mem_latency,
                 stall_fraction: r.ecache_stall_fraction(),
-                cpi: r.cpi(),
+                cpi: r.run_stats().cpi(),
                 miss_ratio: r.ecache_miss_ratio(),
             });
         }
@@ -118,7 +113,7 @@ pub fn run_with(threads: usize, store: &ResultStore) -> EcacheResult {
 
 /// Run the sweep (serial, no result cache).
 pub fn run() -> EcacheResult {
-    run_with(1, &ResultStore::disabled())
+    run_with(&SweepOptions::default())
 }
 
 #[cfg(test)]

@@ -17,11 +17,9 @@
 //! (`icache.whole_block_fill`) × the five medium traces, merged per
 //! policy.
 
-use mipsx_explore::{
-    run_sweep, Axis, Grid, ResultStore, SimPoint, SweepOptions, SweepSpec, Workload,
-};
+use mipsx_explore::{run_sweep, Axis, Grid, SimPoint, SweepOptions, SweepSpec};
 
-use crate::{Row, SEEDS};
+use crate::Row;
 
 /// One fill policy's outcome.
 #[derive(Clone, Copy, Debug)]
@@ -78,21 +76,13 @@ pub fn sweep_spec() -> SweepSpec {
     spec.grid = Grid::Axes(vec![
         Axis::parse_flag("icache.whole_block_fill=false,true").expect("static axis")
     ]);
-    spec.workloads = SEEDS
-        .iter()
-        .map(|s| Workload::parse(&format!("trace:medium:{s}")).expect("static workload"))
-        .collect();
+    spec.workloads = crate::seeded("trace:medium");
     spec
 }
 
-/// Run the ablation on `threads` workers, serving repeats from `store`.
-pub fn run_with(threads: usize, store: &ResultStore) -> SubBlockAblation {
-    let opts = SweepOptions {
-        threads,
-        store: store.clone(),
-        ..SweepOptions::default()
-    };
-    let outcome = run_sweep(&sweep_spec(), &opts).expect("E12 sweep");
+/// Run the ablation under `opts` (workers, result store, shared images).
+pub fn run_with(opts: &SweepOptions) -> SubBlockAblation {
+    let outcome = run_sweep(&sweep_spec(), opts).expect("E12 sweep");
     let row = |point_index: usize, whole_block: bool| {
         let m = outcome.merged_point(point_index);
         FillRow {
@@ -109,7 +99,7 @@ pub fn run_with(threads: usize, store: &ResultStore) -> SubBlockAblation {
 
 /// Run the ablation (serial, no result cache).
 pub fn run() -> SubBlockAblation {
-    run_with(1, &ResultStore::disabled())
+    run_with(&SweepOptions::default())
 }
 
 #[cfg(test)]

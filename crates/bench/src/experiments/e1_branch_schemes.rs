@@ -10,10 +10,10 @@
 //! (`branch.slots` × `branch.squash`, reproducing the Table 1 row order)
 //! crossed with the five calibrated seeds, merged per scheme.
 
-use mipsx_explore::{run_sweep, EngineKind, Grid, ResultStore, SimPoint, SweepOptions, SweepSpec};
+use mipsx_explore::{run_sweep, EngineKind, Grid, SimPoint, SweepOptions, SweepSpec};
 use mipsx_reorg::BranchScheme;
 
-use crate::{Row, SEEDS};
+use crate::Row;
 
 /// One Table 1 row.
 #[derive(Clone, Copy, Debug)]
@@ -61,34 +61,25 @@ pub fn sweep_spec() -> SweepSpec {
         mipsx_explore::Axis::parse_flag("branch.slots=2,1").expect("static axis"),
         mipsx_explore::Axis::parse_flag("branch.squash=none,always,optional").expect("static axis"),
     ]);
-    spec.workloads = SEEDS
-        .iter()
-        .map(|s| {
-            mipsx_explore::Workload::parse(&format!("synth:pascal:{s}")).expect("static workload")
-        })
-        .collect();
+    spec.workloads = crate::seeded("synth:pascal");
     spec
 }
 
-/// Run the experiment on `threads` workers, serving repeats from `store`.
-pub fn run_with(threads: usize, store: &ResultStore) -> Table1 {
-    let opts = SweepOptions {
-        threads,
-        store: store.clone(),
-        ..SweepOptions::default()
-    };
-    let outcome = run_sweep(&sweep_spec(), &opts).expect("E1 sweep");
+/// Run the experiment under `opts` (workers, result store, shared images).
+pub fn run_with(opts: &SweepOptions) -> Table1 {
+    let outcome = run_sweep(&sweep_spec(), opts).expect("E1 sweep");
     let rows = BranchScheme::table1()
         .into_iter()
         .enumerate()
         .map(|(i, scheme)| {
             let m = outcome.merged_point(i);
+            let stats = m.run_stats();
             SchemeRow {
                 scheme,
-                cycles_per_branch: m.cycles_per_branch(),
+                cycles_per_branch: stats.cycles_per_branch(),
                 paper: scheme.paper_cycles_per_branch(),
                 squashing_fraction: m.sched_squashing as f64 / m.sched_branches.max(1) as f64,
-                taken_fraction: m.branches_taken as f64 / m.branches.max(1) as f64,
+                taken_fraction: stats.taken_fraction(),
             }
         })
         .collect();
@@ -97,12 +88,13 @@ pub fn run_with(threads: usize, store: &ResultStore) -> Table1 {
 
 /// Run the experiment (serial, no result cache).
 pub fn run() -> Table1 {
-    run_with(1, &ResultStore::disabled())
+    run_with(&SweepOptions::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SEEDS;
     use mipsx_reorg::SquashPolicy;
 
     #[test]

@@ -16,11 +16,11 @@
 //! an explicit [`Grid::Points`] list rather than independent axes.
 
 use mipsx_core::SimConfig;
-use mipsx_explore::{run_sweep, Grid, ResultStore, SimPoint, SweepOptions, SweepSpec, Workload};
+use mipsx_explore::{run_sweep, Grid, SimPoint, SweepOptions, SweepSpec};
 use mipsx_mem::IcacheConfig;
 use mipsx_reorg::BranchScheme;
 
-use crate::{Row, SEEDS};
+use crate::Row;
 
 /// One organization's outcome.
 #[derive(Clone, Copy, Debug)]
@@ -112,21 +112,13 @@ pub fn sweep_spec() -> SweepSpec {
             })
             .collect(),
     );
-    spec.workloads = SEEDS
-        .iter()
-        .map(|s| Workload::parse(&format!("trace:medium:{s}")).expect("static workload"))
-        .collect();
+    spec.workloads = crate::seeded("trace:medium");
     spec
 }
 
-/// Run the sweep on `threads` workers, serving repeats from `store`.
-pub fn run_with(threads: usize, store: &ResultStore) -> OrgSweep {
-    let opts = SweepOptions {
-        threads,
-        store: store.clone(),
-        ..SweepOptions::default()
-    };
-    let outcome = run_sweep(&sweep_spec(), &opts).expect("E3 sweep");
+/// Run the sweep under `opts` (workers, result store, shared images).
+pub fn run_with(opts: &SweepOptions) -> OrgSweep {
+    let outcome = run_sweep(&sweep_spec(), opts).expect("E3 sweep");
     let rows: Vec<OrgRow> = BLOCK_SIZES
         .iter()
         .enumerate()
@@ -155,7 +147,7 @@ pub fn run_with(threads: usize, store: &ResultStore) -> OrgSweep {
 
 /// Run the sweep (serial, no result cache).
 pub fn run() -> OrgSweep {
-    run_with(1, &ResultStore::disabled())
+    run_with(&SweepOptions::default())
 }
 
 #[cfg(test)]

@@ -13,8 +13,8 @@
 //! scheduler the real per-branch probabilities (the profile-guided
 //! technique of McFarling & Hennessy).
 
-use mipsx_core::{MachineConfig, RunStats};
-use mipsx_reorg::{BranchScheme, RawProgram, Terminator};
+use mipsx_core::{Machine, MachineConfig, RunStats};
+use mipsx_reorg::{BranchScheme, RawProgram, Reorganizer, Terminator};
 use mipsx_workloads::synth::{generate, SynthConfig};
 
 use crate::{Row, SEEDS};
@@ -64,17 +64,32 @@ fn profile_blind(raw: &RawProgram) -> RawProgram {
     blind
 }
 
+/// Lower `raw` for the shipped branch scheme — scheduled, or with every
+/// slot a no-op when `naive` — and run it on the ideal-memory machine.
+fn run_lowered(raw: &RawProgram, naive: bool) -> RunStats {
+    let reorg = Reorganizer::new(BranchScheme::mipsx());
+    let lowered = if naive {
+        reorg.lower_naive(raw)
+    } else {
+        reorg.reorganize(raw)
+    };
+    let (program, _) = lowered.expect("lower");
+    // Two delay slots and interlock detection, as the scheme requires.
+    let mut machine = Machine::new(MachineConfig::ideal_memory());
+    machine.load_program(&program);
+    machine.run(500_000_000).expect("run to halt")
+}
+
 /// Run the experiment.
 pub fn run() -> ReorgQuality {
-    let scheme = BranchScheme::mipsx();
     let mut totals = [RunStats::default(); 3];
     for &seed in &SEEDS {
         let synth = generate(SynthConfig::pascal_like(seed));
         let blind = profile_blind(&synth.raw);
         let runs = [
-            super::run_naive(&synth.raw, scheme, MachineConfig::ideal_memory()).0,
-            super::run_scheduled(&blind, scheme, MachineConfig::ideal_memory()).0,
-            super::run_scheduled(&synth.raw, scheme, MachineConfig::ideal_memory()).0,
+            run_lowered(&synth.raw, true),
+            run_lowered(&blind, false),
+            run_lowered(&synth.raw, false),
         ];
         for (total, stats) in totals.iter_mut().zip(&runs) {
             total.merge(stats);

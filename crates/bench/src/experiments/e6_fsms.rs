@@ -7,15 +7,15 @@
 //! workload that exercises both machines and reports their event counts,
 //! plus the paper's headline structural claim: handling two squashed
 //! branch slots costs the exception FSM exactly one extra input — here,
-//! literally one extra method on the same struct.
+//! literally one extra method on the same struct. It runs as a
+//! [`SweepSpec`] on the block engine; `crates/bench/tests/fsm_reference.rs`
+//! proves its counts equal what the stepper's two FSMs book.
 
-use mipsx_core::MachineConfig;
-use mipsx_reorg::BranchScheme;
-use mipsx_workloads::synth::{generate, SynthConfig};
+use mipsx_explore::{run_sweep, EngineKind, JobResult, SimPoint, SweepOptions, SweepSpec};
 
-use crate::{Row, SEEDS};
+use crate::Row;
 
-/// FSM instrumentation for one representative run.
+/// FSM instrumentation over the calibrated Pascal-like seeds.
 #[derive(Clone, Copy, Debug)]
 pub struct FsmActivity {
     /// Wrong-way squashing branches (Squash line assertions).
@@ -31,56 +31,57 @@ pub struct FsmActivity {
 }
 
 impl FsmActivity {
+    /// The activity one job's (or merged jobs') counters record, for
+    /// branches with `slots` delay slots: a wrong-way squashing branch
+    /// kills all its slots, and the miss FSM's activations and frozen
+    /// cycles ride in the result as `stall_events` and `frozen_cycles`.
+    pub fn from_result(r: &JobResult, slots: usize) -> FsmActivity {
+        FsmActivity {
+            branch_squashes: r.branch_slot_squashed / slots as u64,
+            instructions_killed: r.squashed,
+            misses_serviced: r.stall_events,
+            frozen_cycles: r.frozen_cycles,
+            cycles: r.cycles,
+        }
+    }
+
     /// Report rows.
     pub fn report_rows(&self) -> Vec<Row> {
-        vec![
-            Row {
-                label: "branch squash events".into(),
-                paper: None,
-                measured: self.branch_squashes as f64,
-            },
-            Row {
-                label: "instructions killed".into(),
-                paper: None,
-                measured: self.instructions_killed as f64,
-            },
-            Row {
-                label: "cache-miss FSM activations".into(),
-                paper: None,
-                measured: self.misses_serviced as f64,
-            },
-            Row {
-                label: "frozen-cycle fraction".into(),
-                paper: None,
-                measured: self.frozen_cycles as f64 / self.cycles.max(1) as f64,
-            },
+        let frozen_fraction = self.frozen_cycles as f64 / self.cycles.max(1) as f64;
+        [
+            ("branch squash events", self.branch_squashes as f64),
+            ("instructions killed", self.instructions_killed as f64),
+            ("cache-miss FSM activations", self.misses_serviced as f64),
+            ("frozen-cycle fraction", frozen_fraction),
         ]
+        .into_iter()
+        .map(|(label, measured)| Row {
+            label: label.into(),
+            paper: None,
+            measured,
+        })
+        .collect()
     }
 }
 
-/// Run the experiment.
+/// The experiment as a declarative sweep: the shipped machine and branch
+/// scheme over the Pascal-like seeds, on the block engine.
+pub fn sweep_spec() -> SweepSpec {
+    let mut spec = SweepSpec::new(SimPoint::mipsx().with_engine(EngineKind::Block));
+    spec.workloads = crate::seeded("synth:pascal");
+    spec
+}
+
+/// Run the experiment under `opts` (workers, result store, shared images).
+pub fn run_with(opts: &SweepOptions) -> FsmActivity {
+    let spec = sweep_spec();
+    let outcome = run_sweep(&spec, opts).expect("E6 sweep");
+    FsmActivity::from_result(&outcome.merged_point(0), spec.base.scheme.slots)
+}
+
+/// Run the experiment (serial, no result cache).
 pub fn run() -> FsmActivity {
-    let mut total = FsmActivity {
-        branch_squashes: 0,
-        instructions_killed: 0,
-        misses_serviced: 0,
-        frozen_cycles: 0,
-        cycles: 0,
-    };
-    for &seed in &SEEDS {
-        let synth = generate(SynthConfig::pascal_like(seed));
-        let reorg = mipsx_reorg::Reorganizer::new(BranchScheme::mipsx());
-        let (program, _) = reorg.reorganize(&synth.raw).expect("reorganize");
-        let mut machine = mipsx_core::Machine::new(MachineConfig::default());
-        machine.load_program(&program);
-        let stats = machine.run(100_000_000).expect("run");
-        total.branch_squashes += machine.squash_fsm().branch_squashes;
-        total.instructions_killed += machine.squash_fsm().instructions_killed;
-        total.misses_serviced += machine.miss_fsm().misses_serviced;
-        total.frozen_cycles += machine.miss_fsm().frozen_cycles;
-        total.cycles += stats.cycles;
-    }
-    total
+    run_with(&SweepOptions::default())
 }
 
 #[cfg(test)]

@@ -8,35 +8,28 @@
 //! included (delays from Icache and Ecache misses), the average
 //! instruction requires about 1.7 cycles meaning MIPS-X should have a
 //! sustained throughput above 11 MIPs."*
+//!
+//! The experiment is a [`SweepSpec`] on the block engine over the
+//! `pascal-large` and `lisp-large` synthetic profiles.
 
-use mipsx_core::{MachineConfig, RunStats};
+use mipsx_core::{RunStats, SimConfig};
+use mipsx_explore::{
+    run_sweep, EngineKind, JobResult, SimPoint, SweepOptions, SweepRow, SweepSpec,
+};
 use mipsx_mem::EcacheConfig;
 use mipsx_reorg::BranchScheme;
 use mipsx_workloads::calibration;
-use mipsx_workloads::synth::{generate, SynthConfig};
 
 use crate::{Row, SEEDS};
 
-/// Aggregate over one workload class.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ClassResult {
-    /// Fraction of completed instructions that are no-ops.
-    pub nop_fraction: f64,
-    /// Cycles per instruction including all memory stalls.
-    pub cpi: f64,
-    /// Sustained MIPS at the 20 MHz design clock.
-    pub sustained_mips: f64,
-    /// Average cycles per branch.
-    pub cycles_per_branch: f64,
-}
-
-/// The experiment's full result.
+/// The experiment's full result: each workload class's counters, summed
+/// over its seeds.
 #[derive(Clone, Copy, Debug)]
 pub struct CpiResult {
-    /// Pascal-like workload numbers.
-    pub pascal: ClassResult,
-    /// Lisp-like workload numbers.
-    pub lisp: ClassResult,
+    /// Pascal-like workload counters.
+    pub pascal: RunStats,
+    /// Lisp-like workload counters.
+    pub lisp: RunStats,
 }
 
 impl CpiResult {
@@ -46,34 +39,35 @@ impl CpiResult {
             Row {
                 label: "no-op fraction, Pascal-like".into(),
                 paper: Some(calibration::PASCAL_NOP_FRACTION),
-                measured: self.pascal.nop_fraction,
+                measured: self.pascal.nop_fraction(),
             },
             Row {
                 label: "no-op fraction, Lisp-like".into(),
                 paper: Some(calibration::LISP_NOP_FRACTION),
-                measured: self.lisp.nop_fraction,
+                measured: self.lisp.nop_fraction(),
             },
             Row {
                 label: "CPI with memory overhead".into(),
                 paper: Some(calibration::OVERALL_CPI),
-                measured: self.pascal.cpi,
+                measured: self.pascal.cpi(),
             },
             Row {
                 label: "sustained MIPS @ 20 MHz".into(),
                 paper: Some(11.0),
-                measured: self.pascal.sustained_mips,
+                measured: self.pascal.sustained_mips(calibration::CLOCK_MHZ),
             },
             Row {
                 label: "cycles/branch (large benchmarks)".into(),
                 paper: Some(calibration::REORG_IMPROVED_CYCLES_PER_BRANCH),
-                measured: self.pascal.cycles_per_branch,
+                measured: self.pascal.cycles_per_branch(),
             },
         ]
     }
 }
 
-fn aggregate(configs: impl Iterator<Item = SynthConfig>) -> ClassResult {
-    let scheme = BranchScheme::mipsx();
+/// The experiment as a declarative sweep: the scaled board over the large
+/// Pascal-like seeds, then the large Lisp-like seeds.
+pub fn sweep_spec() -> SweepSpec {
     // The paper's 1.7 CPI includes external-cache effects measured from
     // traces of 50–270 KB programs, far larger than the synthetic
     // workloads here. Per the substitution rule (DESIGN.md §4), the memory
@@ -81,41 +75,46 @@ fn aggregate(configs: impl Iterator<Item = SynthConfig>) -> ClassResult {
     // the ~64× smaller footprint, preserving the fits/thrashes behaviour
     // the full-size hierarchy had at full scale. The on-chip Icache is the
     // real 512-word design (code footprints here genuinely exceed it).
-    let machine = MachineConfig {
+    let cfg = SimConfig {
         ecache: EcacheConfig {
             size_words: 1024,
             ..EcacheConfig::mipsx()
         },
         mem_latency: 9,
-        ..MachineConfig::mipsx()
+        ..SimConfig::mipsx()
     };
-    let mut total = RunStats::default();
-    for cfg in configs {
-        let synth = generate(cfg);
-        let (stats, _) = super::run_scheduled(&synth.raw, scheme, machine);
-        total.merge(&stats);
+    let mut spec =
+        SweepSpec::new(SimPoint::new(cfg, BranchScheme::mipsx()).with_engine(EngineKind::Block));
+    spec.workloads = [
+        crate::seeded("synth:pascal-large"),
+        crate::seeded("synth:lisp-large"),
+    ]
+    .concat();
+    spec
+}
+
+/// One workload class's counters, summed over its rows.
+fn class(rows: &[SweepRow]) -> RunStats {
+    let mut total = JobResult::default();
+    for row in rows {
+        total.merge(&row.result);
     }
-    ClassResult {
-        nop_fraction: total.nop_fraction(),
-        cpi: total.cpi(),
-        sustained_mips: total.sustained_mips(calibration::CLOCK_MHZ),
-        cycles_per_branch: total.cycles_per_branch(),
+    total.run_stats()
+}
+
+/// Run the experiment under `opts` (workers, result store, shared images).
+pub fn run_with(opts: &SweepOptions) -> CpiResult {
+    let outcome = run_sweep(&sweep_spec(), opts).expect("E7 sweep");
+    let (pascal, lisp) = outcome.rows.split_at(SEEDS.len());
+    CpiResult {
+        pascal: class(pascal),
+        lisp: class(lisp),
     }
 }
 
-/// Run the experiment.
+/// Run the experiment (serial, no result cache).
 pub fn run() -> CpiResult {
-    // Short loop visits (low trip counts) keep the instruction cache under
-    // realistic pressure: large programs revisit far more distinct code
-    // between loop repetitions than a small synthetic can.
-    let scale = |mut cfg: SynthConfig| {
-        cfg.trip_count = 4;
-        cfg.with_code_scale(14, 6)
-    };
-    CpiResult {
-        pascal: aggregate(SEEDS.iter().map(|&s| scale(SynthConfig::pascal_like(s)))),
-        lisp: aggregate(SEEDS.iter().map(|&s| scale(SynthConfig::lisp_like(s)))),
-    }
+    run_with(&SweepOptions::default())
 }
 
 #[cfg(test)]
@@ -126,19 +125,19 @@ mod tests {
     fn nop_fractions_match_the_paper_shape() {
         let r = run();
         assert!(
-            r.lisp.nop_fraction > r.pascal.nop_fraction,
+            r.lisp.nop_fraction() > r.pascal.nop_fraction(),
             "Lisp must out-nop Pascal: {:?}",
             r
         );
         assert!(
-            (r.pascal.nop_fraction - calibration::PASCAL_NOP_FRACTION).abs() < 0.06,
+            (r.pascal.nop_fraction() - calibration::PASCAL_NOP_FRACTION).abs() < 0.06,
             "Pascal no-op fraction {:.3} too far from 15.6%",
-            r.pascal.nop_fraction
+            r.pascal.nop_fraction()
         );
         assert!(
-            (r.lisp.nop_fraction - calibration::LISP_NOP_FRACTION).abs() < 0.06,
+            (r.lisp.nop_fraction() - calibration::LISP_NOP_FRACTION).abs() < 0.06,
             "Lisp no-op fraction {:.3} too far from 18.3%",
-            r.lisp.nop_fraction
+            r.lisp.nop_fraction()
         );
     }
 
@@ -146,14 +145,15 @@ mod tests {
     fn cpi_and_mips_land_near_the_paper() {
         let r = run();
         assert!(
-            (r.pascal.cpi - calibration::OVERALL_CPI).abs() < 0.4,
+            (r.pascal.cpi() - calibration::OVERALL_CPI).abs() < 0.4,
             "CPI {:.3} too far from 1.7",
-            r.pascal.cpi
+            r.pascal.cpi()
         );
         assert!(
-            r.pascal.sustained_mips > calibration::SUSTAINED_MIPS_FLOOR * 0.8,
+            r.pascal.sustained_mips(calibration::CLOCK_MHZ)
+                > calibration::SUSTAINED_MIPS_FLOOR * 0.8,
             "sustained MIPS {:.1} below the paper's floor",
-            r.pascal.sustained_mips
+            r.pascal.sustained_mips(calibration::CLOCK_MHZ)
         );
     }
 }

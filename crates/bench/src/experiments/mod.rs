@@ -13,9 +13,7 @@ pub mod e7_cpi;
 pub mod e8_coproc;
 pub mod e9_vax;
 
-use mipsx_core::{InterlockPolicy, Machine, MachineConfig, RunStats};
-use mipsx_explore::ResultStore;
-use mipsx_reorg::{BranchScheme, RawProgram, Reorganizer, ScheduleReport};
+use mipsx_explore::SweepOptions;
 
 use crate::Row;
 
@@ -29,9 +27,9 @@ pub struct Experiment {
     pub name: &'static str,
     /// Its table title.
     pub title: &'static str,
-    /// Run it with the sweep thread count and result store (experiments
-    /// that do not sweep ignore both).
-    pub run: fn(usize, &ResultStore) -> Table,
+    /// Run it under the pass's sweep options (experiments that do not
+    /// sweep ignore them).
+    pub run: fn(&SweepOptions) -> Table,
 }
 
 /// Every experiment, in `reproduce all` order.
@@ -39,21 +37,18 @@ pub const ALL: [Experiment; 12] = [
     Experiment {
         name: "table1",
         title: "E1 / Table 1 — average cycles per branch",
-        run: |threads, store| {
-            let t = e1_branch_schemes::run_with(threads, store);
-            (t.report_rows(), None)
-        },
+        run: |opts| (e1_branch_schemes::run_with(opts).report_rows(), None),
     },
     Experiment {
         name: "icache",
         title: "E2 — Icache fetch-back (single vs double word)",
-        run: |_, _| (e2_icache_fetch::run().report_rows(), None),
+        run: |_| (e2_icache_fetch::run().report_rows(), None),
     },
     Experiment {
         name: "orgs",
         title: "E3 — Icache organization sweep (miss service vs miss ratio)",
-        run: |threads, store| {
-            let r = e3_icache_orgs::run_with(threads, store);
+        run: |opts| {
+            let r = e3_icache_orgs::run_with(opts);
             let note = format!("  -> best block size: {} words", r.best_block_words);
             (r.report_rows(), Some(note))
         },
@@ -61,37 +56,37 @@ pub const ALL: [Experiment; 12] = [
     Experiment {
         name: "quickcmp",
         title: "E4 — quick-compare coverage",
-        run: |_, _| (e4_quick_compare::run().report_rows(), None),
+        run: |_| (e4_quick_compare::run().report_rows(), None),
     },
     Experiment {
         name: "reorg",
         title: "E5 — reorganizer quality (cycles per branch)",
-        run: |_, _| (e5_reorganizer::run().report_rows(), None),
+        run: |_| (e5_reorganizer::run().report_rows(), None),
     },
     Experiment {
         name: "fsm",
         title: "E6 / Figures 3 & 4 — control FSM activity",
-        run: |_, _| (e6_fsms::run().report_rows(), None),
+        run: |opts| (e6_fsms::run_with(opts).report_rows(), None),
     },
     Experiment {
         name: "cpi",
         title: "E7 — no-ops, CPI and sustained MIPS",
-        run: |_, _| (e7_cpi::run().report_rows(), None),
+        run: |opts| (e7_cpi::run_with(opts).report_rows(), None),
     },
     Experiment {
         name: "coproc",
         title: "E8 — coprocessor interface schemes (slowdown vs best)",
-        run: |_, _| (e8_coproc::run().report_rows(), None),
+        run: |_| (e8_coproc::run().report_rows(), None),
     },
     Experiment {
         name: "vax",
         title: "E9 — VAX 11/780 comparison",
-        run: |_, _| (e9_vax::run().report_rows(), None),
+        run: |_| (e9_vax::run().report_rows(), None),
     },
     Experiment {
         name: "btb",
         title: "E10 — branch cache vs static prediction",
-        run: |_, _| {
+        run: |_| {
             let r = e10_btb::run();
             let note = format!("  -> branch working set: {} sites", r.working_set);
             (r.report_rows(), Some(note))
@@ -100,48 +95,37 @@ pub const ALL: [Experiment; 12] = [
     Experiment {
         name: "ecache",
         title: "E11 — Ecache late-miss contribution",
-        run: |threads, store| (e11_ecache::run_with(threads, store).report_rows(), None),
+        run: |opts| (e11_ecache::run_with(opts).report_rows(), None),
     },
     Experiment {
         name: "subblock",
         title: "E12 — ablation: sub-block valid bits vs whole-block fill",
-        run: |threads, store| (e12_subblock::run_with(threads, store).report_rows(), None),
+        run: |opts| (e12_subblock::run_with(opts).report_rows(), None),
     },
 ];
 
-/// Reorganize `raw` under `scheme` and run it on a machine configured to
-/// match; returns run statistics and the schedule report.
-pub(crate) fn run_scheduled(
-    raw: &RawProgram,
-    scheme: BranchScheme,
-    base: MachineConfig,
-) -> (RunStats, ScheduleReport) {
-    let reorg = Reorganizer::new(scheme);
-    let (program, report) = reorg.reorganize(raw).expect("reorganize");
-    let mut machine = Machine::new(MachineConfig {
-        branch_delay_slots: scheme.slots,
-        interlock: InterlockPolicy::Detect,
-        ..base
-    });
-    machine.load_program(&program);
-    let stats = machine.run(500_000_000).expect("run to halt");
-    (stats, report)
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mipsx_explore::Telemetry;
 
-/// Run the naive (all-nops) lowering for baseline comparisons.
-pub(crate) fn run_naive(
-    raw: &RawProgram,
-    scheme: BranchScheme,
-    base: MachineConfig,
-) -> (RunStats, ScheduleReport) {
-    let reorg = Reorganizer::new(scheme);
-    let (program, report) = reorg.lower_naive(raw).expect("naive lowering");
-    let mut machine = Machine::new(MachineConfig {
-        branch_delay_slots: scheme.slots,
-        interlock: InterlockPolicy::Detect,
-        ..base
-    });
-    machine.load_program(&program);
-    let stats = machine.run(500_000_000).expect("run to halt");
-    (stats, report)
+    #[test]
+    fn one_options_value_shares_prepared_images_across_experiments() {
+        let opts = SweepOptions {
+            telemetry: Telemetry::enabled(),
+            ..SweepOptions::default()
+        };
+        (ALL[0].run)(&opts);
+        let after_e1 = opts.telemetry.snapshot().counter("image.misses");
+        assert_eq!(
+            after_e1,
+            6 * crate::SEEDS.len() as u64,
+            "six schemes per seed"
+        );
+        // E6 runs the shipped scheme over E1's seeds: every image is a hit.
+        (ALL.iter().find(|x| x.name == "fsm").unwrap().run)(&opts);
+        let snap = opts.telemetry.snapshot();
+        assert_eq!(snap.counter("image.misses"), after_e1);
+        assert_eq!(snap.counter("image.hits"), crate::SEEDS.len() as u64);
+    }
 }

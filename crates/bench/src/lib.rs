@@ -27,6 +27,15 @@ pub mod fp_workload;
 /// Standard seeds used across experiments (deterministic, arbitrary).
 pub const SEEDS: [u64; 5] = [11, 47, 101, 233, 509];
 
+/// The sweep workloads `<family>:<seed>` for every one of [`SEEDS`], e.g.
+/// `seeded("synth:pascal")`.
+pub(crate) fn seeded(family: &str) -> Vec<mipsx_explore::Workload> {
+    SEEDS
+        .iter()
+        .map(|s| mipsx_explore::Workload::parse(&format!("{family}:{s}")).expect("static workload"))
+        .collect()
+}
+
 /// A paper-vs-measured row for report printing.
 #[derive(Clone, Debug)]
 pub struct Row {

@@ -1,9 +1,10 @@
-//! E1 and E11 run on the block engine. Their sweeps must book exactly what
-//! the cycle-accurate stepper books, row for row, and must really take the
-//! fast path: a silent demotion to the stepper or a one-counter drift fails
-//! here, not only in the reproduce golden.
+//! E1, E6, E7 and E11 run on the block engine. Their sweeps must book
+//! exactly what the cycle-accurate stepper books, row for row (the miss-FSM
+//! counters included), and must really take the fast path: a silent
+//! demotion to the stepper or a one-counter drift fails here, not only in
+//! the reproduce golden.
 
-use mipsx_bench::experiments::{e11_ecache, e1_branch_schemes};
+use mipsx_bench::experiments::{e11_ecache, e1_branch_schemes, e6_fsms, e7_cpi};
 use mipsx_explore::{run_sweep, EngineKind, SweepOptions, SweepSpec, Telemetry};
 
 fn assert_block_matches_interp(name: &str, spec: SweepSpec) {
@@ -50,4 +51,14 @@ fn e1_block_rows_equal_interp_rows() {
 #[test]
 fn e11_block_rows_equal_interp_rows() {
     assert_block_matches_interp("E11", e11_ecache::sweep_spec());
+}
+
+#[test]
+fn e6_block_rows_equal_interp_rows() {
+    assert_block_matches_interp("E6", e6_fsms::sweep_spec());
+}
+
+#[test]
+fn e7_block_rows_equal_interp_rows() {
+    assert_block_matches_interp("E7", e7_cpi::sweep_spec());
 }

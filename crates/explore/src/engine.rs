@@ -30,7 +30,7 @@ use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 use mipsx_core::probe::{json_escape, NullSink};
-use mipsx_core::{FaultPlan, InterlockPolicy, Machine, RunError, SimConfig};
+use mipsx_core::{FaultPlan, InterlockPolicy, Machine, RunError, RunStats, SimConfig};
 use mipsx_engine::BlockEngine;
 use mipsx_exec::{
     AnyBackend, BlockBackend, CheckedBackend, EngineKind, ExecBackend, ExecError, Stepper,
@@ -48,7 +48,29 @@ use crate::spec::{Job, SpecError, SweepSpec};
 use crate::store::ResultStore;
 
 macro_rules! job_result {
-    ($($field:ident: $doc:literal),+ $(,)?) => {
+    (
+        run_stats { $($shared:ident: $sdoc:literal,)+ }
+        $($own:ident: $odoc:literal,)+
+    ) => {
+        job_result!(@struct $($shared: $sdoc,)+ $($own: $odoc,)+);
+
+        impl JobResult {
+            /// The counters shared with [`RunStats`], as a `RunStats` whose
+            /// formulas (CPI, cycles per branch, no-op fraction, ...) every
+            /// derived metric uses; the fields a job does not record stay
+            /// zero.
+            pub fn run_stats(&self) -> RunStats {
+                RunStats { $($shared: self.$shared,)+ ..RunStats::default() }
+            }
+
+            /// A result holding the shared counters of `stats`, every
+            /// other field zero.
+            fn from_run_stats(stats: &RunStats) -> JobResult {
+                JobResult { $($shared: stats.$shared,)+ ..JobResult::default() }
+            }
+        }
+    };
+    (@struct $($field:ident: $doc:literal,)+) => {
         /// Everything one job measures, as raw counters (derived metrics
         /// are computed on demand so cached and fresh results agree
         /// bit-for-bit). Trace-driven jobs fill only the Icache counters.
@@ -60,18 +82,6 @@ macro_rules! job_result {
         impl JobResult {
             /// Field names, in canonical (store and report) order.
             pub const FIELDS: &'static [&'static str] = &[$(stringify!($field)),+];
-
-            /// `field=value` lines in canonical order (the store format).
-            pub fn to_record(&self) -> String {
-                let mut s = String::new();
-                $(
-                    s.push_str(stringify!($field));
-                    s.push('=');
-                    s.push_str(&self.$field.to_string());
-                    s.push('\n');
-                )+
-                s
-            }
 
             /// Rebuild from parsed `(name, value)` pairs; `None` unless
             /// every field is present and no unknown field appears.
@@ -102,19 +112,23 @@ macro_rules! job_result {
 }
 
 job_result! {
-    cycles: "Total clock cycles, stall cycles included.",
-    instructions: "Instructions completed (reached WB un-killed).",
-    squashed: "Instructions killed by squash or exception drain.",
-    nops: "Completed explicit no-ops.",
-    branches: "Conditional branches executed.",
-    branches_taken: "Conditional branches that took.",
-    branch_slot_nops: "No-ops observed in branch delay slots.",
-    branch_slot_squashed: "Branch delay-slot instructions squashed.",
-    loads: "Data loads completed.",
-    stores: "Data stores completed.",
-    exceptions: "Exceptions taken (traps and interrupts).",
-    icache_stall_cycles: "Pipeline cycles frozen for Icache miss service.",
-    ecache_stall_cycles: "Pipeline cycles frozen in the Ecache retry loop.",
+    run_stats {
+        cycles: "Total clock cycles, stall cycles included.",
+        instructions: "Instructions completed (reached WB un-killed).",
+        squashed: "Instructions killed by squash or exception drain.",
+        nops: "Completed explicit no-ops.",
+        branches: "Conditional branches executed.",
+        branches_taken: "Conditional branches that took.",
+        branch_slot_nops: "No-ops observed in branch delay slots.",
+        branch_slot_squashed: "Branch delay-slot instructions squashed.",
+        loads: "Data loads completed.",
+        stores: "Data stores completed.",
+        exceptions: "Exceptions taken (traps and interrupts).",
+        icache_stall_cycles: "Pipeline cycles frozen for Icache miss service.",
+        ecache_stall_cycles: "Pipeline cycles frozen in the Ecache retry loop.",
+        frozen_cycles: "Cycles the qualified clock was withheld, whatever the cause.",
+    }
+    stall_events: "Cache-miss FSM activations (stalls started).",
     icache_accesses: "Icache accesses (trace jobs: trace length).",
     icache_misses: "Icache misses.",
     icache_fill_stalls: "Icache-level stall cycles (miss service).",
@@ -127,24 +141,12 @@ job_result! {
 }
 
 impl JobResult {
-    /// Dynamic instructions as the paper counts them (completed plus
-    /// squashed).
-    pub fn dynamic_instructions(&self) -> u64 {
-        self.instructions + self.squashed
-    }
-
-    /// Cycles per dynamic instruction; zero when nothing completed.
-    pub fn cpi(&self) -> f64 {
-        ratio(self.cycles, self.dynamic_instructions())
-    }
-
-    /// Average cycles per branch under the paper's Table 1 charging rule
-    /// (branch + slot no-ops + squashed slots).
-    pub fn cycles_per_branch(&self) -> f64 {
-        ratio(
-            self.branches + self.branch_slot_nops + self.branch_slot_squashed,
-            self.branches,
-        )
+    /// `field=value` lines in canonical order (the store format).
+    pub fn to_record(&self) -> String {
+        self.field_values()
+            .iter()
+            .map(|(k, v)| format!("{k}={v}\n"))
+            .collect()
     }
 
     /// Icache miss ratio in `[0, 1]`.
@@ -174,9 +176,10 @@ impl JobResult {
 
     /// Derived metrics in report order.
     pub fn derived_metrics(&self) -> Vec<(&'static str, f64)> {
+        let stats = self.run_stats();
         vec![
-            ("cpi", self.cpi()),
-            ("cycles_per_branch", self.cycles_per_branch()),
+            ("cpi", stats.cpi()),
+            ("cycles_per_branch", stats.cycles_per_branch()),
             ("icache_miss_ratio", self.icache_miss_ratio()),
             ("icache_fetch_cost", self.icache_fetch_cost()),
             ("ecache_miss_ratio", self.ecache_miss_ratio()),
@@ -386,13 +389,14 @@ impl SweepOutcome {
         );
         for row in &self.rows {
             let r = &row.result;
+            let stats = r.run_stats();
             out.push_str(&format!(
                 "| {} | {} | {} | {:.3} | {:.3} | {:.2}% | {:.3} | {:.2}% | {:.2}% |\n",
                 row.point_label,
                 row.workload,
                 r.cycles,
-                r.cpi(),
-                r.cycles_per_branch(),
+                stats.cpi(),
+                stats.cycles_per_branch(),
                 r.icache_miss_ratio() * 100.0,
                 r.icache_fetch_cost(),
                 r.ecache_miss_ratio() * 100.0,
@@ -756,19 +760,7 @@ fn execute_job(
             let ic = machine.icache().stats();
             let ec = machine.ecache().stats();
             let result = JobResult {
-                cycles: stats.cycles,
-                instructions: stats.instructions,
-                squashed: stats.squashed,
-                nops: stats.nops,
-                branches: stats.branches,
-                branches_taken: stats.branches_taken,
-                branch_slot_nops: stats.branch_slot_nops,
-                branch_slot_squashed: stats.branch_slot_squashed,
-                loads: stats.loads,
-                stores: stats.stores,
-                exceptions: stats.exceptions,
-                icache_stall_cycles: stats.icache_stall_cycles,
-                ecache_stall_cycles: stats.ecache_stall_cycles,
+                stall_events: machine.miss_fsm().misses_serviced,
                 icache_accesses: ic.accesses,
                 icache_misses: ic.misses,
                 icache_fill_stalls: ic.stall_cycles,
@@ -778,6 +770,7 @@ fn execute_job(
                 sched_squashing: report.squashing_branches as u64,
                 sched_slot_nops: report.slot_nops as u64,
                 sched_load_nops: report.load_nops as u64,
+                ..JobResult::from_run_stats(&stats)
             };
             MACHINE_POOL.with(|slot| *slot.borrow_mut() = Some(machine));
             result

@@ -252,15 +252,9 @@ fn raw_program(workload: &Workload) -> Result<RawProgram, SpecError> {
                 kernel_names().join(", ")
             ))
         }),
-        Workload::Synth { profile, seed } => {
-            let cfg = match profile.as_str() {
-                "pascal" => SynthConfig::pascal_like(*seed),
-                "lisp" => SynthConfig::lisp_like(*seed),
-                "tiny" => SynthConfig::tiny(*seed),
-                other => return Err(SpecError(format!("unknown synth profile {other}"))),
-            };
-            Ok(generate(cfg).raw)
-        }
+        Workload::Synth { profile, seed } => SynthConfig::named(profile, *seed)
+            .map(|cfg| generate(cfg).raw)
+            .ok_or_else(|| SpecError(format!("unknown synth profile {profile}"))),
         Workload::Stream { words, reps } => Ok(streaming(*words, *reps)),
         Workload::Trace { .. } => unreachable!("trace workloads never reach raw generation"),
     }

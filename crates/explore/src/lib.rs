@@ -18,7 +18,7 @@
 //!   serial and parallel runs render **byte-identical** reports.
 //!
 //! The `mipsx sweep` subcommand drives the engine from a spec file or
-//! `--grid` flags; the experiment harness (`mipsx-bench` E1/E3/E11/E12)
+//! `--grid` flags; the experiment harness (`mipsx-bench` E1/E3/E6/E7/E11/E12)
 //! defines its grids as `SweepSpec`s and gets the parallelism and caching
 //! for free.
 //!

@@ -25,6 +25,7 @@ use mipsx_coproc::InterfaceScheme;
 use mipsx_core::SimConfig;
 use mipsx_exec::EngineKind;
 use mipsx_reorg::{BranchScheme, SquashPolicy};
+use mipsx_workloads::SynthConfig;
 
 /// Default cycle budget per job (the experiment harness's historical
 /// budget).
@@ -138,8 +139,9 @@ impl SimPoint {
 pub enum Workload {
     /// A built-in kernel by name, scheduled through the reorganizer.
     Kernel(String),
-    /// A calibrated synthetic program: profile (`pascal`, `lisp`, `tiny`)
-    /// and generator seed.
+    /// A calibrated synthetic program: a profile from the
+    /// [`SynthConfig::PROFILES`] catalog (`pascal`, `lisp`, `tiny`,
+    /// `pascal-large`, `lisp-large`) and generator seed.
     Synth {
         /// Calibration profile name.
         profile: String,
@@ -169,17 +171,20 @@ impl Workload {
     /// `synth:pascal:11`, `trace:medium:47`, `stream:8192x4`.
     pub fn parse(s: &str) -> Result<Workload, SpecError> {
         let parts: Vec<&str> = s.split(':').collect();
+        let synth_profiles = SynthConfig::PROFILES.map(|(name, _)| name);
         match parts.as_slice() {
             ["kernel", name] if !name.is_empty() => Ok(Workload::Kernel((*name).to_owned())),
-            ["synth", profile, seed] if matches!(*profile, "pascal" | "lisp" | "tiny") => {
-                match seed.parse() {
-                    Ok(seed) => Ok(Workload::Synth {
-                        profile: (*profile).to_owned(),
-                        seed,
-                    }),
-                    Err(_) => err(format!("workload {s}: bad seed {seed}")),
-                }
-            }
+            ["synth", profile, _] if !synth_profiles.contains(profile) => err(format!(
+                "workload {s}: unknown synth profile {profile} (known: {})",
+                synth_profiles.join(", ")
+            )),
+            ["synth", profile, seed] => match seed.parse() {
+                Ok(seed) => Ok(Workload::Synth {
+                    profile: (*profile).to_owned(),
+                    seed,
+                }),
+                Err(_) => err(format!("workload {s}: bad seed {seed}")),
+            },
             ["trace", profile, seed] if matches!(*profile, "medium" | "large") => {
                 match seed.parse() {
                     Ok(seed) => Ok(Workload::Trace {
@@ -197,8 +202,9 @@ impl Workload {
                 None => err(format!("workload {s}: expected stream:<words>x<reps>")),
             },
             _ => err(format!(
-                "unknown workload {s} (expected kernel:<name>, synth:<pascal|lisp|tiny>:<seed>, \
-                 trace:<medium|large>:<seed>, or stream:<words>x<reps>)"
+                "unknown workload {s} (expected kernel:<name>, synth:<{}>:<seed>, \
+                 trace:<medium|large>:<seed>, or stream:<words>x<reps>)",
+                synth_profiles.join("|")
             )),
         }
     }
@@ -622,6 +628,26 @@ mod tests {
             "mystery",
         ] {
             assert!(Workload::parse(bad).is_err(), "should reject {bad}");
+        }
+    }
+
+    #[test]
+    fn every_synth_profile_parses_and_an_unknown_one_names_them_all() {
+        for (profile, _) in SynthConfig::PROFILES {
+            let id = format!("synth:{profile}:11");
+            let w = Workload::parse(&id).unwrap();
+            assert_eq!(
+                w,
+                Workload::Synth {
+                    profile: profile.to_owned(),
+                    seed: 11
+                }
+            );
+            assert_eq!(w.id(), id);
+        }
+        let e = Workload::parse("synth:bogus:1").unwrap_err();
+        for (profile, _) in SynthConfig::PROFILES {
+            assert!(e.0.contains(profile), "{profile} missing from: {e}");
         }
     }
 

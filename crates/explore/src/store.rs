@@ -26,8 +26,9 @@ use crate::engine::JobResult;
 use crate::key::{fnv1a, key_hex};
 
 /// Store format version, written into every file; unknown versions read as
-/// cache misses. Version 2 added the `checksum=` integrity line.
-const FORMAT_VERSION: u32 = 2;
+/// cache misses. Version 2 added the `checksum=` integrity line; version 3
+/// added the `frozen_cycles` and `stall_events` counters.
+const FORMAT_VERSION: u32 = 3;
 
 /// Handle to the result store (or to nothing, when caching is off).
 #[derive(Clone, Debug)]
@@ -310,5 +311,36 @@ mod tests {
         assert!(store.load(9).is_none());
         std::fs::write(&path, "not a record at all").unwrap();
         assert!(store.load(9).is_none());
+    }
+
+    #[test]
+    fn a_well_formed_v2_record_is_a_miss_left_on_disk() {
+        let store = temp_store("store-v2");
+        store.save(5, &JobResult::default(), "current");
+        let path = store
+            .dir
+            .as_ref()
+            .unwrap()
+            .join(format!("{}.result", key_hex(5)));
+        // The v2 field set: today's record minus the two v3 counters, with
+        // a checksum that matches it.
+        let record: String = JobResult::default()
+            .to_record()
+            .lines()
+            .filter(|l| !l.starts_with("frozen_cycles=") && !l.starts_with("stall_events="))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(record.lines().count(), JobResult::FIELDS.len() - 2);
+        let v2 = format!(
+            "# mipsx sweep result\nversion=2\n# older\n{record}checksum={}\n",
+            key_hex(fnv1a(record.as_bytes()))
+        );
+        std::fs::write(&path, &v2).unwrap();
+        assert_eq!(store.load(5), None);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            v2,
+            "not ours to delete"
+        );
     }
 }

@@ -23,6 +23,9 @@ pub const DATA_BASE: i32 = 4096;
 /// Size of the scratch region in words.
 pub const DATA_WORDS: i32 = 64;
 
+/// A profile's name and the configuration it gives for a seed.
+pub type NamedProfile = (&'static str, fn(u64) -> SynthConfig);
+
 /// Generator parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct SynthConfig {
@@ -114,6 +117,36 @@ impl SynthConfig {
         self.loops = loops;
         self.outer_trips = outer_trips;
         self
+    }
+
+    /// The "large benchmark" scaling: a 14-loop, 6-pass code footprint, and
+    /// short loop visits (trip count 4) that keep the instruction cache
+    /// under realistic pressure — large programs revisit far more distinct
+    /// code between loop repetitions than a small synthetic can.
+    fn large(mut self) -> SynthConfig {
+        self.trip_count = 4;
+        self.with_code_scale(14, 6)
+    }
+
+    /// The named profiles a `synth:<profile>:<seed>` workload selects, in
+    /// one list.
+    pub const PROFILES: [NamedProfile; 5] = [
+        ("pascal", SynthConfig::pascal_like),
+        ("lisp", SynthConfig::lisp_like),
+        ("tiny", SynthConfig::tiny),
+        ("pascal-large", |seed| {
+            SynthConfig::pascal_like(seed).large()
+        }),
+        ("lisp-large", |seed| SynthConfig::lisp_like(seed).large()),
+    ];
+
+    /// The [`SynthConfig::PROFILES`] entry `profile` at `seed`, if there
+    /// is one.
+    pub fn named(profile: &str, seed: u64) -> Option<SynthConfig> {
+        SynthConfig::PROFILES
+            .iter()
+            .find(|(name, _)| *name == profile)
+            .map(|(_, make)| make(seed))
     }
 }
 

@@ -106,7 +106,7 @@
 //!                       or build the grid from flags:
 //!   --grid f=v1,v2      one axis (repeatable), e.g. --grid mem_latency=3,5
 //!   --workload <id>     workload (repeatable): kernel:<name>,
-//!                       synth:<pascal|lisp|tiny>:<seed>,
+//!                       synth:<pascal|lisp|tiny|pascal-large|lisp-large>:<seed>,
 //!                       trace:<medium|large>:<seed>, stream:<words>x<reps>
 //!   --fault <spec>      fault plan cell (repeatable; "none" = fault-free)
 //!   --base <mipsx|ideal> base configuration (default mipsx)
@@ -156,8 +156,8 @@
 //!                       subblock, or all (the default)
 //!   --json              one JSON document instead of text tables
 //!   --threads <n>       worker threads for the sweep-backed experiments
-//!                       (E1, E3, E11, E12; default 1); the tables are
-//!                       identical for every n
+//!                       (E1, E3, E6, E7, E11, E12; default 1); the tables
+//!                       are identical for every n
 //! ```
 //!
 //! A failing soak run prints a copy-pasteable `mipsx soak --runs 1 --seed N
@@ -1249,8 +1249,10 @@ fn write_metrics(path: &str, snapshot: &mipsx::telemetry::Snapshot) -> Result<()
 }
 
 /// `mipsx reproduce`: regenerate the paper's tables in `reproduce all`
-/// order, as text tables or as one JSON document. It never touches the
-/// result cache, so its output is the determinism baseline.
+/// order, as text tables or as one JSON document. Every experiment runs
+/// under one `SweepOptions`, so the pass shares one prepared-image cache;
+/// it never touches the result store, so its output is the determinism
+/// baseline.
 fn cmd_reproduce(args: &[String]) -> ExitCode {
     let parsed = match parse_or_usage(args, &[switch("--json"), flag("--threads")]) {
         Ok(p) => p,
@@ -1272,7 +1274,10 @@ fn cmd_reproduce(args: &[String]) -> ExitCode {
     }
     let everything = names.is_empty() || names.iter().any(|n| n == "all");
     let json = parsed.has("--json");
-    let store = ResultStore::disabled();
+    let opts = SweepOptions {
+        threads,
+        ..SweepOptions::default()
+    };
     if !json {
         println!("MIPS-X reproduction — paper vs measured ({threads} thread(s))");
         println!("=======================================\n");
@@ -1283,7 +1288,7 @@ fn cmd_reproduce(args: &[String]) -> ExitCode {
         .filter(|x| everything || names.iter().any(|n| n == x.name))
     {
         let start = std::time::Instant::now();
-        let (rows, note) = (x.run)(threads, &store);
+        let (rows, note) = (x.run)(&opts);
         let wall_ms = start.elapsed().as_millis();
         if json {
             emitted.push(rows_to_json_timed(x.name, x.title, &rows, wall_ms));
