@@ -99,12 +99,13 @@ pub fn run_with(opts: &SweepOptions) -> EcacheResult {
     for (w, &working_set) in WORKING_SETS.iter().enumerate() {
         for (l, &mem_latency) in MEM_LATENCIES.iter().enumerate() {
             let r = outcome.rows[l * WORKING_SETS.len() + w].result;
+            let stats = r.run_stats();
             points.push(EcachePoint {
                 working_set,
                 mem_latency,
-                stall_fraction: r.ecache_stall_fraction(),
-                cpi: r.run_stats().cpi(),
-                miss_ratio: r.ecache_miss_ratio(),
+                stall_fraction: stats.ecache_stall_fraction(),
+                cpi: stats.cpi(),
+                miss_ratio: r.ecache().miss_ratio(),
             });
         }
     }

@@ -84,11 +84,11 @@ pub fn sweep_spec() -> SweepSpec {
 pub fn run_with(opts: &SweepOptions) -> SubBlockAblation {
     let outcome = run_sweep(&sweep_spec(), opts).expect("E12 sweep");
     let row = |point_index: usize, whole_block: bool| {
-        let m = outcome.merged_point(point_index);
+        let icache = outcome.merged_point(point_index).icache();
         FillRow {
             whole_block,
-            miss_ratio: m.icache_miss_ratio(),
-            fetch_cost: m.icache_fetch_cost(),
+            miss_ratio: icache.miss_ratio(),
+            fetch_cost: icache.avg_access_cycles(),
         }
     };
     SubBlockAblation {

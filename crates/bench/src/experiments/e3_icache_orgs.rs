@@ -124,13 +124,13 @@ pub fn run_with(opts: &SweepOptions) -> OrgSweep {
         .enumerate()
         .map(|(i, &block_words)| {
             let (tags, miss_penalty, _) = organization(block_words);
-            let m = outcome.merged_point(i);
+            let icache = outcome.merged_point(i).icache();
             OrgRow {
                 block_words,
                 tags,
                 miss_penalty,
-                miss_ratio: m.icache_miss_ratio(),
-                fetch_cost: m.icache_fetch_cost(),
+                miss_ratio: icache.miss_ratio(),
+                fetch_cost: icache.avg_access_cycles(),
             }
         })
         .collect();

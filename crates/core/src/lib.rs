@@ -57,6 +57,8 @@ pub use error::RunError;
 pub use fsm::{CacheMissFsm, CacheMissState, SquashFsm, SquashLines};
 pub use inject::{FaultEvent, FaultKind, FaultPlan};
 pub use machine::Machine;
+#[doc(hidden)]
+pub use mipsx_mem::counters;
 pub use probe::{
     CpiAttribution, JsonlSink, NullSink, PipeDiagram, SquashReason, Stage, StallCause, TraceSink,
 };

@@ -218,6 +218,12 @@ impl Enc {
     fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
+
+    fn u64s(&mut self, vs: &[u64]) {
+        for &v in vs {
+            self.u64(v);
+        }
+    }
 }
 
 struct Dec<'a> {
@@ -261,6 +267,14 @@ impl<'a> Dec<'a> {
 
     fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    fn u64s<const N: usize>(&mut self) -> Result<[u64; N], SnapshotError> {
+        let mut vs = [0; N];
+        for v in &mut vs {
+            *v = self.u64()?;
+        }
+        Ok(vs)
     }
 
     fn finished(&self) -> bool {
@@ -556,53 +570,31 @@ fn apply_fsms(m: &mut Machine, body: &[u8]) -> Result<(), SnapshotError> {
 
 /// The STAT section: the field count, then [`RunStats::to_fields`].
 fn encode_stats(s: &RunStats) -> Enc {
-    let fields = s.to_fields();
     let mut e = Enc::new();
-    e.u32(fields.len() as u32);
-    for f in fields {
-        e.u64(f);
-    }
+    e.u32(RunStats::FIELDS.len() as u32);
+    e.u64s(&s.to_fields());
     e
 }
 
 fn decode_stats(body: &[u8]) -> Result<RunStats, SnapshotError> {
     let mut d = Dec::new(body);
     let count = d.u32()? as usize;
-    if count != RunStats::FIELDS {
+    if count != RunStats::FIELDS.len() {
         return Err(SnapshotError::Malformed(format!(
             "{count} statistics fields, expected {}",
-            RunStats::FIELDS
+            RunStats::FIELDS.len()
         )));
     }
-    let mut f = [0u64; RunStats::FIELDS];
-    for v in &mut f {
-        *v = d.u64()?;
-    }
-    Ok(RunStats::from_fields(f))
+    Ok(RunStats::from_fields(d.u64s()?))
 }
 
+/// A cache-statistics block: [`CacheStats::to_fields`], in order.
 fn encode_cache_stats(e: &mut Enc, s: &CacheStats) {
-    e.u64(s.accesses);
-    e.u64(s.hits);
-    e.u64(s.misses);
-    e.u64(s.stall_cycles);
-    e.u64(s.words_filled);
-    e.u64(s.cold_misses);
-    e.u64(s.conflict_misses);
-    e.u64(s.sub_block_misses);
+    e.u64s(&s.to_fields());
 }
 
 fn decode_cache_stats(d: &mut Dec) -> Result<CacheStats, SnapshotError> {
-    Ok(CacheStats {
-        accesses: d.u64()?,
-        hits: d.u64()?,
-        misses: d.u64()?,
-        stall_cycles: d.u64()?,
-        words_filled: d.u64()?,
-        cold_misses: d.u64()?,
-        conflict_misses: d.u64()?,
-        sub_block_misses: d.u64()?,
-    })
+    Ok(CacheStats::from_fields(d.u64s()?))
 }
 
 fn encode_icache(state: &IcacheState) -> Enc {
@@ -1092,6 +1084,28 @@ mod tests {
         let bytes = encode_stats(&stats).buf;
         assert_eq!(bytes, expected);
         assert_eq!(decode_stats(&bytes).unwrap(), stats);
+    }
+
+    #[test]
+    fn cache_stats_layout_is_pinned() {
+        let stats = CacheStats::from_fields(std::array::from_fn(|i| i as u64 + 1));
+        // The historic order, by name: changing it changes snapshot bytes.
+        let by_name = CacheStats {
+            accesses: 1,
+            hits: 2,
+            misses: 3,
+            stall_cycles: 4,
+            words_filled: 5,
+            cold_misses: 6,
+            conflict_misses: 7,
+            sub_block_misses: 8,
+        };
+        assert_eq!(stats, by_name);
+        let mut e = Enc::new();
+        encode_cache_stats(&mut e, &stats);
+        let expected: Vec<u8> = (1..=8u64).flat_map(u64::to_le_bytes).collect();
+        assert_eq!(e.buf, expected);
+        assert_eq!(decode_cache_stats(&mut Dec::new(&e.buf)).unwrap(), stats);
     }
 
     #[test]

@@ -4,106 +4,95 @@ use std::fmt;
 
 use crate::probe::StallCause;
 
-/// Declares [`RunStats`] from one list of its `u64` counters, in the
-/// order the snapshot STAT section stores them, and generates everything
-/// that walks every field: [`RunStats::FIELDS`], [`RunStats::to_fields`],
-/// [`RunStats::from_fields`] and [`RunStats::merge`].
-macro_rules! run_stats {
-    ($($(#[$doc:meta])* $field:ident,)*) => {
-        /// Everything a simulation run measures.
-        ///
-        /// The paper's headline numbers come straight out of this struct:
-        /// [`RunStats::nop_fraction`] (15.6 % Pascal / 18.3 % Lisp),
-        /// [`RunStats::cpi`] (≈1.7 with memory overhead),
-        /// [`RunStats::sustained_mips`] (>11 at 20 MHz), and
-        /// [`RunStats::cycles_per_branch`] (Table 1: 1.1–2.0 depending on scheme).
-        #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-        pub struct RunStats {
-            $($(#[$doc])* pub $field: u64,)*
-        }
-
-        impl RunStats {
-            /// Number of counters.
-            pub(crate) const FIELDS: usize = [$(stringify!($field)),*].len();
-
-            /// Every counter, in declaration order.
-            pub(crate) fn to_fields(self) -> [u64; Self::FIELDS] {
-                [$(self.$field),*]
-            }
-
-            /// The inverse of [`RunStats::to_fields`].
-            pub(crate) fn from_fields(fields: [u64; Self::FIELDS]) -> RunStats {
-                let [$($field),*] = fields;
-                RunStats { $($field),* }
-            }
-
-            /// Merge another run's statistics into this one (for
-            /// suite-level averages).
-            pub fn merge(&mut self, other: &RunStats) {
-                $(self.$field += other.$field;)*
+/// Hands [`RunStats`]' one field list to [`mipsx_mem::counters!`]: the
+/// struct declared here starts with every `RunStats` counter, in the order
+/// the snapshot STAT section stores them, followed by the fields written in
+/// its own braces. `RunStats` itself is declared this way with no fields of
+/// its own, and a record that carries every `RunStats` counter (the sweep
+/// engine's `JobResult`) composes the list instead of restating it.
+#[macro_export]
+macro_rules! with_run_stats {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident { $($own:tt)* }
+    ) => {
+        $crate::counters! {
+            $(#[$meta])*
+            $vis struct $name {
+                /// Total clock cycles, including all stall (frozen) cycles.
+                cycles,
+                /// Instructions completed (reached WB un-killed) — explicit no-ops
+                /// included, squashed instructions excluded.
+                instructions,
+                /// Completed explicit `nop` instructions.
+                nops,
+                /// Instructions killed by squash or exception that drained at WB.
+                squashed,
+                /// Conditional branches executed.
+                branches,
+                /// Conditional branches that took.
+                branches_taken,
+                /// `nop`s observed in branch delay slots (unfillable slots).
+                branch_slot_nops,
+                /// Branch delay-slot instructions squashed (wrong-way penalty).
+                branch_slot_squashed,
+                /// Unconditional jumps executed (including the special jumps).
+                jumps,
+                /// Data loads completed (including `ldf` and `mvfc`).
+                loads,
+                /// Data stores completed (including `stf`).
+                stores,
+                /// Coprocessor operations issued.
+                coproc_ops,
+                /// Exceptions taken (traps and interrupts).
+                exceptions,
+                /// Cycles frozen for instruction-cache miss service.
+                icache_stall_cycles,
+                /// Cycles frozen in the external-cache late-miss retry loop (data side).
+                ecache_stall_cycles,
+                /// Cycles frozen waiting on a busy coprocessor.
+                coproc_stall_cycles,
+                /// Cycles charged by the non-cached coprocessor scheme's forced misses.
+                coproc_forced_miss_cycles,
+                /// Total cycles the qualified clock ψ1 was withheld, measured at
+                /// the gate. Not always the sum of the per-cause stall counters:
+                /// a stall that starts in a `halt`'s retiring cycle books its
+                /// cause's counter but never freezes the clock.
+                frozen_cycles,
+                /// Cycles a hardware load-use interlock would freeze. MIPS-X has no
+                /// such interlock — the reorganizer schedules around the hazard — so
+                /// this stays zero on the shipped pipeline; interlocking variants fill
+                /// it so CPI decomposes uniformly.
+                interlock_stall_cycles,
+                /// Maskable-interrupt pulses delivered by the fault-injection harness
+                /// (delivered ≠ accepted: a masked pulse may be ignored).
+                injected_interrupts,
+                /// Non-maskable-interrupt pulses delivered by the harness.
+                injected_nmis,
+                /// Icache parity faults that actually invalidated a resident word and
+                /// so forced a sub-block refetch.
+                injected_parity_retries,
+                /// Extra Ecache retry-loop cycles injected as latency jitter (also
+                /// counted in `ecache_stall_cycles`).
+                injected_jitter_cycles,
+                /// Coprocessor-busy cycles injected (also counted in
+                /// `coproc_stall_cycles`).
+                injected_coproc_busy_cycles,
+                $($own)*
             }
         }
     };
 }
 
-run_stats! {
-    /// Total clock cycles, including all stall (frozen) cycles.
-    cycles,
-    /// Instructions completed (reached WB un-killed) — explicit no-ops
-    /// included, squashed instructions excluded.
-    instructions,
-    /// Completed explicit `nop` instructions.
-    nops,
-    /// Instructions killed by squash or exception that drained at WB.
-    squashed,
-    /// Conditional branches executed.
-    branches,
-    /// Conditional branches that took.
-    branches_taken,
-    /// `nop`s observed in branch delay slots (unfillable slots).
-    branch_slot_nops,
-    /// Branch delay-slot instructions squashed (wrong-way penalty).
-    branch_slot_squashed,
-    /// Unconditional jumps executed (including the special jumps).
-    jumps,
-    /// Data loads completed (including `ldf` and `mvfc`).
-    loads,
-    /// Data stores completed (including `stf`).
-    stores,
-    /// Coprocessor operations issued.
-    coproc_ops,
-    /// Exceptions taken (traps and interrupts).
-    exceptions,
-    /// Cycles frozen for instruction-cache miss service.
-    icache_stall_cycles,
-    /// Cycles frozen in the external-cache late-miss retry loop (data side).
-    ecache_stall_cycles,
-    /// Cycles frozen waiting on a busy coprocessor.
-    coproc_stall_cycles,
-    /// Cycles charged by the non-cached coprocessor scheme's forced misses.
-    coproc_forced_miss_cycles,
-    /// Total cycles the qualified clock ψ1 was withheld (the sum of the
-    /// per-cause stall counters, measured independently at the gate).
-    frozen_cycles,
-    /// Cycles a hardware load-use interlock would freeze. MIPS-X has no
-    /// such interlock — the reorganizer schedules around the hazard — so
-    /// this stays zero on the shipped pipeline; interlocking variants fill
-    /// it so CPI decomposes uniformly.
-    interlock_stall_cycles,
-    /// Maskable-interrupt pulses delivered by the fault-injection harness
-    /// (delivered ≠ accepted: a masked pulse may be ignored).
-    injected_interrupts,
-    /// Non-maskable-interrupt pulses delivered by the harness.
-    injected_nmis,
-    /// Icache parity faults that actually invalidated a resident word and
-    /// so forced a sub-block refetch.
-    injected_parity_retries,
-    /// Extra Ecache retry-loop cycles injected as latency jitter (also
-    /// counted in [`RunStats::ecache_stall_cycles`]).
-    injected_jitter_cycles,
-    /// Coprocessor-busy cycles injected (also counted in
-    /// [`RunStats::coproc_stall_cycles`]).
-    injected_coproc_busy_cycles,
+with_run_stats! {
+    /// Everything a simulation run measures.
+    ///
+    /// The paper's headline numbers come straight out of this struct:
+    /// [`RunStats::nop_fraction`] (15.6 % Pascal / 18.3 % Lisp),
+    /// [`RunStats::cpi`] (≈1.7 with memory overhead),
+    /// [`RunStats::sustained_mips`] (>11 at 20 MHz), and
+    /// [`RunStats::cycles_per_branch`] (Table 1: 1.1–2.0 depending on scheme).
+    pub struct RunStats {}
 }
 
 impl RunStats {
@@ -180,6 +169,16 @@ impl RunStats {
             0.0
         } else {
             self.branches_taken as f64 / self.branches as f64
+        }
+    }
+
+    /// Fraction of all cycles spent in the Ecache retry loop. Zero when no
+    /// cycle ran.
+    pub fn ecache_stall_fraction(&self) -> f64 {
+        if self.cycles == 0 {
+            0.0
+        } else {
+            self.ecache_stall_cycles as f64 / self.cycles as f64
         }
     }
 

@@ -14,12 +14,12 @@
 //! `job/construct`, `job/decode`, `job/run` — the preparation spans only
 //! on an image-cache miss, since preparation runs once per (workload,
 //! scheme) and is shared through [`SweepOptions::images`]) plus
-//! deterministic guest counters (`guest.cycles`, ... — totals provably
-//! identical between serial and N-thread runs), and the sweep records
-//! `sweep`/`sweep/expand`/`sweep/execute`/`sweep/aggregate` spans. The
-//! per-job spans are pinned to the root of the span tree so their paths
-//! do not depend on whether the job ran inline (serial) or on a pool
-//! worker.
+//! deterministic guest counters (`guest.<field>` for every [`JobResult`]
+//! field — totals provably identical between serial and N-thread runs),
+//! and the sweep records `sweep`/`sweep/expand`/`sweep/execute`/
+//! `sweep/aggregate` spans. The per-job spans are pinned to the root of
+//! the span tree so their paths do not depend on whether the job ran
+//! inline (serial) or on a pool worker.
 //!
 //! Each job runs on the execution backend its point selects
 //! ([`SimPoint::engine`](crate::spec::SimPoint)): the cycle-accurate
@@ -35,7 +35,7 @@ use mipsx_engine::BlockEngine;
 use mipsx_exec::{
     AnyBackend, BlockBackend, CheckedBackend, EngineKind, ExecBackend, ExecError, Stepper,
 };
-use mipsx_mem::Icache;
+use mipsx_mem::{CacheStats, Icache};
 use mipsx_telemetry::Telemetry;
 
 use crate::image::{ImageCache, PreparedArtifact};
@@ -47,152 +47,112 @@ use crate::spec::Workload;
 use crate::spec::{Job, SpecError, SweepSpec};
 use crate::store::ResultStore;
 
-macro_rules! job_result {
-    (
-        run_stats { $($shared:ident: $sdoc:literal,)+ }
-        $($own:ident: $odoc:literal,)+
-    ) => {
-        job_result!(@struct $($shared: $sdoc,)+ $($own: $odoc,)+);
-
-        impl JobResult {
-            /// The counters shared with [`RunStats`], as a `RunStats` whose
-            /// formulas (CPI, cycles per branch, no-op fraction, ...) every
-            /// derived metric uses; the fields a job does not record stay
-            /// zero.
-            pub fn run_stats(&self) -> RunStats {
-                RunStats { $($shared: self.$shared,)+ ..RunStats::default() }
-            }
-
-            /// A result holding the shared counters of `stats`, every
-            /// other field zero.
-            fn from_run_stats(stats: &RunStats) -> JobResult {
-                JobResult { $($shared: stats.$shared,)+ ..JobResult::default() }
-            }
-        }
-    };
-    (@struct $($field:ident: $doc:literal,)+) => {
-        /// Everything one job measures, as raw counters (derived metrics
-        /// are computed on demand so cached and fresh results agree
-        /// bit-for-bit). Trace-driven jobs fill only the Icache counters.
-        #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-        pub struct JobResult {
-            $(#[doc = $doc] pub $field: u64,)+
-        }
-
-        impl JobResult {
-            /// Field names, in canonical (store and report) order.
-            pub const FIELDS: &'static [&'static str] = &[$(stringify!($field)),+];
-
-            /// Rebuild from parsed `(name, value)` pairs; `None` unless
-            /// every field is present and no unknown field appears.
-            pub fn from_fields(fields: &[(&str, u64)]) -> Option<JobResult> {
-                let mut r = JobResult::default();
-                let mut seen = 0usize;
-                for &(k, v) in fields {
-                    match k {
-                        $(stringify!($field) => { r.$field = v; seen += 1; })+
-                        _ => return None,
-                    }
-                }
-                (seen == JobResult::FIELDS.len()).then_some(r)
-            }
-
-            /// `(name, value)` pairs in canonical order (report rendering).
-            pub fn field_values(&self) -> Vec<(&'static str, u64)> {
-                vec![$((stringify!($field), self.$field)),+]
-            }
-
-            /// Field-wise sum — the order-independent way experiment
-            /// aggregations combine per-seed cells.
-            pub fn merge(&mut self, other: &JobResult) {
-                $(self.$field += other.$field;)+
-            }
-        }
-    };
-}
-
-job_result! {
-    run_stats {
-        cycles: "Total clock cycles, stall cycles included.",
-        instructions: "Instructions completed (reached WB un-killed).",
-        squashed: "Instructions killed by squash or exception drain.",
-        nops: "Completed explicit no-ops.",
-        branches: "Conditional branches executed.",
-        branches_taken: "Conditional branches that took.",
-        branch_slot_nops: "No-ops observed in branch delay slots.",
-        branch_slot_squashed: "Branch delay-slot instructions squashed.",
-        loads: "Data loads completed.",
-        stores: "Data stores completed.",
-        exceptions: "Exceptions taken (traps and interrupts).",
-        icache_stall_cycles: "Pipeline cycles frozen for Icache miss service.",
-        ecache_stall_cycles: "Pipeline cycles frozen in the Ecache retry loop.",
-        frozen_cycles: "Cycles the qualified clock was withheld, whatever the cause.",
+mipsx_core::with_run_stats! {
+    /// Everything one job measures, as raw counters: every [`RunStats`]
+    /// counter, in `RunStats` order, then the miss FSM's activations, the
+    /// cache counters and the reorganizer's scheduling counters. Derived
+    /// metrics are computed on demand by `RunStats`' and [`CacheStats`]'
+    /// methods, so cached and fresh results agree bit-for-bit. Trace-driven
+    /// jobs fill only the Icache counters.
+    pub struct JobResult {
+        /// Cache-miss FSM activations (stalls started).
+        stall_events,
+        /// Icache accesses (trace jobs: trace length).
+        icache_accesses,
+        /// Icache misses.
+        icache_misses,
+        /// Icache-level stall cycles (miss service).
+        icache_fill_stalls,
+        /// Ecache accesses (data side).
+        ecache_accesses,
+        /// Ecache misses.
+        ecache_misses,
+        /// Conditional branches the reorganizer scheduled.
+        sched_branches,
+        /// Branches the reorganizer emitted squashing.
+        sched_squashing,
+        /// Delay slots the reorganizer left as no-ops.
+        sched_slot_nops,
+        /// No-ops inserted by the load-delay pass.
+        sched_load_nops,
     }
-    stall_events: "Cache-miss FSM activations (stalls started).",
-    icache_accesses: "Icache accesses (trace jobs: trace length).",
-    icache_misses: "Icache misses.",
-    icache_fill_stalls: "Icache-level stall cycles (miss service).",
-    ecache_accesses: "Ecache accesses (data side).",
-    ecache_misses: "Ecache misses.",
-    sched_branches: "Conditional branches the reorganizer scheduled.",
-    sched_squashing: "Branches the reorganizer emitted squashing.",
-    sched_slot_nops: "Delay slots the reorganizer left as no-ops.",
-    sched_load_nops: "No-ops inserted by the load-delay pass.",
 }
 
 impl JobResult {
-    /// `field=value` lines in canonical order (the store format).
+    /// The leading [`RunStats`] counters, as a `RunStats`; the exact
+    /// inverse of [`JobResult::from_run_stats`].
+    pub fn run_stats(&self) -> RunStats {
+        let fields = self.to_fields();
+        RunStats::from_fields(std::array::from_fn(|i| fields[i]))
+    }
+
+    /// A result holding `stats`, every other counter zero.
+    pub fn from_run_stats(stats: &RunStats) -> JobResult {
+        let mut fields = [0; JobResult::FIELDS.len()];
+        fields[..RunStats::FIELDS.len()].copy_from_slice(&stats.to_fields());
+        JobResult::from_fields(fields)
+    }
+
+    /// The Icache counters, as a [`CacheStats`] (miss ratio, fetch cost).
+    pub fn icache(&self) -> CacheStats {
+        CacheStats {
+            accesses: self.icache_accesses,
+            misses: self.icache_misses,
+            stall_cycles: self.icache_fill_stalls,
+            ..CacheStats::default()
+        }
+    }
+
+    /// The Ecache counters, as a [`CacheStats`] (miss ratio).
+    pub fn ecache(&self) -> CacheStats {
+        CacheStats {
+            accesses: self.ecache_accesses,
+            misses: self.ecache_misses,
+            ..CacheStats::default()
+        }
+    }
+
+    /// `(name, value)` pairs in [`JobResult::FIELDS`] order.
+    pub fn named_fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        JobResult::FIELDS.into_iter().zip(self.to_fields())
+    }
+
+    /// `field=value` lines in [`JobResult::FIELDS`] order (the store format).
     pub fn to_record(&self) -> String {
-        self.field_values()
-            .iter()
+        self.named_fields()
             .map(|(k, v)| format!("{k}={v}\n"))
             .collect()
     }
 
-    /// Icache miss ratio in `[0, 1]`.
-    pub fn icache_miss_ratio(&self) -> f64 {
-        ratio(self.icache_misses, self.icache_accesses)
-    }
-
-    /// Average cycles per instruction fetch (1 + amortized miss service) —
-    /// the paper's cache figure of merit.
-    pub fn icache_fetch_cost(&self) -> f64 {
-        if self.icache_accesses == 0 {
-            0.0
-        } else {
-            1.0 + ratio(self.icache_fill_stalls, self.icache_accesses)
+    /// Rebuild from parsed `(name, value)` pairs; `None` unless every field
+    /// appears exactly once and no unknown field appears.
+    pub fn from_pairs(pairs: &[(&str, u64)]) -> Option<JobResult> {
+        let mut fields = [None; JobResult::FIELDS.len()];
+        for &(k, v) in pairs {
+            let i = JobResult::FIELDS.iter().position(|&f| f == k)?;
+            if fields[i].replace(v).is_some() {
+                return None;
+            }
         }
-    }
-
-    /// Ecache miss ratio in `[0, 1]`.
-    pub fn ecache_miss_ratio(&self) -> f64 {
-        ratio(self.ecache_misses, self.ecache_accesses)
-    }
-
-    /// Fraction of all cycles spent in the Ecache retry loop.
-    pub fn ecache_stall_fraction(&self) -> f64 {
-        ratio(self.ecache_stall_cycles, self.cycles)
+        if fields.contains(&None) {
+            return None;
+        }
+        Some(JobResult::from_fields(
+            fields.map(Option::unwrap_or_default),
+        ))
     }
 
     /// Derived metrics in report order.
     pub fn derived_metrics(&self) -> Vec<(&'static str, f64)> {
-        let stats = self.run_stats();
+        let (stats, icache) = (self.run_stats(), self.icache());
         vec![
             ("cpi", stats.cpi()),
             ("cycles_per_branch", stats.cycles_per_branch()),
-            ("icache_miss_ratio", self.icache_miss_ratio()),
-            ("icache_fetch_cost", self.icache_fetch_cost()),
-            ("ecache_miss_ratio", self.ecache_miss_ratio()),
-            ("ecache_stall_fraction", self.ecache_stall_fraction()),
+            ("icache_miss_ratio", icache.miss_ratio()),
+            ("icache_fetch_cost", icache.avg_access_cycles()),
+            ("ecache_miss_ratio", self.ecache().miss_ratio()),
+            ("ecache_stall_fraction", stats.ecache_stall_fraction()),
         ]
-    }
-}
-
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
     }
 }
 
@@ -322,8 +282,7 @@ impl SweepOutcome {
                 ];
                 fields.extend(
                     row.result
-                        .field_values()
-                        .into_iter()
+                        .named_fields()
                         .map(|(k, v)| format!("\"{k}\":{v}")),
                 );
                 fields.extend(
@@ -368,7 +327,7 @@ impl SweepOutcome {
             out.push_str(if row.cached { "true" } else { "false" });
             out.push(',');
             out.push_str(&csv_quote(row.failed.as_deref().unwrap_or("")));
-            for (_, v) in row.result.field_values() {
+            for v in row.result.to_fields() {
                 out.push(',');
                 out.push_str(&v.to_string());
             }
@@ -389,7 +348,7 @@ impl SweepOutcome {
         );
         for row in &self.rows {
             let r = &row.result;
-            let stats = r.run_stats();
+            let (stats, icache) = (r.run_stats(), r.icache());
             out.push_str(&format!(
                 "| {} | {} | {} | {:.3} | {:.3} | {:.2}% | {:.3} | {:.2}% | {:.2}% |\n",
                 row.point_label,
@@ -397,10 +356,10 @@ impl SweepOutcome {
                 r.cycles,
                 stats.cpi(),
                 stats.cycles_per_branch(),
-                r.icache_miss_ratio() * 100.0,
-                r.icache_fetch_cost(),
-                r.ecache_miss_ratio() * 100.0,
-                r.ecache_stall_fraction() * 100.0,
+                icache.miss_ratio() * 100.0,
+                icache.avg_access_cycles(),
+                r.ecache().miss_ratio() * 100.0,
+                stats.ecache_stall_fraction() * 100.0,
             ));
         }
         out.push_str(&format!(
@@ -465,10 +424,9 @@ fn record_guest(tele: &Telemetry, result: &JobResult) {
     if !tele.is_enabled() {
         return;
     }
-    tele.count("guest.cycles", result.cycles);
-    tele.count("guest.instructions", result.instructions);
-    tele.count("guest.icache_accesses", result.icache_accesses);
-    tele.count("guest.icache_misses", result.icache_misses);
+    for (name, value) in result.named_fields() {
+        tele.count(&format!("guest.{name}"), value);
+    }
     tele.observe("guest.cycles_per_job", result.cycles);
 }
 
@@ -851,12 +809,17 @@ mod tests {
         assert_eq!(merged.cycles, by_hand);
     }
 
+    /// Every field set to a distinct value, so a cross-wired generated
+    /// field shows up as a mismatch.
+    fn filled() -> JobResult {
+        JobResult::from_fields(std::array::from_fn(|i| (i as u64 + 1) * 1_000_003))
+    }
+
     #[test]
     fn record_round_trips() {
         let r = JobResult {
             cycles: u64::MAX,
-            sched_load_nops: 7,
-            ..JobResult::default()
+            ..filled()
         };
         let record = r.to_record();
         let fields: Vec<(&str, u64)> = record
@@ -866,12 +829,40 @@ mod tests {
                 (k, v.parse().unwrap())
             })
             .collect();
-        assert_eq!(JobResult::from_fields(&fields), Some(r));
-        // A missing field or an unknown field both fail closed.
-        assert_eq!(JobResult::from_fields(&fields[1..]), None);
+        assert_eq!(JobResult::from_pairs(&fields), Some(r));
+        // A missing, a repeated or an unknown field all fail closed.
+        assert_eq!(JobResult::from_pairs(&fields[1..]), None);
+        let mut repeated = fields.clone();
+        repeated.push(fields[0]);
+        assert_eq!(JobResult::from_pairs(&repeated), None);
         let mut extra = fields.clone();
         extra.push(("mystery", 1));
-        assert_eq!(JobResult::from_fields(&extra), None);
+        assert_eq!(JobResult::from_pairs(&extra), None);
+    }
+
+    #[test]
+    fn job_result_fields_are_run_stats_then_its_own() {
+        let own = [
+            "stall_events",
+            "icache_accesses",
+            "icache_misses",
+            "icache_fill_stalls",
+            "ecache_accesses",
+            "ecache_misses",
+            "sched_branches",
+            "sched_squashing",
+            "sched_slot_nops",
+            "sched_load_nops",
+        ];
+        let (shared, rest) = JobResult::FIELDS.split_at(RunStats::FIELDS.len());
+        assert_eq!(shared, RunStats::FIELDS);
+        assert_eq!(rest, own);
+    }
+
+    #[test]
+    fn run_stats_and_from_run_stats_are_exact_inverses() {
+        let s = RunStats::from_fields(std::array::from_fn(|i| (i as u64 + 1) * 7));
+        assert_eq!(JobResult::from_run_stats(&s).run_stats(), s);
     }
 
     #[test]
@@ -896,8 +887,15 @@ mod tests {
         let snap = opts.telemetry.snapshot();
         assert_eq!(snap.counter("sweep.jobs"), outcome.rows.len() as u64);
         assert_eq!(snap.counter("sweep.cache_misses"), 2);
-        let guest_cycles: u64 = outcome.rows.iter().map(|r| r.result.cycles).sum();
-        assert_eq!(snap.counter("guest.cycles"), guest_cycles);
+        for (i, name) in JobResult::FIELDS.iter().enumerate() {
+            let total: u64 = outcome.rows.iter().map(|r| r.result.to_fields()[i]).sum();
+            assert_eq!(
+                snap.counter(&format!("guest.{name}")),
+                total,
+                "guest.{name}"
+            );
+        }
+        assert!(snap.counter("guest.cycles") > 0);
         for path in ["sweep", "sweep/execute", "job", "job/run", "job/assemble"] {
             assert!(snap.span_total_ns(path) > 0, "missing span {path}");
         }
@@ -1107,6 +1105,6 @@ mod tests {
         let r = outcome.rows[0].result;
         assert!(r.icache_accesses > 0);
         assert_eq!(r.cycles, 0);
-        assert!(r.icache_fetch_cost() > 1.0);
+        assert!(r.icache().avg_access_cycles() > 1.0);
     }
 }

@@ -27,8 +27,9 @@ use crate::key::{fnv1a, key_hex};
 
 /// Store format version, written into every file; unknown versions read as
 /// cache misses. Version 2 added the `checksum=` integrity line; version 3
-/// added the `frozen_cycles` and `stall_events` counters.
-const FORMAT_VERSION: u32 = 3;
+/// added the `frozen_cycles` and `stall_events` counters; version 4 records
+/// every `RunStats` counter, in `RunStats` order (`nops` before `squashed`).
+const FORMAT_VERSION: u32 = 4;
 
 /// Handle to the result store (or to nothing, when caching is off).
 #[derive(Clone, Debug)]
@@ -84,9 +85,9 @@ impl ResultStore {
             return (None, false);
         };
         match parse_record(&text) {
-            Parsed::Ok(result) => (Some(result), false),
-            Parsed::Foreign => (None, false),
-            Parsed::Corrupt => {
+            Ok(result) => (Some(result), false),
+            Err(Miss::Foreign) => (None, false),
+            Err(Miss::Corrupt) => {
                 let _ = std::fs::remove_file(&path);
                 (None, true)
             }
@@ -154,9 +155,8 @@ impl ResultStore {
     }
 }
 
-enum Parsed {
-    /// Current version, fields parse, checksum matches.
-    Ok(JobResult),
+/// Why a record on disk is not a result.
+enum Miss {
     /// Well-formed header with a version that is not ours — a miss, but
     /// not ours to delete.
     Foreign,
@@ -164,7 +164,8 @@ enum Parsed {
     Corrupt,
 }
 
-fn parse_record(text: &str) -> Parsed {
+/// The record's result: current version, fields parse, checksum matches.
+fn parse_record(text: &str) -> Result<JobResult, Miss> {
     let mut version: Option<u32> = None;
     let mut checksum: Option<u64> = None;
     let mut fields: Vec<(&str, u64)> = Vec::new();
@@ -174,31 +175,31 @@ fn parse_record(text: &str) -> Parsed {
             continue;
         }
         let Some((k, v)) = line.split_once('=') else {
-            return Parsed::Corrupt;
+            return Err(Miss::Corrupt);
         };
         match k {
             "version" => version = v.parse().ok(),
             "checksum" => checksum = u64::from_str_radix(v, 16).ok(),
             _ => match v.parse() {
                 Ok(n) => fields.push((k, n)),
-                Err(_) => return Parsed::Corrupt,
+                Err(_) => return Err(Miss::Corrupt),
             },
         }
     }
     match version {
         Some(v) if v == FORMAT_VERSION => {}
-        Some(_) => return Parsed::Foreign,
-        None => return Parsed::Corrupt,
+        Some(_) => return Err(Miss::Foreign),
+        None => return Err(Miss::Corrupt),
     }
-    let (Some(stored), Some(result)) = (checksum, JobResult::from_fields(&fields)) else {
-        return Parsed::Corrupt;
+    let (Some(stored), Some(result)) = (checksum, JobResult::from_pairs(&fields)) else {
+        return Err(Miss::Corrupt);
     };
     // Recompute over the canonical re-serialization: any flipped digit or
     // dropped line changes either the parse or this hash.
     if fnv1a(result.to_record().as_bytes()) != stored {
-        return Parsed::Corrupt;
+        return Err(Miss::Corrupt);
     }
-    Parsed::Ok(result)
+    Ok(result)
 }
 
 /// A store rooted in a fresh, unique temporary directory (test helper).
@@ -313,6 +314,35 @@ mod tests {
         assert!(store.load(9).is_none());
     }
 
+    /// Version 3's 24-field record, in its order; version 2's is the same
+    /// minus `frozen_cycles` and `stall_events`.
+    const V3_FIELDS: [&str; 24] = [
+        "cycles",
+        "instructions",
+        "squashed",
+        "nops",
+        "branches",
+        "branches_taken",
+        "branch_slot_nops",
+        "branch_slot_squashed",
+        "loads",
+        "stores",
+        "exceptions",
+        "icache_stall_cycles",
+        "ecache_stall_cycles",
+        "frozen_cycles",
+        "stall_events",
+        "icache_accesses",
+        "icache_misses",
+        "icache_fill_stalls",
+        "ecache_accesses",
+        "ecache_misses",
+        "sched_branches",
+        "sched_squashing",
+        "sched_slot_nops",
+        "sched_load_nops",
+    ];
+
     #[test]
     fn a_well_formed_v2_record_is_a_miss_left_on_disk() {
         let store = temp_store("store-v2");
@@ -322,25 +352,23 @@ mod tests {
             .as_ref()
             .unwrap()
             .join(format!("{}.result", key_hex(5)));
-        // The v2 field set: today's record minus the two v3 counters, with
-        // a checksum that matches it.
-        let record: String = JobResult::default()
-            .to_record()
-            .lines()
-            .filter(|l| !l.starts_with("frozen_cycles=") && !l.starts_with("stall_events="))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert_eq!(record.lines().count(), JobResult::FIELDS.len() - 2);
-        let v2 = format!(
-            "# mipsx sweep result\nversion=2\n# older\n{record}checksum={}\n",
-            key_hex(fnv1a(record.as_bytes()))
-        );
-        std::fs::write(&path, &v2).unwrap();
-        assert_eq!(store.load(5), None);
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            v2,
-            "not ours to delete"
-        );
+        let v2_fields = V3_FIELDS
+            .into_iter()
+            .filter(|&f| f != "frozen_cycles" && f != "stall_events");
+        // Each older field set, with a checksum that matches it.
+        for (version, fields) in [(2, v2_fields.collect::<Vec<_>>()), (3, V3_FIELDS.to_vec())] {
+            let record: String = fields.iter().map(|f| format!("{f}=0\n")).collect();
+            let old = format!(
+                "# mipsx sweep result\nversion={version}\n# older\n{record}checksum={}\n",
+                key_hex(fnv1a(record.as_bytes()))
+            );
+            std::fs::write(&path, &old).unwrap();
+            assert_eq!(store.load(5), None, "v{version}");
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                old,
+                "v{version}: not ours to delete"
+            );
+        }
     }
 }

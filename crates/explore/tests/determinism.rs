@@ -179,9 +179,9 @@ fn block_rows_match_interp_rows_on_pipeline_counters() {
     // Same grid twice — once per engine — over every kernel × all six
     // Table 1 schemes on the cache-ideal base (zero miss penalties, so
     // the block fast path actually engages instead of demoting whole).
-    // Every RunStats-derived counter must agree; the cache counters may
-    // not (the fast path skips the cache models), which is exactly why
-    // the engine is part of the job key.
+    // Every RunStats counter must agree; the cache counters may not (the
+    // fast path skips the cache models), which is exactly why the engine
+    // is part of the job key.
     let base = SimPoint::new(
         mipsx_core::SimConfig::cache_ideal(),
         mipsx_reorg::BranchScheme::mipsx(),
@@ -219,28 +219,7 @@ fn block_rows_match_interp_rows_on_pipeline_counters() {
         let tag = format!("{} | {}", a.point_label, a.workload);
         assert_ne!(a.key, b.key, "{tag}: engines must key differently");
         let (ra, rb) = (&a.result, &b.result);
-        assert_eq!(ra.cycles, rb.cycles, "{tag}: cycles");
-        assert_eq!(ra.instructions, rb.instructions, "{tag}: instructions");
-        assert_eq!(ra.squashed, rb.squashed, "{tag}: squashed");
-        assert_eq!(ra.nops, rb.nops, "{tag}: nops");
-        assert_eq!(ra.branches, rb.branches, "{tag}: branches");
-        assert_eq!(ra.branches_taken, rb.branches_taken, "{tag}: taken");
-        assert_eq!(ra.branch_slot_nops, rb.branch_slot_nops, "{tag}: slot nops");
-        assert_eq!(
-            ra.branch_slot_squashed, rb.branch_slot_squashed,
-            "{tag}: slot squashed"
-        );
-        assert_eq!(ra.loads, rb.loads, "{tag}: loads");
-        assert_eq!(ra.stores, rb.stores, "{tag}: stores");
-        assert_eq!(ra.exceptions, rb.exceptions, "{tag}: exceptions");
-        assert_eq!(
-            ra.icache_stall_cycles, rb.icache_stall_cycles,
-            "{tag}: icache stalls"
-        );
-        assert_eq!(
-            ra.ecache_stall_cycles, rb.ecache_stall_cycles,
-            "{tag}: ecache stalls"
-        );
+        assert_eq!(ra.run_stats(), rb.run_stats(), "{tag}: RunStats counters");
         // Scheduling counters come from the shared prepared image.
         assert_eq!(ra.sched_branches, rb.sched_branches, "{tag}: sched");
         assert_eq!(ra.sched_slot_nops, rb.sched_slot_nops, "{tag}: sched nops");

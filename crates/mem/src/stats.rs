@@ -28,32 +28,80 @@ impl fmt::Display for MissCause {
     }
 }
 
-/// Hit/miss/stall accounting shared by the instruction and external caches.
-///
-/// The paper's figure of merit is the *average cost of an instruction fetch*,
-/// *"a function of the cache hit rate, the miss penalty, and the cache access
-/// time"* — with the key finding that *"the performance of the cache was more
-/// sensitive to the miss service time than the miss ratio."*
-/// [`CacheStats::avg_access_cycles`] captures exactly that product.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct CacheStats {
-    /// Total accesses presented to the cache.
-    pub accesses: u64,
-    /// Accesses that hit.
-    pub hits: u64,
-    /// Accesses that missed.
-    pub misses: u64,
-    /// Processor stall cycles spent servicing misses.
-    pub stall_cycles: u64,
-    /// Words transferred in from the next level (fetch-back traffic).
-    pub words_filled: u64,
-    /// Misses to never-before-seen blocks.
-    pub cold_misses: u64,
-    /// Misses to blocks that were resident once and got displaced.
-    pub conflict_misses: u64,
-    /// Misses where the tag hit but the word's sub-block valid bit was
-    /// clear.
-    pub sub_block_misses: u64,
+/// Declares a struct of `u64` counters from one list of its fields and
+/// generates everything that walks every field: `FIELDS` (the names),
+/// `to_fields`/`from_fields` (the values as an array, in declaration
+/// order) and a field-wise `merge`. [`CacheStats`], `mipsx-core`'s
+/// `RunStats` and `mipsx-explore`'s `JobResult` are declared through it,
+/// so a counter added to a list reaches every record, report and snapshot
+/// section built from these functions.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$doc:meta])* $field:ident,)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+        $vis struct $name {
+            $($(#[$doc])* pub $field: u64,)*
+        }
+
+        impl $name {
+            /// Counter names, in declaration order.
+            pub const FIELDS: [&'static str; [$(stringify!($field)),*].len()] =
+                [$(stringify!($field)),*];
+
+            /// Every counter, in declaration order.
+            pub fn to_fields(self) -> [u64; Self::FIELDS.len()] {
+                [$(self.$field),*]
+            }
+
+            /// The inverse of `to_fields`.
+            pub fn from_fields(fields: [u64; Self::FIELDS.len()]) -> Self {
+                let [$($field),*] = fields;
+                Self { $($field),* }
+            }
+
+            /// Add another set of counters into this one, field by field.
+            pub fn merge(&mut self, other: &Self) {
+                $(self.$field += other.$field;)*
+            }
+        }
+    };
+}
+
+crate::counters! {
+    /// Hit/miss/stall accounting shared by the instruction and external caches.
+    ///
+    /// The paper's figure of merit is the *average cost of an instruction fetch*,
+    /// *"a function of the cache hit rate, the miss penalty, and the cache access
+    /// time"* — with the key finding that *"the performance of the cache was more
+    /// sensitive to the miss service time than the miss ratio."*
+    /// [`CacheStats::avg_access_cycles`] captures exactly that product.
+    ///
+    /// The field order is the snapshot's cache-statistics order.
+    pub struct CacheStats {
+        /// Total accesses presented to the cache.
+        accesses,
+        /// Accesses that hit.
+        hits,
+        /// Accesses that missed.
+        misses,
+        /// Processor stall cycles spent servicing misses.
+        stall_cycles,
+        /// Words transferred in from the next level (fetch-back traffic).
+        words_filled,
+        /// Misses to never-before-seen blocks.
+        cold_misses,
+        /// Misses to blocks that were resident once and got displaced.
+        conflict_misses,
+        /// Misses where the tag hit but the word's sub-block valid bit was
+        /// clear.
+        sub_block_misses,
+    }
 }
 
 impl CacheStats {
@@ -137,18 +185,6 @@ impl CacheStats {
     /// the owning cache classifies every miss).
     pub fn classified_misses(&self) -> u64 {
         self.cold_misses + self.conflict_misses + self.sub_block_misses
-    }
-
-    /// Merge another set of statistics into this one.
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.accesses += other.accesses;
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.stall_cycles += other.stall_cycles;
-        self.words_filled += other.words_filled;
-        self.cold_misses += other.cold_misses;
-        self.conflict_misses += other.conflict_misses;
-        self.sub_block_misses += other.sub_block_misses;
     }
 
     /// Reset to zero.
