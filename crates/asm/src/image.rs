@@ -94,11 +94,27 @@ impl DecodedImage {
         self.entries.is_empty()
     }
 
+    /// The table index of a word address (`addr - origin`), if inside the
+    /// image. Static analyses key their per-word tables by it.
+    #[inline]
+    pub fn index(&self, addr: u32) -> Option<usize> {
+        addr.checked_sub(self.origin)
+            .map(|i| i as usize)
+            .filter(|&i| i < self.entries.len())
+    }
+
     /// The decoded entry at a word address, if inside the image.
     #[inline]
     pub fn get(&self, addr: u32) -> Option<&DecodedEntry> {
         addr.checked_sub(self.origin)
             .and_then(|i| self.entries.get(i as usize))
+    }
+
+    /// Every entry, in address order: `entries()[i]` decodes the word at
+    /// `origin + i`.
+    #[inline]
+    pub fn entries(&self) -> &[DecodedEntry] {
+        &self.entries
     }
 
     /// The instruction at a word address, if inside the image.
@@ -348,6 +364,10 @@ mod tests {
         assert!(img.meta_at(0x101).unwrap().is_nop);
         let pairs: Vec<u32> = img.iter().map(|(a, _)| a).collect();
         assert_eq!(pairs, vec![0x100, 0x101]);
+        assert_eq!(img.index(0x101), Some(1));
+        assert_eq!(img.index(0xFF), None);
+        assert_eq!(img.index(0x102), None);
+        assert_eq!(img.entries()[1], *img.get(0x101).unwrap());
     }
 
     #[test]

@@ -275,14 +275,14 @@ pub(crate) fn compile(origin: u32, entry: u32, words: &[u32], cfg: &MachineConfi
         branch_delay_slots: cfg.branch_delay_slots,
     };
     let ta = TimingAnalysis::of(&program, &vcfg);
-    let image = DecodedImage::from_program(&program);
+    let image = ta.image();
 
     let mut blocks: Vec<CompiledBlock> = ta
         .blocks
         .iter()
-        .map(|b| compile_block(b, &image, words, origin, cfg))
+        .map(|b| compile_block(b, image, words, origin, cfg))
         .collect();
-    mark_entry_hazards(&ta, &image, &mut blocks);
+    mark_entry_hazards(&ta, image, &mut blocks);
 
     let mut map = vec![NONE; words.len() + SHADOW_WORDS as usize];
     for (i, b) in blocks.iter().enumerate() {

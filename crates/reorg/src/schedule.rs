@@ -366,32 +366,35 @@ impl Reorganizer {
         }
         needed.sort_unstable();
         needed.dedup();
-        let labels: std::collections::HashMap<(BlockId, usize), mipsx_asm::Label> =
-            needed.iter().map(|&key| (key, asm.new_label())).collect();
+        // `labels[k]` marks `needed[k]`; sorted, so each block's labels are
+        // one run in offset order, bound by a cursor as the block emits.
+        let labels: Vec<mipsx_asm::Label> = needed.iter().map(|_| asm.new_label()).collect();
+        let label = |key| labels[needed.binary_search(&key).expect("targets are labelled")];
+        let mut next = 0;
 
         for id in 0..raw.len() {
             for (offset, instr) in bodies[id].iter().enumerate() {
-                if let Some(&l) = labels.get(&(id, offset)) {
-                    asm.bind(l)?;
+                if needed.get(next) == Some(&(id, offset)) {
+                    asm.bind(labels[next])?;
+                    next += 1;
                 }
                 asm.emit(*instr);
             }
             // Labels at or past the end of the body bind just before the
             // terminator.
-            for (&(b, off), &l) in &labels {
-                if b == id && off >= bodies[id].len() {
-                    asm.bind(l)?;
-                }
+            while needed.get(next).is_some_and(|&(b, _)| b == id) {
+                asm.bind(labels[next])?;
+                next += 1;
             }
             match raw.terms[id] {
                 Terminator::Halt => asm.emit(Instr::Halt),
                 Terminator::Jump(t) => {
                     let key = (t, retarget[id].min(bodies[t].len()));
-                    asm.jump(labels[&key]);
+                    asm.jump(label(key));
                 }
                 Terminator::Call { target, link, .. } => {
                     let key = (target, retarget[id].min(bodies[target].len()));
-                    asm.call(labels[&key], link);
+                    asm.call(label(key), link);
                 }
                 Terminator::Return { link } => asm.ret(link),
                 Terminator::Branch {
@@ -402,7 +405,7 @@ impl Reorganizer {
                     ..
                 } => {
                     let key = (taken, retarget[id].min(bodies[taken].len()));
-                    asm.branch(cond, squash_mode[id], rs1, rs2, labels[&key]);
+                    asm.branch(cond, squash_mode[id], rs1, rs2, label(key));
                 }
             }
             for s in &slot_fill[id] {
@@ -413,11 +416,13 @@ impl Reorganizer {
 
         // Post-condition: every program this reorganizer emits must pass
         // the static hazard verifier. The report carries the result so
-        // callers can assert legality without re-running the pass.
-        let lint = self.verify_schedule(&program);
+        // callers can assert legality without re-running the pass. The
+        // verifier and the quality lints share one analysis.
+        let analysis = mipsx_verify::TimingAnalysis::of(&program, &self.verify_config());
+        let lint = analysis.verify();
         report.verified = lint.is_clean();
         report.diagnostics = lint.diagnostics.len();
-        report.quality_findings = self.quality_report(&program).diagnostics.len();
+        report.quality_findings = analysis.quality().diagnostics.len();
         debug_assert!(
             report.verified,
             "reorganizer emitted an illegal schedule:\n{lint}\n{program}"
@@ -427,26 +432,16 @@ impl Reorganizer {
 
     /// Run the static hazard verifier over a program under this
     /// reorganizer's branch scheme (delay-slot count). `reorganize` and
-    /// `lower_naive` already call this and record the outcome in their
-    /// [`ScheduleReport`]; it is public so hand-scheduled programs can be
-    /// checked against the same contract.
+    /// `lower_naive` already run this check and record the outcome in
+    /// their [`ScheduleReport`]; it is public so hand-scheduled programs
+    /// can be checked against the same contract.
     pub fn verify_schedule(&self, program: &Program) -> mipsx_verify::LintReport {
-        mipsx_verify::verify(
-            program,
-            &mipsx_verify::VerifyConfig::for_slots(self.scheme.slots),
-        )
+        mipsx_verify::verify(program, &self.verify_config())
     }
 
-    /// Run only the scheduling-*quality* lints (missed-slot-fill,
-    /// redundant-nop, avoidable-load-stall, cross-block-hazard-at-join)
-    /// over a program under this reorganizer's branch scheme. A clean
-    /// schedule wastes no issue slot the analyzer can prove fillable;
-    /// `reorganize` records the count in [`ScheduleReport`].
-    pub fn quality_report(&self, program: &Program) -> mipsx_verify::LintReport {
-        mipsx_verify::quality(
-            program,
-            &mipsx_verify::VerifyConfig::for_slots(self.scheme.slots),
-        )
+    /// The verifier's view of this reorganizer's branch scheme.
+    fn verify_config(&self) -> mipsx_verify::VerifyConfig {
+        mipsx_verify::VerifyConfig::for_slots(self.scheme.slots)
     }
 
     /// Fill one branch's delay slots; returns the slot instructions, the

@@ -16,12 +16,14 @@
 //! The program is decoded exactly once (`Program::decoded`) and every
 //! per-instruction fact — late defs, ALU-stage use sets, squash safety,
 //! MD roles — is read from the canonical `InstrMeta` record rather than
-//! re-derived locally.
+//! re-derived locally. Every per-word fact the analysis derives
+//! (reachability, delay-slot membership, MD states) lives in a dense table
+//! indexed like the image, by `addr - origin`; an address outside the
+//! image is simply in no set.
 
 use crate::{DiagKind, Diagnostic, VerifyConfig};
-use mipsx_asm::{DecodedEntry, Program};
+use mipsx_asm::{DecodedEntry, DecodedImage, Program};
 use mipsx_isa::{Instr, MdRole, SquashMode};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Abstract MD-register state for the step-chain rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,48 +47,37 @@ impl Md {
     }
 }
 
-pub(crate) fn run(program: &Program, config: &VerifyConfig) -> Vec<Diagnostic> {
-    let analysis = Analysis::new(program, config);
-    let mut diags = Vec::new();
-    analysis.check_windows_and_pairs(&mut diags);
-    analysis.check_straight_lints(&mut diags);
-    analysis.check_md_chains(&mut diags);
-    diags
-}
-
+#[derive(Clone, Debug)]
 pub(crate) struct Analysis {
     pub(crate) entry: u32,
     /// Decoded entry (instruction + precomputed metadata) at every word
     /// address of the image — decoded once, up front.
-    pub(crate) code: BTreeMap<u32, DecodedEntry>,
-    /// Addresses reachable from the entry point (data words that the
-    /// program never flows into are not linted).
-    pub(crate) reachable: BTreeSet<u32>,
-    /// Delay-slot address → owning control-transfer address.
-    pub(crate) slot_of: BTreeMap<u32, u32>,
+    pub(crate) code: DecodedImage,
+    /// Per image word: reachable from the entry point (data words that
+    /// the program never flows into are not linted).
+    reachable: Vec<bool>,
+    /// Per image word: a delay slot of some reachable control transfer.
+    in_slot: Vec<bool>,
     pub(crate) slots: u32,
 }
 
 impl Analysis {
     pub(crate) fn new(program: &Program, config: &VerifyConfig) -> Analysis {
-        let code: BTreeMap<u32, DecodedEntry> = program
-            .decoded()
-            .iter()
-            .map(|(addr, e)| (addr, *e))
-            .collect();
+        let code = program.decoded();
         let slots = config.branch_delay_slots as u32;
 
         // Reachability walk. Successors mirror the hardware: a control
         // transfer always fetches its delay slots; where it goes next
         // depends on the decoded displacement (or is unknowable for
         // indirect jumps, which simply end the walk on that path).
-        let mut reachable = BTreeSet::new();
+        let mut reachable = vec![false; code.len()];
         let mut work = vec![program.entry];
         while let Some(addr) = work.pop() {
-            if !code.contains_key(&addr) || !reachable.insert(addr) {
+            let Some(i) = code.index(addr) else { continue };
+            if std::mem::replace(&mut reachable[i], true) {
                 continue;
             }
-            match code[&addr].instr {
+            match code.entries()[i].instr {
                 Instr::Halt => {}
                 Instr::Branch { disp, .. } => {
                     work.extend((1..=slots).map(|k| addr + k));
@@ -112,11 +103,13 @@ impl Analysis {
             }
         }
 
-        let mut slot_of = BTreeMap::new();
-        for (&addr, entry) in &code {
-            if reachable.contains(&addr) && entry.meta.is_control {
+        let mut in_slot = vec![false; code.len()];
+        for ((addr, entry), &live) in code.iter().zip(&reachable) {
+            if live && entry.meta.is_control {
                 for k in 1..=slots {
-                    slot_of.entry(addr + k).or_insert(addr);
+                    if let Some(s) = code.index(addr + k) {
+                        in_slot[s] = true;
+                    }
                 }
             }
         }
@@ -125,13 +118,49 @@ impl Analysis {
             entry: program.entry,
             code,
             reachable,
-            slot_of,
+            in_slot,
             slots,
         }
     }
 
+    /// Every hazard-verifier diagnostic, unsorted.
+    pub(crate) fn diagnostics(&self) -> Vec<Diagnostic> {
+        let mut diags = Vec::new();
+        self.check_windows_and_pairs(&mut diags);
+        self.check_straight_lints(&mut diags);
+        self.check_md_chains(&mut diags);
+        diags
+    }
+
+    /// The image index of `addr` if it is reachable from the entry.
+    pub(crate) fn reachable_index(&self, addr: u32) -> Option<usize> {
+        self.code.index(addr).filter(|&i| self.reachable[i])
+    }
+
+    /// Every reachable address, ascending.
+    pub(crate) fn reachable(&self) -> impl Iterator<Item = u32> + '_ {
+        let origin = self.code.origin();
+        (0..self.reachable.len())
+            .filter(|&i| self.reachable[i])
+            .map(move |i| origin + i as u32)
+    }
+
+    /// The entry at an address the analysis knows is inside the image.
+    pub(crate) fn at(&self, addr: u32) -> &DecodedEntry {
+        self.code
+            .get(addr)
+            .unwrap_or_else(|| panic!("{addr:#07x} is outside the image"))
+    }
+
+    /// The entries of the `len` words from `start`, a run the analysis
+    /// knows is inside the image (a basic block).
+    pub(crate) fn run(&self, start: u32, len: u32) -> &[DecodedEntry] {
+        let i = self.code.index(start).expect("blocks lie inside the image");
+        &self.code.entries()[i..i + len as usize]
+    }
+
     fn entry_at(&self, addr: u32) -> Option<&DecodedEntry> {
-        self.code.get(&addr)
+        self.code.get(addr)
     }
 
     /// Report a load-delay hazard if `c_addr` can issue right after
@@ -155,24 +184,22 @@ impl Analysis {
 
     /// Delay-window shape rules plus every execution-adjacent pair check.
     fn check_windows_and_pairs(&self, diags: &mut Vec<Diagnostic>) {
-        for &addr in &self.reachable {
-            let entry = self.code[&addr];
+        for addr in self.reachable() {
+            let entry = *self.at(addr);
             if !entry.meta.is_control {
                 // Plain straight-line adjacency. Pairs inside delay
                 // windows are handled by the owning transfer below, and
                 // `halt` has no successor.
-                if !self.slot_of.contains_key(&addr) && !matches!(entry.instr, Instr::Halt) {
+                let in_slot = self.in_slot[(addr - self.code.origin()) as usize];
+                if !in_slot && !matches!(entry.instr, Instr::Halt) {
                     self.check_pair(addr, addr + 1, diags);
                 }
                 continue;
             }
 
             // Window shape: all slots must exist in the image.
-            let window: Vec<u32> = (1..=self.slots)
-                .map(|k| addr + k)
-                .filter(|a| self.code.contains_key(a))
-                .collect();
-            if window.len() != self.slots as usize {
+            let window = addr + 1..=addr + self.slots;
+            if self.code.get(*window.end()).is_none() {
                 diags.push(Diagnostic {
                     kind: DiagKind::SlotRunoff,
                     addr,
@@ -189,8 +216,8 @@ impl Analysis {
             // exception-restart sequence `jpc; jpc; jpcrs` is the one
             // architecturally sanctioned overlap.
             let pc_chain = entry.meta.is_special_jump;
-            for &s in &window {
-                let si = self.code[&s];
+            for s in window.clone() {
+                let si = self.at(s);
                 if si.meta.is_control && !(pc_chain && si.meta.is_special_jump) {
                     diags.push(Diagnostic {
                         kind: DiagKind::ControlInSlot,
@@ -206,8 +233,8 @@ impl Analysis {
             // Squashed slots must be annullable.
             if let Instr::Branch { squash, .. } = entry.instr {
                 if squash != SquashMode::NoSquash {
-                    for &s in &window {
-                        let si = self.code[&s];
+                    for s in window.clone() {
+                        let si = self.at(s);
                         if !si.meta.squash_safe
                             && !si.meta.is_control
                             && !matches!(si.instr, Instr::Illegal(_))
@@ -226,13 +253,12 @@ impl Analysis {
             }
 
             // Adjacent pairs: transfer → slot 1, slot k → slot k+1.
-            self.check_pair(addr, window[0], diags);
-            for pair in window.windows(2) {
-                self.check_pair(pair[0], pair[1], diags);
+            for s in window.clone() {
+                self.check_pair(s - 1, s, diags);
             }
 
             // Pairs out of the final slot, per surviving outcome.
-            let final_slot = *window.last().expect("window is non-empty");
+            let final_slot = *window.end();
             match entry.instr {
                 Instr::Branch { squash, disp, .. } => {
                     if squash.slots_execute(true) {
@@ -253,7 +279,7 @@ impl Analysis {
                         diags.push(Diagnostic {
                             kind: DiagKind::LoadDelay,
                             addr: final_slot,
-                            instr: self.code[&final_slot].instr,
+                            instr: self.at(final_slot).instr,
                             detail: format!(
                                 "loads {d} in the final delay slot of an indirect transfer — the target head is unknown and may consume it"
                             ),
@@ -266,8 +292,8 @@ impl Analysis {
 
     /// Per-instruction lints that need no flow information.
     fn check_straight_lints(&self, diags: &mut Vec<Diagnostic>) {
-        for &addr in &self.reachable {
-            let instr = self.code[&addr].instr;
+        for addr in self.reachable() {
+            let instr = self.at(addr).instr;
             match instr {
                 Instr::Illegal(word) => diags.push(Diagnostic {
                     kind: DiagKind::IllegalInstr,
@@ -298,7 +324,7 @@ impl Analysis {
                             diags.push(Diagnostic {
                                 kind: DiagKind::CoprocResultTiming,
                                 addr: addr + 1,
-                                instr: self.code[&(addr + 1)].instr,
+                                instr: self.at(addr + 1).instr,
                                 detail: format!(
                                     "reads coprocessor {cop} the cycle after `cpop` issues; the unit may still be busy and will stall the pipe"
                                 ),
@@ -318,67 +344,69 @@ impl Analysis {
     fn check_md_chains(&self, diags: &mut Vec<Diagnostic>) {
         // Fixpoint over node states. Nodes are reachable addresses that
         // are not delay slots (slots are folded through their window).
-        if !self.reachable.contains(&self.entry) {
+        if self.reachable_index(self.entry).is_none() {
             return;
         }
-        let mut states: BTreeMap<u32, Md> = BTreeMap::new();
-        let mut work: Vec<u32> = Vec::new();
-        states.insert(self.entry, Md::Idle);
-        work.push(self.entry);
+        let origin = self.code.origin();
+        let mut states: Vec<Option<Md>> = vec![None; self.reachable.len()];
+        let mut work: Vec<u32> = vec![self.entry];
+        let mut succs = Vec::new();
+        states[(self.entry - origin) as usize] = Some(Md::Idle);
 
         while let Some(addr) = work.pop() {
-            let state = states[&addr];
-            for (succ, out) in self.md_successors(addr, state, None) {
-                if !self.reachable.contains(&succ) {
+            let state = states[(addr - origin) as usize].expect("queued nodes have a state");
+            self.md_successors(addr, state, None, &mut succs);
+            for &(succ, out) in &succs {
+                let Some(i) = self.reachable_index(succ) else {
                     continue;
-                }
-                let merged = states.get(&succ).map_or(out, |s| s.merge(out));
-                if states.get(&succ) != Some(&merged) {
-                    states.insert(succ, merged);
+                };
+                let merged = states[i].map_or(out, |s| s.merge(out));
+                if states[i] != Some(merged) {
+                    states[i] = Some(merged);
                     work.push(succ);
                 }
             }
         }
 
         // Deterministic reporting pass over the converged states.
-        for (&addr, &state) in &states {
-            let mut local = Vec::new();
-            let _ = self.md_successors(addr, state, Some(&mut local));
-            diags.append(&mut local);
+        for (i, state) in states.into_iter().enumerate() {
+            if let Some(state) = state {
+                self.md_successors(origin + i as u32, state, Some(diags), &mut succs);
+            }
         }
     }
 
     /// Apply the MD transfer function at `addr` (folding the delay window
-    /// if `addr` is a control transfer) and return `(successor, state)`
-    /// pairs. When `diags` is given, chain-break errors are recorded.
+    /// if `addr` is a control transfer) and replace `out` with the
+    /// `(successor, state)` pairs. When `diags` is given, chain-break
+    /// errors are recorded.
     fn md_successors(
         &self,
         addr: u32,
         state: Md,
         mut diags: Option<&mut Vec<Diagnostic>>,
-    ) -> Vec<(u32, Md)> {
+        out: &mut Vec<(u32, Md)>,
+    ) {
+        out.clear();
         let Some(&entry) = self.entry_at(addr) else {
-            return vec![];
+            return;
         };
         if !entry.meta.is_control {
-            if matches!(entry.instr, Instr::Halt) {
-                return vec![];
+            if !matches!(entry.instr, Instr::Halt) {
+                let next = self.md_transfer(state, addr, diags.as_deref_mut());
+                out.push((addr + 1, next));
             }
-            let out = self.md_transfer(state, addr, diags.as_deref_mut());
-            return vec![(addr + 1, out)];
+            return;
         }
 
         // Fold the window once; outcomes that squash the slots keep the
         // pre-window state instead.
-        let window: Vec<u32> = (1..=self.slots)
-            .map(|k| addr + k)
-            .filter(|a| self.code.contains_key(a))
-            .collect();
         let mut folded = state;
-        for &s in &window {
-            folded = self.md_transfer(folded, s, diags.as_deref_mut());
+        for s in (1..=self.slots).map(|k| addr + k) {
+            if self.code.get(s).is_some() {
+                folded = self.md_transfer(folded, s, diags.as_deref_mut());
+            }
         }
-        let mut out = Vec::new();
         match entry.instr {
             Instr::Branch { squash, disp, .. } => {
                 let target = addr.wrapping_add(disp as u32);
@@ -411,12 +439,11 @@ impl Analysis {
             }
             _ => {}
         }
-        out
     }
 
     /// MD transfer for the single instruction at `addr` (which decodes).
     fn md_transfer(&self, state: Md, addr: u32, diags: Option<&mut Vec<Diagnostic>>) -> Md {
-        let entry = self.code[&addr];
+        let entry = self.at(addr);
         match entry.meta.md_role {
             MdRole::Mstep | MdRole::Dstep => {
                 let mul = entry.meta.md_role == MdRole::Mstep;

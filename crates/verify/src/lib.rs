@@ -330,7 +330,7 @@ pub fn squash_safe(instr: &Instr) -> bool {
 /// Statically verify a program image against the MIPS-X pipeline
 /// contract. See the crate docs for the rule set.
 pub fn verify(program: &Program, config: &VerifyConfig) -> LintReport {
-    LintReport::from_raw(analysis::run(program, config))
+    LintReport::from_raw(analysis::Analysis::new(program, config).diagnostics())
 }
 
 #[cfg(test)]

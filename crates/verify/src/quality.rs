@@ -32,16 +32,15 @@ use mipsx_isa::SquashMode;
 
 /// Run only the four scheduling-quality lints.
 pub fn quality(program: &Program, config: &VerifyConfig) -> LintReport {
-    let ta = TimingAnalysis::of(program, config);
-    LintReport::from_raw(quality_diags(&ta))
+    TimingAnalysis::of(program, config).quality()
 }
 
 /// The full `--timing` report: the hazard verifier's diagnostics plus the
 /// scheduling-quality findings, merged into one deterministically-sorted
-/// listing.
+/// listing. Both read one analysis of the program.
 pub fn verify_with_timing(program: &Program, config: &VerifyConfig) -> LintReport {
-    let mut diags = crate::analysis::run(program, config);
     let ta = TimingAnalysis::of(program, config);
+    let mut diags = ta.analysis.diagnostics();
     diags.extend(quality_diags(&ta));
     LintReport::from_raw(diags)
 }
@@ -53,18 +52,12 @@ pub fn quality_diags(ta: &TimingAnalysis) -> Vec<Diagnostic> {
         if b.irregular {
             continue;
         }
-        let entries = block_entries(ta, b);
-        missed_slot_fill(b, &entries, &mut diags);
-        redundant_and_avoidable(b, &entries, &mut diags);
+        let entries = ta.analysis.run(b.start, b.len);
+        missed_slot_fill(b, entries, &mut diags);
+        redundant_and_avoidable(b, entries, &mut diags);
     }
     cross_block_hazards(ta, &mut diags);
     diags
-}
-
-fn block_entries<'a>(ta: &'a TimingAnalysis, b: &BlockSummary) -> Vec<&'a DecodedEntry> {
-    (b.start..b.start + b.len)
-        .map(|addr| &ta.code[&addr])
-        .collect()
 }
 
 /// Can `p` move from just before the transfer `t` into `t`'s delay window,
@@ -87,7 +80,7 @@ fn movable_into_slot(p: &DecodedEntry, before_p: Option<&DecodedEntry>, t: &Deco
 
 /// Rule 1: a nop in a window that always executes, with a provably
 /// movable instruction sitting right before the transfer.
-fn missed_slot_fill(b: &BlockSummary, entries: &[&DecodedEntry], diags: &mut Vec<Diagnostic>) {
+fn missed_slot_fill(b: &BlockSummary, entries: &[DecodedEntry], diags: &mut Vec<Diagnostic>) {
     let always_executes = match b.exit {
         BlockExit::Branch { squash, .. } => squash == SquashMode::NoSquash,
         BlockExit::Jump { .. } => true,
@@ -104,9 +97,9 @@ fn missed_slot_fill(b: &BlockSummary, entries: &[&DecodedEntry], diags: &mut Vec
     if !entries[slot].meta.is_nop || term == 0 {
         return;
     }
-    let p = entries[term - 1];
-    let before_p = term.checked_sub(2).map(|i| entries[i]);
-    if movable_into_slot(p, before_p, entries[term]) {
+    let p = &entries[term - 1];
+    let before_p = term.checked_sub(2).map(|i| &entries[i]);
+    if movable_into_slot(p, before_p, &entries[term]) {
         let addr = b.start + slot as u32;
         diags.push(Diagnostic {
             kind: DiagKind::MissedSlotFill,
@@ -126,7 +119,7 @@ fn missed_slot_fill(b: &BlockSummary, entries: &[&DecodedEntry], diags: &mut Vec
 /// independent instruction could replace it) or pads nothing (rule 2).
 fn redundant_and_avoidable(
     b: &BlockSummary,
-    entries: &[&DecodedEntry],
+    entries: &[DecodedEntry],
     diags: &mut Vec<Diagnostic>,
 ) {
     let body_len = (b.len - b.slots) as usize;
@@ -134,8 +127,8 @@ fn redundant_and_avoidable(
         if !entries[p].meta.is_nop || p + 1 >= entries.len() {
             continue;
         }
-        let prev = entries[p - 1];
-        let next = entries[p + 1];
+        let prev = &entries[p - 1];
+        let next = &entries[p + 1];
         let load_pad = prev.meta.late_def.is_some_and(|d| next.meta.alu_uses(d));
         let coproc_pad = match (prev.instr, next.instr) {
             (mipsx_isa::Instr::Cpop { cop, .. }, mipsx_isa::Instr::Mvfc { cop: c2, .. }) => {
@@ -163,7 +156,7 @@ fn redundant_and_avoidable(
         // that could occupy this pad slot instead of a nop?
         let d = prev.meta.late_def.expect("load_pad implies late_def");
         for j in p + 2..body_len {
-            let c = entries[j];
+            let c = &entries[j];
             let cm = &c.meta;
             let plain = !cm.is_nop
                 && !cm.is_control
@@ -209,7 +202,7 @@ fn cross_block_hazards(ta: &TimingAnalysis, diags: &mut Vec<Diagnostic>) {
         if b.irregular || preds[j].len() < 2 {
             continue;
         }
-        let head = &ta.code[&b.start];
+        let head = ta.analysis.at(b.start);
         if head.meta.alu_use_mask == 0 {
             continue;
         }
@@ -239,8 +232,8 @@ fn cross_block_hazards(ta: &TimingAnalysis, diags: &mut Vec<Diagnostic>) {
             if !survives {
                 continue;
             }
-            let a1 = &ta.code[&(pb.start + pb.len - 1)];
-            let a2 = &ta.code[&(pb.start + pb.len - 2)];
+            let a1 = ta.analysis.at(pb.start + pb.len - 1);
+            let a2 = ta.analysis.at(pb.start + pb.len - 2);
             let Some(d) = a2.meta.late_def else {
                 continue;
             };

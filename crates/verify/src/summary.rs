@@ -26,7 +26,6 @@
 use crate::analysis::Analysis;
 use mipsx_asm::DecodedEntry;
 use mipsx_isa::{Instr, InstrMeta, Reg, SquashMode};
-use std::collections::BTreeSet;
 
 /// Mask of every register that can carry dataflow (`r1`..`r31`).
 pub const ALL_REGS: u32 = 0xFFFF_FFFE;
@@ -236,49 +235,55 @@ impl BlockSummary {
 /// (true when the partition invariants do not hold somewhere).
 pub(crate) fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
     let slots = a.slots;
+    let origin = a.code.origin();
     let mut global_irregular = false;
 
-    // Leaders: entry, transfer targets, post-window continuations.
-    let mut leaders: BTreeSet<u32> = BTreeSet::new();
-    leaders.insert(a.entry);
-    for &addr in &a.reachable {
-        match a.code[&addr].instr {
+    // Leaders: entry, transfer targets, post-window continuations. One
+    // flag per image word; a leader that is not reachable is no leader.
+    let mut leaders = vec![false; a.code.len()];
+    let mut lead = |addr: u32| {
+        if let Some(i) = a.reachable_index(addr) {
+            leaders[i] = true;
+        }
+    };
+    lead(a.entry);
+    for addr in a.reachable() {
+        match a.at(addr).instr {
             Instr::Branch { disp, .. } => {
-                leaders.insert(addr.wrapping_add(disp as u32));
-                leaders.insert(addr + slots + 1);
+                lead(addr.wrapping_add(disp as u32));
+                lead(addr + slots + 1);
             }
             Instr::Jspci { rs1, imm, .. } => {
                 if rs1.is_zero() {
-                    leaders.insert(imm as u32);
+                    lead(imm as u32);
                 }
-                leaders.insert(addr + slots + 1);
+                lead(addr + slots + 1);
             }
             Instr::Jpc | Instr::Jpcrs => {
-                leaders.insert(addr + slots + 1);
+                lead(addr + slots + 1);
             }
             Instr::Halt => {
-                leaders.insert(addr + 1);
+                lead(addr + 1);
             }
             _ => {}
         }
     }
-    leaders.retain(|l| a.reachable.contains(l));
+    let is_leader = |addr: u32| a.code.index(addr).is_some_and(|i| leaders[i]);
 
     let mut blocks = Vec::new();
-    let mut covered: BTreeSet<u32> = BTreeSet::new();
-    for &start in &leaders {
-        if covered.contains(&start) {
+    let mut covered = vec![false; a.code.len()];
+    for start in (0..leaders.len()).filter(|&i| leaders[i]) {
+        if covered[start] {
             // A branch targets the inside of an already-consumed window.
             global_irregular = true;
             continue;
         }
+        let start = origin + start as u32;
         let mut irregular = false;
-        let mut addrs: Vec<u32> = Vec::new();
         let mut addr = start;
         let (term_addr, window, exit) = loop {
-            covered.insert(addr);
-            addrs.push(addr);
-            let entry = &a.code[&addr];
+            covered[(addr - origin) as usize] = true;
+            let entry = a.at(addr);
             if entry.is_halt() {
                 break (Some(addr), 0, BlockExit::Halt);
             }
@@ -287,14 +292,13 @@ pub(crate) fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
                 let mut window = 0;
                 for k in 1..=slots {
                     let s = addr + k;
-                    match a.code.get(&s) {
+                    match a.code.get(s) {
                         Some(e) => {
                             if e.meta.is_control {
                                 // e.g. the jpc restart chain.
                                 irregular = true;
                             }
-                            covered.insert(s);
-                            addrs.push(s);
+                            covered[(s - origin) as usize] = true;
                             window += 1;
                         }
                         None => {
@@ -325,24 +329,32 @@ pub(crate) fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
                 break (Some(addr), window, exit);
             }
             let next = addr + 1;
-            if leaders.contains(&next) {
+            if is_leader(next) {
                 break (None, 0, BlockExit::FallThrough { next });
             }
-            if !a.reachable.contains(&next) || !a.code.contains_key(&next) {
+            if a.reachable_index(next).is_none() {
                 // Straight-line code ending without a halt: off the map.
                 irregular = true;
                 break (None, 0, BlockExit::FallThrough { next });
             }
             addr = next;
         };
+        // The block is the contiguous run from its leader through the
+        // last instruction walked and the window slots inside the image.
+        let len = addr - start + 1 + window;
         global_irregular |= irregular;
         blocks.push(summarize(
-            a, start, &addrs, term_addr, window, exit, irregular,
+            start,
+            a.run(start, len),
+            term_addr,
+            window,
+            exit,
+            irregular,
         ));
     }
 
     // Every reachable address must be covered exactly once.
-    if covered.len() != a.reachable.len() {
+    if covered.iter().filter(|&&c| c).count() != a.reachable().count() {
         global_irregular = true;
     }
     (blocks, global_irregular)
@@ -350,15 +362,13 @@ pub(crate) fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
 
 /// Compute the block-local facts for one partitioned block.
 fn summarize(
-    a: &Analysis,
     start: u32,
-    addrs: &[u32],
+    entries: &[DecodedEntry],
     term_addr: Option<u32>,
     window: u32,
     exit: BlockExit,
     irregular: bool,
 ) -> BlockSummary {
-    let entries: Vec<&DecodedEntry> = addrs.iter().map(|addr| &a.code[addr]).collect();
     let len = entries.len() as u32;
     let slots = match exit {
         BlockExit::Branch { .. } | BlockExit::Jump { .. } => window,

@@ -28,11 +28,11 @@
 //! *exactly* per block.
 
 use crate::analysis::Analysis;
+use crate::quality::quality_diags;
 use crate::summary::{build_blocks, BlockExit, BlockSummary, ALL_REGS};
-use crate::VerifyConfig;
-use mipsx_asm::{DecodedEntry, Program};
+use crate::{LintReport, VerifyConfig};
+use mipsx_asm::{DecodedImage, Program};
 use mipsx_isa::InstrMeta;
-use std::collections::BTreeMap;
 
 /// One row of the per-block cost table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,24 +69,20 @@ pub struct TimingAnalysis {
     /// The partition invariants failed somewhere; per-visit cost claims
     /// are unreliable for the flagged blocks.
     pub irregular: bool,
-    /// Block start address → index.
-    index: BTreeMap<u32, usize>,
-    /// The decoded image, kept for the quality lints.
-    pub(crate) code: BTreeMap<u32, DecodedEntry>,
+    /// CFG successor block indices per block.
+    succs: Vec<Vec<usize>>,
+    /// CFG predecessor block indices per block, without repeats.
+    preds: Vec<Vec<usize>>,
+    /// The per-word analysis the blocks were cut from: the decoded image
+    /// plus the tables the hazard verifier reads.
+    pub(crate) analysis: Analysis,
 }
 
 impl TimingAnalysis {
     /// Analyze a program scheduled for `config.branch_delay_slots`.
     pub fn of(program: &Program, config: &VerifyConfig) -> TimingAnalysis {
         let analysis = Analysis::new(program, config);
-        let (mut blocks, irregular) = build_blocks(&analysis);
-        blocks.sort_by_key(|b| b.start);
-        let index: BTreeMap<u32, usize> = blocks
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (b.start, i))
-            .collect();
-
+        let (blocks, irregular) = build_blocks(&analysis);
         let mut ta = TimingAnalysis {
             entry: analysis.entry,
             slots: analysis.slots,
@@ -94,47 +90,79 @@ impl TimingAnalysis {
             loop_depth: Vec::new(),
             weights: Vec::new(),
             irregular,
-            index,
-            code: analysis.code,
+            succs: Vec::new(),
+            preds: Vec::new(),
+            analysis,
         };
+        ta.succs = ta
+            .blocks
+            .iter()
+            .map(|b| {
+                b.successors()
+                    .into_iter()
+                    .filter_map(|addr| ta.block_at(addr))
+                    .collect()
+            })
+            .collect();
+        ta.preds = vec![Vec::new(); ta.blocks.len()];
+        for (i, succs) in ta.succs.iter().enumerate() {
+            for &s in succs {
+                if !ta.preds[s].contains(&i) {
+                    ta.preds[s].push(i);
+                }
+            }
+        }
         ta.solve_liveness();
-        ta.solve_loops();
+        ta.loop_depth = ta.loop_depths();
+        ta.weights = ta
+            .loop_depth
+            .iter()
+            .map(|&d| 10u64.saturating_pow(d.min(12)))
+            .collect();
         ta
     }
 
     /// Index of the block starting exactly at `addr`.
     pub fn block_at(&self, addr: u32) -> Option<usize> {
-        self.index.get(&addr).copied()
+        self.blocks.binary_search_by_key(&addr, |b| b.start).ok()
     }
 
     /// Index of the block *containing* `addr`.
     pub fn block_of(&self, addr: u32) -> Option<usize> {
-        let (_, &i) = self.index.range(..=addr).next_back()?;
+        let i = self
+            .blocks
+            .partition_point(|b| b.start <= addr)
+            .checked_sub(1)?;
         let b = &self.blocks[i];
         (addr < b.start + b.len).then_some(i)
     }
 
     /// CFG successor block indices (successor addresses that are not block
     /// heads — possible only in irregular programs — are dropped).
-    pub fn successors(&self, i: usize) -> Vec<usize> {
-        self.blocks[i]
-            .successors()
-            .into_iter()
-            .filter_map(|addr| self.block_at(addr))
-            .collect()
+    pub fn successors(&self, i: usize) -> &[usize] {
+        &self.succs[i]
     }
 
     /// CFG predecessors per block.
-    pub fn predecessors(&self) -> Vec<Vec<usize>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for i in 0..self.blocks.len() {
-            for s in self.successors(i) {
-                if !preds[s].contains(&i) {
-                    preds[s].push(i);
-                }
-            }
-        }
-        preds
+    pub fn predecessors(&self) -> &[Vec<usize>] {
+        &self.preds
+    }
+
+    /// The decoded image the analysis was built from.
+    pub fn image(&self) -> &DecodedImage {
+        &self.analysis.code
+    }
+
+    /// The hazard verifier's report ([`crate::verify`]) over this
+    /// analysis, without decoding the program again.
+    pub fn verify(&self) -> LintReport {
+        LintReport::from_raw(self.analysis.diagnostics())
+    }
+
+    /// The scheduling-quality report ([`crate::quality`]) over this
+    /// analysis.
+    pub fn quality(&self) -> LintReport {
+        LintReport::from_raw(quality_diags(self))
     }
 
     /// Backward liveness fixpoint over the block graph. Unknowable exits
@@ -147,10 +175,9 @@ impl TimingAnalysis {
                 let live_out = match self.blocks[i].exit {
                     BlockExit::Halt => 0,
                     BlockExit::Jump { target, link, .. } if link || target.is_none() => ALL_REGS,
-                    _ => self
-                        .successors(i)
-                        .into_iter()
-                        .fold(0u32, |m, s| m | self.blocks[s].live_in),
+                    _ => self.succs[i]
+                        .iter()
+                        .fold(0u32, |m, &s| m | self.blocks[s].live_in),
                 };
                 let b = &mut self.blocks[i];
                 let live_in = b.use_mask | (live_out & !b.def_mask);
@@ -169,43 +196,37 @@ impl TimingAnalysis {
     /// Natural-loop detection: iterative dominators, back edges
     /// (`u → h` with `h` dominating `u`), loop bodies by reverse reach,
     /// depth = number of distinct loop headers containing the block.
-    fn solve_loops(&mut self) {
+    fn loop_depths(&self) -> Vec<u32> {
         let n = self.blocks.len();
-        self.loop_depth = vec![0; n];
-        self.weights = vec![1; n];
+        let mut depth = vec![0; n];
         let Some(entry) = self.block_of(self.entry) else {
-            return;
+            return depth;
         };
-        let succs: Vec<Vec<usize>> = (0..n).map(|i| self.successors(i)).collect();
-        let preds = self.predecessors();
+        let (succs, preds) = (&self.succs, &self.preds);
 
-        // dom[b] as a bitset over blocks (n is small: one Vec<u64> row each).
+        // dom[b] as a bitset over blocks: row `b` is `dom[b * words..][..words]`.
         let words = n.div_ceil(64);
-        let full = vec![u64::MAX; words];
-        let mut dom: Vec<Vec<u64>> = vec![full; n];
-        dom[entry] = vec![0; words];
-        dom[entry][entry / 64] |= 1 << (entry % 64);
+        let mut dom = vec![u64::MAX; n * words];
+        let row = |b: usize| b * words..(b + 1) * words;
+        dom[row(entry)].fill(0);
+        dom[entry * words + entry / 64] |= 1 << (entry % 64);
+        let mut new = vec![0u64; words];
         loop {
             let mut changed = false;
             for b in 0..n {
-                if b == entry {
-                    continue;
-                }
-                let mut new = vec![u64::MAX; words];
-                let mut any_pred = false;
-                for &p in &preds[b] {
-                    any_pred = true;
-                    for w in 0..words {
-                        new[w] &= dom[p][w];
-                    }
-                }
-                if !any_pred {
+                if b == entry || preds[b].is_empty() {
                     // Unreachable from entry through the CFG: leave ⊤.
                     continue;
                 }
+                new.fill(u64::MAX);
+                for &p in &preds[b] {
+                    for (w, &d) in new.iter_mut().zip(&dom[row(p)]) {
+                        *w &= d;
+                    }
+                }
                 new[b / 64] |= 1 << (b % 64);
-                if new != dom[b] {
-                    dom[b] = new;
+                if dom[row(b)] != new[..] {
+                    dom[row(b)].copy_from_slice(&new);
                     changed = true;
                 }
             }
@@ -213,7 +234,7 @@ impl TimingAnalysis {
                 break;
             }
         }
-        let dominates = |h: usize, b: usize| dom[b][h / 64] & (1 << (h % 64)) != 0;
+        let dominates = |h: usize, b: usize| dom[b * words + h / 64] & (1 << (h % 64)) != 0;
 
         // Blocks actually reachable from the entry through CFG edges —
         // unreachable blocks kept ⊤ dominator sets above and must not
@@ -229,13 +250,13 @@ impl TimingAnalysis {
         }
 
         // Natural loop bodies, merged per header.
-        let mut bodies: BTreeMap<usize, Vec<bool>> = BTreeMap::new();
+        let mut bodies: Vec<Option<Vec<bool>>> = vec![None; n];
         for u in 0..n {
             for &h in &succs[u] {
                 if !reached[u] || !dominates(h, u) {
                     continue;
                 }
-                let body = bodies.entry(h).or_insert_with(|| vec![false; n]);
+                let body = bodies[h].get_or_insert_with(|| vec![false; n]);
                 body[h] = true;
                 let mut stack = vec![u];
                 while let Some(b) = stack.pop() {
@@ -247,16 +268,14 @@ impl TimingAnalysis {
                 }
             }
         }
-        for body in bodies.values() {
+        for body in bodies.iter().flatten() {
             for (b, &inside) in body.iter().enumerate() {
                 if inside {
-                    self.loop_depth[b] += 1;
+                    depth[b] += 1;
                 }
             }
         }
-        for b in 0..n {
-            self.weights[b] = 10u64.saturating_pow(self.loop_depth[b].min(12));
-        }
+        depth
     }
 
     /// The per-block cost table, block order.
