@@ -103,15 +103,31 @@ impl MachineConfig {
         c
     }
 
+    /// Check the invariants a [`Machine`](crate::Machine) is built on: 1 or 2
+    /// branch delay slots and well-formed caches
+    /// ([`IcacheConfig::check`], [`EcacheConfig::check`]). The one
+    /// validity rule for a configuration; [`MachineConfig::validate`]
+    /// panics through it.
+    pub fn check(&self) -> Result<(), String> {
+        if !(1..=2).contains(&self.branch_delay_slots) {
+            return Err(format!(
+                "MIPS-X models 1 or 2 branch delay slots (got {})",
+                self.branch_delay_slots
+            ));
+        }
+        self.icache.check()?;
+        self.ecache.check()
+    }
+
     /// Validate invariants.
     ///
     /// # Panics
-    /// Panics if `branch_delay_slots` is not 1 or 2.
+    /// Panics with [`MachineConfig::check`]'s message if the configuration
+    /// is invalid.
     pub fn validate(&self) {
-        assert!(
-            self.branch_delay_slots == 1 || self.branch_delay_slots == 2,
-            "MIPS-X models 1 or 2 branch delay slots"
-        );
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
 
@@ -146,6 +162,23 @@ mod tests {
         assert_send_copy::<MachineConfig>();
         // The sweep engine clones one of these per grid cell; keep it small.
         assert!(std::mem::size_of::<MachineConfig>() <= 128);
+    }
+
+    #[test]
+    fn check_names_the_broken_rule_without_panicking() {
+        assert_eq!(MachineConfig::mipsx().check(), Ok(()));
+        assert_eq!(MachineConfig::cache_ideal().check(), Ok(()));
+        let mut c = MachineConfig::mipsx();
+        c.branch_delay_slots = 0;
+        assert!(c.check().unwrap_err().contains("1 or 2 branch delay slots"));
+        c = MachineConfig::mipsx();
+        c.icache.rows = 3;
+        let e = c.check().unwrap_err();
+        assert!(e.starts_with("rows must be a power of two"), "{e}");
+        c = MachineConfig::mipsx();
+        c.ecache.size_words = 2;
+        let e = c.check().unwrap_err();
+        assert!(e.starts_with("cache smaller than one block"), "{e}");
     }
 
     #[test]

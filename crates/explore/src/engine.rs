@@ -41,7 +41,7 @@ use mipsx_telemetry::Telemetry;
 use crate::image::{ImageCache, PreparedArtifact};
 use crate::journal::{fingerprint, Journal, JournalConfig};
 use crate::key::{job_key, key_hex};
-use crate::pool::run_indexed_catching;
+use crate::pool::run_indexed;
 #[cfg(test)]
 use crate::spec::Workload;
 use crate::spec::{Job, SpecError, SweepSpec};
@@ -467,7 +467,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
     // job's own Result<(result, key, cached, wall_ns), SpecError>.
     let executed = {
         let _s = tele.span("execute");
-        run_indexed_catching(jobs.len(), threads, tele, |i| {
+        run_indexed(jobs.len(), threads, tele, |i| {
             execute_job(
                 &jobs[i],
                 spec.run_cycles,
@@ -557,7 +557,7 @@ fn execute_job(
         // cache hit) so the resumed report is byte-identical to the
         // uninterrupted run's. A lost store entry just recomputes.
         Some(j) if j.is_done(key) => {
-            if let Some(result) = store.load_traced(key, tele) {
+            if let Some(result) = store.load(key, tele) {
                 tele.count("sweep.resumed", 1);
                 record_guest(tele, &result);
                 let wall_ns = job_start.elapsed().as_nanos() as u64;
@@ -570,7 +570,7 @@ fn execute_job(
         // row's `cached` flag on resume — a byte difference.
         Some(_) => {}
         None => {
-            if let Some(result) = store.load_traced(key, tele) {
+            if let Some(result) = store.load(key, tele) {
                 tele.count("sweep.cache_hits", 1);
                 record_guest(tele, &result);
                 let wall_ns = job_start.elapsed().as_nanos() as u64;
@@ -734,7 +734,7 @@ fn execute_job(
             result
         }
     };
-    store.save_traced(key, &result, &label, tele);
+    store.save(key, &result, &label, tele);
     if let Some(j) = journal {
         // Store write first, journal line second: a crash in between
         // leaves a store entry without a done mark, and the resume

@@ -22,38 +22,32 @@ use std::time::Instant;
 use mipsx_telemetry::Telemetry;
 
 /// Run `worker(index)` for every `index in 0..count` on `threads` workers
-/// and return the results in index order.
+/// and return the results in index order — the pool's one entry point.
 ///
 /// `threads` is clamped to `1..=count` (zero means one). With one thread
 /// the jobs run on the calling thread in order, with no pool machinery —
 /// the serial baseline the determinism tests compare against.
 ///
-/// # Panics
-/// Propagates a panic from any worker.
-pub fn run_indexed<T, F>(count: usize, threads: usize, worker: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed_with(count, threads, &Telemetry::disabled(), worker)
-}
-
-/// [`run_indexed_with`], but a panicking job is quarantined instead of
-/// taking the pool (and the whole sweep) down with it.
+/// **Quarantine.** A panicking job does not take the pool (and the whole
+/// sweep) down with it: each call to `worker` runs under
+/// [`std::panic::catch_unwind`], and a panic becomes `Err(message)` in
+/// that job's slot while every other job still runs to completion. The
+/// panic payload is recovered when it is a `String` or `&str` (which
+/// covers `panic!`, `assert!`, `unwrap`/`expect`); anything else degrades
+/// to a generic message. The worker is wrapped in [`AssertUnwindSafe`]:
+/// the sweep engine only shares the job list, the result store, and
+/// telemetry across jobs, and all of those are either read-only or
+/// internally synchronized, so a half-finished job cannot leave them in a
+/// state later jobs would misread.
 ///
-/// Each call to `worker` runs under [`std::panic::catch_unwind`]; a panic
-/// becomes `Err(message)` in that job's slot while every other job still
-/// runs to completion in index order. The panic payload is recovered when
-/// it is a `String` or `&str` (which covers `panic!`, `assert!`,
-/// `unwrap`/`expect`); anything else degrades to a generic message. Each
-/// quarantined job counts one `pool.quarantined` tick when `tele` is live.
-///
-/// The worker is wrapped in [`AssertUnwindSafe`]: the sweep engine only
-/// shares the job list, the result store, and telemetry across jobs, and
-/// all of those are either read-only or internally synchronized, so a
-/// half-finished job cannot leave them in a state later jobs would
-/// misread.
-pub fn run_indexed_catching<T, F>(
+/// **Telemetry.** When `tele` is live, each worker records busy/idle
+/// nanoseconds (`pool.busy_ns`, `pool.idle_ns`), its task and steal
+/// counts (`pool.tasks`, `pool.steals`), and the pool records the worker
+/// count and deepest queue observed at a steal attempt (`pool.workers`,
+/// `pool.queue_depth_max` gauges); each quarantined job counts one
+/// `pool.quarantined` tick. With telemetry disabled there are no clock
+/// reads.
+pub fn run_indexed<T, F>(
     count: usize,
     threads: usize,
     tele: &Telemetry,
@@ -63,7 +57,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    run_indexed_with(count, threads, tele, |i| {
+    let worker = |i| {
         catch_unwind(AssertUnwindSafe(|| worker(i))).map_err(|payload| {
             if tele.is_enabled() {
                 tele.count("pool.quarantined", 1);
@@ -76,20 +70,7 @@ where
                 "worker panicked (non-string payload)".to_string()
             }
         })
-    })
-}
-
-/// [`run_indexed`] with pool telemetry: when `tele` is live, each worker
-/// records busy/idle nanoseconds (`pool.busy_ns`, `pool.idle_ns`), its
-/// task and steal counts (`pool.tasks`, `pool.steals`), and the pool
-/// records the worker count and deepest queue observed at a steal
-/// attempt (`pool.workers`, `pool.queue_depth_max` gauges). With
-/// telemetry disabled this is exactly [`run_indexed`] — no clock reads.
-pub fn run_indexed_with<T, F>(count: usize, threads: usize, tele: &Telemetry, worker: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
+    };
     if count == 0 {
         return Vec::new();
     }
@@ -98,7 +79,7 @@ where
         if tele.is_enabled() {
             tele.gauge_max("pool.workers", 1);
             let start = Instant::now();
-            let out: Vec<T> = (0..count)
+            let out: Vec<_> = (0..count)
                 .map(|i| {
                     tele.timing_count("pool.tasks", 1);
                     worker(i)
@@ -121,7 +102,8 @@ where
         deal[i % threads].push_back((start, count.min(start + chunk)));
     }
     let queues: Vec<Mutex<VecDeque<(usize, usize)>>> = deal.into_iter().map(Mutex::new).collect();
-    let results: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
+    let results: Vec<Mutex<Option<Result<T, String>>>> =
+        (0..count).map(|_| Mutex::new(None)).collect();
     if tele.is_enabled() {
         tele.gauge_max("pool.workers", threads as u64);
     }
@@ -193,10 +175,22 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// `run_indexed` without telemetry, for jobs that never panic.
+    fn run_all<T: Send>(
+        count: usize,
+        threads: usize,
+        worker: impl Fn(usize) -> T + Sync,
+    ) -> Vec<T> {
+        run_indexed(count, threads, &Telemetry::disabled(), worker)
+            .into_iter()
+            .map(|slot| slot.expect("job panicked"))
+            .collect()
+    }
+
     #[test]
     fn all_jobs_run_once_in_index_order() {
         let calls = AtomicUsize::new(0);
-        let out = run_indexed(100, 4, |i| {
+        let out = run_all(100, 4, |i| {
             calls.fetch_add(1, Ordering::Relaxed);
             i * 3
         });
@@ -206,8 +200,8 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_agree() {
-        let serial = run_indexed(37, 1, |i| i as u64 * i as u64);
-        let parallel = run_indexed(37, 8, |i| i as u64 * i as u64);
+        let serial = run_all(37, 1, |i| i as u64 * i as u64);
+        let parallel = run_all(37, 8, |i| i as u64 * i as u64);
         assert_eq!(serial, parallel);
     }
 
@@ -215,7 +209,7 @@ mod tests {
     fn stealing_drains_imbalanced_loads() {
         // One job is 1000x the others; the pool must still finish and keep
         // index order.
-        let out = run_indexed(16, 4, |i| {
+        let out = run_all(16, 4, |i| {
             let reps = if i == 0 { 100_000 } else { 100 };
             (0..reps).fold(i as u64, |a, x| a.wrapping_add(x))
         });
@@ -224,9 +218,9 @@ mod tests {
 
     #[test]
     fn degenerate_counts() {
-        assert!(run_indexed(0, 4, |i| i).is_empty());
-        assert_eq!(run_indexed(1, 16, |i| i), vec![0]);
-        assert_eq!(run_indexed(3, 0, |i| i), vec![0, 1, 2]);
+        assert!(run_all(0, 4, |i| i).is_empty());
+        assert_eq!(run_all(1, 16, |i| i), vec![0]);
+        assert_eq!(run_all(3, 0, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
@@ -235,12 +229,12 @@ mod tests {
         // the small sweeps above (≤ 8 jobs/worker keep chunk size 1).
         let calls = AtomicUsize::new(0);
         let tele = Telemetry::enabled();
-        let out = run_indexed_with(1000, 4, &tele, |i| {
+        let out = run_indexed(1000, 4, &tele, |i| {
             calls.fetch_add(1, Ordering::Relaxed);
             i
         });
         assert_eq!(calls.load(Ordering::Relaxed), 1000);
-        assert_eq!(out, (0..1000).collect::<Vec<_>>());
+        assert_eq!(out, (0..1000).map(Ok).collect::<Vec<_>>());
         // pool.tasks counts jobs, not chunks.
         assert_eq!(
             tele.snapshot().timing_counters.get("pool.tasks"),
@@ -251,7 +245,7 @@ mod tests {
     #[test]
     fn telemetry_accounts_for_every_task() {
         let tele = Telemetry::enabled();
-        let out = run_indexed_with(50, 4, &tele, |i| i);
+        let out = run_indexed(50, 4, &tele, |i| i);
         assert_eq!(out.len(), 50);
         let snap = tele.snapshot();
         assert_eq!(snap.timing_counters.get("pool.tasks"), Some(&50));
@@ -263,7 +257,7 @@ mod tests {
     #[test]
     fn a_panicking_job_is_quarantined_not_fatal() {
         let tele = Telemetry::enabled();
-        let out = run_indexed_catching(8, 4, &tele, |i| {
+        let out = run_indexed(8, 4, &tele, |i| {
             if i == 5 {
                 panic!("job {i} exploded");
             }
@@ -282,7 +276,7 @@ mod tests {
 
     #[test]
     fn quarantine_works_on_the_serial_path_too() {
-        let out = run_indexed_catching(3, 1, &Telemetry::disabled(), |i| {
+        let out = run_indexed(3, 1, &Telemetry::disabled(), |i| {
             assert!(i != 1, "assert-style panic");
             i
         });
@@ -293,7 +287,7 @@ mod tests {
     #[test]
     fn serial_path_counts_tasks_too() {
         let tele = Telemetry::enabled();
-        run_indexed_with(7, 1, &tele, |i| i);
+        run_indexed(7, 1, &tele, |i| i);
         let snap = tele.snapshot();
         assert_eq!(snap.timing_counters.get("pool.tasks"), Some(&7));
         assert_eq!(snap.gauges.get("pool.workers"), Some(&1));

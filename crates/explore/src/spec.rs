@@ -94,7 +94,10 @@ impl SimPoint {
     }
 
     /// Check the invariants the simulator asserts at `Machine::new`, so a
-    /// bad grid fails with a diagnostic instead of a worker-thread panic.
+    /// bad grid fails with a diagnostic instead of a worker-thread panic:
+    /// the scheme and the pipeline agree on the slot count, the engine
+    /// runs that pipeline, and the configuration passes
+    /// [`SimConfig::check`].
     pub fn validate(&self) -> Result<(), SpecError> {
         if !(1..=2).contains(&self.scheme.slots) || self.cfg.branch_delay_slots != self.scheme.slots
         {
@@ -103,33 +106,8 @@ impl SimPoint {
                 self.scheme.slots, self.cfg.branch_delay_slots
             ));
         }
-        let ic = &self.cfg.icache;
-        if !ic.rows.is_power_of_two() || !ic.block_words.is_power_of_two() || ic.block_words > 64 {
-            return err(format!(
-                "icache rows/block_words must be powers of two (block <= 64): rows={} block={}",
-                ic.rows, ic.block_words
-            ));
-        }
-        if ic.ways == 0 || !(1..=2).contains(&ic.fetch_words) {
-            return err(format!(
-                "icache needs >=1 way and a 1- or 2-word fetch-back: ways={} fetch={}",
-                ic.ways, ic.fetch_words
-            ));
-        }
-        if let Err(e) = self.engine.check_slots(self.scheme.slots) {
-            return err(e);
-        }
-        let ec = &self.cfg.ecache;
-        if !ec.size_words.is_power_of_two()
-            || !ec.block_words.is_power_of_two()
-            || ec.size_words < ec.block_words
-        {
-            return err(format!(
-                "ecache size/block must be powers of two with size >= block: size={} block={}",
-                ec.size_words, ec.block_words
-            ));
-        }
-        Ok(())
+        self.engine.check_slots(self.scheme.slots).or_else(err)?;
+        self.cfg.check().or_else(err)
     }
 }
 

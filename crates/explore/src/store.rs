@@ -72,12 +72,29 @@ impl ResultStore {
     /// Load the result stored under `key`, if present and well-formed.
     /// A corrupt entry (checksum mismatch, truncation, unparsable fields)
     /// is deleted so the recomputed result can take its place.
-    pub fn load(&self, key: u64) -> Option<JobResult> {
-        self.load_inner(key).0
+    ///
+    /// With `tele` live (and the store enabled) this counts `store.reads`
+    /// / `store.read_hits` / `store.corrupt_evictions` and samples
+    /// `store.read_ns`; otherwise it reads no clock.
+    pub fn load(&self, key: u64, tele: &Telemetry) -> Option<JobResult> {
+        if !tele.is_enabled() || !self.is_enabled() {
+            return self.read(key).0;
+        }
+        let start = Instant::now();
+        let (result, evicted) = self.read(key);
+        tele.timing_observe("store.read_ns", start.elapsed().as_nanos() as u64);
+        tele.timing_count("store.reads", 1);
+        if result.is_some() {
+            tele.timing_count("store.read_hits", 1);
+        }
+        if evicted {
+            tele.timing_count("store.corrupt_evictions", 1);
+        }
+        result
     }
 
     /// `(result, evicted-a-corrupt-entry)`.
-    fn load_inner(&self, key: u64) -> (Option<JobResult>, bool) {
+    fn read(&self, key: u64) -> (Option<JobResult>, bool) {
         let Some(path) = self.path_for(key) else {
             return (None, false);
         };
@@ -98,7 +115,21 @@ impl ResultStore {
     /// (job label) written into the file header; it is not read back.
     /// Failures are silent by design — a read-only store degrades to
     /// caching nothing, not to failing the sweep.
-    pub fn save(&self, key: u64, result: &JobResult, note: &str) {
+    ///
+    /// With `tele` live (and the store enabled) this counts
+    /// `store.writes` and samples `store.write_ns`.
+    pub fn save(&self, key: u64, result: &JobResult, note: &str, tele: &Telemetry) {
+        if !tele.is_enabled() || !self.is_enabled() {
+            self.write(key, result, note);
+            return;
+        }
+        let start = Instant::now();
+        self.write(key, result, note);
+        tele.timing_observe("store.write_ns", start.elapsed().as_nanos() as u64);
+        tele.timing_count("store.writes", 1);
+    }
+
+    fn write(&self, key: u64, result: &JobResult, note: &str) {
         let Some(path) = self.path_for(key) else {
             return;
         };
@@ -117,41 +148,6 @@ impl ResultStore {
         if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, &path).is_err() {
             let _ = std::fs::remove_file(&tmp);
         }
-    }
-
-    /// [`ResultStore::load`] with latency telemetry: counts
-    /// `store.reads` / `store.read_hits` / `store.corrupt_evictions` and
-    /// samples `store.read_ns`. With telemetry disabled (or the store
-    /// disabled) this is exactly `load` — no clock reads.
-    pub fn load_traced(&self, key: u64, tele: &Telemetry) -> Option<JobResult> {
-        if !tele.is_enabled() || !self.is_enabled() {
-            return self.load(key);
-        }
-        let start = Instant::now();
-        let (result, evicted) = self.load_inner(key);
-        tele.timing_observe("store.read_ns", start.elapsed().as_nanos() as u64);
-        tele.timing_count("store.reads", 1);
-        if result.is_some() {
-            tele.timing_count("store.read_hits", 1);
-        }
-        if evicted {
-            tele.timing_count("store.corrupt_evictions", 1);
-        }
-        result
-    }
-
-    /// [`ResultStore::save`] with latency telemetry: counts
-    /// `store.writes` and samples `store.write_ns`. With telemetry
-    /// disabled (or the store disabled) this is exactly `save`.
-    pub fn save_traced(&self, key: u64, result: &JobResult, note: &str, tele: &Telemetry) {
-        if !tele.is_enabled() || !self.is_enabled() {
-            self.save(key, result, note);
-            return;
-        }
-        let start = Instant::now();
-        self.save(key, result, note);
-        tele.timing_observe("store.write_ns", start.elapsed().as_nanos() as u64);
-        tele.timing_count("store.writes", 1);
     }
 }
 
@@ -224,17 +220,17 @@ mod tests {
             instructions: 45,
             ..JobResult::default()
         };
-        assert!(store.load(7).is_none());
-        store.save(7, &r, "label with\nnewline");
-        assert_eq!(store.load(7), Some(r));
-        assert!(store.load(8).is_none());
+        assert!(store.load(7, &Telemetry::disabled()).is_none());
+        store.save(7, &r, "label with\nnewline", &Telemetry::disabled());
+        assert_eq!(store.load(7, &Telemetry::disabled()), Some(r));
+        assert!(store.load(8, &Telemetry::disabled()).is_none());
     }
 
     #[test]
     fn disabled_store_is_inert() {
         let store = ResultStore::disabled();
-        store.save(1, &JobResult::default(), "x");
-        assert!(store.load(1).is_none());
+        store.save(1, &JobResult::default(), "x", &Telemetry::disabled());
+        assert!(store.load(1, &Telemetry::disabled()).is_none());
         assert!(!store.is_enabled());
     }
 
@@ -246,9 +242,9 @@ mod tests {
             cycles: 9,
             ..JobResult::default()
         };
-        assert!(store.load_traced(3, &tele).is_none());
-        store.save_traced(3, &r, "traced", &tele);
-        assert_eq!(store.load_traced(3, &tele), Some(r));
+        assert!(store.load(3, &tele).is_none());
+        store.save(3, &r, "traced", &tele);
+        assert_eq!(store.load(3, &tele), Some(r));
         let snap = tele.snapshot();
         assert_eq!(snap.timing_counters.get("store.reads"), Some(&2));
         assert_eq!(snap.timing_counters.get("store.read_hits"), Some(&1));
@@ -266,7 +262,7 @@ mod tests {
             instructions: 7,
             ..JobResult::default()
         };
-        store.save(4, &r, "victim");
+        store.save(4, &r, "victim", &Telemetry::disabled());
         let path = store
             .dir
             .as_ref()
@@ -279,7 +275,7 @@ mod tests {
         let flipped = text.replacen("cycles=123456", "cycles=123457", 1);
         assert_ne!(text, flipped, "fixture must actually flip a digit");
         std::fs::write(&path, flipped).unwrap();
-        assert_eq!(store.load_traced(4, &tele), None);
+        assert_eq!(store.load(4, &tele), None);
         assert!(!path.exists(), "corrupt entry must be deleted");
         assert_eq!(
             tele.snapshot()
@@ -289,29 +285,29 @@ mod tests {
         );
 
         // Truncation: cut the file mid-record (losing the checksum line).
-        store.save(4, &r, "victim");
+        store.save(4, &r, "victim", &Telemetry::disabled());
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, &text[..text.len() / 2]).unwrap();
-        assert_eq!(store.load_traced(4, &tele), None);
+        assert_eq!(store.load(4, &tele), None);
         assert!(!path.exists());
 
         // Recompute-and-rewrite restores service.
-        store.save(4, &r, "victim");
-        assert_eq!(store.load(4), Some(r));
+        store.save(4, &r, "victim", &Telemetry::disabled());
+        assert_eq!(store.load(4, &Telemetry::disabled()), Some(r));
     }
 
     #[test]
     fn malformed_files_read_as_misses() {
         let store = temp_store("store-bad");
-        store.save(9, &JobResult::default(), "ok");
+        store.save(9, &JobResult::default(), "ok", &Telemetry::disabled());
         let path = match &store.dir {
             Some(d) => d.join(format!("{}.result", key_hex(9))),
             None => unreachable!(),
         };
         std::fs::write(&path, "version=999\ncycles=1\n").unwrap();
-        assert!(store.load(9).is_none());
+        assert!(store.load(9, &Telemetry::disabled()).is_none());
         std::fs::write(&path, "not a record at all").unwrap();
-        assert!(store.load(9).is_none());
+        assert!(store.load(9, &Telemetry::disabled()).is_none());
     }
 
     /// Version 3's 24-field record, in its order; version 2's is the same
@@ -346,7 +342,7 @@ mod tests {
     #[test]
     fn a_well_formed_v2_record_is_a_miss_left_on_disk() {
         let store = temp_store("store-v2");
-        store.save(5, &JobResult::default(), "current");
+        store.save(5, &JobResult::default(), "current", &Telemetry::disabled());
         let path = store
             .dir
             .as_ref()
@@ -363,7 +359,7 @@ mod tests {
                 key_hex(fnv1a(record.as_bytes()))
             );
             std::fs::write(&path, &old).unwrap();
-            assert_eq!(store.load(5), None, "v{version}");
+            assert_eq!(store.load(5, &Telemetry::disabled()), None, "v{version}");
             assert_eq!(
                 std::fs::read_to_string(&path).unwrap(),
                 old,

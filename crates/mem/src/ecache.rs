@@ -36,16 +36,30 @@ impl EcacheConfig {
         }
     }
 
-    fn validate(&self) {
-        assert!(
-            self.block_words.is_power_of_two(),
+    /// Check the organization the model relies on: size and block words
+    /// powers of two, the cache at least one block. The error names the
+    /// broken rule and the geometry.
+    pub fn check(&self) -> Result<(), String> {
+        let broken = if !self.block_words.is_power_of_two() {
             "block size power of two"
-        );
-        assert!(self.size_words.is_power_of_two(), "cache size power of two");
-        assert!(
-            self.size_words >= self.block_words,
+        } else if !self.size_words.is_power_of_two() {
+            "cache size power of two"
+        } else if self.size_words < self.block_words {
             "cache smaller than one block"
-        );
+        } else {
+            return Ok(());
+        };
+        Err(format!(
+            "{broken} (ecache size and block words must be powers of two, size >= block: \
+             size_words={} block_words={})",
+            self.size_words, self.block_words
+        ))
+    }
+
+    fn validate(&self) {
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 
     fn num_blocks(&self) -> u32 {

@@ -83,17 +83,33 @@ impl IcacheConfig {
         self.rows * self.ways * self.block_words
     }
 
-    fn validate(&self) {
-        assert!(self.rows.is_power_of_two(), "rows must be a power of two");
-        assert!(
-            self.block_words.is_power_of_two() && self.block_words <= 64,
+    /// Check the organization the model relies on: rows and block words
+    /// powers of two (blocks of at most 64 words, one valid bit each), at
+    /// least one way, a 1- or 2-word fetch-back. The error names the
+    /// broken rule and the geometry.
+    pub fn check(&self) -> Result<(), String> {
+        let broken = if !self.rows.is_power_of_two() {
+            "rows must be a power of two"
+        } else if !self.block_words.is_power_of_two() || self.block_words > 64 {
             "block words must be a power of two <= 64"
-        );
-        assert!(self.ways >= 1, "at least one way");
-        assert!(
-            self.fetch_words == 1 || self.fetch_words == 2,
+        } else if self.ways == 0 {
+            "at least one way"
+        } else if !(1..=2).contains(&self.fetch_words) {
             "fetch-back of 1 or 2 words"
-        );
+        } else {
+            return Ok(());
+        };
+        Err(format!(
+            "{broken} (icache rows and block words must be powers of two: rows={} ways={} \
+             block_words={} fetch_words={})",
+            self.rows, self.ways, self.block_words, self.fetch_words
+        ))
+    }
+
+    fn validate(&self) {
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
 

@@ -46,7 +46,8 @@
 //!
 //! run options:
 //!   --cycles <n>        cycle budget (default 10,000,000)
-//!   --slots <1|2>       branch delay slots (default 2)
+//!   --slots <1|2>       branch delay slots (default 2; any other count
+//!                       exits 1)
 //!   --trust             disable interlock checking (model the silicon)
 //!   --ideal             use the ideal-cache configuration (no memory
 //!                       stalls) instead of the MIPS-X board
@@ -59,7 +60,8 @@
 //!                       (default)
 //!   --regs              dump the register file after the run
 //!
-//! trace options (in addition to --cycles/--slots):
+//! trace options (in addition to --cycles/--slots; kernel targets are
+//! rescheduled for the --slots count):
 //!   --diagram <n>       render the first n cycles as a pipe diagram
 //!                       (default 60; 0 disables)
 //!   --jsonl <path>      also write every probe event as JSON lines
@@ -137,7 +139,8 @@
 //!   --cycles <n>        save: cycles to run before snapshotting (0 =
 //!                       snapshot the freshly loaded machine);
 //!                       restore: further cycle budget (default 10,000,000)
-//!   --slots <1|2>       save: branch delay slots (default 2)
+//!   --slots <1|2>       save: branch delay slots (default 2); kernel
+//!                       targets are rescheduled for that count
 //!   --faults <spec>     save: fault plan; its delivery cursor rides in
 //!                       the snapshot, so restore continues it exactly
 //!   --out <path>        save: where the snapshot is written (required)
@@ -163,18 +166,21 @@
 //! A failing soak run prints a copy-pasteable `mipsx soak --runs 1 --seed N
 //! --faults <spec>` line that reproduces it exactly.
 //!
-//! `mipsx trace` and `mipsx lint` accept either a kernel name from the
-//! built-in suite (`mipsx trace fib_recursive`) — the kernel is scheduled
-//! by the code reorganizer exactly as the experiments run it — or a path
-//! to an assembly file. `mipsx lint` exits non-zero if any error-severity
-//! diagnostic is found (warnings alone do not fail the run).
+//! `mipsx trace`, `lint`, `analyze`, `profile` and `snapshot save` accept
+//! either a kernel name from the built-in suite (`mipsx trace
+//! fib_recursive`) — the kernel is scheduled by the code reorganizer for
+//! the `--slots` count, under the squash-optional scheme the experiments
+//! run, and runs on a pipeline with that many slots — or a path to an
+//! assembly file. `--slots` other than 1 or 2 exits 1. `mipsx lint` exits
+//! non-zero if any error-severity diagnostic is found (warnings alone do
+//! not fail the run).
 //!
 //! The sweep report goes to stdout; timing and cache-hit chatter goes to
 //! stderr, so reports are byte-comparable across runs and thread counts.
 
 use std::process::ExitCode;
 
-use mipsx::asm::{assemble, assemble_at, disassemble};
+use mipsx::asm::{assemble, assemble_at, disassemble, Program};
 use mipsx::bench::experiments;
 use mipsx::bench::{json_document, render_table, rows_to_json_timed};
 use mipsx::cli::{flag, parse_args, switch, ArgError, FlagSpec, ParsedArgs};
@@ -183,75 +189,193 @@ use mipsx::core::{FaultPlan, InterlockPolicy, Machine, MachineConfig, RunError, 
 use mipsx::engine::drives_caches;
 use mipsx::exec::{AnyBackend, CheckedBackend, EngineKind, ExecBackend, ExecError};
 use mipsx::explore::{
-    run_sweep, Axis, Grid, JournalConfig, ResultStore, SimPoint, SweepOptions, SweepSpec,
-    Telemetry, Workload,
+    run_sweep, Axis, Grid, JournalConfig, ResultStore, SimPoint, SweepOptions, SweepOutcome,
+    SweepSpec, Telemetry, Workload,
 };
 use mipsx::isa::Reg;
 use mipsx::refmodel::NULL_HANDLER;
-use mipsx::reorg::{BranchScheme, Reorganizer, SquashPolicy};
+use mipsx::reorg::{BranchScheme, Reorganizer, ScheduleReport, SquashPolicy};
 use mipsx::verify::{
     differential, verify, verify_with_timing, BlockAttribution, TimingAnalysis, VerifyConfig,
 };
-use mipsx::workloads::{all_kernels, find_kernel, kernel_names, random_scheduled_program};
+use mipsx::workloads::{all_kernels, find_kernel, kernel_names, random_scheduled_program, Kernel};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: mipsx <asm|dis|run|trace|soak|lint|analyze|sweep|profile|snapshot|reproduce|info> \
-         [file.s|kernel|spec.sweep] \
-         [--cycles N] [--slots 1|2] [--trust] [--ideal] [--engine interp|block|checked] [--regs] \
-         [--diagram N] [--jsonl path] \
-         [--from-cycle K] [--runs N] \
-         [--seed N] [--faults spec] [--fault-count N] [--snap-dir dir] [--json] [--kernels] \
-         [--timing] [--differential] \
-         [--grid f=v1,v2] \
-         [--workload id] [--fault spec] [--base mipsx|ideal] [--threads N] [--csv] \
-         [--store dir] [--no-cache] [--metrics path] [--timings] \
-         [--journal path] [--snapshot-every N] [--resume] [--out path]"
-    );
-    ExitCode::FAILURE
+const USAGE: &str =
+    "usage: mipsx <asm|dis|run|trace|soak|lint|analyze|sweep|profile|snapshot|reproduce|info> \
+     [file.s|kernel|spec.sweep] \
+     [--cycles N] [--slots 1|2] [--trust] [--ideal] [--engine interp|block|checked] [--regs] \
+     [--diagram N] [--jsonl path] \
+     [--from-cycle K] [--runs N] \
+     [--seed N] [--faults spec] [--fault-count N] [--snap-dir dir] [--json] [--kernels] \
+     [--timing] [--differential] \
+     [--grid f=v1,v2] \
+     [--workload id] [--fault spec] [--base mipsx|ideal] [--threads N] [--csv] \
+     [--store dir] [--no-cache] [--metrics path] [--timings] \
+     [--journal path] [--snapshot-every N] [--resume] [--out path]";
+
+/// How a subcommand failed. Only `main` renders one, and every failure
+/// exits 1.
+enum CliError {
+    /// A malformed command line: `mipsx: {message}` (if any), then usage.
+    Usage(Option<String>),
+    /// `mipsx: {message}`.
+    Failed(String),
+    /// The command already printed its findings (lint errors,
+    /// differential violations, soak divergences, quarantined sweep
+    /// rows): no further message.
+    Reported,
 }
 
-/// Parse a subcommand's arguments, printing the error and usage on
-/// failure.
-fn parse_or_usage(args: &[String], spec: &[FlagSpec]) -> Result<ParsedArgs, ExitCode> {
-    parse_args(args, spec).map_err(|e| {
-        eprintln!("mipsx: {e}");
-        usage()
-    })
-}
-
-/// `parsed_or` with the subcommand's error rendering.
-fn numeric<T: std::str::FromStr>(
-    parsed: &ParsedArgs,
-    name: &str,
-    default: T,
-) -> Result<T, ExitCode> {
-    parsed.parsed_or(name, default).map_err(|e: ArgError| {
-        eprintln!("mipsx: {e}");
-        ExitCode::FAILURE
-    })
-}
-
-/// Resolve a `trace`/`lint` target: a built-in kernel name (scheduled
-/// through the reorganizer under `scheme`) or an assembly file.
-fn target_program(target: &str, scheme: BranchScheme) -> Result<mipsx::asm::Program, String> {
-    if let Some(kernel) = find_kernel(target) {
-        let (program, _) = Reorganizer::new(scheme)
-            .reorganize(&kernel.raw)
-            .map_err(|e| format!("kernel {target}: {e}"))?;
-        return Ok(program);
+/// A flag value that does not parse is a plain failure; only
+/// [`parse`]'s errors print usage.
+impl From<ArgError> for CliError {
+    fn from(e: ArgError) -> CliError {
+        CliError::Failed(e.to_string())
     }
-    let source = std::fs::read_to_string(target).map_err(|e| {
-        format!(
-            "{target}: {e} (not a readable file; known kernels: {})",
-            kernel_names().join(", ")
-        )
-    })?;
-    assemble(&source).map_err(|e| format!("{target}: {e}"))
 }
 
-fn cmd_trace(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(
+impl From<String> for CliError {
+    fn from(msg: String) -> CliError {
+        CliError::Failed(msg)
+    }
+}
+
+type Outcome = Result<(), CliError>;
+
+fn fail<T>(msg: impl Into<String>) -> Result<T, CliError> {
+    Err(CliError::Failed(msg.into()))
+}
+
+/// Success, or a silent failure for a command that printed its findings.
+fn reported(clean: bool) -> Outcome {
+    if clean {
+        Ok(())
+    } else {
+        Err(CliError::Reported)
+    }
+}
+
+/// Parse a subcommand's arguments; an unknown flag or a missing value is
+/// a usage error.
+fn parse(args: &[String], spec: &[FlagSpec]) -> Result<ParsedArgs, CliError> {
+    parse_args(args, spec).map_err(|e| CliError::Usage(Some(e.to_string())))
+}
+
+/// The subcommand's target; its absence is a usage error.
+fn target_arg(parsed: &ParsedArgs) -> Result<&str, CliError> {
+    parsed
+        .positionals
+        .first()
+        .map(String::as_str)
+        .ok_or(CliError::Usage(None))
+}
+
+/// The one `--slots` rule (1 or 2, default 2). Returns the branch scheme
+/// built-in kernels are scheduled under — squash-optional, so the default
+/// is the shipped MIPS-X scheme — and `base` with that many delay slots,
+/// so code always runs on the pipeline it was scheduled for.
+fn slots_arg(
+    parsed: &ParsedArgs,
+    base: MachineConfig,
+) -> Result<(BranchScheme, MachineConfig), CliError> {
+    let slots = parsed.parsed_or("--slots", 2usize)?;
+    if !(1..=2).contains(&slots) {
+        return fail("--slots must be 1 or 2");
+    }
+    let scheme = BranchScheme {
+        slots,
+        squash: SquashPolicy::SquashOptional,
+    };
+    let cfg = MachineConfig {
+        branch_delay_slots: slots,
+        ..base
+    };
+    Ok((scheme, cfg))
+}
+
+/// How a subcommand that takes only files words a read failure.
+fn cannot_read(path: &str) -> impl FnOnce(std::io::Error) -> String + '_ {
+    move |e| format!("cannot read {path}: {e}")
+}
+
+/// The `--faults` plan, if one is given.
+fn faults_arg(parsed: &ParsedArgs) -> Result<Option<FaultPlan>, CliError> {
+    let Some(spec) = parsed.value("--faults") else {
+        return Ok(None);
+    };
+    Ok(Some(
+        FaultPlan::parse(spec).map_err(|e| format!("--faults {spec}: {e}"))?,
+    ))
+}
+
+fn exec_failed(e: impl std::fmt::Display) -> String {
+    format!("execution failed: {e}")
+}
+
+/// Read and assemble the source file at `path`: the CLI's one file
+/// reader. `unreadable` words a read failure; an assembly error reads
+/// `{path}: {error}`.
+fn assemble_file(
+    path: &str,
+    unreadable: impl FnOnce(std::io::Error) -> String,
+) -> Result<Program, CliError> {
+    let source = std::fs::read_to_string(path).map_err(unreadable)?;
+    Ok(assemble(&source).map_err(|e| format!("{path}: {e}"))?)
+}
+
+/// Resolve a target: a built-in kernel name (scheduled through the
+/// reorganizer under `scheme`) or an assembly file.
+fn target_program(target: &str, scheme: BranchScheme) -> Result<Program, CliError> {
+    match find_kernel(target) {
+        Some(kernel) => Ok(Reorganizer::new(scheme)
+            .reorganize(&kernel.raw)
+            .map_err(|e| format!("kernel {target}: {e}"))?
+            .0),
+        None => assemble_file(target, |e| {
+            format!(
+                "{target}: {e} (not a readable file; known kernels: {})",
+                kernel_names().join(", ")
+            )
+        }),
+    }
+}
+
+/// Schedule `kernel` under `scheme`, for the `--kernels` tables.
+fn schedule_kernel(
+    kernel: &Kernel,
+    scheme: BranchScheme,
+) -> Result<(Program, ScheduleReport), String> {
+    Reorganizer::new(scheme)
+        .reorganize(&kernel.raw)
+        .map_err(|e| format!("kernel {} [{scheme}]: {e}", kernel.name))
+}
+
+/// The path from a `trace`/`profile`/`snapshot save` target to a loaded
+/// board: the `--slots` rule, the target scheduled for it, and a fresh
+/// machine with the program loaded, each stage under its `tele` span.
+fn load_target(
+    parsed: &ParsedArgs,
+    target: &str,
+    tele: &Telemetry,
+) -> Result<(Program, Machine), CliError> {
+    let (scheme, cfg) = slots_arg(parsed, MachineConfig::mipsx())?;
+    let program = {
+        let _s = tele.span("assemble");
+        target_program(target, scheme)?
+    };
+    let mut machine = {
+        let _s = tele.span("construct");
+        Machine::new(cfg)
+    };
+    {
+        let _s = tele.span("decode");
+        machine.load_program(&program);
+    }
+    Ok((program, machine))
+}
+
+fn cmd_trace(args: &[String]) -> Outcome {
+    let parsed = parse(
         args,
         &[
             flag("--cycles"),
@@ -260,39 +384,17 @@ fn cmd_trace(args: &[String]) -> ExitCode {
             flag("--jsonl"),
             flag("--from-cycle"),
         ],
-    ) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let Some(target) = parsed.positionals.first() else {
-        return usage();
-    };
-    let (cycles, diagram_cycles, slots, from_cycle) = match (
-        numeric(&parsed, "--cycles", 10_000_000u64),
-        numeric(&parsed, "--diagram", 60u64),
-        numeric(&parsed, "--slots", 2usize),
-        numeric(&parsed, "--from-cycle", 0u64),
-    ) {
-        (Ok(c), Ok(d), Ok(s), Ok(f)) => (c, d, s, f),
-        (Err(code), ..) | (_, Err(code), ..) | (_, _, Err(code), _) | (.., Err(code)) => {
-            return code
-        }
-    };
+    )?;
+    let target = target_arg(&parsed)?;
+    let cycles = parsed.parsed_or("--cycles", 10_000_000u64)?;
+    let diagram_cycles = parsed.parsed_or("--diagram", 60u64)?;
+    let from_cycle = parsed.parsed_or("--from-cycle", 0u64)?;
     if from_cycle >= cycles {
-        eprintln!("mipsx: --from-cycle {from_cycle} must be below the --cycles budget {cycles}");
-        return ExitCode::FAILURE;
+        return fail(format!(
+            "--from-cycle {from_cycle} must be below the --cycles budget {cycles}"
+        ));
     }
-    let mut cfg = MachineConfig::mipsx();
-    cfg.branch_delay_slots = slots;
-    let program = match target_program(target, BranchScheme::mipsx()) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("mipsx: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut machine = Machine::new(cfg);
-    machine.load_program(&program);
+    let (_, mut machine) = load_target(&parsed, target, &Telemetry::disabled())?;
 
     // Fast-forward untraced: probes are pure observers, so skipping them
     // for the first k cycles cannot change how the machine evolves.
@@ -300,16 +402,16 @@ fn cmd_trace(args: &[String]) -> ExitCode {
         match machine.run(from_cycle) {
             Err(RunError::CycleLimit { .. }) => {}
             Ok(stats) => {
-                eprintln!(
-                    "mipsx: program halted at cycle {} — nothing left to trace \
+                return fail(format!(
+                    "program halted at cycle {} — nothing left to trace \
                      from cycle {from_cycle}",
                     stats.cycles
-                );
-                return ExitCode::FAILURE;
+                ))
             }
             Err(e) => {
-                eprintln!("mipsx: execution failed before --from-cycle {from_cycle}: {e}");
-                return ExitCode::FAILURE;
+                return fail(format!(
+                    "execution failed before --from-cycle {from_cycle}: {e}"
+                ))
             }
         }
     }
@@ -319,31 +421,17 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     let mut sink = (diagram, CpiAttribution::new());
     let result = match parsed.value("--jsonl") {
         Some(path) => {
-            let file = match std::fs::File::create(path) {
-                Ok(f) => std::io::BufWriter::new(f),
-                Err(e) => {
-                    eprintln!("mipsx: cannot create {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let mut jsonl = JsonlSink::new(file);
+            let file =
+                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+            let mut jsonl = JsonlSink::new(std::io::BufWriter::new(file));
             let result = machine.run_with(budget, &mut (&mut sink, &mut jsonl));
-            match jsonl.finish() {
-                Ok(_) => {}
-                Err(e) => {
-                    eprintln!("mipsx: writing {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+            jsonl.finish().map_err(|e| format!("writing {path}: {e}"))?;
             result
         }
         None => machine.run_with(budget, &mut sink),
     };
     let (diagram, attribution) = sink;
-    if let Err(e) = result {
-        eprintln!("mipsx: execution failed: {e}");
-        return ExitCode::FAILURE;
-    }
+    result.map_err(exec_failed)?;
     if diagram_cycles > 0 {
         println!(
             "pipe diagram ({diagram_cycles} cycles from cycle {from_cycle}; F R A M W = stage, \
@@ -360,14 +448,13 @@ fn cmd_trace(args: &[String]) -> ExitCode {
     println!("ecache: {}", machine.ecache().stats());
     println!("{}", machine.ecache().occupancy_report());
     if !attribution.identity_holds() {
-        eprintln!("mipsx: INTERNAL ERROR: CPI attribution does not sum to total cycles");
-        return ExitCode::FAILURE;
+        return fail("INTERNAL ERROR: CPI attribution does not sum to total cycles");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn cmd_lint(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(
+fn cmd_lint(args: &[String]) -> Outcome {
+    let parsed = parse(
         args,
         &[
             switch("--json"),
@@ -375,21 +462,11 @@ fn cmd_lint(args: &[String]) -> ExitCode {
             switch("--timing"),
             flag("--slots"),
         ],
-    ) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
+    )?;
     let json = parsed.has("--json");
     let timing = parsed.has("--timing");
-    let slots = match numeric(&parsed, "--slots", 2usize) {
-        Ok(s) => s,
-        Err(code) => return code,
-    };
-    if !(1..=2).contains(&slots) {
-        eprintln!("mipsx: --slots must be 1 or 2");
-        return ExitCode::FAILURE;
-    }
-    let run_lint = |program: &mipsx::asm::Program, cfg: &VerifyConfig| {
+    let (scheme, _) = slots_arg(&parsed, MachineConfig::mipsx())?;
+    let run_lint = |program: &Program, cfg: &VerifyConfig| {
         if timing {
             verify_with_timing(program, cfg)
         } else {
@@ -411,13 +488,7 @@ fn cmd_lint(args: &[String]) -> ExitCode {
             let mut kernel_rows: Vec<String> = Vec::new();
             let mut details: Vec<String> = Vec::new();
             for kernel in all_kernels() {
-                let (program, report) = match Reorganizer::new(scheme).reorganize(&kernel.raw) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("mipsx: kernel {} [{scheme}]: {e}", kernel.name);
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let (program, report) = schedule_kernel(&kernel, scheme)?;
                 let lint = run_lint(&program, &vcfg);
                 errors += lint.error_count();
                 warnings += lint.warning_count();
@@ -454,56 +525,32 @@ fn cmd_lint(args: &[String]) -> ExitCode {
         if json {
             println!("[{}]", scheme_rows.join(",\n "));
         }
-        return if error_total == 0 {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+        return reported(error_total == 0);
     }
 
-    let Some(target) = parsed.positionals.first() else {
-        return usage();
-    };
-    let scheme = BranchScheme {
-        slots,
-        squash: SquashPolicy::SquashOptional,
-    };
-    let program = match target_program(target, scheme) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("mipsx: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let lint = run_lint(&program, &VerifyConfig::for_slots(slots));
+    let target = target_arg(&parsed)?;
+    let program = target_program(target, scheme)?;
+    let lint = run_lint(&program, &VerifyConfig::for_slots(scheme.slots));
     if json {
         println!("{}", lint.to_json());
     } else if lint.diagnostics.is_empty() {
-        println!("{target}: clean ({slots}-slot contract)");
+        println!("{target}: clean ({}-slot contract)", scheme.slots);
     } else {
         print!("{lint}");
-        println!(" ({slots}-slot contract)");
+        println!(" ({}-slot contract)", scheme.slots);
     }
-    if lint.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    reported(lint.is_clean())
 }
 
-/// Run `program` fault-free on the cache-ideal configuration with the
-/// per-block attributor attached, and check every static identity.
-/// Returns the violation list (empty = exact match).
+/// Run `program` fault-free on `cfg` with the per-block attributor
+/// attached, and check every static identity. Returns the violation list
+/// (empty = exact match).
 fn run_differential(
-    program: &mipsx::asm::Program,
+    program: &Program,
     ta: &TimingAnalysis,
-    slots: usize,
+    cfg: MachineConfig,
     budget: u64,
 ) -> Result<Vec<String>, String> {
-    let cfg = MachineConfig {
-        branch_delay_slots: slots,
-        ..MachineConfig::cache_ideal()
-    };
     let mut machine = Machine::new(cfg);
     machine.load_program(program);
     let mut attrib = BlockAttribution::new(ta);
@@ -513,8 +560,17 @@ fn run_differential(
     Ok(differential(ta, &attrib, &stats))
 }
 
-fn cmd_analyze(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(
+/// Differential violations as a JSON string array.
+fn json_strings(items: &[String]) -> String {
+    let quoted: Vec<String> = items
+        .iter()
+        .map(|e| format!("\"{}\"", e.replace('"', "'")))
+        .collect();
+    format!("[{}]", quoted.join(","))
+}
+
+fn cmd_analyze(args: &[String]) -> Outcome {
+    let parsed = parse(
         args,
         &[
             switch("--json"),
@@ -523,23 +579,12 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             flag("--slots"),
             flag("--cycles"),
         ],
-    ) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
+    )?;
     let json = parsed.has("--json");
     let diff = parsed.has("--differential");
-    let (slots, budget) = match (
-        numeric(&parsed, "--slots", 2usize),
-        numeric(&parsed, "--cycles", 10_000_000u64),
-    ) {
-        (Ok(s), Ok(b)) => (s, b),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    if !(1..=2).contains(&slots) {
-        eprintln!("mipsx: --slots must be 1 or 2");
-        return ExitCode::FAILURE;
-    }
+    // The differential replays on the cache-ideal machine.
+    let (scheme, cfg) = slots_arg(&parsed, MachineConfig::cache_ideal())?;
+    let budget = parsed.parsed_or("--cycles", 10_000_000u64)?;
 
     if parsed.has("--kernels") {
         // Every kernel under every Table 1 scheme: static bound per cell,
@@ -549,39 +594,27 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         let mut rows: Vec<String> = Vec::new();
         for scheme in BranchScheme::table1() {
             let vcfg = VerifyConfig::for_slots(scheme.slots);
+            let cfg = MachineConfig {
+                branch_delay_slots: scheme.slots,
+                ..cfg
+            };
             for kernel in all_kernels() {
-                let (program, _) = match Reorganizer::new(scheme).reorganize(&kernel.raw) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("mipsx: kernel {} [{scheme}]: {e}", kernel.name);
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let (program, _) = schedule_kernel(&kernel, scheme)?;
                 let ta = TimingAnalysis::of(&program, &vcfg);
                 let errs = if diff {
-                    match run_differential(&program, &ta, scheme.slots, budget) {
-                        Ok(errs) => Some(errs),
-                        Err(e) => {
-                            eprintln!("mipsx: kernel {} [{scheme}]: {e}", kernel.name);
-                            return ExitCode::FAILURE;
-                        }
-                    }
+                    let errs = run_differential(&program, &ta, cfg, budget)
+                        .map_err(|e| format!("kernel {} [{scheme}]: {e}", kernel.name))?;
+                    violations += errs.len();
+                    Some(errs)
                 } else {
                     None
                 };
-                if let Some(errs) = &errs {
-                    violations += errs.len();
-                }
                 if json {
                     let diff_json = match &errs {
                         None => String::new(),
-                        Some(errs) => format!(
-                            ",\"differential_violations\":[{}]",
-                            errs.iter()
-                                .map(|e| format!("\"{}\"", e.replace('"', "'")))
-                                .collect::<Vec<_>>()
-                                .join(",")
-                        ),
+                        Some(errs) => {
+                            format!(",\"differential_violations\":{}", json_strings(errs))
+                        }
                     };
                     rows.push(format!(
                         "{{\"kernel\":\"{}\",\"scheme\":\"{scheme}\",\
@@ -602,10 +635,8 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
                         ta.static_cpi_bound(),
                         ta.blocks.len()
                     );
-                    if let Some(errs) = &errs {
-                        for e in errs {
-                            println!("  {e}");
-                        }
+                    for e in errs.iter().flatten() {
+                        println!("  {e}");
                     }
                 }
             }
@@ -613,40 +644,19 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         if json {
             println!("[{}]", rows.join(",\n "));
         }
-        return if violations == 0 {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+        return reported(violations == 0);
     }
 
-    let Some(target) = parsed.positionals.first() else {
-        return usage();
-    };
-    let scheme = BranchScheme {
-        slots,
-        squash: SquashPolicy::SquashOptional,
-    };
-    let program = match target_program(target, scheme) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("mipsx: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let ta = TimingAnalysis::of(&program, &VerifyConfig::for_slots(slots));
+    let target = target_arg(&parsed)?;
+    let program = target_program(target, scheme)?;
+    let ta = TimingAnalysis::of(&program, &VerifyConfig::for_slots(scheme.slots));
     let errs = if diff {
         if ta.irregular {
-            eprintln!("mipsx: {target}: irregular control flow — exact differential unavailable");
-            return ExitCode::FAILURE;
+            return fail(format!(
+                "{target}: irregular control flow — exact differential unavailable"
+            ));
         }
-        match run_differential(&program, &ta, slots, budget) {
-            Ok(errs) => Some(errs),
-            Err(e) => {
-                eprintln!("mipsx: {target}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        Some(run_differential(&program, &ta, cfg, budget).map_err(|e| format!("{target}: {e}"))?)
     } else {
         None
     };
@@ -654,12 +664,9 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
         match &errs {
             None => println!("{}", ta.to_json()),
             Some(errs) => println!(
-                "{{\"analysis\":{},\"differential_violations\":[{}]}}",
+                "{{\"analysis\":{},\"differential_violations\":{}}}",
                 ta.to_json(),
-                errs.iter()
-                    .map(|e| format!("\"{}\"", e.replace('"', "'")))
-                    .collect::<Vec<_>>()
-                    .join(",")
+                json_strings(errs)
             ),
         }
     } else {
@@ -675,11 +682,7 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
             }
         }
     }
-    if errs.as_ref().is_none_or(|e| e.is_empty()) {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    reported(errs.as_ref().is_none_or(|e| e.is_empty()))
 }
 
 /// Exception vector used by the soak harness: well clear of generated
@@ -696,11 +699,7 @@ const SOAK_CHECKPOINT_CYCLES: u64 = 2048;
 /// and require identical books, final registers and — on the board, where
 /// the block engine drives the cache models — Icache and Ecache
 /// statistics.
-fn engines_agree(
-    program: &mipsx::asm::Program,
-    handler: &mipsx::asm::Program,
-    cycles: u64,
-) -> Result<(), String> {
+fn engines_agree(program: &Program, handler: &Program, cycles: u64) -> Result<(), String> {
     for (name, base) in [
         ("cache_ideal", MachineConfig::cache_ideal()),
         ("board", MachineConfig::mipsx()),
@@ -735,8 +734,8 @@ fn engines_agree(
     Ok(())
 }
 
-fn cmd_soak(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(
+fn cmd_soak(args: &[String]) -> Outcome {
+    let parsed = parse(
         args,
         &[
             flag("--runs"),
@@ -746,31 +745,12 @@ fn cmd_soak(args: &[String]) -> ExitCode {
             flag("--cycles"),
             flag("--snap-dir"),
         ],
-    ) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let (runs, base_seed, fault_count, cycles) = match (
-        numeric(&parsed, "--runs", 100u64),
-        numeric(&parsed, "--seed", 1u64),
-        numeric(&parsed, "--fault-count", 6u32),
-        numeric(&parsed, "--cycles", 2_000_000u64),
-    ) {
-        (Ok(r), Ok(s), Ok(f), Ok(c)) => (r, s, f, c),
-        (Err(code), ..) | (_, Err(code), ..) | (_, _, Err(code), _) | (.., Err(code)) => {
-            return code
-        }
-    };
-    let fixed_plan = match parsed.value("--faults") {
-        Some(spec) => match FaultPlan::parse(spec) {
-            Ok(p) => Some(p),
-            Err(e) => {
-                eprintln!("mipsx: --faults {spec}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+    )?;
+    let runs = parsed.parsed_or("--runs", 100u64)?;
+    let base_seed = parsed.parsed_or("--seed", 1u64)?;
+    let fault_count = parsed.parsed_or("--fault-count", 6u32)?;
+    let cycles = parsed.parsed_or("--cycles", 2_000_000u64)?;
+    let fixed_plan = faults_arg(&parsed)?;
     let handler = assemble_at(NULL_HANDLER, SOAK_VECTOR).expect("null handler assembles");
     let snap_dir = parsed
         .value("--snap-dir")
@@ -792,9 +772,9 @@ fn cmd_soak(args: &[String]) -> ExitCode {
         // masquerading as a simulator divergence downstream.
         let lint = verify(&program, &VerifyConfig::for_slots(cfg.branch_delay_slots));
         if !lint.is_clean() {
-            eprintln!("mipsx: seed {seed}: generator emitted illegal code (not a divergence):");
-            eprintln!("{lint}");
-            return ExitCode::FAILURE;
+            return fail(format!(
+                "seed {seed}: generator emitted illegal code (not a divergence):\n{lint}"
+            ));
         }
         let mut plan = match &fixed_plan {
             Some(p) => p.clone(),
@@ -803,13 +783,10 @@ fn cmd_soak(args: &[String]) -> ExitCode {
                 // so every fault lands inside it.
                 let mut m = Machine::new(cfg);
                 m.load_program(&program);
-                let horizon = match m.run(cycles) {
-                    Ok(stats) => stats.cycles,
-                    Err(e) => {
-                        eprintln!("mipsx: seed {seed}: fault-free baseline failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let horizon = m
+                    .run(cycles)
+                    .map_err(|e| format!("seed {seed}: fault-free baseline failed: {e}"))?
+                    .cycles;
                 FaultPlan::random(seed, horizon, fault_count)
             }
         };
@@ -875,11 +852,7 @@ fn cmd_soak(args: &[String]) -> ExitCode {
         "soak: {runs} runs, {faults} fault events scheduled, {exceptions} exceptions taken, \
          {divergences} divergences"
     );
-    if divergences > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    reported(divergences == 0)
 }
 
 /// A single-target run of `mipsx run` or `mipsx profile`.
@@ -896,11 +869,11 @@ struct EngineRun {
 /// `cycles` and make the final check under a `run` span.
 fn run_engine(
     parsed: &ParsedArgs,
-    program: &mipsx::asm::Program,
+    program: &Program,
     machine: &mut Machine,
     cycles: u64,
     tele: &Telemetry,
-) -> Result<EngineRun, ExitCode> {
+) -> Result<EngineRun, CliError> {
     let kind = parsed
         .value("--engine")
         .map_or(Ok(EngineKind::Interp), EngineKind::parse)
@@ -908,10 +881,7 @@ fn run_engine(
             kind.check_slots(machine.config().branch_delay_slots)
                 .map(|()| kind)
         })
-        .map_err(|e| {
-            eprintln!("mipsx: --engine: {e}");
-            ExitCode::FAILURE
-        })?;
+        .map_err(|e| format!("--engine: {e}"))?;
     let mut backend = {
         // Only the block backend does real work here (compiling the
         // image into superop blocks); the span prices exactly that.
@@ -961,8 +931,11 @@ fn print_engine_summary(backend: &AnyBackend, run_cycles: Option<u64>) {
     }
 }
 
-fn cmd_run(path: &str, args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(
+fn cmd_run(args: &[String]) -> Outcome {
+    let Some((path, args)) = args.split_first() else {
+        return Err(CliError::Usage(None));
+    };
+    let parsed = parse(
         args,
         &[
             flag("--cycles"),
@@ -972,78 +945,46 @@ fn cmd_run(path: &str, args: &[String]) -> ExitCode {
             switch("--ideal"),
             switch("--regs"),
         ],
-    ) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let (cycles, slots) = match (
-        numeric(&parsed, "--cycles", 10_000_000u64),
-        numeric(&parsed, "--slots", 2usize),
-    ) {
-        (Ok(c), Ok(s)) => (c, s),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    let source = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("mipsx: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let program = match assemble(&source) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("mipsx: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut cfg = if parsed.has("--ideal") {
+    )?;
+    let cycles = parsed.parsed_or("--cycles", 10_000_000u64)?;
+    let base = if parsed.has("--ideal") {
         MachineConfig::cache_ideal()
     } else {
         MachineConfig::mipsx()
     };
-    cfg.branch_delay_slots = slots;
+    let (_, mut cfg) = slots_arg(&parsed, base)?;
     if parsed.has("--trust") {
         cfg.interlock = InterlockPolicy::Trust;
     }
+    let program = assemble_file(path, cannot_read(path))?;
     let mut machine = Machine::new(cfg);
     machine.load_program(&program);
-    let run = match run_engine(
+    let run = run_engine(
         &parsed,
         &program,
         &mut machine,
         cycles,
         &Telemetry::disabled(),
-    ) {
-        Ok(run) => run,
-        Err(code) => return code,
-    };
+    )?;
     print_engine_summary(&run.backend, None);
-    match run.result {
-        Ok(stats) => {
-            println!("{stats}");
-            // The block engine drives the cache models exactly unless every
-            // stall is priced at zero (`--ideal`); there it skips them, and
-            // their near-empty books would contradict an interp run.
-            if run.backend.kind() != EngineKind::Block || drives_caches(machine.config()) {
-                println!("icache: {}", machine.icache().stats());
-                println!("ecache: {}", machine.ecache().stats());
+    let stats = run.result.map_err(exec_failed)?;
+    println!("{stats}");
+    // The block engine drives the cache models exactly unless every stall
+    // is priced at zero (`--ideal`); there it skips them, and their
+    // near-empty books would contradict an interp run.
+    if run.backend.kind() != EngineKind::Block || drives_caches(machine.config()) {
+        println!("icache: {}", machine.icache().stats());
+        println!("ecache: {}", machine.ecache().stats());
+    }
+    if parsed.has("--regs") {
+        for r in Reg::all() {
+            let v = machine.cpu().reg(r);
+            if v != 0 {
+                println!("  {r:>4} = {v:#010x} ({})", v as i32);
             }
-            if parsed.has("--regs") {
-                for r in Reg::all() {
-                    let v = machine.cpu().reg(r);
-                    if v != 0 {
-                        println!("  {r:>4} = {v:#010x} ({})", v as i32);
-                    }
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("mipsx: execution failed: {e}");
-            ExitCode::FAILURE
         }
     }
+    Ok(())
 }
 
 /// Build a [`SweepSpec`] from a spec file or from `--grid`/`--workload`
@@ -1051,8 +992,7 @@ fn cmd_run(path: &str, args: &[String]) -> ExitCode {
 fn sweep_spec_from(parsed: &ParsedArgs) -> Result<SweepSpec, String> {
     let mut spec = match parsed.positionals.first() {
         Some(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let text = std::fs::read_to_string(path).map_err(cannot_read(path))?;
             SweepSpec::parse(&text).map_err(|e| format!("{path}: {e}"))?
         }
         None => SweepSpec::new(SimPoint::mipsx()),
@@ -1082,13 +1022,7 @@ fn sweep_spec_from(parsed: &ParsedArgs) -> Result<SweepSpec, String> {
     }
     let flag_faults: Vec<Option<String>> = parsed
         .values_of("--fault")
-        .map(|f| {
-            if f == "none" {
-                None
-            } else {
-                Some(f.to_owned())
-            }
-        })
+        .map(|f| (f != "none").then(|| f.to_owned()))
         .collect();
     if !flag_faults.is_empty() {
         spec.faults = flag_faults;
@@ -1101,12 +1035,52 @@ fn sweep_spec_from(parsed: &ParsedArgs) -> Result<SweepSpec, String> {
     Ok(spec)
 }
 
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+/// A sweep's spec and options from the command line: the one path both
+/// `mipsx sweep` and `mipsx profile` take. `store` serves when neither
+/// `--store` nor `--no-cache` is given.
+fn sweep_args(
+    parsed: &ParsedArgs,
+    store: ResultStore,
+    telemetry: Telemetry,
+) -> Result<(SweepSpec, SweepOptions), CliError> {
+    let threads = parsed.parsed_or(
+        "--threads",
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
+    )?;
+    let snapshot_every = parsed.parsed_or("--snapshot-every", 0u64)?;
+    let journal = match parsed.value("--journal") {
+        Some(path) => Some(JournalConfig {
+            path: path.into(),
+            resume: parsed.has("--resume"),
+            snapshot_interval: snapshot_every,
+        }),
+        None if parsed.has("--resume") || snapshot_every > 0 => {
+            return fail("--resume and --snapshot-every require --journal <path>")
+        }
+        None => None,
+    };
+    let spec = sweep_spec_from(parsed)?;
+    let store = match parsed.value("--store") {
+        _ if parsed.has("--no-cache") => ResultStore::disabled(),
+        Some(dir) => ResultStore::at(dir),
+        None => store,
+    };
+    let opts = SweepOptions {
+        threads,
+        store,
+        telemetry,
+        journal,
+        ..SweepOptions::default()
+    };
+    Ok((spec, opts))
 }
 
-fn cmd_sweep(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(
+fn sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, CliError> {
+    Ok(run_sweep(spec, opts).map_err(|e| format!("sweep failed: {e}"))?)
+}
+
+fn cmd_sweep(args: &[String]) -> Outcome {
+    let parsed = parse(
         args,
         &[
             flag("--grid"),
@@ -1126,64 +1100,17 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
             flag("--snapshot-every"),
             switch("--resume"),
         ],
-    ) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let (threads, snapshot_every) = match (
-        numeric(&parsed, "--threads", default_threads()),
-        numeric(&parsed, "--snapshot-every", 0u64),
-    ) {
-        (Ok(t), Ok(s)) => (t, s),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    let journal = match parsed.value("--journal") {
-        Some(path) => Some(JournalConfig {
-            path: path.into(),
-            resume: parsed.has("--resume"),
-            snapshot_interval: snapshot_every,
-        }),
-        None => {
-            if parsed.has("--resume") || snapshot_every > 0 {
-                eprintln!("mipsx: --resume and --snapshot-every require --journal <path>");
-                return ExitCode::FAILURE;
-            }
-            None
-        }
-    };
-    let spec = match sweep_spec_from(&parsed) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("mipsx: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let store = if parsed.has("--no-cache") {
-        ResultStore::disabled()
-    } else {
-        match parsed.value("--store") {
-            Some(dir) => ResultStore::at(dir),
-            None => ResultStore::at(ResultStore::default_dir()),
-        }
-    };
+    )?;
     let telemetry = match parsed.value("--metrics") {
         Some(_) => Telemetry::enabled(),
         None => Telemetry::disabled(),
     };
-    let opts = SweepOptions {
-        threads,
-        store,
+    let (spec, opts) = sweep_args(
+        &parsed,
+        ResultStore::at(ResultStore::default_dir()),
         telemetry,
-        journal,
-        ..SweepOptions::default()
-    };
-    let outcome = match run_sweep(&spec, &opts) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("mipsx: sweep failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    )?;
+    let outcome = sweep(&spec, &opts)?;
     let timed = parsed.has("--timings");
     if parsed.has("--json") {
         if timed {
@@ -1200,12 +1127,7 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
     } else {
         print!("{}", outcome.to_markdown());
     }
-    if let Some(path) = parsed.value("--metrics") {
-        if let Err(e) = write_metrics(path, &opts.telemetry.snapshot()) {
-            eprintln!("mipsx: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    write_metrics(&parsed, &opts.telemetry.snapshot())?;
     // Quarantined jobs never abort the sweep (the report above is
     // complete), but each one gets a reproduction line and the exit code
     // says the run was not clean.
@@ -1225,20 +1147,20 @@ fn cmd_sweep(args: &[String]) -> ExitCode {
     eprintln!(
         "mipsx sweep: {} jobs on {} thread(s) in {:.2?} ({} from cache, {} quarantined)",
         outcome.rows.len(),
-        threads,
+        opts.threads,
         outcome.wall,
         outcome.cache_hits,
         outcome.failed_count(),
     );
-    if outcome.failed_count() > 0 {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    reported(outcome.failed_count() == 0)
 }
 
-/// Write a telemetry snapshot to `path` as JSON, plus the Prometheus text
-/// exposition next to it at `<path>.prom`.
-fn write_metrics(path: &str, snapshot: &mipsx::telemetry::Snapshot) -> Result<(), String> {
+/// With `--metrics <path>`, write a telemetry snapshot to `path` as JSON,
+/// plus the Prometheus text exposition next to it at `<path>.prom`.
+fn write_metrics(parsed: &ParsedArgs, snapshot: &mipsx::telemetry::Snapshot) -> Outcome {
+    let Some(path) = parsed.value("--metrics") else {
+        return Ok(());
+    };
     std::fs::write(path, snapshot.to_json() + "\n")
         .map_err(|e| format!("cannot write {path}: {e}"))?;
     let prom = format!("{path}.prom");
@@ -1253,24 +1175,17 @@ fn write_metrics(path: &str, snapshot: &mipsx::telemetry::Snapshot) -> Result<()
 /// under one `SweepOptions`, so the pass shares one prepared-image cache;
 /// it never touches the result store, so its output is the determinism
 /// baseline.
-fn cmd_reproduce(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(args, &[switch("--json"), flag("--threads")]) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let threads = match numeric(&parsed, "--threads", 1usize) {
-        Ok(t) => t.max(1),
-        Err(code) => return code,
-    };
+fn cmd_reproduce(args: &[String]) -> Outcome {
+    let parsed = parse(args, &[switch("--json"), flag("--threads")])?;
+    let threads = parsed.parsed_or("--threads", 1usize)?.max(1);
     let names = &parsed.positionals;
     let known = |name: &str| name == "all" || experiments::ALL.iter().any(|x| x.name == name);
     if let Some(unknown) = names.iter().find(|n| !known(n.as_str())) {
         let all: Vec<&str> = experiments::ALL.iter().map(|x| x.name).collect();
-        eprintln!(
-            "mipsx: unknown experiment {unknown:?} (known: {}, all)",
+        return fail(format!(
+            "unknown experiment {unknown:?} (known: {}, all)",
             all.join(", ")
-        );
-        return ExitCode::FAILURE;
+        ));
     }
     let everything = names.is_empty() || names.iter().any(|n| n == "all");
     let json = parsed.has("--json");
@@ -1303,7 +1218,7 @@ fn cmd_reproduce(args: &[String]) -> ExitCode {
     if json {
         println!("{}", json_document(&emitted));
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `mipsx profile`: run with host telemetry live and print the span-tree
@@ -1311,8 +1226,8 @@ fn cmd_reproduce(args: &[String]) -> ExitCode {
 /// (assemble / construct / decode / run stages plus the host simulation
 /// rate); a `.sweep` file or `--grid`/`--workload` flags profile a whole
 /// sweep, including pool occupancy and store latency metrics.
-fn cmd_profile(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(
+fn cmd_profile(args: &[String]) -> Outcome {
+    let parsed = parse(
         args,
         &[
             flag("--grid"),
@@ -1326,142 +1241,64 @@ fn cmd_profile(args: &[String]) -> ExitCode {
             flag("--store"),
             flag("--metrics"),
         ],
-    ) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let tele = Telemetry::enabled();
-    let sweep_mode = match parsed.positionals.first() {
-        Some(t) => t.ends_with(".sweep"),
-        None => true,
-    };
+    )?;
+    match parsed.positionals.first() {
+        Some(target) if !target.ends_with(".sweep") => profile_target(&parsed, target),
+        _ => profile_sweep(&parsed),
+    }
+}
 
-    if sweep_mode {
-        let spec = match sweep_spec_from(&parsed) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("mipsx: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if spec.workloads.is_empty() {
-            eprintln!(
-                "mipsx: profile: give a kernel name, a .s file, a .sweep file, or --workload flags"
-            );
-            return usage();
-        }
-        let threads = match numeric(&parsed, "--threads", default_threads()) {
-            Ok(t) => t,
-            Err(code) => return code,
-        };
-        let store = match parsed.value("--store") {
-            Some(dir) => ResultStore::at(dir),
-            None => ResultStore::disabled(),
-        };
-        let opts = SweepOptions {
-            threads,
-            store,
-            telemetry: tele.clone(),
-            ..SweepOptions::default()
-        };
-        let outcome = match run_sweep(&spec, &opts) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("mipsx: sweep failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let snap = tele.snapshot();
-        println!(
-            "profile: {} jobs on {} thread(s) in {:.2?} ({} from cache)",
-            outcome.rows.len(),
-            threads,
-            outcome.wall,
-            outcome.cache_hits
-        );
+fn profile_sweep(parsed: &ParsedArgs) -> Outcome {
+    // Unlike `mipsx sweep`, a profile serves nothing from the result
+    // store unless `--store` names one.
+    let (spec, opts) = sweep_args(parsed, ResultStore::disabled(), Telemetry::enabled())?;
+    if spec.workloads.is_empty() {
+        return Err(CliError::Usage(Some(
+            "profile: give a kernel name, a .s file, a .sweep file, or --workload flags".into(),
+        )));
+    }
+    let outcome = sweep(&spec, &opts)?;
+    let snap = opts.telemetry.snapshot();
+    println!(
+        "profile: {} jobs on {} thread(s) in {:.2?} ({} from cache)",
+        outcome.rows.len(),
+        opts.threads,
+        outcome.wall,
+        outcome.cache_hits
+    );
+    println!();
+    print!("{}", snap.span_tree_report());
+    let timing = |name: &str| snap.timing_counters.get(name).copied().unwrap_or(0);
+    let (busy, idle) = (timing("pool.busy_ns"), timing("pool.idle_ns"));
+    if busy + idle > 0 {
         println!();
-        print!("{}", snap.span_tree_report());
-        let busy = snap
-            .timing_counters
-            .get("pool.busy_ns")
-            .copied()
-            .unwrap_or(0);
-        let idle = snap
-            .timing_counters
-            .get("pool.idle_ns")
-            .copied()
-            .unwrap_or(0);
-        if busy + idle > 0 {
-            println!();
-            println!(
-                "pool: {} worker(s), busy {:.1} ms, idle {:.1} ms ({:.1}% occupancy), {} steal(s)",
-                snap.gauges.get("pool.workers").copied().unwrap_or(0),
-                busy as f64 / 1e6,
-                idle as f64 / 1e6,
-                100.0 * busy as f64 / (busy + idle) as f64,
-                snap.timing_counters
-                    .get("pool.steals")
-                    .copied()
-                    .unwrap_or(0),
-            );
-        }
-        let guest_cycles = snap.counter("guest.cycles");
-        if guest_cycles > 0 {
-            println!(
-                "guest: {guest_cycles} cycles simulated, {:.2} Mcycles/s of host time",
-                guest_cycles as f64 / outcome.wall.as_secs_f64().max(1e-9) / 1e6
-            );
-        }
-        if let Some(path) = parsed.value("--metrics") {
-            if let Err(e) = write_metrics(path, &snap) {
-                eprintln!("mipsx: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        return ExitCode::SUCCESS;
+        println!(
+            "pool: {} worker(s), busy {:.1} ms, idle {:.1} ms ({:.1}% occupancy), {} steal(s)",
+            snap.gauges.get("pool.workers").copied().unwrap_or(0),
+            busy as f64 / 1e6,
+            idle as f64 / 1e6,
+            100.0 * busy as f64 / (busy + idle) as f64,
+            timing("pool.steals"),
+        );
     }
+    let guest_cycles = snap.counter("guest.cycles");
+    if guest_cycles > 0 {
+        println!(
+            "guest: {guest_cycles} cycles simulated, {:.2} Mcycles/s of host time",
+            guest_cycles as f64 / outcome.wall.as_secs_f64().max(1e-9) / 1e6
+        );
+    }
+    write_metrics(parsed, &snap)
+}
 
-    // Single-target mode: one program, one machine, stage spans by hand.
-    let target = parsed.positionals.first().expect("checked above");
-    let (cycles, slots) = match (
-        numeric(&parsed, "--cycles", 10_000_000u64),
-        numeric(&parsed, "--slots", 2usize),
-    ) {
-        (Ok(c), Ok(s)) => (c, s),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
+/// One program, one machine, stage spans by hand.
+fn profile_target(parsed: &ParsedArgs, target: &str) -> Outcome {
+    let tele = Telemetry::enabled();
+    let cycles = parsed.parsed_or("--cycles", 10_000_000u64)?;
     let root = tele.span_root("profile");
-    let program = {
-        let _s = tele.span("assemble");
-        match target_program(target, BranchScheme::mipsx()) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("mipsx: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    let mut cfg = MachineConfig::mipsx();
-    cfg.branch_delay_slots = slots;
-    let mut machine = {
-        let _s = tele.span("construct");
-        Machine::new(cfg)
-    };
-    {
-        let _s = tele.span("decode");
-        machine.load_program(&program);
-    }
-    let run = match run_engine(&parsed, &program, &mut machine, cycles, &tele) {
-        Ok(run) => run,
-        Err(code) => return code,
-    };
-    let stats = match run.result {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("mipsx: execution failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (program, mut machine) = load_target(parsed, target, &tele)?;
+    let run = run_engine(parsed, &program, &mut machine, cycles, &tele)?;
+    let stats = run.result.map_err(exec_failed)?;
     let run_wall = run.wall;
     drop(root);
     let snap = tele.snapshot();
@@ -1477,13 +1314,7 @@ fn cmd_profile(args: &[String]) -> ExitCode {
     );
     println!("guest: {stats}");
     print_engine_summary(&run.backend, Some(stats.cycles));
-    if let Some(path) = parsed.value("--metrics") {
-        if let Err(e) = write_metrics(path, &snap) {
-            eprintln!("mipsx: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    write_metrics(parsed, &snap)
 }
 
 /// `mipsx snapshot <save|restore|info>`: the checkpoint/restore surface.
@@ -1494,24 +1325,20 @@ fn cmd_profile(args: &[String]) -> ExitCode {
 /// stats block a from-scratch run would — so CI can diff the two outputs
 /// byte for byte; `info` prints the self-describing header without
 /// constructing a machine at all.
-fn cmd_snapshot(args: &[String]) -> ExitCode {
-    let Some(action) = args.first() else {
-        eprintln!("mipsx: snapshot: expected save, restore or info");
-        return usage();
-    };
-    match action.as_str() {
-        "save" => snapshot_save(&args[1..]),
-        "restore" => snapshot_restore(&args[1..]),
-        "info" => snapshot_info(&args[1..]),
-        other => {
-            eprintln!("mipsx: snapshot {other}: expected save, restore or info");
-            usage()
-        }
+fn cmd_snapshot(args: &[String]) -> Outcome {
+    match args.first().map(String::as_str) {
+        Some("save") => snapshot_save(&args[1..]),
+        Some("restore") => snapshot_restore(&args[1..]),
+        Some("info") => snapshot_info(&args[1..]),
+        other => Err(CliError::Usage(Some(match other {
+            Some(other) => format!("snapshot {other}: expected save, restore or info"),
+            None => "snapshot: expected save, restore or info".into(),
+        }))),
     }
 }
 
-fn snapshot_save(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(
+fn snapshot_save(args: &[String]) -> Outcome {
+    let parsed = parse(
         args,
         &[
             flag("--cycles"),
@@ -1519,45 +1346,14 @@ fn snapshot_save(args: &[String]) -> ExitCode {
             flag("--faults"),
             flag("--out"),
         ],
-    ) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let Some(target) = parsed.positionals.first() else {
-        return usage();
-    };
+    )?;
+    let target = target_arg(&parsed)?;
     let Some(out) = parsed.value("--out") else {
-        eprintln!("mipsx: snapshot save: --out <path> is required");
-        return ExitCode::FAILURE;
+        return fail("snapshot save: --out <path> is required");
     };
-    let (cycles, slots) = match (
-        numeric(&parsed, "--cycles", 0u64),
-        numeric(&parsed, "--slots", 2usize),
-    ) {
-        (Ok(c), Ok(s)) => (c, s),
-        (Err(code), _) | (_, Err(code)) => return code,
-    };
-    let mut plan = match parsed.value("--faults") {
-        Some(spec) => match FaultPlan::parse(spec) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("mipsx: --faults {spec}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => FaultPlan::none(),
-    };
-    let program = match target_program(target, BranchScheme::mipsx()) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("mipsx: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut cfg = MachineConfig::mipsx();
-    cfg.branch_delay_slots = slots;
-    let mut machine = Machine::new(cfg);
-    machine.load_program(&program);
+    let cycles = parsed.parsed_or("--cycles", 0u64)?;
+    let mut plan = faults_arg(&parsed)?.unwrap_or_else(FaultPlan::none);
+    let (_, mut machine) = load_target(&parsed, target, &Telemetry::disabled())?;
     // --cycles 0 snapshots the freshly loaded machine: restoring that is
     // exactly a from-scratch run, which gives CI its reference output.
     if cycles > 0 {
@@ -1568,177 +1364,137 @@ fn snapshot_save(args: &[String]) -> ExitCode {
                  snapshotting the final state",
                 stats.cycles
             ),
-            Err(e) => {
-                eprintln!("mipsx: execution failed: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(exec_failed(e)),
         }
     }
-    let bytes = match machine.save_snapshot(Some(&plan)) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("mipsx: snapshot failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write(out, &bytes) {
-        eprintln!("mipsx: cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
+    let bytes = machine
+        .save_snapshot(Some(&plan))
+        .map_err(|e| format!("snapshot failed: {e}"))?;
+    std::fs::write(out, &bytes).map_err(|e| format!("cannot write {out}: {e}"))?;
     eprintln!("mipsx: {} bytes written to {out}", bytes.len());
-    match mipsx::core::snapshot::inspect(&bytes) {
-        Ok(info) => print!("{info}"),
-        Err(e) => {
-            eprintln!("mipsx: INTERNAL ERROR: just-written snapshot does not inspect: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    let info = mipsx::core::snapshot::inspect(&bytes)
+        .map_err(|e| format!("INTERNAL ERROR: just-written snapshot does not inspect: {e}"))?;
+    print!("{info}");
+    Ok(())
 }
 
-fn snapshot_restore(args: &[String]) -> ExitCode {
-    let parsed = match parse_or_usage(args, &[flag("--cycles")]) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let Some(path) = parsed.positionals.first() else {
-        return usage();
-    };
-    let cycles = match numeric(&parsed, "--cycles", 10_000_000u64) {
-        Ok(c) => c,
-        Err(code) => return code,
-    };
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("mipsx: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let (mut machine, plan) = match Machine::restore_snapshot(&bytes) {
-        Ok(pair) => pair,
-        Err(e) => {
-            eprintln!("mipsx: {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn snapshot_restore(args: &[String]) -> Outcome {
+    let parsed = parse(args, &[flag("--cycles")])?;
+    let path = target_arg(&parsed)?;
+    let cycles = parsed.parsed_or("--cycles", 10_000_000u64)?;
+    let bytes = std::fs::read(path).map_err(cannot_read(path))?;
+    let (mut machine, plan) =
+        Machine::restore_snapshot(&bytes).map_err(|e| format!("{path}: {e}"))?;
     let mut plan = plan.unwrap_or_else(FaultPlan::none);
     if !machine.halted() {
-        if let Err(e) = machine.run_with_faults(cycles, &mut NullSink, &mut plan) {
-            eprintln!("mipsx: execution failed: {e}");
-            return ExitCode::FAILURE;
-        }
+        machine
+            .run_with_faults(cycles, &mut NullSink, &mut plan)
+            .map_err(exec_failed)?;
     }
     println!("{}", machine.stats());
     println!("icache: {}", machine.icache().stats());
     println!("ecache: {}", machine.ecache().stats());
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn snapshot_info(args: &[String]) -> ExitCode {
+fn snapshot_info(args: &[String]) -> Outcome {
     let Some(path) = args.first() else {
-        return usage();
+        return Err(CliError::Usage(None));
     };
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("mipsx: cannot read {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let bytes = std::fs::read(path).map_err(cannot_read(path))?;
+    let info = mipsx::core::snapshot::inspect(&bytes).map_err(|e| format!("{path}: {e}"))?;
+    print!("{info}");
+    Ok(())
+}
+
+/// `mipsx asm` (words as hex) and `mipsx dis` (the assemble/disassemble
+/// round trip).
+fn cmd_asm(dis: bool, args: &[String]) -> Outcome {
+    let Some(path) = args.first() else {
+        return Err(CliError::Usage(None));
     };
-    match mipsx::core::snapshot::inspect(&bytes) {
-        Ok(info) => {
-            print!("{info}");
-            ExitCode::SUCCESS
+    let program = assemble_file(path, cannot_read(path))?;
+    if dis {
+        for line in disassemble(program.origin, &program.words) {
+            println!("{line}");
         }
-        Err(e) => {
-            eprintln!("mipsx: {path}: {e}");
-            ExitCode::FAILURE
+    } else {
+        for (i, w) in program.words.iter().enumerate() {
+            println!("{:#07x}: {w:08x}", program.origin + i as u32);
         }
     }
+    Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        return usage();
+fn cmd_info() -> Outcome {
+    let cfg = MachineConfig::mipsx();
+    println!("MIPS-X (Chow & Horowitz, ISCA 1987)");
+    println!(
+        "  clock              : {} MHz (16 MHz first silicon)",
+        cfg.clock_mhz
+    );
+    println!(
+        "  pipeline           : IF RF ALU MEM WB, {} branch delay slots",
+        cfg.branch_delay_slots
+    );
+    println!(
+        "  icache             : {} words ({} rows x {} ways x {}-word blocks), {}-cycle miss, {}-word fetch-back",
+        cfg.icache.size_words(),
+        cfg.icache.rows,
+        cfg.icache.ways,
+        cfg.icache.block_words,
+        cfg.icache.miss_penalty,
+        cfg.icache.fetch_words
+    );
+    println!(
+        "  ecache             : {} words, {}-word blocks, late-miss retry (+{} cycle)",
+        cfg.ecache.size_words, cfg.ecache.block_words, cfg.ecache.late_miss_overhead
+    );
+    println!(
+        "  memory latency     : {} cycles per retry loop",
+        cfg.mem_latency
+    );
+    println!("  coprocessor scheme : {}", cfg.coproc_scheme);
+    println!("  exception vector   : {:#x}", cfg.exception_vector);
+    Ok(())
+}
+
+fn dispatch(args: &[String]) -> Outcome {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Err(CliError::Usage(None));
     };
     match cmd.as_str() {
-        "info" => {
-            let cfg = MachineConfig::mipsx();
-            println!("MIPS-X (Chow & Horowitz, ISCA 1987)");
-            println!(
-                "  clock              : {} MHz (16 MHz first silicon)",
-                cfg.clock_mhz
-            );
-            println!(
-                "  pipeline           : IF RF ALU MEM WB, {} branch delay slots",
-                cfg.branch_delay_slots
-            );
-            println!(
-                "  icache             : {} words ({} rows x {} ways x {}-word blocks), {}-cycle miss, {}-word fetch-back",
-                cfg.icache.size_words(),
-                cfg.icache.rows,
-                cfg.icache.ways,
-                cfg.icache.block_words,
-                cfg.icache.miss_penalty,
-                cfg.icache.fetch_words
-            );
-            println!(
-                "  ecache             : {} words, {}-word blocks, late-miss retry (+{} cycle)",
-                cfg.ecache.size_words, cfg.ecache.block_words, cfg.ecache.late_miss_overhead
-            );
-            println!(
-                "  memory latency     : {} cycles per retry loop",
-                cfg.mem_latency
-            );
-            println!("  coprocessor scheme : {}", cfg.coproc_scheme);
-            println!("  exception vector   : {:#x}", cfg.exception_vector);
-            ExitCode::SUCCESS
-        }
-        "trace" => cmd_trace(&args[1..]),
-        "soak" => cmd_soak(&args[1..]),
-        "lint" => cmd_lint(&args[1..]),
-        "analyze" => cmd_analyze(&args[1..]),
-        "sweep" => cmd_sweep(&args[1..]),
-        "profile" => cmd_profile(&args[1..]),
-        "snapshot" => cmd_snapshot(&args[1..]),
-        "reproduce" => cmd_reproduce(&args[1..]),
-        "asm" | "dis" => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            let source = match std::fs::read_to_string(path) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("mipsx: cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let program = match assemble(&source) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("mipsx: {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if cmd == "asm" {
-                for (i, w) in program.words.iter().enumerate() {
-                    println!("{:#07x}: {w:08x}", program.origin + i as u32);
-                }
-            } else {
-                for line in disassemble(program.origin, &program.words) {
-                    println!("{line}");
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        "run" => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            cmd_run(path, &args[2..])
-        }
-        _ => usage(),
+        "info" => cmd_info(),
+        "asm" => cmd_asm(false, rest),
+        "dis" => cmd_asm(true, rest),
+        "run" => cmd_run(rest),
+        "trace" => cmd_trace(rest),
+        "soak" => cmd_soak(rest),
+        "lint" => cmd_lint(rest),
+        "analyze" => cmd_analyze(rest),
+        "sweep" => cmd_sweep(rest),
+        "profile" => cmd_profile(rest),
+        "snapshot" => cmd_snapshot(rest),
+        "reproduce" => cmd_reproduce(rest),
+        _ => Err(CliError::Usage(None)),
     }
+}
+
+/// The one place a failure is rendered and an exit code chosen.
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Err(e) = dispatch(&args) else {
+        return ExitCode::SUCCESS;
+    };
+    match e {
+        CliError::Usage(msg) => {
+            if let Some(msg) = msg {
+                eprintln!("mipsx: {msg}");
+            }
+            eprintln!("{USAGE}");
+        }
+        CliError::Failed(msg) => eprintln!("mipsx: {msg}"),
+        CliError::Reported => {}
+    }
+    ExitCode::FAILURE
 }
