@@ -100,8 +100,9 @@ impl IcacheConfig {
             return Ok(());
         };
         Err(format!(
-            "{broken} (icache rows and block words must be powers of two: rows={} ways={} \
-             block_words={} fetch_words={})",
+            "{broken} (icache rows and block words must be powers of two, block <= 64, \
+             with >= 1 way and a 1- or 2-word fetch-back: rows={} ways={} block_words={} \
+             fetch_words={})",
             self.rows, self.ways, self.block_words, self.fetch_words
         ))
     }
