@@ -978,7 +978,9 @@ impl Machine {
             }
             Instr::Jspci { rs1, rd: _, imm } => {
                 let base = self.operand(rs1, resolve_stage, pc, sink)?;
-                slot.result = pc + 1 + self.cfg.branch_delay_slots as u32;
+                slot.result = pc
+                    .wrapping_add(1)
+                    .wrapping_add(self.cfg.branch_delay_slots as u32);
                 self.cpu.pc = base.wrapping_add(imm as u32);
                 self.stats.jumps += 1;
             }

@@ -2,7 +2,7 @@
 
 use mipsx_asm::assemble;
 use mipsx_core::{InterlockPolicy, Machine, MachineConfig, RunError, RunStats};
-use mipsx_isa::Reg;
+use mipsx_isa::{Instr, Reg};
 
 fn run_program(src: &str) -> (Machine, RunStats) {
     run_with(src, MachineConfig::default())
@@ -355,4 +355,35 @@ fn deterministic_across_runs() {
         s
     };
     assert_eq!(run(), run());
+}
+
+/// The PC wraps at the top of the address space, and so do the addresses
+/// derived from it: the Icache's fetch-back partner of `u32::MAX` is word
+/// 0, and a `jspci` in the last word links past the wrap.
+#[test]
+fn board_machine_wraps_at_the_top_of_the_address_space() {
+    let mut m = Machine::new(MachineConfig::mipsx());
+    m.write_word(
+        u32::MAX,
+        Instr::Jspci {
+            rs1: Reg::ZERO,
+            rd: Reg::new(5),
+            imm: 0,
+        }
+        .encode(),
+    );
+    m.set_pc(u32::MAX);
+    let _ = m.run(1);
+    assert_eq!(m.icache().stats().misses, 1);
+    assert!(m.icache().probe(u32::MAX));
+    assert!(
+        m.icache().probe(0),
+        "the first miss fills word 0 as its partner"
+    );
+    match m.run(2_000) {
+        Err(RunError::CycleLimit { .. }) => {}
+        other => panic!("expected to run out the budget, got {other:?}"),
+    }
+    // Link: the word after the two delay slots, past the wrap.
+    assert_eq!(reg(&m, 5), 2);
 }

@@ -29,10 +29,10 @@
 //! On any other — the board, `ideal_memory()`, any memory latency — it
 //! drives the machine's own Icache and Ecache, so `RunStats`, cache
 //! statistics and cache state stay identical to a stepper run: one
-//! residency check per line a visit spans books its fetches as hits in
-//! bulk, a miss replays the visit's fetches through the Icache, and each
-//! load reads the Ecache at its place in the stepper's event order (see
-//! `BlockEngine::book_caches`).
+//! loop books a visit's fetches as hits in bulk up to each miss (one row
+//! scan per line), fetches the missed word through the hierarchy, and
+//! reads the Ecache for each load at its place in the stepper's event
+//! order (see `BlockEngine::book_caches`).
 //!
 //! # The cycle-splice contract
 //!
@@ -688,11 +688,11 @@ impl BlockEngine {
     /// positions past it, and every stall booked. The block's last three
     /// positions stay owed to the successor.
     ///
-    /// If every fetch hits (one check per line the visit spans), the hits
-    /// are booked in bulk: an Icache hit touches no Ecache state, so the
-    /// due reads then go in program order. Otherwise the fetches replay
-    /// one by one as the stepper's `Icache::fetch_through` makes them,
-    /// miss fills reading the Ecache.
+    /// One loop: book the fetches up to the next miss as hits in bulk
+    /// (one row scan per line), make the owed reads due before that miss
+    /// (an Icache hit touches no Ecache state, so deferring them past hits
+    /// is exact), then fetch the missed word as the stepper's
+    /// `Icache::fetch_through` does, its fill reading the Ecache.
     ///
     /// Stalls add, so most go straight onto the clock. A `halt` retires in
     /// the cycle of its last shadow fetch, which is also when the first
@@ -700,12 +700,12 @@ impl BlockEngine {
     fn book_caches(&mut self, m: &mut Machine, bi: usize) {
         let b = &self.code.blocks[bi];
         let start = self.fetched;
-        let fetches = u64::from(b.fetches());
+        let fetches = b.fetches();
+        let end = start + u64::from(fetches);
         let (on_clock_fetches, on_clock_reads) = match b.exit {
-            Exit::Halt { .. } => (start + fetches - 1, start + u64::from(b.len)),
+            Exit::Halt { .. } => (end - 1, start + u64::from(b.len)),
             _ => (u64::MAX, u64::MAX),
         };
-        let end = start + fetches;
         let book = |m: &mut Machine, cause, cycles, on_clock: bool| {
             if on_clock {
                 m.book_stall(cause, cycles);
@@ -719,22 +719,22 @@ impl BlockEngine {
             book(m, StallCause::EcacheRetry, extra, pos < on_clock_reads);
         };
         let mut next = 0;
-        if m.memory_mut().0.hit_run(b.start, b.fetches()) {
-            while next < self.owed.len() && self.owed[next].0 + 3 < end {
+        let mut k = 0;
+        loop {
+            let icache = m.memory_mut().0;
+            k += icache.fetch_hits(b.start.wrapping_add(k), fetches - k);
+            let f = start + u64::from(k);
+            while next < self.owed.len() && self.owed[next].0 + 3 < f {
                 read(m, self.owed[next]);
                 next += 1;
             }
-        } else {
-            for k in 0..fetches {
-                let f = start + k;
-                let (icache, ecache, mem) = m.memory_mut();
-                let stall = icache.fetch_stall(b.start.wrapping_add(k as u32), ecache, mem);
-                book(m, StallCause::IcacheMiss, stall, f < on_clock_fetches);
-                while next < self.owed.len() && self.owed[next].0 + 3 == f {
-                    read(m, self.owed[next]);
-                    next += 1;
-                }
+            if k == fetches {
+                break;
             }
+            let (icache, ecache, mem) = m.memory_mut();
+            let (_, stall) = icache.fetch_through(b.start.wrapping_add(k), ecache, mem);
+            book(m, StallCause::IcacheMiss, stall, f < on_clock_fetches);
+            k += 1;
         }
         self.owed.drain(..next);
         self.fetched = end;

@@ -204,6 +204,17 @@ fn kernels_lockstep_under_cache_organizations() {
         c.icache.ways = 1;
         c.icache.rows = 32;
     });
+    // Tiny lines: about one visit in eight books a hit prefix and then
+    // misses inside a line, ten times the share on the board.
+    org("1 row x 1 way x 4-word blocks", |c| {
+        c.icache.rows = 1;
+        c.icache.ways = 1;
+        c.icache.block_words = 4;
+    });
+    org("2 ways x 2-word blocks", |c| {
+        c.icache.ways = 2;
+        c.icache.block_words = 2;
+    });
     org("Icache off", |c| c.icache.enabled = false);
     org("Ecache off", |c| c.ecache.enabled = false);
     for (name, base) in orgs {

@@ -319,10 +319,7 @@ impl Icache {
     #[inline]
     fn access(&mut self, addr: u32) -> Result<usize, Slot> {
         if !self.cfg.enabled {
-            // A disabled cache never retains anything: every fetch is a
-            // compulsory trip off-chip.
-            self.stats.record_miss_pending();
-            self.stats.record_miss_cause(MissCause::Cold);
+            self.record_miss(addr, Slot::Bypass);
             return Err(Slot::Bypass);
         }
         let (row, tag, word) = self.locate(addr);
@@ -333,16 +330,28 @@ impl Icache {
                 return Ok(index);
             }
         }
+        self.record_miss(addr, slot);
+        Err(slot)
+    }
+
+    /// The miss-cause rule: record a miss on `addr` and classify it from
+    /// the row scan `slot` that found the word absent.
+    #[inline]
+    fn record_miss(&mut self, addr: u32, slot: Slot) {
         self.stats.record_miss_pending();
         let block_addr = addr >> self.cfg.block_words.trailing_zeros();
-        let first_reference = self.seen_blocks.insert(block_addr);
         let cause = match slot {
-            Slot::Present(_) => MissCause::SubBlockInvalid,
-            _ if first_reference => MissCause::Cold,
-            _ => MissCause::Conflict,
+            Slot::Present(_) => {
+                self.seen_blocks.insert(block_addr);
+                MissCause::SubBlockInvalid
+            }
+            Slot::Absent { .. } if self.seen_blocks.insert(block_addr) => MissCause::Cold,
+            Slot::Absent { .. } => MissCause::Conflict,
+            // A disabled cache never retains anything: every fetch is a
+            // compulsory trip off-chip.
+            Slot::Bypass => MissCause::Cold,
         };
         self.stats.record_miss_cause(cause);
-        Err(slot)
     }
 
     /// Book `words` hits on block `index`, the last of them now: the
@@ -355,62 +364,57 @@ impl Icache {
         self.stats.hits += u64::from(words);
     }
 
-    /// The runs of `len` sequential fetches from `start` that fall in one
-    /// block (line), in fetch order, as `(row, tag, valid bits needed,
-    /// fetches)`. Organizations are powers of two, so this is shifts and
-    /// masks.
+    /// The hit kernel: walk `len` sequential fetches from `start`
+    /// (addresses wrap) a line at a time, one row scan per line, booking
+    /// each line's consecutive valid words as hits in one step. Each absent
+    /// word goes to `miss` with its line's scan; the walk goes on past it
+    /// if `miss` returns true and otherwise stops there, leaving it
+    /// unbooked. Returns the fetches walked. Booking a line's hits at once
+    /// is exact: a hit moves no block and sets no valid bit, and
+    /// [`Icache::book_hits`] stamps the line as its last fetch would.
     #[inline]
-    fn line_runs(&self, start: u32, len: u32) -> impl Iterator<Item = (u32, u32, u64, u32)> {
-        let word_bits = self.cfg.block_words.trailing_zeros();
-        let row_bits = self.cfg.rows.trailing_zeros();
-        let end = u64::from(start) + u64::from(len);
-        let mut addr = u64::from(start);
-        std::iter::from_fn(move || {
-            if addr >= end {
-                return None;
+    fn walk(
+        &mut self,
+        start: u32,
+        len: u32,
+        mut miss: impl FnMut(&mut Icache, u32, Slot) -> bool,
+    ) -> u32 {
+        let mut done = 0;
+        while done < len {
+            let (row, tag, word) = self.locate(start.wrapping_add(done));
+            let slot = if self.cfg.enabled {
+                self.scan(row, tag)
+            } else {
+                Slot::Bypass
+            };
+            if let Slot::Present(index) = slot {
+                let wanted = (self.cfg.block_words - word).min(len - done);
+                let valid = (!(self.blocks[index].valid >> word)).trailing_zeros();
+                let run = valid.min(wanted);
+                // A line no fetch hit keeps its recency stamp.
+                if run > 0 {
+                    self.book_hits(index, run);
+                    done += run;
+                }
+                if run == wanted {
+                    continue;
+                }
             }
-            let line = addr >> word_bits;
-            let next = ((line + 1) << word_bits).min(end);
-            let (lo, words) = ((addr & ((1 << word_bits) - 1)) as u32, (next - addr) as u32);
-            let mask = (u64::MAX >> (64 - words)) << lo;
-            addr = next;
-            let (row, tag) = (
-                line as u32 & ((1 << row_bits) - 1),
-                (line >> row_bits) as u32,
-            );
-            Some((row, tag, mask, words))
-        })
+            if !miss(self, start.wrapping_add(done), slot) {
+                break;
+            }
+            done += 1;
+        }
+        done
     }
 
-    /// The way holding line `(row, tag)` with every word of `mask` valid.
+    /// Book the leading hits of `len` sequential fetches from `start` as
+    /// word-by-word [`Icache::fetch`]es would, and return how many there
+    /// were. The first absent word is left unbooked for the caller to
+    /// fetch (with [`Icache::fetch_through`], say).
     #[inline]
-    fn resident_way(&self, row: u32, tag: u32, mask: u64) -> Option<usize> {
-        let base = self.block_index(row, 0);
-        self.blocks[base..base + self.cfg.ways as usize]
-            .iter()
-            .position(|b| b.tag == Some(tag) && b.valid & mask == mask)
-            .map(|way| base + way)
-    }
-
-    /// Book `len` sequential fetches from `start` that all hit, in one
-    /// step. If every word is resident, record one hit per word and stamp
-    /// each line's recency as its last fetch would have — exactly what
-    /// [`Icache::fetch`] does word by word — and return true. Otherwise
-    /// change nothing and return false; the caller then fetches the words
-    /// one at a time.
-    pub fn hit_run(&mut self, start: u32, len: u32) -> bool {
-        if !self.cfg.enabled
-            || !self
-                .line_runs(start, len)
-                .all(|(row, tag, mask, _)| self.resident_way(row, tag, mask).is_some())
-        {
-            return false;
-        }
-        for (row, tag, mask, words) in self.line_runs(start, len) {
-            let index = self.resident_way(row, tag, mask).expect("checked resident");
-            self.book_hits(index, words);
-        }
-        true
+    pub fn fetch_hits(&mut self, start: u32, len: u32) -> u32 {
+        self.walk(start, len, |_, _, _| false)
     }
 
     /// Install `addr` (allocating a block if its tag is absent) and mark its
@@ -492,16 +496,6 @@ impl Icache {
         }
     }
 
-    /// [`Icache::fetch_through`] for a caller that needs only the stall
-    /// cycles (a block engine replaying fetches it has already decoded): a
-    /// hit skips the memory read.
-    pub fn fetch_stall(&mut self, addr: u32, ecache: &mut Ecache, mem: &mut MainMemory) -> u32 {
-        match self.access(addr) {
-            Ok(_) => 0,
-            Err(slot) => self.service_miss(addr, slot, ecache, mem).1,
-        }
-    }
-
     /// Service the miss [`Icache::access`] just recorded for `addr`: bring
     /// the word (and its fetch-back partner) on-chip through the external
     /// cache. Returns `(instruction word, stall cycles)`.
@@ -550,8 +544,9 @@ impl Icache {
             if self.cfg.fetch_words == 2 {
                 // The second fetch rides the otherwise-idle miss cycle; only
                 // an Ecache miss on it can add stalls (rare: same block).
-                stall += next_level(addr + 1);
-                self.fill(addr + 1);
+                let partner = addr.wrapping_add(1);
+                stall += next_level(partner);
+                self.fill(partner);
             }
             self.cfg.fetch_words
         };
@@ -565,31 +560,26 @@ impl Icache {
     /// cache-organization studies were run exactly this way, trace-driven).
     ///
     /// Books exactly what [`Icache::fetch`] plus the miss-fill rule would,
-    /// word by word. A fetch in the line the previous fetch hit skips the
-    /// row scan: a tag occupies at most one way of a row, and only a miss's
-    /// fill moves blocks, so that line is still where the hit found it.
-    /// On the paper's Icache traces (E2, E3, E12) 66–79 % of fetches take
-    /// that path.
+    /// word by word. Consecutive addresses merge into sequential runs
+    /// (never across the top of the address space), and the hit kernel
+    /// walks each run: its hits booked a line at a time, each miss filled
+    /// from its line's scan.
     pub fn simulate_trace<I: IntoIterator<Item = u32>>(&mut self, trace: I) -> TraceResult {
-        let word_bits = self.cfg.block_words.trailing_zeros();
-        let word_mask = self.cfg.block_words - 1;
-        // `(line address, block index)` of the previous fetch, if it hit.
-        let mut last_hit: Option<(u32, usize)> = None;
-        for addr in trace {
-            let line = addr >> word_bits;
-            if let Some((hit_line, index)) = last_hit {
-                if hit_line == line && self.blocks[index].valid & (1 << (addr & word_mask)) != 0 {
-                    self.book_hits(index, 1);
-                    continue;
-                }
+        let mut trace = trace.into_iter().peekable();
+        while let Some(start) = trace.next() {
+            let mut len = 1;
+            while len < u32::MAX
+                && trace
+                    .next_if(|&addr| start.checked_add(len) == Some(addr))
+                    .is_some()
+            {
+                len += 1;
             }
-            match self.access(addr) {
-                Ok(index) => last_hit = Some((line, index)),
-                Err(slot) => {
-                    last_hit = None;
-                    self.fill_miss(addr, slot, 0, |_| 0);
-                }
-            }
+            self.walk(start, len, |cache, addr, slot| {
+                cache.record_miss(addr, slot);
+                cache.fill_miss(addr, slot, 0, |_| 0);
+                true
+            });
         }
         TraceResult {
             stats: self.stats,
@@ -915,35 +905,6 @@ mod tests {
         // (word 0) in way 1 — one valid word each.
         assert_eq!(occ[0].iter().sum::<u32>(), 2);
         assert!(c.occupancy_report().contains("icache occupancy"));
-    }
-
-    #[test]
-    fn hit_run_books_like_word_by_word_fetches() {
-        let cfg = IcacheConfig {
-            replacement: Replacement::Lru,
-            ..IcacheConfig::mipsx()
-        };
-        // Warm a 40-word range that spans three lines, then replay a
-        // 20-word sequence crossing a line boundary both ways.
-        let mut warm = Icache::new(cfg);
-        let _ = warm.simulate_trace(100..140);
-        let mut bulk = warm.clone();
-        let mut words = warm.clone();
-        assert!(bulk.hit_run(110, 20));
-        for a in 110..130 {
-            assert_eq!(words.fetch(a), FetchOutcome::Hit);
-        }
-        assert_eq!(bulk.snapshot_state(), words.snapshot_state());
-
-        // One absent word refuses the whole sequence and leaves no trace.
-        let before = warm.snapshot_state();
-        assert!(!warm.hit_run(130, 20));
-        assert_eq!(warm.snapshot_state(), before);
-        let disabled = IcacheConfig {
-            enabled: false,
-            ..cfg
-        };
-        assert!(!Icache::new(disabled).hit_run(0, 1));
     }
 
     #[test]

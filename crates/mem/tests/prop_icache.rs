@@ -76,7 +76,7 @@ fn word_by_word(cfg: IcacheConfig, trace: &[u32]) -> IcacheState {
         } else {
             cache.fill(a);
             if cfg.fetch_words == 2 {
-                cache.fill(a + 1);
+                cache.fill(a.wrapping_add(1));
             }
             cost.add_miss_cost(u64::from(cfg.miss_penalty), u64::from(cfg.fetch_words));
         }
@@ -174,7 +174,9 @@ proptest! {
     /// book — statistics (miss causes included) and the whole cache state —
     /// over sequentially biased traces on organizations from direct-mapped
     /// to 32 ways, 1- to 64-word blocks, every replacement policy, single
-    /// and double fetch-back, whole-block fill, and a disabled cache.
+    /// and double fetch-back, whole-block fill, and a disabled cache. Runs
+    /// cross lines, wrap a small code size back to word 0, or start within
+    /// 64 words of `u32::MAX` and wrap the address space.
     #[test]
     fn trace_kernel_books_like_word_by_word(
         runs in prop::collection::vec((0u32..4096, 0u32..40), 1..80),
@@ -183,6 +185,7 @@ proptest! {
         block_words in prop::sample::select(vec![1u32, 2, 4, 8, 16, 32, 64]),
         policy in prop::sample::select(vec![Replacement::Fifo, Replacement::Lru, Replacement::Random]),
         flags in (1u32..=2, any::<bool>(), 0u32..8),
+        layout in 0u32..3,
     ) {
         let (fetch_words, whole_block_fill, enabled) = flags;
         let cfg = IcacheConfig {
@@ -195,16 +198,74 @@ proptest! {
             enabled: enabled != 0,
             whole_block_fill,
         };
+        let place = |a: u32| match layout {
+            0 => a,
+            // A 96-word program: runs wrap to word 0 mid-line.
+            1 => a % 96,
+            // The top of the address space: runs wrap past `u32::MAX`.
+            _ => (u32::MAX - 63).wrapping_add(a % 192),
+        };
         // Sequential runs from scattered starts, so lines are both re-hit
         // and evicted.
-        let trace: Vec<u32> = runs.iter().flat_map(|&(start, len)| start..=start + len).collect();
+        let trace: Vec<u32> = runs
+            .iter()
+            .flat_map(|&(start, len)| (start..=start + len).map(place))
+            .collect();
         let mut kernel = Icache::new(cfg);
-        // Two calls: the kernel's last-line memory must not leak across.
+        // Two calls: no run may leak across them.
         let (head, tail) = trace.split_at(trace.len() / 2);
         let _ = kernel.simulate_trace(head.iter().copied());
         let _ = kernel.simulate_trace(tail.iter().copied());
         let reference = word_by_word(cfg, &trace);
         prop_assert_eq!(*kernel.stats(), reference.stats);
         prop_assert_eq!(kernel.snapshot_state(), reference);
+    }
+
+    /// `fetch_hits` books the leading hits of a sequential run exactly as
+    /// word-by-word `fetch`es would — how many, statistics and the whole
+    /// cache state — and leaves the first absent word unbooked, on a
+    /// warmed cache of random organization, with runs that cross lines
+    /// and wrap past `u32::MAX`.
+    #[test]
+    fn fetch_hits_books_like_word_by_word(
+        warm in prop::collection::vec((0u32..256, 0u32..40), 1..40),
+        run in (0u32..256, 0u32..80),
+        rows in prop::sample::select(vec![1u32, 2, 4, 8]),
+        ways in 1u32..=8,
+        block_words in prop::sample::select(vec![1u32, 2, 4, 8, 16, 64]),
+        policy in prop::sample::select(vec![Replacement::Fifo, Replacement::Lru, Replacement::Random]),
+        flags in (1u32..=2, any::<bool>(), 0u32..8),
+        base in prop::sample::select(vec![0u32, 1 << 20, u32::MAX - 127]),
+    ) {
+        let (fetch_words, whole_block_fill, enabled) = flags;
+        let cfg = IcacheConfig {
+            rows,
+            ways,
+            block_words,
+            fetch_words,
+            miss_penalty: 2,
+            replacement: policy,
+            enabled: enabled != 0,
+            whole_block_fill,
+        };
+        let mut bulk = Icache::new(cfg);
+        let _ = bulk.simulate_trace(
+            warm.iter()
+                .flat_map(|&(start, len)| (start..=start + len).map(|a| base.wrapping_add(a))),
+        );
+        let mut words = bulk.clone();
+        let (start, len) = (base.wrapping_add(run.0), run.1);
+        let booked = bulk.fetch_hits(start, len);
+        // The oracle: the hits word-by-word fetches give before the first
+        // miss, fetched on a copy so the miss itself is not booked.
+        let mut probe = words.clone();
+        let expected = (0..len)
+            .take_while(|&k| probe.fetch(start.wrapping_add(k)) == FetchOutcome::Hit)
+            .count() as u32;
+        prop_assert_eq!(booked, expected);
+        for k in 0..expected {
+            prop_assert_eq!(words.fetch(start.wrapping_add(k)), FetchOutcome::Hit);
+        }
+        prop_assert_eq!(bulk.snapshot_state(), words.snapshot_state());
     }
 }
