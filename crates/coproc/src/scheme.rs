@@ -50,17 +50,6 @@ impl InterfaceScheme {
         }
     }
 
-    /// Fraction of the opcode space consumed by coprocessor encodings.
-    pub fn opcode_fraction(self) -> f64 {
-        match self {
-            InterfaceScheme::CoprocBit => 0.5,
-            // 7 of 8 coprocessor numbers in a 3-bit field.
-            InterfaceScheme::CoprocField => 7.0 / 8.0 * 0.5,
-            // A handful of major opcodes in the memory class.
-            InterfaceScheme::NonCached | InterfaceScheme::AddressLines => 5.0 / 16.0,
-        }
-    }
-
     /// Whether coprocessor instructions may live in the on-chip Icache.
     pub fn cacheable(self) -> bool {
         !matches!(self, InterfaceScheme::NonCached)

@@ -78,7 +78,7 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
-    fn new(pc: u32, entry: DecodedEntry, kill: bool) -> Slot {
+    pub(crate) fn new(pc: u32, entry: DecodedEntry, kill: bool) -> Slot {
         Slot {
             pc,
             instr: entry.instr,
@@ -263,14 +263,6 @@ impl Machine {
     /// Borrow an attached coprocessor.
     pub fn coprocessor(&self, n: u8) -> Option<&dyn Coprocessor> {
         self.coprocs[n as usize & 7].as_deref()
-    }
-
-    /// Borrow an attached coprocessor mutably.
-    pub fn coprocessor_mut(&mut self, n: u8) -> Option<&mut (dyn Coprocessor + 'static)> {
-        match &mut self.coprocs[n as usize & 7] {
-            Some(b) => Some(b.as_mut()),
-            None => None,
-        }
     }
 
     /// Drive the level-triggered maskable interrupt pin.

@@ -60,20 +60,28 @@
 //! bytes. Hash-ordered collections (cache block sets, memory pages) are
 //! sorted on capture, so `save(restore(save(m))) == save(m)` byte-for-byte
 //! — the roundtrip tests rely on exactly this.
+//!
+//! **One layout per section:** each section's body is described once, as a
+//! walk over its fields through a private `Wire` trait. The writer appends
+//! every field the walk visits; the reader overwrites every field the walk
+//! visits and enforces the rule the field carries (flag bytes 0/1, known
+//! enum codes, fixed counts, capped allocations).
+//! [`Machine::save_snapshot`], [`Machine::restore_snapshot`] and [`inspect`]
+//! all go through the same walks, so the writer and the reader cannot
+//! drift.
 
 use std::fmt;
 
 use mipsx_asm::DecodedEntry;
 use mipsx_coproc::InterfaceScheme;
 use mipsx_isa::{Psw, Reg, PC_CHAIN_DEPTH};
-use mipsx_mem::{
-    CacheStats, EcacheConfig, EcacheState, IcacheConfig, IcacheState, MainMemoryState, Replacement,
-};
+use mipsx_mem::{CacheStats, EcacheState, IcacheState, MainMemoryState, Replacement};
 
-use crate::cpu::PcChainEntry;
 use crate::inject::{FaultEvent, FaultKind, FaultPlan};
 use crate::machine::Slot;
-use crate::{CacheMissFsm, CacheMissState, InterlockPolicy, Machine, MachineConfig, RunStats};
+use crate::{
+    CacheMissFsm, CacheMissState, Cpu, InterlockPolicy, Machine, MachineConfig, RunStats, SquashFsm,
+};
 
 /// Current snapshot format version. Bumped whenever an existing section's
 /// body layout changes; new sections may be appended without a bump.
@@ -181,10 +189,11 @@ impl fmt::Display for SnapshotInfo {
     }
 }
 
-/// FNV-1a 64 over `bytes` — the snapshot integrity checksum. (The sweep
-/// layer has its own copy for job keys; core cannot depend on it.)
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a 64 hash over `bytes`.
+#[inline]
+fn fnv1a_from(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -192,616 +201,432 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-// --- little-endian encode/decode helpers ---------------------------------
-
-struct Enc {
-    buf: Vec<u8>,
+/// FNV-1a 64 over `bytes`: the snapshot checksum, and the hash behind the
+/// sweep layer's job keys, store checksums and journal fingerprints.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_from(FNV_OFFSET, bytes)
 }
 
-impl Enc {
-    fn new() -> Enc {
-        Enc { buf: Vec::new() }
+/// FNV-1a 64 over a `u32` word stream, each word little-endian (the
+/// sweep layer's program-image and trace digests).
+pub fn fnv1a_words<I: IntoIterator<Item = u32>>(words: I) -> u64 {
+    words
+        .into_iter()
+        .fold(FNV_OFFSET, |hash, w| fnv1a_from(hash, &w.to_le_bytes()))
+}
+
+// --- the wire: one writer, one reader ------------------------------------
+
+/// What a section walk returns.
+type Walked = Result<(), SnapshotError>;
+
+fn malformed(why: String) -> SnapshotError {
+    SnapshotError::Malformed(why)
+}
+
+/// One direction of a section walk, little-endian throughout. Every method
+/// takes the field in place: the writer (`Vec<u8>`) appends it, the reader
+/// (`&[u8]`) overwrites it with the next bytes.
+trait Wire: Sized {
+    /// Whether this side reads (so sequences start empty).
+    const READS: bool;
+
+    /// `N` raw bytes; the reader fails with [`SnapshotError::Truncated`]
+    /// when fewer remain.
+    fn bytes<const N: usize>(&mut self, v: &mut [u8; N]) -> Walked;
+
+    /// `v` through its wire form: `to` it for the writer, `from` what the
+    /// reader read.
+    fn via<T: Copy, F>(
+        &mut self,
+        v: &mut T,
+        to: fn(T) -> F,
+        from: fn(F) -> T,
+        walk: impl FnOnce(&mut Self, &mut F) -> Walked,
+    ) -> Walked {
+        let mut wire = to(*v);
+        walk(self, &mut wire)?;
+        *v = from(wire);
+        Ok(())
     }
 
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
+    fn u8(&mut self, v: &mut u8) -> Walked {
+        self.bytes(std::array::from_mut(v))
     }
 
-    fn flag(&mut self, v: bool) {
-        self.buf.push(v as u8);
+    fn u32(&mut self, v: &mut u32) -> Walked {
+        self.via(v, u32::to_le_bytes, u32::from_le_bytes, Self::bytes)
     }
 
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    fn u64(&mut self, v: &mut u64) -> Walked {
+        self.via(v, u64::to_le_bytes, u64::from_le_bytes, Self::bytes)
     }
 
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    fn u64s<const N: usize>(&mut self, vs: &mut [u64; N]) -> Walked {
+        vs.iter_mut().try_for_each(|v| self.u64(v))
     }
 
-    fn u64s(&mut self, vs: &[u64]) {
-        for &v in vs {
-            self.u64(v);
+    /// A flag byte, 0 or 1.
+    fn flag(&mut self, v: &mut bool) -> Walked {
+        let mut b = u8::from(*v);
+        self.u8(&mut b)?;
+        *v = match b {
+            0 => false,
+            1 => true,
+            other => return Err(malformed(format!("flag byte is {other}, expected 0 or 1"))),
+        };
+        Ok(())
+    }
+
+    /// An enum as one byte: its index in `table`, the one code table of
+    /// that enum.
+    fn choice<T: Copy + PartialEq>(&mut self, v: &mut T, table: &[T], what: &str) -> Walked {
+        let mut code = table
+            .iter()
+            .position(|t| t == v)
+            .expect("enum missing from its table") as u8;
+        self.u8(&mut code)?;
+        *v = *table
+            .get(usize::from(code))
+            .ok_or_else(|| malformed(format!("unknown {what} {code}")))?;
+        Ok(())
+    }
+
+    /// An enum with a `u32` payload: the index of its constructor in
+    /// `table` (one byte), then the payload `arg` extracts (0 for bare
+    /// variants).
+    fn tagged<T: Copy + PartialEq>(
+        &mut self,
+        v: &mut T,
+        arg: fn(T) -> u32,
+        table: &[fn(u32) -> T],
+        what: &str,
+    ) -> Walked {
+        let mut payload = arg(*v);
+        let mut code = table
+            .iter()
+            .position(|make| make(payload) == *v)
+            .expect("enum missing from its table") as u8;
+        self.u8(&mut code)?;
+        self.u32(&mut payload)?;
+        let make = table
+            .get(usize::from(code))
+            .ok_or_else(|| malformed(format!("unknown {what} {code}")))?;
+        *v = make(payload);
+        Ok(())
+    }
+
+    /// A presence flag, then the value when present (`blank` seeds a read).
+    fn opt<T>(
+        &mut self,
+        v: &mut Option<T>,
+        blank: T,
+        walk: impl FnOnce(&mut Self, &mut T) -> Walked,
+    ) -> Walked {
+        let mut present = v.is_some();
+        self.flag(&mut present)?;
+        if !present {
+            *v = None;
+            return Ok(());
         }
-    }
-}
-
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Dec<'a> {
-        Dec { bytes, pos: 0 }
+        walk(self, v.get_or_insert(blank))
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or(SnapshotError::Truncated)?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn flag(&mut self) -> Result<bool, SnapshotError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(SnapshotError::Malformed(format!(
-                "flag byte is {other}, expected 0 or 1"
-            ))),
+    /// A `u32` count, then each item. A read starts from `blank` per item
+    /// and reserves at most `cap` items before the bytes prove they exist.
+    fn seq<T: Clone>(
+        &mut self,
+        items: &mut Vec<T>,
+        cap: usize,
+        blank: T,
+        mut walk: impl FnMut(&mut Self, &mut T) -> Walked,
+    ) -> Walked {
+        let mut n = items.len() as u32;
+        self.u32(&mut n)?;
+        if !Self::READS {
+            return items.iter_mut().try_for_each(|item| walk(self, item));
         }
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn u64s<const N: usize>(&mut self) -> Result<[u64; N], SnapshotError> {
-        let mut vs = [0; N];
-        for v in &mut vs {
-            *v = self.u64()?;
+        *items = Vec::with_capacity((n as usize).min(cap));
+        for _ in 0..n {
+            let mut item = blank.clone();
+            walk(self, &mut item)?;
+            items.push(item);
         }
-        Ok(vs)
-    }
-
-    fn finished(&self) -> bool {
-        self.pos == self.bytes.len()
+        Ok(())
     }
 }
 
-fn push_section(payload: &mut Vec<u8>, tag: [u8; 4], body: Enc) {
-    payload.extend_from_slice(&tag);
-    payload.extend_from_slice(&(body.buf.len() as u64).to_le_bytes());
-    payload.extend_from_slice(&body.buf);
+/// The writer.
+impl Wire for Vec<u8> {
+    const READS: bool = false;
+
+    fn bytes<const N: usize>(&mut self, v: &mut [u8; N]) -> Walked {
+        self.extend_from_slice(v);
+        Ok(())
+    }
 }
 
-// --- section encoders ----------------------------------------------------
+/// The reader: consumes the slice from the front.
+impl Wire for &[u8] {
+    const READS: bool = true;
 
-fn encode_cfg(cfg: &MachineConfig) -> Enc {
-    let mut e = Enc::new();
-    e.u32(cfg.branch_delay_slots as u32);
-    e.u8(match cfg.interlock {
-        InterlockPolicy::Trust => 0,
-        InterlockPolicy::Detect => 1,
-    });
-    e.u32(cfg.icache.rows);
-    e.u32(cfg.icache.ways);
-    e.u32(cfg.icache.block_words);
-    e.u32(cfg.icache.fetch_words);
-    e.u32(cfg.icache.miss_penalty);
-    e.u8(match cfg.icache.replacement {
-        Replacement::Fifo => 0,
-        Replacement::Lru => 1,
-        Replacement::Random => 2,
-    });
-    e.flag(cfg.icache.enabled);
-    e.flag(cfg.icache.whole_block_fill);
-    e.u32(cfg.ecache.size_words);
-    e.u32(cfg.ecache.block_words);
-    e.u32(cfg.ecache.late_miss_overhead);
-    e.flag(cfg.ecache.enabled);
-    e.u32(cfg.mem_latency);
-    e.u8(match cfg.coproc_scheme {
-        InterfaceScheme::CoprocBit => 0,
-        InterfaceScheme::CoprocField => 1,
-        InterfaceScheme::NonCached => 2,
-        InterfaceScheme::AddressLines => 3,
-    });
-    e.u64(cfg.clock_mhz.to_bits());
-    e.u32(cfg.exception_vector);
-    e
+    fn bytes<const N: usize>(&mut self, v: &mut [u8; N]) -> Walked {
+        let (head, rest) = self.split_first_chunk().ok_or(SnapshotError::Truncated)?;
+        *v = *head;
+        *self = rest;
+        Ok(())
+    }
 }
 
-fn decode_cfg(body: &[u8]) -> Result<MachineConfig, SnapshotError> {
-    let mut d = Dec::new(body);
-    let branch_delay_slots = d.u32()? as usize;
-    let interlock = match d.u8()? {
-        0 => InterlockPolicy::Trust,
-        1 => InterlockPolicy::Detect,
-        other => {
-            return Err(SnapshotError::Malformed(format!(
-                "unknown interlock policy {other}"
-            )))
-        }
-    };
-    let icache = IcacheConfig {
-        rows: d.u32()?,
-        ways: d.u32()?,
-        block_words: d.u32()?,
-        fetch_words: d.u32()?,
-        miss_penalty: d.u32()?,
-        replacement: match d.u8()? {
-            0 => Replacement::Fifo,
-            1 => Replacement::Lru,
-            2 => Replacement::Random,
-            other => {
-                return Err(SnapshotError::Malformed(format!(
-                    "unknown replacement policy {other}"
-                )))
-            }
-        },
-        enabled: d.flag()?,
-        whole_block_fill: d.flag()?,
-    };
-    let ecache = EcacheConfig {
-        size_words: d.u32()?,
-        block_words: d.u32()?,
-        late_miss_overhead: d.u32()?,
-        enabled: d.flag()?,
-    };
-    let mem_latency = d.u32()?;
-    let coproc_scheme = match d.u8()? {
-        0 => InterfaceScheme::CoprocBit,
-        1 => InterfaceScheme::CoprocField,
-        2 => InterfaceScheme::NonCached,
-        3 => InterfaceScheme::AddressLines,
-        other => {
-            return Err(SnapshotError::Malformed(format!(
-                "unknown coprocessor scheme {other}"
-            )))
-        }
-    };
-    let clock_mhz = f64::from_bits(d.u64()?);
-    let exception_vector = d.u32()?;
-    if !(branch_delay_slots == 1 || branch_delay_slots == 2) {
-        return Err(SnapshotError::Malformed(format!(
-            "{branch_delay_slots} branch delay slots"
+// --- one walk per section ------------------------------------------------
+
+/// `CFG `: the full [`MachineConfig`], in declaration order (slots as a
+/// `u32`, the clock as its IEEE-754 bits).
+fn cfg<W: Wire>(w: &mut W, c: &mut MachineConfig) -> Walked {
+    use InterfaceScheme::{AddressLines, CoprocBit, CoprocField, NonCached};
+    use InterlockPolicy::{Detect, Trust};
+    use Replacement::{Fifo, Lru, Random};
+    w.via(
+        &mut c.branch_delay_slots,
+        |n| n as u32,
+        |n| n as usize,
+        W::u32,
+    )?;
+    w.choice(&mut c.interlock, &[Trust, Detect], "interlock policy")?;
+    let ic = &mut c.icache;
+    for v in [
+        &mut ic.rows,
+        &mut ic.ways,
+        &mut ic.block_words,
+        &mut ic.fetch_words,
+        &mut ic.miss_penalty,
+    ] {
+        w.u32(v)?;
+    }
+    w.choice(
+        &mut ic.replacement,
+        &[Fifo, Lru, Random],
+        "replacement policy",
+    )?;
+    w.flag(&mut ic.enabled)?;
+    w.flag(&mut ic.whole_block_fill)?;
+    let ec = &mut c.ecache;
+    for v in [
+        &mut ec.size_words,
+        &mut ec.block_words,
+        &mut ec.late_miss_overhead,
+    ] {
+        w.u32(v)?;
+    }
+    w.flag(&mut ec.enabled)?;
+    w.u32(&mut c.mem_latency)?;
+    let schemes = [CoprocBit, CoprocField, NonCached, AddressLines];
+    w.choice(&mut c.coproc_scheme, &schemes, "coprocessor scheme")?;
+    w.via(&mut c.clock_mhz, f64::to_bits, f64::from_bits, W::u64)?;
+    w.u32(&mut c.exception_vector)?;
+    if !(1..=2).contains(&c.branch_delay_slots) {
+        return Err(malformed(format!(
+            "{} branch delay slots",
+            c.branch_delay_slots
         )));
     }
-    Ok(MachineConfig {
-        branch_delay_slots,
-        interlock,
-        icache,
-        ecache,
-        mem_latency,
-        coproc_scheme,
-        clock_mhz,
-        exception_vector,
-    })
+    c.check().map_err(malformed)
 }
 
-fn encode_cpu(m: &Machine) -> Enc {
-    let mut e = Enc::new();
-    for r in m.cpu.regs_snapshot() {
-        e.u32(r);
+/// `CPU `: the register file, PC, the PC chain (its depth first), PSW,
+/// PSWold and MD, then the machine's `flags`: halted, pending fetch kill,
+/// interrupt line, pending NMI and decode-once cache enabled.
+fn cpu<W: Wire>(w: &mut W, cpu: &mut Cpu, flags: [&mut bool; 5]) -> Walked {
+    for i in 0..32 {
+        let r = Reg::new(i);
+        let mut v = cpu.reg(r);
+        w.u32(&mut v)?;
+        cpu.set_reg(r, v);
     }
-    e.u32(m.cpu.pc);
-    e.u8(PC_CHAIN_DEPTH as u8);
-    for entry in m.cpu.pc_chain {
-        e.u32(entry.pc);
-        e.flag(entry.squashed);
-    }
-    e.u32(m.cpu.psw.bits());
-    e.u32(m.cpu.psw_old.bits());
-    e.u32(m.cpu.md);
-    e.flag(m.halted);
-    e.flag(m.pending_fetch_kill);
-    e.flag(m.interrupt_line);
-    e.flag(m.nmi_pending);
-    e.flag(m.decoded.enabled());
-    e
-}
-
-struct CpuBody {
-    regs: [u32; 32],
-    pc: u32,
-    chain: [PcChainEntry; PC_CHAIN_DEPTH],
-    psw: Psw,
-    psw_old: Psw,
-    md: u32,
-    halted: bool,
-    pending_fetch_kill: bool,
-    interrupt_line: bool,
-    nmi_pending: bool,
-    decode_enabled: bool,
-}
-
-fn decode_cpu(body: &[u8]) -> Result<CpuBody, SnapshotError> {
-    let mut d = Dec::new(body);
-    let mut regs = [0u32; 32];
-    for r in &mut regs {
-        *r = d.u32()?;
-    }
-    let pc = d.u32()?;
-    let depth = d.u8()? as usize;
-    if depth != PC_CHAIN_DEPTH {
-        return Err(SnapshotError::Malformed(format!(
+    w.u32(&mut cpu.pc)?;
+    let mut depth = PC_CHAIN_DEPTH as u8;
+    w.u8(&mut depth)?;
+    if usize::from(depth) != PC_CHAIN_DEPTH {
+        return Err(malformed(format!(
             "PC chain depth {depth}, expected {PC_CHAIN_DEPTH}"
         )));
     }
-    let mut chain = [PcChainEntry::default(); PC_CHAIN_DEPTH];
-    for entry in &mut chain {
-        entry.pc = d.u32()?;
-        entry.squashed = d.flag()?;
+    for entry in &mut cpu.pc_chain {
+        w.u32(&mut entry.pc)?;
+        w.flag(&mut entry.squashed)?;
     }
-    let psw = Psw::from_bits(d.u32()?);
-    let psw_old = Psw::from_bits(d.u32()?);
-    let md = d.u32()?;
-    Ok(CpuBody {
-        regs,
-        pc,
-        chain,
-        psw,
-        psw_old,
-        md,
-        halted: d.flag()?,
-        pending_fetch_kill: d.flag()?,
-        interrupt_line: d.flag()?,
-        nmi_pending: d.flag()?,
-        decode_enabled: d.flag()?,
-    })
+    for psw in [&mut cpu.psw, &mut cpu.psw_old] {
+        w.via(psw, Psw::bits, Psw::from_bits, W::u32)?;
+    }
+    w.u32(&mut cpu.md)?;
+    flags.into_iter().try_for_each(|f| w.flag(f))
 }
 
-fn encode_pipe(slots: &[Option<Slot>; 5]) -> Enc {
-    let mut e = Enc::new();
+/// `PIPE`: per latch (IF to WB) a presence flag, then the instruction's PC,
+/// its word, kill bit, result, address, memory datum, pending MD update
+/// (flag + value) and overflow bit.
+fn pipe<W: Wire>(w: &mut W, slots: &mut [Option<Slot>; 5]) -> Walked {
+    let blank = Slot::new(0, DecodedEntry::decode(0), false);
     for slot in slots {
-        match slot {
-            None => e.flag(false),
-            Some(s) => {
-                e.flag(true);
-                e.u32(s.pc);
-                e.u32(s.instr.encode());
-                e.flag(s.kill);
-                e.u32(s.result);
-                e.u32(s.addr);
-                e.u32(s.mem_data);
-                match s.md_out {
-                    None => e.flag(false),
-                    Some(md) => {
-                        e.flag(true);
-                        e.u32(md);
-                    }
-                }
-                e.flag(s.overflow);
+        w.opt(slot, blank, |w, s| {
+            w.u32(&mut s.pc)?;
+            // The instruction latch is rebuilt by decoding its word —
+            // decode is total and `decode(encode(i)) == i` for every
+            // decodable instruction, so the slot's metadata comes back
+            // with it.
+            let mut word = s.instr.encode();
+            w.u32(&mut word)?;
+            let entry = DecodedEntry::decode(word);
+            (s.instr, s.meta) = (entry.instr, entry.meta);
+            w.flag(&mut s.kill)?;
+            for v in [&mut s.result, &mut s.addr, &mut s.mem_data] {
+                w.u32(v)?;
             }
-        }
+            w.opt(&mut s.md_out, 0, W::u32)?;
+            w.flag(&mut s.overflow)
+        })?;
     }
-    e
-}
-
-fn decode_pipe(body: &[u8]) -> Result<[Option<Slot>; 5], SnapshotError> {
-    let mut d = Dec::new(body);
-    let mut slots = [None; 5];
-    for slot in &mut slots {
-        if !d.flag()? {
-            continue;
-        }
-        let pc = d.u32()?;
-        // The instruction latch is rebuilt by decoding its word — decode is
-        // total and `decode(encode(i)) == i` for every decodable
-        // instruction, so the slot's metadata comes back with it.
-        let entry = DecodedEntry::decode(d.u32()?);
-        let kill = d.flag()?;
-        let result = d.u32()?;
-        let addr = d.u32()?;
-        let mem_data = d.u32()?;
-        let md_out = if d.flag()? { Some(d.u32()?) } else { None };
-        let overflow = d.flag()?;
-        *slot = Some(Slot {
-            pc,
-            instr: entry.instr,
-            meta: entry.meta,
-            kill,
-            result,
-            addr,
-            mem_data,
-            md_out,
-            overflow,
-        });
-    }
-    Ok(slots)
-}
-
-fn encode_fsms(m: &Machine) -> Enc {
-    let mut e = Enc::new();
-    match m.miss_fsm.state() {
-        CacheMissState::Run => {
-            e.u8(0);
-            e.u32(0);
-        }
-        CacheMissState::Stalled(left) => {
-            e.u8(1);
-            e.u32(left);
-        }
-    }
-    e.u64(m.miss_fsm.frozen_cycles);
-    e.u64(m.miss_fsm.misses_serviced);
-    e.u64(m.squash_fsm.branch_squashes);
-    e.u64(m.squash_fsm.exceptions);
-    e.u64(m.squash_fsm.instructions_killed);
-    e
-}
-
-fn apply_fsms(m: &mut Machine, body: &[u8]) -> Result<(), SnapshotError> {
-    let mut d = Dec::new(body);
-    let state = match (d.u8()?, d.u32()?) {
-        (0, _) => CacheMissState::Run,
-        (1, 0) => {
-            return Err(SnapshotError::Malformed(
-                "stalled miss FSM with zero cycles left".into(),
-            ))
-        }
-        (1, left) => CacheMissState::Stalled(left),
-        (other, _) => {
-            return Err(SnapshotError::Malformed(format!(
-                "unknown miss FSM state {other}"
-            )))
-        }
-    };
-    m.miss_fsm = CacheMissFsm::from_parts(state, d.u64()?, d.u64()?);
-    m.squash_fsm.branch_squashes = d.u64()?;
-    m.squash_fsm.exceptions = d.u64()?;
-    m.squash_fsm.instructions_killed = d.u64()?;
     Ok(())
 }
 
-/// The STAT section: the field count, then [`RunStats::to_fields`].
-fn encode_stats(s: &RunStats) -> Enc {
-    let mut e = Enc::new();
-    e.u32(RunStats::FIELDS.len() as u32);
-    e.u64s(&s.to_fields());
-    e
+/// `FSM `: the miss FSM's state (code 0 run / 1 stalled, then the cycles
+/// left), its frozen-cycle and miss counters, then the squash FSM's
+/// counters.
+fn fsm<W: Wire>(w: &mut W, miss: &mut CacheMissFsm, squash: &mut SquashFsm) -> Walked {
+    let mut state = miss.state();
+    let left = |s| match s {
+        CacheMissState::Run => 0,
+        CacheMissState::Stalled(left) => left,
+    };
+    let states = [|_| CacheMissState::Run, CacheMissState::Stalled];
+    w.tagged(&mut state, left, &states, "miss FSM state")?;
+    if state == CacheMissState::Stalled(0) {
+        return Err(malformed("stalled miss FSM with zero cycles left".into()));
+    }
+    for v in [
+        &mut miss.frozen_cycles,
+        &mut miss.misses_serviced,
+        &mut squash.branch_squashes,
+        &mut squash.exceptions,
+        &mut squash.instructions_killed,
+    ] {
+        w.u64(v)?;
+    }
+    *miss = CacheMissFsm::from_parts(state, miss.frozen_cycles, miss.misses_serviced);
+    Ok(())
 }
 
-fn decode_stats(body: &[u8]) -> Result<RunStats, SnapshotError> {
-    let mut d = Dec::new(body);
-    let count = d.u32()? as usize;
-    if count != RunStats::FIELDS.len() {
-        return Err(SnapshotError::Malformed(format!(
+/// `STAT`: the field count, then [`RunStats::to_fields`].
+fn stat<W: Wire>(w: &mut W, s: &mut RunStats) -> Walked {
+    let mut count = RunStats::FIELDS.len() as u32;
+    w.u32(&mut count)?;
+    if count as usize != RunStats::FIELDS.len() {
+        return Err(malformed(format!(
             "{count} statistics fields, expected {}",
             RunStats::FIELDS.len()
         )));
     }
-    Ok(RunStats::from_fields(d.u64s()?))
+    w.via(s, RunStats::to_fields, RunStats::from_fields, W::u64s)
 }
 
 /// A cache-statistics block: [`CacheStats::to_fields`], in order.
-fn encode_cache_stats(e: &mut Enc, s: &CacheStats) {
-    e.u64s(&s.to_fields());
+fn cache_stats<W: Wire>(w: &mut W, s: &mut CacheStats) -> Walked {
+    w.via(s, CacheStats::to_fields, CacheStats::from_fields, W::u64s)
 }
 
-fn decode_cache_stats(d: &mut Dec) -> Result<CacheStats, SnapshotError> {
-    Ok(CacheStats::from_fields(d.u64s()?))
+/// `ICHE`: the blocks (tag flag + tag, valid bits, recency stamp), the FIFO
+/// pointers, LRU clock, xorshift state, blocks ever seen, then the
+/// statistics.
+fn icache<W: Wire>(w: &mut W, s: &mut IcacheState) -> Walked {
+    w.seq(
+        &mut s.blocks,
+        1 << 20,
+        (None, 0, 0),
+        |w, (tag, valid, stamp)| {
+            w.opt(tag, 0, W::u32)?;
+            w.u64(valid)?;
+            w.u64(stamp)
+        },
+    )?;
+    w.seq(&mut s.fifo, 1 << 20, 0, W::u32)?;
+    w.u64(&mut s.clock)?;
+    w.u64(&mut s.rng)?;
+    w.seq(&mut s.seen_blocks, 1 << 20, 0, W::u32)?;
+    cache_stats(w, &mut s.stats)
 }
 
-fn encode_icache(state: &IcacheState) -> Enc {
-    let mut e = Enc::new();
-    e.u32(state.blocks.len() as u32);
-    for &(tag, valid, stamp) in &state.blocks {
-        match tag {
-            None => e.flag(false),
-            Some(t) => {
-                e.flag(true);
-                e.u32(t);
-            }
-        }
-        e.u64(valid);
-        e.u64(stamp);
-    }
-    e.u32(state.fifo.len() as u32);
-    for &f in &state.fifo {
-        e.u32(f);
-    }
-    e.u64(state.clock);
-    e.u64(state.rng);
-    e.u32(state.seen_blocks.len() as u32);
-    for &b in &state.seen_blocks {
-        e.u32(b);
-    }
-    encode_cache_stats(&mut e, &state.stats);
-    e
+/// `ECHE`: the frame tags (flag + tag), blocks ever seen, then the
+/// statistics.
+fn ecache<W: Wire>(w: &mut W, s: &mut EcacheState) -> Walked {
+    w.seq(&mut s.tags, 1 << 22, None, |w, tag| w.opt(tag, 0, W::u32))?;
+    w.seq(&mut s.seen_blocks, 1 << 22, 0, W::u32)?;
+    cache_stats(w, &mut s.stats)
 }
 
-fn decode_icache(body: &[u8]) -> Result<IcacheState, SnapshotError> {
-    let mut d = Dec::new(body);
-    let nblocks = d.u32()? as usize;
-    let mut blocks = Vec::with_capacity(nblocks.min(1 << 20));
-    for _ in 0..nblocks {
-        let tag = if d.flag()? { Some(d.u32()?) } else { None };
-        let valid = d.u64()?;
-        let stamp = d.u64()?;
-        blocks.push((tag, valid, stamp));
-    }
-    let nfifo = d.u32()? as usize;
-    let mut fifo = Vec::with_capacity(nfifo.min(1 << 20));
-    for _ in 0..nfifo {
-        fifo.push(d.u32()?);
-    }
-    let clock = d.u64()?;
-    let rng = d.u64()?;
-    let nseen = d.u32()? as usize;
-    let mut seen_blocks = Vec::with_capacity(nseen.min(1 << 20));
-    for _ in 0..nseen {
-        seen_blocks.push(d.u32()?);
-    }
-    let stats = decode_cache_stats(&mut d)?;
-    Ok(IcacheState {
-        blocks,
-        fifo,
-        clock,
-        rng,
-        seen_blocks,
-        stats,
-    })
+/// `MEM `: latency, read and write counts, then the resident pages: page
+/// number and all 4096 words of each.
+fn mem<W: Wire>(w: &mut W, s: &mut MainMemoryState) -> Walked {
+    w.u32(&mut s.latency_cycles)?;
+    w.u64(&mut s.reads)?;
+    w.u64(&mut s.writes)?;
+    w.seq(
+        &mut s.pages,
+        1 << 16,
+        (0, vec![0; 4096]),
+        |w, (n, words)| {
+            w.u32(n)?;
+            words.iter_mut().try_for_each(|v| w.u32(v))
+        },
+    )
 }
 
-fn encode_ecache(state: &EcacheState) -> Enc {
-    let mut e = Enc::new();
-    e.u32(state.tags.len() as u32);
-    for &tag in &state.tags {
-        match tag {
-            None => e.flag(false),
-            Some(t) => {
-                e.flag(true);
-                e.u32(t);
-            }
-        }
-    }
-    e.u32(state.seen_blocks.len() as u32);
-    for &b in &state.seen_blocks {
-        e.u32(b);
-    }
-    encode_cache_stats(&mut e, &state.stats);
-    e
+/// Fault kinds by wire code, each built from the event's `u32` argument.
+const FAULT_KINDS: [fn(u32) -> FaultKind; 5] = [
+    |hold| FaultKind::Interrupt { hold },
+    |_| FaultKind::Nmi,
+    |_| FaultKind::IcacheParity,
+    |extra| FaultKind::EcacheJitter { extra },
+    |cycles| FaultKind::CoprocBusy { cycles },
+];
+
+/// `PLAN`: the events (cycle, kind code, kind argument), the consumption
+/// cursor, then the pending interrupt release (flag + cycle).
+fn fault_plan<W: Wire>(w: &mut W, plan: &mut FaultPlan) -> Walked {
+    let mut events = plan.events().to_vec();
+    let blank = FaultEvent {
+        cycle: 0,
+        kind: FaultKind::Nmi,
+    };
+    let arg = |kind| match kind {
+        FaultKind::Interrupt { hold: a }
+        | FaultKind::EcacheJitter { extra: a }
+        | FaultKind::CoprocBusy { cycles: a } => a,
+        FaultKind::Nmi | FaultKind::IcacheParity => 0,
+    };
+    w.seq(&mut events, 1 << 20, blank, |w, e| {
+        w.u64(&mut e.cycle)?;
+        w.tagged(&mut e.kind, arg, &FAULT_KINDS, "fault kind")
+    })?;
+    let mut cursor = plan.cursor() as u64;
+    w.u64(&mut cursor)?;
+    let mut release = plan.irq_release();
+    w.opt(&mut release, 0, W::u64)?;
+    *plan = FaultPlan::new(events);
+    plan.restore_progress(cursor as usize, release);
+    Ok(())
 }
 
-fn decode_ecache(body: &[u8]) -> Result<EcacheState, SnapshotError> {
-    let mut d = Dec::new(body);
-    let ntags = d.u32()? as usize;
-    let mut tags = Vec::with_capacity(ntags.min(1 << 22));
-    for _ in 0..ntags {
-        tags.push(if d.flag()? { Some(d.u32()?) } else { None });
-    }
-    let nseen = d.u32()? as usize;
-    let mut seen_blocks = Vec::with_capacity(nseen.min(1 << 22));
-    for _ in 0..nseen {
-        seen_blocks.push(d.u32()?);
-    }
-    let stats = decode_cache_stats(&mut d)?;
-    Ok(EcacheState {
-        tags,
-        seen_blocks,
-        stats,
-    })
-}
-
-fn encode_mem(state: &MainMemoryState) -> Enc {
-    let mut e = Enc::new();
-    e.u32(state.latency_cycles);
-    e.u64(state.reads);
-    e.u64(state.writes);
-    e.u32(state.pages.len() as u32);
-    for (n, words) in &state.pages {
-        e.u32(*n);
-        for &w in words {
-            e.u32(w);
-        }
-    }
-    e
-}
-
-fn decode_mem(body: &[u8]) -> Result<MainMemoryState, SnapshotError> {
-    let mut d = Dec::new(body);
-    let latency_cycles = d.u32()?;
-    let reads = d.u64()?;
-    let writes = d.u64()?;
-    let npages = d.u32()? as usize;
-    let mut pages = Vec::with_capacity(npages.min(1 << 16));
-    for _ in 0..npages {
-        let n = d.u32()?;
-        let mut words = Vec::with_capacity(4096);
-        for _ in 0..4096 {
-            words.push(d.u32()?);
-        }
-        pages.push((n, words));
-    }
-    Ok(MainMemoryState {
-        latency_cycles,
-        reads,
-        writes,
-        pages,
-    })
-}
-
-fn encode_plan(plan: &FaultPlan) -> Enc {
-    let mut e = Enc::new();
-    e.u32(plan.events().len() as u32);
-    for event in plan.events() {
-        e.u64(event.cycle);
-        match event.kind {
-            FaultKind::Interrupt { hold } => {
-                e.u8(0);
-                e.u32(hold);
-            }
-            FaultKind::Nmi => {
-                e.u8(1);
-                e.u32(0);
-            }
-            FaultKind::IcacheParity => {
-                e.u8(2);
-                e.u32(0);
-            }
-            FaultKind::EcacheJitter { extra } => {
-                e.u8(3);
-                e.u32(extra);
-            }
-            FaultKind::CoprocBusy { cycles } => {
-                e.u8(4);
-                e.u32(cycles);
-            }
-        }
-    }
-    e.u64(plan.cursor() as u64);
-    match plan.irq_release() {
-        None => e.flag(false),
-        Some(release) => {
-            e.flag(true);
-            e.u64(release);
-        }
-    }
-    e
-}
-
-fn decode_plan(body: &[u8]) -> Result<FaultPlan, SnapshotError> {
-    let mut d = Dec::new(body);
-    let nevents = d.u32()? as usize;
-    let mut events = Vec::with_capacity(nevents.min(1 << 20));
-    for _ in 0..nevents {
-        let cycle = d.u64()?;
-        let kind_byte = d.u8()?;
-        let arg = d.u32()?;
-        let kind = match kind_byte {
-            0 => FaultKind::Interrupt { hold: arg },
-            1 => FaultKind::Nmi,
-            2 => FaultKind::IcacheParity,
-            3 => FaultKind::EcacheJitter { extra: arg },
-            4 => FaultKind::CoprocBusy { cycles: arg },
-            other => {
-                return Err(SnapshotError::Malformed(format!(
-                    "unknown fault kind {other}"
-                )))
-            }
-        };
-        events.push(FaultEvent { cycle, kind });
-    }
-    let cursor = d.u64()? as usize;
-    let irq_release = if d.flag()? { Some(d.u64()?) } else { None };
-    let mut plan = FaultPlan::new(events);
-    plan.restore_progress(cursor, irq_release);
-    Ok(plan)
+/// Frame one section onto `out`: tag, body length, then the body `walk`
+/// writes.
+fn section(out: &mut Vec<u8>, tag: [u8; 4], walk: impl FnOnce(&mut Vec<u8>) -> Walked) -> Walked {
+    out.extend_from_slice(&tag);
+    let at = out.len();
+    out.extend_from_slice(&[0; 8]);
+    walk(out)?;
+    let len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+    Ok(())
 }
 
 // --- envelope ------------------------------------------------------------
@@ -840,13 +665,17 @@ fn verify_envelope(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
 type Sections<'a> = Vec<([u8; 4], &'a [u8])>;
 
 /// Split the payload into `(tag, body)` sections.
-fn split_sections(payload: &[u8]) -> Result<Sections<'_>, SnapshotError> {
-    let mut d = Dec::new(payload);
+fn split_sections(mut payload: &[u8]) -> Result<Sections<'_>, SnapshotError> {
     let mut sections = Vec::new();
-    while !d.finished() {
-        let tag: [u8; 4] = d.take(4)?.try_into().unwrap();
-        let len = d.u64()? as usize;
-        sections.push((tag, d.take(len)?));
+    while !payload.is_empty() {
+        let (mut tag, mut len) = ([0; 4], 0);
+        payload.bytes(&mut tag)?;
+        payload.u64(&mut len)?;
+        let (body, rest) = payload
+            .split_at_checked(len as usize)
+            .ok_or(SnapshotError::Truncated)?;
+        sections.push((tag, body));
+        payload = rest;
     }
     Ok(sections)
 }
@@ -862,35 +691,40 @@ impl Machine {
         if self.coprocs.iter().any(Option::is_some) {
             return Err(SnapshotError::CoprocessorAttached);
         }
-        let mut payload = Vec::new();
-        push_section(&mut payload, TAG_CFG, encode_cfg(&self.cfg));
-        push_section(&mut payload, TAG_CPU, encode_cpu(self));
-        push_section(&mut payload, TAG_PIPE, encode_pipe(&self.slots));
-        push_section(&mut payload, TAG_FSM, encode_fsms(self));
-        push_section(&mut payload, TAG_STAT, encode_stats(&self.stats));
-        push_section(
-            &mut payload,
-            TAG_ICACHE,
-            encode_icache(&self.icache.snapshot_state()),
-        );
-        push_section(
-            &mut payload,
-            TAG_ECACHE,
-            encode_ecache(&self.ecache.snapshot_state()),
-        );
-        push_section(
-            &mut payload,
-            TAG_MEM,
-            encode_mem(&self.mem.snapshot_state()),
-        );
-        if let Some(plan) = plan {
-            push_section(&mut payload, TAG_PLAN, encode_plan(plan));
-        }
-        let mut out = Vec::with_capacity(24 + payload.len());
-        out.extend_from_slice(&SNAPSHOT_MAGIC);
+        // The walks take their fields in place; the writer walks copies.
+        let mut out = SNAPSHOT_MAGIC.to_vec();
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&payload);
+        out.extend_from_slice(&[0; 8]);
+        section(&mut out, TAG_CFG, |w| cfg(w, &mut { self.cfg }))?;
+        section(&mut out, TAG_CPU, |w| {
+            let flags = [
+                &mut { self.halted },
+                &mut { self.pending_fetch_kill },
+                &mut { self.interrupt_line },
+                &mut { self.nmi_pending },
+                &mut self.decoded.enabled(),
+            ];
+            cpu(w, &mut self.cpu.clone(), flags)
+        })?;
+        section(&mut out, TAG_PIPE, |w| pipe(w, &mut { self.slots }))?;
+        section(&mut out, TAG_FSM, |w| {
+            fsm(w, &mut { self.miss_fsm }, &mut { self.squash_fsm })
+        })?;
+        section(&mut out, TAG_STAT, |w| stat(w, &mut { self.stats }))?;
+        section(&mut out, TAG_ICACHE, |w| {
+            icache(w, &mut self.icache.snapshot_state())
+        })?;
+        section(&mut out, TAG_ECACHE, |w| {
+            ecache(w, &mut self.ecache.snapshot_state())
+        })?;
+        section(&mut out, TAG_MEM, |w| {
+            mem(w, &mut self.mem.snapshot_state())
+        })?;
+        if let Some(p) = plan {
+            section(&mut out, TAG_PLAN, |w| fault_plan(w, &mut p.clone()))?;
+        }
+        let payload_len = (out.len() - 16) as u64;
+        out[8..16].copy_from_slice(&payload_len.to_le_bytes());
         let checksum = fnv1a(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
         Ok(out)
@@ -905,71 +739,68 @@ impl Machine {
     /// Any [`SnapshotError`]: bad magic, newer version, checksum mismatch,
     /// truncation, or a state that does not fit its own configuration.
     pub fn restore_snapshot(bytes: &[u8]) -> Result<(Machine, Option<FaultPlan>), SnapshotError> {
-        let payload = verify_envelope(bytes)?;
-        let sections = split_sections(payload)?;
-        let cfg_body = sections
+        let sections = split_sections(verify_envelope(bytes)?)?;
+        let mut cfg_body = sections
             .iter()
             .find(|(tag, _)| *tag == TAG_CFG)
             .map(|(_, body)| *body)
-            .ok_or_else(|| SnapshotError::Malformed("missing CFG section".into()))?;
-        let cfg = decode_cfg(cfg_body)?;
-        let mut machine = Machine::new(cfg);
+            .ok_or_else(|| malformed("missing CFG section".into()))?;
+        let mut config = MachineConfig::mipsx();
+        cfg(&mut cfg_body, &mut config)?;
+        let mut m = Machine::new(config);
         let mut plan = None;
         let mut seen_cpu = false;
-        for (tag, body) in sections {
+        for (tag, mut body) in sections {
+            let r = &mut body;
             match tag {
-                TAG_CFG => {}
                 TAG_CPU => {
-                    let cpu = decode_cpu(body)?;
-                    for (i, v) in cpu.regs.iter().enumerate() {
-                        machine.cpu.set_reg(Reg::new(i as u8), *v);
-                    }
-                    machine.cpu.pc = cpu.pc;
-                    machine.cpu.pc_chain = cpu.chain;
-                    machine.cpu.psw = cpu.psw;
-                    machine.cpu.psw_old = cpu.psw_old;
-                    machine.cpu.md = cpu.md;
-                    machine.halted = cpu.halted;
-                    machine.pending_fetch_kill = cpu.pending_fetch_kill;
-                    machine.interrupt_line = cpu.interrupt_line;
-                    machine.nmi_pending = cpu.nmi_pending;
-                    machine.decoded.set_enabled(cpu.decode_enabled);
+                    let mut decode = false;
+                    let flags = [
+                        &mut m.halted,
+                        &mut m.pending_fetch_kill,
+                        &mut m.interrupt_line,
+                        &mut m.nmi_pending,
+                        &mut decode,
+                    ];
+                    cpu(r, &mut m.cpu, flags)?;
+                    m.decoded.set_enabled(decode);
                     seen_cpu = true;
                 }
-                TAG_PIPE => machine.slots = decode_pipe(body)?,
-                TAG_FSM => apply_fsms(&mut machine, body)?,
-                TAG_STAT => machine.stats = decode_stats(body)?,
+                TAG_PIPE => pipe(r, &mut m.slots)?,
+                TAG_FSM => fsm(r, &mut m.miss_fsm, &mut m.squash_fsm)?,
+                TAG_STAT => stat(r, &mut m.stats)?,
+                // A cache or memory reads into its own fresh state, which
+                // then checks the shape against the organization.
                 TAG_ICACHE => {
-                    let state = decode_icache(body)?;
-                    machine
-                        .icache
-                        .restore_state(&state)
-                        .map_err(SnapshotError::Malformed)?;
+                    let mut state = m.icache.snapshot_state();
+                    icache(r, &mut state)?;
+                    m.icache.restore_state(&state).map_err(malformed)?;
                 }
                 TAG_ECACHE => {
-                    let state = decode_ecache(body)?;
-                    machine
-                        .ecache
-                        .restore_state(&state)
-                        .map_err(SnapshotError::Malformed)?;
+                    let mut state = m.ecache.snapshot_state();
+                    ecache(r, &mut state)?;
+                    m.ecache.restore_state(&state).map_err(malformed)?;
                 }
                 TAG_MEM => {
-                    let state = decode_mem(body)?;
-                    machine
-                        .mem
-                        .restore_state(&state)
-                        .map_err(SnapshotError::Malformed)?;
+                    let mut state = m.mem.snapshot_state();
+                    mem(r, &mut state)?;
+                    m.mem.restore_state(&state).map_err(malformed)?;
                 }
-                TAG_PLAN => plan = Some(decode_plan(body)?),
-                // Unknown tag: a same-version writer appended a section this
-                // reader does not know. Skip it.
+                TAG_PLAN => {
+                    let mut p = FaultPlan::none();
+                    fault_plan(r, &mut p)?;
+                    plan = Some(p);
+                }
+                // CFG is already read. An unknown tag is a section a
+                // same-version writer appended that this reader does not
+                // know: skip it.
                 _ => {}
             }
         }
         if !seen_cpu {
-            return Err(SnapshotError::Malformed("missing CPU section".into()));
+            return Err(malformed("missing CPU section".into()));
         }
-        Ok((machine, plan))
+        Ok((m, plan))
     }
 }
 
@@ -978,7 +809,7 @@ impl Machine {
 ///
 /// # Errors
 /// As [`Machine::restore_snapshot`] for envelope and section-framing
-/// problems.
+/// problems, and for malformed CPU and STAT sections.
 pub fn inspect(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
     let payload = verify_envelope(bytes)?;
     let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
@@ -993,18 +824,29 @@ pub fn inspect(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotError> {
         checksum,
         sections: Vec::with_capacity(sections.len()),
     };
-    for (tag, body) in sections {
+    for (tag, mut body) in sections {
         info.sections.push((
             String::from_utf8_lossy(&tag).trim_end().to_string(),
             body.len() as u64,
         ));
         match tag {
             TAG_CPU => {
-                let cpu = decode_cpu(body)?;
-                info.pc = cpu.pc;
-                info.halted = cpu.halted;
+                let mut c = Cpu::new();
+                let flags = [
+                    &mut info.halted,
+                    &mut false,
+                    &mut false,
+                    &mut false,
+                    &mut false,
+                ];
+                cpu(&mut body, &mut c, flags)?;
+                info.pc = c.pc;
             }
-            TAG_STAT => info.cycles = decode_stats(body)?.cycles,
+            TAG_STAT => {
+                let mut stats = RunStats::default();
+                stat(&mut body, &mut stats)?;
+                info.cycles = stats.cycles;
+            }
             TAG_PLAN => info.has_fault_plan = true,
             _ => {}
         }
@@ -1081,9 +923,12 @@ mod tests {
         for v in 1..=24u64 {
             expected.extend_from_slice(&v.to_le_bytes());
         }
-        let bytes = encode_stats(&stats).buf;
+        let mut bytes = Vec::new();
+        stat(&mut bytes, &mut { stats }).unwrap();
         assert_eq!(bytes, expected);
-        assert_eq!(decode_stats(&bytes).unwrap(), stats);
+        let mut back = RunStats::default();
+        stat(&mut &bytes[..], &mut back).unwrap();
+        assert_eq!(back, stats);
     }
 
     #[test]
@@ -1101,11 +946,13 @@ mod tests {
             sub_block_misses: 8,
         };
         assert_eq!(stats, by_name);
-        let mut e = Enc::new();
-        encode_cache_stats(&mut e, &stats);
+        let mut bytes = Vec::new();
+        cache_stats(&mut bytes, &mut { stats }).unwrap();
         let expected: Vec<u8> = (1..=8u64).flat_map(u64::to_le_bytes).collect();
-        assert_eq!(e.buf, expected);
-        assert_eq!(decode_cache_stats(&mut Dec::new(&e.buf)).unwrap(), stats);
+        assert_eq!(bytes, expected);
+        let mut back = CacheStats::default();
+        cache_stats(&mut &bytes[..], &mut back).unwrap();
+        assert_eq!(back, stats);
     }
 
     #[test]
@@ -1291,6 +1138,139 @@ mod tests {
         let text = info.to_string();
         assert!(text.contains("cycle 37"), "{text}");
         assert!(text.contains("+fault-plan"), "{text}");
+    }
+
+    /// Rebuild `bytes` with `edit` applied to the section list, then
+    /// re-frame and re-seal it, so the checksum passes and the readers see
+    /// the edit.
+    fn resealed(bytes: &[u8], edit: impl FnOnce(&mut Vec<([u8; 4], Vec<u8>)>)) -> Vec<u8> {
+        let mut sections = Vec::new();
+        let mut rest = &bytes[16..bytes.len() - 8];
+        while !rest.is_empty() {
+            let len = u64::from_le_bytes(rest[4..12].try_into().unwrap()) as usize;
+            sections.push((rest[..4].try_into().unwrap(), rest[12..12 + len].to_vec()));
+            rest = &rest[12 + len..];
+        }
+        edit(&mut sections);
+        let mut out = bytes[..8].to_vec();
+        let payload: Vec<u8> = sections
+            .iter()
+            .flat_map(|(tag, body)| [&tag[..], &(body.len() as u64).to_le_bytes(), body].concat())
+            .collect();
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&payload);
+        let sum = fnv1a(&out);
+        out.extend_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    /// Patch `at` of the `tag` section's body with `patch`, then re-seal.
+    fn patched(bytes: &[u8], tag: &[u8; 4], at: usize, patch: &[u8]) -> Vec<u8> {
+        resealed(bytes, |sections| {
+            let body = &mut sections.iter_mut().find(|(t, _)| t == tag).unwrap().1;
+            body[at..at + patch.len()].copy_from_slice(patch);
+        })
+    }
+
+    /// Every reader rule past a valid checksum: a real board-config
+    /// snapshot, one body edit per case, re-sealed, and the exact error.
+    #[test]
+    fn sealed_malformations_name_their_rule() {
+        let plan = FaultPlan::parse("10:parity,25:jitter3,2000:nmi").unwrap();
+        let bytes = machine_mid_run(37).save_snapshot(Some(&plan)).unwrap();
+        let malformed = |why: &str| Err(SnapshotError::Malformed(why.into()));
+        let restore = |bytes: &[u8]| Machine::restore_snapshot(bytes).map(|_| ());
+        // CFG: slots u32 @0, interlock @4, replacement @25, Icache enabled
+        // flag @26, coprocessor scheme @45.
+        let cases: [(&[u8; 4], usize, &[u8], &str); 10] = [
+            (b"CFG ", 4, &[2], "unknown interlock policy 2"),
+            (b"CFG ", 25, &[3], "unknown replacement policy 3"),
+            (b"CFG ", 45, &[4], "unknown coprocessor scheme 4"),
+            (b"CFG ", 0, &[3, 0, 0, 0], "3 branch delay slots"),
+            (b"CFG ", 26, &[2], "flag byte is 2, expected 0 or 1"),
+            (b"CPU ", 132, &[4], "PC chain depth 4, expected 3"),
+            (
+                b"FSM ",
+                0,
+                &[1, 0, 0, 0, 0],
+                "stalled miss FSM with zero cycles left",
+            ),
+            (b"FSM ", 0, &[7], "unknown miss FSM state 7"),
+            (
+                b"STAT",
+                0,
+                &[23, 0, 0, 0],
+                "23 statistics fields, expected 24",
+            ),
+            // PLAN: event count u32, then the first event's cycle u64.
+            (b"PLAN", 12, &[9], "unknown fault kind 9"),
+        ];
+        for (tag, at, patch, why) in cases {
+            let bad = patched(&bytes, tag, at, patch);
+            assert_eq!(restore(&bad), malformed(why), "{why}");
+        }
+        // inspect reads CPU and STAT through the same rules.
+        assert_eq!(
+            inspect(&patched(&bytes, b"CPU ", 132, &[4])).map(|_| ()),
+            malformed("PC chain depth 4, expected 3")
+        );
+        assert_eq!(
+            inspect(&patched(&bytes, b"STAT", 0, &[23])).map(|_| ()),
+            malformed("23 statistics fields, expected 24")
+        );
+
+        // ICHE: drop the last block and its count, so the body parses
+        // clean and the cache refuses the shape.
+        let short = resealed(&bytes, |sections| {
+            let body = &mut sections.iter_mut().find(|(t, _)| t == b"ICHE").unwrap().1;
+            let n = u32::from_le_bytes(body[..4].try_into().unwrap());
+            let mut at = 4;
+            for _ in 0..n - 1 {
+                at += 1 + 4 * body[at] as usize + 16;
+            }
+            let last = 1 + 4 * body[at] as usize + 16;
+            body.drain(at..at + last);
+            body[..4].copy_from_slice(&(n - 1).to_le_bytes());
+        });
+        assert_eq!(
+            restore(&short),
+            malformed("icache state has 31 blocks, organization needs 32")
+        );
+
+        // A body cut mid-field (CPU's PC), framed at its cut length.
+        let cut = resealed(&bytes, |sections| {
+            sections
+                .iter_mut()
+                .find(|(t, _)| t == b"CPU ")
+                .unwrap()
+                .1
+                .truncate(130);
+        });
+        assert_eq!(restore(&cut), Err(SnapshotError::Truncated));
+        assert_eq!(inspect(&cut).map(|_| ()), Err(SnapshotError::Truncated));
+
+        for (tag, why) in [
+            (b"CFG ", "missing CFG section"),
+            (b"CPU ", "missing CPU section"),
+        ] {
+            let without = resealed(&bytes, |sections| sections.retain(|(t, _)| t != tag));
+            assert_eq!(restore(&without), malformed(why), "{why}");
+        }
+    }
+
+    /// A sealed CFG no machine can be built from is refused, not a panic
+    /// in `Machine::new`.
+    #[test]
+    fn sealed_unbuildable_config_is_malformed() {
+        let bytes = machine_mid_run(20).save_snapshot(None).unwrap();
+        // CFG: Icache rows u32 @5.
+        let bad = patched(&bytes, b"CFG ", 5, &3u32.to_le_bytes());
+        match Machine::restore_snapshot(&bad).map(|_| ()) {
+            Err(SnapshotError::Malformed(why)) => {
+                assert!(why.starts_with("rows must be a power of two"), "{why}")
+            }
+            other => panic!("expected a malformed config, got {other:?}"),
+        }
     }
 
     #[test]

@@ -211,11 +211,6 @@ impl BlockBackend {
     pub fn engine(&self) -> &BlockEngine {
         &self.engine
     }
-
-    /// The wrapped engine, mutable (telemetry attachment).
-    pub fn engine_mut(&mut self) -> &mut BlockEngine {
-        &mut self.engine
-    }
 }
 
 impl ExecBackend for BlockBackend {

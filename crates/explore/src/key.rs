@@ -27,41 +27,18 @@
 
 use std::fmt::Write as _;
 
-use mipsx_coproc::InterfaceScheme;
 use mipsx_core::{InterlockPolicy, SimConfig};
 use mipsx_mem::Replacement;
 
-use crate::spec::SimPoint;
+use crate::spec::{label, SimPoint, COPROC_LABELS};
 
 /// Bump when `mipsx-core`/`mipsx-mem` timing semantics change so that old
 /// cached results, which the config/image key cannot distinguish, are
 /// invalidated wholesale.
 pub const ENGINE_EPOCH: u32 = 1;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// 64-bit FNV-1a over a byte string.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// 64-bit FNV-1a over a `u32` word stream (for program images and traces).
-pub fn fnv1a_words<I: IntoIterator<Item = u32>>(words: I) -> u64 {
-    let mut h = FNV_OFFSET;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
-}
+// The one FNV-1a 64 implementation, shared with the snapshot checksum.
+pub use mipsx_core::snapshot::{fnv1a, fnv1a_words};
 
 /// The canonical, exhaustive text form of a configuration point. Two
 /// points canonicalize identically **iff** they simulate identically
@@ -92,12 +69,7 @@ pub fn canonical_cfg(c: &SimConfig) -> String {
         Replacement::Lru => "lru",
         Replacement::Random => "random",
     };
-    let coproc = match c.coproc_scheme {
-        InterfaceScheme::CoprocBit => "bit",
-        InterfaceScheme::CoprocField => "field",
-        InterfaceScheme::NonCached => "noncached",
-        InterfaceScheme::AddressLines => "addr",
-    };
+    let coproc = label(&COPROC_LABELS, c.coproc_scheme);
     let mut s = String::with_capacity(256);
     let _ = write!(
         s,

@@ -198,6 +198,36 @@ impl Workload {
     }
 }
 
+/// The spec-file values of `branch.squash`.
+const SQUASH_LABELS: [(SquashPolicy, &str); 3] = [
+    (SquashPolicy::NoSquash, "none"),
+    (SquashPolicy::AlwaysSquash, "always"),
+    (SquashPolicy::SquashOptional, "optional"),
+];
+
+/// The spec-file values of `coproc.scheme`, also the schemes' form in the
+/// canonical configuration text.
+pub(crate) const COPROC_LABELS: [(InterfaceScheme, &str); 4] = [
+    (InterfaceScheme::CoprocBit, "bit"),
+    (InterfaceScheme::CoprocField, "field"),
+    (InterfaceScheme::NonCached, "noncached"),
+    (InterfaceScheme::AddressLines, "addr"),
+];
+
+/// The label of `value` in a `(value, label)` table.
+pub(crate) fn label<T: PartialEq>(table: &[(T, &'static str)], value: T) -> &'static str {
+    table
+        .iter()
+        .find(|(v, _)| *v == value)
+        .map(|(_, l)| *l)
+        .expect("every value has a label")
+}
+
+/// The value labelled `s` in a `(value, label)` table.
+fn by_label<T: Copy>(table: &[(T, &str)], s: &str) -> Option<T> {
+    table.iter().find(|(_, l)| *l == s).map(|(v, _)| *v)
+}
+
 /// A sweepable configuration field.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AxisField {
@@ -254,45 +284,30 @@ impl AxisField {
 
     /// The spec-file name of this field.
     pub fn name(&self) -> &'static str {
-        AxisField::ALL
-            .iter()
-            .find(|(f, _)| f == self)
-            .map(|(_, n)| *n)
-            .expect("every field is in ALL")
+        label(&AxisField::ALL, *self)
     }
 
     /// Look a field up by spec-file name.
     pub fn from_name(name: &str) -> Result<AxisField, SpecError> {
-        AxisField::ALL
-            .iter()
-            .find(|(_, n)| *n == name)
-            .map(|(f, _)| *f)
-            .ok_or_else(|| {
-                let known: Vec<&str> = AxisField::ALL.iter().map(|(_, n)| *n).collect();
-                SpecError(format!(
-                    "unknown axis field {name} (known: {})",
-                    known.join(", ")
-                ))
-            })
+        by_label(&AxisField::ALL, name).ok_or_else(|| {
+            let known: Vec<&str> = AxisField::ALL.iter().map(|(_, n)| *n).collect();
+            SpecError(format!(
+                "unknown axis field {name} (known: {})",
+                known.join(", ")
+            ))
+        })
     }
 
     /// Parse one value for this field.
     pub fn parse_value(&self, s: &str) -> Result<AxisValue, SpecError> {
         let bad = || SpecError(format!("axis {}: bad value {s}", self.name()));
         match self {
-            AxisField::Squash => match s {
-                "none" => Ok(AxisValue::Squash(SquashPolicy::NoSquash)),
-                "always" => Ok(AxisValue::Squash(SquashPolicy::AlwaysSquash)),
-                "optional" => Ok(AxisValue::Squash(SquashPolicy::SquashOptional)),
-                _ => Err(bad()),
-            },
-            AxisField::CoprocScheme => match s {
-                "bit" => Ok(AxisValue::Coproc(InterfaceScheme::CoprocBit)),
-                "field" => Ok(AxisValue::Coproc(InterfaceScheme::CoprocField)),
-                "noncached" => Ok(AxisValue::Coproc(InterfaceScheme::NonCached)),
-                "addr" => Ok(AxisValue::Coproc(InterfaceScheme::AddressLines)),
-                _ => Err(bad()),
-            },
+            AxisField::Squash => by_label(&SQUASH_LABELS, s)
+                .map(AxisValue::Squash)
+                .ok_or_else(bad),
+            AxisField::CoprocScheme => by_label(&COPROC_LABELS, s)
+                .map(AxisValue::Coproc)
+                .ok_or_else(bad),
             AxisField::IcacheWholeBlockFill => match s {
                 "true" | "1" => Ok(AxisValue::Bool(true)),
                 "false" | "0" => Ok(AxisValue::Bool(false)),
@@ -326,13 +341,8 @@ impl fmt::Display for AxisValue {
         match self {
             AxisValue::U32(v) => write!(f, "{v}"),
             AxisValue::Bool(v) => write!(f, "{v}"),
-            AxisValue::Squash(SquashPolicy::NoSquash) => f.write_str("none"),
-            AxisValue::Squash(SquashPolicy::AlwaysSquash) => f.write_str("always"),
-            AxisValue::Squash(SquashPolicy::SquashOptional) => f.write_str("optional"),
-            AxisValue::Coproc(InterfaceScheme::CoprocBit) => f.write_str("bit"),
-            AxisValue::Coproc(InterfaceScheme::CoprocField) => f.write_str("field"),
-            AxisValue::Coproc(InterfaceScheme::NonCached) => f.write_str("noncached"),
-            AxisValue::Coproc(InterfaceScheme::AddressLines) => f.write_str("addr"),
+            AxisValue::Squash(policy) => f.write_str(label(&SQUASH_LABELS, *policy)),
+            AxisValue::Coproc(scheme) => f.write_str(label(&COPROC_LABELS, *scheme)),
             AxisValue::Engine(kind) => kind.fmt(f),
         }
     }

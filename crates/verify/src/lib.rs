@@ -62,6 +62,7 @@ pub use summary::{BlockExit, BlockSummary, HazardRef, ALL_REGS};
 pub use timing::{BlockCost, TimingAnalysis};
 
 use mipsx_asm::Program;
+use mipsx_core::probe::json_escape;
 use mipsx_isa::Instr;
 use std::fmt;
 
@@ -298,20 +299,6 @@ impl fmt::Display for LintReport {
             self.warning_count()
         )
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Can this instruction legally sit in a **squashed** delay slot?
