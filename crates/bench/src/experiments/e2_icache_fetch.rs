@@ -9,7 +9,7 @@
 //! cycles."*
 
 use mipsx_mem::{Icache, IcacheConfig};
-use mipsx_workloads::traces::{instruction_trace, TraceConfig};
+use mipsx_workloads::traces::{instruction_runs, TraceConfig};
 
 use crate::{Row, SEEDS};
 
@@ -67,10 +67,10 @@ pub fn run() -> FetchBack {
     let mut double_medium = Icache::new(double);
     let mut double_large = Icache::new(double);
     for &seed in SEEDS.iter() {
-        let medium = instruction_trace(TraceConfig::medium(seed));
-        let _ = single_medium.simulate_trace(medium.iter().copied());
-        let _ = double_medium.simulate_trace(medium);
-        let _ = double_large.simulate_trace(instruction_trace(TraceConfig::large(seed)));
+        let medium = instruction_runs(TraceConfig::medium(seed));
+        let _ = single_medium.simulate_runs(&medium);
+        let _ = double_medium.simulate_runs(&medium);
+        let _ = double_large.simulate_runs(&instruction_runs(TraceConfig::large(seed)));
     }
 
     FetchBack {

@@ -576,7 +576,7 @@ impl BlockEngine {
                 return step_once(m, sink, plan);
             }
             let (_, ecache, mem) = m.memory_mut();
-            let (_, extra) = ecache.read(addr, mem);
+            let extra = ecache.access(addr, mem);
             step_once(m, sink, plan)?;
             self.fetched += 1;
             m.start_stall(StallCause::EcacheRetry, extra);
@@ -715,7 +715,7 @@ impl BlockEngine {
         };
         let read = |m: &mut Machine, (pos, addr): (u64, u32)| {
             let (_, ecache, mem) = m.memory_mut();
-            let (_, extra) = ecache.read(addr, mem);
+            let extra = ecache.access(addr, mem);
             book(m, StallCause::EcacheRetry, extra, pos < on_clock_reads);
         };
         let mut next = 0;

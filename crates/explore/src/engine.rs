@@ -582,10 +582,10 @@ fn execute_job(
     tele.count("sweep.cache_misses", 1);
     let label = format!("{} | {}", job.point_label, job.workload.id());
     let result = match &image.artifact {
-        PreparedArtifact::Trace(addrs) => {
+        PreparedArtifact::Trace(runs) => {
             let _s = tele.span("run");
             let mut cache = Icache::new(job.point.cfg.icache);
-            let trace = cache.simulate_trace(addrs.iter().copied());
+            let trace = cache.simulate_runs(runs);
             JobResult {
                 icache_accesses: trace.stats.accesses,
                 icache_misses: trace.stats.misses,

@@ -49,7 +49,7 @@ use mipsx_engine::BlockEngine;
 use mipsx_reorg::{RawProgram, Reorganizer, ScheduleReport};
 use mipsx_telemetry::Telemetry;
 use mipsx_workloads::synth::{generate, SynthConfig};
-use mipsx_workloads::traces::{instruction_trace, TraceConfig};
+use mipsx_workloads::traces::{instruction_runs, TraceConfig};
 use mipsx_workloads::{find_kernel, kernel_names, streaming};
 
 use crate::key::{canonical_cfg, fnv1a_words};
@@ -64,8 +64,9 @@ pub enum PreparedArtifact {
         /// The reorganizer's scheduling statistics for that image.
         report: ScheduleReport,
     },
-    /// A raw instruction-address trace (Icache-only job).
-    Trace(Vec<u32>),
+    /// A raw instruction-address trace as sequential `(start, len)` runs
+    /// (Icache-only job).
+    Trace(Vec<(u32, u32)>),
 }
 
 /// One fully prepared (workload, scheme) cell: the artifact, its digest,
@@ -74,7 +75,8 @@ pub struct PreparedImage {
     /// The workload identity this image was prepared from.
     pub workload: String,
     /// FNV-1a digest of the image (program origin/entry/words, or the
-    /// trace addresses) — the `img=` component of the job key.
+    /// trace's addresses one word at a time) — the `img=` component of the
+    /// job key.
     pub digest: u64,
     /// The prepared artifact itself.
     pub artifact: PreparedArtifact,
@@ -89,7 +91,10 @@ impl PreparedImage {
                     .into_iter()
                     .chain(program.words.iter().copied()),
             ),
-            PreparedArtifact::Trace(addrs) => fnv1a_words(addrs.iter().copied()),
+            PreparedArtifact::Trace(runs) => fnv1a_words(
+                runs.iter()
+                    .flat_map(|&(start, len)| (0..len).map(move |k| start.wrapping_add(k))),
+            ),
         };
         PreparedImage {
             workload,
@@ -216,7 +221,7 @@ impl ImageCache {
             };
             return Ok(PreparedImage::new(
                 job.workload.id(),
-                PreparedArtifact::Trace(instruction_trace(cfg)),
+                PreparedArtifact::Trace(instruction_runs(cfg)),
             ));
         }
         let raw = self.raw(&job.workload, tele)?;

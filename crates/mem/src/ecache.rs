@@ -100,6 +100,11 @@ pub struct Ecache {
     tag_pages: Vec<Option<Box<[Option<u32>]>>>,
     /// log2 of the frames per tag page.
     page_bits: u32,
+    /// log2 of the words per block: an address's block number is
+    /// `addr >> block_bits`.
+    block_bits: u32,
+    /// log2 of the frames: a block's tag is `block >> frame_bits`.
+    frame_bits: u32,
     /// Block addresses ever read, for cold/conflict classification.
     seen_blocks: HashSet<u32, BuildU32Hasher>,
     stats: CacheStats,
@@ -117,6 +122,8 @@ impl Ecache {
         Ecache {
             tag_pages: vec![None; (cfg.num_blocks() / page_frames) as usize],
             page_bits: page_frames.trailing_zeros(),
+            block_bits: cfg.block_words.trailing_zeros(),
+            frame_bits: cfg.num_blocks().trailing_zeros(),
             seen_blocks: HashSet::default(),
             cfg,
             stats: CacheStats::new(),
@@ -176,11 +183,10 @@ impl Ecache {
     #[inline]
     fn index_and_tag(&self, addr: u32) -> (usize, u32) {
         // Sizes are powers of two: shifts and masks, not divisions.
-        let block = addr >> self.cfg.block_words.trailing_zeros();
-        let frames = self.cfg.num_blocks();
+        let block = addr >> self.block_bits;
         (
-            (block & (frames - 1)) as usize,
-            block >> frames.trailing_zeros(),
+            (block & ((1 << self.frame_bits) - 1)) as usize,
+            block >> self.frame_bits,
         )
     }
 
@@ -199,30 +205,40 @@ impl Ecache {
     /// processor pays beyond the base MEM cycle — zero on a hit, the
     /// late-miss retry loop on a miss.
     pub fn read(&mut self, addr: u32, mem: &mut MainMemory) -> (u32, u32) {
+        let extra = self.access(addr, mem);
+        (mem.peek(addr), extra)
+    }
+
+    /// Book a read of `addr` exactly as [`Ecache::read`] does — cache
+    /// statistics, tags and `mem`'s read counter — without fetching the
+    /// word, for callers that need only the stall. Returns the extra
+    /// cycles.
+    #[inline]
+    pub fn access(&mut self, addr: u32, mem: &mut MainMemory) -> u32 {
+        mem.count_read();
         if !self.cfg.enabled {
             // A disabled cache retains nothing: every read is compulsory.
             let extra = self.cfg.late_miss_overhead + mem.latency_cycles;
             self.stats.record_miss(extra as u64, 1);
             self.stats.record_miss_cause(MissCause::Cold);
-            return (mem.read(addr), extra);
+            return extra;
         }
         let (index, tag) = self.index_and_tag(addr);
         if self.tag(index) == Some(tag) {
             self.stats.record_hit();
-            (mem.read(addr), 0)
-        } else {
-            let extra = self.cfg.late_miss_overhead + mem.latency_cycles;
-            self.set_tag(index, tag);
-            self.stats
-                .record_miss(extra as u64, self.cfg.block_words as u64);
-            let cause = if self.seen_blocks.insert(addr / self.cfg.block_words) {
-                MissCause::Cold
-            } else {
-                MissCause::Conflict
-            };
-            self.stats.record_miss_cause(cause);
-            (mem.read(addr), extra)
+            return 0;
         }
+        let extra = self.cfg.late_miss_overhead + mem.latency_cycles;
+        self.set_tag(index, tag);
+        self.stats
+            .record_miss(extra as u64, self.cfg.block_words as u64);
+        let cause = if self.seen_blocks.insert(addr >> self.block_bits) {
+            MissCause::Cold
+        } else {
+            MissCause::Conflict
+        };
+        self.stats.record_miss_cause(cause);
+        extra
     }
 
     /// Write a word through the cache (write-through, no write-allocate,
@@ -392,6 +408,24 @@ mod tests {
         assert_eq!(v, 1234);
         assert_eq!(extra, 0); // still resident
         assert_eq!(m.peek(20), 1234); // memory updated immediately
+    }
+
+    #[test]
+    fn access_books_what_read_books() {
+        for enabled in [true, false] {
+            let cfg = EcacheConfig {
+                enabled,
+                ..small().0.config()
+            };
+            let (mut reader, mut reader_mem) = (Ecache::new(cfg), MainMemory::with_latency(5));
+            let (mut booker, mut booker_mem) = (Ecache::new(cfg), MainMemory::with_latency(5));
+            for addr in [0, 1, 64, 0, 200, 3, 64] {
+                let (_, extra) = reader.read(addr, &mut reader_mem);
+                assert_eq!(booker.access(addr, &mut booker_mem), extra);
+            }
+            assert_eq!(booker.snapshot_state(), reader.snapshot_state());
+            assert_eq!(booker_mem.reads(), reader_mem.reads());
+        }
     }
 
     #[test]

@@ -120,26 +120,18 @@ impl Default for IcacheConfig {
     }
 }
 
-/// One cached block: a tag plus per-word valid bits (sub-block placement).
-#[derive(Clone, Copy, Debug, Default)]
-struct Block {
-    tag: Option<u32>,
-    /// Bit `i` set ⇔ word `i` of the block is valid.
-    valid: u64,
-    /// Recency stamp for LRU.
-    stamp: u64,
-}
+/// The tag of an unallocated way. A tag is at most 32 bits, so no line's
+/// tag equals it.
+const NO_TAG: u64 = u64::MAX;
 
-/// Where a line sits in its row, from one scan of the row's ways.
+/// Where a line sits in its row, from one scan of the row's tags.
 #[derive(Clone, Copy, Debug)]
 enum Slot {
     /// The line's tag holds this block (a tag occupies at most one way of
     /// a row: a fill allocates only when its tag is absent).
     Present(usize),
-    /// The tag is absent: the first unallocated way, if any, and (under
-    /// LRU replacement) the least recently stamped way — the victim
-    /// candidates.
-    Absent { empty: Option<u32>, lru: u32 },
+    /// The tag is absent; a fill picks its victim way then.
+    Absent,
     /// The cache is disabled and retains nothing.
     Bypass,
 }
@@ -168,8 +160,19 @@ pub struct TraceResult {
 #[derive(Clone, Debug)]
 pub struct Icache {
     cfg: IcacheConfig,
-    /// `blocks[row * ways + way]`.
-    blocks: Vec<Block>,
+    /// The blocks, one entry per way in `row * ways + way` order across
+    /// parallel arrays, so a row scan reads only its contiguous tags.
+    /// `tags[i]` is the block's tag ([`NO_TAG`] when unallocated).
+    tags: Vec<u64>,
+    /// `valid[i]` bit `w` set ⇔ word `w` of block `i` is valid (sub-block
+    /// placement).
+    valid: Vec<u64>,
+    /// `stamps[i]`: block `i`'s recency stamp, for LRU.
+    stamps: Vec<u64>,
+    /// `known[i]`: block `i`'s address is already in `seen_blocks`, so a
+    /// sub-block miss on it skips the hash insert. A pure memo — `false`
+    /// is always safe — so it is not part of [`IcacheState`].
+    known: Vec<bool>,
     /// FIFO pointer per row.
     fifo: Vec<u32>,
     /// Recency counter for LRU stamps.
@@ -189,8 +192,12 @@ impl Icache {
     /// docs).
     pub fn new(cfg: IcacheConfig) -> Icache {
         cfg.validate();
+        let blocks = (cfg.rows * cfg.ways) as usize;
         Icache {
-            blocks: vec![Block::default(); (cfg.rows * cfg.ways) as usize],
+            tags: vec![NO_TAG; blocks],
+            valid: vec![0; blocks],
+            stamps: vec![0; blocks],
+            known: vec![false; blocks],
             fifo: vec![0; cfg.rows as usize],
             clock: 0,
             rng: 0x9E37_79B9_7F4A_7C15,
@@ -223,9 +230,10 @@ impl Icache {
     /// Invalidate everything (cold start — miss classification restarts
     /// too, so the first re-reference of each block counts as cold again).
     pub fn invalidate_all(&mut self) {
-        for b in &mut self.blocks {
-            *b = Block::default();
-        }
+        self.tags.fill(NO_TAG);
+        self.valid.fill(0);
+        self.stamps.fill(0);
+        self.known.fill(false);
         self.fifo.fill(0);
         self.seen_blocks.clear();
     }
@@ -257,15 +265,13 @@ impl Icache {
             return false;
         }
         let (row, tag, word) = self.locate(addr);
-        for way in 0..self.cfg.ways {
-            let index = self.block_index(row, way);
-            let b = &mut self.blocks[index];
-            if b.tag == Some(tag) && b.valid & (1 << word) != 0 {
-                b.valid &= !(1 << word);
-                return true;
+        match self.scan(row, tag) {
+            Slot::Present(index) if self.valid[index] & (1 << word) != 0 => {
+                self.valid[index] &= !(1 << word);
+                true
             }
+            _ => false,
         }
-        false
     }
 
     /// Whether `addr` is resident (no statistics side effects).
@@ -274,15 +280,14 @@ impl Icache {
             return false;
         }
         let (row, tag, word) = self.locate(addr);
-        (0..self.cfg.ways).any(|way| {
-            let b = &self.blocks[self.block_index(row, way)];
-            b.tag == Some(tag) && b.valid & (1 << word) != 0
-        })
+        matches!(self.scan(row, tag),
+            Slot::Present(index) if self.valid[index] & (1 << word) != 0)
     }
 
     /// Record a fetch of `addr`, updating statistics and replacement state.
     /// On a miss the service cost is attributed separately by whoever
-    /// services it ([`Icache::fetch_through`] or [`Icache::simulate_trace`]).
+    /// services it ([`Icache::fetch_through`], or the trace path of
+    /// [`Icache::simulate_runs`]).
     pub fn fetch(&mut self, addr: u32) -> FetchOutcome {
         match self.access(addr) {
             Ok(_) => FetchOutcome::Hit,
@@ -290,28 +295,29 @@ impl Icache {
         }
     }
 
-    /// One row scan for line `(row, tag)`: the way holding the tag, or
-    /// else the victim candidates.
+    /// One row scan for line `(row, tag)`: the way holding the tag, if
+    /// any. It compares every way, with no early exit: a tag sits in at
+    /// most one way, and a scan with no exit branch to mispredict was
+    /// faster than one that stops at the tag (4- to 16-word-block traces).
     #[inline]
     fn scan(&self, row: u32, tag: u32) -> Slot {
         let base = self.block_index(row, 0);
-        let track_lru = self.cfg.replacement == Replacement::Lru;
-        let mut empty = None;
-        let (mut lru, mut oldest) = (0, u64::MAX);
-        for (way, b) in self.blocks[base..base + self.cfg.ways as usize]
+        let tag = u64::from(tag);
+        // `usize::MAX` for none: an `Option` here measured slower.
+        let mut hit = usize::MAX;
+        for (way, &t) in self.tags[base..base + self.cfg.ways as usize]
             .iter()
             .enumerate()
         {
-            match b.tag {
-                Some(t) if t == tag => return Slot::Present(base + way),
-                None if empty.is_none() => empty = Some(way as u32),
-                _ => {}
-            }
-            if track_lru && b.stamp < oldest {
-                (lru, oldest) = (way as u32, b.stamp);
+            if t == tag {
+                hit = way;
             }
         }
-        Slot::Absent { empty, lru }
+        if hit == usize::MAX {
+            Slot::Absent
+        } else {
+            Slot::Present(base + hit)
+        }
     }
 
     /// [`Icache::fetch`]'s bookkeeping: `Ok(block index)` on a hit, or the
@@ -325,7 +331,7 @@ impl Icache {
         let (row, tag, word) = self.locate(addr);
         let slot = self.scan(row, tag);
         if let Slot::Present(index) = slot {
-            if self.blocks[index].valid & (1 << word) != 0 {
+            if self.valid[index] & (1 << word) != 0 {
                 self.book_hits(index, 1);
                 return Ok(index);
             }
@@ -335,18 +341,22 @@ impl Icache {
     }
 
     /// The miss-cause rule: record a miss on `addr` and classify it from
-    /// the row scan `slot` that found the word absent.
+    /// the row scan `slot` that found the word absent. Afterwards the
+    /// missed block's address is in `seen_blocks`.
     #[inline]
     fn record_miss(&mut self, addr: u32, slot: Slot) {
         self.stats.record_miss_pending();
         let block_addr = addr >> self.cfg.block_words.trailing_zeros();
         let cause = match slot {
-            Slot::Present(_) => {
-                self.seen_blocks.insert(block_addr);
+            Slot::Present(index) => {
+                if !self.known[index] {
+                    self.seen_blocks.insert(block_addr);
+                    self.known[index] = true;
+                }
                 MissCause::SubBlockInvalid
             }
-            Slot::Absent { .. } if self.seen_blocks.insert(block_addr) => MissCause::Cold,
-            Slot::Absent { .. } => MissCause::Conflict,
+            Slot::Absent if self.seen_blocks.insert(block_addr) => MissCause::Cold,
+            Slot::Absent => MissCause::Conflict,
             // A disabled cache never retains anything: every fetch is a
             // compulsory trip off-chip.
             Slot::Bypass => MissCause::Cold,
@@ -359,7 +369,7 @@ impl Icache {
     #[inline]
     fn book_hits(&mut self, index: usize, words: u32) {
         self.clock += u64::from(words);
-        self.blocks[index].stamp = self.clock;
+        self.stamps[index] = self.clock;
         self.stats.accesses += u64::from(words);
         self.stats.hits += u64::from(words);
     }
@@ -367,43 +377,52 @@ impl Icache {
     /// The hit kernel: walk `len` sequential fetches from `start`
     /// (addresses wrap) a line at a time, one row scan per line, booking
     /// each line's consecutive valid words as hits in one step. Each absent
-    /// word goes to `miss` with its line's scan; the walk goes on past it
-    /// if `miss` returns true and otherwise stops there, leaving it
-    /// unbooked. Returns the fetches walked. Booking a line's hits at once
-    /// is exact: a hit moves no block and sets no valid bit, and
-    /// [`Icache::book_hits`] stamps the line as its last fetch would.
+    /// word goes to `miss` with its line's slot. If `miss` fills the word
+    /// it returns the line's slot after the fill, and the walk goes on in
+    /// the same line without scanning again; `None` stops the walk there,
+    /// leaving the word unbooked. Returns the fetches walked. Booking a
+    /// line's hits at once is exact: a hit moves no block and sets no
+    /// valid bit, and [`Icache::book_hits`] stamps the line as its last
+    /// fetch would. Going on from a fill's slot is exact too: a fill moves
+    /// only the missed line, unless its fetch-back partner opens the next
+    /// line, which happens only at the line's last word.
     #[inline]
     fn walk(
         &mut self,
         start: u32,
         len: u32,
-        mut miss: impl FnMut(&mut Icache, u32, Slot) -> bool,
+        mut miss: impl FnMut(&mut Icache, u32, Slot) -> Option<Slot>,
     ) -> u32 {
         let mut done = 0;
         while done < len {
             let (row, tag, word) = self.locate(start.wrapping_add(done));
-            let slot = if self.cfg.enabled {
+            let mut slot = if self.cfg.enabled {
                 self.scan(row, tag)
             } else {
                 Slot::Bypass
             };
-            if let Slot::Present(index) = slot {
-                let wanted = (self.cfg.block_words - word).min(len - done);
-                let valid = (!(self.blocks[index].valid >> word)).trailing_zeros();
-                let run = valid.min(wanted);
-                // A line no fetch hit keeps its recency stamp.
-                if run > 0 {
-                    self.book_hits(index, run);
-                    done += run;
+            // This line's fetches are `first..end` of the run.
+            let first = done;
+            let end = done + (self.cfg.block_words - word).min(len - done);
+            while done < end {
+                if let Slot::Present(index) = slot {
+                    let valid = (!(self.valid[index] >> (word + done - first))).trailing_zeros();
+                    let run = valid.min(end - done);
+                    // A line no fetch hit keeps its recency stamp.
+                    if run > 0 {
+                        self.book_hits(index, run);
+                        done += run;
+                    }
+                    if done == end {
+                        break;
+                    }
                 }
-                if run == wanted {
-                    continue;
+                match miss(self, start.wrapping_add(done), slot) {
+                    Some(filled) => slot = filled,
+                    None => return done,
                 }
+                done += 1;
             }
-            if !miss(self, start.wrapping_add(done), slot) {
-                break;
-            }
-            done += 1;
         }
         done
     }
@@ -414,7 +433,7 @@ impl Icache {
     /// fetch (with [`Icache::fetch_through`], say).
     #[inline]
     pub fn fetch_hits(&mut self, start: u32, len: u32) -> u32 {
-        self.walk(start, len, |_, _, _| false)
+        self.walk(start, len, |_, _, _| None)
     }
 
     /// Install `addr` (allocating a block if its tag is absent) and mark its
@@ -426,7 +445,7 @@ impl Icache {
         let (row, tag, word) = self.locate(addr);
         let slot = self.scan(row, tag);
         self.install(row, tag, word, slot);
-        matches!(slot, Slot::Absent { .. })
+        matches!(slot, Slot::Absent)
     }
 
     /// Mark `word` of line `(row, tag)` valid in the block `slot` found,
@@ -436,29 +455,37 @@ impl Icache {
         let index = match slot {
             Slot::Bypass => return None,
             Slot::Present(index) => index,
-            Slot::Absent { empty, lru } => {
-                let way = self.victim(row, empty, lru);
+            Slot::Absent => {
+                let way = self.victim(row);
                 let index = self.block_index(row, way);
-                self.blocks[index] = Block {
-                    tag: Some(tag),
-                    ..Block::default()
-                };
+                self.tags[index] = u64::from(tag);
+                self.valid[index] = 0;
+                self.known[index] = false;
                 index
             }
         };
-        self.clock += 1;
-        let b = &mut self.blocks[index];
-        b.valid |= 1 << word;
-        b.stamp = self.clock;
+        self.mark_valid(index, word);
         Some(index)
     }
 
-    /// The way a fill of an absent tag evicts, from [`Icache::scan`]'s
-    /// candidates.
-    fn victim(&mut self, row: u32, empty: Option<u32>, lru: u32) -> u32 {
+    /// Mark `word` of block `index` valid, stamped as the latest fill.
+    #[inline]
+    fn mark_valid(&mut self, index: usize, word: u32) {
+        self.clock += 1;
+        self.valid[index] |= 1 << word;
+        self.stamps[index] = self.clock;
+    }
+
+    /// The way a fill of a tag absent from `row` evicts.
+    fn victim(&mut self, row: u32) -> u32 {
+        let base = self.block_index(row, 0);
+        let row_blocks = base..base + self.cfg.ways as usize;
         // Prefer an unallocated way regardless of policy.
-        if let Some(way) = empty {
-            return way;
+        if let Some(way) = self.tags[row_blocks.clone()]
+            .iter()
+            .position(|&t| t == NO_TAG)
+        {
+            return way as u32;
         }
         match self.cfg.replacement {
             Replacement::Fifo => {
@@ -466,7 +493,16 @@ impl Icache {
                 self.fifo[row as usize] = (way + 1) % self.cfg.ways;
                 way
             }
-            Replacement::Lru => lru,
+            Replacement::Lru => {
+                // The least recently stamped way, the first of any tie.
+                let (mut lru, mut oldest) = (0, u64::MAX);
+                for (way, &stamp) in self.stamps[row_blocks].iter().enumerate() {
+                    if stamp < oldest {
+                        (lru, oldest) = (way as u32, stamp);
+                    }
+                }
+                lru
+            }
             Replacement::Random => {
                 self.rng ^= self.rng << 13;
                 self.rng ^= self.rng >> 7;
@@ -506,9 +542,10 @@ impl Icache {
         ecache: &mut Ecache,
         mem: &mut MainMemory,
     ) -> (u32, u32) {
-        // The word comes on-chip through the Ecache.
+        // The word comes on-chip through the Ecache; the fetch-back
+        // partner's data is not needed, only its stall.
         let (word, extra) = ecache.read(addr, mem);
-        let stall = self.fill_miss(addr, slot, extra, |a| ecache.read(a, mem).1);
+        let (stall, _) = self.fill_miss(addr, slot, extra, |a| ecache.access(a, mem));
         (word, stall)
     }
 
@@ -518,52 +555,87 @@ impl Icache {
     /// cost. `slot` is the row scan of the miss; `stall` is what fetching
     /// `addr` itself cost off-chip; `next_level(a)` brings one more word
     /// on-chip and returns its extra stall. Returns the miss's stall
-    /// cycles.
+    /// cycles and the slot of `addr`'s line after the fill. Afterwards the
+    /// line's block is known to be in `seen_blocks`
+    /// ([`Icache::record_miss`] put it there).
     fn fill_miss(
         &mut self,
         addr: u32,
         slot: Slot,
         mut stall: u32,
         mut next_level: impl FnMut(u32) -> u32,
-    ) -> u32 {
+    ) -> (u32, Slot) {
         let (row, tag, word) = self.locate(addr);
+        let mut slot = slot;
         let filled = if self.cfg.whole_block_fill {
             // Ablation: stream the whole block in at one word per bus cycle.
             stall += self.cfg.block_words.max(2);
-            let mut slot = slot;
             for w in 0..self.cfg.block_words {
                 stall += next_level(addr - word + w);
-                if let Some(index) = self.install(row, tag, w, slot) {
-                    slot = Slot::Present(index);
-                }
+                slot = self.install_missed(row, tag, w, slot);
             }
             self.cfg.block_words
         } else {
             stall += self.cfg.miss_penalty;
-            self.install(row, tag, word, slot);
+            slot = self.install_missed(row, tag, word, slot);
             if self.cfg.fetch_words == 2 {
                 // The second fetch rides the otherwise-idle miss cycle; only
                 // an Ecache miss on it can add stalls (rare: same block).
                 let partner = addr.wrapping_add(1);
                 stall += next_level(partner);
-                self.fill(partner);
+                match slot {
+                    // The partner shares the missed word's line: its block
+                    // is the one just installed, no second scan.
+                    Slot::Present(index) if word + 1 < self.cfg.block_words => {
+                        self.mark_valid(index, word + 1)
+                    }
+                    _ => {
+                        self.fill(partner);
+                    }
+                }
             }
             self.cfg.fetch_words
         };
         self.stats
             .add_miss_cost(u64::from(stall), u64::from(filled));
-        stall
+        (stall, slot)
     }
 
-    /// Drive the cache with a pure instruction-address trace, charging the
-    /// configured miss penalty per miss (no Ecache model — the paper's
-    /// cache-organization studies were run exactly this way, trace-driven).
+    /// [`Icache::install`] for a word of a line that just missed, whose
+    /// block [`Icache::record_miss`] put in `seen_blocks`. Returns the
+    /// line's slot after the install.
+    #[inline]
+    fn install_missed(&mut self, row: u32, tag: u32, word: u32, slot: Slot) -> Slot {
+        match self.install(row, tag, word, slot) {
+            Some(index) => {
+                self.known[index] = true;
+                Slot::Present(index)
+            }
+            None => Slot::Bypass,
+        }
+    }
+
+    /// Drive the cache with a pure instruction-address trace given as
+    /// sequential runs, charging the configured miss penalty per miss (no
+    /// Ecache model — the paper's cache-organization studies were run
+    /// exactly this way, trace-driven). Run `(start, len)` fetches `start`,
+    /// `start + 1`, …, `len` words in all, its addresses wrapping past
+    /// `u32::MAX`; an empty run fetches nothing.
     ///
     /// Books exactly what [`Icache::fetch`] plus the miss-fill rule would,
-    /// word by word. Consecutive addresses merge into sequential runs
-    /// (never across the top of the address space), and the hit kernel
-    /// walks each run: its hits booked a line at a time, each miss filled
-    /// from its line's scan.
+    /// word by word over the flattened runs: the hit kernel walks each run
+    /// a line at a time, booking a line's valid words in one step and
+    /// filling each miss from its line's scan.
+    pub fn simulate_runs(&mut self, runs: &[(u32, u32)]) -> TraceResult {
+        for &(start, len) in runs {
+            self.walk_trace(start, len);
+        }
+        self.trace_result()
+    }
+
+    /// [`Icache::simulate_runs`] for a trace given one fetch per word:
+    /// consecutive addresses merge into sequential runs (never across the
+    /// top of the address space), which the same kernel walks.
     pub fn simulate_trace<I: IntoIterator<Item = u32>>(&mut self, trace: I) -> TraceResult {
         let mut trace = trace.into_iter().peekable();
         while let Some(start) = trace.next() {
@@ -575,12 +647,21 @@ impl Icache {
             {
                 len += 1;
             }
-            self.walk(start, len, |cache, addr, slot| {
-                cache.record_miss(addr, slot);
-                cache.fill_miss(addr, slot, 0, |_| 0);
-                true
-            });
+            self.walk_trace(start, len);
         }
+        self.trace_result()
+    }
+
+    /// The trace-driven walk of one run: every miss is recorded and filled
+    /// with no cost beyond the miss penalty, and the walk goes on.
+    fn walk_trace(&mut self, start: u32, len: u32) {
+        self.walk(start, len, |cache, addr, slot| {
+            cache.record_miss(addr, slot);
+            Some(cache.fill_miss(addr, slot, 0, |_| 0).1)
+        });
+    }
+
+    fn trace_result(&self) -> TraceResult {
         TraceResult {
             stats: self.stats,
             avg_fetch_cycles: self.stats.avg_access_cycles(),
@@ -600,9 +681,9 @@ impl Icache {
             .map(|row| {
                 (0..self.cfg.ways)
                     .map(|way| {
-                        let b = &self.blocks[self.block_index(row, way)];
-                        if b.tag.is_some() {
-                            (b.valid & mask).count_ones()
+                        let index = self.block_index(row, way);
+                        if self.tags[index] != NO_TAG {
+                            (self.valid[index] & mask).count_ones()
                         } else {
                             0
                         }
@@ -623,8 +704,7 @@ impl Icache {
         for (row, ways) in self.occupancy().into_iter().enumerate() {
             out.push_str(&format!("  row {row}:"));
             for (way, count) in ways.into_iter().enumerate() {
-                let b = &self.blocks[self.block_index(row as u32, way as u32)];
-                if b.tag.is_some() {
+                if self.tags[self.block_index(row as u32, way as u32)] != NO_TAG {
                     out.push_str(&format!(" {count:>2}"));
                 } else {
                     out.push_str("  .");
@@ -672,10 +752,15 @@ impl Icache {
         let mut seen_blocks: Vec<u32> = self.seen_blocks.iter().copied().collect();
         seen_blocks.sort_unstable();
         IcacheState {
-            blocks: self
-                .blocks
-                .iter()
-                .map(|b| (b.tag, b.valid, b.stamp))
+            blocks: (0..self.tags.len())
+                .map(|i| {
+                    let tag = self.tags[i];
+                    (
+                        (tag != NO_TAG).then_some(tag as u32),
+                        self.valid[i],
+                        self.stamps[i],
+                    )
+                })
                 .collect(),
             fifo: self.fifo.clone(),
             clock: self.clock,
@@ -689,11 +774,11 @@ impl Icache {
     /// cache with the same configuration. Fails (leaving the cache
     /// untouched) if the state's shape does not match this organization.
     pub fn restore_state(&mut self, state: &IcacheState) -> Result<(), String> {
-        if state.blocks.len() != self.blocks.len() {
+        if state.blocks.len() != self.tags.len() {
             return Err(format!(
                 "icache state has {} blocks, organization needs {}",
                 state.blocks.len(),
-                self.blocks.len()
+                self.tags.len()
             ));
         }
         if state.fifo.len() != self.fifo.len() {
@@ -703,9 +788,12 @@ impl Icache {
                 self.fifo.len()
             ));
         }
-        for (b, &(tag, valid, stamp)) in self.blocks.iter_mut().zip(&state.blocks) {
-            *b = Block { tag, valid, stamp };
+        for (i, &(tag, valid, stamp)) in state.blocks.iter().enumerate() {
+            self.tags[i] = tag.map_or(NO_TAG, u64::from);
+            self.valid[i] = valid;
+            self.stamps[i] = stamp;
         }
+        self.known.fill(false);
         self.fifo.copy_from_slice(&state.fifo);
         self.clock = state.clock;
         self.rng = state.rng;

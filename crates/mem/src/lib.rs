@@ -19,7 +19,15 @@
 //!
 //! The caches are usable in two modes: plugged into the cycle-accurate core
 //! (`mipsx-core`), or driven directly by an address trace for the cache
-//! organization experiments (see [`Icache::simulate_trace`]).
+//! organization experiments. A trace is given as sequential `(start, len)`
+//! runs ([`Icache::simulate_runs`]) or one address per fetch
+//! ([`Icache::simulate_trace`], which merges consecutive addresses into
+//! runs); one kernel walks each run a line at a time and books exactly what
+//! word-by-word fetches would.
+//!
+//! The Icache keeps each row's tags, valid masks and recency stamps in
+//! parallel flat arrays, so a row scan reads only the row's tags, and a
+//! miss scans its row once.
 
 mod ecache;
 mod hash;

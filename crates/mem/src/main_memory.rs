@@ -52,8 +52,13 @@ impl MainMemory {
 
     /// Read the word at `addr` (word address). Unwritten words are zero.
     pub fn read(&mut self, addr: u32) -> u32 {
-        self.reads += 1;
+        self.count_read();
         self.peek(addr)
+    }
+
+    /// Count a read access whose word the reader does not need.
+    pub(crate) fn count_read(&mut self) {
+        self.reads += 1;
     }
 
     /// Write the word at `addr`.

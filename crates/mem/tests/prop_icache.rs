@@ -172,14 +172,16 @@ proptest! {
 
     /// The trace kernel books exactly what word-by-word fetches and fills
     /// book — statistics (miss causes included) and the whole cache state —
-    /// over sequentially biased traces on organizations from direct-mapped
-    /// to 32 ways, 1- to 64-word blocks, every replacement policy, single
-    /// and double fetch-back, whole-block fill, and a disabled cache. Runs
-    /// cross lines, wrap a small code size back to word 0, or start within
+    /// through both entry points: `simulate_runs` on the runs themselves
+    /// and `simulate_trace` on their flattened words. Organizations range
+    /// from direct-mapped to 32 ways, 1- to 64-word blocks, every
+    /// replacement policy, single and double fetch-back, whole-block fill,
+    /// and a disabled cache. Runs cross lines, are empty, abut the run
+    /// before them, wrap a small code size back to word 0, or start within
     /// 64 words of `u32::MAX` and wrap the address space.
     #[test]
     fn trace_kernel_books_like_word_by_word(
-        runs in prop::collection::vec((0u32..4096, 0u32..40), 1..80),
+        spans in prop::collection::vec((0u32..4096, 0u32..40, 0u32..48), 1..80),
         rows in prop::sample::select(vec![1u32, 2, 4, 8]),
         ways in 1u32..=32,
         block_words in prop::sample::select(vec![1u32, 2, 4, 8, 16, 32, 64]),
@@ -198,27 +200,56 @@ proptest! {
             enabled: enabled != 0,
             whole_block_fill,
         };
-        let place = |a: u32| match layout {
-            0 => a,
-            // A 96-word program: runs wrap to word 0 mid-line.
-            1 => a % 96,
-            // The top of the address space: runs wrap past `u32::MAX`.
-            _ => (u32::MAX - 63).wrapping_add(a % 192),
-        };
         // Sequential runs from scattered starts, so lines are both re-hit
-        // and evicted.
-        let trace: Vec<u32> = runs
-            .iter()
-            .flat_map(|&(start, len)| (start..=start + len).map(place))
-            .collect();
-        let mut kernel = Icache::new(cfg);
-        // Two calls: no run may leak across them.
-        let (head, tail) = trace.split_at(trace.len() / 2);
-        let _ = kernel.simulate_trace(head.iter().copied());
-        let _ = kernel.simulate_trace(tail.iter().copied());
-        let reference = word_by_word(cfg, &trace);
-        prop_assert_eq!(*kernel.stats(), reference.stats);
-        prop_assert_eq!(kernel.snapshot_state(), reference);
+        // and evicted. Each span is cut in two abutting runs (either may
+        // be empty).
+        let mut runs = Vec::new();
+        for &(start, len, cut) in &spans {
+            let (start, len) = match layout {
+                // A 96-word program: the span wraps to word 0 mid-line,
+                // as the generator's runs are split at the code size.
+                1 => {
+                    let start = start % 96;
+                    let first = len.min(96 - start);
+                    runs.push((start, first));
+                    (0, len - first)
+                }
+                // The top of the address space: the span wraps past
+                // `u32::MAX` inside one run.
+                2 => ((u32::MAX - 63).wrapping_add(start % 192), len),
+                _ => (start, len),
+            };
+            let cut = cut.min(len);
+            runs.push((start, cut));
+            runs.push((start.wrapping_add(cut), len - cut));
+        }
+        let words = |runs: &[(u32, u32)]| -> Vec<u32> {
+            runs.iter()
+                .flat_map(|&(start, len)| (0..len).map(move |k| start.wrapping_add(k)))
+                .collect()
+        };
+        // Two calls on each path, with the cache moved between them into
+        // a fresh one through its checkpoint: no run may leak across the
+        // calls, and the restored cache books as the live one would.
+        let (head, tail) = runs.split_at(runs.len() / 2);
+        let reborn = |cache: &Icache| {
+            let mut fresh = Icache::new(cfg);
+            fresh.restore_state(&cache.snapshot_state()).unwrap();
+            fresh
+        };
+        let mut by_words = Icache::new(cfg);
+        let _ = by_words.simulate_trace(words(head));
+        let mut by_words = reborn(&by_words);
+        let _ = by_words.simulate_trace(words(tail));
+        let mut by_runs = Icache::new(cfg);
+        let _ = by_runs.simulate_runs(head);
+        let mut by_runs = reborn(&by_runs);
+        let result = by_runs.simulate_runs(tail);
+        let reference = word_by_word(cfg, &words(&runs));
+        prop_assert_eq!(result.stats, reference.stats);
+        prop_assert_eq!(by_runs.snapshot_state(), reference.clone());
+        prop_assert_eq!(*by_words.stats(), reference.stats);
+        prop_assert_eq!(by_words.snapshot_state(), reference);
     }
 
     /// `fetch_hits` books the leading hits of a sequential run exactly as

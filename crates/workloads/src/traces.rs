@@ -58,21 +58,26 @@ impl TraceConfig {
     }
 }
 
-/// Generate an instruction-address trace.
-pub fn instruction_trace(cfg: TraceConfig) -> Vec<u32> {
+/// Generate an instruction-address trace as sequential runs: `(start,
+/// len)` fetches `start, start + 1, …, start + len - 1`. There is one run
+/// per loop trip or call body, split where it wraps past the end of the
+/// code, and merged with the previous run when the two abut. No run is
+/// empty, and no run starts where the one before it ends.
+pub fn instruction_runs(cfg: TraceConfig) -> Vec<(u32, u32)> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut trace = Vec::with_capacity(cfg.length);
+    let mut runs = Runs {
+        runs: Vec::new(),
+        left: cfg.length,
+        code_words: cfg.code_words,
+    };
     let mut pc: u32 = 0;
-    while trace.len() < cfg.length {
+    while runs.left > 0 {
         // One loop: body of `len` words executed `trips` times.
         let len = rng.gen_range(2..=cfg.mean_loop_len * 2).max(2);
         let trips = rng.gen_range(1..=cfg.mean_trips * 2).max(1);
         for _ in 0..trips {
-            for w in 0..len {
-                trace.push((pc + w) % cfg.code_words);
-                if trace.len() >= cfg.length {
-                    return trace;
-                }
+            if !runs.push(pc, len) {
+                return runs.runs;
             }
         }
         pc = (pc + len) % cfg.code_words;
@@ -80,15 +85,50 @@ pub fn instruction_trace(cfg: TraceConfig) -> Vec<u32> {
         if rng.gen_bool(cfg.p_call) {
             let callee = rng.gen_range(0..cfg.code_words);
             let body = rng.gen_range(4..=cfg.mean_loop_len * 3);
-            for w in 0..body {
-                trace.push((callee + w) % cfg.code_words);
-                if trace.len() >= cfg.length {
-                    return trace;
-                }
+            if !runs.push(callee, body) {
+                return runs.runs;
             }
         }
     }
+    runs.runs
+}
+
+/// Generate an instruction-address trace, one fetch per word: the
+/// flattening of [`instruction_runs`].
+pub fn instruction_trace(cfg: TraceConfig) -> Vec<u32> {
+    let mut trace = Vec::with_capacity(cfg.length);
+    for (start, len) in instruction_runs(cfg) {
+        trace.extend(start..start + len);
+    }
     trace
+}
+
+/// The runs of a trace being generated, and the fetches it still owes.
+struct Runs {
+    runs: Vec<(u32, u32)>,
+    left: usize,
+    code_words: u32,
+}
+
+impl Runs {
+    /// Fetch `len` words from `start` (wrapping at the end of the code),
+    /// cut short at the trace's length. Returns whether fetches are still
+    /// owed.
+    fn push(&mut self, start: u32, len: u32) -> bool {
+        let mut len = len.min(u32::try_from(self.left).unwrap_or(u32::MAX));
+        self.left -= len as usize;
+        let mut at = start % self.code_words;
+        while len > 0 {
+            let piece = len.min(self.code_words - at);
+            match self.runs.last_mut() {
+                Some((s, l)) if *s + *l == at => *l += piece,
+                _ => self.runs.push((at, piece)),
+            }
+            len -= piece;
+            at = (at + piece) % self.code_words;
+        }
+        self.left > 0
+    }
 }
 
 #[cfg(test)]
@@ -122,6 +162,40 @@ mod tests {
         assert_eq!(a, b);
         let c = instruction_trace(TraceConfig::medium(4));
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn trace_streams_are_pinned_and_runs_are_maximal() {
+        // FNV-1a over every fetch address of the paper's seeds
+        // (`mipsx_bench::SEEDS`): the medium and large traces feed E2, E3
+        // and E12 and key the sweep store, so the stream must not move.
+        let pinned: [(u64, u64, u64); 5] = [
+            (11, 0xd05b_31d7_1aa2_95b4, 0xafc6_925c_3418_8acc),
+            (47, 0x7523_edf2_f919_cd1b, 0x4e81_d16a_75e7_f515),
+            (101, 0x37a8_b0e9_3b0b_da00, 0x72fd_9016_18fa_a8ee),
+            (233, 0x2a85_4b72_5939_7fc2, 0x2c28_beb3_9cf7_9cff),
+            (509, 0x0c43_255d_927e_0f63, 0x80a7_8d19_2abd_0164),
+        ];
+        for (seed, medium, large) in pinned {
+            for (cfg, digest) in [
+                (TraceConfig::medium(seed), medium),
+                (TraceConfig::large(seed), large),
+            ] {
+                let words = instruction_trace(cfg);
+                assert_eq!(words.len(), cfg.length);
+                assert_eq!(
+                    mipsx_core::snapshot::fnv1a_words(words),
+                    digest,
+                    "trace stream moved for seed {seed}"
+                );
+                let runs = instruction_runs(cfg);
+                assert!(runs.iter().all(|&(_, len)| len > 0), "empty run");
+                assert!(
+                    runs.windows(2).all(|w| w[0].0 + w[0].1 != w[1].0),
+                    "abutting runs left unmerged"
+                );
+            }
+        }
     }
 
     #[test]
