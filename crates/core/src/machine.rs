@@ -1107,13 +1107,14 @@ impl Machine {
 
         // Instruction fetch through the on-chip cache.
         let pc = self.cpu.pc;
-        let (word, stall) = self
+        let stall = self
             .icache
             .fetch_through(pc, &mut self.ecache, &mut self.mem);
         self.stall(StallCause::IcacheMiss, stall, pc, sink);
         // Decode-once: the side-car table serves the memoized entry; only a
-        // first fetch (or one after an invalidating store) decodes `word`.
-        let entry = self.decoded.fetch_with(pc, || word);
+        // first fetch (or one after an invalidating store) reads the word
+        // from memory and decodes it.
+        let entry = self.decoded.fetch_with(pc, || self.mem.peek(pc));
         // The non-cached coprocessor scheme forces an internal miss for
         // every coprocessor instruction so the coprocessor can see it on
         // the memory bus.

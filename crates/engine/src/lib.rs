@@ -732,7 +732,7 @@ impl BlockEngine {
                 break;
             }
             let (icache, ecache, mem) = m.memory_mut();
-            let (_, stall) = icache.fetch_through(b.start.wrapping_add(k), ecache, mem);
+            let stall = icache.fetch_through(b.start.wrapping_add(k), ecache, mem);
             book(m, StallCause::IcacheMiss, stall, f < on_clock_fetches);
             k += 1;
         }

@@ -132,8 +132,9 @@ impl From<Box<Divergence>> for ExecError {
 /// The budget is relative, exactly as in [`Machine::run`]: `max_cycles`
 /// counts cycles consumed by *this call*, and expiry reports
 /// [`RunError::CycleLimit`] with the machine stopped at a resumable
-/// boundary — calling again continues the run, which is what the sweep
-/// engine's checkpoint cadence relies on.
+/// boundary — calling again continues the run, which is what
+/// [`ExecBackend::run_to`], the one checkpointed run (sweep jobs and
+/// `mipsx soak`), relies on.
 pub trait ExecBackend {
     /// Which engine this is, for labels and telemetry.
     fn kind(&self) -> EngineKind;
@@ -151,6 +152,38 @@ pub trait ExecBackend {
     /// Run until halt or budget expiry, no tracing, no fault injection.
     fn run(&mut self, m: &mut Machine, max_cycles: u64) -> Result<RunStats, ExecError> {
         self.run_with_faults(m, max_cycles, &mut NullSink, &mut FaultPlan::none())
+    }
+
+    /// The checkpointed run: run until halt or until `m.stats().cycles`
+    /// reaches the absolute mark `until`, injecting faults from `plan`, in
+    /// chunks of at most `every` cycles (0: one chunk). At each chunk
+    /// boundary short of the mark, `checkpoint` sees the machine and the
+    /// plan — the plan's cursor belongs in any snapshot taken there. The
+    /// mark is absolute, so a machine restored from such a snapshot runs
+    /// only what it has not yet spent, and budget expiry reports
+    /// [`RunError::CycleLimit`] with `limit: until`, however the run was
+    /// chunked or resumed.
+    fn run_to(
+        &mut self,
+        m: &mut Machine,
+        until: u64,
+        every: u64,
+        plan: &mut FaultPlan,
+        mut checkpoint: impl FnMut(&Machine, &FaultPlan),
+    ) -> Result<RunStats, ExecError> {
+        loop {
+            let left = until.saturating_sub(m.stats().cycles);
+            let chunk = if every == 0 { left } else { left.min(every) };
+            match self.run_with_faults(m, chunk, &mut NullSink, plan) {
+                Err(ExecError::Run(RunError::CycleLimit { .. })) if m.stats().cycles < until => {
+                    checkpoint(m, plan)
+                }
+                Err(ExecError::Run(RunError::CycleLimit { .. })) => {
+                    return Err(RunError::CycleLimit { limit: until }.into())
+                }
+                done => return done,
+            }
+        }
     }
 
     /// Post-halt validation. The checked backend compares the full
@@ -415,25 +448,77 @@ mod tests {
         }
     }
 
-    /// Budget expiry is resumable and reported identically by all kinds.
+    /// Budget expiry is resumable and reported identically by all kinds,
+    /// in one call or in chunks: on `cache_ideal()` fault-free, and on the
+    /// board under a timing-only fault plan in chunks of 7, 40 and 1,000
+    /// cycles, every kind expires at a mark reporting the mark, then
+    /// finishes with the books and registers (and, where the caches are
+    /// driven, cache statistics) of one unchunked call; and every boundary
+    /// checkpoint, plan included, restores to those same final books.
     #[test]
     fn budget_expiry_matches_across_backends() {
         let program = prepared(BranchScheme::mipsx());
-        let cfg = MachineConfig::cache_ideal();
-        let mut reference = None;
-        for kind in EngineKind::ALL {
+        let faulted =
+            FaultPlan::parse("30:parity,60:jitter3,150:parity,240:jitter6").expect("plan");
+        let inputs = [
+            (MachineConfig::cache_ideal(), FaultPlan::none(), 40, 0),
+            (MachineConfig::mipsx(), faulted.clone(), 100, 7),
+            (MachineConfig::mipsx(), faulted.clone(), 100, 40),
+            (MachineConfig::mipsx(), faulted, 100, 1_000),
+        ];
+        for (cfg, plan, mark, every) in inputs {
+            let books = |m: &Machine| {
+                let caches = mipsx_engine::drives_caches(&cfg)
+                    .then(|| (*m.icache().stats(), *m.ecache().stats()));
+                (*m.stats(), m.cpu().regs_snapshot(), caches)
+            };
             let mut m = fresh(cfg, &program);
-            let mut backend = AnyBackend::new(kind, &program, &m);
-            match backend.run(&mut m, 40) {
-                Err(ExecError::Run(RunError::CycleLimit { limit: 40 })) => {}
-                other => panic!("{kind}: expected CycleLimit, got {other:?}"),
-            }
-            // Resume to completion; totals must agree across kinds.
-            let stats = backend.run(&mut m, 1_000_000).expect("resume");
-            backend.final_check(&m).expect("final check");
-            match &reference {
-                None => reference = Some(stats),
-                Some(r) => assert_eq!(*r, stats, "{kind} resume differs"),
+            Stepper
+                .run_with_faults(&mut m, 1_000_000, &mut NullSink, &mut plan.clone())
+                .expect("one call");
+            let expected = books(&m);
+            let total = expected.0.cycles;
+            assert!(total > mark, "the mark must fall inside the run");
+            // Boundaries strictly inside `from..to`, where checkpoints fall.
+            let boundaries = |from: u64, to: u64| (to - from - 1).checked_div(every).unwrap_or(0);
+            for kind in EngineKind::ALL {
+                let mut m = fresh(cfg, &program);
+                let mut backend = AnyBackend::new(kind, &program, &m);
+                let mut plan = plan.clone();
+                let mut checkpoints = Vec::new();
+                let mut save = |m: &Machine, plan: &FaultPlan| {
+                    checkpoints.push(m.save_snapshot(Some(plan)).expect("save"));
+                };
+                match backend.run_to(&mut m, mark, every, &mut plan, &mut save) {
+                    Err(ExecError::Run(RunError::CycleLimit { limit })) if limit == mark => {}
+                    other => panic!("{kind} every {every}: expected the mark, got {other:?}"),
+                }
+                assert_eq!(m.stats().cycles, mark, "{kind} every {every}");
+                // Resume to completion.
+                backend
+                    .run_to(&mut m, 1_000_000, every, &mut plan, &mut save)
+                    .expect("resume");
+                backend.final_check(&m).expect("final check");
+                assert_eq!(books(&m), expected, "{kind} every {every}");
+                assert_eq!(
+                    checkpoints.len() as u64,
+                    boundaries(0, mark) + boundaries(mark, total),
+                    "{kind} every {every}"
+                );
+                for bytes in &checkpoints {
+                    let (mut r, saved) = Machine::restore_snapshot(bytes).expect("restore");
+                    let mut saved = saved.expect("a checkpoint carries the plan");
+                    // The oracle joins at program start: a restored machine
+                    // resumes on the stepper under the checked kind.
+                    let mut resumed = match kind {
+                        EngineKind::Checked => AnyBackend::Interp(Stepper),
+                        _ => AnyBackend::new(kind, &program, &r),
+                    };
+                    resumed
+                        .run_to(&mut r, 1_000_000, 0, &mut saved, |_, _| {})
+                        .expect("resume");
+                    assert_eq!(books(&r), expected, "{kind} every {every}: restored");
+                }
             }
         }
     }

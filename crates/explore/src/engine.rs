@@ -29,12 +29,10 @@
 use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
-use mipsx_core::probe::{json_escape, NullSink};
-use mipsx_core::{FaultPlan, InterlockPolicy, Machine, RunError, RunStats, SimConfig};
+use mipsx_core::probe::json_escape;
+use mipsx_core::{FaultPlan, InterlockPolicy, Machine, RunStats, SimConfig};
 use mipsx_engine::BlockEngine;
-use mipsx_exec::{
-    AnyBackend, BlockBackend, CheckedBackend, EngineKind, ExecBackend, ExecError, Stepper,
-};
+use mipsx_exec::{AnyBackend, BlockBackend, CheckedBackend, EngineKind, ExecBackend, Stepper};
 use mipsx_mem::{CacheStats, Icache};
 use mipsx_telemetry::Telemetry;
 
@@ -551,32 +549,24 @@ fn execute_job(
         job.fault.as_deref(),
         run_cycles,
     );
-    match journal {
-        // A journaled job already marked done replays from the store; it
-        // renders `cached: false` (and counts `sweep.resumed`, not a
-        // cache hit) so the resumed report is byte-identical to the
-        // uninterrupted run's. A lost store entry just recomputes.
-        Some(j) if j.is_done(key) => {
-            if let Some(result) = store.load(key, tele) {
-                tele.count("sweep.resumed", 1);
-                record_guest(tele, &result);
-                let wall_ns = job_start.elapsed().as_nanos() as u64;
-                tele.timing_observe("job.wall_ns", wall_ns);
-                return Ok((result, key, false, wall_ns));
-            }
-        }
-        // Journaled but not done: always simulate. Reading the store here
-        // would let a crash between store-write and journal-append flip a
-        // row's `cached` flag on resume — a byte difference.
-        Some(_) => {}
-        None => {
-            if let Some(result) = store.load(key, tele) {
-                tele.count("sweep.cache_hits", 1);
-                record_guest(tele, &result);
-                let wall_ns = job_start.elapsed().as_nanos() as u64;
-                tele.timing_observe("job.wall_ns", wall_ns);
-                return Ok((result, key, true, wall_ns));
-            }
+    // A journaled job already marked done replays from the store; it
+    // renders `cached: false` (and counts `sweep.resumed`, not a cache
+    // hit) so the resumed report is byte-identical to the uninterrupted
+    // run's. A lost store entry just recomputes. A journaled job not yet
+    // done always simulates: reading the store there would let a crash
+    // between store-write and journal-append flip a row's `cached` flag
+    // on resume — a byte difference.
+    let replay = match journal {
+        Some(j) => j.is_done(key).then_some("sweep.resumed"),
+        None => Some("sweep.cache_hits"),
+    };
+    if let Some(counter) = replay {
+        if let Some(result) = store.load(key, tele) {
+            tele.count(counter, 1);
+            record_guest(tele, &result);
+            let wall_ns = job_start.elapsed().as_nanos() as u64;
+            tele.timing_observe("job.wall_ns", wall_ns);
+            return Ok((result, key, journal.is_none(), wall_ns));
         }
     }
     tele.count("sweep.cache_misses", 1);
@@ -585,11 +575,11 @@ fn execute_job(
         PreparedArtifact::Trace(runs) => {
             let _s = tele.span("run");
             let mut cache = Icache::new(job.point.cfg.icache);
-            let trace = cache.simulate_runs(runs);
+            let stats = cache.simulate_runs(runs);
             JobResult {
-                icache_accesses: trace.stats.accesses,
-                icache_misses: trace.stats.misses,
-                icache_fill_stalls: trace.stats.stall_cycles,
+                icache_accesses: stats.accesses,
+                icache_misses: stats.misses,
+                icache_fill_stalls: stats.stall_cycles,
                 ..JobResult::default()
             }
         }
@@ -598,26 +588,21 @@ fn execute_job(
                 interlock: InterlockPolicy::Detect,
                 ..job.point.cfg
             };
-            // Checked jobs never checkpoint: the oracle joins at program
-            // start, so a snapshot-resumed machine would diverge from it
-            // by construction. They re-run whole instead.
-            let checkpointing = job.point.engine != EngineKind::Checked;
+            // Checked jobs never checkpoint (nor resume): the oracle joins
+            // at program start, so a snapshot-resumed machine would diverge
+            // from it by construction. They re-run whole instead.
+            let checkpoints = journal.filter(|_| job.point.engine != EngineKind::Checked);
             // A checkpointed machine resumes from its snapshot — the
             // fault-plan cursor rides inside — otherwise build fresh.
-            let mut resumed = None;
-            if checkpointing {
-                if let Some(j) = journal {
-                    if let Some(bytes) = j.load_snapshot(key) {
-                        if let Ok(pair) = Machine::restore_snapshot(&bytes) {
-                            tele.count("snapshot.restores", 1);
-                            resumed = Some(pair);
-                        }
-                    }
-                }
-            }
+            let resumed = checkpoints
+                .and_then(|j| j.load_snapshot(key))
+                .and_then(|bytes| Machine::restore_snapshot(&bytes).ok());
             let restored = resumed.is_some();
             let (mut machine, mut plan) = match resumed {
-                Some((machine, plan)) => (machine, plan),
+                Some((machine, plan)) => {
+                    tele.count("snapshot.restores", 1);
+                    (machine, plan.unwrap_or_else(FaultPlan::none))
+                }
                 None => {
                     let mut machine = {
                         let _s = tele.span("construct");
@@ -633,13 +618,8 @@ fn execute_job(
                         let _s = tele.span("decode");
                         machine.load_program(program);
                     }
-                    let plan = match &job.fault {
-                        None => None,
-                        Some(spec) => Some(
-                            FaultPlan::parse(spec)
-                                .map_err(|e| SpecError(format!("{label}: fault plan: {e}")))?,
-                        ),
-                    };
+                    let plan = FaultPlan::parse(job.fault.as_deref().unwrap_or(""))
+                        .map_err(|e| SpecError(format!("{label}: fault plan: {e}")))?;
                     (machine, plan)
                 }
             };
@@ -664,44 +644,19 @@ fn execute_job(
                 EngineKind::Checked => AnyBackend::Checked(CheckedBackend::new(&machine, program)),
             };
             let run_span = tele.span("run");
-            let interval = journal.map_or(0, Journal::snapshot_interval);
-            // Run in checkpoint-sized chunks (one chunk = the whole
-            // budget when checkpointing is off). The budget is relative,
-            // so a restored machine only gets what it has not yet spent,
-            // and a genuine budget exhaustion re-reports `run_cycles` —
-            // the same error an uninterrupted run produces.
-            let stats = loop {
-                let remaining = run_cycles.saturating_sub(machine.stats().cycles);
-                let chunk = if interval > 0 && checkpointing {
-                    remaining.min(interval)
-                } else {
-                    remaining
-                };
-                let attempt = match plan.as_mut() {
-                    None => backend.run(&mut machine, chunk),
-                    Some(plan) => backend.run_with_faults(&mut machine, chunk, &mut NullSink, plan),
-                };
-                match attempt {
-                    Ok(stats) => break Ok(stats),
-                    Err(ExecError::Run(RunError::CycleLimit { .. }))
-                        if machine.stats().cycles < run_cycles =>
-                    {
-                        if checkpointing {
-                            if let (Some(j), Ok(bytes)) =
-                                (journal, machine.save_snapshot(plan.as_ref()))
-                            {
-                                tele.count("snapshot.saves", 1);
-                                j.save_snapshot(key, &bytes);
-                            }
-                        }
+            // The mark is absolute, so a restored machine only gets what
+            // it has not yet spent, and a genuine budget exhaustion
+            // re-reports `run_cycles` — the same error an uninterrupted run
+            // produces.
+            let every = checkpoints.map_or(0, Journal::snapshot_interval);
+            let stats = backend
+                .run_to(&mut machine, run_cycles, every, &mut plan, |m, plan| {
+                    if let (Some(j), Ok(bytes)) = (checkpoints, m.save_snapshot(Some(plan))) {
+                        tele.count("snapshot.saves", 1);
+                        j.save_snapshot(key, &bytes);
                     }
-                    Err(ExecError::Run(RunError::CycleLimit { .. })) => {
-                        break Err(ExecError::Run(RunError::CycleLimit { limit: run_cycles }))
-                    }
-                    Err(e) => break Err(e),
-                }
-            }
-            .map_err(|e| SpecError(format!("{label}: run failed: {e}")))?;
+                })
+                .map_err(|e| SpecError(format!("{label}: run failed: {e}")))?;
             // The checked backend's halt-state oracle comparison (a no-op
             // for the other backends).
             backend
@@ -1036,65 +991,77 @@ mod tests {
 
     #[test]
     fn checkpointed_job_resumes_from_its_snapshot_identically() {
-        let mut spec = tiny_spec();
-        // fib_recursive(10) runs for thousands of cycles — long enough to
-        // be mid-flight at cycle 900 in every grid point.
-        spec.workloads = vec![Workload::parse("kernel:fib_recursive").unwrap()];
-        // Reference: the same spec, no journal at all.
-        let reference = run_sweep(&spec, &SweepOptions::default()).unwrap();
-        assert!(reference.rows[0].result.cycles > 1_500);
-
-        // Plant a mid-run checkpoint for job 0 exactly as a killed
-        // checkpointing sweep would have left it: machine built the same
-        // way the engine builds it, stopped mid-flight, snapshot keyed by
-        // the job key in the journal's .snaps directory.
-        let journal_cfg = crate::journal::JournalConfig {
-            snapshot_interval: 700,
-            ..temp_journal("ckpt")
-        };
-        let jobs = spec.expand().unwrap();
-        let job = &jobs[0];
-        let tele = Telemetry::disabled();
-        let image = ImageCache::new().get_or_prepare(job, &tele).unwrap();
-        let key = job_key(
-            &job.point,
-            &job.workload.id(),
-            image.digest,
+        // Fault-free, and under a timing-only plan with events on both
+        // sides of the checkpoint, so the restored cursor decides the rest.
+        for fault in [
             None,
-            spec.run_cycles,
-        );
-        let program = image.program().expect("kernel workloads are programs");
-        let mut machine = Machine::new(SimConfig {
-            interlock: InterlockPolicy::Detect,
-            ..job.point.cfg
-        });
-        machine.load_program(program);
-        assert!(matches!(
-            machine.run(900),
-            Err(mipsx_core::RunError::CycleLimit { .. })
-        ));
-        let bytes = machine.save_snapshot(None).unwrap();
-        {
-            let j = Journal::open(&journal_cfg, fingerprint(&jobs, spec.run_cycles)).unwrap();
-            j.save_snapshot(key, &bytes);
-        }
+            Some("300:parity,600:jitter3,1200:parity,1600:jitter6"),
+        ] {
+            let mut spec = tiny_spec();
+            // fib_recursive(10) runs for thousands of cycles — long enough
+            // to be mid-flight at cycle 900 in every grid point.
+            spec.workloads = vec![Workload::parse("kernel:fib_recursive").unwrap()];
+            spec.faults = vec![fault.map(String::from)];
+            // Reference: the same spec, no journal at all.
+            let reference = run_sweep(&spec, &SweepOptions::default()).unwrap();
+            assert!(reference.rows[0].result.cycles > 1_500);
+            let injected = reference.rows[0].result.run_stats().injected_faults();
+            assert_eq!(injected > 0, fault.is_some());
 
-        let opts = SweepOptions {
-            journal: Some(crate::journal::JournalConfig {
-                resume: true,
-                ..journal_cfg
-            }),
-            telemetry: Telemetry::enabled(),
-            ..SweepOptions::default()
-        };
-        let resumed = run_sweep(&spec, &opts).unwrap();
-        let snap = opts.telemetry.snapshot();
-        assert_eq!(snap.counter("snapshot.restores"), 1);
-        // The restored job finished from cycle 900, not from zero — and
-        // still produced the exact counters of the cold run, so the
-        // reports agree byte for byte.
-        assert_eq!(resumed.to_json(), reference.to_json());
-        assert_eq!(resumed.to_csv(), reference.to_csv());
+            // Plant a mid-run checkpoint for job 0 exactly as a killed
+            // checkpointing sweep would have left it: machine built the
+            // same way the engine builds it, stopped mid-flight, snapshot
+            // (plan cursor inside) keyed by the job key in the journal's
+            // .snaps directory.
+            let journal_cfg = crate::journal::JournalConfig {
+                snapshot_interval: 700,
+                ..temp_journal("ckpt")
+            };
+            let jobs = spec.expand().unwrap();
+            let job = &jobs[0];
+            let tele = Telemetry::disabled();
+            let image = ImageCache::new().get_or_prepare(job, &tele).unwrap();
+            let key = job_key(
+                &job.point,
+                &job.workload.id(),
+                image.digest,
+                fault,
+                spec.run_cycles,
+            );
+            let program = image.program().expect("kernel workloads are programs");
+            let mut machine = Machine::new(SimConfig {
+                interlock: InterlockPolicy::Detect,
+                ..job.point.cfg
+            });
+            machine.load_program(program);
+            let mut plan = FaultPlan::parse(fault.unwrap_or("")).unwrap();
+            assert!(matches!(
+                machine.run_with_faults(900, &mut mipsx_core::NullSink, &mut plan),
+                Err(mipsx_core::RunError::CycleLimit { .. })
+            ));
+            let bytes = machine.save_snapshot(Some(&plan)).unwrap();
+            {
+                let j = Journal::open(&journal_cfg, fingerprint(&jobs, spec.run_cycles)).unwrap();
+                j.save_snapshot(key, &bytes);
+            }
+
+            let opts = SweepOptions {
+                journal: Some(crate::journal::JournalConfig {
+                    resume: true,
+                    ..journal_cfg
+                }),
+                telemetry: Telemetry::enabled(),
+                ..SweepOptions::default()
+            };
+            let resumed = run_sweep(&spec, &opts).unwrap();
+            let snap = opts.telemetry.snapshot();
+            assert_eq!(snap.counter("snapshot.restores"), 1);
+            // The restored job finished from cycle 900, not from zero —
+            // and still produced the exact counters of the cold run, so
+            // the reports agree byte for byte.
+            assert_eq!(resumed.to_json(), reference.to_json(), "{fault:?}");
+            assert_eq!(resumed.to_csv(), reference.to_csv(), "{fault:?}");
+        }
     }
 
     #[test]

@@ -144,11 +144,10 @@ proptest! {
     #[test]
     fn stats_are_consistent(addrs in prop::collection::vec(0u32..2048, 0..500)) {
         let mut cache = Icache::mipsx();
-        let result = cache.simulate_trace(addrs.iter().copied());
-        let s = result.stats;
+        let s = cache.simulate_trace(addrs.iter().copied());
         prop_assert_eq!(s.hits + s.misses, s.accesses);
         prop_assert!((0.0..=1.0).contains(&s.miss_ratio()));
-        prop_assert!(result.avg_fetch_cycles >= 1.0 || s.accesses == 0);
+        prop_assert!(s.avg_access_cycles() >= 1.0 || s.accesses == 0);
     }
 
     /// Double fetch-back never hurts: over any trace, misses with
@@ -165,7 +164,7 @@ proptest! {
         }
         let run = |fetch_words| {
             let mut c = Icache::new(IcacheConfig { fetch_words, ..IcacheConfig::mipsx() });
-            c.simulate_trace(trace.iter().copied()).stats.misses
+            c.simulate_trace(trace.iter().copied()).misses
         };
         prop_assert!(run(2) <= run(1));
     }
@@ -244,9 +243,9 @@ proptest! {
         let mut by_runs = Icache::new(cfg);
         let _ = by_runs.simulate_runs(head);
         let mut by_runs = reborn(&by_runs);
-        let result = by_runs.simulate_runs(tail);
+        let stats = by_runs.simulate_runs(tail);
         let reference = word_by_word(cfg, &words(&runs));
-        prop_assert_eq!(result.stats, reference.stats);
+        prop_assert_eq!(stats, reference.stats);
         prop_assert_eq!(by_runs.snapshot_state(), reference.clone());
         prop_assert_eq!(*by_words.stats(), reference.stats);
         prop_assert_eq!(by_words.snapshot_state(), reference);

@@ -780,13 +780,16 @@ fn cmd_soak(args: &[String]) -> Outcome {
             Some(p) => p.clone(),
             None => {
                 // Size the plan's horizon to this program's fault-free run
-                // so every fault lands inside it.
+                // so every fault lands inside it — or to the budget, when
+                // that runs out first (a budget expiry ends a soak run as
+                // a success).
                 let mut m = Machine::new(cfg);
                 m.load_program(&program);
-                let horizon = m
-                    .run(cycles)
-                    .map_err(|e| format!("seed {seed}: fault-free baseline failed: {e}"))?
-                    .cycles;
+                let horizon = match m.run(cycles) {
+                    Ok(stats) => stats.cycles,
+                    Err(RunError::CycleLimit { .. }) => cycles,
+                    Err(e) => return fail(format!("seed {seed}: fault-free baseline failed: {e}")),
+                };
                 FaultPlan::random(seed, horizon, fault_count)
             }
         };
@@ -797,26 +800,27 @@ fn cmd_soak(args: &[String]) -> Outcome {
         let mut checked = CheckedBackend::new(&machine, &program);
         checked.install_handler(&mut machine, &handler);
         checked.enable_interrupts(&mut machine);
-        // Run in checkpoint-sized budget chunks: the last snapshot taken
-        // before a divergence is written out, so the failing window can be
-        // replayed under `mipsx snapshot restore` / a debugger without
-        // re-running the whole soak from cycle zero.
+        // Checkpoint every `SOAK_CHECKPOINT_CYCLES`: the last snapshot
+        // taken before a divergence — fault-plan cursor included — is
+        // written out, so the failing window can be replayed under `mipsx
+        // snapshot restore` / a debugger without re-running the whole soak
+        // from cycle zero. A budget expiry ends the run as a success.
         let mut last_good: Option<(u64, Vec<u8>)> = None;
-        let outcome = loop {
-            let left = cycles.saturating_sub(machine.stats().cycles);
-            if left == 0 {
-                break Ok(());
+        let checkpoint = |m: &Machine, plan: &FaultPlan| {
+            if let Ok(bytes) = m.save_snapshot(Some(plan)) {
+                last_good = Some((m.stats().cycles, bytes));
             }
-            let chunk = left.min(SOAK_CHECKPOINT_CYCLES);
-            match checked.run_with_faults(&mut machine, chunk, &mut NullSink, &mut plan) {
-                Ok(_) => break checked.final_check(&machine),
-                Err(ExecError::Run(RunError::CycleLimit { .. })) => {
-                    if let Ok(bytes) = machine.save_snapshot(None) {
-                        last_good = Some((machine.stats().cycles, bytes));
-                    }
-                }
-                Err(e) => break Err(e),
-            }
+        };
+        let outcome = match checked.run_to(
+            &mut machine,
+            cycles,
+            SOAK_CHECKPOINT_CYCLES,
+            &mut plan,
+            checkpoint,
+        ) {
+            Ok(_) => checked.final_check(&machine),
+            Err(ExecError::Run(RunError::CycleLimit { .. })) => Ok(()),
+            Err(e) => Err(e),
         };
         // Cross-engine check: the same program, fault-free, must book
         // identically on the stepper and the block engine. The checked

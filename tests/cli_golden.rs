@@ -86,6 +86,12 @@ const ROWS: &[Row] = &[
         &["snapshot", "restore", "$TMP/fib.msnap"],
     ),
     row("soak", &["soak", "--runs", "3", "--seed", "1"]),
+    // A budget below the programs' fault-free length: every run ends at
+    // the budget as a success, the random plans sized to it.
+    row(
+        "soak_short_budget",
+        &["soak", "--runs", "3", "--seed", "1", "--cycles", "100"],
+    ),
     Row {
         name: "sweep_json",
         args: &[
