@@ -32,6 +32,7 @@ use std::collections::BTreeMap;
 use std::io::Write;
 
 use mipsx_isa::{ExceptionCause, Instr, Reg};
+pub use mipsx_telemetry::export::json_escape;
 
 use crate::fsm::SquashLines;
 use crate::inject::FaultKind;
@@ -813,23 +814,6 @@ pub struct JsonlSink<W: Write> {
     error: Option<std::io::Error>,
     /// Event-count written, for consumers that want a quick total.
     pub events: u64,
-}
-
-/// Escape a string for a JSON value position.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl<W: Write> JsonlSink<W> {

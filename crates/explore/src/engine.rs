@@ -444,12 +444,6 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
         spec.expand()?
     };
     tele.count("sweep.jobs", jobs.len() as u64);
-    // Clamp the fleet to the job count — a 32-thread request over 4 jobs
-    // spawns 4 workers, not 28 idle ones. The effective size is recorded
-    // as a gauge (the timing section), since it legitimately differs
-    // between a serial and a parallel run of the same spec.
-    let threads = opts.threads.clamp(1, jobs.len().max(1));
-    tele.gauge_max("sweep.effective_threads", threads as u64);
     let journal = match &opts.journal {
         Some(cfg) => {
             let journal = Journal::open(cfg, fingerprint(&jobs, spec.run_cycles))?;
@@ -465,7 +459,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
     // job's own Result<(result, key, cached, wall_ns), SpecError>.
     let executed = {
         let _s = tele.span("execute");
-        run_indexed(jobs.len(), threads, tele, |i| {
+        run_indexed(jobs.len(), opts.threads, tele, |i| {
             execute_job(
                 &jobs[i],
                 spec.run_cycles,

@@ -9,7 +9,8 @@
 //!   (Icache geometry, Ecache size/latency, branch scheme, coprocessor
 //!   interface) crossed with workloads and optional fault plans;
 //! - deterministic expansion into [`Job`]s and execution on a fixed-size
-//!   work-stealing [`pool`] of `std::thread` workers;
+//!   [`pool`] of `std::thread` workers that take the next job index from
+//!   one shared counter;
 //! - a content-addressed [`store::ResultStore`]: each job is keyed by a
 //!   stable hash of its canonicalized configuration, workload identity and
 //!   program-image digest, so re-runs are incremental and only invalidated

@@ -1,21 +1,19 @@
-//! A fixed-size work-stealing thread pool over a known job list.
+//! A fixed-size thread pool over a known job list.
 //!
-//! The sweep engine knows every job up front, so the pool is deliberately
-//! minimal: contiguous index *chunks* are dealt round-robin into one deque
-//! per worker; each worker pops from the *front* of its own deque and,
-//! when empty, steals from the *back* of the most-loaded victim. Chunks
-//! stay size 1 until the job list is large relative to the fleet, so small
-//! sweeps schedule exactly job-by-job while a many-tiny-jobs sweep
-//! amortizes its queue traffic over whole batches. There are no external
-//! dependencies and no unsafe code — deques are `Mutex`-guarded, which is
-//! negligible next to jobs that each simulate millions of cycles.
+//! The sweep engine knows every job up front, so the pool is one loop:
+//! each worker takes the next job index from a shared counter, runs it,
+//! and writes the result into that index's slot. The calling thread is
+//! one of the workers, so a one-thread pool spawns nothing and runs the
+//! jobs in order on the caller; with more threads the load balances by
+//! construction — a worker that drew a long job simply draws fewer.
+//! There are no external dependencies and no unsafe code.
 //!
 //! Results are written into a slot vector indexed by job index, so the
 //! output order is the job order regardless of which worker ran what —
 //! the property the byte-identical-aggregation guarantee rests on.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -24,9 +22,11 @@ use mipsx_telemetry::Telemetry;
 /// Run `worker(index)` for every `index in 0..count` on `threads` workers
 /// and return the results in index order — the pool's one entry point.
 ///
-/// `threads` is clamped to `1..=count` (zero means one). With one thread
-/// the jobs run on the calling thread in order, with no pool machinery —
-/// the serial baseline the determinism tests compare against.
+/// `threads` is clamped to `1..=count` (zero means one); the calling
+/// thread works too, so `threads − 1` helpers are spawned. With one
+/// thread the jobs run on the calling thread in index order — the serial
+/// baseline the determinism tests compare against, and what keeps a
+/// serial sweep's per-thread machine reuse on the caller.
 ///
 /// **Quarantine.** A panicking job does not take the pool (and the whole
 /// sweep) down with it: each call to `worker` runs under
@@ -41,12 +41,10 @@ use mipsx_telemetry::Telemetry;
 /// state later jobs would misread.
 ///
 /// **Telemetry.** When `tele` is live, each worker records busy/idle
-/// nanoseconds (`pool.busy_ns`, `pool.idle_ns`), its task and steal
-/// counts (`pool.tasks`, `pool.steals`), and the pool records the worker
-/// count and deepest queue observed at a steal attempt (`pool.workers`,
-/// `pool.queue_depth_max` gauges); each quarantined job counts one
-/// `pool.quarantined` tick. With telemetry disabled there are no clock
-/// reads.
+/// nanoseconds (`pool.busy_ns`, `pool.idle_ns`) and its task count
+/// (`pool.tasks`), and the pool records the worker count (`pool.workers`
+/// gauge); each quarantined job counts one `pool.quarantined` tick. With
+/// telemetry disabled there are no clock reads.
 pub fn run_indexed<T, F>(
     count: usize,
     threads: usize,
@@ -57,110 +55,55 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let worker = |i| {
-        catch_unwind(AssertUnwindSafe(|| worker(i))).map_err(|payload| {
-            if tele.is_enabled() {
-                tele.count("pool.quarantined", 1);
-            }
-            if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else {
-                "worker panicked (non-string payload)".to_string()
-            }
-        })
-    };
     if count == 0 {
         return Vec::new();
     }
     let threads = threads.clamp(1, count);
-    if threads == 1 {
-        if tele.is_enabled() {
-            tele.gauge_max("pool.workers", 1);
-            let start = Instant::now();
-            let out: Vec<_> = (0..count)
-                .map(|i| {
-                    tele.timing_count("pool.tasks", 1);
-                    worker(i)
-                })
-                .collect();
-            tele.timing_count("pool.busy_ns", start.elapsed().as_nanos() as u64);
-            return out;
-        }
-        return (0..count).map(worker).collect();
-    }
-
-    // Deal contiguous chunks round-robin. A chunk of 1 (any sweep under
-    // 8 jobs per worker) reproduces the historical job-by-job dealing
-    // exactly; bigger sweeps batch so each queue operation — and each
-    // steal — moves several small jobs at once. `pool.tasks` still counts
-    // *jobs*, not chunks, so its total stays the job count.
-    let chunk = (count / (threads * 8)).clamp(1, 32);
-    let mut deal: Vec<VecDeque<(usize, usize)>> = (0..threads).map(|_| VecDeque::new()).collect();
-    for (i, start) in (0..count).step_by(chunk).enumerate() {
-        deal[i % threads].push_back((start, count.min(start + chunk)));
-    }
-    let queues: Vec<Mutex<VecDeque<(usize, usize)>>> = deal.into_iter().map(Mutex::new).collect();
-    let results: Vec<Mutex<Option<Result<T, String>>>> =
+    tele.gauge_max("pool.workers", threads as u64);
+    let live = tele.is_enabled();
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<Option<Result<T, String>>>> =
         (0..count).map(|_| Mutex::new(None)).collect();
-    if tele.is_enabled() {
-        tele.gauge_max("pool.workers", threads as u64);
-    }
-
-    std::thread::scope(|scope| {
-        for me in 0..threads {
-            let queues = &queues;
-            let results = &results;
-            let worker = &worker;
-            scope.spawn(move || {
-                let live = tele.is_enabled();
-                let spawned = live.then(Instant::now);
-                let mut busy_ns = 0u64;
-                let mut tasks = 0u64;
-                let mut steals = 0u64;
-                loop {
-                    // Own work first (front of own deque)…
-                    let mut job = queues[me].lock().expect("pool poisoned").pop_front();
-                    // …then steal from the back of the fullest victim.
-                    if job.is_none() {
-                        let victim = (0..threads).filter(|&v| v != me).max_by_key(|&v| {
-                            let depth = queues[v].lock().expect("pool poisoned").len();
-                            if live {
-                                tele.gauge_max("pool.queue_depth_max", depth as u64);
-                            }
-                            depth
-                        });
-                        if let Some(v) = victim {
-                            job = queues[v].lock().expect("pool poisoned").pop_back();
-                            if live && job.is_some() {
-                                steals += 1;
-                            }
-                        }
-                    }
-                    let Some((start, end)) = job else { break };
-                    let task_start = live.then(Instant::now);
-                    for (index, slot) in results.iter().enumerate().take(end).skip(start) {
-                        let value = worker(index);
-                        *slot.lock().expect("pool poisoned") = Some(value);
-                    }
-                    if let Some(t) = task_start {
-                        busy_ns += t.elapsed().as_nanos() as u64;
-                        tasks += (end - start) as u64;
-                    }
-                }
-                if let Some(t) = spawned {
-                    let alive_ns = t.elapsed().as_nanos() as u64;
-                    tele.timing_count("pool.busy_ns", busy_ns);
-                    tele.timing_count("pool.idle_ns", alive_ns.saturating_sub(busy_ns));
-                    tele.timing_count("pool.tasks", tasks);
-                    tele.timing_count("pool.steals", steals);
+    let work = || {
+        let started = live.then(Instant::now);
+        let (mut busy_ns, mut tasks) = (0u64, 0u64);
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= count {
+                break;
+            }
+            let job_start = live.then(Instant::now);
+            let value = catch_unwind(AssertUnwindSafe(|| worker(i))).map_err(|payload| {
+                tele.count("pool.quarantined", 1);
+                if let Some(s) = payload.downcast_ref::<String>() {
+                    s.clone()
+                } else if let Some(s) = payload.downcast_ref::<&str>() {
+                    (*s).to_string()
+                } else {
+                    "worker panicked (non-string payload)".to_string()
                 }
             });
+            *slots[i].lock().expect("pool poisoned") = Some(value);
+            if let Some(t) = job_start {
+                busy_ns += t.elapsed().as_nanos() as u64;
+                tasks += 1;
+            }
         }
+        if let Some(t) = started {
+            let alive_ns = t.elapsed().as_nanos() as u64;
+            tele.timing_count("pool.busy_ns", busy_ns);
+            tele.timing_count("pool.idle_ns", alive_ns.saturating_sub(busy_ns));
+            tele.timing_count("pool.tasks", tasks);
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
     });
 
-    results
+    slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
@@ -256,22 +199,46 @@ mod tests {
 
     #[test]
     fn a_panicking_job_is_quarantined_not_fatal() {
-        let tele = Telemetry::enabled();
-        let out = run_indexed(8, 4, &tele, |i| {
-            if i == 5 {
-                panic!("job {i} exploded");
+        let cases: [(usize, usize, &[usize]); 5] = [
+            (8, 4, &[5]),
+            (8, 1, &[5]),
+            (8, 2, &[5]),
+            (8, 8, &[5]),
+            (1000, 4, &[0, 31, 500, 998, 999]),
+        ];
+        for (count, threads, bad) in cases {
+            let tele = Telemetry::enabled();
+            let out = run_indexed(count, threads, &tele, |i| {
+                if bad.contains(&i) {
+                    panic!("job {i} exploded");
+                }
+                i * 2
+            });
+            assert_eq!(out.len(), count);
+            for (i, slot) in out.iter().enumerate() {
+                match slot {
+                    Ok(v) if !bad.contains(&i) => assert_eq!(*v, i * 2),
+                    Err(msg) if bad.contains(&i) => {
+                        assert!(msg.contains(&format!("job {i} exploded")))
+                    }
+                    other => panic!("{threads} threads, job {i}: unexpected {other:?}"),
+                }
             }
-            i * 2
-        });
-        assert_eq!(out.len(), 8);
-        for (i, slot) in out.iter().enumerate() {
-            match slot {
-                Ok(v) if i != 5 => assert_eq!(*v, i * 2),
-                Err(msg) if i == 5 => assert!(msg.contains("job 5 exploded")),
-                other => panic!("job {i}: unexpected {other:?}"),
-            }
+            assert_eq!(
+                tele.snapshot().counters.get("pool.quarantined"),
+                Some(&(bad.len() as u64)),
+                "{threads} threads"
+            );
         }
-        assert_eq!(tele.snapshot().counters.get("pool.quarantined"), Some(&1));
+    }
+
+    #[test]
+    fn one_thread_runs_every_job_on_the_caller() {
+        // Sweep jobs park their machine in a thread-local between jobs;
+        // a serial sweep relies on every job sharing the caller's.
+        let caller = std::thread::current().id();
+        let ids = run_all(20, 1, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Rendering: JSON documents, Prometheus text exposition, and the
-//! human-readable span-tree report.
+//! Rendering: JSON documents and the human-readable span-tree report.
 //!
 //! Every rendering iterates `BTreeMap`s, so key order is stable across
 //! runs, thread counts and machines by construction. The JSON document
@@ -9,7 +8,7 @@
 
 use std::fmt::Write;
 
-use crate::metrics::{bucket_upper_bound, Hist, Snapshot, SpanStats, HIST_BUCKETS};
+use crate::metrics::{Hist, Snapshot, SpanStats};
 
 /// Minimal JSON string escaping (control characters, quote, backslash).
 pub fn json_escape(s: &str) -> String {
@@ -69,43 +68,6 @@ fn json_span(s: &SpanStats) -> String {
     )
 }
 
-/// Sanitize a metric or span name into a Prometheus identifier.
-fn prom_name(name: &str) -> String {
-    let mut out = String::with_capacity(name.len() + 6);
-    out.push_str("mipsx_");
-    for c in name.chars() {
-        if c.is_ascii_alphanumeric() || c == '_' {
-            out.push(c);
-        } else {
-            out.push('_');
-        }
-    }
-    out
-}
-
-fn prom_hist(out: &mut String, name: &str, h: &Hist) {
-    let name = prom_name(name);
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let mut cumulative = 0u64;
-    let last = (0..HIST_BUCKETS)
-        .rev()
-        .find(|&i| h.buckets[i] > 0)
-        .map_or(0, |i| (i + 1).min(HIST_BUCKETS - 1));
-    for i in 0..=last {
-        cumulative += h.buckets[i];
-        let le = match bucket_upper_bound(i) {
-            Some(hi) if i < last || h.buckets[HIST_BUCKETS - 1] == 0 => hi.to_string(),
-            _ => "+Inf".to_owned(),
-        };
-        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-    }
-    if bucket_upper_bound(last).is_some() && h.buckets[HIST_BUCKETS - 1] == 0 {
-        let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", h.count);
-    }
-    let _ = writeln!(out, "{name}_sum {}", h.sum);
-    let _ = writeln!(out, "{name}_count {}", h.count);
-}
-
 impl Snapshot {
     /// The deterministic section alone — identical byte for byte between
     /// a serial and an N-thread run of the same sweep.
@@ -136,53 +98,6 @@ impl Snapshot {
             json_hist_map(&self.timing_histograms),
             spans.join(",")
         )
-    }
-
-    /// Prometheus text exposition (version 0.0.4): deterministic counters
-    /// and timing counters as `counter`, gauges as `gauge`, histograms
-    /// with cumulative `le` buckets, spans as per-path `_count`/`_sum`
-    /// nanosecond counters.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.counters {
-            let name = prom_name(k);
-            let _ = writeln!(out, "# TYPE {name} counter\n{name} {v}");
-        }
-        for (k, v) in &self.timing_counters {
-            let name = prom_name(k);
-            let _ = writeln!(out, "# TYPE {name} counter\n{name} {v}");
-        }
-        for (k, v) in &self.gauges {
-            let name = prom_name(k);
-            let _ = writeln!(out, "# TYPE {name} gauge\n{name} {v}");
-        }
-        for (k, h) in &self.histograms {
-            prom_hist(&mut out, k, h);
-        }
-        for (k, h) in &self.timing_histograms {
-            prom_hist(&mut out, k, h);
-        }
-        if !self.spans.is_empty() {
-            let _ = writeln!(out, "# TYPE mipsx_span_total_ns counter");
-            for (k, s) in &self.spans {
-                let _ = writeln!(
-                    out,
-                    "mipsx_span_total_ns{{span=\"{}\"}} {}",
-                    json_escape(k),
-                    s.total_ns
-                );
-            }
-            let _ = writeln!(out, "# TYPE mipsx_span_count counter");
-            for (k, s) in &self.spans {
-                let _ = writeln!(
-                    out,
-                    "mipsx_span_count{{span=\"{}\"}} {}",
-                    json_escape(k),
-                    s.count
-                );
-            }
-        }
-        out
     }
 
     /// The human-readable span tree: one line per path, indented by
@@ -255,7 +170,7 @@ mod tests {
             .entry("guest.cycles_per_job".into())
             .or_default()
             .record(250);
-        s.timing_counters.insert("pool.steals".into(), 2);
+        s.timing_counters.insert("pool.idle_ns".into(), 2);
         s.gauges.insert("pool.workers".into(), 4);
         s.timing_histograms
             .entry("store.read_ns".into())
@@ -286,33 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_exposition_is_well_formed() {
-        let prom = sample().to_prometheus();
-        assert!(prom.contains("# TYPE mipsx_sweep_jobs counter\nmipsx_sweep_jobs 4\n"));
-        assert!(prom.contains("# TYPE mipsx_pool_workers gauge\nmipsx_pool_workers 4\n"));
-        assert!(prom.contains("# TYPE mipsx_guest_cycles_per_job histogram"));
-        assert!(prom.contains("mipsx_guest_cycles_per_job_count 1"));
-        assert!(prom.contains("_bucket{le=\"+Inf\"} 1"));
-        assert!(prom.contains("mipsx_span_total_ns{span=\"job/run\"} 800000"));
-        // Cumulative buckets end at the total count.
-        let last_bucket = prom
-            .lines()
-            .rfind(|l| l.starts_with("mipsx_store_read_ns_bucket"))
-            .unwrap();
-        assert!(last_bucket.ends_with(" 1"), "{last_bucket}");
-    }
-
-    #[test]
-    fn hist_bucket_bounds_render_powers_of_two() {
-        let mut h = Hist::default();
-        h.record(5); // bucket 3, upper bound 7
-        let mut out = String::new();
-        prom_hist(&mut out, "x", &h);
-        assert!(out.contains("mipsx_x_bucket{le=\"7\"} 1"), "{out}");
-        assert!(out.contains("mipsx_x_bucket{le=\"+Inf\"} 1"), "{out}");
-    }
-
-    #[test]
     fn span_tree_report_nests_and_percentages() {
         let report = sample().span_tree_report();
         let lines: Vec<&str> = report.lines().collect();
@@ -328,7 +216,6 @@ mod tests {
     fn empty_snapshot_renders() {
         let s = Snapshot::default();
         assert_eq!(s.to_json().matches("{}").count(), 6);
-        assert_eq!(s.to_prometheus(), "");
         assert_eq!(s.span_tree_report(), "no spans recorded\n");
     }
 

@@ -1,11 +1,9 @@
 //! # mipsx-telemetry — host-side observability
 //!
-//! PR 1 made the *guest* observable (cycle-exact CPI attribution, pipe
-//! diagrams, JSONL probes); this crate does the same for the *host*: the
-//! sweep engine, the thread pool, the result store, and the simulator's
-//! own wall-clock behaviour. It is the measurement layer the
-//! measure-then-optimize roadmap items (batching small sweep jobs, the
-//! resident `mipsx serve` daemon) stand on.
+//! The core's probes make the *guest* observable (cycle-exact CPI
+//! attribution, pipe diagrams, JSONL probes); this crate does the same
+//! for the *host*: the sweep engine, the thread pool, the result store,
+//! and the simulator's own wall-clock behaviour.
 //!
 //! Two primitives:
 //!
@@ -99,13 +97,13 @@ impl Telemetry {
     }
 
     /// Add `n` to a **timing-section** counter — a scheduling- or
-    /// wall-clock-dependent count (steals, idle nanoseconds).
+    /// wall-clock-dependent count (busy and idle nanoseconds).
     pub fn timing_count(&self, name: &str, n: u64) {
         self.with_state(|s| *s.timing_counters.entry(name.to_owned()).or_insert(0) += n);
     }
 
     /// Record `value` into a **timing-section** log2 histogram
-    /// (latencies in nanoseconds, queue depth samples).
+    /// (latencies in nanoseconds).
     pub fn timing_observe(&self, name: &str, value: u64) {
         self.with_state(|s| {
             s.timing_histograms

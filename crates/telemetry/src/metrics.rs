@@ -40,8 +40,8 @@ pub fn bucket_index(value: u64) -> usize {
 }
 
 /// The inclusive upper bound of bucket `i`, if representable (`None` for
-/// the last bucket, whose bound is `u64::MAX` — rendered `+Inf` in the
-/// Prometheus exposition).
+/// the last bucket, whose bound is `u64::MAX`). JSON histograms list
+/// buckets by index; this is how a reader turns an index into a range.
 pub fn bucket_upper_bound(i: usize) -> Option<u64> {
     match i {
         0 => Some(0),

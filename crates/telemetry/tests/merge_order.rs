@@ -49,7 +49,6 @@ proptest! {
         let reversed = merged(parts.iter().rev());
         prop_assert_eq!(&reversed, &reference);
         prop_assert_eq!(rotated.to_json(), reference.to_json());
-        prop_assert_eq!(reversed.to_prometheus(), reference.to_prometheus());
     }
 
     /// Merge is associative: (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c).

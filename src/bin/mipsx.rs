@@ -122,8 +122,7 @@
 //!                       or sweeps/)
 //!   --no-cache          disable the result cache entirely
 //!   --metrics <path>    record host telemetry and write it to <path>
-//!                       (JSON) plus a Prometheus text exposition at
-//!                       <path>.prom
+//!                       (JSON)
 //!   --timings           render the timed report variants (adds per-job
 //!                       wall_ms; no longer byte-comparable across runs)
 //!   --journal <path>    crash-safe progress journal: one flushed line per
@@ -184,7 +183,7 @@ use mipsx::asm::{assemble, assemble_at, disassemble, Program};
 use mipsx::bench::experiments;
 use mipsx::bench::{json_document, render_table, rows_to_json_timed};
 use mipsx::cli::{flag, parse_args, switch, ArgError, FlagSpec, ParsedArgs};
-use mipsx::core::probe::{CpiAttribution, JsonlSink, NullSink, PipeDiagram};
+use mipsx::core::probe::{json_escape, CpiAttribution, JsonlSink, NullSink, PipeDiagram};
 use mipsx::core::{FaultPlan, InterlockPolicy, Machine, MachineConfig, RunError, RunStats};
 use mipsx::engine::drives_caches;
 use mipsx::exec::{AnyBackend, CheckedBackend, EngineKind, ExecBackend, ExecError};
@@ -564,7 +563,7 @@ fn run_differential(
 fn json_strings(items: &[String]) -> String {
     let quoted: Vec<String> = items
         .iter()
-        .map(|e| format!("\"{}\"", e.replace('"', "'")))
+        .map(|e| format!("\"{}\"", json_escape(e)))
         .collect();
     format!("[{}]", quoted.join(","))
 }
@@ -1159,18 +1158,14 @@ fn cmd_sweep(args: &[String]) -> Outcome {
     reported(outcome.failed_count() == 0)
 }
 
-/// With `--metrics <path>`, write a telemetry snapshot to `path` as JSON,
-/// plus the Prometheus text exposition next to it at `<path>.prom`.
+/// With `--metrics <path>`, write a telemetry snapshot to `path` as JSON.
 fn write_metrics(parsed: &ParsedArgs, snapshot: &mipsx::telemetry::Snapshot) -> Outcome {
     let Some(path) = parsed.value("--metrics") else {
         return Ok(());
     };
     std::fs::write(path, snapshot.to_json() + "\n")
         .map_err(|e| format!("cannot write {path}: {e}"))?;
-    let prom = format!("{path}.prom");
-    std::fs::write(&prom, snapshot.to_prometheus())
-        .map_err(|e| format!("cannot write {prom}: {e}"))?;
-    eprintln!("mipsx: metrics written to {path} and {prom}");
+    eprintln!("mipsx: metrics written to {path}");
     Ok(())
 }
 
@@ -1277,12 +1272,11 @@ fn profile_sweep(parsed: &ParsedArgs) -> Outcome {
     if busy + idle > 0 {
         println!();
         println!(
-            "pool: {} worker(s), busy {:.1} ms, idle {:.1} ms ({:.1}% occupancy), {} steal(s)",
+            "pool: {} worker(s), busy {:.1} ms, idle {:.1} ms ({:.1}% occupancy)",
             snap.gauges.get("pool.workers").copied().unwrap_or(0),
             busy as f64 / 1e6,
             idle as f64 / 1e6,
             100.0 * busy as f64 / (busy + idle) as f64,
-            timing("pool.steals"),
         );
     }
     let guest_cycles = snap.counter("guest.cycles");

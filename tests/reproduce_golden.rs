@@ -45,11 +45,14 @@ fn pinned(keep: impl Fn(&str) -> bool) -> String {
 
 #[test]
 fn every_table_matches_the_pinned_reference() {
-    assert_eq!(
-        untimed_stdout(&["reproduce", "--json"]),
-        pinned(|_| true),
-        "a paper table changed; if intended, re-pin perfbench/pinned/paper_tables.jsonl"
-    );
+    for threads in ["1", "2"] {
+        assert_eq!(
+            untimed_stdout(&["reproduce", "--json", "--threads", threads]),
+            pinned(|_| true),
+            "a paper table changed at --threads {threads}; if intended, \
+             re-pin perfbench/pinned/paper_tables.jsonl"
+        );
+    }
 }
 
 #[test]
