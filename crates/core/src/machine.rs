@@ -230,11 +230,13 @@ impl Machine {
     }
 
     /// Read a memory word directly (verification).
+    #[inline]
     pub fn read_word(&self, addr: u32) -> u32 {
         self.mem.peek(addr)
     }
 
     /// Write a memory word directly (test setup).
+    #[inline]
     pub fn write_word(&mut self, addr: u32, word: u32) {
         self.decoded.invalidate(addr);
         self.mem.write(addr, word);

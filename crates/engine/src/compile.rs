@@ -63,7 +63,7 @@ pub(crate) const SHADOW_FETCHES: u32 = 5;
 
 /// The most stall cycles one Ecache read and one instruction fetch can
 /// cost on `cfg`.
-pub(crate) fn max_stalls(cfg: &MachineConfig) -> (u64, u64) {
+fn max_stalls(cfg: &MachineConfig) -> (u64, u64) {
     let read = u64::from(cfg.ecache.late_miss_overhead + cfg.mem_latency);
     let ic = &cfg.icache;
     let fill = if ic.whole_block_fill {
@@ -119,20 +119,23 @@ pub(crate) enum Op {
 }
 
 /// Closed-form `RunStats` increments for one block visit under one branch
-/// outcome (index 0 = not taken / non-branch, 1 = taken).
+/// outcome (index 0 = not taken / non-branch, 1 = taken). Each is at most
+/// the block's length, so `u32` holds it.
 // Not a full `RunStats`: two 24-field deltas per block raised `ideal_block`'s peak RSS by 25 %.
+// `u32` rather than `u64` fields halve what a visit reads here and cut
+// `ideal_block`'s peak RSS by about 8 %.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Delta {
-    pub instructions: u64,
-    pub nops: u64,
-    pub squashed: u64,
-    pub branches: u64,
-    pub branches_taken: u64,
-    pub branch_slot_nops: u64,
-    pub branch_slot_squashed: u64,
-    pub jumps: u64,
-    pub loads: u64,
-    pub stores: u64,
+    pub instructions: u32,
+    pub nops: u32,
+    pub squashed: u32,
+    pub branches: u32,
+    pub branches_taken: u32,
+    pub branch_slot_nops: u32,
+    pub branch_slot_squashed: u32,
+    pub jumps: u32,
+    pub loads: u32,
+    pub stores: u32,
 }
 
 /// How a compiled block transfers control.
@@ -168,11 +171,28 @@ pub(crate) enum Exit {
     },
 }
 
-/// The last up-to-three fetched `(pc, killed)` records of a visit, oldest
-/// first — fuel for the PC-chain seed at a fallback exit.
+/// One fetch record of the PC-chain seed: the word's address and whether
+/// the visit killed it, in one `u64`, so that shifting records moves whole
+/// words (moving a `(u32, bool)` pair copied its padding byte by byte).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct FetchRecord(u64);
+
+impl FetchRecord {
+    pub fn new(pc: u32, killed: bool) -> FetchRecord {
+        FetchRecord(u64::from(pc) | u64::from(killed) << 32)
+    }
+
+    /// The record as the PC chain takes it, `(pc, killed)`.
+    pub fn get(self) -> (u32, bool) {
+        (self.0 as u32, self.0 >> 32 != 0)
+    }
+}
+
+/// The last up-to-three fetch records of a visit, oldest first — fuel for
+/// the PC-chain seed at a fallback exit.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct TailSeed {
-    pub entries: [(u32, bool); 3],
+    pub entries: [FetchRecord; 3],
     pub len: u8,
 }
 
@@ -192,6 +212,9 @@ pub(crate) struct CompiledBlock {
     pub delta: [Delta; 2],
     /// Per-outcome PC-chain seed records.
     pub tail: [TailSeed; 2],
+    /// An upper bound on the cycles from the visit's first fetch to its
+    /// last drain in a contiguous run (see [`cost_bound`]).
+    pub cost_bound: u64,
 }
 
 impl CompiledBlock {
@@ -202,24 +225,23 @@ impl CompiledBlock {
             _ => self.len,
         }
     }
+}
 
-    /// An upper bound on the cycles from the visit's first fetch to its
-    /// last drain in a contiguous run, given the most stall cycles one
-    /// Ecache read and one fetch can cost: its length plus the most its own
-    /// fetches, the loads it and its predecessor owe the Ecache, and the
-    /// successor's first four fetches can stall.
-    ///
-    /// The predecessor and successor terms (`+ 3` reads, `+ 4` fetches)
-    /// are what make a demotion right after this block exact: they keep
-    /// the budget the stepper's refill needs to reach the Ecache reads this
-    /// block's last three positions still owe, so the engine's replay of
-    /// those reads always finishes inside the caller's budget.
-    #[inline]
-    pub fn cost_bound(&self, (read_max, fetch_max): (u64, u64)) -> u64 {
-        let len = u64::from(self.len);
-        let loads = self.delta[0].loads.max(self.delta[1].loads);
-        len + (len + 4) * fetch_max + (loads + 3) * read_max
-    }
+/// An upper bound on the cycles from the first fetch of a visit to a block
+/// of `len` words with at most `loads` loads to its last drain in a
+/// contiguous run, on a configuration whose [`max_stalls`] are `(read_max,
+/// fetch_max)`: its length plus the most its own fetches, the loads it and
+/// its predecessor owe the Ecache, and the successor's first four fetches
+/// can stall.
+///
+/// The predecessor and successor terms (`+ 3` reads, `+ 4` fetches) are
+/// what make a demotion right after the block exact: they keep the budget
+/// the stepper's refill needs to reach the Ecache reads the block's last
+/// three positions still owe, so the engine's replay of those reads always
+/// finishes inside the caller's budget.
+fn cost_bound(len: u32, loads: u32, (read_max, fetch_max): (u64, u64)) -> u64 {
+    let (len, loads) = (u64::from(len), u64::from(loads));
+    len + (len + 4) * fetch_max + (loads + 3) * read_max
 }
 
 /// The compiled image: blocks plus a dense address map used both for
@@ -227,8 +249,10 @@ impl CompiledBlock {
 #[derive(Clone, Debug)]
 pub(crate) struct CodeCache {
     origin: u32,
-    /// `addr - origin` → block index, [`NONE`], or [`WATCH`]. Covers the
-    /// image plus [`SHADOW_WORDS`] words of runway.
+    /// `addr - origin` → the index of the block that starts there,
+    /// [`WATCH`] for any other word of a block or of a halt block's
+    /// shadow, or [`NONE`]. Covers the image plus [`SHADOW_WORDS`] words
+    /// of runway.
     map: Vec<u32>,
     pub blocks: Vec<CompiledBlock>,
 }
@@ -248,11 +272,7 @@ impl CodeCache {
     #[inline]
     pub fn block_at(&self, pc: u32) -> Option<usize> {
         let i = *self.map.get(pc.wrapping_sub(self.origin) as usize)?;
-        if i >= WATCH {
-            return None;
-        }
-        let i = i as usize;
-        (self.blocks[i].start == pc).then_some(i)
+        (i < WATCH).then_some(i as usize)
     }
 
     /// Whether a store to `addr` can change compiled behaviour (the
@@ -288,7 +308,7 @@ pub(crate) fn compile(origin: u32, entry: u32, words: &[u32], cfg: &MachineConfi
     for (i, b) in blocks.iter().enumerate() {
         for a in b.start..b.start.wrapping_add(b.len) {
             if let Some(slot) = map.get_mut(a.wrapping_sub(origin) as usize) {
-                *slot = i as u32;
+                *slot = if a == b.start { i as u32 } else { WATCH };
             }
         }
         if let Exit::Halt { .. } = b.exit {
@@ -466,6 +486,7 @@ fn compile_block(
         make_delta(b, true, &instrs, term),
     ];
     let tail = [make_tail(b, false), make_tail(b, true)];
+    let loads = delta[0].loads.max(delta[1].loads);
 
     CompiledBlock {
         start: b.start,
@@ -476,19 +497,20 @@ fn compile_block(
         exit,
         delta,
         tail,
+        cost_bound: cost_bound(b.len, loads, max_stalls(cfg)),
     }
 }
 
 /// The `RunStats` increments of one visit with branch outcome `taken`,
 /// mirroring the stepper's write-back and resolve-stage accounting.
 fn make_delta(b: &BlockSummary, taken: bool, instrs: &[Instr], term: Option<Instr>) -> Delta {
-    let squashed = u64::from(b.squashed_when(taken));
+    let squashed = b.squashed_when(taken);
     let is_branch = matches!(b.exit, BlockExit::Branch { .. });
     let is_jspci = matches!(term, Some(Instr::Jspci { .. }));
-    let window_from = instrs.len() as u64 - u64::from(b.slots);
-    let (mut loads, mut stores) = (0u64, 0u64);
+    let window_from = instrs.len() - b.slots as usize;
+    let (mut loads, mut stores) = (0, 0);
     for (i, ins) in instrs.iter().enumerate() {
-        let killed = squashed > 0 && (i as u64) >= window_from;
+        let killed = squashed > 0 && i >= window_from;
         if killed {
             continue;
         }
@@ -501,18 +523,18 @@ fn make_delta(b: &BlockSummary, taken: bool, instrs: &[Instr], term: Option<Inst
         }
     }
     Delta {
-        instructions: u64::from(b.len) - squashed,
-        nops: u64::from(b.nops_when(taken)),
+        instructions: b.len - squashed,
+        nops: b.nops_when(taken),
         squashed,
-        branches: u64::from(is_branch),
-        branches_taken: u64::from(is_branch && taken),
+        branches: u32::from(is_branch),
+        branches_taken: u32::from(is_branch && taken),
         branch_slot_nops: if is_branch && squashed == 0 {
-            u64::from(b.slot_nops)
+            b.slot_nops
         } else {
             0
         },
         branch_slot_squashed: if is_branch { squashed } else { 0 },
-        jumps: u64::from(is_jspci),
+        jumps: u32::from(is_jspci),
         loads,
         stores,
     }
@@ -529,7 +551,7 @@ fn make_tail(b: &BlockSummary, taken: bool) -> TailSeed {
     for j in 0..n {
         let addr = b.start.wrapping_add(b.len).wrapping_sub(n).wrapping_add(j);
         let killed = squashes && addr >= window_from;
-        seed.entries[j as usize] = (addr, killed);
+        seed.entries[j as usize] = FetchRecord::new(addr, killed);
     }
     seed.len = n as u8;
     seed

@@ -34,6 +34,14 @@
 //! reads the Ecache for each load at its place in the stepper's event
 //! order (see `BlockEngine::book_caches`).
 //!
+//! Each compiled block has a [`HitMemo`] in the engine (not in the
+//! shared compiled image): the Icache lines its last all-hit visit
+//! booked. While the Icache's epoch shows that no resident word has gone
+//! away since, the next visit books those lines again without a row
+//! scan, with the same statistics, clock and recency stamps as the walk.
+//! The memos are cleared at every region entry, because the machine may
+//! have been reset or restored between runs.
+//!
 //! # The cycle-splice contract
 //!
 //! Fast execution must be *invisible* in the books. The handshake with the
@@ -75,12 +83,13 @@ mod compile;
 
 use std::sync::Arc;
 
-use compile::{CodeCache, Exit, Op};
+use compile::{CodeCache, Exit, FetchRecord, Op, TailSeed};
 use mipsx_asm::{DecodedEntry, Program};
 use mipsx_core::{
     FaultPlan, Machine, MachineConfig, NullSink, RunError, RunStats, StallCause, TraceSink,
 };
 use mipsx_isa::{Instr, Mode};
+use mipsx_mem::HitMemo;
 use mipsx_telemetry::Telemetry;
 
 /// Why the engine handed control (back) to the cycle-accurate stepper.
@@ -225,28 +234,35 @@ pub fn drives_caches(cfg: &MachineConfig) -> bool {
         || cfg.icache.whole_block_fill
 }
 
-/// Ring of the last ≤3 fetched `(pc, killed)` records — the PC-chain seed
-/// handed to [`Machine::exit_block_region`] on demotion.
+/// The last ≤3 fetch records — the PC-chain seed handed to
+/// [`Machine::exit_block_region`] on demotion. The records sit at the end
+/// of `buf`, the newest last.
 #[derive(Clone, Copy, Debug, Default)]
 struct Recent {
-    buf: [(u32, bool); 3],
+    buf: [FetchRecord; 3],
     len: usize,
 }
 
 impl Recent {
+    /// Append a visit's tail, its last `min(len, 3)` fetch records: a full
+    /// tail replaces the buffer, a shorter one shifts in behind the newest
+    /// records kept.
     #[inline]
-    fn push(&mut self, e: (u32, bool)) {
-        if self.len < 3 {
-            self.buf[self.len] = e;
-            self.len += 1;
-        } else {
-            self.buf.rotate_left(1);
-            self.buf[2] = e;
-        }
+    fn take(&mut self, tail: &TailSeed) {
+        let [a, b, _] = tail.entries;
+        let [_, y, z] = self.buf;
+        self.buf = match tail.len {
+            0 => return,
+            1 => [y, z, a],
+            2 => [z, a, b],
+            _ => tail.entries,
+        };
+        self.len = (self.len + usize::from(tail.len)).min(3);
     }
 
-    fn as_slice(&self) -> &[(u32, bool)] {
-        &self.buf[..self.len]
+    /// The seed, oldest first, as `(pc, killed)` pairs.
+    fn seed(&self) -> Vec<(u32, bool)> {
+        self.buf[3 - self.len..].iter().map(|r| r.get()).collect()
     }
 }
 
@@ -260,8 +276,6 @@ pub struct BlockEngine {
     /// The configuration prices some stall, so the fast path drives the
     /// machine's cache models (see [`BlockEngine::book_caches`]).
     cached: bool,
-    /// The most stall cycles one Ecache read and one fetch can cost.
-    max_stalls: (u64, u64),
     /// Fetches since region entry.
     fetched: u64,
     /// Loads retired eagerly whose Ecache read is still due, as
@@ -273,6 +287,10 @@ pub struct BlockEngine {
     code: Arc<CodeCache>,
     /// A watched store landed since the last (re)compile.
     dirty: bool,
+    /// Per compiled block, the Icache lines its last all-hit visit booked
+    /// (see [`BlockEngine::book_caches`]). Per engine, unlike the shared
+    /// image: each memo belongs to the Icache of the run that recorded it.
+    memos: Vec<HitMemo>,
     recent: Recent,
     stats: EngineStats,
     telemetry: Telemetry,
@@ -320,11 +338,11 @@ impl BlockEngine {
             image_words: self.image_words,
             cfg: self.cfg,
             cached: self.cached,
-            max_stalls: self.max_stalls,
             fetched: 0,
             owed: Vec::new(),
             code: Arc::clone(&self.code),
             dirty: false,
+            memos: Vec::new(),
             recent: Recent::default(),
             stats: EngineStats {
                 fallback_blocks: self.stats.fallback_blocks,
@@ -341,11 +359,11 @@ impl BlockEngine {
             image_words: program.words.len() as u32,
             cfg: *cfg,
             cached: drives_caches(cfg),
-            max_stalls: compile::max_stalls(cfg),
             fetched: 0,
             owed: Vec::new(),
             code: Arc::new(CodeCache::empty(program.origin)),
             dirty: false,
+            memos: Vec::new(),
             recent: Recent::default(),
             stats: EngineStats::default(),
             telemetry: Telemetry::disabled(),
@@ -417,6 +435,8 @@ impl BlockEngine {
         self.recent = Recent::default();
         self.fetched = 0;
         self.owed.clear();
+        // The machine may have been reset or restored since the last run.
+        self.clear_memos();
         let start_cycles = m.stats().cycles; // includes the entry ramp charge
 
         loop {
@@ -429,6 +449,7 @@ impl BlockEngine {
                     self.telemetry.count("engine.recompiles", 1);
                 }
                 self.compile_from(m);
+                self.clear_memos();
             }
             let pc = m.pc();
             let Some(bi) = self.code.block_at(pc) else {
@@ -448,7 +469,7 @@ impl BlockEngine {
             // cycle `work + ramp + cost_bound`; past the budget, it could
             // stop at `CycleLimit` first.
             let ramp = Machine::PIPE_FILL_CYCLES;
-            let cost = self.code.blocks[bi].cost_bound(self.max_stalls);
+            let cost = self.code.blocks[bi].cost_bound;
             if self.stats_used(m, start_cycles) + ramp + cost > max_cycles {
                 return self.demote(
                     m,
@@ -464,6 +485,16 @@ impl BlockEngine {
             } else {
                 self.execute::<false>(m, bi);
             }
+        }
+    }
+
+    /// One empty [`HitMemo`] per compiled block, when the fast path drives
+    /// the caches.
+    fn clear_memos(&mut self) {
+        self.memos.clear();
+        if self.cached {
+            self.memos
+                .resize(self.code.blocks.len(), HitMemo::default());
         }
     }
 
@@ -521,7 +552,7 @@ impl BlockEngine {
         // stepper re-pays the ramp out of the remainder as it refills.
         let used = self.stats_used(m, start_cycles);
         let pc = m.pc();
-        m.exit_block_region(pc, self.recent.as_slice());
+        m.exit_block_region(pc, &self.recent.seed());
         let budget = max_cycles - used;
         let refill_start = m.stats().cycles;
         self.replay_owed_loads(m, budget, sink, plan)?;
@@ -656,23 +687,20 @@ impl BlockEngine {
         let len = u64::from(b.len);
         let s = m.stats_mut();
         s.cycles += len;
-        s.instructions += d.instructions;
-        s.nops += d.nops;
-        s.squashed += d.squashed;
-        s.branches += d.branches;
-        s.branches_taken += d.branches_taken;
-        s.branch_slot_nops += d.branch_slot_nops;
-        s.branch_slot_squashed += d.branch_slot_squashed;
-        s.jumps += d.jumps;
-        s.loads += d.loads;
-        s.stores += d.stores;
+        s.instructions += u64::from(d.instructions);
+        s.nops += u64::from(d.nops);
+        s.squashed += u64::from(d.squashed);
+        s.branches += u64::from(d.branches);
+        s.branches_taken += u64::from(d.branches_taken);
+        s.branch_slot_nops += u64::from(d.branch_slot_nops);
+        s.branch_slot_squashed += u64::from(d.branch_slot_squashed);
+        s.jumps += u64::from(d.jumps);
+        s.loads += u64::from(d.loads);
+        s.stores += u64::from(d.stores);
         self.stats.block_visits += 1;
         self.stats.fast_cycles += m.stats().cycles - cycles_before;
-        self.stats.fast_instructions += d.instructions;
-        let tail = &b.tail[o];
-        for i in 0..usize::from(tail.len) {
-            self.recent.push(tail.entries[i]);
-        }
+        self.stats.fast_instructions += u64::from(d.instructions);
+        self.recent.take(&b.tail[o]);
         match next {
             Next::Goto(pc) => m.set_pc(pc),
             Next::Stop(pc) => {
@@ -692,7 +720,10 @@ impl BlockEngine {
     /// (one row scan per line), make the owed reads due before that miss
     /// (an Icache hit touches no Ecache state, so deferring them past hits
     /// is exact), then fetch the missed word as the stepper's
-    /// `Icache::fetch_through` does, its fill reading the Ecache.
+    /// `Icache::fetch_through` does, its fill reading the Ecache. The first
+    /// bulk booking goes through the block's [`HitMemo`]: while no resident
+    /// word has left the Icache since the block's last all-hit visit, it
+    /// books that visit's lines again without scanning a row.
     ///
     /// Stalls add, so most go straight onto the clock. A `halt` retires in
     /// the cycle of its last shadow fetch, which is also when the first
@@ -722,7 +753,11 @@ impl BlockEngine {
         let mut k = 0;
         loop {
             let icache = m.memory_mut().0;
-            k += icache.fetch_hits(b.start.wrapping_add(k), fetches - k);
+            k += if k == 0 {
+                icache.fetch_hits_memo(b.start, fetches, &mut self.memos[bi])
+            } else {
+                icache.fetch_hits(b.start.wrapping_add(k), fetches - k)
+            };
             let f = start + u64::from(k);
             while next < self.owed.len() && self.owed[next].0 + 3 < f {
                 read(m, self.owed[next]);
@@ -831,6 +866,42 @@ fn exec_op<const CACHED: bool>(
         Op::MovtosMd { rs } => {
             let cpu = m.cpu_mut();
             cpu.md = cpu.reg(rs);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The demotion seed is the last three fetch records, oldest first,
+    /// after any sequence of visits with 1-, 2- and 3-entry tails.
+    #[test]
+    fn demotion_seed_is_the_last_three_fetch_records() {
+        let tails: [&[u8]; 5] = [
+            &[1, 1, 1, 1],
+            &[2, 1, 3, 2],
+            &[3, 1, 2],
+            &[1, 2, 2, 1],
+            &[2, 3],
+        ];
+        for (case, lens) in tails.iter().enumerate() {
+            let mut recent = Recent::default();
+            let mut fetched = Vec::new();
+            for (visit, &len) in lens.iter().enumerate() {
+                let mut tail = TailSeed {
+                    len,
+                    ..TailSeed::default()
+                };
+                for j in 0..usize::from(len) {
+                    let record = (100 * visit as u32 + j as u32, j % 2 == 1);
+                    tail.entries[j] = FetchRecord::new(record.0, record.1);
+                    fetched.push(record);
+                }
+                recent.take(&tail);
+                let want = &fetched[fetched.len().saturating_sub(3)..];
+                assert_eq!(recent.seed(), want, "case {case}, visit {visit}");
+            }
         }
     }
 }

@@ -149,9 +149,9 @@ mod tests {
     }
 
     #[test]
-    fn stealing_drains_imbalanced_loads() {
-        // One job is 1000x the others; the pool must still finish and keep
-        // index order.
+    fn one_long_job_does_not_hold_up_the_rest() {
+        // One job is 1000x the others: the other workers keep taking the
+        // next index while it runs, and results stay in index order.
         let out = run_all(16, 4, |i| {
             let reps = if i == 0 { 100_000 } else { 100 };
             (0..reps).fold(i as u64, |a, x| a.wrapping_add(x))
@@ -167,9 +167,9 @@ mod tests {
     }
 
     #[test]
-    fn chunked_dealing_covers_every_job_exactly_once() {
-        // 1000 jobs on 4 workers → chunk size 31: the batched path, unlike
-        // the small sweeps above (≤ 8 jobs/worker keep chunk size 1).
+    fn the_shared_counter_hands_out_every_job_exactly_once() {
+        // 1000 jobs on 4 workers, far more than any sweep runs: each index
+        // is taken from the shared counter by exactly one worker.
         let calls = AtomicUsize::new(0);
         let tele = Telemetry::enabled();
         let out = run_indexed(1000, 4, &tele, |i| {
@@ -178,7 +178,6 @@ mod tests {
         });
         assert_eq!(calls.load(Ordering::Relaxed), 1000);
         assert_eq!(out, (0..1000).map(Ok).collect::<Vec<_>>());
-        // pool.tasks counts jobs, not chunks.
         assert_eq!(
             tele.snapshot().timing_counters.get("pool.tasks"),
             Some(&1000)

@@ -1,12 +1,12 @@
-//! One hasher for the memory hierarchy's `u32`-keyed sets and maps.
+//! One hasher for the caches' `u32`-keyed sets.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A multiplicative (Fibonacci) hasher for `u32` keys: block addresses in
-/// the caches' cold/conflict histories and page numbers in main memory.
-/// Those keys are small and dense, and SipHash's flood resistance buys
-/// nothing here. `std`'s hash tables pick buckets by the low bits, so the
-/// product's well-mixed high half is folded into them.
+/// the caches' cold/conflict histories. Those keys are small and dense,
+/// and SipHash's flood resistance buys nothing here. `std`'s hash tables
+/// pick buckets by the low bits, so the product's well-mixed high half is
+/// folded into them.
 #[derive(Clone, Copy, Default, Debug)]
 pub(crate) struct U32Hasher(u64);
 

@@ -146,6 +146,27 @@ pub enum FetchOutcome {
     Miss,
 }
 
+/// Lines a [`HitMemo`] holds; a run over more lines walks every time.
+const MEMO_LINES: usize = 4;
+
+/// The lines one sequential run booked on its last all-hit walk, for
+/// [`Icache::fetch_hits_memo`] to book again without a row scan while the
+/// cache's epoch says no resident word has gone away since. A memo serves
+/// one run of one cache: a caller that may hand it another cache (a
+/// rebuilt or restored one) clears it first.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct HitMemo {
+    /// The cache epoch the lines were booked in; 0, which no cache has,
+    /// when the memo holds nothing.
+    epoch: u64,
+    start: u32,
+    len: u32,
+    /// Block index and words booked, per line in fetch order.
+    index: [u32; MEMO_LINES],
+    words: [u8; MEMO_LINES],
+    lines: u8,
+}
+
 /// The on-chip instruction cache.
 #[derive(Clone, Debug)]
 pub struct Icache {
@@ -172,6 +193,11 @@ pub struct Icache {
     /// Block addresses ever referenced, for cold/conflict classification.
     seen_blocks: HashSet<u32, BuildU32Hasher>,
     stats: CacheStats,
+    /// Advances whenever a resident word can stop being valid: a fill that
+    /// evicts a line, a cleared valid bit, `invalidate_all` and
+    /// `restore_state`. A [`HitMemo`] from the current epoch is exact. It
+    /// starts at 1. Not part of [`IcacheState`]: it only dates memos.
+    epoch: u64,
 }
 
 impl Icache {
@@ -194,6 +220,7 @@ impl Icache {
             seen_blocks: HashSet::default(),
             cfg,
             stats: CacheStats::new(),
+            epoch: 1,
         }
     }
 
@@ -226,6 +253,7 @@ impl Icache {
         self.known.fill(false);
         self.fifo.fill(0);
         self.seen_blocks.clear();
+        self.epoch += 1;
     }
 
     #[inline]
@@ -258,6 +286,7 @@ impl Icache {
         match self.scan(row, tag) {
             Slot::Present(index) if self.valid[index] & (1 << word) != 0 => {
                 self.valid[index] &= !(1 << word);
+                self.epoch += 1;
                 true
             }
             _ => false,
@@ -375,12 +404,14 @@ impl Icache {
     /// valid bit, and [`Icache::book_hits`] stamps the line as its last
     /// fetch would. Going on from a fill's slot is exact too: a fill moves
     /// only the missed line, unless its fetch-back partner opens the next
-    /// line, which happens only at the line's last word.
+    /// line, which happens only at the line's last word. Each booking also
+    /// goes to `booked` as `(block index, words)`.
     #[inline]
     fn walk(
         &mut self,
         start: u32,
         len: u32,
+        mut booked: impl FnMut(usize, u32),
         mut miss: impl FnMut(&mut Icache, u32, Slot) -> Option<Slot>,
     ) -> u32 {
         let mut done = 0;
@@ -401,6 +432,7 @@ impl Icache {
                     // A line no fetch hit keeps its recency stamp.
                     if run > 0 {
                         self.book_hits(index, run);
+                        booked(index, run);
                         done += run;
                     }
                     if done == end {
@@ -423,7 +455,41 @@ impl Icache {
     /// fetch (with [`Icache::fetch_through`], say).
     #[inline]
     pub fn fetch_hits(&mut self, start: u32, len: u32) -> u32 {
-        self.walk(start, len, |_, _, _| None)
+        self.walk(start, len, |_, _| {}, |_, _, _| None)
+    }
+
+    /// [`Icache::fetch_hits`] for a run the caller repeats, books and
+    /// result identical. While `memo` holds this run from the current
+    /// epoch, every word of it is still resident in the block it was in,
+    /// so the lines are booked again as recorded, with no row scan.
+    /// Otherwise the run is walked; if every word hit and the run spans at
+    /// most the memo's lines, the memo records it.
+    #[inline]
+    pub fn fetch_hits_memo(&mut self, start: u32, len: u32, memo: &mut HitMemo) -> u32 {
+        if memo.epoch == self.epoch && memo.start == start && memo.len == len {
+            for line in 0..usize::from(memo.lines) {
+                self.book_hits(memo.index[line] as usize, u32::from(memo.words[line]));
+            }
+            return len;
+        }
+        let mut lines = 0;
+        let booked = |index: usize, words: u32| {
+            if lines < MEMO_LINES {
+                memo.index[lines] = index as u32;
+                memo.words[lines] = words as u8;
+            }
+            lines += 1;
+        };
+        let hits = self.walk(start, len, booked, |_, _, _| None);
+        if hits == len && lines <= MEMO_LINES {
+            memo.epoch = self.epoch;
+            memo.start = start;
+            memo.len = len;
+            memo.lines = lines as u8;
+        } else {
+            memo.epoch = 0;
+        }
+        hits
     }
 
     /// Install `addr` (allocating a block if its tag is absent) and mark its
@@ -448,6 +514,9 @@ impl Icache {
             Slot::Absent => {
                 let way = self.victim(row);
                 let index = self.block_index(row, way);
+                if self.tags[index] != NO_TAG {
+                    self.epoch += 1;
+                }
                 self.tags[index] = u64::from(tag);
                 self.valid[index] = 0;
                 self.known[index] = false;
@@ -629,10 +698,15 @@ impl Icache {
     /// The trace-driven walk of one run: every miss is recorded and filled
     /// with no cost beyond the miss penalty, and the walk goes on.
     fn walk_trace(&mut self, start: u32, len: u32) {
-        self.walk(start, len, |cache, addr, slot| {
-            cache.record_miss(addr, slot);
-            Some(cache.fill_miss(addr, slot, 0, |_| 0).1)
-        });
+        self.walk(
+            start,
+            len,
+            |_, _| {},
+            |cache, addr, slot| {
+                cache.record_miss(addr, slot);
+                Some(cache.fill_miss(addr, slot, 0, |_| 0).1)
+            },
+        );
     }
 
     /// Per-set/way occupancy: `occupancy()[row][way]` is the number of
@@ -766,6 +840,7 @@ impl Icache {
         self.rng = state.rng;
         self.seen_blocks = state.seen_blocks.iter().copied().collect();
         self.stats = state.stats;
+        self.epoch += 1;
         Ok(())
     }
 }

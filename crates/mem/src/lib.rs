@@ -36,6 +36,6 @@ mod main_memory;
 mod stats;
 
 pub use ecache::{Ecache, EcacheConfig, EcacheState};
-pub use icache::{FetchOutcome, Icache, IcacheConfig, IcacheState, Replacement};
+pub use icache::{FetchOutcome, HitMemo, Icache, IcacheConfig, IcacheState, Replacement};
 pub use main_memory::{MainMemory, MainMemoryState};
 pub use stats::{CacheStats, MissCause};

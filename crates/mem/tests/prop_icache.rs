@@ -1,7 +1,10 @@
 //! Property tests: the instruction cache against a brute-force reference
 //! model, plus structural invariants.
 
-use mipsx_mem::{CacheStats, FetchOutcome, Icache, IcacheConfig, IcacheState, Replacement};
+use mipsx_mem::{
+    CacheStats, Ecache, EcacheConfig, FetchOutcome, HitMemo, Icache, IcacheConfig, IcacheState,
+    MainMemory, Replacement,
+};
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
 
@@ -297,5 +300,106 @@ proptest! {
             prop_assert_eq!(words.fetch(start.wrapping_add(k)), FetchOutcome::Hit);
         }
         prop_assert_eq!(bulk.snapshot_state(), words.snapshot_state());
+    }
+}
+
+/// One block visit as the block engine books it: the run's leading hits
+/// in bulk, then each missed word through the hierarchy and the hits
+/// after it. `first` books the leading hits. Returns the fetches booked
+/// as hits and the stall cycles.
+fn visit(
+    cache: &mut Icache,
+    ecache: &mut Ecache,
+    mem: &mut MainMemory,
+    (start, len): (u32, u32),
+    first: impl FnOnce(&mut Icache) -> u32,
+) -> (u32, u32) {
+    let mut k = first(cache);
+    let (mut hits, mut stalls) = (k, 0);
+    while k < len {
+        stalls += cache.fetch_through(start.wrapping_add(k), ecache, mem);
+        k += 1;
+        let more = cache.fetch_hits(start.wrapping_add(k), len - k);
+        hits += more;
+        k += more;
+    }
+    (hits, stalls)
+}
+
+proptest! {
+    /// `fetch_hits_memo` books exactly what `fetch_hits` books. Twin
+    /// caches (each with its own Ecache and memory) take the same random
+    /// block visits, one through per-block memos and one through plain
+    /// walks, with word invalidations, whole-cache invalidations and
+    /// checkpoint restores interleaved, under every replacement policy.
+    /// Blocks repeat, so memos are replayed, rebuilt and outlived by
+    /// evictions; short lines make some blocks span more lines than a
+    /// memo holds. After every step both caches hold the same state.
+    #[test]
+    fn memoized_hits_book_like_walks(
+        blocks in prop::collection::vec((0u32..192, 0u32..24), 1..8),
+        steps in prop::collection::vec((0u32..16, any::<u32>()), 1..160),
+        rows in prop::sample::select(vec![1u32, 2, 4]),
+        ways in 1u32..=4,
+        block_words in prop::sample::select(vec![1u32, 2, 4, 8, 16]),
+        policy in prop::sample::select(vec![Replacement::Fifo, Replacement::Lru, Replacement::Random]),
+        flags in (1u32..=2, any::<bool>(), 0u32..8),
+        base in prop::sample::select(vec![0u32, u32::MAX - 95]),
+    ) {
+        let (fetch_words, whole_block_fill, enabled) = flags;
+        let cfg = IcacheConfig {
+            rows,
+            ways,
+            block_words,
+            fetch_words,
+            miss_penalty: 2,
+            replacement: policy,
+            enabled: enabled != 0,
+            whole_block_fill,
+        };
+        let runs: Vec<(u32, u32)> =
+            blocks.iter().map(|&(start, len)| (base.wrapping_add(start), len)).collect();
+        let twin = || (Icache::new(cfg), Ecache::new(EcacheConfig::mipsx()), MainMemory::new());
+        let (mut memoized, mut me, mut mm) = twin();
+        let (mut walked, mut we, mut wm) = twin();
+        let mut memos = vec![HitMemo::default(); runs.len()];
+        let mut checkpoint = memoized.snapshot_state();
+        for (step, &(kind, pick)) in steps.iter().enumerate() {
+            match kind {
+                // Word invalidation, as a parity error does.
+                0 => {
+                    let (start, len) = runs[pick as usize % runs.len()];
+                    let addr = start.wrapping_add((pick >> 8) % len.max(1));
+                    prop_assert_eq!(memoized.invalidate_word(addr), walked.invalidate_word(addr));
+                }
+                1 => {
+                    memoized.invalidate_all();
+                    walked.invalidate_all();
+                }
+                2 => checkpoint = walked.snapshot_state(),
+                3 => {
+                    memoized.restore_state(&checkpoint).unwrap();
+                    walked.restore_state(&checkpoint).unwrap();
+                }
+                _ => {
+                    let b = pick as usize % runs.len();
+                    let (start, len) = runs[b];
+                    let memo = &mut memos[b];
+                    let got = visit(&mut memoized, &mut me, &mut mm, runs[b], |c| {
+                        c.fetch_hits_memo(start, len, memo)
+                    });
+                    let want = visit(&mut walked, &mut we, &mut wm, runs[b], |c| {
+                        c.fetch_hits(start, len)
+                    });
+                    prop_assert_eq!(got, want, "step {}: visit of block {}", step, b);
+                }
+            }
+            prop_assert_eq!(
+                memoized.snapshot_state(),
+                walked.snapshot_state(),
+                "step {}: caches diverged",
+                step
+            );
+        }
     }
 }

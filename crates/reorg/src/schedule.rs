@@ -430,15 +430,6 @@ impl Reorganizer {
         Ok((program, report))
     }
 
-    /// Run the static hazard verifier over a program under this
-    /// reorganizer's branch scheme (delay-slot count). `reorganize` and
-    /// `lower_naive` already run this check and record the outcome in
-    /// their [`ScheduleReport`]; it is public so hand-scheduled programs
-    /// can be checked against the same contract.
-    pub fn verify_schedule(&self, program: &Program) -> mipsx_verify::LintReport {
-        mipsx_verify::verify(program, &self.verify_config())
-    }
-
     /// The verifier's view of this reorganizer's branch scheme.
     fn verify_config(&self) -> mipsx_verify::VerifyConfig {
         mipsx_verify::VerifyConfig::for_slots(self.scheme.slots)
