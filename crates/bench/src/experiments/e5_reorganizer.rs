@@ -13,7 +13,9 @@
 //! scheduler the real per-branch probabilities (the profile-guided
 //! technique of McFarling & Hennessy).
 
+use mipsx_asm::Program;
 use mipsx_core::{Machine, MachineConfig, RunStats};
+use mipsx_engine::BlockEngine;
 use mipsx_reorg::{BranchScheme, RawProgram, Reorganizer, Terminator};
 use mipsx_workloads::synth::{generate, SynthConfig};
 
@@ -65,34 +67,51 @@ fn profile_blind(raw: &RawProgram) -> RawProgram {
 }
 
 /// Lower `raw` for the shipped branch scheme — scheduled, or with every
-/// slot a no-op when `naive` — and run it on the ideal-memory machine.
-fn run_lowered(raw: &RawProgram, naive: bool) -> RunStats {
+/// slot a no-op when `naive`.
+fn lower(raw: &RawProgram, naive: bool) -> Program {
     let reorg = Reorganizer::new(BranchScheme::mipsx());
     let lowered = if naive {
         reorg.lower_naive(raw)
     } else {
         reorg.reorganize(raw)
     };
-    let (program, _) = lowered.expect("lower");
+    lowered.expect("lower").0
+}
+
+/// Run `program` to halt on the ideal-memory machine, on the block engine,
+/// which books what the cycle-accurate stepper books.
+fn run_on_engine(program: &Program) -> RunStats {
     // Two delay slots and interlock detection, as the scheme requires.
-    let mut machine = Machine::new(MachineConfig::ideal_memory());
-    machine.load_program(&program);
-    machine.run(500_000_000).expect("run to halt")
+    let cfg = MachineConfig::ideal_memory();
+    let mut machine = Machine::new(cfg);
+    machine.load_program(program);
+    BlockEngine::from_program(program, &cfg)
+        .run(&mut machine, 500_000_000)
+        .expect("run to halt")
+}
+
+/// The three lowerings of each seed's program, in report order: no
+/// filling, profile-blind scheduling, profile-guided scheduling.
+fn programs() -> Vec<[Program; 3]> {
+    SEEDS
+        .iter()
+        .map(|&seed| {
+            let synth = generate(SynthConfig::pascal_like(seed));
+            [
+                lower(&synth.raw, true),
+                lower(&profile_blind(&synth.raw), false),
+                lower(&synth.raw, false),
+            ]
+        })
+        .collect()
 }
 
 /// Run the experiment.
 pub fn run() -> ReorgQuality {
     let mut totals = [RunStats::default(); 3];
-    for &seed in &SEEDS {
-        let synth = generate(SynthConfig::pascal_like(seed));
-        let blind = profile_blind(&synth.raw);
-        let runs = [
-            run_lowered(&synth.raw, true),
-            run_lowered(&blind, false),
-            run_lowered(&synth.raw, false),
-        ];
-        for (total, stats) in totals.iter_mut().zip(&runs) {
-            total.merge(stats);
+    for lowered in programs() {
+        for (total, program) in totals.iter_mut().zip(&lowered) {
+            total.merge(&run_on_engine(program));
         }
     }
     let [unscheduled, traditional, improved] = totals.map(|t| t.cycles_per_branch());
@@ -120,6 +139,28 @@ mod tests {
         );
         // An unscheduled branch costs exactly 1 + 2 empty slots.
         assert!((r.unscheduled - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn the_block_engine_books_what_the_stepper_books() {
+        let cfg = MachineConfig::ideal_memory();
+        let mut checked = 0;
+        for program in programs().iter().flatten() {
+            let mut stepped = Machine::new(cfg);
+            stepped.load_program(program);
+            let want = stepped.run(500_000_000).expect("run to halt");
+            let mut machine = Machine::new(cfg);
+            machine.load_program(program);
+            let mut engine = BlockEngine::from_program(program, &cfg);
+            let got = engine.run(&mut machine, 500_000_000).expect("run to halt");
+            assert_eq!(got, want, "program {checked}");
+            assert!(
+                engine.stats().fast_cycles > 0,
+                "program {checked} never took the fast path"
+            );
+            checked += 1;
+        }
+        assert_eq!(checked, 3 * SEEDS.len());
     }
 
     #[test]

@@ -74,9 +74,13 @@ pub enum PreparedArtifact {
 pub struct PreparedImage {
     /// The workload identity this image was prepared from.
     pub workload: String,
-    /// FNV-1a digest of the image (program origin/entry/words, or the
-    /// trace's addresses one word at a time) — the `img=` component of the
-    /// job key.
+    /// FNV-1a digest of the image — the `img=` component of the job key.
+    /// A program digests its origin, entry and words. A trace digests its
+    /// `(start, len)` runs as word pairs: the runs are maximal (no run is
+    /// empty or starts where the one before it ends), so they are a
+    /// function of the address stream, and the digest is still a content
+    /// address of the trace, at one pair per run instead of one word per
+    /// fetch.
     pub digest: u64,
     /// The prepared artifact itself.
     pub artifact: PreparedArtifact,
@@ -91,10 +95,9 @@ impl PreparedImage {
                     .into_iter()
                     .chain(program.words.iter().copied()),
             ),
-            PreparedArtifact::Trace(runs) => fnv1a_words(
-                runs.iter()
-                    .flat_map(|&(start, len)| (0..len).map(move |k| start.wrapping_add(k))),
-            ),
+            PreparedArtifact::Trace(runs) => {
+                fnv1a_words(runs.iter().flat_map(|&(start, len)| [start, len]))
+            }
         };
         PreparedImage {
             workload,
@@ -339,6 +342,35 @@ mod tests {
         assert!(image.program().is_none());
         assert!(image.block_template(&jobs[0].point.cfg, &tele).is_none());
         assert!(matches!(image.artifact, PreparedArtifact::Trace(_)));
+    }
+
+    #[test]
+    fn trace_digests_address_the_runs() {
+        let digest = |runs: &[(u32, u32)]| {
+            PreparedImage::new("t".into(), PreparedArtifact::Trace(runs.to_vec())).digest
+        };
+        let runs = [(0, 12), (40, 3), (0, 12), (7, 1)];
+        assert_eq!(digest(&runs), digest(&[(0, 12), (40, 3), (0, 12), (7, 1)]));
+        // One word more or less in one run, or one run moved by a word.
+        for changed in [
+            [(0, 12), (40, 4), (0, 12), (7, 1)],
+            [(0, 12), (40, 2), (0, 12), (7, 1)],
+            [(0, 12), (41, 3), (0, 12), (7, 1)],
+        ] {
+            assert_ne!(digest(&changed), digest(&runs), "{changed:?}");
+        }
+        // Trace job keys agree across two fresh caches.
+        let jobs = jobs_for(&["trace:medium:11", "trace:large:47"]);
+        let tele = Telemetry::disabled();
+        let key = |cache: &ImageCache, job: &Job| {
+            let image = cache.get_or_prepare(job, &tele).unwrap();
+            crate::key::job_key(&job.point, &job.workload.id(), image.digest, None, 0)
+        };
+        let (a, b) = (ImageCache::new(), ImageCache::new());
+        for job in &jobs {
+            assert_eq!(key(&a, job), key(&b, job), "{}", job.workload.id());
+        }
+        assert_ne!(key(&a, &jobs[0]), key(&a, &jobs[1]));
     }
 
     #[test]

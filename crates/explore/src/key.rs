@@ -9,9 +9,9 @@
 //!   explicitly or implicitly) but distinct for any semantically different
 //!   configuration;
 //! - the **workload identity** and the **program-image digest** (the
-//!   assembled words, or the raw address trace), so a change to the
-//!   reorganizer, assembler or generators invalidates exactly the cells it
-//!   affects;
+//!   assembled words, or the address trace's maximal `(start, len)` runs,
+//!   see [`PreparedImage::digest`]), so a change to the reorganizer,
+//!   assembler or generators invalidates exactly the cells it affects;
 //! - the fault-plan spec and the cycle budget;
 //! - [`ENGINE_EPOCH`], bumped manually whenever simulator *semantics*
 //!   change in a way the image digest cannot see.
@@ -24,6 +24,7 @@
 //! engine that (first) computed it.
 //!
 //! [`SimPoint`]: crate::spec::SimPoint
+//! [`PreparedImage::digest`]: crate::image::PreparedImage::digest
 
 use std::fmt::Write as _;
 

@@ -1,8 +1,6 @@
 //! The external cache with the late-miss protocol.
 
-use std::collections::HashSet;
-
-use crate::hash::BuildU32Hasher;
+use crate::block_set::BlockSet;
 use crate::stats::MissCause;
 use crate::{CacheStats, MainMemory};
 
@@ -106,7 +104,7 @@ pub struct Ecache {
     /// log2 of the frames: a block's tag is `block >> frame_bits`.
     frame_bits: u32,
     /// Block addresses ever read, for cold/conflict classification.
-    seen_blocks: HashSet<u32, BuildU32Hasher>,
+    seen_blocks: BlockSet,
     stats: CacheStats,
 }
 
@@ -124,7 +122,7 @@ impl Ecache {
             page_bits: page_frames.trailing_zeros(),
             block_bits: cfg.block_words.trailing_zeros(),
             frame_bits: cfg.num_blocks().trailing_zeros(),
-            seen_blocks: HashSet::default(),
+            seen_blocks: BlockSet::default(),
             cfg,
             stats: CacheStats::new(),
         }
@@ -300,8 +298,6 @@ pub struct EcacheState {
 impl Ecache {
     /// Capture the cache's mutable state for a checkpoint.
     pub fn snapshot_state(&self) -> EcacheState {
-        let mut seen_blocks: Vec<u32> = self.seen_blocks.iter().copied().collect();
-        seen_blocks.sort_unstable();
         let mut tags = vec![None; self.cfg.num_blocks() as usize];
         for (chunk, page) in tags.chunks_mut(self.page_frames()).zip(&self.tag_pages) {
             if let Some(page) = page {
@@ -310,7 +306,7 @@ impl Ecache {
         }
         EcacheState {
             tags,
-            seen_blocks,
+            seen_blocks: self.seen_blocks.iter().collect(),
             stats: self.stats,
         }
     }

@@ -14,9 +14,7 @@
 //!   fetch back 2 instructions, the one that missed and the next one to be
 //!   executed ... Fetching back 2 words almost halves the miss ratio."*
 
-use std::collections::HashSet;
-
-use crate::hash::BuildU32Hasher;
+use crate::block_set::BlockSet;
 use crate::stats::MissCause;
 use crate::{CacheStats, Ecache, MainMemory};
 
@@ -181,7 +179,7 @@ pub struct Icache {
     /// `stamps[i]`: block `i`'s recency stamp, for LRU.
     stamps: Vec<u64>,
     /// `known[i]`: block `i`'s address is already in `seen_blocks`, so a
-    /// sub-block miss on it skips the hash insert. A pure memo — `false`
+    /// sub-block miss on it skips the insert. A pure memo — `false`
     /// is always safe — so it is not part of [`IcacheState`].
     known: Vec<bool>,
     /// FIFO pointer per row.
@@ -191,7 +189,7 @@ pub struct Icache {
     /// xorshift state for random replacement.
     rng: u64,
     /// Block addresses ever referenced, for cold/conflict classification.
-    seen_blocks: HashSet<u32, BuildU32Hasher>,
+    seen_blocks: BlockSet,
     stats: CacheStats,
     /// Advances whenever a resident word can stop being valid: a fill that
     /// evicts a line, a cleared valid bit, `invalidate_all` and
@@ -217,7 +215,7 @@ impl Icache {
             fifo: vec![0; cfg.rows as usize],
             clock: 0,
             rng: 0x9E37_79B9_7F4A_7C15,
-            seen_blocks: HashSet::default(),
+            seen_blocks: BlockSet::default(),
             cfg,
             stats: CacheStats::new(),
             epoch: 1,
@@ -667,21 +665,26 @@ impl Icache {
     /// Books exactly what [`Icache::fetch`] plus the miss-fill rule would,
     /// word by word over the flattened runs: the hit kernel walks each run
     /// a line at a time, booking a line's valid words in one step and
-    /// filling each miss from its line's scan. Returns the cache's
-    /// statistics, cumulative over every call.
+    /// filling each miss from its line's scan. A run equal to the run just
+    /// before it (a loop's next trip) goes to
+    /// [`Icache::fetch_hits_memo`] first, with one [`HitMemo`] for the
+    /// call: the first repeat records the memo, and each later one, while
+    /// no resident word has gone away since, books the recorded lines
+    /// with no row scan. If the memo's walk stops at a miss, the trip
+    /// walks on from the missed word. Returns the cache's statistics, cumulative over every
+    /// call.
     pub fn simulate_runs(&mut self, runs: &[(u32, u32)]) -> CacheStats {
-        for &(start, len) in runs {
-            self.walk_trace(start, len);
-        }
-        self.stats
+        self.simulate_trips(runs.iter().copied())
     }
 
     /// [`Icache::simulate_runs`] for a trace given one fetch per word:
     /// consecutive addresses merge into sequential runs (never across the
-    /// top of the address space), which the same kernel walks.
+    /// top of the address space), which the same kernel walks, a repeated
+    /// run from the same memo.
     pub fn simulate_trace<I: IntoIterator<Item = u32>>(&mut self, trace: I) -> CacheStats {
         let mut trace = trace.into_iter().peekable();
-        while let Some(start) = trace.next() {
+        let runs = std::iter::from_fn(|| {
+            let start = trace.next()?;
             let mut len = 1;
             while len < u32::MAX
                 && trace
@@ -690,7 +693,26 @@ impl Icache {
             {
                 len += 1;
             }
-            self.walk_trace(start, len);
+            Some((start, len))
+        });
+        self.simulate_trips(runs)
+    }
+
+    /// The trace-driven kernel behind [`Icache::simulate_runs`] and
+    /// [`Icache::simulate_trace`]. Replaying a repeated run is exact for
+    /// the reasons [`Icache::fetch_hits_memo`] is: a hit moves no block,
+    /// and the epoch advances on every eviction and cleared valid bit.
+    fn simulate_trips(&mut self, runs: impl Iterator<Item = (u32, u32)>) -> CacheStats {
+        let mut memo = HitMemo::default();
+        let mut last = None;
+        for (start, len) in runs {
+            let hits = if last == Some((start, len)) {
+                self.fetch_hits_memo(start, len, &mut memo)
+            } else {
+                0
+            };
+            self.walk_trace(start.wrapping_add(hits), len - hits);
+            last = Some((start, len));
         }
         self.stats
     }
@@ -790,8 +812,6 @@ pub struct IcacheState {
 impl Icache {
     /// Capture the cache's mutable state for a checkpoint.
     pub fn snapshot_state(&self) -> IcacheState {
-        let mut seen_blocks: Vec<u32> = self.seen_blocks.iter().copied().collect();
-        seen_blocks.sort_unstable();
         IcacheState {
             blocks: (0..self.tags.len())
                 .map(|i| {
@@ -806,7 +826,7 @@ impl Icache {
             fifo: self.fifo.clone(),
             clock: self.clock,
             rng: self.rng,
-            seen_blocks,
+            seen_blocks: self.seen_blocks.iter().collect(),
             stats: self.stats,
         }
     }
@@ -1030,6 +1050,33 @@ mod tests {
         // (word 0) in way 1 — one valid word each.
         assert_eq!(occ[0].iter().sum::<u32>(), 2);
         assert!(c.occupancy_report().contains("icache occupancy"));
+    }
+
+    #[test]
+    fn miss_history_round_trips_through_restore() {
+        // One-word blocks: block addresses either side of a 4096-key page
+        // of the history, and the top of the address space.
+        let cfg = IcacheConfig {
+            rows: 1,
+            ways: 2,
+            block_words: 1,
+            fetch_words: 1,
+            ..IcacheConfig::mipsx()
+        };
+        let mut c = Icache::new(cfg);
+        let _ = c.simulate_trace([u32::MAX, 4096, 4095, 7]);
+        let state = c.snapshot_state();
+        assert_eq!(state.seen_blocks, [7, 4095, 4096, u32::MAX]);
+        let mut restored = Icache::new(cfg);
+        restored.restore_state(&state).unwrap();
+        assert_eq!(restored.snapshot_state(), state);
+        // The restored history still tells conflict from cold misses.
+        for cache in [&mut c, &mut restored] {
+            let s = cache.simulate_trace([u32::MAX, 9]);
+            assert_eq!((s.conflict_misses, s.cold_misses), (1, 5));
+        }
+        c.invalidate_all();
+        assert!(c.snapshot_state().seen_blocks.is_empty());
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! parallel flat arrays, so a row scan reads only the row's tags, and a
 //! miss scans its row once.
 
+mod block_set;
 mod ecache;
-mod hash;
 mod icache;
 mod main_memory;
 mod stats;

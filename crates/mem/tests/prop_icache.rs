@@ -180,10 +180,15 @@ proptest! {
     /// replacement policy, single and double fetch-back, whole-block fill,
     /// and a disabled cache. Runs cross lines, are empty, abut the run
     /// before them, wrap a small code size back to word 0, or start within
-    /// 64 words of `u32::MAX` and wrap the address space.
+    /// 64 words of `u32::MAX` and wrap the address space. Each span is a
+    /// loop of 1 to 6 trips back to back, as the trace generator's loops
+    /// are, so repeated runs take the kernel's memo path, and small
+    /// organizations evict a loop's lines in the middle of its trips.
+    /// About half the spans come back to the loop before the previous
+    /// one, whose lines the loop between may have evicted or moved.
     #[test]
     fn trace_kernel_books_like_word_by_word(
-        spans in prop::collection::vec((0u32..4096, 0u32..40, 0u32..48), 1..80),
+        spans in prop::collection::vec((0u32..4096, 0u32..40, 0u32..48, 1u32..=6, any::<bool>()), 1..80),
         rows in prop::sample::select(vec![1u32, 2, 4, 8]),
         ways in 1u32..=32,
         block_words in prop::sample::select(vec![1u32, 2, 4, 8, 16, 32, 64]),
@@ -203,27 +208,38 @@ proptest! {
             whole_block_fill,
         };
         // Sequential runs from scattered starts, so lines are both re-hit
-        // and evicted. Each span is cut in two abutting runs (either may
-        // be empty).
+        // and evicted. A span's first trip ends in two abutting runs
+        // (either may be empty); its later trips repeat the span's runs
+        // whole.
         let mut runs = Vec::new();
-        for &(start, len, cut) in &spans {
-            let (start, len) = match layout {
+        let mut loops: Vec<(u32, u32)> = Vec::new();
+        for &(start, len, cut, trips, again) in &spans {
+            let (start, len) = match loops.len().checked_sub(2) {
+                Some(before_last) if again => loops[before_last],
+                _ => (start, len),
+            };
+            loops.push((start, len));
+            let trip = match layout {
                 // A 96-word program: the span wraps to word 0 mid-line,
                 // as the generator's runs are split at the code size.
                 1 => {
                     let start = start % 96;
                     let first = len.min(96 - start);
-                    runs.push((start, first));
-                    (0, len - first)
+                    vec![(start, first), (0, len - first)]
                 }
                 // The top of the address space: the span wraps past
                 // `u32::MAX` inside one run.
-                2 => ((u32::MAX - 63).wrapping_add(start % 192), len),
-                _ => (start, len),
+                2 => vec![((u32::MAX - 63).wrapping_add(start % 192), len)],
+                _ => vec![(start, len)],
             };
+            let (&(start, len), lead) = trip.split_last().unwrap();
             let cut = cut.min(len);
+            runs.extend_from_slice(lead);
             runs.push((start, cut));
             runs.push((start.wrapping_add(cut), len - cut));
+            for _ in 1..trips {
+                runs.extend_from_slice(&trip);
+            }
         }
         let words = |runs: &[(u32, u32)]| -> Vec<u32> {
             runs.iter()
@@ -401,5 +417,50 @@ proptest! {
                 step
             );
         }
+    }
+}
+
+/// A loop whose own trip evicts its earlier line in a 1-way cache: every
+/// repeated trip misses, so the memo path must fall back to the walk at
+/// each trip's first word. In a 2-way LRU cache, a second loop records a
+/// memo, loses its line to other runs and comes back in the other way: its
+/// repeated trip must walk, not replay the memo's stale way. Both entry
+/// points book what word-by-word fetches book, LRU stamps included.
+#[test]
+fn repeated_trips_that_evict_themselves_book_like_word_by_word() {
+    let one_way = IcacheConfig {
+        rows: 1,
+        ways: 1,
+        block_words: 4,
+        fetch_words: 1,
+        ..IcacheConfig::mipsx()
+    };
+    // (0, 6) spans lines 0 and 1, which share the one way.
+    let self_evicting = vec![(0, 6); 4];
+    let two_way = IcacheConfig {
+        ways: 2,
+        replacement: Replacement::Lru,
+        ..one_way
+    };
+    // (0, 3) fills way 0 and records its memo; (4, 1) takes way 1 and
+    // (8, 1) evicts way 0; (0, 3) comes back in way 1.
+    let mut moved = vec![(0, 3); 3];
+    moved.extend([(4, 1), (8, 1), (0, 3), (0, 3), (0, 3)]);
+    for (cfg, runs, misses) in [
+        (one_way, self_evicting, 24),
+        (two_way, moved, 3 + 1 + 1 + 3),
+    ] {
+        let words: Vec<u32> = runs.iter().flat_map(|&(s, l)| s..s + l).collect();
+        let reference = word_by_word(cfg, &words);
+        assert_eq!(reference.stats.misses, misses, "{runs:?}");
+        let mut by_runs = Icache::new(cfg);
+        assert_eq!(by_runs.simulate_runs(&runs), reference.stats);
+        assert_eq!(by_runs.snapshot_state(), reference, "{runs:?}");
+        let mut by_words = Icache::new(cfg);
+        assert_eq!(
+            by_words.simulate_trace(words.iter().copied()),
+            reference.stats
+        );
+        assert_eq!(by_words.snapshot_state(), reference, "{runs:?}");
     }
 }

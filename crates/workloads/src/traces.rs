@@ -62,7 +62,9 @@ impl TraceConfig {
 /// len)` fetches `start, start + 1, …, start + len - 1`. There is one run
 /// per loop trip or call body, split where it wraps past the end of the
 /// code, and merged with the previous run when the two abut. No run is
-/// empty, and no run starts where the one before it ends.
+/// empty, and no run starts where the one before it ends: the runs are
+/// maximal, so they are a function of the address stream, and a digest of
+/// the runs addresses the trace.
 pub fn instruction_runs(cfg: TraceConfig) -> Vec<(u32, u32)> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut runs = Runs {
