@@ -101,7 +101,11 @@ pub fn run() -> CoprocResult {
         s.slowdown = s.cycles as f64 / best as f64;
     }
 
-    let ldf_cycles = run_fp(&ldf, InterfaceScheme::AddressLines);
+    let ldf_cycles = schemes
+        .iter()
+        .find(|s| s.scheme == InterfaceScheme::AddressLines)
+        .expect("ALL lists the final scheme")
+        .cycles;
     let mvtc_cycles = run_fp(&mvtc, InterfaceScheme::AddressLines);
 
     CoprocResult {

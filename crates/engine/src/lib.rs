@@ -90,7 +90,6 @@ use mipsx_core::{
 };
 use mipsx_isa::{Instr, Mode};
 use mipsx_mem::HitMemo;
-use mipsx_telemetry::Telemetry;
 
 /// Why the engine handed control (back) to the cycle-accurate stepper.
 ///
@@ -293,7 +292,6 @@ pub struct BlockEngine {
     memos: Vec<HitMemo>,
     recent: Recent,
     stats: EngineStats,
-    telemetry: Telemetry,
 }
 
 impl BlockEngine {
@@ -317,7 +315,6 @@ impl BlockEngine {
     /// machine's memory), not by this constructor.
     pub fn from_program(program: &Program, cfg: &MachineConfig) -> BlockEngine {
         let mut engine = BlockEngine::empty(program, cfg);
-        let _span = engine.telemetry.span("engine.compile");
         engine.install(compile::compile(
             program.origin,
             program.entry,
@@ -328,7 +325,7 @@ impl BlockEngine {
     }
 
     /// A fresh engine sharing this one's compiled image: zeroed run
-    /// counters, clean self-modify state, no telemetry. Cloning is O(1) —
+    /// counters, clean self-modify state. Cloning is O(1) —
     /// the [`CodeCache`] rides behind an `Arc` — which is what lets one
     /// compiled template serve every job of a sweep grid.
     pub fn clone_template(&self) -> BlockEngine {
@@ -348,7 +345,6 @@ impl BlockEngine {
                 fallback_blocks: self.stats.fallback_blocks,
                 ..EngineStats::default()
             },
-            telemetry: Telemetry::disabled(),
         }
     }
 
@@ -366,14 +362,7 @@ impl BlockEngine {
             memos: Vec::new(),
             recent: Recent::default(),
             stats: EngineStats::default(),
-            telemetry: Telemetry::disabled(),
         }
-    }
-
-    /// Attach a telemetry handle; compile spans and fallback counters are
-    /// recorded when it is enabled.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
     }
 
     /// Engine-side counters.
@@ -382,7 +371,6 @@ impl BlockEngine {
     }
 
     fn compile_from(&mut self, m: &Machine) {
-        let _span = self.telemetry.span("engine.compile");
         let words: Vec<u32> = (0..self.image_words)
             .map(|i| m.read_word(self.origin.wrapping_add(i)))
             .collect();
@@ -399,10 +387,6 @@ impl BlockEngine {
             .iter()
             .filter(|b| b.fallback.is_some())
             .count() as u64;
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .count("engine.blocks_compiled", self.code.blocks.len() as u64);
-        }
     }
 
     /// Run until halt or `max_cycles`, no tracing, no fault injection.
@@ -445,9 +429,6 @@ impl BlockEngine {
             }
             if self.dirty {
                 self.stats.recompiles += 1;
-                if self.telemetry.is_enabled() {
-                    self.telemetry.count("engine.recompiles", 1);
-                }
                 self.compile_from(m);
                 self.clear_memos();
             }
@@ -529,10 +510,6 @@ impl BlockEngine {
 
     fn note_fallback(&mut self, cause: FallbackCause) {
         self.stats.fallback_exits[cause.index()] += 1;
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .count(&format!("engine.fallback.{}", cause.label()), 1);
-        }
     }
 
     /// Leave the fast region (refunding the ramp charge and seeding the PC

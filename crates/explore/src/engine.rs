@@ -36,7 +36,7 @@ use mipsx_exec::{AnyBackend, BlockBackend, CheckedBackend, EngineKind, ExecBacke
 use mipsx_mem::{CacheStats, Icache};
 use mipsx_telemetry::Telemetry;
 
-use crate::image::{ImageCache, PreparedArtifact};
+use crate::image::{ImageCache, PreparedArtifact, PreparedImage};
 use crate::journal::{fingerprint, Journal, JournalConfig};
 use crate::key::{job_key, key_hex};
 use crate::pool::run_indexed;
@@ -164,11 +164,12 @@ pub struct SweepOptions {
     /// Host telemetry (disabled by default — the sweep then pays only a
     /// branch per recording site).
     pub telemetry: Telemetry,
-    /// Crash-safe progress journal ([`crate::journal`]). When set, jobs
-    /// completed in a previous run are replayed from the result store,
-    /// long jobs checkpoint mid-run, and — for byte-identity between an
-    /// interrupted-then-resumed run and an uninterrupted one — every row
-    /// renders `cached: false` regardless of store state.
+    /// Crash-safe sweep journal ([`crate::journal`]): the store records
+    /// finished jobs; the journal pins the spec and holds checkpoints.
+    /// When set, long jobs checkpoint mid-run, and — for byte-identity
+    /// between an interrupted-then-resumed run and an uninterrupted one —
+    /// every row renders `cached: false` whether or not the store served
+    /// it.
     pub journal: Option<JournalConfig>,
     /// Shared prepared-image cache ([`crate::image`]): workload
     /// generation, reorganization and block-engine compilation happen once
@@ -203,7 +204,8 @@ pub struct SweepRow {
     pub fault: Option<String>,
     /// Content-address of the result (16 hex digits).
     pub key: String,
-    /// Whether the result was served from the store.
+    /// Whether the result was served from the store (never on a
+    /// journaled sweep).
     pub cached: bool,
     /// The measured counters.
     pub result: JobResult,
@@ -445,13 +447,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
     };
     tele.count("sweep.jobs", jobs.len() as u64);
     let journal = match &opts.journal {
-        Some(cfg) => {
-            let journal = Journal::open(cfg, fingerprint(&jobs, spec.run_cycles))?;
-            if journal.resumed() {
-                tele.count("sweep.journal_done_at_open", journal.done_count() as u64);
-            }
-            Some(journal)
-        }
+        Some(cfg) => Some(Journal::open(cfg, fingerprint(&jobs, spec.run_cycles))?),
         None => None,
     };
     let start = Instant::now();
@@ -543,29 +539,48 @@ fn execute_job(
         job.fault.as_deref(),
         run_cycles,
     );
-    // A journaled job already marked done replays from the store; it
-    // renders `cached: false` (and counts `sweep.resumed`, not a cache
-    // hit) so the resumed report is byte-identical to the uninterrupted
-    // run's. A lost store entry just recomputes. A journaled job not yet
-    // done always simulates: reading the store there would let a crash
-    // between store-write and journal-append flip a row's `cached` flag
-    // on resume — a byte difference.
-    let replay = match journal {
-        Some(j) => j.is_done(key).then_some("sweep.resumed"),
-        None => Some("sweep.cache_hits"),
-    };
-    if let Some(counter) = replay {
-        if let Some(result) = store.load(key, tele) {
-            tele.count(counter, 1);
-            record_guest(tele, &result);
-            let wall_ns = job_start.elapsed().as_nanos() as u64;
-            tele.timing_observe("job.wall_ns", wall_ns);
-            return Ok((result, key, journal.is_none(), wall_ns));
+    // Every job asks the store first. A journaled row renders `cached:
+    // false` even when the store serves it, so a resumed report is
+    // byte-identical to the uninterrupted run's.
+    let stored = store.load(key, tele);
+    let cached = stored.is_some() && journal.is_none();
+    let result = match stored {
+        Some(result) => {
+            tele.count("sweep.cache_hits", 1);
+            result
         }
+        None => {
+            tele.count("sweep.cache_misses", 1);
+            let label = format!("{} | {}", job.point_label, job.workload.id());
+            let result = simulate(job, &image, key, run_cycles, journal, &label, tele)?;
+            store.save(key, &result, &label, tele);
+            result
+        }
+    };
+    // After the store save: a crash in between resumes from the
+    // checkpoint, never from a result that was not persisted, and the
+    // store hit of the next run drops the orphaned checkpoint.
+    if let Some(j) = journal {
+        j.clear_snapshot(key);
     }
-    tele.count("sweep.cache_misses", 1);
-    let label = format!("{} | {}", job.point_label, job.workload.id());
-    let result = match &image.artifact {
+    record_guest(tele, &result);
+    let wall_ns = job_start.elapsed().as_nanos() as u64;
+    tele.timing_observe("job.wall_ns", wall_ns);
+    Ok((result, key, cached, wall_ns))
+}
+
+/// Simulate one job on the backend its point selects, resuming from the
+/// journal's checkpoint for `key` when there is one.
+fn simulate(
+    job: &Job,
+    image: &PreparedImage,
+    key: u64,
+    run_cycles: u64,
+    journal: Option<&Journal>,
+    label: &str,
+    tele: &Telemetry,
+) -> Result<JobResult, SpecError> {
+    Ok(match &image.artifact {
         PreparedArtifact::Trace(runs) => {
             let _s = tele.span("run");
             let mut cache = Icache::new(job.point.cfg.icache);
@@ -620,7 +635,7 @@ fn execute_job(
             let mut backend = match job.point.engine {
                 EngineKind::Interp => AnyBackend::Interp(Stepper),
                 EngineKind::Block => {
-                    let mut engine = if restored {
+                    let engine = if restored {
                         // Pre-checkpoint stores are invisible to the shared
                         // template's runtime self-modify watch; recompile
                         // from the restored memory image instead.
@@ -630,9 +645,6 @@ fn execute_job(
                             .block_template(&cfg, tele)
                             .expect("program images compile block templates")
                     };
-                    if tele.is_enabled() {
-                        engine.set_telemetry(tele.clone());
-                    }
                     AnyBackend::Block(BlockBackend::from_engine(engine))
                 }
                 EngineKind::Checked => AnyBackend::Checked(CheckedBackend::new(&machine, program)),
@@ -661,6 +673,18 @@ fn execute_job(
                     tele.count("engine.block_visits", es.block_visits);
                     tele.count("engine.fast_cycles", es.fast_cycles);
                     tele.count("engine.fast_instructions", es.fast_instructions);
+                    // Compiles and demotions count only when they happened.
+                    for (name, n) in [
+                        ("engine.recompiles", es.recompiles),
+                        ("engine.blocks_compiled", es.blocks_compiled),
+                    ] {
+                        if n > 0 {
+                            tele.count(name, n);
+                        }
+                    }
+                    for (cause, n) in es.fallback_breakdown() {
+                        tele.count(&format!("engine.fallback.{cause}"), n);
+                    }
                 }
             }
             drop(run_span);
@@ -682,19 +706,7 @@ fn execute_job(
             MACHINE_POOL.with(|slot| *slot.borrow_mut() = Some(machine));
             result
         }
-    };
-    store.save(key, &result, &label, tele);
-    if let Some(j) = journal {
-        // Store write first, journal line second: a crash in between
-        // leaves a store entry without a done mark, and the resume
-        // recomputes — never the other way around, which would resume
-        // from a result that was never persisted.
-        j.record_done(key);
-    }
-    record_guest(tele, &result);
-    let wall_ns = job_start.elapsed().as_nanos() as u64;
-    tele.timing_observe("job.wall_ns", wall_ns);
-    Ok((result, key, false, wall_ns))
+    })
 }
 
 /// Test-only deterministic panic source (compiled only into this crate's
@@ -911,8 +923,9 @@ mod tests {
         ];
         spec.faults = vec![None, Some("40:parity,90:jitter3".to_string())];
         // 2 points x 2 workloads x 2 fault plans = 8 jobs.
-        let store = crate::store::temp_store("resume-ident");
         let journal_cfg = temp_journal("resume-ident");
+        let store_dir = journal_cfg.path.with_extension("store");
+        let store = crate::store::ResultStore::at(&store_dir);
 
         // The uninterrupted journaled run: the reference reports.
         let opts = SweepOptions {
@@ -923,20 +936,19 @@ mod tests {
         let full = run_sweep(&spec, &opts).unwrap();
         assert!(full.rows.iter().all(|r| !r.cached && r.failed.is_none()));
 
-        // Simulate a crash after three jobs: truncate the journal to its
-        // header plus the first three done lines. The store still holds
-        // every result — resume must *not* let that leak into the report.
-        let text = std::fs::read_to_string(&journal_cfg.path).unwrap();
-        let keep: Vec<&str> = text.lines().take(3 + 3).collect();
-        assert_eq!(keep.iter().filter(|l| l.starts_with("done=")).count(), 3);
-        std::fs::write(&journal_cfg.path, format!("{}\n", keep.join("\n"))).unwrap();
-
+        // Simulate a crash after three jobs: only their results reached
+        // the store. Resume must not let the store hits leak into the
+        // report.
+        for row in &full.rows[3..] {
+            std::fs::remove_file(store_dir.join(format!("{}.result", row.key))).unwrap();
+        }
+        let resume_cfg = crate::journal::JournalConfig {
+            resume: true,
+            ..journal_cfg
+        };
         let opts = SweepOptions {
             store: store.clone(),
-            journal: Some(crate::journal::JournalConfig {
-                resume: true,
-                ..journal_cfg.clone()
-            }),
+            journal: Some(resume_cfg.clone()),
             telemetry: Telemetry::enabled(),
             ..SweepOptions::default()
         };
@@ -945,20 +957,42 @@ mod tests {
         assert_eq!(resumed.to_csv(), full.to_csv());
         assert_eq!(resumed.to_markdown(), full.to_markdown());
         let snap = opts.telemetry.snapshot();
-        assert_eq!(snap.counter("sweep.resumed"), 3);
+        assert_eq!(snap.counter("sweep.cache_hits"), 3);
         assert_eq!(snap.counter("sweep.cache_misses"), 5);
 
-        // And the journal is whole again: a third run resumes everything.
+        // And the store is whole again: a third run resumes everything.
         let opts = SweepOptions {
             store,
-            journal: Some(crate::journal::JournalConfig {
-                resume: true,
-                ..journal_cfg
-            }),
+            journal: Some(resume_cfg),
+            telemetry: Telemetry::enabled(),
             ..SweepOptions::default()
         };
         let replayed = run_sweep(&spec, &opts).unwrap();
         assert_eq!(replayed.to_json(), full.to_json());
+        assert_eq!(opts.telemetry.snapshot().counter("sweep.cache_hits"), 8);
+    }
+
+    #[test]
+    fn fresh_journaled_run_over_a_warm_store_is_byte_identical() {
+        let store = crate::store::temp_store("journal-warm");
+        let run = |tag: &str| {
+            let opts = SweepOptions {
+                store: store.clone(),
+                journal: Some(temp_journal(tag)),
+                telemetry: Telemetry::enabled(),
+                ..SweepOptions::default()
+            };
+            let outcome = run_sweep(&tiny_spec(), &opts).unwrap();
+            (outcome, opts.telemetry.snapshot())
+        };
+        let (cold, cold_tele) = run("cold");
+        let (warm, warm_tele) = run("warm");
+        assert_eq!(cold_tele.counter("sweep.cache_misses"), 2);
+        assert_eq!(warm_tele.counter("sweep.cache_hits"), 2);
+        assert_eq!(warm_tele.counter("sweep.cache_misses"), 0);
+        assert_eq!(warm.to_json(), cold.to_json());
+        assert_eq!(warm.to_csv(), cold.to_csv());
+        assert_eq!(warm.to_markdown(), cold.to_markdown());
     }
 
     #[test]
@@ -1039,17 +1073,24 @@ mod tests {
                 j.save_snapshot(key, &bytes);
             }
 
+            let resume_cfg = crate::journal::JournalConfig {
+                resume: true,
+                ..journal_cfg
+            };
             let opts = SweepOptions {
-                journal: Some(crate::journal::JournalConfig {
-                    resume: true,
-                    ..journal_cfg
-                }),
+                store: crate::store::temp_store("ckpt"),
+                journal: Some(resume_cfg.clone()),
                 telemetry: Telemetry::enabled(),
                 ..SweepOptions::default()
             };
             let resumed = run_sweep(&spec, &opts).unwrap();
             let snap = opts.telemetry.snapshot();
             assert_eq!(snap.counter("snapshot.restores"), 1);
+            // The finished job's result is in the store and its
+            // checkpoint is gone.
+            assert!(opts.store.load(key, &tele).is_some());
+            let j = Journal::open(&resume_cfg, fingerprint(&jobs, spec.run_cycles)).unwrap();
+            assert!(j.load_snapshot(key).is_none());
             // The restored job finished from cycle 900, not from zero —
             // and still produced the exact counters of the cold run, so
             // the reports agree byte for byte.

@@ -1,12 +1,11 @@
-//! The crash-safe resume journal for interrupted sweeps.
+//! The spec pin and checkpoint directory of a resumable sweep.
 //!
-//! A journaled sweep appends one `done=<16-hex-key>` line per completed
-//! job to a plain-text journal file (flushed per line, so a `kill -9`
-//! loses at most the line being written), and keeps mid-run machine
-//! snapshots for long jobs in a `<journal>.snaps/` sibling directory.
-//! Resuming with the same spec replays the journal: completed jobs are
-//! served from the result store instead of re-simulated, and an in-flight
-//! job restarts from its last checkpoint rather than from cycle zero.
+//! The result store records finished jobs; the journal pins the spec and
+//! holds checkpoints. A journaled sweep writes a three-line header to the
+//! journal file once and keeps mid-run machine snapshots for long jobs in a
+//! `<journal>.snaps/` sibling directory. Resuming with the same spec serves
+//! finished jobs from the result store, and an in-flight job restarts from
+//! its last checkpoint rather than from cycle zero.
 //!
 //! The header pins a **fingerprint** — FNV-1a 64 over the expanded job
 //! list (every canonical point, workload id, fault spec, and the cycle
@@ -14,17 +13,12 @@
 //! sweep: any drift in the spec changes the fingerprint and resume
 //! refuses with a [`SpecError`] instead of silently mixing results.
 //!
-//! Torn tails are expected, not errors: a process killed mid-append
-//! leaves a partial last line, which replay skips. Snapshot files are
-//! written via temp-file-plus-rename (like the result store) and deleted
-//! the moment their job completes, so the `.snaps/` directory holds only
-//! work actually in flight.
+//! Snapshot files are written via temp-file-plus-rename (like the result
+//! store) and deleted once their job's result is in the store, so the
+//! `.snaps/` directory holds only work actually in flight.
 
-use std::collections::HashSet;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::ErrorKind;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use crate::key::{canonical_point, fnv1a, key_hex};
 use crate::spec::{Job, SpecError};
@@ -39,13 +33,13 @@ pub struct JournalConfig {
     /// The journal file. Its sibling `<path>.snaps/` directory holds
     /// mid-run machine snapshots.
     pub path: PathBuf,
-    /// Replay an existing journal at `path` (skipping completed jobs and
-    /// restoring checkpointed ones) instead of truncating it. A missing
-    /// file simply starts a fresh journal, so the first run and every
-    /// retry can use the same invocation.
+    /// Check an existing journal at `path` against the spec and restore
+    /// checkpointed jobs, instead of truncating it. A missing file simply
+    /// starts a fresh journal, so the first run and every retry can use
+    /// the same invocation.
     pub resume: bool,
     /// Checkpoint a running machine every this many cycles (0 disables
-    /// mid-run snapshots; completed-job tracking still works).
+    /// mid-run snapshots).
     pub snapshot_interval: u64,
 }
 
@@ -61,16 +55,12 @@ impl JournalConfig {
     }
 }
 
-/// An open journal: the done-set loaded at open time plus an append
-/// handle. Shared immutably across workers — the done-set is frozen once
-/// the sweep starts, and appends serialize through a mutex.
+/// An open journal: where its checkpoints live and how often to take
+/// them. Shared immutably across workers.
 #[derive(Debug)]
 pub struct Journal {
     snaps: PathBuf,
-    done: HashSet<u64>,
-    file: Mutex<File>,
     snapshot_interval: u64,
-    resumed: bool,
 }
 
 /// Fingerprint of an expanded job list: what the journal header pins.
@@ -93,85 +83,35 @@ impl Journal {
     ///
     /// # Errors
     /// Refuses to resume a journal whose fingerprint or version does not
-    /// match, and reports I/O failures creating the file — a sweep that
-    /// cannot record its progress should say so up front, not discover it
-    /// after hours of simulation.
+    /// match, or which exists but cannot be read (it is left untouched),
+    /// and reports I/O failures creating the file — a sweep that cannot
+    /// record its progress should say so up front, not discover it after
+    /// hours of simulation.
     pub fn open(cfg: &JournalConfig, fingerprint: u64) -> Result<Journal, SpecError> {
-        let snaps = PathBuf::from(format!("{}.snaps", cfg.path.display()));
-        let io_err = |e: std::io::Error| SpecError(format!("journal {}: {e}", cfg.path.display()));
-
-        let mut done = HashSet::new();
-        let mut resumed = false;
-        if cfg.resume {
-            if let Ok(text) = std::fs::read_to_string(&cfg.path) {
-                done = replay(&text, fingerprint)
-                    .map_err(|why| SpecError(format!("journal {}: {why}", cfg.path.display())))?;
-                resumed = true;
+        let fail = |why: String| SpecError(format!("journal {}: {why}", cfg.path.display()));
+        match cfg.resume.then(|| std::fs::read_to_string(&cfg.path)) {
+            Some(Ok(text)) => check_header(&text, fingerprint).map_err(fail)?,
+            Some(Err(e)) if e.kind() != ErrorKind::NotFound => return Err(fail(e.to_string())),
+            _ => {
+                if let Some(dir) = cfg.path.parent().filter(|d| !d.as_os_str().is_empty()) {
+                    std::fs::create_dir_all(dir).map_err(|e| fail(e.to_string()))?;
+                }
+                let header = format!(
+                    "# mipsx sweep journal\nversion={JOURNAL_VERSION}\nfingerprint={}\n",
+                    key_hex(fingerprint)
+                );
+                std::fs::write(&cfg.path, header).map_err(|e| fail(e.to_string()))?;
             }
         }
-
-        let file = if resumed {
-            OpenOptions::new()
-                .append(true)
-                .open(&cfg.path)
-                .map_err(io_err)?
-        } else {
-            if let Some(dir) = cfg.path.parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir).map_err(io_err)?;
-                }
-            }
-            let mut file = File::create(&cfg.path).map_err(io_err)?;
-            write!(
-                file,
-                "# mipsx sweep journal\nversion={JOURNAL_VERSION}\nfingerprint={}\n",
-                key_hex(fingerprint)
-            )
-            .and_then(|_| file.flush())
-            .map_err(io_err)?;
-            file
-        };
-
         Ok(Journal {
-            snaps,
-            done,
-            file: Mutex::new(file),
+            snaps: PathBuf::from(format!("{}.snaps", cfg.path.display())),
             snapshot_interval: cfg.snapshot_interval,
-            resumed,
         })
-    }
-
-    /// Whether an existing journal was replayed (as opposed to a fresh
-    /// one being started).
-    pub fn resumed(&self) -> bool {
-        self.resumed
-    }
-
-    /// Number of jobs the replayed journal already marked complete.
-    pub fn done_count(&self) -> usize {
-        self.done.len()
-    }
-
-    /// Whether `key` completed in a previous run.
-    pub fn is_done(&self, key: u64) -> bool {
-        self.done.contains(&key)
     }
 
     /// Cycles between mid-run checkpoints (0 = none).
     pub fn snapshot_interval(&self) -> u64 {
         self.snapshot_interval
-    }
-
-    /// Mark `key` complete: append the journal line (flushed, so a crash
-    /// immediately after cannot lose it) and drop its now-obsolete
-    /// checkpoint. Failures are silent — journaling degrades, the sweep
-    /// does not.
-    pub fn record_done(&self, key: u64) {
-        if let Ok(mut file) = self.file.lock() {
-            let _ = writeln!(file, "done={}", key_hex(key));
-            let _ = file.flush();
-        }
-        self.clear_snapshot(key);
     }
 
     fn snapshot_path(&self, key: u64) -> PathBuf {
@@ -205,28 +145,15 @@ impl Journal {
     }
 }
 
-/// Parse a journal into its done-set, validating header `version` and
-/// `fingerprint`. Unparsable non-header lines (torn tails) are skipped.
-fn replay(text: &str, expected_fingerprint: u64) -> Result<HashSet<u64>, String> {
+/// Validate a journal's header `version` and `fingerprint`. Other lines
+/// are ignored.
+fn check_header(text: &str, expected_fingerprint: u64) -> Result<(), String> {
     let mut version: Option<u32> = None;
     let mut fingerprint: Option<u64> = None;
-    let mut done = HashSet::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let Some((k, v)) = line.split_once('=') else {
-            continue; // torn tail
-        };
+    for (k, v) in text.lines().filter_map(|line| line.trim().split_once('=')) {
         match k {
             "version" => version = v.parse().ok(),
             "fingerprint" => fingerprint = u64::from_str_radix(v, 16).ok(),
-            "done" => {
-                if let Ok(key) = u64::from_str_radix(v, 16) {
-                    done.insert(key);
-                }
-            }
             _ => {}
         }
     }
@@ -245,7 +172,7 @@ fn replay(text: &str, expected_fingerprint: u64) -> Result<HashSet<u64>, String>
             key_hex(expected_fingerprint)
         ));
     }
-    Ok(done)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -263,61 +190,37 @@ mod tests {
     }
 
     #[test]
-    fn done_set_survives_reopen() {
-        let mut cfg = temp_journal("reopen");
-        let j = Journal::open(&cfg, 0xabcd).unwrap();
-        assert!(!j.resumed());
-        assert!(!j.is_done(7));
-        j.record_done(7);
-        j.record_done(9);
-        drop(j);
-
-        cfg.resume = true;
-        let j = Journal::open(&cfg, 0xabcd).unwrap();
-        assert!(j.resumed());
-        assert_eq!(j.done_count(), 2);
-        assert!(j.is_done(7) && j.is_done(9) && !j.is_done(8));
-    }
-
-    #[test]
     fn resume_with_missing_file_starts_fresh() {
         let mut cfg = temp_journal("fresh");
         cfg.resume = true;
-        let j = Journal::open(&cfg, 1).unwrap();
-        assert!(!j.resumed());
-        assert_eq!(j.done_count(), 0);
+        Journal::open(&cfg, 1).unwrap();
+        let text = std::fs::read_to_string(&cfg.path).unwrap();
+        assert!(
+            text.ends_with("version=1\nfingerprint=0000000000000001\n"),
+            "{text}"
+        );
+        // The header it wrote pins the spec for the next retry.
+        Journal::open(&cfg, 1).unwrap();
     }
 
     #[test]
     fn fingerprint_mismatch_refuses_resume() {
         let mut cfg = temp_journal("fp");
-        Journal::open(&cfg, 0x1111).unwrap().record_done(1);
+        Journal::open(&cfg, 0x1111).unwrap();
         cfg.resume = true;
         let err = Journal::open(&cfg, 0x2222).unwrap_err();
         assert!(err.to_string().contains("fingerprint mismatch"), "{err}");
     }
 
     #[test]
-    fn torn_tail_is_tolerated() {
-        let mut cfg = temp_journal("torn");
-        let j = Journal::open(&cfg, 5).unwrap();
-        j.record_done(1);
-        drop(j);
-        // Simulate a kill mid-append: a partial final line.
-        let mut text = std::fs::read_to_string(&cfg.path).unwrap();
-        text.push_str("done=00000000");
-        std::fs::write(&cfg.path, text).unwrap();
-
+    fn unreadable_journal_is_refused_and_left_alone() {
+        let mut cfg = temp_journal("unreadable");
         cfg.resume = true;
-        let j = Journal::open(&cfg, 5).unwrap();
-        assert_eq!(j.done_count(), 2); // torn hex still parses as a key…
-        drop(j);
-
-        let mut text = std::fs::read_to_string(&cfg.path).unwrap();
-        text.push_str("\ndon"); // …and a torn *key name* is skipped outright
-        std::fs::write(&cfg.path, text).unwrap();
-        let j = Journal::open(&cfg, 5).unwrap();
-        assert_eq!(j.done_count(), 2);
+        let bytes = b"version=1\nfingerprint=\xff\xfe\n";
+        std::fs::write(&cfg.path, bytes).unwrap();
+        let err = Journal::open(&cfg, 7).unwrap_err();
+        assert!(err.to_string().contains("journal"), "{err}");
+        assert_eq!(std::fs::read(&cfg.path).unwrap(), bytes);
     }
 
     #[test]
@@ -329,7 +232,8 @@ mod tests {
         assert_eq!(j.load_snapshot(3).as_deref(), Some(&b"machine bytes"[..]));
         j.save_snapshot(3, b"newer bytes");
         assert_eq!(j.load_snapshot(3).as_deref(), Some(&b"newer bytes"[..]));
-        j.record_done(3);
+        // A job whose result reached the store drops its checkpoint.
+        j.clear_snapshot(3);
         assert!(j.load_snapshot(3).is_none());
     }
 }

@@ -125,14 +125,15 @@
 //!                       (JSON)
 //!   --timings           render the timed report variants (adds per-job
 //!                       wall_ms; no longer byte-comparable across runs)
-//!   --journal <path>    crash-safe progress journal: one flushed line per
-//!                       completed job, in-flight machine checkpoints in
-//!                       <path>.snaps/
+//!   --journal <path>    crash-safe sweep journal: a header pinning the
+//!                       spec, in-flight machine checkpoints in
+//!                       <path>.snaps/ (the store records finished jobs)
 //!   --snapshot-every <n> checkpoint running machines every n cycles
 //!                       (requires --journal; 0 disables checkpoints)
-//!   --resume            replay an existing journal: completed jobs come
-//!                       from the result store, checkpointed jobs resume
-//!                       mid-run; refuses a journal from a different spec
+//!   --resume            resume under an existing journal: finished jobs
+//!                       come from the result store, checkpointed jobs
+//!                       resume mid-run; refuses a journal from a
+//!                       different spec or one it cannot read
 //!
 //! snapshot options:
 //!   --cycles <n>        save: cycles to run before snapshotting (0 =
