@@ -202,7 +202,7 @@ fn fnv1a_from(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a 64 over `bytes`: the snapshot checksum, and the hash behind the
-/// sweep layer's job keys, store checksums and journal fingerprints.
+/// sweep layer's job keys and store checksums.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_from(FNV_OFFSET, bytes)

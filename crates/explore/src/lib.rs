@@ -40,7 +40,7 @@ pub mod store;
 
 pub use engine::{run_sweep, JobResult, SweepOptions, SweepOutcome, SweepRow};
 pub use image::{ImageCache, PreparedArtifact, PreparedImage};
-pub use journal::{Journal, JournalConfig};
+pub use journal::Journal;
 pub use key::{canonical_cfg, canonical_point, fnv1a, job_key};
 pub use mipsx_exec::{AnyBackend, EngineKind, ExecBackend};
 pub use mipsx_telemetry::{Snapshot, Telemetry};

@@ -3,7 +3,8 @@
 //! One file per job result, named by the job's 64-bit key
 //! (`<dir>/<16-hex>.result`), in a line-oriented `field=value` format that
 //! round-trips every counter exactly (all fields are integers). Writes go
-//! through a per-process temporary file and an atomic rename, so parallel
+//! through a per-process temporary file and an atomic rename
+//! (`write_atomic`, which the journal's checkpoints share), so parallel
 //! workers and even concurrent sweep processes never observe torn files.
 //!
 //! Every record carries a `checksum=` line — FNV-1a 64 over the canonical
@@ -17,7 +18,7 @@
 //! `MIPSX_SWEEP_DIR` environment variable (used by CI to keep the store
 //! out of the checkout).
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use mipsx_telemetry::Telemetry;
@@ -133,10 +134,6 @@ impl ResultStore {
         let Some(path) = self.path_for(key) else {
             return;
         };
-        let Some(dir) = path.parent() else { return };
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
         let mut text = format!(
             "# mipsx sweep result\nversion={FORMAT_VERSION}\n# {}\n",
             note.replace('\n', " ")
@@ -144,10 +141,28 @@ impl ResultStore {
         let record = result.to_record();
         text.push_str(&record);
         text.push_str(&format!("checksum={}\n", key_hex(fnv1a(record.as_bytes()))));
-        let tmp = dir.join(format!(".{}.tmp.{}", key_hex(key), std::process::id()));
-        if std::fs::write(&tmp, text).is_ok() && std::fs::rename(&tmp, &path).is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
+        write_atomic(&path, text.as_bytes());
+    }
+}
+
+/// Write `bytes` to `path` through a per-process temporary file and an
+/// atomic rename, creating the directory if needed, so no reader ever
+/// observes a torn file. Silent on failure. The one writer of both the
+/// result store and the journal's checkpoints.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) {
+    let (Some(dir), Some(name)) = (path.parent(), path.file_name()) else {
+        return;
+    };
+    if std::fs::create_dir_all(dir).is_err() {
+        return;
+    }
+    let tmp = dir.join(format!(
+        ".{}.tmp.{}",
+        name.to_string_lossy(),
+        std::process::id()
+    ));
+    if std::fs::write(&tmp, bytes).is_ok() && std::fs::rename(&tmp, path).is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
 }
 
@@ -200,12 +215,15 @@ fn parse_record(text: &str) -> Result<JobResult, Miss> {
 
 /// A store rooted in a fresh, unique temporary directory (test helper).
 pub fn temp_store(tag: &str) -> ResultStore {
+    ResultStore::at(temp_dir(tag))
+}
+
+/// A fresh, unique path under the temporary directory (test helper).
+pub(crate) fn temp_dir(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    ResultStore::at(
-        std::env::temp_dir().join(format!("mipsx-sweep-{tag}-{}-{n}", std::process::id())),
-    )
+    std::env::temp_dir().join(format!("mipsx-sweep-{tag}-{}-{n}", std::process::id()))
 }
 
 #[cfg(test)]

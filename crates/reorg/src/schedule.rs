@@ -94,31 +94,6 @@ impl From<AsmError> for ReorgError {
     }
 }
 
-/// The registers an instruction needs resolved at its ALU stage — the ones
-/// subject to the load-delay interlock. A store's datum and `mvtc`'s datum
-/// resolve a stage later (MEM) and are exempt.
-fn alu_uses(instr: &Instr) -> Vec<Reg> {
-    match *instr {
-        Instr::St { rs1, .. } => vec![rs1],
-        Instr::Mvtc { .. } => vec![],
-        ref i => i.uses().collect(),
-    }
-}
-
-/// Whether `instr` produces its result from memory (the load-delay rule).
-fn load_class(instr: &Instr) -> bool {
-    matches!(instr, Instr::Ld { .. } | Instr::Mvfc { .. })
-}
-
-/// Whether placing `next` immediately after `prev` creates a load-use
-/// violation (a load's value consumed at the ALU one cycle later).
-fn feeds_hazard(prev: &Instr, next: &Instr) -> bool {
-    load_class(prev)
-        && prev
-            .def()
-            .is_some_and(|d| !d.is_zero() && alu_uses(next).contains(&d))
-}
-
 /// Whether instruction `b` depends on or conflicts with `a` (cannot be
 /// reordered across it).
 fn conflicts(a: &Instr, b: &Instr) -> bool {
@@ -287,8 +262,11 @@ impl Reorganizer {
                         while filled.len() < slots && skip < bodies[target].len() {
                             let candidate = bodies[target][skip];
                             if candidate.is_nop()
-                                || (load_class(&candidate) && filled.len() == slots - 1)
-                                || filled.last().is_some_and(|p| feeds_hazard(p, &candidate))
+                                || (candidate.meta().mem_result && filled.len() == slots - 1)
+                                || filled
+                                    .last()
+                                    .and_then(|p| p.meta().late_def)
+                                    .is_some_and(|d| candidate.meta().alu_uses(d))
                             {
                                 break;
                             }
@@ -339,11 +317,7 @@ impl Reorganizer {
                     break;
                 }
                 let prev = bodies[id][n - 2];
-                let pad_needed = load_class(&prev)
-                    && prev
-                        .def()
-                        .is_some_and(|d| !d.is_zero() && uses.contains(&d));
-                if pad_needed {
+                if prev.meta().late_def.is_some_and(|d| uses.contains(&d)) {
                     break;
                 }
                 bodies[id].pop();
@@ -484,8 +458,11 @@ impl Reorganizer {
                 && candidate
                     .def()
                     .is_none_or(|d| d.is_zero() || !contains(live.live_in[fall], d))
-                && (!load_class(&candidate) || a_fill.len() != slots - 1)
-                && a_fill.last().is_none_or(|p| !feeds_hazard(p, &candidate));
+                && (!candidate.meta().mem_result || a_fill.len() != slots - 1)
+                && a_fill
+                    .last()
+                    .and_then(|p| p.meta().late_def)
+                    .is_none_or(|d| !candidate.meta().alu_uses(d));
             if !safe {
                 break;
             }
@@ -501,7 +478,7 @@ impl Reorganizer {
                 let candidate = bodies[fall][a_fall_moved];
                 let safe = !candidate.has_side_effects()
                     && !candidate.is_nop()
-                    && !load_class(&candidate)
+                    && !candidate.meta().mem_result
                     && candidate
                         .def()
                         .is_none_or(|d| d.is_zero() || !contains(live.live_in[taken], d));
@@ -526,7 +503,10 @@ impl Reorganizer {
                 // (plain register writes) may ride in them.
                 if candidate.is_nop()
                     || !mipsx_verify::squash_safe(&candidate)
-                    || fill.last().is_some_and(|p| feeds_hazard(p, &candidate))
+                    || fill
+                        .last()
+                        .and_then(|p| p.meta().late_def)
+                        .is_some_and(|d| candidate.meta().alu_uses(d))
                 {
                     break;
                 }
@@ -545,7 +525,7 @@ impl Reorganizer {
                 let candidate = bodies[fall][moved];
                 if candidate.is_nop()
                     || !mipsx_verify::squash_safe(&candidate)
-                    || (load_class(&candidate) && fill.len() == slots - 1)
+                    || (candidate.meta().mem_result && fill.len() == slots - 1)
                 {
                     break;
                 }
@@ -646,20 +626,12 @@ fn schedule_load_delays(body: &mut Vec<Instr>, term_uses: &[Reg]) -> usize {
     let mut i = 0;
     while i < body.len() {
         let instr = body[i];
-        if !load_class(&instr) {
-            i += 1;
-            continue;
-        }
-        let Some(def) = instr.def() else {
+        let Some(def) = instr.meta().late_def else {
             i += 1;
             continue;
         };
-        if def.is_zero() {
-            i += 1;
-            continue;
-        }
         let consumer_uses_def = if i + 1 < body.len() {
-            alu_uses(&body[i + 1]).contains(&def)
+            body[i + 1].meta().alu_uses(def)
         } else {
             term_uses.contains(&def)
         };
@@ -676,10 +648,10 @@ fn schedule_load_delays(body: &mut Vec<Instr>, term_uses: &[Reg]) -> usize {
             let independent = (i + 1..j)
                 .all(|k| !conflicts(&body[k], &candidate) && !conflicts(&candidate, &body[k]))
                 && !conflicts(&instr, &candidate)
-                && !alu_uses(&candidate).contains(&def);
+                && !candidate.meta().alu_uses(def);
             // Pulling a load forward may create a fresh hazard with its own
             // next instruction; keep it simple and skip loads.
-            if independent && !load_class(&candidate) {
+            if independent && !candidate.meta().mem_result {
                 body.remove(j);
                 body.insert(i + 1, candidate);
                 filled = true;
@@ -725,17 +697,14 @@ fn hoist_from_before(
         }
         // A hoisted load would land one instruction from the transfer
         // target's head; the final slot is forbidden to loads.
-        if load_class(&candidate) && hoisted.is_empty() {
+        if candidate.meta().mem_result && hoisted.is_empty() {
             break;
         }
         // After removal the new tail must not be a load feeding the
         // transfer's compare at distance one.
         let new_tail = body.len().checked_sub(2).map(|k| body[k]);
         if let Some(t) = new_tail {
-            if load_class(&t)
-                && t.def()
-                    .is_some_and(|d| !d.is_zero() && hazard_check.contains(&d))
-            {
+            if t.meta().late_def.is_some_and(|d| hazard_check.contains(&d)) {
                 break;
             }
         }

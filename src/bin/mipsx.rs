@@ -125,15 +125,12 @@
 //!                       (JSON)
 //!   --timings           render the timed report variants (adds per-job
 //!                       wall_ms; no longer byte-comparable across runs)
-//!   --journal <path>    crash-safe sweep journal: a header pinning the
-//!                       spec, in-flight machine checkpoints in
-//!                       <path>.snaps/ (the store records finished jobs)
+//!   --journal <dir>     crash-safe sweep journal: the directory holding
+//!                       in-flight machine checkpoints, created before any
+//!                       job runs (the store records finished jobs); a
+//!                       rerun over it resumes every checkpointed job
 //!   --snapshot-every <n> checkpoint running machines every n cycles
 //!                       (requires --journal; 0 disables checkpoints)
-//!   --resume            resume under an existing journal: finished jobs
-//!                       come from the result store, checkpointed jobs
-//!                       resume mid-run; refuses a journal from a
-//!                       different spec or one it cannot read
 //!
 //! snapshot options:
 //!   --cycles <n>        save: cycles to run before snapshotting (0 =
@@ -189,8 +186,8 @@ use mipsx::core::{FaultPlan, InterlockPolicy, Machine, MachineConfig, RunError, 
 use mipsx::engine::drives_caches;
 use mipsx::exec::{AnyBackend, CheckedBackend, EngineKind, ExecBackend, ExecError};
 use mipsx::explore::{
-    run_sweep, Axis, Grid, JournalConfig, ResultStore, SimPoint, SweepOptions, SweepOutcome,
-    SweepSpec, Telemetry, Workload,
+    run_sweep, Axis, Grid, Journal, ResultStore, SimPoint, SweepOptions, SweepOutcome, SweepSpec,
+    Telemetry, Workload,
 };
 use mipsx::isa::Reg;
 use mipsx::refmodel::NULL_HANDLER;
@@ -211,7 +208,7 @@ const USAGE: &str =
      [--grid f=v1,v2] \
      [--workload id] [--fault spec] [--base mipsx|ideal] [--threads N] [--csv] \
      [--store dir] [--no-cache] [--metrics path] [--timings] \
-     [--journal path] [--snapshot-every N] [--resume] [--out path]";
+     [--journal dir] [--snapshot-every N] [--out path]";
 
 /// How a subcommand failed. Only `main` renders one, and every failure
 /// exits 1.
@@ -1053,14 +1050,11 @@ fn sweep_args(
     )?;
     let snapshot_every = parsed.parsed_or("--snapshot-every", 0u64)?;
     let journal = match parsed.value("--journal") {
-        Some(path) => Some(JournalConfig {
-            path: path.into(),
-            resume: parsed.has("--resume"),
+        Some(dir) => Some(Journal {
+            dir: dir.into(),
             snapshot_interval: snapshot_every,
         }),
-        None if parsed.has("--resume") || snapshot_every > 0 => {
-            return fail("--resume and --snapshot-every require --journal <path>")
-        }
+        None if snapshot_every > 0 => return fail("--snapshot-every requires --journal <dir>"),
         None => None,
     };
     let spec = sweep_spec_from(parsed)?;
@@ -1102,7 +1096,6 @@ fn cmd_sweep(args: &[String]) -> Outcome {
             switch("--timings"),
             flag("--journal"),
             flag("--snapshot-every"),
-            switch("--resume"),
         ],
     )?;
     let telemetry = match parsed.value("--metrics") {

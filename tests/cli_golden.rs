@@ -150,8 +150,14 @@ const ROWS: &[Row] = &[
         &["snapshot", "info", "no/such.msnap"],
     ),
     row(
-        "err_sweep_resume_without_journal",
-        &["sweep", "--resume", "--workload", "kernel:sum_to_n"],
+        "err_sweep_snapshot_every_without_journal",
+        &[
+            "sweep",
+            "--snapshot-every",
+            "100",
+            "--workload",
+            "kernel:sum_to_n",
+        ],
     ),
     row(
         "err_sweep_bad_base",
@@ -310,5 +316,44 @@ fn one_slot_runs_code_scheduled_for_one_slot() {
             "{args:?}: {stdout}"
         );
     }
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// A journaled sweep renders every row uncached whatever the store served,
+/// so its report is the same on a cold store and a warm one; the stderr
+/// summary still counts the jobs the store served.
+#[test]
+fn journaled_sweep_summary_counts_store_hits() {
+    let tmp = scratch("journal-hits");
+    let args = [
+        "sweep",
+        "--json",
+        "--grid",
+        "mem_latency=3,5",
+        "--workload",
+        "kernel:sum_to_n",
+        "--threads",
+        "1",
+        "--store",
+        "$TMP/store",
+        "--journal",
+        "$TMP/journal",
+    ];
+    let cold = mipsx(&args, &tmp);
+    let warm = mipsx(&args, &tmp);
+    for (out, hits) in [(&cold, 0), (&warm, 2)] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{stderr}");
+        assert!(
+            stderr.contains(&format!("({hits} from cache, 0 quarantined)")),
+            "{stderr}"
+        );
+    }
+    let report = String::from_utf8_lossy(&warm.stdout);
+    assert!(
+        report.starts_with("{\"jobs\":2,\"cache_hits\":0,"),
+        "{report}"
+    );
+    assert_eq!(cold.stdout, warm.stdout);
     let _ = std::fs::remove_dir_all(&tmp);
 }
