@@ -184,6 +184,9 @@ pub struct Icache {
     known: Vec<bool>,
     /// FIFO pointer per row.
     fifo: Vec<u32>,
+    /// Unallocated ways per row, so a fill into a full row skips the
+    /// search for one. Derived from `tags`, so not part of [`IcacheState`].
+    free: Vec<u32>,
     /// Recency counter for LRU stamps.
     clock: u64,
     /// xorshift state for random replacement.
@@ -213,6 +216,7 @@ impl Icache {
             stamps: vec![0; blocks],
             known: vec![false; blocks],
             fifo: vec![0; cfg.rows as usize],
+            free: vec![cfg.ways; cfg.rows as usize],
             clock: 0,
             rng: 0x9E37_79B9_7F4A_7C15,
             seen_blocks: BlockSet::default(),
@@ -250,6 +254,7 @@ impl Icache {
         self.stamps.fill(0);
         self.known.fill(false);
         self.fifo.fill(0);
+        self.free.fill(self.cfg.ways);
         self.seen_blocks.clear();
         self.epoch += 1;
     }
@@ -391,57 +396,32 @@ impl Icache {
         self.stats.hits += u64::from(words);
     }
 
-    /// The hit kernel: walk `len` sequential fetches from `start`
-    /// (addresses wrap) a line at a time, one row scan per line, booking
-    /// each line's consecutive valid words as hits in one step. Each absent
-    /// word goes to `miss` with its line's slot. If `miss` fills the word
-    /// it returns the line's slot after the fill, and the walk goes on in
-    /// the same line without scanning again; `None` stops the walk there,
-    /// leaving the word unbooked. Returns the fetches walked. Booking a
-    /// line's hits at once is exact: a hit moves no block and sets no
-    /// valid bit, and [`Icache::book_hits`] stamps the line as its last
-    /// fetch would. Going on from a fill's slot is exact too: a fill moves
-    /// only the missed line, unless its fetch-back partner opens the next
-    /// line, which happens only at the line's last word. Each booking also
-    /// goes to `booked` as `(block index, words)`.
+    /// The hit walker: book the leading hits of `len` sequential fetches
+    /// from `start` (addresses wrap) a line at a time, one row scan per
+    /// line, each line's consecutive valid words in one step, and stop at
+    /// the first absent word. Returns the fetches booked. Booking a line's
+    /// hits at once is exact: a hit moves no block and sets no valid bit,
+    /// and [`Icache::book_hits`] stamps the line as its last fetch would.
+    /// Each booking also goes to `booked` as `(block index, words)`.
     #[inline]
-    fn walk(
-        &mut self,
-        start: u32,
-        len: u32,
-        mut booked: impl FnMut(usize, u32),
-        mut miss: impl FnMut(&mut Icache, u32, Slot) -> Option<Slot>,
-    ) -> u32 {
+    fn walk(&mut self, start: u32, len: u32, mut booked: impl FnMut(usize, u32)) -> u32 {
         let mut done = 0;
-        while done < len {
+        while done < len && self.cfg.enabled {
             let (row, tag, word) = self.locate(start.wrapping_add(done));
-            let mut slot = if self.cfg.enabled {
-                self.scan(row, tag)
-            } else {
-                Slot::Bypass
+            let Slot::Present(index) = self.scan(row, tag) else {
+                break;
             };
-            // This line's fetches are `first..end` of the run.
-            let first = done;
-            let end = done + (self.cfg.block_words - word).min(len - done);
-            while done < end {
-                if let Slot::Present(index) = slot {
-                    let valid = (!(self.valid[index] >> (word + done - first))).trailing_zeros();
-                    let run = valid.min(end - done);
-                    // A line no fetch hit keeps its recency stamp.
-                    if run > 0 {
-                        self.book_hits(index, run);
-                        booked(index, run);
-                        done += run;
-                    }
-                    if done == end {
-                        break;
-                    }
-                }
-                match miss(self, start.wrapping_add(done), slot) {
-                    Some(filled) => slot = filled,
-                    None => return done,
-                }
-                done += 1;
+            let line = (self.cfg.block_words - word).min(len - done);
+            let run = (!(self.valid[index] >> word)).trailing_zeros().min(line);
+            // A line no fetch hit keeps its recency stamp.
+            if run == 0 {
+                break;
+            }
+            self.book_hits(index, run);
+            booked(index, run);
+            done += run;
+            if run < line {
+                break;
             }
         }
         done
@@ -453,7 +433,7 @@ impl Icache {
     /// fetch (with [`Icache::fetch_through`], say).
     #[inline]
     pub fn fetch_hits(&mut self, start: u32, len: u32) -> u32 {
-        self.walk(start, len, |_, _| {}, |_, _, _| None)
+        self.walk(start, len, |_, _| {})
     }
 
     /// [`Icache::fetch_hits`] for a run the caller repeats, books and
@@ -478,7 +458,7 @@ impl Icache {
             }
             lines += 1;
         };
-        let hits = self.walk(start, len, booked, |_, _, _| None);
+        let hits = self.walk(start, len, booked);
         if hits == len && lines <= MEMO_LINES {
             memo.epoch = self.epoch;
             memo.start = start;
@@ -497,32 +477,28 @@ impl Icache {
             return false;
         }
         let (row, tag, word) = self.locate(addr);
-        let slot = self.scan(row, tag);
-        self.install(row, tag, word, slot);
-        matches!(slot, Slot::Absent)
-    }
-
-    /// Mark `word` of line `(row, tag)` valid in the block `slot` found,
-    /// allocating a victim way when the tag is absent. Returns the block's
-    /// index (`None` for a disabled cache).
-    fn install(&mut self, row: u32, tag: u32, word: u32, slot: Slot) -> Option<usize> {
-        let index = match slot {
-            Slot::Bypass => return None,
-            Slot::Present(index) => index,
-            Slot::Absent => {
-                let way = self.victim(row);
-                let index = self.block_index(row, way);
-                if self.tags[index] != NO_TAG {
-                    self.epoch += 1;
-                }
-                self.tags[index] = u64::from(tag);
-                self.valid[index] = 0;
-                self.known[index] = false;
-                index
-            }
+        let (index, allocated) = match self.scan(row, tag) {
+            Slot::Present(index) => (index, false),
+            _ => (self.allocate(row, tag), true),
         };
         self.mark_valid(index, word);
-        Some(index)
+        allocated
+    }
+
+    /// Give line `(row, tag)`, absent from its row, the row's victim way
+    /// with no word valid. Returns the block's index.
+    fn allocate(&mut self, row: u32, tag: u32) -> usize {
+        let way = self.victim(row);
+        let index = self.block_index(row, way);
+        if self.tags[index] == NO_TAG {
+            self.free[row as usize] -= 1;
+        } else {
+            self.epoch += 1;
+        }
+        self.tags[index] = u64::from(tag);
+        self.valid[index] = 0;
+        self.known[index] = false;
+        index
     }
 
     /// Mark `word` of block `index` valid, stamped as the latest fill.
@@ -538,11 +514,9 @@ impl Icache {
         let base = self.block_index(row, 0);
         let row_blocks = base..base + self.cfg.ways as usize;
         // Prefer an unallocated way regardless of policy.
-        if let Some(way) = self.tags[row_blocks.clone()]
-            .iter()
-            .position(|&t| t == NO_TAG)
-        {
-            return way as u32;
+        if self.free[row as usize] > 0 {
+            let way = self.tags[row_blocks].iter().position(|&t| t == NO_TAG);
+            return way.expect("a row with a free way has an unallocated tag") as u32;
         }
         match self.cfg.replacement {
             Replacement::Fifo => {
@@ -581,52 +555,57 @@ impl Icache {
     pub fn fetch_through(&mut self, addr: u32, ecache: &mut Ecache, mem: &mut MainMemory) -> u32 {
         match self.access(addr) {
             Ok(_) => 0,
-            Err(slot) => {
-                let extra = ecache.access(addr, mem);
-                self.fill_miss(addr, slot, extra, |a| ecache.access(a, mem))
-                    .0
-            }
+            Err(slot) => self.fill_miss(addr, slot, ecache, mem),
         }
     }
 
-    /// The miss-fill rule, one for the hierarchy and the trace-driven
-    /// path: install the missed word and its fetch-back partner (or, in
-    /// the whole-block ablation, the whole block) and book the service
-    /// cost. `slot` is the row scan of the miss; `stall` is what fetching
-    /// `addr` itself cost off-chip; `next_level(a)` brings one more word
-    /// on-chip and returns its extra stall. Returns the miss's stall
-    /// cycles and the slot of `addr`'s line after the fill. Afterwards the
-    /// line's block is known to be in `seen_blocks`
-    /// ([`Icache::record_miss`] put it there).
+    /// The miss-fill rule of the hierarchy: install the missed word and its
+    /// fetch-back partner (or, in the whole-block ablation, the whole
+    /// block), each brought on-chip through the Ecache, and book the
+    /// service cost. `slot` is the row scan of the miss, which
+    /// [`Icache::record_miss`] recorded, putting the line's block in
+    /// `seen_blocks`. Returns the miss's stall cycles.
     fn fill_miss(
         &mut self,
         addr: u32,
         slot: Slot,
-        mut stall: u32,
-        mut next_level: impl FnMut(u32) -> u32,
-    ) -> (u32, Slot) {
+        ecache: &mut Ecache,
+        mem: &mut MainMemory,
+    ) -> u32 {
         let (row, tag, word) = self.locate(addr);
-        let mut slot = slot;
+        let index = match slot {
+            Slot::Present(index) => Some(index),
+            Slot::Absent => Some(self.allocate(row, tag)),
+            Slot::Bypass => None,
+        };
+        if let Some(index) = index {
+            self.known[index] = true;
+        }
+        let mut stall = ecache.access(addr, mem);
         let filled = if self.cfg.whole_block_fill {
             // Ablation: stream the whole block in at one word per bus cycle.
             stall += self.cfg.block_words.max(2);
             for w in 0..self.cfg.block_words {
-                stall += next_level(addr - word + w);
-                slot = self.install_missed(row, tag, w, slot);
+                stall += ecache.access(addr - word + w, mem);
+                if let Some(index) = index {
+                    self.mark_valid(index, w);
+                }
             }
             self.cfg.block_words
         } else {
             stall += self.cfg.miss_penalty;
-            slot = self.install_missed(row, tag, word, slot);
+            if let Some(index) = index {
+                self.mark_valid(index, word);
+            }
             if self.cfg.fetch_words == 2 {
                 // The second fetch rides the otherwise-idle miss cycle; only
                 // an Ecache miss on it can add stalls (rare: same block).
                 let partner = addr.wrapping_add(1);
-                stall += next_level(partner);
-                match slot {
+                stall += ecache.access(partner, mem);
+                match index {
                     // The partner shares the missed word's line: its block
                     // is the one just installed, no second scan.
-                    Slot::Present(index) if word + 1 < self.cfg.block_words => {
+                    Some(index) if word + 1 < self.cfg.block_words => {
                         self.mark_valid(index, word + 1)
                     }
                     _ => {
@@ -638,21 +617,7 @@ impl Icache {
         };
         self.stats
             .add_miss_cost(u64::from(stall), u64::from(filled));
-        (stall, slot)
-    }
-
-    /// [`Icache::install`] for a word of a line that just missed, whose
-    /// block [`Icache::record_miss`] put in `seen_blocks`. Returns the
-    /// line's slot after the install.
-    #[inline]
-    fn install_missed(&mut self, row: u32, tag: u32, word: u32, slot: Slot) -> Slot {
-        match self.install(row, tag, word, slot) {
-            Some(index) => {
-                self.known[index] = true;
-                Slot::Present(index)
-            }
-            None => Slot::Bypass,
-        }
+        stall
     }
 
     /// Drive the cache with a pure instruction-address trace given as
@@ -663,23 +628,22 @@ impl Icache {
     /// `u32::MAX`; an empty run fetches nothing.
     ///
     /// Books exactly what [`Icache::fetch`] plus the miss-fill rule would,
-    /// word by word over the flattened runs: the hit kernel walks each run
-    /// a line at a time, booking a line's valid words in one step and
-    /// filling each miss from its line's scan. A run equal to the run just
-    /// before it (a loop's next trip) goes to
-    /// [`Icache::fetch_hits_memo`] first, with one [`HitMemo`] for the
-    /// call: the first repeat records the memo, and each later one, while
-    /// no resident word has gone away since, books the recorded lines
-    /// with no row scan. If the memo's walk stops at a miss, the trip
-    /// walks on from the missed word. Returns the cache's statistics, cumulative over every
-    /// call.
+    /// word by word over the flattened runs: the line kernel books each
+    /// line a run touches in one step, from one row scan and the line's
+    /// valid mask. A run equal to the run just before or just after it (a
+    /// loop's trips) goes to [`Icache::fetch_hits_memo`] first, with one
+    /// [`HitMemo`] for the call: a trip that hits throughout records the
+    /// memo, and each later repeat, while no resident word has gone away
+    /// since, books the recorded lines with no row scan. If the memo's walk
+    /// stops at a miss, the line kernel books the trip on from the missed
+    /// word. Returns the cache's statistics, cumulative over every call.
     pub fn simulate_runs(&mut self, runs: &[(u32, u32)]) -> CacheStats {
         self.simulate_trips(runs.iter().copied())
     }
 
     /// [`Icache::simulate_runs`] for a trace given one fetch per word:
     /// consecutive addresses merge into sequential runs (never across the
-    /// top of the address space), which the same kernel walks, a repeated
+    /// top of the address space), which the same kernel books, a repeated
     /// run from the same memo.
     pub fn simulate_trace<I: IntoIterator<Item = u32>>(&mut self, trace: I) -> CacheStats {
         let mut trace = trace.into_iter().peekable();
@@ -702,32 +666,143 @@ impl Icache {
     /// [`Icache::simulate_trace`]. Replaying a repeated run is exact for
     /// the reasons [`Icache::fetch_hits_memo`] is: a hit moves no block,
     /// and the epoch advances on every eviction and cleared valid bit.
+    /// Recording on the trip before a repeat lets a loop whose first trip
+    /// merged into the run before it record on its second trip and replay
+    /// from its third.
     fn simulate_trips(&mut self, runs: impl Iterator<Item = (u32, u32)>) -> CacheStats {
         let mut memo = HitMemo::default();
+        let mut runs = runs.peekable();
         let mut last = None;
-        for (start, len) in runs {
-            let hits = if last == Some((start, len)) {
+        while let Some(run @ (start, len)) = runs.next() {
+            let hits = if last == Some(run) || runs.peek() == Some(&run) {
                 self.fetch_hits_memo(start, len, &mut memo)
             } else {
                 0
             };
-            self.walk_trace(start.wrapping_add(hits), len - hits);
-            last = Some((start, len));
+            self.book_run(start.wrapping_add(hits), len - hits);
+            last = Some(run);
         }
         self.stats
     }
 
-    /// The trace-driven walk of one run: every miss is recorded and filled
-    /// with no cost beyond the miss penalty, and the walk goes on.
-    fn walk_trace(&mut self, start: u32, len: u32) {
-        self.walk(
-            start,
-            len,
-            |_, _| {},
-            |cache, addr, slot| {
-                cache.record_miss(addr, slot);
-                Some(cache.fill_miss(addr, slot, 0, |_| 0).1)
-            },
+    /// The line kernel: book `len` sequential fetches from `start`
+    /// (addresses wrap) on the trace path, one line per step. A disabled
+    /// cache books every fetch as a cold miss.
+    fn book_run(&mut self, start: u32, len: u32) {
+        if !self.cfg.enabled {
+            self.stats.accesses += u64::from(len);
+            self.stats.misses += u64::from(len);
+            self.stats.cold_misses += u64::from(len);
+            self.add_trace_miss_cost(len);
+            return;
+        }
+        let mut done = 0;
+        while done < len {
+            done += self.book_line(start.wrapping_add(done), len - done);
+        }
+    }
+
+    /// Book the fetches of `len` sequential ones from `addr` that fall in
+    /// `addr`'s line, and return how many that is, as word-by-word
+    /// [`Icache::fetch`]es with the miss-fill rule would, in closed form
+    /// from the line's valid mask `V` and the window `W` of words fetched.
+    /// The invalid fetched words are `I = !V & W`:
+    ///
+    /// - a 1-word fetch-back misses on each of them, and validates them;
+    /// - a 2-word fetch-back misses on every other word of each maximal
+    ///   run of them, from the run's first (the miss validates the next
+    ///   word, which then hits), and validates each missed word and its
+    ///   partner; a miss on the line's last word sends its partner, the
+    ///   next line's first word, through [`Icache::fill`] once this line
+    ///   is written back;
+    /// - a whole-block fill misses once if any is invalid, and validates
+    ///   the line.
+    ///
+    /// Every fetch advances the clock by one, and so does every word a miss
+    /// installs beyond the missed one, so the line's stamp is the clock
+    /// after its last fetch, before any partner in the next line. An absent
+    /// line takes its victim way first, and its first miss is cold or a
+    /// conflict; every other miss is a sub-block miss.
+    fn book_line(&mut self, addr: u32, len: u32) -> u32 {
+        /// The even words of a line; their complement is the odd words.
+        const EVEN: u64 = 0x5555_5555_5555_5555;
+        let block_words = self.cfg.block_words;
+        let (row, tag, word) = self.locate(addr);
+        let block_addr = addr >> block_words.trailing_zeros();
+        let n = (block_words - word).min(len);
+        let line = u64::MAX >> (64 - block_words);
+        let window = (u64::MAX >> (64 - n)) << word;
+        let (index, first_cause) = match self.scan(row, tag) {
+            Slot::Present(index) => (index, None),
+            _ => {
+                let cause = if self.seen_blocks.insert(block_addr) {
+                    MissCause::Cold
+                } else {
+                    MissCause::Conflict
+                };
+                let index = self.allocate(row, tag);
+                self.known[index] = true;
+                (index, Some(cause))
+            }
+        };
+        let valid = self.valid[index];
+        let invalid = !valid & window;
+        let mut clock = u64::from(n);
+        let mut partner = false;
+        let misses = if invalid == 0 {
+            0
+        } else if self.cfg.whole_block_fill {
+            clock += u64::from(block_words - 1);
+            self.valid[index] = line;
+            1
+        } else if self.cfg.fetch_words == 1 {
+            self.valid[index] = valid | invalid;
+            invalid.count_ones()
+        } else {
+            // A carry from each run's first word clears the runs that
+            // start on an even word.
+            let starts = invalid & !(invalid << 1);
+            let even_runs = invalid & !invalid.wrapping_add(starts & EVEN);
+            let missed = (even_runs & EVEN) | (invalid & !even_runs & !EVEN);
+            partner = missed >> (block_words - 1) != 0;
+            clock += u64::from(missed.count_ones()) - u64::from(partner);
+            self.valid[index] = valid | missed | ((missed << 1) & line);
+            missed.count_ones()
+        };
+        self.clock += clock;
+        self.stamps[index] = self.clock;
+        self.stats.accesses += u64::from(n);
+        self.stats.hits += u64::from(n - misses);
+        self.stats.misses += u64::from(misses);
+        if misses > 0 {
+            let mut sub_block = misses;
+            if let Some(cause) = first_cause {
+                self.stats.record_miss_cause(cause);
+                sub_block -= 1;
+            } else if !self.known[index] {
+                self.seen_blocks.insert(block_addr);
+                self.known[index] = true;
+            }
+            self.stats.sub_block_misses += u64::from(sub_block);
+            self.add_trace_miss_cost(misses);
+        }
+        if partner {
+            self.fill(addr.wrapping_add(n));
+        }
+        n
+    }
+
+    /// The trace path's service cost of `misses` misses: the miss penalty
+    /// and the fetch-back words each, or the whole-block stream.
+    fn add_trace_miss_cost(&mut self, misses: u32) {
+        let (stall, words) = if self.cfg.whole_block_fill {
+            (self.cfg.block_words.max(2), self.cfg.block_words)
+        } else {
+            (self.cfg.miss_penalty, self.cfg.fetch_words)
+        };
+        self.stats.add_miss_cost(
+            u64::from(misses) * u64::from(stall),
+            u64::from(misses) * u64::from(words),
         );
     }
 
@@ -855,6 +930,10 @@ impl Icache {
             self.stamps[i] = stamp;
         }
         self.known.fill(false);
+        let ways = self.cfg.ways as usize;
+        for (free, row) in self.free.iter_mut().zip(self.tags.chunks(ways)) {
+            *free = row.iter().filter(|&&t| t == NO_TAG).count() as u32;
+        }
         self.fifo.copy_from_slice(&state.fifo);
         self.clock = state.clock;
         self.rng = state.rng;

@@ -22,8 +22,9 @@
 //! organization experiments. A trace is given as sequential `(start, len)`
 //! runs ([`Icache::simulate_runs`]) or one address per fetch
 //! ([`Icache::simulate_trace`], which merges consecutive addresses into
-//! runs); one kernel walks each run a line at a time and books exactly what
-//! word-by-word fetches would.
+//! runs); one kernel books each line a run touches in one step, in closed
+//! form from the line's valid mask, exactly what word-by-word fetches
+//! would.
 //!
 //! The Icache keeps each row's tags, valid masks and recency stamps in
 //! parallel flat arrays, so a row scan reads only the row's tags, and a

@@ -61,7 +61,12 @@ impl RefCache {
 /// [`CacheStats::add_miss_cost`]. Returns the cache's final state with that
 /// cost folded into its statistics.
 fn word_by_word(cfg: IcacheConfig, trace: &[u32]) -> IcacheState {
-    let mut cache = Icache::new(cfg);
+    book_word_by_word(Icache::new(cfg), trace)
+}
+
+/// [`word_by_word`] from a cache in any state.
+fn book_word_by_word(mut cache: Icache, trace: &[u32]) -> IcacheState {
+    let cfg = cache.config();
     let mut cost = CacheStats::new();
     for &a in trace {
         if cache.fetch(a) == FetchOutcome::Hit {
@@ -463,4 +468,203 @@ fn repeated_trips_that_evict_themselves_book_like_word_by_word() {
         );
         assert_eq!(by_words.snapshot_state(), reference, "{runs:?}");
     }
+}
+
+/// `cfg` under each miss-fill rule: 1-word and 2-word fetch-back, and the
+/// whole-block fill.
+fn fill_rules(cfg: IcacheConfig) -> [IcacheConfig; 3] {
+    let rule = |fetch_words, whole_block_fill| IcacheConfig {
+        fetch_words,
+        whole_block_fill,
+        ..cfg
+    };
+    [rule(1, false), rule(2, false), rule(2, true)]
+}
+
+/// A checkpoint holding `blocks` (`(tag, valid bits, stamp)` per way, row
+/// by row), the FIFO pointers `fifo` and the miss history `seen`, with a
+/// clock past every stamp.
+fn cache_state(
+    blocks: Vec<(Option<u32>, u64, u64)>,
+    fifo: Vec<u32>,
+    seen: Vec<u32>,
+) -> IcacheState {
+    IcacheState {
+        blocks,
+        fifo,
+        clock: 100,
+        rng: 0x2545_F491_4F6C_DD1D,
+        seen_blocks: seen,
+        stats: CacheStats::new(),
+    }
+}
+
+/// Book the run `(start, len)` from `state` through `simulate_runs` and
+/// word by word, and demand the same final state, statistics included.
+/// Returns that state.
+fn run_books_like_word_by_word(
+    cfg: IcacheConfig,
+    state: &IcacheState,
+    (start, len): (u32, u32),
+) -> IcacheState {
+    let mut kernel = Icache::new(cfg);
+    kernel.restore_state(state).unwrap();
+    let oracle = kernel.clone();
+    let _ = kernel.simulate_runs(&[(start, len)]);
+    let words: Vec<u32> = (0..len).map(|k| start.wrapping_add(k)).collect();
+    let want = book_word_by_word(oracle, &words);
+    assert_eq!(
+        kernel.snapshot_state(),
+        want,
+        "{cfg:?}: run ({start}, {len}) from {state:?}"
+    );
+    want
+}
+
+/// The line kernel against word-by-word fetches on one 8-word line: every
+/// valid mask, every window of the line (start word and length), each
+/// miss-fill rule, with the line present (in the second way of its row)
+/// or absent (its row full, so it evicts; cold or a conflict by the
+/// history). The next line, which a 2-word miss on the last word fills,
+/// is present with another mask or absent from a full row.
+#[test]
+fn line_kernel_books_every_mask_and_window_like_word_by_word() {
+    let base = IcacheConfig {
+        rows: 2,
+        ways: 2,
+        block_words: 8,
+        ..IcacheConfig::mipsx()
+    };
+    // The booked line is block 4 (row 0, tag 2): words 32..40. The next
+    // line is block 5 (row 1, tag 2).
+    for cfg in fill_rules(base) {
+        for mask in 0u64..256 {
+            let seen = |mut blocks: Vec<u32>| {
+                if mask & 1 == 0 {
+                    blocks.push(4);
+                }
+                blocks.sort();
+                blocks
+            };
+            let present = cache_state(
+                vec![
+                    (Some(7), 0xFF, 3),
+                    (Some(2), mask, 5),
+                    (Some(2), mask.rotate_left(3) & 0xFF, 4),
+                    (None, 0, 0),
+                ],
+                vec![0, 0],
+                seen(vec![]),
+            );
+            let absent = cache_state(
+                vec![
+                    (Some(7), mask, 3),
+                    (Some(9), !mask & 0xFF, 5),
+                    (Some(1), mask, 2),
+                    (Some(3), 0, 6),
+                ],
+                vec![1, (mask % 2) as u32],
+                seen(vec![14, 18]),
+            );
+            for start in 0..8 {
+                for len in 1..=8 - start {
+                    for state in [&present, &absent] {
+                        run_books_like_word_by_word(cfg, state, (32 + start, len));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The top word of a 64-word line, where the window mask is all ones, a
+/// run of invalid words carries out of the mask's top bit, and a 2-word
+/// miss on word 63 fills the next line: masks valid below or above each
+/// word, alternating and pseudo-random masks, every window that ends at
+/// word 63, each miss-fill rule, the line present or absent.
+#[test]
+fn line_kernel_books_the_top_word_of_a_64_word_line() {
+    let base = IcacheConfig {
+        rows: 2,
+        ways: 2,
+        block_words: 64,
+        ..IcacheConfig::mipsx()
+    };
+    let mut masks = vec![0, u64::MAX, 0x5555_5555_5555_5555, 0xAAAA_AAAA_AAAA_AAAA];
+    for k in 0..64 {
+        masks.push(!(u64::MAX << k));
+        masks.push(u64::MAX << k);
+    }
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for _ in 0..32 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        masks.push(x);
+    }
+    // The booked line is block 2 (row 0, tag 1): words 128..192. The next
+    // line is block 3 (row 1, tag 1).
+    for cfg in fill_rules(base) {
+        for &mask in &masks {
+            let present = cache_state(
+                vec![
+                    (Some(1), mask, 5),
+                    (None, 0, 0),
+                    (Some(1), mask.rotate_left(1), 4),
+                    (Some(6), mask, 2),
+                ],
+                vec![0, 0],
+                vec![2],
+            );
+            let absent = cache_state(
+                vec![
+                    (Some(4), mask, 3),
+                    (Some(8), !mask, 5),
+                    (None, 0, 0),
+                    (Some(6), 1, 2),
+                ],
+                vec![0, 0],
+                vec![2, 8, 13, 16],
+            );
+            for start in 0..64 {
+                for state in [&present, &absent] {
+                    run_books_like_word_by_word(cfg, state, (128 + start, 64 - start));
+                }
+            }
+        }
+    }
+}
+
+/// In a 1-row cache the next line shares the booked line's row, so a
+/// 2-word miss on the line's last word fills a partner that can evict the
+/// line just booked: its stamp, valid bits and the epoch must be the line
+/// kernel's before that fill, under every replacement policy and row
+/// width, for every mask and every window that ends on the last word.
+#[test]
+fn cross_line_partner_may_evict_the_line_just_booked() {
+    let mut evicted = 0;
+    for ways in [1, 2] {
+        for replacement in [Replacement::Fifo, Replacement::Lru, Replacement::Random] {
+            let cfg = IcacheConfig {
+                rows: 1,
+                ways,
+                block_words: 8,
+                fetch_words: 2,
+                replacement,
+                ..IcacheConfig::mipsx()
+            };
+            for mask in 0u64..256 {
+                // The booked line is block 2 (words 16..24), in the row's
+                // last way; any other way holds block 5.
+                let mut blocks = vec![(Some(5), 0xFF, 1); ways as usize - 1];
+                blocks.push((Some(2), mask, 3));
+                let state = cache_state(blocks, vec![0], vec![2, 5]);
+                for start in 0..8 {
+                    let after = run_books_like_word_by_word(cfg, &state, (16 + start, 8 - start));
+                    evicted += usize::from(after.blocks.iter().all(|b| b.0 != Some(2)));
+                }
+            }
+        }
+    }
+    assert!(evicted > 0, "no partner evicted its line");
 }
