@@ -44,17 +44,11 @@ fn assert_verifies_clean(raw: &RawProgram) {
             ("reorganize", reorg.reorganize(raw)),
             ("lower_naive", reorg.lower_naive(raw)),
         ] {
-            let (program, report) = result.expect("lowering succeeds");
+            let (program, _) = result.expect("lowering succeeds");
             let lint = verify(&program, &config);
             assert!(
                 lint.is_clean(),
                 "[{scheme}] {label} emitted an illegal schedule:\n{lint}\n{program}"
-            );
-            assert!(report.verified, "[{scheme}] {label}: report disagrees");
-            assert_eq!(
-                report.diagnostics,
-                lint.diagnostics.len(),
-                "[{scheme}] {label}: report diagnostic count disagrees"
             );
         }
     }

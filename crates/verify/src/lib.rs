@@ -57,7 +57,7 @@ mod summary;
 mod timing;
 
 pub use attrib::{differential, BlockAttribution, DynBlock, PIPE_FILL};
-pub use quality::{quality, quality_diags, verify_with_timing};
+pub use quality::{quality, verify_with_timing};
 pub use summary::{BlockExit, BlockSummary, HazardRef, ALL_REGS};
 pub use timing::{BlockCost, TimingAnalysis};
 

@@ -32,7 +32,7 @@ use mipsx_isa::SquashMode;
 
 /// Run only the four scheduling-quality lints.
 pub fn quality(program: &Program, config: &VerifyConfig) -> LintReport {
-    TimingAnalysis::of(program, config).quality()
+    LintReport::from_raw(quality_diags(&TimingAnalysis::of(program, config)))
 }
 
 /// The full `--timing` report: the hazard verifier's diagnostics plus the
@@ -46,7 +46,7 @@ pub fn verify_with_timing(program: &Program, config: &VerifyConfig) -> LintRepor
 }
 
 /// All quality findings over an existing timing analysis.
-pub fn quality_diags(ta: &TimingAnalysis) -> Vec<Diagnostic> {
+fn quality_diags(ta: &TimingAnalysis) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     for b in &ta.blocks {
         if b.irregular {

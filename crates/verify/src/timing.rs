@@ -28,9 +28,8 @@
 //! *exactly* per block.
 
 use crate::analysis::Analysis;
-use crate::quality::quality_diags;
 use crate::summary::{build_blocks, BlockExit, BlockSummary, ALL_REGS};
-use crate::{LintReport, VerifyConfig};
+use crate::VerifyConfig;
 use mipsx_asm::{DecodedImage, Program};
 use mipsx_isa::InstrMeta;
 
@@ -151,18 +150,6 @@ impl TimingAnalysis {
     /// The decoded image the analysis was built from.
     pub fn image(&self) -> &DecodedImage {
         &self.analysis.code
-    }
-
-    /// The hazard verifier's report ([`crate::verify`]) over this
-    /// analysis, without decoding the program again.
-    pub fn verify(&self) -> LintReport {
-        LintReport::from_raw(self.analysis.diagnostics())
-    }
-
-    /// The scheduling-quality report ([`crate::quality`]) over this
-    /// analysis.
-    pub fn quality(&self) -> LintReport {
-        LintReport::from_raw(quality_diags(self))
     }
 
     /// Backward liveness fixpoint over the block graph. Unknowable exits

@@ -191,7 +191,7 @@ use mipsx::explore::{
 };
 use mipsx::isa::Reg;
 use mipsx::refmodel::NULL_HANDLER;
-use mipsx::reorg::{BranchScheme, Reorganizer, ScheduleReport, SquashPolicy};
+use mipsx::reorg::{BranchScheme, Reorganizer, SquashPolicy};
 use mipsx::verify::{
     differential, verify, verify_with_timing, BlockAttribution, TimingAnalysis, VerifyConfig,
 };
@@ -338,12 +338,10 @@ fn target_program(target: &str, scheme: BranchScheme) -> Result<Program, CliErro
 }
 
 /// Schedule `kernel` under `scheme`, for the `--kernels` tables.
-fn schedule_kernel(
-    kernel: &Kernel,
-    scheme: BranchScheme,
-) -> Result<(Program, ScheduleReport), String> {
+fn schedule_kernel(kernel: &Kernel, scheme: BranchScheme) -> Result<Program, String> {
     Reorganizer::new(scheme)
         .reorganize(&kernel.raw)
+        .map(|(program, _)| program)
         .map_err(|e| format!("kernel {} [{scheme}]: {e}", kernel.name))
 }
 
@@ -485,7 +483,7 @@ fn cmd_lint(args: &[String]) -> Outcome {
             let mut kernel_rows: Vec<String> = Vec::new();
             let mut details: Vec<String> = Vec::new();
             for kernel in all_kernels() {
-                let (program, report) = schedule_kernel(&kernel, scheme)?;
+                let program = schedule_kernel(&kernel, scheme)?;
                 let lint = run_lint(&program, &vcfg);
                 errors += lint.error_count();
                 warnings += lint.warning_count();
@@ -493,7 +491,7 @@ fn cmd_lint(args: &[String]) -> Outcome {
                     kernel_rows.push(format!(
                         "{{\"kernel\":\"{}\",\"verified\":{},\"report\":{}}}",
                         kernel.name,
-                        report.verified,
+                        lint.is_clean(),
                         lint.to_json()
                     ));
                 } else {
@@ -596,7 +594,7 @@ fn cmd_analyze(args: &[String]) -> Outcome {
                 ..cfg
             };
             for kernel in all_kernels() {
-                let (program, _) = schedule_kernel(&kernel, scheme)?;
+                let program = schedule_kernel(&kernel, scheme)?;
                 let ta = TimingAnalysis::of(&program, &vcfg);
                 let errs = if diff {
                     let errs = run_differential(&program, &ta, cfg, budget)
@@ -1044,10 +1042,12 @@ fn sweep_args(
     store: ResultStore,
     telemetry: Telemetry,
 ) -> Result<(SweepSpec, SweepOptions), CliError> {
-    let threads = parsed.parsed_or(
-        "--threads",
-        std::thread::available_parallelism().map_or(1, |n| n.get()),
-    )?;
+    let threads = parsed
+        .parsed_or(
+            "--threads",
+            std::thread::available_parallelism().map_or(1, |n| n.get()),
+        )?
+        .max(1);
     let snapshot_every = parsed.parsed_or("--snapshot-every", 0u64)?;
     let journal = match parsed.value("--journal") {
         Some(dir) => Some(Journal {

@@ -9,9 +9,9 @@
 //!   plus the scheduling-quality lints, the `mipsx lint --timing` path;
 //! - `timing`: `TimingAnalysis::to_json()` — the block partition, loop
 //!   weights, liveness and the static CPI bound;
-//! - `report`: the reorganizer's `ScheduleReport`, whose `verified`,
-//!   `diagnostics` and `quality_findings` come from its own post-condition
-//!   lints;
+//! - `report`: the reorganizer's `ScheduleReport`, its slot-fill and
+//!   nop counts (the verdict on a schedule is the `lint` column's, not
+//!   the reorganizer's);
 //! - `words`: the scheduled image itself, so the reorganizer's emission
 //!   stays word-for-word identical.
 //!

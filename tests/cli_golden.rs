@@ -63,6 +63,11 @@ const ROWS: &[Row] = &[
         &["trace", FIB, "--from-cycle", "50", "--diagram", "10"],
     ),
     row("lint_fib_recursive", &["lint", "fib_recursive"]),
+    row("lint_kernels_json", &["lint", "--kernels", "--json"]),
+    row(
+        "lint_kernels_timing_json",
+        &["lint", "--kernels", "--timing", "--json"],
+    ),
     row("analyze_fib_recursive", &["analyze", "fib_recursive"]),
     row(
         "analyze_kernels_differential",
@@ -355,5 +360,24 @@ fn journaled_sweep_summary_counts_store_hits() {
         "{report}"
     );
     assert_eq!(cold.stdout, warm.stdout);
+    let _ = std::fs::remove_dir_all(&tmp);
+}
+
+/// `--threads 0` runs on one worker, and the summary says so: a sweep's on
+/// stderr, a profile's on stdout.
+#[test]
+fn zero_threads_runs_and_reports_one() {
+    let tmp = scratch("zero-threads");
+    let grid = ["--workload", "kernel:sum_to_n", "--threads", "0"];
+    let sweep = mipsx(
+        &[&["sweep", "--no-cache", "--json"][..], &grid].concat(),
+        &tmp,
+    );
+    let profile = mipsx(&[&["profile"][..], &grid].concat(), &tmp);
+    for (out, summary) in [(&sweep, &sweep.stderr), (&profile, &profile.stdout)] {
+        let summary = String::from_utf8_lossy(summary);
+        assert_eq!(out.status.code(), Some(0), "{summary}");
+        assert!(summary.contains(" jobs on 1 thread(s) in "), "{summary}");
+    }
     let _ = std::fs::remove_dir_all(&tmp);
 }
