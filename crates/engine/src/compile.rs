@@ -1,7 +1,7 @@
 //! Block compilation: turn the verifier's [`BlockSummary`] partition into
 //! straight-line superop chains with pre-resolved per-visit accounting.
 //!
-//! A compiled block carries three things:
+//! A compiled block carries four things:
 //!
 //! 1. **Superops** — the body and delay-window instructions lowered to a
 //!    small closed op set ([`Op`]) that can be retired eagerly, in program
@@ -20,6 +20,9 @@
 //!    stepper *at the block boundary, before executing any of it*, so the
 //!    stepper observes exactly the architectural state a contiguous run
 //!    would have had.
+//! 4. **Chained successors** — per outcome, the index of the block a
+//!    fall-through or branch edge reaches, so the next visit skips the
+//!    dispatch-map lookup.
 //!
 //! Hazard guards (each one demotes rather than risks divergence):
 //!
@@ -49,6 +52,8 @@ use mipsx_verify::{BlockExit, BlockSummary, TimingAnalysis, VerifyConfig};
 
 /// Map sentinel: address holds no compiled code.
 const NONE: u32 = u32::MAX;
+/// [`CompiledBlock::next`] sentinel: the successor is looked up by PC.
+pub(crate) const NO_BLOCK: u32 = u32::MAX;
 /// Map sentinel: address is watched for self-modification (a halt block's
 /// fetch shadow) but is not part of a block.
 const WATCH: u32 = u32::MAX - 1;
@@ -212,6 +217,10 @@ pub(crate) struct CompiledBlock {
     pub delta: [Delta; 2],
     /// Per-outcome PC-chain seed records.
     pub tail: [TailSeed; 2],
+    /// Per-outcome index of the block control reaches next when it is
+    /// known statically (a fall-through or a branch edge into a compiled
+    /// block), else [`NO_BLOCK`]: jumps, halts and edges into cold code.
+    pub next: [u32; 2],
     /// An upper bound on the cycles from the visit's first fetch to its
     /// last drain in a contiguous run (see [`cost_bound`]).
     pub cost_bound: u64,
@@ -323,11 +332,20 @@ pub(crate) fn compile(origin: u32, entry: u32, words: &[u32], cfg: &MachineConfi
             }
         }
     }
-    CodeCache {
+    let mut code = CodeCache {
         origin,
         map,
         blocks,
+    };
+    for i in 0..code.blocks.len() {
+        let index = |pc: u32| code.block_at(pc).map_or(NO_BLOCK, |b| b as u32);
+        code.blocks[i].next = match code.blocks[i].exit {
+            Exit::Fall { next } => [index(next), NO_BLOCK],
+            Exit::Branch { target, fall, .. } => [index(fall), index(target)],
+            Exit::Jump { .. } | Exit::Halt { .. } => [NO_BLOCK; 2],
+        };
     }
+    code
 }
 
 /// Lower one instruction, or refuse (`None` ⇒ the block is a fallback
@@ -497,6 +515,7 @@ fn compile_block(
         exit,
         delta,
         tail,
+        next: [NO_BLOCK; 2],
         cost_bound: cost_bound(b.len, loads, max_stalls(cfg)),
     }
 }

@@ -17,9 +17,14 @@
 //! the machine's decoded image and compiles each into a straight-line
 //! superop chain (see `compile`). At run time the engine executes
 //! block-at-a-time: retire the block's ops eagerly against architectural
-//! state, apply the pre-computed per-visit `RunStats` delta for the taken
-//! branch outcome, jump to the successor. One bounds check and one match
-//! per instruction — no pipeline slots, no bypass search.
+//! state, count the visit under its branch outcome, put its length on the
+//! clock, jump to the successor — the statically known one chained from
+//! the block when there is one, else the block at the PC. One bounds check
+//! and one match per instruction — no pipeline slots, no bypass search.
+//! The pre-computed per-outcome `RunStats` deltas are booked from the
+//! visit counts at each region boundary (the halt return, a demotion, or
+//! just before a recompile replaces the blocks they count), and so is the
+//! PC-chain seed, from the last visits.
 //!
 //! # Caches
 //!
@@ -28,17 +33,18 @@
 //! skips the cache models.
 //! On any other — the board, `ideal_memory()`, any memory latency — it
 //! drives the machine's own Icache and Ecache, so `RunStats`, cache
-//! statistics and cache state stay identical to a stepper run: one
-//! loop books a visit's fetches as hits in bulk up to each miss (one row
-//! scan per line), fetches the missed word through the hierarchy, and
-//! reads the Ecache for each load at its place in the stepper's event
-//! order (see `BlockEngine::book_caches`).
+//! statistics and cache state stay identical to a stepper run: the Icache
+//! books all of a visit's fetches through its line entry point, one row
+//! scan per line with the missed words read from the valid mask, and the
+//! Ecache then takes each miss's fill reads and each load's read in the
+//! stepper's event order (see `BlockEngine::book_caches`).
 //!
 //! Each compiled block has a [`HitMemo`] in the engine (not in the
 //! shared compiled image): the Icache lines its last all-hit visit
 //! booked. While the Icache's epoch shows that no resident word has gone
 //! away since, the next visit books those lines again without a row
-//! scan, with the same statistics, clock and recency stamps as the walk.
+//! scan, with the same statistics, clock and recency stamps as the line
+//! kernel.
 //! The memos are cleared at every region entry, because the machine may
 //! have been reset or restored between runs.
 //!
@@ -83,7 +89,7 @@ mod compile;
 
 use std::sync::Arc;
 
-use compile::{CodeCache, Exit, FetchRecord, Op, TailSeed};
+use compile::{CodeCache, Exit, FetchRecord, Op, TailSeed, NO_BLOCK};
 use mipsx_asm::{DecodedEntry, Program};
 use mipsx_core::{
     FaultPlan, Machine, MachineConfig, NullSink, RunError, RunStats, StallCause, TraceSink,
@@ -265,6 +271,34 @@ impl Recent {
     }
 }
 
+/// The last four visits not yet folded into [`Recent`], as keys
+/// `block << 1 | outcome`, the newest in the low 32 bits; an empty slot
+/// holds `u32::MAX`. A visit fetches at least one word, so the last three
+/// visits hold every record of the seed.
+#[derive(Clone, Copy, Debug)]
+struct Trail(u128);
+
+impl Trail {
+    const EMPTY: Trail = Trail(u128::MAX);
+
+    #[inline]
+    fn push(&mut self, key: u32) {
+        self.0 = self.0 << 32 | u128::from(key);
+    }
+
+    /// Take the last three visits' tails into `recent`, oldest first, and
+    /// empty the trail. `tail` maps a key to its visit's tail.
+    fn fold(&mut self, recent: &mut Recent, tail: impl Fn(u32) -> TailSeed) {
+        for shift in [64, 32, 0] {
+            let key = (self.0 >> shift) as u32;
+            if key != u32::MAX {
+                recent.take(&tail(key));
+            }
+        }
+        *self = Trail::EMPTY;
+    }
+}
+
 /// The block-at-a-time execution engine. Construct once per program +
 /// machine configuration; run against a freshly loaded [`Machine`].
 pub struct BlockEngine {
@@ -290,7 +324,17 @@ pub struct BlockEngine {
     /// (see [`BlockEngine::book_caches`]). Per engine, unlike the shared
     /// image: each memo belongs to the Icache of the run that recorded it.
     memos: Vec<HitMemo>,
+    /// Per compiled block and outcome, the visits since the last
+    /// [`BlockEngine::book_visits`], which books their deltas.
+    visits: Vec<[u64; 2]>,
+    /// `RunStats::cycles` at the last booking: every cycle since is a fast
+    /// cycle.
+    booked_cycles: u64,
+    /// The PC-chain seed as of the last booking, and the visits since.
     recent: Recent,
+    trail: Trail,
+    /// Scratch for one visit's missed fetch offsets.
+    missed: Vec<u32>,
     stats: EngineStats,
 }
 
@@ -340,7 +384,11 @@ impl BlockEngine {
             code: Arc::clone(&self.code),
             dirty: false,
             memos: Vec::new(),
+            visits: Vec::new(),
+            booked_cycles: 0,
             recent: Recent::default(),
+            trail: Trail::EMPTY,
+            missed: Vec::new(),
             stats: EngineStats {
                 fallback_blocks: self.stats.fallback_blocks,
                 ..EngineStats::default()
@@ -360,7 +408,11 @@ impl BlockEngine {
             code: Arc::new(CodeCache::empty(program.origin)),
             dirty: false,
             memos: Vec::new(),
+            visits: Vec::new(),
+            booked_cycles: 0,
             recent: Recent::default(),
+            trail: Trail::EMPTY,
+            missed: Vec::new(),
             stats: EngineStats::default(),
         }
     }
@@ -417,31 +469,44 @@ impl BlockEngine {
             return interpret(m, max_cycles, sink, plan, max_cycles);
         }
         self.recent = Recent::default();
+        self.trail = Trail::EMPTY;
         self.fetched = 0;
         self.owed.clear();
-        // The machine may have been reset or restored since the last run.
-        self.clear_memos();
         let start_cycles = m.stats().cycles; // includes the entry ramp charge
+        self.booked_cycles = start_cycles;
+        // The machine may have been reset or restored since the last run.
+        self.reset_blocks();
 
+        // The statically known successor of the last visit, if any.
+        let mut chained = NO_BLOCK;
         loop {
-            if m.halted() {
-                return Ok(*m.stats());
-            }
-            if self.dirty {
-                self.stats.recompiles += 1;
-                self.compile_from(m);
-                self.clear_memos();
-            }
-            let pc = m.pc();
-            let Some(bi) = self.code.block_at(pc) else {
-                return self.demote(
-                    m,
-                    max_cycles,
-                    start_cycles,
-                    sink,
-                    plan,
-                    FallbackCause::ColdCode,
-                );
+            let bi = if chained != NO_BLOCK && !self.dirty {
+                chained as usize
+            } else {
+                if m.halted() {
+                    self.book_visits(m);
+                    return Ok(*m.stats());
+                }
+                if self.dirty {
+                    // The counts index the blocks about to be replaced.
+                    self.book_visits(m);
+                    self.stats.recompiles += 1;
+                    self.compile_from(m);
+                    self.reset_blocks();
+                }
+                match self.code.block_at(m.pc()) {
+                    Some(bi) => bi,
+                    None => {
+                        return self.demote(
+                            m,
+                            max_cycles,
+                            start_cycles,
+                            sink,
+                            plan,
+                            FallbackCause::ColdCode,
+                        )
+                    }
+                }
             };
             if let Some(cause) = self.code.blocks[bi].fallback {
                 return self.demote(m, max_cycles, start_cycles, sink, plan, cause);
@@ -461,22 +526,62 @@ impl BlockEngine {
                     FallbackCause::CycleBudget,
                 );
             }
-            if self.cached {
-                self.execute::<true>(m, bi);
+            chained = if self.cached {
+                self.execute::<true>(m, bi)
             } else {
-                self.execute::<false>(m, bi);
-            }
+                self.execute::<false>(m, bi)
+            };
         }
     }
 
-    /// One empty [`HitMemo`] per compiled block, when the fast path drives
-    /// the caches.
-    fn clear_memos(&mut self) {
+    /// Per-block run state for the current image: zero visit counts, and
+    /// one empty [`HitMemo`] per block when the fast path drives the
+    /// caches.
+    fn reset_blocks(&mut self) {
+        let blocks = self.code.blocks.len();
+        self.visits.clear();
+        self.visits.resize(blocks, [0; 2]);
         self.memos.clear();
         if self.cached {
-            self.memos
-                .resize(self.code.blocks.len(), HitMemo::default());
+            self.memos.resize(blocks, HitMemo::default());
         }
+    }
+
+    /// Book the visits counted since the last booking: their `RunStats`
+    /// deltas, the engine's visit, instruction and fast-cycle counters, and
+    /// their fetch records into the PC-chain seed. It runs at every region
+    /// boundary — the halt return, each demotion, and before a recompile
+    /// replaces the blocks the counts index — so the books are whole
+    /// wherever anything outside the fast path reads them. Counts add, so
+    /// booking them late is exact; only `cycles`, which the budget check
+    /// reads, goes on the books per visit.
+    fn book_visits(&mut self, m: &mut Machine) {
+        let s = m.stats_mut();
+        for (b, visits) in self.code.blocks.iter().zip(&mut self.visits) {
+            for (d, n) in b.delta.iter().zip(std::mem::take(visits)) {
+                if n == 0 {
+                    continue;
+                }
+                s.instructions += n * u64::from(d.instructions);
+                s.nops += n * u64::from(d.nops);
+                s.squashed += n * u64::from(d.squashed);
+                s.branches += n * u64::from(d.branches);
+                s.branches_taken += n * u64::from(d.branches_taken);
+                s.branch_slot_nops += n * u64::from(d.branch_slot_nops);
+                s.branch_slot_squashed += n * u64::from(d.branch_slot_squashed);
+                s.jumps += n * u64::from(d.jumps);
+                s.loads += n * u64::from(d.loads);
+                s.stores += n * u64::from(d.stores);
+                self.stats.block_visits += n;
+                self.stats.fast_instructions += n * u64::from(d.instructions);
+            }
+        }
+        self.stats.fast_cycles += s.cycles - self.booked_cycles;
+        self.booked_cycles = s.cycles;
+        let blocks = &self.code.blocks;
+        self.trail.fold(&mut self.recent, |key| {
+            blocks[(key >> 1) as usize].tail[(key & 1) as usize]
+        });
     }
 
     /// Fast cycles consumed since region entry (ramp charge excluded).
@@ -524,6 +629,7 @@ impl BlockEngine {
         cause: FallbackCause,
     ) -> Result<RunStats, RunError> {
         self.note_fallback(cause);
+        self.book_visits(m);
         // Fast work on the books (ramp excluded); the block-dispatch budget
         // check guarantees `used + ramp <= max_cycles`, and the demoted
         // stepper re-pays the ramp out of the remainder as it refills.
@@ -593,14 +699,15 @@ impl BlockEngine {
     }
 
     /// Execute one compiled (non-fallback) block against architectural
-    /// state and apply its pre-resolved accounting. `CACHED` drives the
-    /// cache models as well.
-    fn execute<const CACHED: bool>(&mut self, m: &mut Machine, bi: usize) {
+    /// state, count the visit under its outcome for
+    /// [`BlockEngine::book_visits`] and put its length on the clock.
+    /// `CACHED` drives the cache models as well. Returns the block's
+    /// statically known successor for that outcome, or [`NO_BLOCK`].
+    fn execute<const CACHED: bool>(&mut self, m: &mut Machine, bi: usize) -> u32 {
         enum Next {
             Goto(u32),
             Stop(u32),
         }
-        let cycles_before = m.stats().cycles;
         let code: &CodeCache = &self.code;
         let b = &code.blocks[bi];
         let dirty = &mut self.dirty;
@@ -660,24 +767,9 @@ impl BlockEngine {
         }
         let b = &self.code.blocks[bi];
         let o = usize::from(taken);
-        let d = &b.delta[o];
-        let len = u64::from(b.len);
-        let s = m.stats_mut();
-        s.cycles += len;
-        s.instructions += u64::from(d.instructions);
-        s.nops += u64::from(d.nops);
-        s.squashed += u64::from(d.squashed);
-        s.branches += u64::from(d.branches);
-        s.branches_taken += u64::from(d.branches_taken);
-        s.branch_slot_nops += u64::from(d.branch_slot_nops);
-        s.branch_slot_squashed += u64::from(d.branch_slot_squashed);
-        s.jumps += u64::from(d.jumps);
-        s.loads += u64::from(d.loads);
-        s.stores += u64::from(d.stores);
-        self.stats.block_visits += 1;
-        self.stats.fast_cycles += m.stats().cycles - cycles_before;
-        self.stats.fast_instructions += u64::from(d.instructions);
-        self.recent.take(&b.tail[o]);
+        self.visits[bi][o] += 1;
+        self.trail.push((bi as u32) << 1 | o as u32);
+        m.stats_mut().cycles += u64::from(b.len);
         match next {
             Next::Goto(pc) => m.set_pc(pc),
             Next::Stop(pc) => {
@@ -685,6 +777,7 @@ impl BlockEngine {
                 m.retire_halt();
             }
         }
+        b.next[o]
     }
 
     /// Drive the machine's caches through one visit exactly as the stepper
@@ -693,22 +786,27 @@ impl BlockEngine {
     /// positions past it, and every stall booked. The block's last three
     /// positions stay owed to the successor.
     ///
-    /// One loop: book the fetches up to the next miss as hits in bulk
-    /// (one row scan per line), make the owed reads due before that miss
-    /// (an Icache hit touches no Ecache state, so deferring them past hits
-    /// is exact), then fetch the missed word as the stepper's
-    /// `Icache::fetch_through` does, its fill reading the Ecache. The first
-    /// bulk booking goes through the block's [`HitMemo`]: while no resident
-    /// word has left the Icache since the block's last all-hit visit, it
-    /// books that visit's lines again without scanning a row.
+    /// The Icache books the visit's fetches first, through
+    /// [`Icache::fetch_run`](mipsx_mem::Icache::fetch_run): a replay of the
+    /// block's [`HitMemo`] while no resident word has left the Icache since
+    /// the block's last all-hit visit, else the line kernel, one row scan
+    /// per line with the missed words read from the valid mask. Then the
+    /// Ecache takes each miss's fill reads
+    /// ([`Icache::fill_reads`](mipsx_mem::Icache::fill_reads)) in fetch
+    /// order, each after the owed reads due before its fetch. Booking the
+    /// fetches first is exact: an Icache fetch touches no Ecache state, and
+    /// the fill reads touch no Icache state but the statistics' sums.
     ///
     /// Stalls add, so most go straight onto the clock. A `halt` retires in
     /// the cycle of its last shadow fetch, which is also when the first
     /// shadow word's load reads: those two stalls start but never freeze.
+    // Inlined into its one caller: as a call it cost `board_pipeline`
+    // about 6 % (6 of 6 alternating perfbench pairs).
+    #[inline(always)]
     fn book_caches(&mut self, m: &mut Machine, bi: usize) {
         let b = &self.code.blocks[bi];
-        let start = self.fetched;
         let fetches = b.fetches();
+        let start = self.fetched;
         let end = start + u64::from(fetches);
         let (on_clock_fetches, on_clock_reads) = match b.exit {
             Exit::Halt { .. } => (end - 1, start + u64::from(b.len)),
@@ -721,33 +819,30 @@ impl BlockEngine {
                 m.start_stall(cause, cycles);
             }
         };
-        let read = |m: &mut Machine, (pos, addr): (u64, u32)| {
-            let (_, ecache, mem) = m.memory_mut();
-            let extra = ecache.access(addr, mem);
-            book(m, StallCause::EcacheRetry, extra, pos < on_clock_reads);
-        };
+        let owed = &self.owed;
         let mut next = 0;
-        let mut k = 0;
-        loop {
-            let icache = m.memory_mut().0;
-            k += if k == 0 {
-                icache.fetch_hits_memo(b.start, fetches, &mut self.memos[bi])
-            } else {
-                icache.fetch_hits(b.start.wrapping_add(k), fetches - k)
-            };
-            let f = start + u64::from(k);
-            while next < self.owed.len() && self.owed[next].0 + 3 < f {
-                read(m, self.owed[next]);
+        // The owed reads due before fetch position `f`.
+        let mut read_before = |m: &mut Machine, f: u64| {
+            while next < owed.len() && owed[next].0 + 3 < f {
+                let (pos, addr) = owed[next];
+                let (_, ecache, mem) = m.memory_mut();
+                let extra = ecache.access(addr, mem);
+                book(m, StallCause::EcacheRetry, extra, pos < on_clock_reads);
                 next += 1;
             }
-            if k == fetches {
-                break;
-            }
+        };
+        self.missed.clear();
+        m.memory_mut()
+            .0
+            .fetch_run(b.start, fetches, &mut self.memos[bi], &mut self.missed);
+        for &k in &self.missed {
+            let f = start + u64::from(k);
+            read_before(m, f);
             let (icache, ecache, mem) = m.memory_mut();
-            let stall = icache.fetch_through(b.start.wrapping_add(k), ecache, mem);
+            let stall = icache.fill_reads(b.start.wrapping_add(k), ecache, mem);
             book(m, StallCause::IcacheMiss, stall, f < on_clock_fetches);
-            k += 1;
         }
+        read_before(m, end);
         self.owed.drain(..next);
         self.fetched = end;
     }

@@ -144,11 +144,13 @@ pub enum FetchOutcome {
     Miss,
 }
 
-/// Lines a [`HitMemo`] holds; a run over more lines walks every time.
-const MEMO_LINES: usize = 4;
+/// Lines a [`HitMemo`] holds; a run over more lines is booked line by line
+/// every time. Eight lines cover a loop trip of up to 32 words at 4-word
+/// blocks.
+const MEMO_LINES: usize = 8;
 
-/// The lines one sequential run booked on its last all-hit walk, for
-/// [`Icache::fetch_hits_memo`] to book again without a row scan while the
+/// The lines one sequential run booked on its last all-hit pass, for
+/// [`Icache::fetch_run`] to book again without a row scan while the
 /// cache's epoch says no resident word has gone away since. A memo serves
 /// one run of one cache: a caller that may hand it another cache (a
 /// rebuilt or restored one) clears it first.
@@ -396,78 +398,94 @@ impl Icache {
         self.stats.hits += u64::from(words);
     }
 
-    /// The hit walker: book the leading hits of `len` sequential fetches
-    /// from `start` (addresses wrap) a line at a time, one row scan per
-    /// line, each line's consecutive valid words in one step, and stop at
-    /// the first absent word. Returns the fetches booked. Booking a line's
-    /// hits at once is exact: a hit moves no block and sets no valid bit,
-    /// and [`Icache::book_hits`] stamps the line as its last fetch would.
-    /// Each booking also goes to `booked` as `(block index, words)`.
-    #[inline]
-    fn walk(&mut self, start: u32, len: u32, mut booked: impl FnMut(usize, u32)) -> u32 {
-        let mut done = 0;
-        while done < len && self.cfg.enabled {
-            let (row, tag, word) = self.locate(start.wrapping_add(done));
-            let Slot::Present(index) = self.scan(row, tag) else {
-                break;
-            };
-            let line = (self.cfg.block_words - word).min(len - done);
-            let run = (!(self.valid[index] >> word)).trailing_zeros().min(line);
-            // A line no fetch hit keeps its recency stamp.
-            if run == 0 {
-                break;
+    /// Book `len` sequential fetches from `start` (addresses wrap) as
+    /// word-by-word [`Icache::fetch_through`]s would, except for the
+    /// misses' Ecache reads and service cost: each line in one step of the
+    /// line kernel, from one row scan and the line's valid mask. The offset
+    /// from `start` of every fetch that misses goes onto `missed`, in fetch
+    /// order, for the caller to serve with [`Icache::fill_reads`] in that
+    /// order. Deferring the reads past the run is exact: they touch no
+    /// Icache state but the statistics' service-cost sums.
+    ///
+    /// While `memo` holds this run from the current epoch, every word of
+    /// it is still resident in the block it was in, so the lines are booked
+    /// again as recorded, with no row scan. Otherwise, if every fetch hits
+    /// and the run spans at most the memo's lines, the memo records it.
+    pub fn fetch_run(&mut self, start: u32, len: u32, memo: &mut HitMemo, missed: &mut Vec<u32>) {
+        self.book_lines(start, len, Some(memo), |offset, mut mask| {
+            while mask != 0 {
+                missed.push(offset + mask.trailing_zeros());
+                mask &= mask - 1;
             }
-            self.book_hits(index, run);
-            booked(index, run);
-            done += run;
-            if run < line {
-                break;
+        });
+    }
+
+    /// The line kernel over a run: book `len` sequential fetches from
+    /// `start` a line per step (see [`Icache::book_line`]) and hand
+    /// `missed` each line's misses as the line's offset in the run and a
+    /// mask of the missed fetches from there. A disabled cache books every
+    /// fetch as a cold miss. With a `memo`, replay it or record the run in
+    /// it, as [`Icache::fetch_run`] says. Returns the misses.
+    #[inline]
+    fn book_lines(
+        &mut self,
+        start: u32,
+        len: u32,
+        mut memo: Option<&mut HitMemo>,
+        mut missed: impl FnMut(u32, u64),
+    ) -> u32 {
+        if let Some(memo) = memo.as_deref_mut() {
+            if memo.epoch == self.epoch && memo.start == start && memo.len == len {
+                // `book_hits` per line, with the statistics booked once:
+                // the lines' words add up to the run.
+                for line in 0..usize::from(memo.lines) {
+                    self.clock += u64::from(memo.words[line]);
+                    self.stamps[memo.index[line] as usize] = self.clock;
+                }
+                self.stats.accesses += u64::from(len);
+                self.stats.hits += u64::from(len);
+                return 0;
             }
         }
-        done
-    }
-
-    /// Book the leading hits of `len` sequential fetches from `start` as
-    /// word-by-word [`Icache::fetch`]es would, and return how many there
-    /// were. The first absent word is left unbooked for the caller to
-    /// fetch (with [`Icache::fetch_through`], say).
-    #[inline]
-    pub fn fetch_hits(&mut self, start: u32, len: u32) -> u32 {
-        self.walk(start, len, |_, _| {})
-    }
-
-    /// [`Icache::fetch_hits`] for a run the caller repeats, books and
-    /// result identical. While `memo` holds this run from the current
-    /// epoch, every word of it is still resident in the block it was in,
-    /// so the lines are booked again as recorded, with no row scan.
-    /// Otherwise the run is walked; if every word hit and the run spans at
-    /// most the memo's lines, the memo records it.
-    #[inline]
-    pub fn fetch_hits_memo(&mut self, start: u32, len: u32, memo: &mut HitMemo) -> u32 {
-        if memo.epoch == self.epoch && memo.start == start && memo.len == len {
-            for line in 0..usize::from(memo.lines) {
-                self.book_hits(memo.index[line] as usize, u32::from(memo.words[line]));
+        if !self.cfg.enabled {
+            self.stats.accesses += u64::from(len);
+            self.stats.misses += u64::from(len);
+            self.stats.cold_misses += u64::from(len);
+            for offset in (0..len).step_by(64) {
+                missed(offset, u64::MAX >> (64 - (len - offset).min(64)));
+            }
+            if let Some(memo) = memo {
+                memo.epoch = 0;
             }
             return len;
         }
-        let mut lines = 0;
-        let booked = |index: usize, words: u32| {
-            if lines < MEMO_LINES {
-                memo.index[lines] = index as u32;
-                memo.words[lines] = words as u8;
+        let (mut done, mut lines, mut misses) = (0, 0, 0);
+        while done < len {
+            let (words, index, mask) = self.book_line(start.wrapping_add(done), len - done);
+            if mask != 0 {
+                missed(done, mask);
+                misses += mask.count_ones();
+            }
+            if let Some(memo) = memo.as_deref_mut() {
+                if lines < MEMO_LINES {
+                    memo.index[lines] = index as u32;
+                    memo.words[lines] = words as u8;
+                }
             }
             lines += 1;
-        };
-        let hits = self.walk(start, len, booked);
-        if hits == len && lines <= MEMO_LINES {
-            memo.epoch = self.epoch;
-            memo.start = start;
-            memo.len = len;
-            memo.lines = lines as u8;
-        } else {
-            memo.epoch = 0;
+            done += words;
         }
-        hits
+        if let Some(memo) = memo {
+            if misses == 0 && lines <= MEMO_LINES {
+                memo.epoch = self.epoch;
+                memo.start = start;
+                memo.len = len;
+                memo.lines = lines as u8;
+            } else {
+                memo.epoch = 0;
+            }
+        }
+        misses
     }
 
     /// Install `addr` (allocating a block if its tag is absent) and mark its
@@ -561,8 +579,8 @@ impl Icache {
 
     /// The miss-fill rule of the hierarchy: install the missed word and its
     /// fetch-back partner (or, in the whole-block ablation, the whole
-    /// block), each brought on-chip through the Ecache, and book the
-    /// service cost. `slot` is the row scan of the miss, which
+    /// block), and bring them on-chip through the Ecache with
+    /// [`Icache::fill_reads`]. `slot` is the row scan of the miss, which
     /// [`Icache::record_miss`] recorded, putting the line's block in
     /// `seen_blocks`. Returns the miss's stall cycles.
     fn fill_miss(
@@ -581,27 +599,17 @@ impl Icache {
         if let Some(index) = index {
             self.known[index] = true;
         }
-        let mut stall = ecache.access(addr, mem);
-        let filled = if self.cfg.whole_block_fill {
-            // Ablation: stream the whole block in at one word per bus cycle.
-            stall += self.cfg.block_words.max(2);
-            for w in 0..self.cfg.block_words {
-                stall += ecache.access(addr - word + w, mem);
-                if let Some(index) = index {
+        if self.cfg.whole_block_fill {
+            if let Some(index) = index {
+                for w in 0..self.cfg.block_words {
                     self.mark_valid(index, w);
                 }
             }
-            self.cfg.block_words
         } else {
-            stall += self.cfg.miss_penalty;
             if let Some(index) = index {
                 self.mark_valid(index, word);
             }
             if self.cfg.fetch_words == 2 {
-                // The second fetch rides the otherwise-idle miss cycle; only
-                // an Ecache miss on it can add stalls (rare: same block).
-                let partner = addr.wrapping_add(1);
-                stall += ecache.access(partner, mem);
                 match index {
                     // The partner shares the missed word's line: its block
                     // is the one just installed, no second scan.
@@ -609,9 +617,41 @@ impl Icache {
                         self.mark_valid(index, word + 1)
                     }
                     _ => {
-                        self.fill(partner);
+                        self.fill(addr.wrapping_add(1));
                     }
                 }
+            }
+        }
+        self.fill_reads(addr, ecache, mem)
+    }
+
+    /// The Ecache reads that bring a miss on `addr` on-chip, in the order
+    /// the fill makes them — the missed word, then its fetch-back partner
+    /// or, in the whole-block ablation, every word of its line — with the
+    /// miss's service cost booked in the statistics. Returns the miss's
+    /// stall cycles: [`IcacheConfig::miss_penalty`] (or one bus cycle per
+    /// word of a whole-block stream) plus whatever the Ecache retry loop
+    /// adds.
+    ///
+    /// [`Icache::fetch_through`] calls it for each miss; a caller that books
+    /// fetches with [`Icache::fetch_run`] calls it for each missed fetch
+    /// the run reports, in fetch order.
+    pub fn fill_reads(&mut self, addr: u32, ecache: &mut Ecache, mem: &mut MainMemory) -> u32 {
+        let mut stall = ecache.access(addr, mem);
+        let filled = if self.cfg.whole_block_fill {
+            // Ablation: stream the whole block in at one word per bus cycle.
+            stall += self.cfg.block_words.max(2);
+            let base = addr & !(self.cfg.block_words - 1);
+            for w in 0..self.cfg.block_words {
+                stall += ecache.access(base + w, mem);
+            }
+            self.cfg.block_words
+        } else {
+            stall += self.cfg.miss_penalty;
+            if self.cfg.fetch_words == 2 {
+                // The second fetch rides the otherwise-idle miss cycle; only
+                // an Ecache miss on it can add stalls (rare: same block).
+                stall += ecache.access(addr.wrapping_add(1), mem);
             }
             self.cfg.fetch_words
         };
@@ -631,12 +671,11 @@ impl Icache {
     /// word by word over the flattened runs: the line kernel books each
     /// line a run touches in one step, from one row scan and the line's
     /// valid mask. A run equal to the run just before or just after it (a
-    /// loop's trips) goes to [`Icache::fetch_hits_memo`] first, with one
-    /// [`HitMemo`] for the call: a trip that hits throughout records the
+    /// loop's trips) goes through one [`HitMemo`] for the call, as in
+    /// [`Icache::fetch_run`]: a trip that hits throughout records the
     /// memo, and each later repeat, while no resident word has gone away
-    /// since, books the recorded lines with no row scan. If the memo's walk
-    /// stops at a miss, the line kernel books the trip on from the missed
-    /// word. Returns the cache's statistics, cumulative over every call.
+    /// since, books the recorded lines with no row scan. Returns the
+    /// cache's statistics, cumulative over every call.
     pub fn simulate_runs(&mut self, runs: &[(u32, u32)]) -> CacheStats {
         self.simulate_trips(runs.iter().copied())
     }
@@ -663,49 +702,39 @@ impl Icache {
     }
 
     /// The trace-driven kernel behind [`Icache::simulate_runs`] and
-    /// [`Icache::simulate_trace`]. Replaying a repeated run is exact for
-    /// the reasons [`Icache::fetch_hits_memo`] is: a hit moves no block,
-    /// and the epoch advances on every eviction and cleared valid bit.
-    /// Recording on the trip before a repeat lets a loop whose first trip
-    /// merged into the run before it record on its second trip and replay
-    /// from its third.
+    /// [`Icache::simulate_trace`]: the line kernel over each run, a
+    /// repeated run through the call's [`HitMemo`]. Replaying a repeated
+    /// run is exact for the reasons [`Icache::fetch_run`]'s is: a hit moves
+    /// no block, and the epoch advances on every eviction and cleared valid
+    /// bit. Recording on the trip before a repeat lets a loop whose first
+    /// trip merged into the run before it record on its second trip and
+    /// replay from its third.
     fn simulate_trips(&mut self, runs: impl Iterator<Item = (u32, u32)>) -> CacheStats {
         let mut memo = HitMemo::default();
         let mut runs = runs.peekable();
         let mut last = None;
         while let Some(run @ (start, len)) = runs.next() {
-            let hits = if last == Some(run) || runs.peek() == Some(&run) {
-                self.fetch_hits_memo(start, len, &mut memo)
+            // Two calls, so that each inlined copy folds its memo branches.
+            let misses = if last == Some(run) || runs.peek() == Some(&run) {
+                self.book_lines(start, len, Some(&mut memo), |_, _| {})
             } else {
-                0
+                self.book_lines(start, len, None, |_, _| {})
             };
-            self.book_run(start.wrapping_add(hits), len - hits);
+            if misses > 0 {
+                self.add_trace_miss_cost(misses);
+            }
             last = Some(run);
         }
         self.stats
     }
 
-    /// The line kernel: book `len` sequential fetches from `start`
-    /// (addresses wrap) on the trace path, one line per step. A disabled
-    /// cache books every fetch as a cold miss.
-    fn book_run(&mut self, start: u32, len: u32) {
-        if !self.cfg.enabled {
-            self.stats.accesses += u64::from(len);
-            self.stats.misses += u64::from(len);
-            self.stats.cold_misses += u64::from(len);
-            self.add_trace_miss_cost(len);
-            return;
-        }
-        let mut done = 0;
-        while done < len {
-            done += self.book_line(start.wrapping_add(done), len - done);
-        }
-    }
-
-    /// Book the fetches of `len` sequential ones from `addr` that fall in
-    /// `addr`'s line, and return how many that is, as word-by-word
-    /// [`Icache::fetch`]es with the miss-fill rule would, in closed form
-    /// from the line's valid mask `V` and the window `W` of words fetched.
+    /// The line kernel: book the fetches of `len` sequential ones from
+    /// `addr` that fall in `addr`'s line as word-by-word [`Icache::fetch`]es
+    /// with the miss-fill rule would, but for the service cost, in closed
+    /// form from the line's valid mask `V` and the window `W` of words
+    /// fetched. Returns how many fetches that is, the line's block index
+    /// and a mask of the missed fetches (bit `k` for the fetch of
+    /// `addr + k`).
     /// The invalid fetched words are `I = !V & W`:
     ///
     /// - a 1-word fetch-back misses on each of them, and validates them;
@@ -723,7 +752,8 @@ impl Icache {
     /// after its last fetch, before any partner in the next line. An absent
     /// line takes its victim way first, and its first miss is cold or a
     /// conflict; every other miss is a sub-block miss.
-    fn book_line(&mut self, addr: u32, len: u32) -> u32 {
+    #[inline]
+    fn book_line(&mut self, addr: u32, len: u32) -> (u32, usize, u64) {
         /// The even words of a line; their complement is the odd words.
         const EVEN: u64 = 0x5555_5555_5555_5555;
         let block_words = self.cfg.block_words;
@@ -749,15 +779,15 @@ impl Icache {
         let invalid = !valid & window;
         let mut clock = u64::from(n);
         let mut partner = false;
-        let misses = if invalid == 0 {
+        let missed = if invalid == 0 {
             0
         } else if self.cfg.whole_block_fill {
             clock += u64::from(block_words - 1);
             self.valid[index] = line;
-            1
+            invalid & invalid.wrapping_neg()
         } else if self.cfg.fetch_words == 1 {
             self.valid[index] = valid | invalid;
-            invalid.count_ones()
+            invalid
         } else {
             // A carry from each run's first word clears the runs that
             // start on an even word.
@@ -767,8 +797,9 @@ impl Icache {
             partner = missed >> (block_words - 1) != 0;
             clock += u64::from(missed.count_ones()) - u64::from(partner);
             self.valid[index] = valid | missed | ((missed << 1) & line);
-            missed.count_ones()
+            missed
         };
+        let misses = missed.count_ones();
         self.clock += clock;
         self.stamps[index] = self.clock;
         self.stats.accesses += u64::from(n);
@@ -784,12 +815,11 @@ impl Icache {
                 self.known[index] = true;
             }
             self.stats.sub_block_misses += u64::from(sub_block);
-            self.add_trace_miss_cost(misses);
         }
         if partner {
             self.fill(addr.wrapping_add(n));
         }
-        n
+        (n, index, missed >> word)
     }
 
     /// The trace path's service cost of `misses` misses: the miss penalty

@@ -2,8 +2,8 @@
 //! model, plus structural invariants.
 
 use mipsx_mem::{
-    CacheStats, Ecache, EcacheConfig, FetchOutcome, HitMemo, Icache, IcacheConfig, IcacheState,
-    MainMemory, Replacement,
+    CacheStats, Ecache, EcacheConfig, EcacheState, FetchOutcome, HitMemo, Icache, IcacheConfig,
+    IcacheState, MainMemory, Replacement,
 };
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
@@ -274,91 +274,171 @@ proptest! {
         prop_assert_eq!(*by_words.stats(), reference.stats);
         prop_assert_eq!(by_words.snapshot_state(), reference);
     }
+}
 
-    /// `fetch_hits` books the leading hits of a sequential run exactly as
-    /// word-by-word `fetch`es would — how many, statistics and the whole
-    /// cache state — and leaves the first absent word unbooked, on a
-    /// warmed cache of random organization, with runs that cross lines
-    /// and wrap past `u32::MAX`.
-    #[test]
-    fn fetch_hits_books_like_word_by_word(
-        warm in prop::collection::vec((0u32..256, 0u32..40), 1..40),
-        run in (0u32..256, 0u32..80),
-        rows in prop::sample::select(vec![1u32, 2, 4, 8]),
-        ways in 1u32..=8,
-        block_words in prop::sample::select(vec![1u32, 2, 4, 8, 16, 64]),
-        policy in prop::sample::select(vec![Replacement::Fifo, Replacement::Lru, Replacement::Random]),
-        flags in (1u32..=2, any::<bool>(), 0u32..8),
-        base in prop::sample::select(vec![0u32, 1 << 20, u32::MAX - 127]),
-    ) {
-        let (fetch_words, whole_block_fill, enabled) = flags;
-        let cfg = IcacheConfig {
-            rows,
-            ways,
-            block_words,
-            fetch_words,
-            miss_penalty: 2,
-            replacement: policy,
-            enabled: enabled != 0,
-            whole_block_fill,
-        };
-        let mut bulk = Icache::new(cfg);
-        let _ = bulk.simulate_trace(
-            warm.iter()
-                .flat_map(|&(start, len)| (start..=start + len).map(|a| base.wrapping_add(a))),
-        );
-        let mut words = bulk.clone();
-        let (start, len) = (base.wrapping_add(run.0), run.1);
-        let booked = bulk.fetch_hits(start, len);
-        // The oracle: the hits word-by-word fetches give before the first
-        // miss, fetched on a copy so the miss itself is not booked.
-        let mut probe = words.clone();
-        let expected = (0..len)
-            .take_while(|&k| probe.fetch(start.wrapping_add(k)) == FetchOutcome::Hit)
-            .count() as u32;
-        prop_assert_eq!(booked, expected);
-        for k in 0..expected {
-            prop_assert_eq!(words.fetch(start.wrapping_add(k)), FetchOutcome::Hit);
+/// An Icache with the Ecache and memory behind it.
+#[derive(Clone)]
+struct Hierarchy {
+    icache: Icache,
+    ecache: Ecache,
+    mem: MainMemory,
+}
+
+impl Hierarchy {
+    fn new(icache: IcacheConfig, ecache: EcacheConfig, latency: u32) -> Hierarchy {
+        Hierarchy {
+            icache: Icache::new(icache),
+            ecache: Ecache::new(ecache),
+            mem: MainMemory::with_latency(latency),
         }
-        prop_assert_eq!(bulk.snapshot_state(), words.snapshot_state());
+    }
+
+    /// The hierarchy's whole state: both caches and memory's read count.
+    fn state(&self) -> (IcacheState, EcacheState, u64) {
+        (
+            self.icache.snapshot_state(),
+            self.ecache.snapshot_state(),
+            self.mem.reads(),
+        )
     }
 }
 
-/// One block visit as the block engine books it: the run's leading hits
-/// in bulk, then each missed word through the hierarchy and the hits
-/// after it. `first` books the leading hits. Returns the fetches booked
-/// as hits and the stall cycles.
-fn visit(
-    cache: &mut Icache,
-    ecache: &mut Ecache,
-    mem: &mut MainMemory,
+/// What a visit makes of the hierarchy, in order: an Icache miss as the
+/// run offset of its fetch and its stall, a data read as its index and its
+/// stall.
+#[derive(Debug, PartialEq)]
+enum Event {
+    Miss(u32, u32),
+    Read(usize, u32),
+}
+
+/// One visit of the run `(start, len)` as the stepper makes it: each fetch
+/// through `fetch_through`, then the data reads due after it. `reads` holds
+/// `(fetch offset, address)` in program order, offsets ascending.
+fn visit_word_by_word(
+    h: &mut Hierarchy,
     (start, len): (u32, u32),
-    first: impl FnOnce(&mut Icache) -> u32,
-) -> (u32, u32) {
-    let mut k = first(cache);
-    let (mut hits, mut stalls) = (k, 0);
-    while k < len {
-        stalls += cache.fetch_through(start.wrapping_add(k), ecache, mem);
-        k += 1;
-        let more = cache.fetch_hits(start.wrapping_add(k), len - k);
-        hits += more;
-        k += more;
+    reads: &[(u32, u32)],
+) -> Vec<Event> {
+    let mut events = Vec::new();
+    let mut next = 0;
+    for k in 0..len {
+        let misses = h.icache.stats().misses;
+        let stall = h
+            .icache
+            .fetch_through(start.wrapping_add(k), &mut h.ecache, &mut h.mem);
+        if h.icache.stats().misses > misses {
+            events.push(Event::Miss(k, stall));
+        }
+        while next < reads.len() && reads[next].0 == k {
+            events.push(Event::Read(
+                next,
+                h.ecache.access(reads[next].1, &mut h.mem),
+            ));
+            next += 1;
+        }
     }
-    (hits, stalls)
+    events
+}
+
+/// The same visit as the block engine makes it: the run through
+/// `fetch_run` (and `memo`), then each missed fetch's `fill_reads` in fetch
+/// order, after the data reads due before that fetch.
+fn visit_by_lines(
+    h: &mut Hierarchy,
+    (start, len): (u32, u32),
+    reads: &[(u32, u32)],
+    memo: &mut HitMemo,
+) -> Vec<Event> {
+    let mut missed = Vec::new();
+    h.icache.fetch_run(start, len, memo, &mut missed);
+    let mut events = Vec::new();
+    let mut next = 0;
+    for k in missed.into_iter().map(Some).chain([None]) {
+        while next < reads.len() && k.is_none_or(|k| reads[next].0 < k) {
+            events.push(Event::Read(
+                next,
+                h.ecache.access(reads[next].1, &mut h.mem),
+            ));
+            next += 1;
+        }
+        if let Some(k) = k {
+            let stall = h
+                .icache
+                .fill_reads(start.wrapping_add(k), &mut h.ecache, &mut h.mem);
+            events.push(Event::Miss(k, stall));
+        }
+    }
+    events
 }
 
 proptest! {
-    /// `fetch_hits_memo` books exactly what `fetch_hits` books. Twin
-    /// caches (each with its own Ecache and memory) take the same random
-    /// block visits, one through per-block memos and one through plain
-    /// walks, with word invalidations, whole-cache invalidations and
-    /// checkpoint restores interleaved, under every replacement policy.
-    /// Blocks repeat, so memos are replayed, rebuilt and outlived by
-    /// evictions; short lines make some blocks span more lines than a
-    /// memo holds. After every step both caches hold the same state.
+    /// The line path books what the stepper's word-by-word path books. One
+    /// hierarchy takes random visits through `fetch_run` plus `fill_reads`
+    /// with data reads interleaved by fetch position, its twin takes them
+    /// through `fetch_through` plus `Ecache::access`; after every visit
+    /// both give the same miss and read sequence with the same stalls, the
+    /// same Icache and Ecache state and the same memory reads. Data reads
+    /// land on the code's Ecache frames (a small Ecache, close addresses),
+    /// so their order against the fill reads shows. Runs cross lines and
+    /// wrap past `u32::MAX`; memos start empty each visit.
+    #[test]
+    fn line_path_books_like_fetch_through(
+        visits in prop::collection::vec(
+            (0u32..192, 1u32..70, prop::collection::vec((0u32..70, 0u32..256), 0..6)),
+            1..24,
+        ),
+        shape in (prop::sample::select(vec![1u32, 2, 4, 8]), 1u32..=8, prop::sample::select(vec![2u32, 4, 8, 16, 32])),
+        rule in (0u32..3, 1u32..=4, prop::sample::select(vec![Replacement::Fifo, Replacement::Lru, Replacement::Random])),
+        ecache in (prop::sample::select(vec![16u32, 64, 65536]), prop::sample::select(vec![1u32, 2, 4]), 0u32..=2, 1u32..=11),
+        base in prop::sample::select(vec![0u32, u32::MAX - 127]),
+    ) {
+        let (rows, ways, block_words) = shape;
+        let (fill, miss_penalty, replacement) = rule;
+        let (size_words, ecache_block, late_miss_overhead, latency) = ecache;
+        let icache = IcacheConfig {
+            rows,
+            ways,
+            block_words,
+            fetch_words: if fill == 0 { 1 } else { 2 },
+            miss_penalty,
+            replacement,
+            enabled: true,
+            whole_block_fill: fill == 2,
+        };
+        let ecache = EcacheConfig {
+            size_words,
+            block_words: ecache_block,
+            late_miss_overhead,
+            enabled: true,
+        };
+        let mut lines = Hierarchy::new(icache, ecache, latency);
+        let mut words = lines.clone();
+        for (visit, (start, len, reads)) in visits.iter().enumerate() {
+            let run = (base.wrapping_add(*start), *len);
+            let mut reads: Vec<(u32, u32)> = reads
+                .iter()
+                .map(|&(at, addr)| (at % len, base.wrapping_add(addr)))
+                .collect();
+            reads.sort_by_key(|&(at, _)| at);
+            let got = visit_by_lines(&mut lines, run, &reads, &mut HitMemo::default());
+            let want = visit_word_by_word(&mut words, run, &reads);
+            prop_assert_eq!(got, want, "visit {}: events", visit);
+            prop_assert_eq!(lines.state(), words.state(), "visit {}: state", visit);
+        }
+    }
+
+    /// Memoized visits book what word-by-word visits book. Twin hierarchies
+    /// take the same random block visits, one through `fetch_run` with a
+    /// memo per block, one through `fetch_through`, with word
+    /// invalidations, whole-cache invalidations and checkpoint restores
+    /// interleaved, under every replacement policy, each miss-fill rule
+    /// and a disabled cache. Blocks repeat, so memos are replayed, rebuilt
+    /// and outlived by evictions; short lines make some blocks span more
+    /// lines than a memo holds. After every step both hold the same state.
     #[test]
     fn memoized_hits_book_like_walks(
-        blocks in prop::collection::vec((0u32..192, 0u32..24), 1..8),
+        blocks in prop::collection::vec((0u32..192, 0u32..40), 1..8),
         steps in prop::collection::vec((0u32..16, any::<u32>()), 1..160),
         rows in prop::sample::select(vec![1u32, 2, 4]),
         ways in 1u32..=4,
@@ -380,47 +460,87 @@ proptest! {
         };
         let runs: Vec<(u32, u32)> =
             blocks.iter().map(|&(start, len)| (base.wrapping_add(start), len)).collect();
-        let twin = || (Icache::new(cfg), Ecache::new(EcacheConfig::mipsx()), MainMemory::new());
-        let (mut memoized, mut me, mut mm) = twin();
-        let (mut walked, mut we, mut wm) = twin();
+        let mut memoized = Hierarchy::new(cfg, EcacheConfig::mipsx(), 5);
+        let mut walked = memoized.clone();
         let mut memos = vec![HitMemo::default(); runs.len()];
-        let mut checkpoint = memoized.snapshot_state();
+        let mut checkpoint = memoized.icache.snapshot_state();
         for (step, &(kind, pick)) in steps.iter().enumerate() {
             match kind {
                 // Word invalidation, as a parity error does.
                 0 => {
                     let (start, len) = runs[pick as usize % runs.len()];
                     let addr = start.wrapping_add((pick >> 8) % len.max(1));
-                    prop_assert_eq!(memoized.invalidate_word(addr), walked.invalidate_word(addr));
+                    prop_assert_eq!(
+                        memoized.icache.invalidate_word(addr),
+                        walked.icache.invalidate_word(addr)
+                    );
                 }
                 1 => {
-                    memoized.invalidate_all();
-                    walked.invalidate_all();
+                    memoized.icache.invalidate_all();
+                    walked.icache.invalidate_all();
                 }
-                2 => checkpoint = walked.snapshot_state(),
+                2 => checkpoint = walked.icache.snapshot_state(),
                 3 => {
-                    memoized.restore_state(&checkpoint).unwrap();
-                    walked.restore_state(&checkpoint).unwrap();
+                    memoized.icache.restore_state(&checkpoint).unwrap();
+                    walked.icache.restore_state(&checkpoint).unwrap();
                 }
                 _ => {
                     let b = pick as usize % runs.len();
-                    let (start, len) = runs[b];
-                    let memo = &mut memos[b];
-                    let got = visit(&mut memoized, &mut me, &mut mm, runs[b], |c| {
-                        c.fetch_hits_memo(start, len, memo)
-                    });
-                    let want = visit(&mut walked, &mut we, &mut wm, runs[b], |c| {
-                        c.fetch_hits(start, len)
-                    });
+                    let got = visit_by_lines(&mut memoized, runs[b], &[], &mut memos[b]);
+                    let want = visit_word_by_word(&mut walked, runs[b], &[]);
                     prop_assert_eq!(got, want, "step {}: visit of block {}", step, b);
                 }
             }
-            prop_assert_eq!(
-                memoized.snapshot_state(),
-                walked.snapshot_state(),
-                "step {}: caches diverged",
-                step
-            );
+            prop_assert_eq!(memoized.state(), walked.state(), "step {}: hierarchies diverged", step);
+        }
+    }
+}
+
+/// Loop trips over 5 to 9 lines of 4 words, E3's 4-word organization in
+/// small: a memo holds up to 8 lines, so every trip but the 9-line ones
+/// replays from the third on. Between loops a conflicting run evicts a
+/// line of the loop or leaves it resident, and the loop comes back. Both
+/// entry points — the trace path and `fetch_run` with a memo, its fill
+/// reads included — book what word-by-word fetches book.
+#[test]
+fn repeated_runs_of_five_to_eight_lines_book_like_word_by_word() {
+    for cfg in fill_rules(IcacheConfig {
+        rows: 4,
+        ways: 4,
+        block_words: 4,
+        ..IcacheConfig::mipsx()
+    }) {
+        for start in 0..4 {
+            for len in 17..=32 {
+                let trip = (start, len);
+                let evict = (64 + 16 * (len % 3), 1 + len % 5);
+                let mut runs = vec![trip; 4];
+                runs.push(evict);
+                runs.extend([trip; 3]);
+                let words: Vec<u32> = runs.iter().flat_map(|&(s, l)| s..s + l).collect();
+                let reference = word_by_word(cfg, &words);
+                let mut by_runs = Icache::new(cfg);
+                assert_eq!(
+                    by_runs.simulate_runs(&runs),
+                    reference.stats,
+                    "{cfg:?} {runs:?}"
+                );
+                assert_eq!(by_runs.snapshot_state(), reference, "{cfg:?} {runs:?}");
+
+                let mut lines = Hierarchy::new(cfg, EcacheConfig::mipsx(), 5);
+                let mut walked = lines.clone();
+                let mut memo = HitMemo::default();
+                for (visit, &run) in runs.iter().enumerate() {
+                    let got = visit_by_lines(&mut lines, run, &[], &mut memo);
+                    let want = visit_word_by_word(&mut walked, run, &[]);
+                    assert_eq!(got, want, "{cfg:?} {runs:?}: visit {visit}");
+                    assert_eq!(
+                        lines.state(),
+                        walked.state(),
+                        "{cfg:?} {runs:?}: visit {visit}"
+                    );
+                }
+            }
         }
     }
 }
