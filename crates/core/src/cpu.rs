@@ -110,6 +110,15 @@ impl Cpu {
         }
     }
 
+    /// The raw register file, for a caller that keeps `r0` at zero itself:
+    /// the block engine drops every write to `r0` it can at compile time
+    /// and re-zeroes `r0` after the rest, so its register operands index
+    /// the array directly, with no `r0` test per write.
+    #[inline]
+    pub fn regs_mut(&mut self) -> &mut [u32; 32] {
+        &mut self.regs
+    }
+
     /// Snapshot the register file (verification and state-equivalence
     /// tests).
     pub fn regs_snapshot(&self) -> [u32; 32] {

@@ -4,8 +4,13 @@
 //! A compiled block carries four things:
 //!
 //! 1. **Superops** — the body and delay-window instructions lowered to a
-//!    small closed op set ([`Op`]) that can be retired eagerly, in program
-//!    order, against architectural state. Lowering is valid because a
+//!    small closed set of monomorphic ops ([`Op`]: one per non-MD ALU
+//!    function, shifts by a fixed amount, 5-bit register indices) that
+//!    can be retired eagerly, in program order, against architectural
+//!    state. Instructions that change nothing (`nop`s, and computes but
+//!    the MD steps and `addi`s that write `r0`) compile to no op, so each
+//!    load carries its own fetch offset in the block, from which its
+//!    Ecache read is owed ([`LoadAt`]). Lowering is valid because a
 //!    stall freezes the whole pipe, so the bypass network's reach is
 //!    always exactly the two preceding issue slots and the register file
 //!    is current beyond that (WB of cycle *c−1* strictly precedes ALU of
@@ -47,7 +52,7 @@
 use crate::FallbackCause;
 use mipsx_asm::{DecodedEntry, DecodedImage, Program};
 use mipsx_core::{InterlockPolicy, MachineConfig};
-use mipsx_isa::{Cond, Instr, Reg, SpecialReg};
+use mipsx_isa::{ComputeOp, Cond, Instr, Reg, SpecialReg};
 use mipsx_verify::{BlockExit, BlockSummary, TimingAnalysis, VerifyConfig};
 
 /// Map sentinel: address holds no compiled code.
@@ -81,46 +86,120 @@ fn max_stalls(cfg: &MachineConfig) -> (u64, u64) {
 }
 
 /// One superop: an instruction the fast path can retire eagerly against
-/// architectural state. Everything outside this set makes its block a
-/// fallback block.
+/// architectural state, lowered to one monomorphic case. Everything outside
+/// this set makes its block a fallback block.
+///
+/// Register operands are 5-bit indices into the raw register file
+/// ([`mipsx_core::Cpu::regs_mut`]); no op writes `r0` but `Ld`, `Movfrs` and
+/// the generic `Compute`, which re-zero it. Each non-MD ALU function has a
+/// case of its own (`add` shares `addu`'s and `sub` `subu`'s: enabled
+/// overflow traps keep a run off the fast path), and a shift carries its
+/// amount; `shf`, `mstep` and `dstep` go through [`ComputeOp::execute`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Op {
-    Nop,
+    Add(Rrr),
+    Sub(Rrr),
+    And(Rrr),
+    Or(Rrr),
+    Xor(Rrr),
+    Nor(Rrr),
+    Sll(Shift),
+    Srl(Shift),
+    Sra(Shift),
+    /// `shf`, `mstep` and `dstep`.
     Compute {
-        op: mipsx_isa::ComputeOp,
-        rs1: Reg,
-        /// `Reg::ZERO` when the op consumes `shamt` instead — reading r0
-        /// reproduces the pipeline's zero operand without a branch.
-        rs2: Reg,
-        rd: Reg,
+        op: ComputeOp,
+        rs1: u8,
+        rs2: u8,
+        rd: u8,
         shamt: u8,
     },
     Addi {
-        rs1: Reg,
-        rd: Reg,
+        rs1: u8,
+        rd: u8,
         imm: i32,
     },
+    /// `rd = mem[r[rs1] + offset]`, with the load's fetch offset in its
+    /// block, from which its Ecache read is owed: both packed by
+    /// [`LoadAt::pack`], since a separate `u32` would not fit 8 bytes.
     Ld {
-        rs1: Reg,
-        rd: Reg,
-        offset: i32,
+        rs1: u8,
+        rd: u8,
+        at: LoadAt,
     },
     St {
-        rs1: Reg,
-        rsrc: Reg,
+        rs1: u8,
+        rsrc: u8,
         offset: i32,
     },
     /// `movfrs` from MD/PSW/PSWold only — the PC-chain registers are not
     /// maintained during fast execution, so reading them is a fallback op.
     Movfrs {
-        rd: Reg,
+        rd: u8,
         sreg: SpecialReg,
     },
     /// `movtos md` — the one unprivileged special write; commits early at
     /// ALU in the pipeline, which equals program order.
     MovtosMd {
-        rs: Reg,
+        rs: u8,
     },
+}
+
+/// The operands of a register-register ALU op.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Rrr {
+    pub rs1: u8,
+    pub rs2: u8,
+    pub rd: u8,
+}
+
+/// The operands of a shift by a fixed amount.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Shift {
+    pub rs1: u8,
+    pub rd: u8,
+    pub sh: u8,
+}
+
+// Eight bytes: a visit streams its ops, and a 12-byte `Op` (an unpacked
+// `LoadAt`) raised perfbench `ideal_block`'s peak RSS from 15.4 to 16.0 MiB
+// on a shared 2-vCPU host.
+const _: () = assert!(std::mem::size_of::<Op>() == 8);
+
+/// A load's 17-bit signed offset and its fetch offset in its block, in the
+/// five bytes an 8-byte [`Op`] has left beside its tag and two registers:
+/// the offset in the low 17 bits of `word`, the fetch offset in `word`'s
+/// top 15 bits above the 8 of `low`. A block whose load sits deeper than
+/// [`LoadAt::MAX`] is a fallback block.
+#[derive(Clone, Copy, Debug)]
+#[repr(C, packed)]
+pub(crate) struct LoadAt {
+    low: u8,
+    word: u32,
+}
+
+impl LoadAt {
+    /// The deepest fetch offset a load can carry: a 23-bit field.
+    pub const MAX: u32 = (1 << 23) - 1;
+
+    /// Pack `offset` (17-bit signed) and fetch offset `at <= MAX`.
+    pub fn pack(offset: i32, at: u32) -> LoadAt {
+        debug_assert!(at <= Self::MAX);
+        LoadAt {
+            low: at as u8,
+            word: (offset as u32 & 0x1_FFFF) | (at >> 8) << 17,
+        }
+    }
+
+    /// `(offset, fetch offset)`.
+    #[inline(always)]
+    pub fn get(self) -> (i32, u32) {
+        let word = self.word;
+        (
+            ((word << 15) as i32) >> 15,
+            (word >> 17) << 8 | u32::from(self.low),
+        )
+    }
 }
 
 /// Closed-form `RunStats` increments for one block visit under one branch
@@ -348,40 +427,83 @@ pub(crate) fn compile(origin: u32, entry: u32, words: &[u32], cfg: &MachineConfi
     code
 }
 
-/// Lower one instruction, or refuse (`None` ⇒ the block is a fallback
+/// Lower the instruction at fetch offset `at` of its block: `Ok(None)` for
+/// one that changes no state (a `nop`, or a compute or `addi` into `r0`),
+/// `Err(())` for one outside the fast op set (the block is a fallback
 /// block).
-fn compile_op(i: Instr) -> Option<Op> {
-    Some(match i {
-        Instr::Nop => Op::Nop,
+pub(crate) fn compile_op(i: Instr, at: u32) -> Result<Option<Op>, ()> {
+    let inert = match i {
+        Instr::Nop => true,
+        Instr::Compute { op, rd, .. } => rd.is_zero() && !op.touches_md(),
+        Instr::Addi { rd, .. } => rd.is_zero(),
+        _ => false,
+    };
+    if inert {
+        return Ok(None);
+    }
+    let r = |reg: Reg| reg.index() as u8;
+    Ok(Some(match i {
         Instr::Compute {
             op,
             rs1,
             rs2,
             rd,
             shamt,
-        } => Op::Compute {
-            op,
-            rs1,
-            rs2: if op.uses_rs2() { rs2 } else { Reg::ZERO },
-            rd,
-            shamt,
+        } => {
+            let (rs1, rs2, rd) = (r(rs1), r(rs2), r(rd));
+            let rrr = Rrr { rs1, rs2, rd };
+            let shift = Shift {
+                rs1,
+                rd,
+                sh: shamt & 31,
+            };
+            match op {
+                ComputeOp::Add | ComputeOp::AddU => Op::Add(rrr),
+                ComputeOp::Sub | ComputeOp::SubU => Op::Sub(rrr),
+                ComputeOp::And => Op::And(rrr),
+                ComputeOp::Or => Op::Or(rrr),
+                ComputeOp::Xor => Op::Xor(rrr),
+                ComputeOp::Nor => Op::Nor(rrr),
+                ComputeOp::Sll => Op::Sll(shift),
+                ComputeOp::Srl => Op::Srl(shift),
+                ComputeOp::Sra => Op::Sra(shift),
+                ComputeOp::Shf | ComputeOp::Mstep | ComputeOp::Dstep => Op::Compute {
+                    op,
+                    rs1,
+                    rs2,
+                    rd,
+                    shamt,
+                },
+            }
+        }
+        Instr::Addi { rs1, rd, imm } => Op::Addi {
+            rs1: r(rs1),
+            rd: r(rd),
+            imm,
         },
-        Instr::Addi { rs1, rd, imm } => Op::Addi { rs1, rd, imm },
-        Instr::Ld { rs1, rd, offset } => Op::Ld { rs1, rd, offset },
-        Instr::St { rs1, rsrc, offset } => Op::St { rs1, rsrc, offset },
+        Instr::Ld { rs1, rd, offset } if at <= LoadAt::MAX => Op::Ld {
+            rs1: r(rs1),
+            rd: r(rd),
+            at: LoadAt::pack(offset, at),
+        },
+        Instr::St { rs1, rsrc, offset } => Op::St {
+            rs1: r(rs1),
+            rsrc: r(rsrc),
+            offset,
+        },
         Instr::Movfrs { rd, sreg }
             if matches!(sreg, SpecialReg::Md | SpecialReg::Psw | SpecialReg::PswOld) =>
         {
-            Op::Movfrs { rd, sreg }
+            Op::Movfrs { rd: r(rd), sreg }
         }
         Instr::Movtos {
             sreg: SpecialReg::Md,
             rs,
-        } => Op::MovtosMd { rs },
+        } => Op::MovtosMd { rs: r(rs) },
         // Coprocessor traffic, `jpc`/`jpcrs`, privileged special writes,
         // PC-chain reads, illegal words: all stepper territory.
-        _ => return None,
-    })
+        _ => return Err(()),
+    }))
 }
 
 fn compile_block(
@@ -426,18 +548,20 @@ fn compile_block(
         }
     };
 
-    let lower = |src: &[Instr], fb: &mut Option<FallbackCause>| -> Box<[Op]> {
+    // The window's first word follows the terminator.
+    let lower = |src: &[Instr], first: usize, fb: &mut Option<FallbackCause>| -> Box<[Op]> {
         src.iter()
-            .map(|&i| {
-                compile_op(i).unwrap_or_else(|| {
+            .enumerate()
+            .filter_map(|(k, &i)| {
+                compile_op(i, (first + k) as u32).unwrap_or_else(|()| {
                     fb.get_or_insert(FallbackCause::FallbackOp);
-                    Op::Nop
+                    None
                 })
             })
             .collect()
     };
-    let body = lower(body_is, &mut fallback);
-    let window = lower(window_is, &mut fallback);
+    let body = lower(body_is, 0, &mut fallback);
+    let window = lower(window_is, body_is.len() + 1, &mut fallback);
 
     let term_addr = b
         .term_addr

@@ -19,8 +19,9 @@
 //! block-at-a-time: retire the block's ops eagerly against architectural
 //! state, count the visit under its branch outcome, put its length on the
 //! clock, jump to the successor — the statically known one chained from
-//! the block when there is one, else the block at the PC. One bounds check
-//! and one match per instruction — no pipeline slots, no bypass search.
+//! the block when there is one, else the block at the PC. One match per
+//! op, each op one monomorphic case, and no op at all for an instruction
+//! that changes nothing — no pipeline slots, no bypass search.
 //! The pre-computed per-outcome `RunStats` deltas are booked from the
 //! visit counts at each region boundary (the halt return, a demotion, or
 //! just before a recompile replaces the blocks they count), and so is the
@@ -40,11 +41,11 @@
 //! stepper's event order (see `BlockEngine::book_caches`).
 //!
 //! Each compiled block has a [`HitMemo`] in the engine (not in the
-//! shared compiled image): the Icache lines its last all-hit visit
-//! booked. While the Icache's epoch shows that no resident word has gone
-//! away since, the next visit books those lines again without a row
-//! scan, with the same statistics, clock and recency stamps as the line
-//! kernel.
+//! shared compiled image): the Icache lines its last visit booked, each
+//! with its block index and tag. While every one of them still holds its
+//! tag there with the visit's words valid, the next visit books those
+//! lines again without a row scan, with the same statistics, clock and
+//! recency stamps as the line kernel.
 //! The memos are cleared at every region entry, because the machine may
 //! have been reset or restored between runs.
 //!
@@ -89,7 +90,7 @@ mod compile;
 
 use std::sync::Arc;
 
-use compile::{CodeCache, Exit, FetchRecord, Op, TailSeed, NO_BLOCK};
+use compile::{CodeCache, Exit, FetchRecord, Op, Rrr, Shift, TailSeed, NO_BLOCK};
 use mipsx_asm::{DecodedEntry, Program};
 use mipsx_core::{
     FaultPlan, Machine, MachineConfig, NullSink, RunError, RunStats, StallCause, TraceSink,
@@ -320,7 +321,7 @@ pub struct BlockEngine {
     code: Arc<CodeCache>,
     /// A watched store landed since the last (re)compile.
     dirty: bool,
-    /// Per compiled block, the Icache lines its last all-hit visit booked
+    /// Per compiled block, the Icache lines its last visit booked
     /// (see [`BlockEngine::book_caches`]). Per engine, unlike the shared
     /// image: each memo belongs to the Icache of the run that recorded it.
     memos: Vec<HitMemo>,
@@ -713,11 +714,9 @@ impl BlockEngine {
         let dirty = &mut self.dirty;
         let owed = &mut self.owed;
         let base = self.fetched;
-        for (i, &op) in b.body.iter().enumerate() {
-            exec_op::<CACHED>(code, m, dirty, owed, base + i as u64, op);
+        for &op in b.body.iter() {
+            exec_op::<CACHED>(code, m, dirty, owed, base, op);
         }
-        // The window follows the terminator.
-        let window_base = base + b.body.len() as u64 + 1;
         let (taken, next) = match b.exit {
             Exit::Fall { next } => (false, Next::Goto(next)),
             Exit::Halt { final_pc, .. } => (false, Next::Stop(final_pc)),
@@ -735,8 +734,8 @@ impl BlockEngine {
                 let cpu = m.cpu();
                 let t = cond.eval(cpu.reg(rs1), cpu.reg(rs2));
                 if !kills[usize::from(t)] {
-                    for (j, &op) in b.window.iter().enumerate() {
-                        exec_op::<CACHED>(code, m, dirty, owed, window_base + j as u64, op);
+                    for &op in b.window.iter() {
+                        exec_op::<CACHED>(code, m, dirty, owed, base, op);
                     }
                 }
                 (t, Next::Goto(if t { target } else { fall }))
@@ -744,12 +743,12 @@ impl BlockEngine {
             Exit::Jump { rs1, rd, imm, link } => {
                 // Base read before the link lands (jspci reads rs1 at RF);
                 // link committed before the window, which may consume it.
-                let base = m.cpu().reg(rs1);
+                let to = m.cpu().reg(rs1).wrapping_add(imm as u32);
                 m.cpu_mut().set_reg(rd, link);
-                for (j, &op) in b.window.iter().enumerate() {
-                    exec_op::<CACHED>(code, m, dirty, owed, window_base + j as u64, op);
+                for &op in b.window.iter() {
+                    exec_op::<CACHED>(code, m, dirty, owed, base, op);
                 }
-                (false, Next::Goto(base.wrapping_add(imm as u32)))
+                (false, Next::Goto(to))
             }
         };
         if CACHED {
@@ -788,8 +787,8 @@ impl BlockEngine {
     ///
     /// The Icache books the visit's fetches first, through
     /// [`Icache::fetch_run`](mipsx_mem::Icache::fetch_run): a replay of the
-    /// block's [`HitMemo`] while no resident word has left the Icache since
-    /// the block's last all-hit visit, else the line kernel, one row scan
+    /// block's [`HitMemo`] while each line it recorded still holds its tag
+    /// with the visit's words valid, else the line kernel, one row scan
     /// per line with the missed words read from the valid mask. Then the
     /// Ecache takes each miss's fill reads
     /// ([`Icache::fill_reads`](mipsx_mem::Icache::fill_reads)) in fetch
@@ -880,19 +879,40 @@ fn interpret<S: TraceSink>(
 }
 
 /// Retire one superop eagerly against architectural state.
-/// With `CACHED`, a load also owes the Ecache a read at fetch position
-/// `pos`.
+/// With `CACHED`, a load also owes the Ecache a read at its fetch offset
+/// from `base`, the block's first fetch position.
 #[inline(always)]
 fn exec_op<const CACHED: bool>(
     code: &CodeCache,
     m: &mut Machine,
     dirty: &mut bool,
     owed: &mut Vec<(u64, u32)>,
-    pos: u64,
+    base: u64,
     op: Op,
 ) {
+    /// A 5-bit register operand as an index the compiler knows is in
+    /// bounds.
+    #[inline(always)]
+    fn ix(r: u8) -> usize {
+        usize::from(r & 31)
+    }
+    /// The write of an op that may target `r0`, which stays zero.
+    #[inline(always)]
+    fn write(r: &mut [u32; 32], rd: u8, v: u32) {
+        r[ix(rd)] = v;
+        r[0] = 0;
+    }
+    let r = m.cpu_mut().regs_mut();
     match op {
-        Op::Nop => {}
+        Op::Add(Rrr { rs1, rs2, rd }) => r[ix(rd)] = r[ix(rs1)].wrapping_add(r[ix(rs2)]),
+        Op::Sub(Rrr { rs1, rs2, rd }) => r[ix(rd)] = r[ix(rs1)].wrapping_sub(r[ix(rs2)]),
+        Op::And(Rrr { rs1, rs2, rd }) => r[ix(rd)] = r[ix(rs1)] & r[ix(rs2)],
+        Op::Or(Rrr { rs1, rs2, rd }) => r[ix(rd)] = r[ix(rs1)] | r[ix(rs2)],
+        Op::Xor(Rrr { rs1, rs2, rd }) => r[ix(rd)] = r[ix(rs1)] ^ r[ix(rs2)],
+        Op::Nor(Rrr { rs1, rs2, rd }) => r[ix(rd)] = !(r[ix(rs1)] | r[ix(rs2)]),
+        Op::Sll(Shift { rs1, rd, sh }) => r[ix(rd)] = r[ix(rs1)] << (sh & 31),
+        Op::Srl(Shift { rs1, rd, sh }) => r[ix(rd)] = r[ix(rs1)] >> (sh & 31),
+        Op::Sra(Shift { rs1, rd, sh }) => r[ix(rd)] = ((r[ix(rs1)] as i32) >> (sh & 31)) as u32,
         Op::Compute {
             op,
             rs1,
@@ -900,32 +920,26 @@ fn exec_op<const CACHED: bool>(
             rd,
             shamt,
         } => {
+            let (a, b) = (r[ix(rs1)], r[ix(rs2)]);
             let cpu = m.cpu_mut();
-            let a = cpu.reg(rs1);
-            let b = cpu.reg(rs2);
             let (v, _overflow, md_out) = op.execute(a, b, shamt, cpu.md);
-            cpu.set_reg(rd, v);
             if let Some(md) = md_out {
                 cpu.md = md;
             }
+            write(cpu.regs_mut(), rd, v);
         }
-        Op::Addi { rs1, rd, imm } => {
-            let cpu = m.cpu_mut();
-            let v = cpu.reg(rs1).wrapping_add(imm as u32);
-            cpu.set_reg(rd, v);
-        }
-        Op::Ld { rs1, rd, offset } => {
-            let addr = m.cpu().reg(rs1).wrapping_add(offset as u32);
+        Op::Addi { rs1, rd, imm } => r[ix(rd)] = r[ix(rs1)].wrapping_add(imm as u32),
+        Op::Ld { rs1, rd, at } => {
+            let (offset, at) = at.get();
+            let addr = r[ix(rs1)].wrapping_add(offset as u32);
             let v = m.read_word(addr);
-            m.cpu_mut().set_reg(rd, v);
+            write(m.cpu_mut().regs_mut(), rd, v);
             if CACHED {
-                owed.push((pos, addr));
+                owed.push((base + u64::from(at), addr));
             }
         }
         Op::St { rs1, rsrc, offset } => {
-            let cpu = m.cpu();
-            let addr = cpu.reg(rs1).wrapping_add(offset as u32);
-            let v = cpu.reg(rsrc);
+            let (addr, v) = (r[ix(rs1)].wrapping_add(offset as u32), r[ix(rsrc)]);
             m.write_word(addr, v);
             if code.watched(addr) {
                 *dirty = true;
@@ -933,11 +947,11 @@ fn exec_op<const CACHED: bool>(
         }
         Op::Movfrs { rd, sreg } => {
             let v = m.cpu().special(sreg);
-            m.cpu_mut().set_reg(rd, v);
+            write(m.cpu_mut().regs_mut(), rd, v);
         }
         Op::MovtosMd { rs } => {
-            let cpu = m.cpu_mut();
-            cpu.md = cpu.reg(rs);
+            let v = r[ix(rs)];
+            m.cpu_mut().md = v;
         }
     }
 }
@@ -945,6 +959,99 @@ fn exec_op<const CACHED: bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mipsx_isa::{ComputeOp, Reg};
+
+    /// Every compute lowers to a superop that computes what
+    /// `ComputeOp::execute` does — destination and MD — on edge operands,
+    /// every shift amount and every destination kind, `r0` included (a
+    /// dropped op must leave the state as `execute` and a discarded write
+    /// would).
+    #[test]
+    fn superops_compute_what_execute_computes() {
+        const EDGES: [u32; 8] = [
+            0,
+            1,
+            2,
+            0x7FFF_FFFF,
+            0x8000_0000,
+            0x8000_0001,
+            0xFFFF_FFFF,
+            0x1234_5678,
+        ];
+        let code = CodeCache::empty(0);
+        let mut m = Machine::new(MachineConfig::cache_ideal());
+        let mut checked = 0;
+        for op in ComputeOp::ALL {
+            let shamts: Vec<u8> = if op.uses_shamt() {
+                (0..32).collect()
+            } else {
+                vec![0]
+            };
+            let operands = EDGES
+                .iter()
+                .flat_map(|&a| EDGES.iter().map(move |&b| (a, b)));
+            for (a, b) in operands {
+                for (md, &shamt) in [0, 0x8000_0000, 0xDEAD_BEEF]
+                    .into_iter()
+                    .flat_map(|md| shamts.iter().map(move |s| (md, s)))
+                {
+                    // Destinations: r0, a fresh register, and each source.
+                    for rd in [0u8, 3, 1, 2] {
+                        let instr = Instr::Compute {
+                            op,
+                            rs1: Reg::new(1),
+                            rs2: Reg::new(2),
+                            rd: Reg::new(rd),
+                            shamt,
+                        };
+                        let cpu = m.cpu_mut();
+                        *cpu.regs_mut() = [0x5A5A_5A5A; 32];
+                        cpu.regs_mut()[0] = 0;
+                        cpu.regs_mut()[1] = a;
+                        cpu.regs_mut()[2] = b;
+                        cpu.md = md;
+                        let mut want = *cpu.regs_mut();
+                        let (v, _, md_out) = op.execute(a, b, shamt, md);
+                        if rd != 0 {
+                            want[usize::from(rd)] = v;
+                        }
+                        let want_md = md_out.unwrap_or(md);
+                        if let Some(op) = compile::compile_op(instr, 0).expect("in the op set") {
+                            exec_op::<false>(&code, &mut m, &mut false, &mut Vec::new(), 0, op);
+                        }
+                        let label =
+                            format!("{op:?} rd=r{rd} a={a:#x} b={b:#x} sh={shamt} md={md:#x}");
+                        assert_eq!(m.cpu_mut().regs_mut(), &want, "{label}: registers");
+                        assert_eq!(m.cpu().md, want_md, "{label}: MD");
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 10_000);
+    }
+
+    /// A load's offset and fetch offset survive packing at the edges of
+    /// both fields.
+    #[test]
+    fn load_offsets_pack_exactly() {
+        for offset in [-65_536, -65_535, -1, 0, 1, 255, 256, 65_534, 65_535] {
+            for at in [
+                0,
+                1,
+                255,
+                256,
+                257,
+                65_535,
+                65_536,
+                70_000,
+                compile::LoadAt::MAX,
+            ] {
+                let packed = compile::LoadAt::pack(offset, at);
+                assert_eq!(packed.get(), (offset, at), "offset {offset}, at {at}");
+            }
+        }
+    }
 
     /// The demotion seed is the last three fetch records, oldest first,
     /// after any sequence of visits with 1-, 2- and 3-entry tails.

@@ -690,3 +690,44 @@ fn demotions_after_tail_loads_replay_the_owed_reads() {
     assert!(r.as_ref().is_err_and(|e| e.contains("illegal")), "{r:?}");
     assert_eq!(cause(&engine, FallbackCause::FallbackOp), 1);
 }
+
+/// Loads deep in one long block, past fetch offsets 255 and 65,535 with
+/// nops (which compile to nothing) around them, owe their Ecache reads at
+/// their own fetch offsets. Each reads the code word four fetches past it
+/// on the board, in the cycle before that word's Icache miss fills it: the
+/// read misses and the fill hits. A read one position late would turn it
+/// round, and the two stalls are booked to different causes.
+#[test]
+fn loads_deep_in_a_long_block_owe_their_reads_at_their_own_fetch_offsets() {
+    const BASE: i32 = 65_535;
+    let loads = [4u32, 300, 70_000];
+    let mut words = vec![Instr::Nop.encode(); 70_010];
+    words[0] = Instr::Addi {
+        rs1: Reg::ZERO,
+        rd: Reg::new(20),
+        imm: BASE,
+    }
+    .encode();
+    for (k, &at) in loads.iter().enumerate() {
+        words[at as usize] = Instr::Ld {
+            rs1: Reg::new(20),
+            rd: Reg::new(k as u8 + 1),
+            offset: (at + 4) as i32 - BASE,
+        }
+        .encode();
+    }
+    words.push(Instr::Halt.encode());
+    words.extend([Instr::Nop.encode(); 5]);
+    let program = Program::from_words(0, words);
+    let scheme = BranchScheme::table1()[0];
+    let (fast, engine) = lockstep_on(MachineConfig::mipsx(), &program, &scheme, "long block");
+    assert_eq!(engine.stats().total_fallbacks(), 0, "the block runs fast");
+    assert_eq!(engine.stats().block_visits, 1);
+    for (k, &at) in loads.iter().enumerate() {
+        assert_eq!(
+            fast.cpu().reg(Reg::new(k as u8 + 1)),
+            Instr::Nop.encode(),
+            "the load at {at} reads the code word four past it"
+        );
+    }
+}

@@ -1,18 +1,26 @@
-//! Engine ≡ stepper as a property: on random synthetic programs, under a
-//! random Table 1 scheme, on a random board organization and at random
-//! cycle budgets, a block-engine run leaves the machine exactly as a
-//! stepper run does — books, registers and the state of both caches.
+//! Engine ≡ stepper as a property: on random synthetic programs under a
+//! random Table 1 scheme, and on random soak programs (every compute, MD
+//! step chains, `r0` destinations), on a random board organization with
+//! either cache possibly disabled, and at random cycle budgets, a
+//! block-engine run leaves the machine exactly as a stepper run does —
+//! books, registers and the state of both caches.
 
-use mipsx_asm::assemble;
+use mipsx_asm::{assemble, Program};
 use mipsx_core::{InterlockPolicy, Machine, MachineConfig, RunError, RunStats};
 use mipsx_engine::{drives_caches, BlockEngine};
 use mipsx_isa::{Instr, Reg};
 use mipsx_mem::{EcacheConfig, IcacheConfig, Replacement};
 use mipsx_reorg::{BranchScheme, Reorganizer};
+use mipsx_verify::{TimingAnalysis, VerifyConfig};
+use mipsx_workloads::random_scheduled_program;
 use mipsx_workloads::synth::{generate, SynthConfig};
 
 /// Cases the property runs; each derives everything from its own seed.
 const CASES: u64 = 2_000;
+/// A case with both caches off and a block that ends in three loads also
+/// runs to every cap up to its end if its whole run takes at most this many
+/// cycles.
+const SWEEP_CYCLES: u64 = 1_000;
 /// The budget of an unbounded run, and of every resumed one.
 const BUDGET: u64 = 5_000_000;
 
@@ -43,9 +51,12 @@ impl Knobs {
     }
 }
 
-/// One case: a synthetic program, a Table 1 scheme, a board organization
-/// and a budget (30 % of cases cap the run at 50 to 5,000 cycles).
-fn case(seed: u64) -> (SynthConfig, BranchScheme, MachineConfig, u64) {
+/// One case: a program, a board organization and a budget (30 % of cases
+/// cap the run at 50 to 5,000 cycles), with a label that rebuilds it. The
+/// program is a synthetic one reorganized under a random Table 1 scheme,
+/// or, in one case of four, a soak program, scheduled for two slots. One
+/// case in ten disables the Icache, one the Ecache, one both.
+fn case(seed: u64) -> (Program, MachineConfig, u64, String) {
     let mut k = Knobs(seed);
     let synth = SynthConfig {
         seed: k.next(),
@@ -77,7 +88,7 @@ fn case(seed: u64) -> (SynthConfig, BranchScheme, MachineConfig, u64) {
         late_miss_overhead: k.range(0, 2) as u32,
         enabled: true,
     };
-    let cfg = MachineConfig {
+    let mut cfg = MachineConfig {
         icache,
         ecache,
         mem_latency: k.range(1, 11) as u32,
@@ -90,7 +101,59 @@ fn case(seed: u64) -> (SynthConfig, BranchScheme, MachineConfig, u64) {
     } else {
         BUDGET
     };
-    (synth, scheme, cfg, budget)
+    // Later axes are drawn last, so a case's earlier knobs do not depend
+    // on them.
+    match k.range(0, 9) {
+        0 => cfg.icache.enabled = false,
+        1 => cfg.ecache.enabled = false,
+        2 => (cfg.icache.enabled, cfg.ecache.enabled) = (false, false),
+        _ => {}
+    }
+    let soak_seed = (k.range(0, 3) == 0).then(|| k.next());
+    let (program, source) = match soak_seed {
+        Some(mut soak) => {
+            cfg.branch_delay_slots = 2;
+            // With both caches off, a soak program with a block that owes
+            // its successor three reads, for the every-cap sweep.
+            while !cfg.icache.enabled
+                && !cfg.ecache.enabled
+                && !owes_three_reads(&random_scheduled_program(soak), &cfg)
+            {
+                soak = soak.wrapping_add(1);
+            }
+            (
+                random_scheduled_program(soak),
+                format!("soak program {soak}"),
+            )
+        }
+        None => {
+            let label = format!("{synth:?}, {scheme}");
+            let program = Reorganizer::new(scheme)
+                .reorganize(&generate(synth).raw)
+                .unwrap_or_else(|e| panic!("{label}: reorganization failed: {e:?}"))
+                .0;
+            (program, label)
+        }
+    };
+    let label = format!("case seed {seed:#x} ({source}, {cfg:?}, budget {budget})");
+    (program, cfg, budget, label)
+}
+
+/// Whether a block of `program` ends in three loads, whose Ecache reads
+/// its successor's visit owes.
+fn owes_three_reads(program: &Program, cfg: &MachineConfig) -> bool {
+    let vcfg = VerifyConfig {
+        branch_delay_slots: cfg.branch_delay_slots,
+    };
+    let ta = TimingAnalysis::of(program, &vcfg);
+    ta.blocks.iter().any(|b| {
+        b.len >= 3
+            && (1..=3).all(|k| {
+                ta.image()
+                    .instr_at(b.start + b.len - k)
+                    .is_some_and(|i| i.is_load())
+            })
+    })
 }
 
 /// The run's outcome, with a budget stop as its limit.
@@ -133,19 +196,19 @@ fn assert_same_run(interp: &Machine, fast: &Machine, label: &str) {
 
 /// The block engine books what the stepper books on random boards. A
 /// case that stops at its budget resumes both machines to the end and
-/// compares again. A failing case names its seed; `case(seed)` rebuilds
-/// it alone.
+/// compares again. A case with both caches off, where every fetch and read
+/// costs the most it can, and a block that owes its successor three reads
+/// also stops at every cap up to its end: there the engine's cost bound
+/// for a visit is tight. A failing case names its seed; `case(seed)`
+/// rebuilds it alone.
 #[test]
 fn block_engine_books_what_the_stepper_books_on_random_boards() {
-    let (mut fast_cycles, mut capped) = (0u64, 0u64);
+    let (mut fast_cycles, mut capped, mut swept) = (0u64, 0u64, 0u64);
+    // Fast cycles on soak programs and with a cache disabled.
+    let (mut soak_fast, mut disabled_fast) = (0u64, 0u64);
     for n in 0..CASES {
         let seed = Knobs(n).next();
-        let (synth, scheme, cfg, budget) = case(seed);
-        let label = format!("case seed {seed:#x} ({synth:?}, {scheme}, {cfg:?}, budget {budget})");
-        let program = Reorganizer::new(scheme)
-            .reorganize(&generate(synth).raw)
-            .unwrap_or_else(|e| panic!("{label}: reorganization failed: {e:?}"))
-            .0;
+        let (program, cfg, budget, label) = case(seed);
 
         let mut interp = Machine::new(cfg);
         interp.load_program(&program);
@@ -164,15 +227,48 @@ fn block_engine_books_what_the_stepper_books_on_random_boards() {
             assert_eq!(r1, r2, "{label}: resumed outcome diverged");
             assert_same_run(&interp, &fast, &format!("{label}, resumed"));
         }
-        fast_cycles += engine.stats().fast_cycles;
+        let full = interp.stats().cycles;
+        let caches_off = !cfg.icache.enabled && !cfg.ecache.enabled;
+        if caches_off && interp.halted() && full <= SWEEP_CYCLES && owes_three_reads(&program, &cfg)
+        {
+            swept += 1;
+            // The stepper one cycle at a time, the engine from reset to
+            // each cap.
+            let mut stepper = Machine::new(cfg);
+            stepper.load_program(&program);
+            for cap in 1..=full {
+                let label = format!("{label}, cap {cap}");
+                let r1 = stepper.run(1);
+                let mut fast = Machine::new(cfg);
+                fast.load_program(&program);
+                let r2 = engine.clone_template().run(&mut fast, cap);
+                assert_eq!(r1.is_ok(), r2.is_ok(), "{label}: outcome diverged");
+                assert_same_run(&stepper, &fast, &label);
+            }
+        }
+        let fast = engine.stats().fast_cycles;
+        fast_cycles += fast;
+        if label.contains("soak program") {
+            soak_fast += fast;
+        }
+        if !cfg.icache.enabled || !cfg.ecache.enabled {
+            disabled_fast += fast;
+        }
     }
-    // The property proves nothing about the fast path unless it runs, and
-    // nothing about budgets unless some stop at theirs.
+    // The property proves nothing about the fast path unless it runs, on
+    // each program source and with a cache disabled, and nothing about
+    // budgets unless some stop at theirs.
     assert!(fast_cycles > 0, "the fast path never ran");
+    assert!(soak_fast > 0, "the fast path never ran a soak program");
+    assert!(
+        disabled_fast > 0,
+        "the fast path never ran with a cache off"
+    );
     assert!(
         capped > CASES / 10,
         "only {capped} cases stopped at their budget"
     );
+    assert!(swept >= 5, "only {swept} cases ran to every cap");
 }
 
 /// A self-modifying store that renumbers the blocks: `main` overwrites

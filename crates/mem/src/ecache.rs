@@ -35,7 +35,9 @@ impl EcacheConfig {
     }
 
     /// Check the organization the model relies on: size and block words
-    /// powers of two, the cache at least one block. The error names the
+    /// powers of two, the cache at least one block and at least two words
+    /// (a one-word cache's tag is the whole 32-bit address, which leaves
+    /// the tag store no value to mark an empty frame). The error names the
     /// broken rule and the geometry.
     pub fn check(&self) -> Result<(), String> {
         let broken = if !self.block_words.is_power_of_two() {
@@ -44,12 +46,14 @@ impl EcacheConfig {
             "cache size power of two"
         } else if self.size_words < self.block_words {
             "cache smaller than one block"
+        } else if self.size_words < 2 {
+            "cache of at least two words"
         } else {
             return Ok(());
         };
         Err(format!(
-            "{broken} (ecache size and block words must be powers of two, size >= block: \
-             size_words={} block_words={})",
+            "{broken} (ecache size and block words must be powers of two, size >= block, \
+             size >= 2: size_words={} block_words={})",
             self.size_words, self.block_words
         ))
     }
@@ -71,9 +75,8 @@ impl Default for EcacheConfig {
     }
 }
 
-/// Most frames one tag page holds. A page of 4K `Option<u32>` tags is
-/// 32 KiB: a small heap block, allocated the first time one of its frames
-/// is written.
+/// Most frames one tag page holds. A page of 4K `u32` tags is 16 KiB,
+/// allocated in the arena the first time one of its frames is written.
 const TAG_PAGE_FRAMES: u32 = 4096;
 
 /// The 64K-word external cache.
@@ -89,13 +92,19 @@ const TAG_PAGE_FRAMES: u32 = 4096;
 ///
 /// The tag store is paged: a program touches a few frames of the
 /// ideal-memory configuration's million, so only the pages it writes are
-/// allocated, and a cold start clears only those.
+/// allocated, and a cold start clears only those. The pages sit in one
+/// arena, and a directory maps each to its offset there; every page not
+/// yet written maps to the arena's first page, which stays all zero, so a
+/// lookup never asks whether its page exists.
 #[derive(Clone, Debug)]
 pub struct Ecache {
     cfg: EcacheConfig,
-    /// `tag_pages[index >> page_bits][index & page mask]` = tag of the
-    /// block cached in frame `index`; an unallocated page holds no tags.
-    tag_pages: Vec<Option<Box<[Option<u32>]>>>,
+    /// `dir[page]`: the arena offset of tag page `page`, 0 (the zero
+    /// page) while none of its frames has been written.
+    dir: Vec<u32>,
+    /// Tag pages: `tag + 1` of the block cached in each frame, 0 for none.
+    /// A cache of at least two words has tags below `u32::MAX`.
+    arena: Vec<u32>,
     /// log2 of the frames per tag page.
     page_bits: u32,
     /// log2 of the words per block: an address's block number is
@@ -112,13 +121,14 @@ impl Ecache {
     /// Build an external cache with the given organization.
     ///
     /// # Panics
-    /// Panics if sizes are not powers of two or the cache is smaller than a
-    /// block.
+    /// Panics if sizes are not powers of two, the cache is smaller than a
+    /// block, or it holds one word.
     pub fn new(cfg: EcacheConfig) -> Ecache {
         cfg.validate();
         let page_frames = cfg.num_blocks().min(TAG_PAGE_FRAMES);
         Ecache {
-            tag_pages: vec![None; (cfg.num_blocks() / page_frames) as usize],
+            dir: vec![0; (cfg.num_blocks() / page_frames) as usize],
+            arena: vec![0; page_frames as usize],
             page_bits: page_frames.trailing_zeros(),
             block_bits: cfg.block_words.trailing_zeros(),
             frame_bits: cfg.num_blocks().trailing_zeros(),
@@ -151,9 +161,8 @@ impl Ecache {
     /// Invalidate all blocks (cold start — miss classification restarts
     /// too).
     pub fn invalidate_all(&mut self) {
-        for page in self.tag_pages.iter_mut().flatten() {
-            page.fill(None);
-        }
+        self.dir.fill(0);
+        self.arena.truncate(self.page_frames());
         self.seen_blocks.clear();
     }
 
@@ -161,21 +170,28 @@ impl Ecache {
         1 << self.page_bits
     }
 
-    /// The tag held in frame `index`.
+    /// Frame `index`'s slot in the arena (in the zero page while its page
+    /// is unwritten).
     #[inline]
+    fn slot(&self, index: usize) -> usize {
+        self.dir[index >> self.page_bits] as usize + (index & (self.page_frames() - 1))
+    }
+
+    /// The tag held in frame `index`.
     fn tag(&self, index: usize) -> Option<u32> {
-        self.tag_pages[index >> self.page_bits]
-            .as_ref()
-            .and_then(|page| page[index & (self.page_frames() - 1)])
+        self.arena[self.slot(index)].checked_sub(1)
     }
 
     /// Install `tag` in frame `index`, allocating its page on first write.
     #[inline]
     fn set_tag(&mut self, index: usize, tag: u32) {
-        let frames = self.page_frames();
-        let page = self.tag_pages[index >> self.page_bits]
-            .get_or_insert_with(|| vec![None; frames].into_boxed_slice());
-        page[index & (frames - 1)] = Some(tag);
+        let page = index >> self.page_bits;
+        if self.dir[page] == 0 {
+            self.dir[page] = self.arena.len() as u32;
+            self.arena.resize(self.arena.len() + self.page_frames(), 0);
+        }
+        let slot = self.slot(index);
+        self.arena[slot] = tag + 1;
     }
 
     #[inline]
@@ -222,7 +238,7 @@ impl Ecache {
             return extra;
         }
         let (index, tag) = self.index_and_tag(addr);
-        if self.tag(index) == Some(tag) {
+        if self.arena[self.slot(index)] == tag + 1 {
             self.stats.record_hit();
             return 0;
         }
@@ -255,12 +271,8 @@ impl Ecache {
     /// `(allocated frames, total frames)` — the direct-mapped cache's
     /// occupancy.
     pub fn occupancy(&self) -> (u32, u32) {
-        let allocated = self
-            .tag_pages
-            .iter()
-            .flatten()
-            .map(|page| page.iter().filter(|t| t.is_some()).count() as u32)
-            .sum();
+        let pages = &self.arena[self.page_frames()..];
+        let allocated = pages.iter().filter(|&&t| t != 0).count() as u32;
         (allocated, self.cfg.num_blocks())
     }
 
@@ -298,10 +310,12 @@ pub struct EcacheState {
 impl Ecache {
     /// Capture the cache's mutable state for a checkpoint.
     pub fn snapshot_state(&self) -> EcacheState {
+        let frames = self.page_frames();
         let mut tags = vec![None; self.cfg.num_blocks() as usize];
-        for (chunk, page) in tags.chunks_mut(self.page_frames()).zip(&self.tag_pages) {
-            if let Some(page) = page {
-                chunk.copy_from_slice(page);
+        for (chunk, &at) in tags.chunks_mut(frames).zip(&self.dir) {
+            let page = &self.arena[at as usize..at as usize + frames];
+            for (tag, &stored) in chunk.iter_mut().zip(page) {
+                *tag = stored.checked_sub(1);
             }
         }
         EcacheState {
@@ -313,7 +327,8 @@ impl Ecache {
 
     /// Overwrite the cache's mutable state from a checkpoint taken from a
     /// cache with the same configuration. Fails (leaving the cache
-    /// untouched) if the frame count does not match this organization.
+    /// untouched) if the frame count does not match this organization or a
+    /// tag is wider than its tags.
     pub fn restore_state(&mut self, state: &EcacheState) -> Result<(), String> {
         let frames = self.cfg.num_blocks() as usize;
         if state.tags.len() != frames {
@@ -322,16 +337,17 @@ impl Ecache {
                 state.tags.len(),
             ));
         }
-        let page_frames = self.page_frames();
-        for (page, chunk) in self
-            .tag_pages
-            .iter_mut()
-            .zip(state.tags.chunks(page_frames))
-        {
-            match page {
-                Some(page) => page.copy_from_slice(chunk),
-                None if chunk.iter().any(Option::is_some) => *page = Some(chunk.into()),
-                None => {}
+        let max_tag = u32::MAX >> (self.block_bits + self.frame_bits);
+        if let Some(tag) = state.tags.iter().flatten().find(|&&t| t > max_tag) {
+            return Err(format!(
+                "ecache state holds tag {tag:#x}, organization's tags stop at {max_tag:#x}"
+            ));
+        }
+        self.dir.fill(0);
+        self.arena.truncate(self.page_frames());
+        for (index, tag) in state.tags.iter().enumerate() {
+            if let Some(tag) = *tag {
+                self.set_tag(index, tag);
             }
         }
         self.seen_blocks = state.seen_blocks.iter().copied().collect();
@@ -455,6 +471,35 @@ mod tests {
         c.invalidate_all();
         let (_, extra) = c.read(0, &mut m);
         assert!(extra > 0);
+    }
+
+    /// A one-word cache's tag is the whole address, with no value left to
+    /// mark an empty frame; a state with a tag wider than the
+    /// organization's cannot be restored.
+    #[test]
+    fn one_word_caches_and_wide_tags_are_refused() {
+        let one_word = EcacheConfig {
+            size_words: 1,
+            block_words: 1,
+            ..EcacheConfig::mipsx()
+        };
+        assert!(one_word.check().unwrap_err().contains("at least two words"));
+        let two_words = EcacheConfig {
+            size_words: 2,
+            ..one_word
+        };
+        assert_eq!(two_words.check(), Ok(()));
+
+        let (mut c, mut m) = small();
+        let _ = c.read(u32::MAX, &mut m);
+        let mut state = c.snapshot_state();
+        assert!(state.tags.contains(&Some(u32::MAX >> 6)), "the top tag");
+        state.tags[0] = Some(u32::MAX >> 6 | 1 << 26);
+        assert!(c.restore_state(&state).is_err());
+        assert!(
+            c.probe(u32::MAX),
+            "a refused restore leaves the cache as it was"
+        );
     }
 
     #[test]

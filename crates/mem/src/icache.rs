@@ -149,22 +149,38 @@ pub enum FetchOutcome {
 /// blocks.
 const MEMO_LINES: usize = 8;
 
-/// The lines one sequential run booked on its last all-hit pass, for
-/// [`Icache::fetch_run`] to book again without a row scan while the
-/// cache's epoch says no resident word has gone away since. A memo serves
-/// one run of one cache: a caller that may hand it another cache (a
+/// The lines one sequential run booked on its last pass, for
+/// [`Icache::fetch_run`] to book again without a row scan while each of
+/// them still holds its tag with the words the run fetches valid. A memo
+/// serves one run of one cache: a caller that may hand it another cache (a
 /// rebuilt or restored one) clears it first.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HitMemo {
-    /// The cache epoch the lines were booked in; 0, which no cache has,
-    /// when the memo holds nothing.
-    epoch: u64,
     start: u32,
+    /// The run's length; 0 when the memo holds nothing (an empty run books
+    /// nothing, replayed or not).
     len: u32,
-    /// Block index and words booked, per line in fetch order.
-    index: [u32; MEMO_LINES],
-    words: [u8; MEMO_LINES],
     lines: u8,
+    /// Per line in fetch order: its block index, its tag, the mask of its
+    /// words the run fetches and how many they are.
+    index: [u32; MEMO_LINES],
+    tag: [u32; MEMO_LINES],
+    window: [u64; MEMO_LINES],
+    words: [u8; MEMO_LINES],
+}
+
+impl HitMemo {
+    /// Whether every recorded line of the run is still resident in its
+    /// block with the run's words valid, so the run hits throughout.
+    #[inline]
+    fn holds(&self, icache: &Icache) -> bool {
+        (0..usize::from(self.lines)).all(|line| {
+            let index = self.index[line] as usize;
+            let window = self.window[line];
+            icache.tags[index] == u64::from(self.tag[line])
+                && icache.valid[index] & window == window
+        })
+    }
 }
 
 /// The on-chip instruction cache.
@@ -196,11 +212,6 @@ pub struct Icache {
     /// Block addresses ever referenced, for cold/conflict classification.
     seen_blocks: BlockSet,
     stats: CacheStats,
-    /// Advances whenever a resident word can stop being valid: a fill that
-    /// evicts a line, a cleared valid bit, `invalidate_all` and
-    /// `restore_state`. A [`HitMemo`] from the current epoch is exact. It
-    /// starts at 1. Not part of [`IcacheState`]: it only dates memos.
-    epoch: u64,
 }
 
 impl Icache {
@@ -224,7 +235,6 @@ impl Icache {
             seen_blocks: BlockSet::default(),
             cfg,
             stats: CacheStats::new(),
-            epoch: 1,
         }
     }
 
@@ -258,7 +268,6 @@ impl Icache {
         self.fifo.fill(0);
         self.free.fill(self.cfg.ways);
         self.seen_blocks.clear();
-        self.epoch += 1;
     }
 
     #[inline]
@@ -291,7 +300,6 @@ impl Icache {
         match self.scan(row, tag) {
             Slot::Present(index) if self.valid[index] & (1 << word) != 0 => {
                 self.valid[index] &= !(1 << word);
-                self.epoch += 1;
                 true
             }
             _ => false,
@@ -407,10 +415,11 @@ impl Icache {
     /// order. Deferring the reads past the run is exact: they touch no
     /// Icache state but the statistics' service-cost sums.
     ///
-    /// While `memo` holds this run from the current epoch, every word of
-    /// it is still resident in the block it was in, so the lines are booked
-    /// again as recorded, with no row scan. Otherwise, if every fetch hits
-    /// and the run spans at most the memo's lines, the memo records it.
+    /// While `memo` holds this run and each line it recorded still holds
+    /// its tag in the block it was in, with the run's words valid, the run
+    /// hits throughout: the lines are booked again as recorded, with no row
+    /// scan. Otherwise, if the run spans at most the memo's lines, the line
+    /// kernel books it and the memo records it, misses or not.
     pub fn fetch_run(&mut self, start: u32, len: u32, memo: &mut HitMemo, missed: &mut Vec<u32>) {
         self.book_lines(start, len, Some(memo), |offset, mut mask| {
             while mask != 0 {
@@ -435,7 +444,7 @@ impl Icache {
         mut missed: impl FnMut(u32, u64),
     ) -> u32 {
         if let Some(memo) = memo.as_deref_mut() {
-            if memo.epoch == self.epoch && memo.start == start && memo.len == len {
+            if memo.start == start && memo.len == len && memo.holds(self) {
                 // `book_hits` per line, with the statistics booked once:
                 // the lines' words add up to the run.
                 for line in 0..usize::from(memo.lines) {
@@ -454,36 +463,35 @@ impl Icache {
             for offset in (0..len).step_by(64) {
                 missed(offset, u64::MAX >> (64 - (len - offset).min(64)));
             }
-            if let Some(memo) = memo {
-                memo.epoch = 0;
-            }
             return len;
         }
+        // Record only a run that spans at most the memo's lines.
+        let block_words = u64::from(self.cfg.block_words);
+        let first_word = u64::from(start) & (block_words - 1);
+        let spans = (first_word + u64::from(len)).div_ceil(block_words);
+        let mut memo = memo.filter(|_| spans <= MEMO_LINES as u64);
         let (mut done, mut lines, mut misses) = (0, 0, 0);
         while done < len {
-            let (words, index, mask) = self.book_line(start.wrapping_add(done), len - done);
+            let addr = start.wrapping_add(done);
+            let (words, index, mask) = self.book_line(addr, len - done);
             if mask != 0 {
                 missed(done, mask);
                 misses += mask.count_ones();
             }
             if let Some(memo) = memo.as_deref_mut() {
-                if lines < MEMO_LINES {
-                    memo.index[lines] = index as u32;
-                    memo.words[lines] = words as u8;
-                }
+                // The tag from the address: a partner fill into the next
+                // line may have evicted this one from `index`.
+                let (_, tag, word) = self.locate(addr);
+                memo.index[lines] = index as u32;
+                memo.tag[lines] = tag;
+                memo.window[lines] = (u64::MAX >> (64 - words)) << word;
+                memo.words[lines] = words as u8;
             }
             lines += 1;
             done += words;
         }
         if let Some(memo) = memo {
-            if misses == 0 && lines <= MEMO_LINES {
-                memo.epoch = self.epoch;
-                memo.start = start;
-                memo.len = len;
-                memo.lines = lines as u8;
-            } else {
-                memo.epoch = 0;
-            }
+            (memo.start, memo.len, memo.lines) = (start, len, lines as u8);
         }
         misses
     }
@@ -510,8 +518,6 @@ impl Icache {
         let index = self.block_index(row, way);
         if self.tags[index] == NO_TAG {
             self.free[row as usize] -= 1;
-        } else {
-            self.epoch += 1;
         }
         self.tags[index] = u64::from(tag);
         self.valid[index] = 0;
@@ -705,10 +711,10 @@ impl Icache {
     /// [`Icache::simulate_trace`]: the line kernel over each run, a
     /// repeated run through the call's [`HitMemo`]. Replaying a repeated
     /// run is exact for the reasons [`Icache::fetch_run`]'s is: a hit moves
-    /// no block, and the epoch advances on every eviction and cleared valid
-    /// bit. Recording on the trip before a repeat lets a loop whose first
-    /// trip merged into the run before it record on its second trip and
-    /// replay from its third.
+    /// no block, and the memo checks each line's tag and valid words before
+    /// it replays. Recording on the trip before a repeat lets a loop whose
+    /// first trip merged into the run before it record on its second trip
+    /// and replay from its third.
     fn simulate_trips(&mut self, runs: impl Iterator<Item = (u32, u32)>) -> CacheStats {
         let mut memo = HitMemo::default();
         let mut runs = runs.peekable();
@@ -969,7 +975,6 @@ impl Icache {
         self.rng = state.rng;
         self.seen_blocks = state.seen_blocks.iter().copied().collect();
         self.stats = state.stats;
-        self.epoch += 1;
         Ok(())
     }
 }

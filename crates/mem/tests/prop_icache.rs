@@ -545,6 +545,47 @@ fn repeated_runs_of_five_to_eight_lines_book_like_word_by_word() {
     }
 }
 
+/// A run whose last line misses on its final word, in a 1-row FIFO cache
+/// whose victim way is that line's own: the fetch-back partner's fill
+/// brings in the next line over it. The run's memo must not replay it
+/// once the next line has filled the words the run fetches — a memo that
+/// took the line's tag from its block after the partner fill would hold
+/// the evicting line's tag and replay hits on words no longer resident.
+#[test]
+fn a_memo_never_replays_a_line_its_own_partner_fill_evicted() {
+    for ways in 2..=3 {
+        let cfg = IcacheConfig {
+            rows: 1,
+            ways,
+            block_words: 4,
+            fetch_words: 2,
+            replacement: Replacement::Fifo,
+            ..IcacheConfig::mipsx()
+        };
+        let mut lines = Hierarchy::new(cfg, EcacheConfig::mipsx(), 5);
+        let mut walked = lines.clone();
+        let mut memo = HitMemo::default();
+        // Line 0 takes way 0 with words 1 and 2 valid, the other lines the
+        // other ways, so FIFO evicts way 0 next. Then the run misses on
+        // word 3, and its partner, word 4, takes way 0 for line 1; the walk
+        // over words 5 to 7 validates the rest of line 1. The run comes
+        // back to find line 0 gone.
+        let mut visits = vec![(1, 1)];
+        visits.extend((1..ways).map(|line| (4 * (line + 1), 1)));
+        visits.extend([(1, 3), (5, 3), (1, 3)]);
+        for (visit, &run) in visits.iter().enumerate() {
+            let memo = match run {
+                (1, 3) => &mut memo,
+                _ => &mut HitMemo::default(),
+            };
+            let got = visit_by_lines(&mut lines, run, &[], memo);
+            let want = visit_word_by_word(&mut walked, run, &[]);
+            assert_eq!(got, want, "{ways} ways: visit {visit} {run:?}");
+            assert_eq!(lines.state(), walked.state(), "{ways} ways: visit {visit}");
+        }
+    }
+}
+
 /// A loop whose own trip evicts its earlier line in a 1-way cache: every
 /// repeated trip misses, so the memo path must fall back to the walk at
 /// each trip's first word. In a 2-way LRU cache, a second loop records a

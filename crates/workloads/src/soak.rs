@@ -3,8 +3,9 @@
 //!
 //! [`random_scheduled_program`] is the seed-driven twin of the generator
 //! inside the pipeline's differential test: straight-line chunks of
-//! arithmetic, loads and stores over a private data region, linked by
-//! forward branches (squashing and not), with the load-delay scheduling
+//! arithmetic, MD step chains, loads and stores over a private data
+//! region, linked by forward branches (squashing and not) or falling
+//! through into each other, with the load-delay scheduling
 //! rule enforced on the fly so both the pipeline and the functional
 //! reference model are defined on every program. Forward-only control
 //! keeps every program terminating by construction.
@@ -15,7 +16,7 @@
 //! seed alone.
 
 use mipsx_asm::{Asm, Program};
-use mipsx_isa::{ComputeOp, Cond, Instr, Reg, SquashMode};
+use mipsx_isa::{ComputeOp, Cond, Instr, Reg, SpecialReg, SquashMode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,7 +34,7 @@ pub fn random_scheduled_program(seed: u64) -> Program {
     let chunks: Vec<Vec<Instr>> = (0..n_chunks)
         .map(|_| {
             let len = rng.gen_range(0usize..6);
-            (0..len).map(|_| body_instr(&mut rng)).collect()
+            (0..len).flat_map(|_| body_instrs(&mut rng)).collect()
         })
         .collect();
 
@@ -46,9 +47,11 @@ pub fn random_scheduled_program(seed: u64) -> Program {
     let end = asm.new_label();
     let mut labels: Vec<_> = (0..n_chunks).map(|_| asm.new_label()).collect();
     labels.push(end);
+    // The destination of a load just emitted, carried into the next chunk
+    // when this one falls through.
+    let mut last_load_def: Option<Reg> = None;
     for (idx, chunk) in chunks.into_iter().enumerate() {
         asm.bind(labels[idx]).expect("fresh label");
-        let mut last_load_def: Option<Reg> = None;
         for instr in chunk {
             // Enforce the load-delay scheduling rule on the fly.
             if let Some(d) = last_load_def {
@@ -63,8 +66,13 @@ pub fn random_scheduled_program(seed: u64) -> Program {
             last_load_def = if instr.is_load() { instr.def() } else { None };
             asm.emit(instr);
         }
-        // Branch forward, skipping 0 or 1 chunks — forward-only, so the
-        // program terminates regardless of which way conditions go.
+        // One chunk in four falls through into the next (a block that can
+        // end in loads); the others branch forward, skipping 0 or 1
+        // chunks — forward-only, so the program terminates regardless of
+        // which way conditions go.
+        if rng.gen_range(0u32..4) == 0 {
+            continue;
+        }
         let skip = rng.gen_range(0usize..2);
         let target = labels[(idx + 1 + skip).min(n_chunks)];
         let cond = Cond::ALL[rng.gen_range(0usize..8)];
@@ -90,46 +98,81 @@ pub fn random_scheduled_program(seed: u64) -> Program {
             imm: 1,
         });
         asm.emit(Instr::Nop);
+        last_load_def = None;
     }
     asm.bind(end).expect("fresh label");
     asm.emit(Instr::Halt);
     asm.finish().expect("generated program assembles")
 }
 
-/// One random body instruction: `addi`, logic/arithmetic computes, or a
-/// load/store against the data region.
-fn body_instr(rng: &mut StdRng) -> Instr {
-    const OPS: [ComputeOp; 6] = [
-        ComputeOp::AddU,
-        ComputeOp::SubU,
-        ComputeOp::And,
-        ComputeOp::Or,
-        ComputeOp::Xor,
-        ComputeOp::Nor,
-    ];
-    match rng.gen_range(0u32..4) {
-        0 => Instr::Addi {
-            rs1: Reg::new(rng.gen_range(0u8..16)),
-            rd: Reg::new(rng.gen_range(1u8..16)),
+/// One random body group: an `addi`; any compute but the MD steps
+/// (signed `add`/`sub` included, shifts by 0–31); a whole 32-step `mstep`
+/// or `dstep` chain on an accumulator (the verifier rejects a broken one),
+/// between a `movtos md` and a `movfrs` of MD; one to three loads in a row
+/// or a store, against the data region. Computes, `addi`s and loads may
+/// write `r0`.
+fn body_instrs(rng: &mut StdRng) -> Vec<Instr> {
+    let reg = |rng: &mut StdRng| Reg::new(rng.gen_range(0u8..16));
+    match rng.gen_range(0u32..5) {
+        0 => vec![Instr::Addi {
+            rs1: reg(rng),
+            rd: reg(rng),
             imm: rng.gen_range(-40i32..40),
-        },
-        1 => Instr::Compute {
-            op: OPS[rng.gen_range(0usize..OPS.len())],
-            rs1: Reg::new(rng.gen_range(0u8..16)),
-            rs2: Reg::new(rng.gen_range(0u8..16)),
-            rd: Reg::new(rng.gen_range(1u8..16)),
-            shamt: 0,
-        },
-        2 => Instr::Ld {
+        }],
+        1 => {
+            // `ALL` ends in the two MD steps.
+            let op = ComputeOp::ALL[rng.gen_range(0usize..12)];
+            vec![Instr::Compute {
+                op,
+                rs1: reg(rng),
+                rs2: reg(rng),
+                rd: reg(rng),
+                shamt: if op.uses_shamt() {
+                    rng.gen_range(0u8..32)
+                } else {
+                    0
+                },
+            }]
+        }
+        2 => {
+            let op = if rng.gen_bool(0.5) {
+                ComputeOp::Mstep
+            } else {
+                ComputeOp::Dstep
+            };
+            let (rs1, acc) = (reg(rng), Reg::new(rng.gen_range(1u8..16)));
+            let mut chain = vec![Instr::Movtos {
+                sreg: SpecialReg::Md,
+                rs: reg(rng),
+            }];
+            chain.extend((0..32).map(|_| Instr::Compute {
+                op,
+                rs1,
+                rs2: acc,
+                rd: acc,
+                shamt: 0,
+            }));
+            // The `nop` keeps a `movtos md` after the group three slots
+            // past the last step, whose MD write lands at WB.
+            chain.push(Instr::Movfrs {
+                rd: reg(rng),
+                sreg: SpecialReg::Md,
+            });
+            chain.push(Instr::Nop);
+            chain
+        }
+        3 => (0..rng.gen_range(1usize..4))
+            .map(|_| Instr::Ld {
+                rs1: Reg::new(20),
+                rd: reg(rng),
+                offset: rng.gen_range(0i32..SOAK_DATA_WORDS),
+            })
+            .collect(),
+        _ => vec![Instr::St {
             rs1: Reg::new(20),
-            rd: Reg::new(rng.gen_range(1u8..16)),
+            rsrc: reg(rng),
             offset: rng.gen_range(0i32..SOAK_DATA_WORDS),
-        },
-        _ => Instr::St {
-            rs1: Reg::new(20),
-            rsrc: Reg::new(rng.gen_range(0u8..16)),
-            offset: rng.gen_range(0i32..SOAK_DATA_WORDS),
-        },
+        }],
     }
 }
 
