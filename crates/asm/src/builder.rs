@@ -231,7 +231,7 @@ impl Asm {
         } = self;
 
         let resolve = |label: Label| -> Result<u32, AsmError> {
-            labels[label.0].ok_or(AsmError::UndefinedLabel {
+            labels[label.0].ok_or_else(|| AsmError::UndefinedLabel {
                 line: 0,
                 label: format!("L{}", label.0),
             })

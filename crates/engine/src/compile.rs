@@ -42,6 +42,11 @@
 //!   Squashing edges are exempt — an annulled window slot is skipped by
 //!   operand resolution, and the bypass reach ends before any live
 //!   producer.
+//! - **MD write after a step**: a `movtos md` one or two fetches behind an
+//!   `mstep`/`dstep` is overwritten in the pipeline by the step's later
+//!   write-back, while eager commit keeps program order. A block holding
+//!   the shape demotes; a block whose executed tail steps into such a
+//!   successor head is marked like an entry hazard.
 //! - **Halt shadow**: after `halt` is fetched the pipeline keeps fetching
 //!   for four advances, and runoff words can still act before the retire
 //!   stops the clock (a store reaches MEM, `movtos` commits at ALU, a
@@ -50,10 +55,10 @@
 //!   stepper runs the ending exactly.
 
 use crate::FallbackCause;
-use mipsx_asm::{DecodedEntry, DecodedImage, Program};
+use mipsx_asm::{DecodedEntry, DecodedImage};
 use mipsx_core::{InterlockPolicy, MachineConfig};
-use mipsx_isa::{ComputeOp, Cond, Instr, Reg, SpecialReg};
-use mipsx_verify::{BlockExit, BlockSummary, TimingAnalysis, VerifyConfig};
+use mipsx_isa::{ComputeOp, Cond, Instr, MdRole, Reg, SpecialReg};
+use mipsx_verify::{BlockExit, BlockSummary, Partition, VerifyConfig, MD_STEP_SHADOW};
 
 /// Map sentinel: address holds no compiled code.
 const NONE: u32 = u32::MAX;
@@ -373,24 +378,44 @@ impl CodeCache {
     }
 }
 
+// Beside the compiled-block types it prints.
+impl crate::BlockEngine {
+    /// The compiled image as text, one line per block: start, length, exit,
+    /// fallback cause, body and window ops, per-outcome deltas, cost bound
+    /// and chained successors. Goldens digest it to pin what the compiler
+    /// emits independently of the static analysis it reads.
+    pub fn listing(&self) -> String {
+        let mut out = String::new();
+        for b in &self.code.blocks {
+            out.push_str(&format!(
+                "{:#x} {} {:?} {:?} body={:?} window={:?} delta={:?} cost={} next={:?}\n",
+                b.start, b.len, b.exit, b.fallback, b.body, b.window, b.delta, b.cost_bound, b.next
+            ));
+        }
+        out
+    }
+}
+
 /// Compile an image. `words` is the current memory content of
 /// `[origin, origin + words.len())` — at recompile time that is the
 /// possibly self-modified image, not the original program.
+///
+/// Compilation reads only the verifier's block [`Partition`] — not the
+/// whole-program [`TimingAnalysis`](mipsx_verify::TimingAnalysis), whose
+/// CFG, liveness and loop weights no compiled block uses.
 pub(crate) fn compile(origin: u32, entry: u32, words: &[u32], cfg: &MachineConfig) -> CodeCache {
-    let mut program = Program::from_words(origin, words.to_vec());
-    program.entry = entry;
     let vcfg = VerifyConfig {
         branch_delay_slots: cfg.branch_delay_slots,
     };
-    let ta = TimingAnalysis::of(&program, &vcfg);
-    let image = ta.image();
+    let part = Partition::of_image(DecodedImage::decode(origin, words), entry, &vcfg);
 
-    let mut blocks: Vec<CompiledBlock> = ta
+    let mut ops = Vec::new();
+    let mut blocks: Vec<CompiledBlock> = part
         .blocks
         .iter()
-        .map(|b| compile_block(b, image, words, origin, cfg))
+        .map(|b| compile_block(b, part.entries(b), words, origin, cfg, &mut ops))
         .collect();
-    mark_entry_hazards(&ta, image, &mut blocks);
+    mark_entry_hazards(&part, &mut blocks);
 
     let mut map = vec![NONE; words.len() + SHADOW_WORDS as usize];
     for (i, b) in blocks.iter().enumerate() {
@@ -506,12 +531,15 @@ pub(crate) fn compile_op(i: Instr, at: u32) -> Result<Option<Op>, ()> {
     }))
 }
 
+/// Compile one block from its decoded `entries`; `ops` is scratch for
+/// lowering, copied out at its exact size.
 fn compile_block(
     b: &BlockSummary,
-    image: &DecodedImage,
+    entries: &[DecodedEntry],
     words: &[u32],
     origin: u32,
     cfg: &MachineConfig,
+    ops: &mut Vec<Op>,
 ) -> CompiledBlock {
     let mut fallback: Option<FallbackCause> = None;
     let demote = |cause: FallbackCause, fb: &mut Option<FallbackCause>| {
@@ -524,44 +552,47 @@ fn compile_block(
     if b.would_interlock > 0 {
         demote(FallbackCause::LoadDelay, &mut fallback);
     }
-
-    let instrs: Vec<Instr> = (0..b.len)
-        .map(|k| {
-            image
-                .instr_at(b.start.wrapping_add(k))
-                .unwrap_or(Instr::Illegal(0))
-        })
-        .collect();
+    if b.md_shadow_writes > 0 {
+        // The fast ops commit `movtos md` in program order; the step's
+        // later write-back wins in the stepper.
+        demote(FallbackCause::FallbackOp, &mut fallback);
+    }
 
     let slots = b.slots as usize;
-    let (body_is, term, window_is): (&[Instr], Option<Instr>, &[Instr]) = match b.exit {
-        BlockExit::Halt => (&instrs[..instrs.len() - 1], instrs.last().copied(), &[][..]),
-        BlockExit::FallThrough { .. } => (&instrs[..], None, &[][..]),
+    let none: &[DecodedEntry] = &[];
+    let (body_es, term, window_es) = match b.exit {
+        BlockExit::Halt => (
+            &entries[..entries.len() - 1],
+            entries.last().map(|e| e.instr),
+            none,
+        ),
+        BlockExit::FallThrough { .. } => (entries, None, none),
         BlockExit::Branch { .. } | BlockExit::Jump { .. } => {
-            if instrs.len() > slots {
-                let t = instrs.len() - 1 - slots;
-                (&instrs[..t], Some(instrs[t]), &instrs[t + 1..])
+            if entries.len() > slots {
+                let t = entries.len() - 1 - slots;
+                (&entries[..t], Some(entries[t].instr), &entries[t + 1..])
             } else {
                 demote(FallbackCause::IrregularBlock, &mut fallback);
-                (&[][..], None, &[][..])
+                (none, None, none)
             }
         }
     };
 
     // The window's first word follows the terminator.
-    let lower = |src: &[Instr], first: usize, fb: &mut Option<FallbackCause>| -> Box<[Op]> {
-        src.iter()
-            .enumerate()
-            .filter_map(|(k, &i)| {
-                compile_op(i, (first + k) as u32).unwrap_or_else(|()| {
+    let mut lower = |src: &[DecodedEntry], first: usize, fb: &mut Option<FallbackCause>| {
+        ops.clear();
+        for (k, e) in src.iter().enumerate() {
+            match compile_op(e.instr, (first + k) as u32) {
+                Ok(op) => ops.extend(op),
+                Err(()) => {
                     fb.get_or_insert(FallbackCause::FallbackOp);
-                    None
-                })
-            })
-            .collect()
+                }
+            }
+        }
+        Box::<[Op]>::from(&ops[..])
     };
-    let body = lower(body_is, 0, &mut fallback);
-    let window = lower(window_is, body_is.len() + 1, &mut fallback);
+    let body = lower(body_es, 0, &mut fallback);
+    let window = lower(window_es, body_es.len() + 1, &mut fallback);
 
     let term_addr = b
         .term_addr
@@ -623,10 +654,12 @@ fn compile_block(
         },
     };
 
-    let delta = [
-        make_delta(b, false, &instrs, term),
-        make_delta(b, true, &instrs, term),
-    ];
+    let window_from = entries.len() - b.slots as usize;
+    let (body_mem, window_mem) = (
+        mem_ops(&entries[..window_from]),
+        mem_ops(&entries[window_from..]),
+    );
+    let delta = [false, true].map(|taken| make_delta(b, taken, term, body_mem, window_mem));
     let tail = [make_tail(b, false), make_tail(b, true)];
     let loads = delta[0].loads.max(delta[1].loads);
 
@@ -644,27 +677,36 @@ fn compile_block(
     }
 }
 
+/// The loads and stores among `entries`. (WB's classification chain is
+/// nop, else load, else store; no nop is either.)
+fn mem_ops(entries: &[DecodedEntry]) -> (u32, u32) {
+    entries.iter().fold((0, 0), |(loads, stores), e| {
+        (
+            loads + u32::from(e.meta.is_load),
+            stores + u32::from(e.meta.is_store),
+        )
+    })
+}
+
 /// The `RunStats` increments of one visit with branch outcome `taken`,
-/// mirroring the stepper's write-back and resolve-stage accounting.
-fn make_delta(b: &BlockSummary, taken: bool, instrs: &[Instr], term: Option<Instr>) -> Delta {
+/// mirroring the stepper's write-back and resolve-stage accounting, given
+/// the [`mem_ops`] of the block before its delay window and of the window.
+fn make_delta(
+    b: &BlockSummary,
+    taken: bool,
+    term: Option<Instr>,
+    (body_loads, body_stores): (u32, u32),
+    (window_loads, window_stores): (u32, u32),
+) -> Delta {
     let squashed = b.squashed_when(taken);
     let is_branch = matches!(b.exit, BlockExit::Branch { .. });
     let is_jspci = matches!(term, Some(Instr::Jspci { .. }));
-    let window_from = instrs.len() - b.slots as usize;
-    let (mut loads, mut stores) = (0, 0);
-    for (i, ins) in instrs.iter().enumerate() {
-        let killed = squashed > 0 && i >= window_from;
-        if killed {
-            continue;
-        }
-        // WB's exclusive classification chain: nop, else load, else store.
-        if ins.is_nop() {
-        } else if ins.is_load() {
-            loads += 1;
-        } else if ins.is_store() {
-            stores += 1;
-        }
-    }
+    // Annulled window slots retire nothing.
+    let (loads, stores) = if squashed > 0 {
+        (body_loads, body_stores)
+    } else {
+        (body_loads + window_loads, body_stores + window_stores)
+    };
     Delta {
         instructions: b.len - squashed,
         nops: b.nops_when(taken),
@@ -720,20 +762,50 @@ fn tail_late_mask(b: &BlockSummary, taken: bool, image: &DecodedImage) -> u32 {
         .map_or(0, |r| 1u32 << r.index())
 }
 
-/// Mark every block whose executed tail feeds a distance-1 load-use into a
-/// dynamic successor's head (or into an unknowable landing) as fallback —
-/// the *predecessor* must stay on the stepper so the successor can read
-/// the stale register the pipeline contract promises.
-fn mark_entry_hazards(ta: &TimingAnalysis, image: &DecodedImage, blocks: &mut [CompiledBlock]) {
-    let head_alu: Vec<u32> = ta
+/// Fetches after which a step's MD write-back no longer overtakes a
+/// `movtos md`; eager program-order commit is wrong inside that shadow.
+const STEP_SHADOW: usize = MD_STEP_SHADOW as usize;
+
+/// The fetch distance from the last step a visit with outcome `taken`
+/// executes to the end of its block (1: the last word), if a successor's
+/// head can still be in that step's shadow.
+fn tail_step_distance(b: &BlockSummary, entries: &[DecodedEntry], taken: bool) -> Option<usize> {
+    if matches!(b.exit, BlockExit::Halt) {
+        return None;
+    }
+    // Annulled slots write nothing back.
+    let executed = if b.squashed_when(taken) > 0 {
+        entries.len() - b.slots as usize
+    } else {
+        entries.len()
+    };
+    (1..STEP_SHADOW)
+        .filter(|&d| d <= entries.len() && entries.len() - d < executed)
+        .find(|&d| {
+            matches!(
+                entries[entries.len() - d].meta.md_role,
+                MdRole::Mstep | MdRole::Dstep
+            )
+        })
+}
+
+/// Mark every block whose executed tail feeds a distance-1 load-use, or a
+/// step whose MD write-back overtakes a `movtos md`, into a dynamic
+/// successor's head (or into an unknowable landing) as fallback — the
+/// *predecessor* must stay on the stepper so the successor sees what the
+/// pipeline contract promises.
+fn mark_entry_hazards(part: &Partition, blocks: &mut [CompiledBlock]) {
+    let image = part.image();
+    let head_alu: Vec<u32> = part
         .blocks
         .iter()
         .map(|b| image.meta_at(b.start).map_or(0, |m| m.alu_use_mask))
         .collect();
-    for (i, b) in ta.blocks.iter().enumerate() {
+    for (i, b) in part.blocks.iter().enumerate() {
         for taken in [false, true] {
             let mask = tail_late_mask(b, taken, image);
-            if mask == 0 {
+            let step = tail_step_distance(b, part.entries(b), taken);
+            if mask == 0 && step.is_none() {
                 continue;
             }
             let edges: &[Option<u32>] = match b.exit {
@@ -750,15 +822,26 @@ fn mark_entry_hazards(ta: &TimingAnalysis, image: &DecodedImage, blocks: &mut [C
                 BlockExit::Jump { target, .. } if !taken => &[target],
                 _ => &[],
             };
-            let hazardous = edges.iter().any(|t| match t {
-                Some(addr) => match ta.block_at(*addr) {
-                    Some(j) => head_alu[j] & mask != 0,
-                    None => true, // lands outside the partition
-                },
-                None => true, // indirect jump: landing unknowable
-            });
-            if hazardous {
+            // Landings outside the partition, and indirect jumps, are
+            // unknowable: hazardous.
+            let successors = || edges.iter().map(|t| t.and_then(|addr| part.block_at(addr)));
+            if mask != 0 && successors().any(|j| j.is_none_or(|j| head_alu[j] & mask != 0)) {
                 blocks[i].fallback.get_or_insert(FallbackCause::EntryHazard);
+            }
+            if let Some(d) = step {
+                // The successor's first `STEP_SHADOW - d` words are in the
+                // shadow; one too short to show them all counts as a hit.
+                let within = STEP_SHADOW - d;
+                let hit = |j: usize| {
+                    let head = part.entries(&part.blocks[j]);
+                    head.len() < within
+                        || head[..within]
+                            .iter()
+                            .any(|e| e.meta.md_role == MdRole::WritesMd)
+                };
+                if successors().any(|j| j.is_none_or(hit)) {
+                    blocks[i].fallback.get_or_insert(FallbackCause::EntryHazard);
+                }
             }
         }
     }

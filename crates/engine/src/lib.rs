@@ -127,13 +127,15 @@ pub enum FallbackCause {
     /// The block is part of an irregular region (runoff, window-landing
     /// targets, control transfers inside delay windows).
     IrregularBlock,
-    /// The block contains an instruction outside the fast op set.
+    /// The block contains an instruction outside the fast op set, or a
+    /// `movtos md` in a step's write-back shadow, which the fast ops
+    /// would commit in program order.
     FallbackOp,
     /// An in-block distance-1 load-use pair (stale read under `Trust`,
     /// run error under `Detect`).
     LoadDelay,
-    /// The block's executed tail feeds a load-delay hazard into a dynamic
-    /// successor's head.
+    /// The block's executed tail feeds a load-delay hazard, or a step's
+    /// MD write-back, into a dynamic successor's head.
     EntryHazard,
     /// A word in the post-`halt` fetch shadow is not provably inert.
     HaltShadow,

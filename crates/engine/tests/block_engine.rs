@@ -731,3 +731,49 @@ fn loads_deep_in_a_long_block_owe_their_reads_at_their_own_fetch_offsets() {
         );
     }
 }
+
+/// A `movtos md` one or two fetches after an `mstep`/`dstep` is overwritten
+/// in the stepper by the step's later write-back, and the next chain's
+/// steps read the old chain's MD over the bypass; eager program-order
+/// commit would keep the written value. Unpadded — in one block, and with
+/// the chain's last step in a branch window and the `movtos` at the
+/// target's head — the engine demotes it (the block holding the write as a
+/// fallback op, the branch's block as an entry hazard) and runs it as the
+/// stepper does, on the ideal configuration and on the board.
+#[test]
+fn md_writes_in_a_steps_shadow_run_like_the_stepper() {
+    let count = |e: &BlockEngine, c: FallbackCause| e.stats().fallback_exits[c.index()];
+    // A fast preamble block first, so the demotion happens mid-run.
+    let preamble = "li r1, 21\nli r2, 2\nbeq r0, r0, go\nnop\nnop\ngo: movtos md, r2\nli r3, 0\n";
+    let tail = "movfrs r4, md\nli r5, 5\nmstep r6, r5, r0\nmovfrs r7, md\nhalt";
+    let scheme = BranchScheme::mipsx();
+    for (name, base) in [
+        ("cache_ideal", MachineConfig::cache_ideal()),
+        ("board", MachineConfig::mipsx()),
+    ] {
+        for gap in 0..3 {
+            let src = preamble.to_string()
+                + &"mstep r3, r1, r3\n".repeat(32)
+                + &"add r9, r1, r1\n".repeat(gap)
+                + "movtos md, r1\n"
+                + tail;
+            let program = assemble(&src).expect("assembles");
+            let label = format!("{name} in-block gap {gap}");
+            let (_, engine) = lockstep_on(base, &program, &scheme, &label);
+            assert_eq!(
+                count(&engine, FallbackCause::FallbackOp),
+                u64::from(gap < 2),
+                "{label}"
+            );
+            assert!(engine.stats().fast_cycles > 0, "{label}: never ran fast");
+        }
+        let src = preamble.to_string()
+            + &"mstep r3, r1, r3\n".repeat(30)
+            + "beq r0, r0, t\nmstep r3, r1, r3\nmstep r3, r1, r3\nt: movtos md, r1\n"
+            + tail;
+        let program = assemble(&src).expect("assembles");
+        let label = format!("{name} across a branch");
+        let (_, engine) = lockstep_on(base, &program, &scheme, &label);
+        assert_eq!(count(&engine, FallbackCause::EntryHazard), 1, "{label}");
+    }
+}

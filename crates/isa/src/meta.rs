@@ -94,16 +94,6 @@ pub struct InstrMeta {
     pub branch_disp: Option<i32>,
 }
 
-/// Bit for a register in a mask, with `r0` dropped.
-#[inline]
-fn reg_bit(r: Reg) -> u32 {
-    if r.is_zero() {
-        0
-    } else {
-        1 << r.index()
-    }
-}
-
 impl InstrMeta {
     /// Compute the metadata record for one instruction.
     ///
@@ -112,12 +102,12 @@ impl InstrMeta {
     /// precomputed fields instead of re-classifying the [`Instr`].
     pub fn of(instr: Instr) -> InstrMeta {
         let def = instr.def();
-        let def_mask = def.map_or(0, reg_bit);
-        let use_mask = instr.uses().fold(0u32, |m, r| m | reg_bit(r));
+        let def_mask = def.map_or(0, Reg::mask_bit);
+        let use_mask = instr.uses().fold(0u32, |m, r| m | r.mask_bit());
         // ALU-stage consumers: store data and `mvtc` sources are consumed a
         // stage later and tolerate a distance-1 load producer.
         let alu_use_mask = match instr {
-            Instr::St { rs1, .. } => reg_bit(rs1),
+            Instr::St { rs1, .. } => rs1.mask_bit(),
             Instr::Mvtc { .. } => 0,
             _ => use_mask,
         };
@@ -178,29 +168,36 @@ impl InstrMeta {
     /// Whether `reg` is in the ALU-stage use set.
     #[inline]
     pub fn alu_uses(&self, reg: Reg) -> bool {
-        self.alu_use_mask & reg_bit(reg) != 0
+        self.alu_use_mask & reg.mask_bit() != 0
     }
 
     /// Whether `reg` is read at all, in any stage (`r0` is never "used" —
     /// it carries no dataflow).
     #[inline]
     pub fn uses(&self, reg: Reg) -> bool {
-        self.use_mask & reg_bit(reg) != 0
+        self.use_mask & reg.mask_bit() != 0
     }
 
     /// Whether `reg` is architecturally written (`r0` writes are discarded
     /// and report `false`).
     #[inline]
     pub fn defines(&self, reg: Reg) -> bool {
-        self.def_mask & reg_bit(reg) != 0
+        self.def_mask & reg.mask_bit() != 0
     }
 
     /// Every register in `mask`, ascending — for walking def/use masks
     /// without re-deriving bit positions at each call site.
     pub fn mask_regs(mask: u32) -> impl Iterator<Item = Reg> {
-        (1u8..32)
-            .filter(move |&i| mask & (1 << i) != 0)
-            .map(Reg::new)
+        // Walk the set bits only; bit 0 (`r0`) never carries dataflow.
+        let mut rest = mask & !1;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let i = rest.trailing_zeros();
+            rest &= rest - 1;
+            Some(Reg::new(i as u8))
+        })
     }
 }
 

@@ -62,6 +62,13 @@ impl Reg {
         self.0 == 0
     }
 
+    /// This register's bit in a 32-register dataflow mask (bit *n* =
+    /// `rn`); `r0` has none, since it carries no dataflow.
+    #[inline]
+    pub const fn mask_bit(self) -> u32 {
+        (1 << self.0) & !1
+    }
+
     /// Iterate over all 32 registers.
     pub fn all() -> impl Iterator<Item = Reg> {
         (0..32).map(Reg)

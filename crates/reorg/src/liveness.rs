@@ -5,6 +5,11 @@
 //! destination register is **dead** there. With 32 registers a live set is
 //! a single `u32` mask, and the classic backward fixed point converges in a
 //! few sweeps.
+//!
+//! Each block's backward transfer is folded once, before the fixed point,
+//! into a `(kill, gen)` mask pair (`live_in = gen | (live_out & !kill)`),
+//! so a sweep costs one mask operation per block rather than one
+//! [`InstrMeta`] derivation per instruction.
 
 use mipsx_isa::{Instr, InstrMeta, Reg};
 
@@ -18,16 +23,6 @@ pub type RegSet = u32;
 #[inline]
 pub fn contains(set: RegSet, reg: Reg) -> bool {
     !reg.is_zero() && set & (1 << reg.index()) != 0
-}
-
-fn insert(set: &mut RegSet, reg: Reg) {
-    if !reg.is_zero() {
-        *set |= 1 << reg.index();
-    }
-}
-
-fn remove(set: &mut RegSet, reg: Reg) {
-    *set &= !(1 << reg.index());
 }
 
 /// Per-block liveness solution.
@@ -48,6 +43,24 @@ pub fn step_backward(live: &mut RegSet, instr: &Instr) {
     *live |= m.use_mask;
 }
 
+/// One block's backward transfer as `(kill, gen)`, from its terminator and
+/// the `(def_mask, use_mask)` of each body instruction in program order:
+/// walking back from the terminator, every def joins `kill` and leaves
+/// `gen`, every use joins `gen` — the composition of [`step_backward`]
+/// over the block.
+pub(crate) fn block_transfer(
+    term: &Terminator,
+    body: impl DoubleEndedIterator<Item = (RegSet, RegSet)>,
+) -> (RegSet, RegSet) {
+    let mut kill = term.def().map_or(0, Reg::mask_bit);
+    let mut gen = term.uses().fold(0, |m, r| m | r.mask_bit());
+    for (def, uses) in body.rev() {
+        gen = (gen & !def) | uses;
+        kill |= def;
+    }
+    (kill, gen)
+}
+
 /// Compute liveness for a whole program.
 ///
 /// Calls are treated conservatively: a `Call` makes **all** registers live
@@ -56,7 +69,27 @@ pub fn step_backward(live: &mut RegSet, instr: &Instr) {
 /// interprocedurally). This errs toward filling fewer cross-path slots,
 /// never toward breaking a program.
 pub fn analyze(program: &RawProgram) -> Liveness {
-    let n = program.len();
+    let transfer: Vec<(RegSet, RegSet)> = program
+        .blocks
+        .iter()
+        .zip(&program.terms)
+        .map(|(block, term)| {
+            block_transfer(
+                term,
+                block.instrs.iter().map(|&i| {
+                    let m = InstrMeta::of(i);
+                    (m.def_mask, m.use_mask)
+                }),
+            )
+        })
+        .collect();
+    solve(&program.terms, &transfer)
+}
+
+/// The backward fixed point over the block graph, given each block's
+/// [`block_transfer`].
+pub(crate) fn solve(terms: &[Terminator], transfer: &[(RegSet, RegSet)]) -> Liveness {
+    let n = terms.len();
     let mut live_in = vec![0u32; n];
     let mut live_out = vec![0u32; n];
     // All-live at the boundary terminators (conservative).
@@ -66,29 +99,16 @@ pub fn analyze(program: &RawProgram) -> Liveness {
     while changed {
         changed = false;
         for id in (0..n).rev() {
-            let term = &program.terms[id];
-            let mut out = match term {
-                Terminator::Halt | Terminator::Return { .. } => ALL,
-                Terminator::Call { .. } => ALL,
-                _ => term.successors().iter().fold(0, |acc, &s| acc | live_in[s]),
+            let term = &terms[id];
+            let out = match term {
+                Terminator::Halt | Terminator::Return { .. } | Terminator::Call { .. } => ALL,
+                _ => term.successors().fold(0, |acc, s| acc | live_in[s]),
             };
-            if out != live_out[id] {
+            let (kill, gen) = transfer[id];
+            let inn = gen | (out & !kill);
+            if out != live_out[id] || inn != live_in[id] {
                 live_out[id] = out;
-                changed = true;
-            }
-            // Terminator's own dataflow.
-            if let Some(d) = term.def() {
-                remove(&mut out, d);
-            }
-            for u in term.uses() {
-                insert(&mut out, u);
-            }
-            // Body, backward.
-            for instr in program.blocks[id].instrs.iter().rev() {
-                step_backward(&mut out, instr);
-            }
-            if out != live_in[id] {
-                live_in[id] = out;
+                live_in[id] = inn;
                 changed = true;
             }
         }
@@ -138,9 +158,7 @@ mod tests {
 
     #[test]
     fn r0_is_never_live() {
-        let mut set = 0;
-        insert(&mut set, Reg::ZERO);
-        assert_eq!(set, 0);
+        assert_eq!(Reg::ZERO.mask_bit(), 0);
         assert!(!contains(u32::MAX, Reg::ZERO));
     }
 
@@ -321,19 +339,19 @@ mod tests {
             p_taken: 0.5,
         };
         assert_eq!(branch.def(), None);
-        assert_eq!(branch.uses(), vec![r(1), r(2)]);
+        assert_eq!(branch.uses().collect::<Vec<_>>(), vec![r(1), r(2)]);
         let call = Terminator::Call {
             target: 0,
             link: Reg::LINK,
             ret_to: 1,
         };
         assert_eq!(call.def(), Some(Reg::LINK));
-        assert!(call.uses().is_empty());
+        assert_eq!(call.uses().count(), 0);
         let ret = Terminator::Return { link: Reg::LINK };
         assert_eq!(ret.def(), None);
-        assert_eq!(ret.uses(), vec![Reg::LINK]);
+        assert_eq!(ret.uses().collect::<Vec<_>>(), vec![Reg::LINK]);
         assert_eq!(Terminator::Halt.def(), None);
-        assert!(Terminator::Halt.uses().is_empty());
+        assert_eq!(Terminator::Halt.uses().count(), 0);
     }
 
     #[test]

@@ -50,22 +50,24 @@ pub enum Terminator {
 
 impl Terminator {
     /// Successor blocks in layout-relevant order.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match *self {
-            Terminator::Halt | Terminator::Return { .. } => vec![],
-            Terminator::Jump(t) => vec![t],
-            Terminator::Branch { taken, fall, .. } => vec![taken, fall],
-            Terminator::Call { target, ret_to, .. } => vec![target, ret_to],
-        }
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let (a, b) = match *self {
+            Terminator::Halt | Terminator::Return { .. } => (None, None),
+            Terminator::Jump(t) => (Some(t), None),
+            Terminator::Branch { taken, fall, .. } => (Some(taken), Some(fall)),
+            Terminator::Call { target, ret_to, .. } => (Some(target), Some(ret_to)),
+        };
+        a.into_iter().chain(b)
     }
 
     /// The registers the terminator itself reads.
-    pub fn uses(&self) -> Vec<Reg> {
-        match *self {
-            Terminator::Branch { rs1, rs2, .. } => vec![rs1, rs2],
-            Terminator::Return { link } => vec![link],
-            _ => vec![],
-        }
+    pub fn uses(&self) -> impl Iterator<Item = Reg> {
+        let (a, b) = match *self {
+            Terminator::Branch { rs1, rs2, .. } => (Some(rs1), Some(rs2)),
+            Terminator::Return { link } => (Some(link), None),
+            _ => (None, None),
+        };
+        a.into_iter().chain(b)
     }
 
     /// The register the terminator writes (a call's link register).
@@ -251,7 +253,7 @@ mod tests {
             fall: 1,
             p_taken: 0.9,
         };
-        assert_eq!(b.uses(), vec![Reg::new(4), Reg::new(5)]);
+        assert_eq!(b.uses().collect::<Vec<_>>(), vec![Reg::new(4), Reg::new(5)]);
         assert_eq!(b.def(), None);
         let c = Terminator::Call {
             target: 0,
@@ -259,6 +261,6 @@ mod tests {
             ret_to: 1,
         };
         assert_eq!(c.def(), Some(Reg::LINK));
-        assert_eq!(c.successors(), vec![0, 1]);
+        assert_eq!(c.successors().collect::<Vec<_>>(), vec![0, 1]);
     }
 }

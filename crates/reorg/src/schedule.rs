@@ -13,6 +13,9 @@
 //!    way; with squashing, *any* instruction from the predicted path), and
 //!    under [`SquashPolicy::SquashOptional`] each branch picks whichever
 //!    option has the lower expected cost.
+//! 3. **MD shadow check** — a block whose filled fetch stream would put a
+//!    `movtos md` within two fetches of an `mstep`/`dstep` (in the block or
+//!    at a landing) is scheduled again plain: `nop` pads and `nop` slots.
 //!
 //! The output is a real [`Program`] that runs on the cycle-accurate core
 //! under [`InterlockPolicy::Detect`](mipsx_core::InterlockPolicy) — the
@@ -23,9 +26,9 @@ use std::error::Error;
 use std::fmt;
 
 use mipsx_asm::{Asm, AsmError, Program};
-use mipsx_isa::{Instr, Reg, SquashMode};
+use mipsx_isa::{Instr, InstrMeta, MdRole, Reg, SquashMode};
 
-use crate::liveness::{self, contains};
+use crate::liveness::{self, RegSet};
 use crate::{BlockId, BranchScheme, RawProgram, SquashPolicy, Terminator};
 
 /// Scheduling statistics for one reorganized program.
@@ -85,38 +88,185 @@ impl From<AsmError> for ReorgError {
     }
 }
 
-/// Whether instruction `b` depends on or conflicts with `a` (cannot be
-/// reordered across it).
-fn conflicts(a: &Instr, b: &Instr) -> bool {
-    let a_def = a.def();
-    // RAW: b reads a's def.
-    if let Some(d) = a_def {
-        if !d.is_zero() && b.uses().any(|u| u == d) {
-            return true;
+/// A body instruction and its facts, computed once by [`InstrMeta::of`]
+/// when the instruction enters the scheduler and carried with it through
+/// every pass, so no candidate loop re-derives them.
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct Item {
+    instr: Instr,
+    meta: InstrMeta,
+    /// Memory, coprocessor, special-register or MD-step traffic: two such
+    /// instructions keep their order. (A potentially-trapping add may
+    /// move — the reorganizer trades exact trap location for schedule
+    /// quality, as the original did.)
+    ordered: bool,
+}
+
+impl Item {
+    fn new(instr: Instr) -> Item {
+        let meta = InstrMeta::of(instr);
+        Item {
+            instr,
+            meta,
+            ordered: meta.is_load
+                || meta.is_store
+                || meta.is_coproc
+                || matches!(instr, Instr::Movtos { .. } | Instr::Movfrs { .. })
+                || matches!(meta.md_role, MdRole::Mstep | MdRole::Dstep),
         }
     }
-    // WAR: b defines something a reads.
-    if let Some(d) = b.def() {
-        if !d.is_zero() && a.uses().any(|u| u == d) {
-            return true;
-        }
-        // WAW.
-        if a_def == Some(d) {
-            return true;
+
+    /// Whether the instruction writes a register `mask` holds (`r0` writes
+    /// carry no dataflow and never match).
+    fn defines_any(&self, mask: RegSet) -> bool {
+        self.meta.def_mask & mask != 0
+    }
+
+    /// Whether it delivers a load result one cycle late into a register
+    /// `mask` holds.
+    fn late_into(&self, mask: RegSet) -> bool {
+        self.meta
+            .late_def
+            .is_some_and(|d| mask & 1 << d.index() != 0)
+    }
+
+    /// Whether an ALU-stage read of `next` consumes this instruction's late
+    /// load result — a distance-1 load-use pair.
+    fn feeds_at_alu(&self, next: &Item) -> bool {
+        self.meta.late_def.is_some_and(|d| next.meta.alu_uses(d))
+    }
+}
+
+/// The facts of a run of instructions a candidate would move across: the
+/// union of their def and use masks, their destination specifiers (`r0`
+/// included, for write-after-write) and whether any is [`Item::ordered`].
+#[derive(Clone, Copy, Default)]
+struct Span {
+    defs: RegSet,
+    uses: RegSet,
+    specifiers: u32,
+    ordered: bool,
+}
+
+impl Span {
+    fn add(&mut self, i: &Item) {
+        self.defs |= i.meta.def_mask;
+        self.uses |= i.meta.use_mask;
+        self.specifiers |= i.meta.def.map_or(0, |d| 1 << d.index());
+        self.ordered |= i.ordered;
+    }
+
+    /// Whether `b` depends on or conflicts with some instruction of the
+    /// span (cannot be reordered across it): it reads a def (RAW), defines
+    /// a read register (WAR) or the same specifier (WAW), or both sides
+    /// are ordered traffic.
+    fn conflicts(&self, b: &Item) -> bool {
+        b.meta.use_mask & self.defs != 0
+            || b.meta.def_mask & self.uses != 0
+            || b.meta
+                .def
+                .is_some_and(|d| self.specifiers & 1 << d.index() != 0)
+            || (self.ordered && b.ordered)
+    }
+}
+
+/// The mask of a register list (`r0` dropped).
+fn mask_of(regs: &[Reg]) -> RegSet {
+    regs.iter().fold(0, |m, r| m | r.mask_bit())
+}
+
+/// The most delay slots a scheme has.
+const MAX_SLOTS: usize = 2;
+
+/// One transfer's delay-slot contents in issue order, held inline.
+#[derive(Clone, Copy)]
+struct Slots {
+    items: [Item; MAX_SLOTS],
+    len: usize,
+}
+
+impl Slots {
+    fn new() -> Slots {
+        Slots {
+            items: [Item::new(Instr::Nop); MAX_SLOTS],
+            len: 0,
         }
     }
-    // Memory/system ordering: loads, stores, coprocessor traffic,
-    // special-register access, and MD-stepping sequences keep their order.
-    // (A potentially-trapping add may move — the reorganizer trades exact
-    // trap location for schedule quality, as the original did.)
-    fn ordered(i: &Instr) -> bool {
-        i.is_load()
-            || i.is_store()
-            || i.is_coproc()
-            || matches!(i, Instr::Movtos { .. } | Instr::Movfrs { .. })
-            || matches!(i, Instr::Compute { op, .. } if op.touches_md())
+
+    fn len(&self) -> usize {
+        self.len
     }
-    ordered(a) && ordered(b)
+
+    fn push(&mut self, item: Item) {
+        self.items[self.len] = item;
+        self.len += 1;
+    }
+
+    fn extend(&mut self, items: &[Item]) {
+        for &i in items {
+            self.push(i);
+        }
+    }
+
+    fn last(&self) -> Option<&Item> {
+        self.as_slice().last()
+    }
+
+    fn as_slice(&self) -> &[Item] {
+        &self.items[..self.len]
+    }
+
+    /// Fill the remaining of `slots` with `nop`s; returns how many.
+    fn pad(&mut self, slots: usize) -> usize {
+        let nops = slots - self.len;
+        self.len = slots; // `items` starts out all `nop`s
+        nops
+    }
+}
+
+/// Every block's working body, in one arena: block `b` is
+/// `items[range[b].0..range[b].1]`. After load-delay scheduling the passes
+/// only take instructions off a body's head (sequential-path moves) or
+/// tail (hoists), which narrows its range.
+struct Bodies {
+    items: Vec<Item>,
+    range: Vec<(usize, usize)>,
+}
+
+impl Bodies {
+    fn get(&self, b: BlockId) -> &[Item] {
+        let (lo, hi) = self.range[b];
+        &self.items[lo..hi]
+    }
+
+    fn len(&self, b: BlockId) -> usize {
+        let (lo, hi) = self.range[b];
+        hi - lo
+    }
+
+    /// Remove and return the first `k` instructions of block `b`.
+    fn take_head(&mut self, b: BlockId, k: usize) -> &[Item] {
+        let lo = self.range[b].0;
+        self.range[b].0 += k;
+        &self.items[lo..lo + k]
+    }
+
+    /// Remove and return the last `k` instructions of block `b`.
+    fn take_tail(&mut self, b: BlockId, k: usize) -> &[Item] {
+        let hi = self.range[b].1;
+        self.range[b].1 -= k;
+        &self.items[hi - k..hi]
+    }
+}
+
+/// Every transfer's slot decisions, per block.
+struct Plan {
+    /// Delay-slot contents.
+    slot_fill: Vec<Slots>,
+    /// Squash mode of a branch.
+    squash_mode: Vec<SquashMode>,
+    /// Retarget: skip the first `k` instructions of the transfer target.
+    retarget: Vec<usize>,
 }
 
 /// The code reorganizer.
@@ -161,171 +311,58 @@ impl Reorganizer {
 
     fn lower(&self, raw: &RawProgram, fill: bool) -> Result<(Program, ScheduleReport), ReorgError> {
         raw.validate();
-        let slots = self.scheme.slots;
-        let live = liveness::analyze(raw);
         let preds = predecessor_counts(raw);
         let mut report = ScheduleReport::default();
 
-        // Working copies: bodies may lose tail instructions (hoisting) or
-        // head instructions (sequential-path moves).
-        let mut bodies: Vec<Vec<Instr>> = raw.blocks.iter().map(|b| b.instrs.clone()).collect();
-        // Scheduled slot contents and squash mode per block.
-        let mut slot_fill: Vec<Vec<Instr>> = vec![Vec::new(); raw.len()];
-        let mut squash_mode: Vec<SquashMode> = vec![SquashMode::NoSquash; raw.len()];
-        // Retarget: skip the first `k` instructions of the transfer target.
-        let mut retarget: Vec<usize> = vec![0; raw.len()];
-        // The first `pinned[b]` instructions of block `b` were copied into a
-        // predecessor's delay slots (with a retarget past them): they must
-        // stay in place, or the skip would land in the wrong spot and the
-        // copies would execute twice.
-        let mut pinned: Vec<usize> = vec![0; raw.len()];
+        // Pass 1 also folds each block's liveness transfer from its
+        // unscheduled body.
+        let mut transfer: Vec<(RegSet, RegSet)> = Vec::with_capacity(raw.len());
+        let mut plain = vec![false; raw.len()];
+        let mut bodies = schedule_bodies(raw, &plain, &mut report, |term, body| {
+            transfer.push(liveness::block_transfer(
+                term,
+                body.iter().map(|i| (i.meta.def_mask, i.meta.use_mask)),
+            ));
+        });
+        let live = liveness::solve(&raw.terms, &transfer);
 
-        // Pass 1: load-delay scheduling within each block.
-        for (id, body) in bodies.iter_mut().enumerate() {
-            report.load_nops += schedule_load_delays(body, &term_alu_uses(&raw.terms[id]));
-        }
-
-        // Pass 2: slot filling, in layout order.
-        for id in 0..raw.len() {
-            let term = raw.terms[id];
-            match term {
-                Terminator::Halt => {}
-                Terminator::Branch {
-                    taken,
-                    fall,
-                    p_taken,
-                    rs1,
-                    rs2,
-                    ..
-                } => {
-                    report.branches += 1;
-                    report.slots_total += slots;
-                    if !fill {
-                        slot_fill[id] = vec![Instr::Nop; slots];
-                        report.slot_nops += slots;
-                        continue;
-                    }
-                    let (filled, mode, skip) = self.fill_branch_slots(
-                        id,
-                        taken,
-                        fall,
-                        p_taken,
-                        [rs1, rs2],
-                        &mut bodies,
-                        &live,
-                        &preds,
-                        &pinned,
-                        &mut report,
-                    );
-                    slot_fill[id] = filled;
-                    squash_mode[id] = mode;
-                    retarget[id] = skip;
-                    pinned[taken] = pinned[taken].max(skip);
-                    if mode != SquashMode::NoSquash {
-                        report.squashing_branches += 1;
-                    }
-                }
-                Terminator::Jump(target) | Terminator::Call { target, .. } => {
-                    report.slots_total += slots;
-                    if !fill {
-                        slot_fill[id] = vec![Instr::Nop; slots];
-                        report.slot_nops += slots;
-                        continue;
-                    }
-                    let protect: Vec<Reg> = match term {
-                        Terminator::Call { link, .. } => vec![link],
-                        _ => vec![],
-                    };
-                    // Unconditional transfers fill only by *moving* code
-                    // from before the jump — the post-pass reorganizers of
-                    // the era did not duplicate target code into jump
-                    // slots, and returns/indirect jumps have no static
-                    // target anyway. (Branches get destination copies via
-                    // the squash machinery below, which is the paper's
-                    // explicit mechanism.)
-                    let mut filled =
-                        hoist_from_before(&mut bodies[id], slots, &protect, &[], pinned[id]);
-                    report.filled_from_before += filled.len();
-                    // When the target has a single predecessor, its head
-                    // may be *moved* (not copied) into the remaining slots.
-                    let mut skip = 0;
-                    if preds[target] <= 1 && pinned[target] == 0 && target != id {
-                        while filled.len() < slots && skip < bodies[target].len() {
-                            let candidate = bodies[target][skip];
-                            if candidate.is_nop()
-                                || (candidate.meta().mem_result && filled.len() == slots - 1)
-                                || filled
-                                    .last()
-                                    .and_then(|p| p.meta().late_def)
-                                    .is_some_and(|d| candidate.meta().alu_uses(d))
-                            {
-                                break;
-                            }
-                            filled.push(candidate);
-                            skip += 1;
-                            report.filled_from_target += 1;
-                        }
-                        bodies[target].drain(..skip);
-                        skip = 0; // moved, not copied: no retarget needed
-                    }
-                    retarget[id] = skip;
-                    while filled.len() < slots {
-                        filled.push(Instr::Nop);
-                        report.slot_nops += 1;
-                    }
-                    slot_fill[id] = filled;
-                }
-                Terminator::Return { link } => {
-                    report.slots_total += slots;
-                    if !fill {
-                        slot_fill[id] = vec![Instr::Nop; slots];
-                        report.slot_nops += slots;
-                        continue;
-                    }
-                    let mut filled =
-                        hoist_from_before(&mut bodies[id], slots, &[link], &[link], pinned[id]);
-                    report.filled_from_before += filled.len();
-                    while filled.len() < slots {
-                        filled.push(Instr::Nop);
-                        report.slot_nops += 1;
-                    }
-                    slot_fill[id] = filled;
-                }
+        // A fill can bring a `movtos md` into a step's write-back shadow
+        // (a hoisted step landing on it, a moved head or a dropped pad
+        // closing the gap). Each block that ends up with one is scheduled
+        // again plain — no pulls, no slot fill, no dropped pads — which
+        // keeps its own fetch distances and those into its landings at
+        // least as long as the naive layout's.
+        let plan = loop {
+            let plan = self.fill_slots(raw, &mut bodies, &live, &preds, &plain, fill, &mut report);
+            let mut again = false;
+            for b in md_shadow_blocks(raw, &bodies, &plan) {
+                again |= !plain[b];
+                plain[b] = true;
             }
-        }
-
-        // Pass 2.5: hoisting can orphan a load-delay pad — the consumer
-        // moved into a delay slot, leaving its nop between the load and a
-        // transfer that never reads the value. Trailing nops whose removal
-        // provably creates no hazard are dropped. (The tail never overlaps
-        // a prefix copied into a predecessor's squashing slots, which is
-        // all `pinned` protects.)
-        for id in 0..raw.len() {
-            let uses = term_alu_uses(&raw.terms[id]);
-            while bodies[id].len() > pinned[id].max(1) {
-                let n = bodies[id].len();
-                if !bodies[id][n - 1].is_nop() {
-                    break;
-                }
-                let prev = bodies[id][n - 2];
-                if prev.meta().late_def.is_some_and(|d| uses.contains(&d)) {
-                    break;
-                }
-                bodies[id].pop();
-                report.load_nops = report.load_nops.saturating_sub(1);
+            if !again {
+                break plan;
             }
-        }
+            report = ScheduleReport::default();
+            bodies = schedule_bodies(raw, &plain, &mut report, |_, _| {});
+        };
+        let Plan {
+            slot_fill,
+            squash_mode,
+            retarget,
+        } = plan;
 
         // Pass 3: emission.
         let mut asm = Asm::new(0);
-        // Labels: one per (block, instruction offset) that is ever targeted.
-        let mut needed: Vec<(BlockId, usize)> = Vec::new();
+        // Labels: one per (block, instruction offset) that is ever targeted,
+        // keyed `block << 32 | offset` so keys sort as the pairs do.
+        let key = |block: BlockId, offset: usize| (block as u64) << 32 | offset as u64;
+        let mut needed: Vec<u64> = Vec::with_capacity(raw.len());
         for (id, term) in raw.terms.iter().enumerate() {
             match *term {
                 Terminator::Jump(t) | Terminator::Call { target: t, .. } => {
-                    needed.push((t, retarget[id]))
+                    needed.push(key(t, retarget[id]))
                 }
-                Terminator::Branch { taken, .. } => needed.push((taken, retarget[id])),
+                Terminator::Branch { taken, .. } => needed.push(key(taken, retarget[id])),
                 _ => {}
             }
         }
@@ -334,32 +371,31 @@ impl Reorganizer {
         // `labels[k]` marks `needed[k]`; sorted, so each block's labels are
         // one run in offset order, bound by a cursor as the block emits.
         let labels: Vec<mipsx_asm::Label> = needed.iter().map(|_| asm.new_label()).collect();
-        let label = |key| labels[needed.binary_search(&key).expect("targets are labelled")];
+        let label = |t: BlockId, skip: usize| {
+            let k = key(t, skip.min(bodies.len(t)));
+            labels[needed.binary_search(&k).expect("targets are labelled")]
+        };
         let mut next = 0;
 
         for id in 0..raw.len() {
-            for (offset, instr) in bodies[id].iter().enumerate() {
-                if needed.get(next) == Some(&(id, offset)) {
+            for (offset, item) in bodies.get(id).iter().enumerate() {
+                if needed.get(next) == Some(&key(id, offset)) {
                     asm.bind(labels[next])?;
                     next += 1;
                 }
-                asm.emit(*instr);
+                asm.emit(item.instr);
             }
             // Labels at or past the end of the body bind just before the
             // terminator.
-            while needed.get(next).is_some_and(|&(b, _)| b == id) {
+            while needed.get(next).is_some_and(|&k| k >> 32 == id as u64) {
                 asm.bind(labels[next])?;
                 next += 1;
             }
             match raw.terms[id] {
                 Terminator::Halt => asm.emit(Instr::Halt),
-                Terminator::Jump(t) => {
-                    let key = (t, retarget[id].min(bodies[t].len()));
-                    asm.jump(label(key));
-                }
+                Terminator::Jump(t) => asm.jump(label(t, retarget[id])),
                 Terminator::Call { target, link, .. } => {
-                    let key = (target, retarget[id].min(bodies[target].len()));
-                    asm.call(label(key), link);
+                    asm.call(label(target, retarget[id]), link)
                 }
                 Terminator::Return { link } => asm.ret(link),
                 Terminator::Branch {
@@ -368,13 +404,10 @@ impl Reorganizer {
                     rs2,
                     taken,
                     ..
-                } => {
-                    let key = (taken, retarget[id].min(bodies[taken].len()));
-                    asm.branch(cond, squash_mode[id], rs1, rs2, label(key));
-                }
+                } => asm.branch(cond, squash_mode[id], rs1, rs2, label(taken, retarget[id])),
             }
-            for s in &slot_fill[id] {
-                asm.emit(*s);
+            for s in slot_fill[id].as_slice() {
+                asm.emit(s.instr);
             }
         }
         let program = asm.finish()?;
@@ -393,8 +426,161 @@ impl Reorganizer {
         Ok((program, report))
     }
 
+    /// Passes 2 and 2.5: fill every transfer's delay slots (a `plain`
+    /// block's with `nop`s) in layout order, then drop load-delay pads that
+    /// hoisting orphaned.
+    #[allow(clippy::too_many_arguments)]
+    fn fill_slots(
+        &self,
+        raw: &RawProgram,
+        bodies: &mut Bodies,
+        live: &liveness::Liveness,
+        preds: &[usize],
+        plain: &[bool],
+        fill: bool,
+        report: &mut ScheduleReport,
+    ) -> Plan {
+        let slots = self.scheme.slots;
+        // Scheduled slot contents and squash mode per block.
+        let mut slot_fill: Vec<Slots> = vec![Slots::new(); raw.len()];
+        let mut squash_mode: Vec<SquashMode> = vec![SquashMode::NoSquash; raw.len()];
+        // Retarget: skip the first `k` instructions of the transfer target.
+        let mut retarget: Vec<usize> = vec![0; raw.len()];
+        // The first `pinned[b]` instructions of block `b` were copied into a
+        // predecessor's delay slots (with a retarget past them): they must
+        // stay in place, or the skip would land in the wrong spot and the
+        // copies would execute twice.
+        let mut pinned: Vec<usize> = vec![0; raw.len()];
+
+        // Pass 2: slot filling, in layout order.
+        for id in 0..raw.len() {
+            let term = raw.terms[id];
+            match term {
+                Terminator::Halt => {}
+                Terminator::Branch {
+                    taken,
+                    fall,
+                    p_taken,
+                    rs1,
+                    rs2,
+                    ..
+                } => {
+                    report.branches += 1;
+                    report.slots_total += slots;
+                    if !fill || plain[id] {
+                        report.slot_nops += slot_fill[id].pad(slots);
+                        continue;
+                    }
+                    let (filled, mode, skip) = self.fill_branch_slots(
+                        id,
+                        taken,
+                        fall,
+                        p_taken,
+                        mask_of(&[rs1, rs2]),
+                        bodies,
+                        live,
+                        preds,
+                        &pinned,
+                        report,
+                    );
+                    slot_fill[id] = filled;
+                    squash_mode[id] = mode;
+                    retarget[id] = skip;
+                    pinned[taken] = pinned[taken].max(skip);
+                    if mode != SquashMode::NoSquash {
+                        report.squashing_branches += 1;
+                    }
+                }
+                Terminator::Jump(target) | Terminator::Call { target, .. } => {
+                    report.slots_total += slots;
+                    let filled = &mut slot_fill[id];
+                    if !fill || plain[id] {
+                        report.slot_nops += filled.pad(slots);
+                        continue;
+                    }
+                    let protect = match term {
+                        Terminator::Call { link, .. } => mask_of(&[link]),
+                        _ => 0,
+                    };
+                    // Unconditional transfers fill only by *moving* code
+                    // from before the jump — the post-pass reorganizers of
+                    // the era did not duplicate target code into jump
+                    // slots, and returns/indirect jumps have no static
+                    // target anyway. (Branches get destination copies via
+                    // the squash machinery below, which is the paper's
+                    // explicit mechanism.)
+                    let k = hoistable(bodies.get(id), slots, protect, 0, pinned[id]);
+                    filled.extend(bodies.take_tail(id, k));
+                    report.filled_from_before += k;
+                    // When the target has a single predecessor, its head
+                    // may be *moved* (not copied) into the remaining slots.
+                    if preds[target] <= 1 && pinned[target] == 0 && target != id {
+                        let head = bodies.get(target);
+                        let mut moved = 0;
+                        while filled.len() < slots && moved < head.len() {
+                            let candidate = head[moved];
+                            if candidate.meta.is_nop
+                                || (candidate.meta.mem_result && filled.len() == slots - 1)
+                                || filled.last().is_some_and(|p| p.feeds_at_alu(&candidate))
+                            {
+                                break;
+                            }
+                            filled.push(candidate);
+                            moved += 1;
+                            report.filled_from_target += 1;
+                        }
+                        // Moved, not copied: no retarget needed.
+                        bodies.take_head(target, moved);
+                    }
+                    report.slot_nops += filled.pad(slots);
+                }
+                Terminator::Return { link } => {
+                    report.slots_total += slots;
+                    let filled = &mut slot_fill[id];
+                    if !fill || plain[id] {
+                        report.slot_nops += filled.pad(slots);
+                        continue;
+                    }
+                    let link = mask_of(&[link]);
+                    let k = hoistable(bodies.get(id), slots, link, link, pinned[id]);
+                    filled.extend(bodies.take_tail(id, k));
+                    report.filled_from_before += k;
+                    report.slot_nops += filled.pad(slots);
+                }
+            }
+        }
+
+        // Pass 2.5: hoisting can orphan a load-delay pad — the consumer
+        // moved into a delay slot, leaving its nop between the load and a
+        // transfer that never reads the value. Trailing nops whose removal
+        // provably creates no hazard are dropped. (The tail never overlaps
+        // a prefix copied into a predecessor's squashing slots, which is
+        // all `pinned` protects.)
+        for (id, (term, &pin)) in raw.terms.iter().zip(&pinned).enumerate() {
+            if plain[id] {
+                continue;
+            }
+            let uses = term_alu_uses(term);
+            while bodies.len(id) > pin.max(1) {
+                let body = bodies.get(id);
+                let n = body.len();
+                if !body[n - 1].meta.is_nop || body[n - 2].late_into(uses) {
+                    break;
+                }
+                bodies.take_tail(id, 1);
+                report.load_nops = report.load_nops.saturating_sub(1);
+            }
+        }
+        Plan {
+            slot_fill,
+            squash_mode,
+            retarget,
+        }
+    }
+
     /// Fill one branch's delay slots; returns the slot instructions, the
     /// squash mode, and how many target-head instructions to skip.
+    /// `branch_sources` masks the registers the branch compares.
     #[allow(clippy::too_many_arguments)]
     fn fill_branch_slots(
         &self,
@@ -402,13 +588,13 @@ impl Reorganizer {
         taken: BlockId,
         fall: BlockId,
         p_taken: f64,
-        branch_sources: [Reg; 2],
-        bodies: &mut [Vec<Instr>],
+        branch_sources: RegSet,
+        bodies: &mut Bodies,
         live: &liveness::Liveness,
         preds: &[usize],
         pinned: &[usize],
         report: &mut ScheduleReport,
-    ) -> (Vec<Instr>, SquashMode, usize) {
+    ) -> (Slots, SquashMode, usize) {
         let slots = self.scheme.slots;
         let predict_taken = p_taken >= 0.5;
         let p_correct = if predict_taken {
@@ -418,35 +604,25 @@ impl Reorganizer {
         };
 
         // Option A: no-squash fill.
-        // 1. Hoist from before (simulated on a scratch copy so option B can
-        //    still choose differently).
-        let mut scratch = bodies[id].clone();
-        let mut a_fill = hoist_from_before(
-            &mut scratch,
-            slots,
-            &branch_sources,
-            &branch_sources,
-            pinned[id],
-        );
-        let a_before = a_fill.len();
+        // 1. Hoist from before (planned only, so option B can still choose
+        //    differently).
+        let body = bodies.get(id);
+        let a_before = hoistable(body, slots, branch_sources, branch_sources, pinned[id]);
+        let mut a_fill = Slots::new();
+        a_fill.extend(&body[body.len() - a_before..]);
         // 2. Copies from the taken-path head that are provably harmless on
         //    the fall path (dead destination, no side effects).
         let mut a_skip = 0;
         // For a self-loop, head copies may overlap the hoisted tail; only
         // one of the two sources may apply.
-        while (taken != id || a_before == 0) && a_fill.len() < slots && a_skip < bodies[taken].len()
-        {
-            let candidate = bodies[taken][a_skip];
-            let safe = !candidate.has_side_effects()
-                && !candidate.is_nop()
-                && candidate
-                    .def()
-                    .is_none_or(|d| d.is_zero() || !contains(live.live_in[fall], d))
-                && (!candidate.meta().mem_result || a_fill.len() != slots - 1)
-                && a_fill
-                    .last()
-                    .and_then(|p| p.meta().late_def)
-                    .is_none_or(|d| !candidate.meta().alu_uses(d));
+        let head = bodies.get(taken);
+        while (taken != id || a_before == 0) && a_fill.len() < slots && a_skip < head.len() {
+            let candidate = head[a_skip];
+            let safe = !candidate.meta.has_side_effects
+                && !candidate.meta.is_nop
+                && !candidate.defines_any(live.live_in[fall])
+                && (!candidate.meta.mem_result || a_fill.len() != slots - 1)
+                && !a_fill.last().is_some_and(|p| p.feeds_at_alu(&candidate));
             if !safe {
                 break;
             }
@@ -458,14 +634,13 @@ impl Reorganizer {
         //    effect free, dead on the taken path, and not a load.
         let mut a_fall_moved = 0;
         if preds[fall] <= 1 && pinned[fall] == 0 && a_skip == 0 {
-            while a_fill.len() < slots && a_fall_moved < bodies[fall].len() {
-                let candidate = bodies[fall][a_fall_moved];
-                let safe = !candidate.has_side_effects()
-                    && !candidate.is_nop()
-                    && !candidate.meta().mem_result
-                    && candidate
-                        .def()
-                        .is_none_or(|d| d.is_zero() || !contains(live.live_in[taken], d));
+            let head = bodies.get(fall);
+            while a_fill.len() < slots && a_fall_moved < head.len() {
+                let candidate = head[a_fall_moved];
+                let safe = !candidate.meta.has_side_effects
+                    && !candidate.meta.is_nop
+                    && !candidate.meta.mem_result
+                    && !candidate.defines_any(live.live_in[taken]);
                 if !safe {
                     break;
                 }
@@ -477,52 +652,50 @@ impl Reorganizer {
 
         // Option B: squashing fill — any instruction from the predicted
         // path, squashed if the branch goes the other way.
-        let (b_fill, b_mode, b_skip, b_cost) = if predict_taken {
-            let mut fill: Vec<Instr> = Vec::new();
+        let mut b_fill = Slots::new();
+        let (b_mode, b_skip, b_cost) = if predict_taken {
+            let head = bodies.get(taken);
             let mut skip = 0;
-            while fill.len() < slots && skip < bodies[taken].len() {
-                let candidate = bodies[taken][skip];
+            while b_fill.len() < slots && skip < head.len() {
+                let candidate = head[skip];
                 // Squashed slots are annulled via the destination-register
                 // kill line, so only instructions the kill line can reach
                 // (plain register writes) may ride in them.
-                if candidate.is_nop()
-                    || !mipsx_verify::squash_safe(&candidate)
-                    || fill
-                        .last()
-                        .and_then(|p| p.meta().late_def)
-                        .is_some_and(|d| candidate.meta().alu_uses(d))
+                if candidate.meta.is_nop
+                    || !candidate.meta.squash_safe
+                    || b_fill.last().is_some_and(|p| p.feeds_at_alu(&candidate))
                 {
                     break;
                 }
-                fill.push(candidate);
+                b_fill.push(candidate);
                 skip += 1;
             }
-            let filled = fill.len();
+            let filled = b_fill.len();
             let cost = filled as f64 * (1.0 - p_correct) + (slots - filled) as f64;
-            (fill, SquashMode::SquashIfNotTaken, skip, cost)
+            (SquashMode::SquashIfNotTaken, skip, cost)
         } else if !predict_taken && preds[fall] <= 1 && pinned[fall] == 0 {
             // Predict not-taken: move the sequential head into the slots
             // (squash-if-go kills them when the branch does take).
-            let mut fill = Vec::new();
+            let head = bodies.get(fall);
             let mut moved = 0;
-            while fill.len() < slots && moved < bodies[fall].len() {
-                let candidate = bodies[fall][moved];
-                if candidate.is_nop()
-                    || !mipsx_verify::squash_safe(&candidate)
-                    || (candidate.meta().mem_result && fill.len() == slots - 1)
+            while b_fill.len() < slots && moved < head.len() {
+                let candidate = head[moved];
+                if candidate.meta.is_nop
+                    || !candidate.meta.squash_safe
+                    || (candidate.meta.mem_result && b_fill.len() == slots - 1)
                 {
                     break;
                 }
-                fill.push(candidate);
+                b_fill.push(candidate);
                 moved += 1;
             }
-            let filled = fill.len();
+            let filled = b_fill.len();
             let cost = filled as f64 * (1.0 - p_correct) + (slots - filled) as f64;
             // Encode the move count in skip-space: we reuse `moved` by
             // draining the fall head below.
-            (fill, SquashMode::SquashIfGo, moved, cost)
+            (SquashMode::SquashIfGo, moved, cost)
         } else {
-            (Vec::new(), SquashMode::NoSquash, 0, f64::INFINITY)
+            (SquashMode::NoSquash, 0, f64::INFINITY)
         };
 
         let use_squash = match self.scheme.squash {
@@ -540,15 +713,12 @@ impl Reorganizer {
                 SquashMode::SquashIfGo => {
                     // Actually remove the moved instructions from the fall
                     // head.
-                    bodies[fall].drain(..b_skip);
+                    bodies.take_head(fall, b_skip);
                     report.filled_from_target += fill.len();
                 }
                 SquashMode::NoSquash => {}
             }
-            while fill.len() < slots {
-                fill.push(Instr::Nop);
-                report.slot_nops += 1;
-            }
+            report.slot_nops += fill.pad(slots);
             let skip = if b_mode == SquashMode::SquashIfNotTaken {
                 b_skip
             } else {
@@ -556,38 +726,30 @@ impl Reorganizer {
             };
             (fill, b_mode, skip)
         } else {
-            // Commit option A: redo the hoist on the real body.
-            let mut fill = hoist_from_before(
-                &mut bodies[id],
-                slots,
-                &branch_sources,
-                &branch_sources,
-                pinned[id],
-            );
-            debug_assert_eq!(fill.len(), a_before);
+            // Commit option A: take the planned hoist off the real body.
+            let mut fill = Slots::new();
+            fill.extend(bodies.take_tail(id, a_before));
             report.filled_from_before += a_before;
-            fill.extend_from_slice(&bodies[taken][..a_safe]);
+            fill.extend(&bodies.get(taken)[..a_safe]);
             report.filled_safe += a_safe;
             if a_fall_moved > 0 {
-                fill.extend(bodies[fall].drain(..a_fall_moved));
+                fill.extend(bodies.take_head(fall, a_fall_moved));
                 report.filled_safe += a_fall_moved;
             }
-            while fill.len() < slots {
-                fill.push(Instr::Nop);
-                report.slot_nops += 1;
-            }
+            report.slot_nops += fill.pad(slots);
             (fill, SquashMode::NoSquash, a_skip)
         }
     }
 }
 
-/// The ALU-resolved registers a terminator reads (for the load-delay pass:
-/// a load feeding a branch one instruction later is a violation).
-fn term_alu_uses(term: &Terminator) -> Vec<Reg> {
+/// The ALU-resolved registers a terminator reads, as a mask (for the
+/// load-delay pass: a load feeding a branch one instruction later is a
+/// violation).
+fn term_alu_uses(term: &Terminator) -> RegSet {
     match *term {
-        Terminator::Branch { rs1, rs2, .. } => vec![rs1, rs2],
-        Terminator::Return { link } => vec![link],
-        _ => vec![],
+        Terminator::Branch { rs1, rs2, .. } => mask_of(&[rs1, rs2]),
+        Terminator::Return { link } => mask_of(&[link]),
+        _ => 0,
     }
 }
 
@@ -603,99 +765,183 @@ fn predecessor_counts(raw: &RawProgram) -> Vec<usize> {
     preds
 }
 
-/// Insert independent instructions or `nop`s so that no load is followed
-/// immediately by an ALU consumer of its value. Returns inserted nop count.
-fn schedule_load_delays(body: &mut Vec<Instr>, term_uses: &[Reg]) -> usize {
+/// Pass 1: each block's instructions enter as [`Item`]s, `fold` sees the
+/// unscheduled body, then the load delays are scheduled (a `plain` block's
+/// with `nop`s only).
+fn schedule_bodies(
+    raw: &RawProgram,
+    plain: &[bool],
+    report: &mut ScheduleReport,
+    mut fold: impl FnMut(&Terminator, &[Item]),
+) -> Bodies {
+    let mut bodies = Bodies {
+        // Room for the load-delay pads as well.
+        items: Vec::with_capacity(raw.body_len() + raw.body_len() / 4),
+        range: Vec::with_capacity(raw.len()),
+    };
+    let mut body = Vec::new();
+    for ((block, term), &plain) in raw.blocks.iter().zip(&raw.terms).zip(plain) {
+        body.clear();
+        body.extend(block.instrs.iter().map(|&i| Item::new(i)));
+        fold(term, &body);
+        report.load_nops += schedule_load_delays(&mut body, term_alu_uses(term), !plain);
+        let lo = bodies.items.len();
+        bodies.items.extend_from_slice(&body);
+        bodies.range.push((lo, bodies.items.len()));
+    }
+    bodies
+}
+
+/// The blocks whose fetch stream puts a `movtos md` within
+/// [`MD_STEP_SHADOW`](mipsx_verify::MD_STEP_SHADOW) fetches of an executed
+/// `mstep`/`dstep` — in the block, or across an exit into the first
+/// fetches of its landing (a call's return continuation starts afresh, as
+/// the verifier has it).
+fn md_shadow_blocks(raw: &RawProgram, bodies: &Bodies, plan: &Plan) -> Vec<BlockId> {
+    let shadow = usize::from(mipsx_verify::MD_STEP_SHADOW);
+    let is_step = |i: &Item| matches!(i.meta.md_role, MdRole::Mstep | MdRole::Dstep);
+    let writes_md = |i: Option<&Item>| i.is_some_and(|i| i.meta.md_role == MdRole::WritesMd);
+    // Fetch `h` of block `b` entered past its first `skip` instructions:
+    // the body, the terminator (`None`), then the delay slots.
+    let fetch = |b: BlockId, skip: usize, h: usize| {
+        let body = &bodies.get(b)[skip.min(bodies.len(b))..];
+        match h.checked_sub(body.len()) {
+            None => Some(&body[h]),
+            Some(0) => None,
+            Some(k) => plan.slot_fill[b].as_slice().get(k - 1),
+        }
+    };
+    let mut flagged = Vec::new();
+    for (x, term) in raw.terms.iter().enumerate() {
+        let body = bodies.get(x);
+        let slots = plan.slot_fill[x].as_slice();
+        let len = body.len() + 1 + slots.len();
+        let steps = (0..len).filter(|&i| fetch(x, 0, i).is_some_and(is_step));
+        if steps.clone().next().is_none() {
+            continue;
+        }
+        let within = steps
+            .clone()
+            .any(|i| (i + 1..(i + shadow).min(len)).any(|j| writes_md(fetch(x, 0, j))));
+        let edges: [Option<(BlockId, usize, bool)>; 2] = match *term {
+            Terminator::Branch { taken, fall, .. } => {
+                let mode = plan.squash_mode[x];
+                [
+                    Some((taken, plan.retarget[x], mode.slots_execute(true))),
+                    Some((fall, 0, mode.slots_execute(false))),
+                ]
+            }
+            Terminator::Jump(t) | Terminator::Call { target: t, .. } => {
+                [Some((t, plan.retarget[x], true)), None]
+            }
+            Terminator::Halt | Terminator::Return { .. } => [None, None],
+        };
+        let across = edges.into_iter().flatten().any(|(t, skip, slots_run)| {
+            // The last step this edge executes; the landing's fetch `h`
+            // comes `len - i + h` fetches after it.
+            let executed = if slots_run { len } else { body.len() };
+            steps.clone().rfind(|&i| i < executed).is_some_and(|i| {
+                (0..(shadow + i).saturating_sub(len)).any(|h| writes_md(fetch(t, skip, h)))
+            })
+        });
+        if within || across {
+            flagged.push(x);
+        }
+    }
+    flagged
+}
+
+/// Insert independent instructions (if `pull`) or `nop`s so that no load
+/// is followed immediately by an ALU consumer of its value. `term_uses`
+/// masks the registers the block's terminator reads. Returns inserted nop
+/// count.
+fn schedule_load_delays(body: &mut Vec<Item>, term_uses: RegSet, pull: bool) -> usize {
     let mut nops = 0;
     let mut i = 0;
     while i < body.len() {
-        let instr = body[i];
-        let Some(def) = instr.meta().late_def else {
+        let load = body[i];
+        let Some(def) = load.meta.late_def else {
             i += 1;
             continue;
         };
-        let consumer_uses_def = if i + 1 < body.len() {
-            body[i + 1].meta().alu_uses(def)
-        } else {
-            term_uses.contains(&def)
+        let consumer_uses_def = match body.get(i + 1) {
+            Some(next) => next.meta.alu_uses(def),
+            None => load.late_into(term_uses),
         };
         if !consumer_uses_def {
             i += 1;
             continue;
         }
         // Try to pull an independent instruction from later in the block
-        // into the delay slot.
-        let mut filled = false;
-        for j in i + 2..body.len() {
-            let candidate = body[j];
-            // The candidate must commute with everything it jumps over.
-            let independent = (i + 1..j)
-                .all(|k| !conflicts(&body[k], &candidate) && !conflicts(&candidate, &body[k]))
-                && !conflicts(&instr, &candidate)
-                && !candidate.meta().alu_uses(def);
+        // into the delay slot. It must commute with the load and with
+        // everything it jumps over, which `span` accumulates.
+        let mut span = Span::default();
+        for jumped in &body[i..(i + 2).min(body.len())] {
+            span.add(jumped);
+        }
+        let mut pulled = None;
+        for (j, candidate) in body.iter().enumerate().skip(i + 2).filter(|_| pull) {
             // Pulling a load forward may create a fresh hazard with its own
             // next instruction; keep it simple and skip loads.
-            if independent && !candidate.meta().mem_result {
-                body.remove(j);
-                body.insert(i + 1, candidate);
-                filled = true;
+            if !span.conflicts(candidate)
+                && !candidate.meta.alu_uses(def)
+                && !candidate.meta.mem_result
+            {
+                pulled = Some(j);
                 break;
             }
+            span.add(candidate);
         }
-        if !filled {
-            body.insert(i + 1, Instr::Nop);
-            nops += 1;
+        match pulled {
+            Some(j) => {
+                let candidate = body.remove(j);
+                body.insert(i + 1, candidate);
+            }
+            None => {
+                body.insert(i + 1, Item::new(Instr::Nop));
+                nops += 1;
+            }
         }
         i += 1;
     }
     nops
 }
 
-/// Hoist up to `max` instructions from the block tail into delay slots.
-/// Hoisted instructions must not define any register in `protect` (the
-/// transfer's sources) and must not leave a load feeding a `hazard_check`
-/// register at distance one. Loads never land in the final slot.
-fn hoist_from_before(
-    body: &mut Vec<Instr>,
+/// How many instructions to hoist, up to `max`, from the block tail into
+/// delay slots. Hoisted instructions must not define any register in the
+/// `protect` mask (the transfer's sources) and must not leave a load
+/// feeding a `hazard_check` register at distance one. Loads never land in
+/// the final slot. The body keeps at least `min_len` instructions.
+fn hoistable(
+    body: &[Item],
     max: usize,
-    protect: &[Reg],
-    hazard_check: &[Reg],
+    protect: RegSet,
+    hazard_check: RegSet,
     min_len: usize,
-) -> Vec<Instr> {
-    let mut hoisted: Vec<Instr> = Vec::new();
-    while hoisted.len() < max && body.len() > min_len {
-        let Some(&candidate) = body.last() else {
-            break;
-        };
-        if candidate.is_nop() {
-            // A scheduling nop guards a load delay; moving it changes
-            // distances. Leave it.
-            break;
-        }
-        // Must not produce a value the transfer itself reads.
-        if candidate
-            .def()
-            .is_some_and(|d| !d.is_zero() && protect.contains(&d))
+) -> usize {
+    let mut k = 0;
+    while k < max && body.len() - k > min_len {
+        let candidate = body[body.len() - 1 - k];
+        // A scheduling nop guards a load delay; moving it changes
+        // distances. Leave it.
+        if candidate.meta.is_nop
+            // Must not produce a value the transfer itself reads.
+            || candidate.defines_any(protect)
+            // A hoisted load would land one instruction from the transfer
+            // target's head; the final slot is forbidden to loads.
+            || (candidate.meta.mem_result && k == 0)
         {
-            break;
-        }
-        // A hoisted load would land one instruction from the transfer
-        // target's head; the final slot is forbidden to loads.
-        if candidate.meta().mem_result && hoisted.is_empty() {
             break;
         }
         // After removal the new tail must not be a load feeding the
         // transfer's compare at distance one.
-        let new_tail = body.len().checked_sub(2).map(|k| body[k]);
-        if let Some(t) = new_tail {
-            if t.meta().late_def.is_some_and(|d| hazard_check.contains(&d)) {
-                break;
-            }
+        let new_tail = (body.len() - k).checked_sub(2).map(|t| body[t]);
+        if new_tail.is_some_and(|t| t.late_into(hazard_check)) {
+            break;
         }
-        body.pop();
-        hoisted.insert(0, candidate); // preserve program order in the slots
+        k += 1;
     }
-    hoisted
+    k
 }
 
 #[cfg(test)]
@@ -722,35 +968,43 @@ mod tests {
         }
     }
 
+    fn items(instrs: Vec<Instr>) -> Vec<Item> {
+        instrs.into_iter().map(Item::new).collect()
+    }
+
     #[test]
     fn load_delay_gets_a_nop() {
-        let mut body = vec![ld(1, 2, 0), add(3, 1, 1)];
-        let nops = schedule_load_delays(&mut body, &[]);
+        let mut body = items(vec![ld(1, 2, 0), add(3, 1, 1)]);
+        let nops = schedule_load_delays(&mut body, 0, true);
         assert_eq!(nops, 1);
-        assert_eq!(body[1], Instr::Nop);
+        assert_eq!(body[1].instr, Instr::Nop);
     }
 
     #[test]
     fn load_delay_filled_by_independent_instruction() {
-        let mut body = vec![ld(1, 2, 0), add(3, 1, 1), add(4, 5, 6)];
-        let nops = schedule_load_delays(&mut body, &[]);
+        let mut body = items(vec![ld(1, 2, 0), add(3, 1, 1), add(4, 5, 6)]);
+        let nops = schedule_load_delays(&mut body, 0, true);
         assert_eq!(nops, 0);
-        assert_eq!(body[1], add(4, 5, 6));
-        assert_eq!(body[2], add(3, 1, 1));
+        assert_eq!(body[1].instr, add(4, 5, 6));
+        assert_eq!(body[2].instr, add(3, 1, 1));
+        // Without pulls the same body gets a `nop`.
+        let mut body = items(vec![ld(1, 2, 0), add(3, 1, 1), add(4, 5, 6)]);
+        assert_eq!(schedule_load_delays(&mut body, 0, false), 1);
+        assert_eq!(body[1].instr, Instr::Nop);
     }
 
     #[test]
     fn load_feeding_branch_gets_a_nop() {
-        let mut body = vec![ld(1, 2, 0)];
-        let nops = schedule_load_delays(&mut body, &[Reg::new(1)]);
+        let mut body = items(vec![ld(1, 2, 0)]);
+        let nops = schedule_load_delays(&mut body, mask_of(&[Reg::new(1)]), true);
         assert_eq!(nops, 1);
-        assert_eq!(body.last(), Some(&Instr::Nop));
+        assert_eq!(body.last().map(|i| i.instr), Some(Instr::Nop));
     }
 
     #[test]
     fn independent_load_pair_is_untouched() {
-        let mut body = vec![ld(1, 2, 0), ld(3, 2, 1), add(4, 1, 3)];
-        let nops = schedule_load_delays(&mut body, &[]);
+        let mut body = items(vec![ld(1, 2, 0), ld(3, 2, 1), add(4, 1, 3)]);
+        let nops = schedule_load_delays(&mut body, 0, true);
         // ld r3 doesn't use r1; add is after ld r3 and uses r3 -> needs a
         // nop for the second hazard only.
         assert_eq!(nops, 1);
@@ -758,25 +1012,34 @@ mod tests {
 
     #[test]
     fn hoist_takes_tail_in_order() {
-        let mut body = vec![add(1, 2, 3), add(4, 5, 6), add(7, 8, 9)];
-        let hoisted = hoist_from_before(&mut body, 2, &[], &[], 0);
-        assert_eq!(hoisted, vec![add(4, 5, 6), add(7, 8, 9)]);
-        assert_eq!(body, vec![add(1, 2, 3)]);
+        let mut bodies = Bodies {
+            items: items(vec![add(1, 2, 3), add(4, 5, 6), add(7, 8, 9)]),
+            range: vec![(0, 3)],
+        };
+        assert_eq!(
+            hoistable(bodies.get(0), 2, 0, 0, 2),
+            1,
+            "the body keeps `min_len`"
+        );
+        let k = hoistable(bodies.get(0), 2, 0, 0, 0);
+        assert_eq!(
+            bodies.take_tail(0, k),
+            &items(vec![add(4, 5, 6), add(7, 8, 9)])[..]
+        );
+        assert_eq!(bodies.get(0), &items(vec![add(1, 2, 3)])[..]);
     }
 
     #[test]
     fn hoist_respects_protected_registers() {
-        let mut body = vec![add(1, 2, 3), add(4, 5, 6)];
-        let hoisted = hoist_from_before(&mut body, 2, &[Reg::new(4)], &[], 0);
-        assert!(hoisted.is_empty(), "tail defines a branch source");
-        assert_eq!(body.len(), 2);
+        let body = items(vec![add(1, 2, 3), add(4, 5, 6)]);
+        let k = hoistable(&body, 2, mask_of(&[Reg::new(4)]), 0, 0);
+        assert_eq!(k, 0, "tail defines a branch source");
     }
 
     #[test]
     fn hoist_never_puts_load_in_final_slot() {
-        let mut body = vec![add(1, 2, 3), ld(4, 5, 0)];
-        let hoisted = hoist_from_before(&mut body, 2, &[], &[], 0);
-        assert!(hoisted.is_empty());
+        let body = items(vec![add(1, 2, 3), ld(4, 5, 0)]);
+        assert_eq!(hoistable(&body, 2, 0, 0, 0), 0);
     }
 
     fn simple_loop() -> RawProgram {

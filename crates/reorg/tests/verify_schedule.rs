@@ -234,3 +234,81 @@ fn call_return_and_diamond_shapes_verify_clean() {
     );
     assert_verifies_clean(&diamond);
 }
+
+/// A completed chain ends the block, and the landing writes MD at once:
+/// hoisting the last steps into the delay slots (or moving the landing's
+/// `movtos md` in behind them) would put the write inside the steps'
+/// write-back shadow. Jumps to a head with one predecessor (moved) and
+/// with two (hoisted onto it), both branch landings, and a call's callee.
+#[test]
+fn chains_ending_at_an_md_writing_landing_verify_clean() {
+    let ends_in_steps = || {
+        let mut body = vec![addi(10, 0, 1)];
+        body.extend(md_chain_body());
+        body
+    };
+    let writes_md = || {
+        vec![
+            Instr::Movtos {
+                sreg: SpecialReg::Md,
+                rs: Reg::new(10),
+            },
+            addi(11, 0, 2),
+        ]
+    };
+    // Jump to a head with one predecessor, then to one with two.
+    for preds in [1, 2] {
+        let mut blocks = vec![RawBlock::new(ends_in_steps())];
+        let mut terms = vec![Terminator::Jump(2)];
+        blocks.push(RawBlock::new(vec![addi(12, 0, 3)]));
+        terms.push(if preds == 2 {
+            Terminator::Jump(2)
+        } else {
+            Terminator::Halt
+        });
+        blocks.push(RawBlock::new(writes_md()));
+        terms.push(Terminator::Halt);
+        assert_verifies_clean(&RawProgram::new(blocks, terms));
+    }
+    // Both landings of a branch write MD at their heads.
+    for p_taken in [0.2, 0.8] {
+        let raw = RawProgram::new(
+            vec![
+                RawBlock::new(ends_in_steps()),
+                RawBlock::new(writes_md()),
+                RawBlock::new(writes_md()),
+            ],
+            vec![
+                Terminator::Branch {
+                    cond: Cond::Ne,
+                    rs1: Reg::new(10),
+                    rs2: Reg::ZERO,
+                    taken: 2,
+                    fall: 1,
+                    p_taken,
+                },
+                Terminator::Halt,
+                Terminator::Halt,
+            ],
+        );
+        assert_verifies_clean(&raw);
+    }
+    // A call whose callee writes MD first.
+    let call = RawProgram::new(
+        vec![
+            RawBlock::new(ends_in_steps()),
+            RawBlock::new(vec![addi(13, 0, 4)]),
+            RawBlock::new(writes_md()),
+        ],
+        vec![
+            Terminator::Call {
+                target: 2,
+                link: Reg::LINK,
+                ret_to: 1,
+            },
+            Terminator::Halt,
+            Terminator::Return { link: Reg::LINK },
+        ],
+    );
+    assert_verifies_clean(&call);
+}

@@ -21,8 +21,8 @@
 //! indexed like the image, by `addr - origin`; an address outside the
 //! image is simply in no set.
 
-use crate::{DiagKind, Diagnostic, VerifyConfig};
-use mipsx_asm::{DecodedEntry, DecodedImage, Program};
+use crate::{DiagKind, Diagnostic, VerifyConfig, MD_STEP_SHADOW};
+use mipsx_asm::{DecodedEntry, DecodedImage};
 use mipsx_isa::{Instr, MdRole, SquashMode};
 
 /// Abstract MD-register state for the step-chain rule.
@@ -47,6 +47,39 @@ impl Md {
     }
 }
 
+/// The abstract MD state at one instruction: the chain in progress, and
+/// how many fetches ago the last executed step issued (saturating at
+/// [`MD_STEP_SHADOW`], "long enough").
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct MdState {
+    chain: Md,
+    since_step: u8,
+}
+
+impl MdState {
+    const START: MdState = MdState {
+        chain: Md::Idle,
+        since_step: MD_STEP_SHADOW,
+    };
+
+    /// Paths join: the chains merge, and the nearest step counts.
+    fn merge(self, other: MdState) -> MdState {
+        MdState {
+            chain: self.chain.merge(other.chain),
+            since_step: self.since_step.min(other.since_step),
+        }
+    }
+
+    /// The state `n` fetches later with no step among them (annulled slots
+    /// are still fetched).
+    fn after_fetches(self, n: u32) -> MdState {
+        MdState {
+            since_step: (u32::from(self.since_step) + n).min(u32::from(MD_STEP_SHADOW)) as u8,
+            ..self
+        }
+    }
+}
+
 #[derive(Clone, Debug)]
 pub(crate) struct Analysis {
     pub(crate) entry: u32,
@@ -55,15 +88,13 @@ pub(crate) struct Analysis {
     pub(crate) code: DecodedImage,
     /// Per image word: reachable from the entry point (data words that
     /// the program never flows into are not linted).
-    reachable: Vec<bool>,
-    /// Per image word: a delay slot of some reachable control transfer.
-    in_slot: Vec<bool>,
+    pub(crate) reachable: Vec<bool>,
     pub(crate) slots: u32,
 }
 
 impl Analysis {
-    pub(crate) fn new(program: &Program, config: &VerifyConfig) -> Analysis {
-        let code = program.decoded();
+    /// Analyze the decoded image `code`, entered at `entry`.
+    pub(crate) fn new(code: DecodedImage, entry: u32, config: &VerifyConfig) -> Analysis {
         let slots = config.branch_delay_slots as u32;
 
         // Reachability walk. Successors mirror the hardware: a control
@@ -71,56 +102,67 @@ impl Analysis {
         // depends on the decoded displacement (or is unknowable for
         // indirect jumps, which simply end the walk on that path).
         let mut reachable = vec![false; code.len()];
-        let mut work = vec![program.entry];
-        while let Some(addr) = work.pop() {
-            let Some(i) = code.index(addr) else { continue };
-            if std::mem::replace(&mut reachable[i], true) {
-                continue;
-            }
-            match code.entries()[i].instr {
-                Instr::Halt => {}
-                Instr::Branch { disp, .. } => {
-                    work.extend((1..=slots).map(|k| addr + k));
-                    work.push(addr.wrapping_add(disp as u32));
-                    work.push(addr + slots + 1);
+        let mut work = vec![entry];
+        while let Some(mut addr) = work.pop() {
+            // Walk the straight-line run from `addr` up to its transfer.
+            while let Some(i) = code.index(addr) {
+                if std::mem::replace(&mut reachable[i], true) {
+                    break;
                 }
-                Instr::Jspci { rs1, rd, imm } => {
-                    work.extend((1..=slots).map(|k| addr + k));
-                    if rs1.is_zero() {
-                        // Absolute jump/call: target is the immediate.
-                        work.push(imm as u32);
-                    }
-                    if !rd.is_zero() {
-                        // A call: the callee returns to the saved link,
-                        // which points just past the delay slots.
+                let e = &code.entries()[i];
+                if !e.meta.is_control && !e.is_halt() {
+                    addr += 1;
+                    continue;
+                }
+                match e.instr {
+                    Instr::Branch { disp, .. } => {
+                        work.extend((1..=slots).map(|k| addr + k));
+                        work.push(addr.wrapping_add(disp as u32));
                         work.push(addr + slots + 1);
                     }
+                    Instr::Jspci { rs1, rd, imm } => {
+                        work.extend((1..=slots).map(|k| addr + k));
+                        if rs1.is_zero() {
+                            // Absolute jump/call: target is the immediate.
+                            work.push(imm as u32);
+                        }
+                        if !rd.is_zero() {
+                            // A call: the callee returns to the saved link,
+                            // which points just past the delay slots.
+                            work.push(addr + slots + 1);
+                        }
+                    }
+                    Instr::Jpc | Instr::Jpcrs => {
+                        work.extend((1..=slots).map(|k| addr + k));
+                    }
+                    _ => {} // `halt`
                 }
-                Instr::Jpc | Instr::Jpcrs => {
-                    work.extend((1..=slots).map(|k| addr + k));
-                }
-                _ => work.push(addr + 1),
+                break;
             }
         }
 
+        Analysis {
+            entry,
+            code,
+            reachable,
+            slots,
+        }
+    }
+
+    /// Per image word: a delay slot of some reachable control transfer.
+    fn in_slot(&self) -> Vec<bool> {
+        let code = &self.code;
         let mut in_slot = vec![false; code.len()];
-        for ((addr, entry), &live) in code.iter().zip(&reachable) {
+        for ((addr, entry), &live) in code.iter().zip(&self.reachable) {
             if live && entry.meta.is_control {
-                for k in 1..=slots {
+                for k in 1..=self.slots {
                     if let Some(s) = code.index(addr + k) {
                         in_slot[s] = true;
                     }
                 }
             }
         }
-
-        Analysis {
-            entry: program.entry,
-            code,
-            reachable,
-            in_slot,
-            slots,
-        }
+        in_slot
     }
 
     /// Every hazard-verifier diagnostic, unsorted.
@@ -184,13 +226,14 @@ impl Analysis {
 
     /// Delay-window shape rules plus every execution-adjacent pair check.
     fn check_windows_and_pairs(&self, diags: &mut Vec<Diagnostic>) {
+        let in_slot = self.in_slot();
         for addr in self.reachable() {
             let entry = *self.at(addr);
             if !entry.meta.is_control {
                 // Plain straight-line adjacency. Pairs inside delay
                 // windows are handled by the owning transfer below, and
                 // `halt` has no successor.
-                let in_slot = self.in_slot[(addr - self.code.origin()) as usize];
+                let in_slot = in_slot[(addr - self.code.origin()) as usize];
                 if !in_slot && !matches!(entry.instr, Instr::Halt) {
                     self.check_pair(addr, addr + 1, diags);
                 }
@@ -339,8 +382,10 @@ impl Analysis {
 
     /// Forward abstract interpretation of the MD register: `mstep`/`dstep`
     /// chains must run 32 same-kind steps to completion without an
-    /// intervening `movtos md`. Delay windows are folded at their owning
-    /// transfer so a squashed outcome skips the annulled slots.
+    /// intervening `movtos md`, and no `movtos md` may issue within the
+    /// [`MD_STEP_SHADOW`] of a step (the step's later write-back would clobber
+    /// it). Delay windows are folded at their owning transfer so a squashed
+    /// outcome skips the annulled slots.
     fn check_md_chains(&self, diags: &mut Vec<Diagnostic>) {
         // Fixpoint over node states. Nodes are reachable addresses that
         // are not delay slots (slots are folded through their window).
@@ -348,10 +393,10 @@ impl Analysis {
             return;
         }
         let origin = self.code.origin();
-        let mut states: Vec<Option<Md>> = vec![None; self.reachable.len()];
+        let mut states: Vec<Option<MdState>> = vec![None; self.reachable.len()];
         let mut work: Vec<u32> = vec![self.entry];
         let mut succs = Vec::new();
-        states[(self.entry - origin) as usize] = Some(Md::Idle);
+        states[(self.entry - origin) as usize] = Some(MdState::START);
 
         while let Some(addr) = work.pop() {
             let state = states[(addr - origin) as usize].expect("queued nodes have a state");
@@ -383,9 +428,9 @@ impl Analysis {
     fn md_successors(
         &self,
         addr: u32,
-        state: Md,
+        state: MdState,
         mut diags: Option<&mut Vec<Diagnostic>>,
-        out: &mut Vec<(u32, Md)>,
+        out: &mut Vec<(u32, MdState)>,
     ) {
         out.clear();
         let Some(&entry) = self.entry_at(addr) else {
@@ -400,13 +445,16 @@ impl Analysis {
         }
 
         // Fold the window once; outcomes that squash the slots keep the
-        // pre-window state instead.
-        let mut folded = state;
+        // pre-window chain, the slots only counting as fetches.
+        let mut folded = state.after_fetches(1);
         for s in (1..=self.slots).map(|k| addr + k) {
-            if self.code.get(s).is_some() {
-                folded = self.md_transfer(folded, s, diags.as_deref_mut());
-            }
+            folded = if self.code.get(s).is_some() {
+                self.md_transfer(folded, s, diags.as_deref_mut())
+            } else {
+                folded.after_fetches(1)
+            };
         }
+        let squashed = state.after_fetches(1 + self.slots);
         match entry.instr {
             Instr::Branch { squash, disp, .. } => {
                 let target = addr.wrapping_add(disp as u32);
@@ -415,7 +463,7 @@ impl Analysis {
                     if squash.slots_execute(true) {
                         folded
                     } else {
-                        state
+                        squashed
                     },
                 ));
                 out.push((
@@ -423,7 +471,7 @@ impl Analysis {
                     if squash.slots_execute(false) {
                         folded
                     } else {
-                        state
+                        squashed
                     },
                 ));
             }
@@ -434,7 +482,13 @@ impl Analysis {
                 if !rd.is_zero() {
                     // Whatever the callee did to MD is out of scope for a
                     // per-image analysis; resume conservatively.
-                    out.push((addr + self.slots + 1, Md::Top));
+                    out.push((
+                        addr + self.slots + 1,
+                        MdState {
+                            chain: Md::Top,
+                            since_step: MD_STEP_SHADOW,
+                        },
+                    ));
                 }
             }
             _ => {}
@@ -442,12 +496,17 @@ impl Analysis {
     }
 
     /// MD transfer for the single instruction at `addr` (which decodes).
-    fn md_transfer(&self, state: Md, addr: u32, diags: Option<&mut Vec<Diagnostic>>) -> Md {
+    fn md_transfer(
+        &self,
+        state: MdState,
+        addr: u32,
+        diags: Option<&mut Vec<Diagnostic>>,
+    ) -> MdState {
         let entry = self.at(addr);
-        match entry.meta.md_role {
+        let chain = match entry.meta.md_role {
             MdRole::Mstep | MdRole::Dstep => {
                 let mul = entry.meta.md_role == MdRole::Mstep;
-                match state {
+                let chain = match state.chain {
                     Md::Idle => Md::Chain { mul, count: 1 },
                     Md::Chain { mul: m, count } if m == mul => {
                         if count + 1 == 32 {
@@ -475,11 +534,18 @@ impl Analysis {
                         Md::Chain { mul, count: 1 }
                     }
                     Md::Top => Md::Top,
-                }
+                };
+                return MdState {
+                    chain,
+                    since_step: 1,
+                };
             }
             MdRole::WritesMd => {
-                if let Md::Chain { mul, count } = state {
-                    if let Some(diags) = diags {
+                if let Some(diags) = diags {
+                    // A write inside a chain is a chain break; the shadow
+                    // rule covers the writes the chain rule accepts (right
+                    // after a completed chain, or where paths disagree).
+                    if let Md::Chain { mul, count } = state.chain {
                         diags.push(Diagnostic {
                             kind: DiagKind::MdChainBroken,
                             addr,
@@ -489,11 +555,22 @@ impl Analysis {
                                 if mul { "mstep" } else { "dstep" },
                             ),
                         });
+                    } else if state.since_step < MD_STEP_SHADOW {
+                        diags.push(Diagnostic {
+                            kind: DiagKind::MdWriteAfterStep,
+                            addr,
+                            instr: entry.instr,
+                            detail: format!(
+                                "writes MD {} fetch(es) after an mstep/dstep — the step's MD write-back lands later and overwrites this value",
+                                state.since_step
+                            ),
+                        });
                     }
                 }
                 Md::Idle
             }
-            MdRole::None => state,
-        }
+            MdRole::None => state.chain,
+        };
+        MdState { chain, ..state }.after_fetches(1)
     }
 }

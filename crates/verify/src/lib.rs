@@ -22,7 +22,8 @@
 //! - **delay-slot shape** — control transfers inside another transfer's
 //!   delay window, and windows that run off the end of the image;
 //! - **MD step chains** — `mstep`/`dstep` sequences broken by an
-//!   intervening write to the MD special register;
+//!   intervening write to the MD special register, and MD writes issued
+//!   so soon after a step that its write-back overwrites them;
 //! - plus lints for reachable illegal encodings, writes to the hardwired
 //!   `r0`, and coprocessor results read back while the unit may be busy.
 //!
@@ -58,7 +59,7 @@ mod timing;
 
 pub use attrib::{differential, BlockAttribution, DynBlock, PIPE_FILL};
 pub use quality::{quality, verify_with_timing};
-pub use summary::{BlockExit, BlockSummary, HazardRef, ALL_REGS};
+pub use summary::{BlockExit, BlockSummary, HazardRef, Partition, ALL_REGS};
 pub use timing::{BlockCost, TimingAnalysis};
 
 use mipsx_asm::Program;
@@ -106,6 +107,13 @@ pub enum Severity {
     Error,
 }
 
+/// Fetches after which an `mstep`/`dstep`'s MD write-back can no longer
+/// land on a later `movtos md`: the step writes MD at WB, two stages after
+/// its ALU, while `movtos` commits at ALU, so a write issued one or two
+/// fetches behind the step is overwritten by it
+/// ([`DiagKind::MdWriteAfterStep`]).
+pub const MD_STEP_SHADOW: u8 = 3;
+
 /// The typed rule a diagnostic comes from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum DiagKind {
@@ -144,6 +152,11 @@ pub enum DiagKind {
     /// A join head ALU-consumes a value loaded at issue distance exactly
     /// 2 along one incoming edge — legal, but with zero scheduling slack.
     CrossBlockHazardAtJoin,
+    /// A `movtos md` issues one or two fetches after an `mstep`/`dstep`:
+    /// the step writes MD back two stages after `movtos` commits, so the
+    /// written value is lost (and a following step reads the old chain's
+    /// MD over the bypass).
+    MdWriteAfterStep,
 }
 
 impl DiagKind {
@@ -175,6 +188,7 @@ impl DiagKind {
             DiagKind::RedundantNop => "redundant-nop",
             DiagKind::AvoidableLoadStall => "avoidable-load-stall",
             DiagKind::CrossBlockHazardAtJoin => "cross-block-hazard-at-join",
+            DiagKind::MdWriteAfterStep => "md-write-after-step",
         }
     }
 }
@@ -317,7 +331,8 @@ pub fn squash_safe(instr: &Instr) -> bool {
 /// Statically verify a program image against the MIPS-X pipeline
 /// contract. See the crate docs for the rule set.
 pub fn verify(program: &Program, config: &VerifyConfig) -> LintReport {
-    LintReport::from_raw(analysis::Analysis::new(program, config).diagnostics())
+    let analysis = analysis::Analysis::new(program.decoded(), program.entry, config);
+    LintReport::from_raw(analysis.diagnostics())
 }
 
 #[cfg(test)]
@@ -493,6 +508,47 @@ mod tests {
         let mixed = "mstep r4, r5, r4\nmstep r4, r5, r4\ndstep r4, r5, r4\nhalt";
         let r = lint(mixed);
         assert_eq!(kinds(&r), vec![(DiagKind::MdChainBroken, 2)]);
+    }
+
+    #[test]
+    fn md_write_in_a_steps_shadow() {
+        let chain = "movtos md, r1\n".to_string() + &"mstep r4, r5, r4\n".repeat(32);
+        // One or two fetches after the 32nd step (at 32), the step's MD
+        // write-back still lands after the `movtos`; three is clear.
+        for (gap, flagged) in [(0, true), (1, true), (2, false)] {
+            let src = chain.clone() + &"add r9, r1, r1\n".repeat(gap) + "movtos md, r6\nhalt";
+            let want = if flagged {
+                vec![(DiagKind::MdWriteAfterStep, 33 + gap as u32)]
+            } else {
+                vec![]
+            };
+            assert_eq!(kinds(&lint(&src)), want, "gap {gap}");
+        }
+
+        // Carried through the CFG: the chain ends in the branch's last
+        // delay slot and the target's head writes MD two fetches later.
+        let src = "movtos md, r1\n".to_string()
+            + &"mstep r4, r5, r4\n".repeat(30)
+            + "beq r1, r2, t\nmstep r4, r5, r4\nmstep r4, r5, r4\n\
+               t: movtos md, r6\nhalt";
+        assert_eq!(kinds(&lint(&src)), vec![(DiagKind::MdWriteAfterStep, 34)]);
+
+        // An annulled step writes nothing back. Squashing when not taken,
+        // the taken path runs the step in the window two fetches before
+        // the target; squashing when taken, the taken path annuls it and
+        // the fall-through is clear by three fetches.
+        let squashing = |mnemonic: &str| {
+            "movtos md, r1\n".to_string()
+                + &"mstep r4, r5, r4\n".repeat(31)
+                + mnemonic
+                + " r1, r2, t\nmstep r4, r5, r4\nnop\nadd r9, r1, r1\n\
+                   t: movtos md, r6\nhalt"
+        };
+        assert_eq!(
+            kinds(&lint(&squashing("beqsq"))),
+            vec![(DiagKind::MdWriteAfterStep, 36)]
+        );
+        assert!(lint(&squashing("beqsqg")).is_clean());
     }
 
     #[test]

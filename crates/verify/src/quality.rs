@@ -197,16 +197,16 @@ fn redundant_and_avoidable(
 /// along each incoming edge; a surviving load-class producer there whose
 /// value the join head ALU-consumes has exactly zero scheduling slack.
 fn cross_block_hazards(ta: &TimingAnalysis, diags: &mut Vec<Diagnostic>) {
-    let preds = ta.predecessors();
     for (j, b) in ta.blocks.iter().enumerate() {
-        if b.irregular || preds[j].len() < 2 {
+        let preds = ta.predecessors(j);
+        if b.irregular || preds.len() < 2 {
             continue;
         }
         let head = ta.analysis.at(b.start);
         if head.meta.alu_use_mask == 0 {
             continue;
         }
-        for &p in &preds[j] {
+        for &p in preds {
             let pb = &ta.blocks[p];
             if pb.irregular || pb.len < 2 {
                 continue;

@@ -24,8 +24,9 @@
 //! a property of the unsplit analysis and are not re-synthesized.
 
 use crate::analysis::Analysis;
-use mipsx_asm::DecodedEntry;
-use mipsx_isa::{Instr, InstrMeta, Reg, SquashMode};
+use crate::{VerifyConfig, MD_STEP_SHADOW};
+use mipsx_asm::{DecodedEntry, DecodedImage, Program};
+use mipsx_isa::{Instr, InstrMeta, MdRole, Reg, SquashMode};
 
 /// Mask of every register that can carry dataflow (`r1`..`r31`).
 pub const ALL_REGS: u32 = 0xFFFF_FFFE;
@@ -105,6 +106,13 @@ pub struct BlockSummary {
     pub would_interlock: u32,
     /// `mstep`/`dstep` instructions (MD busy-chain length contribution).
     pub md_steps: u32,
+    /// `movtos md` instructions fetched within [`MD_STEP_SHADOW`] of an
+    /// earlier step in the block, whose write-back then overwrites them:
+    /// the stepper's MD differs from a program-order commit. Zero in
+    /// verifier-clean code.
+    ///
+    /// [`MD_STEP_SHADOW`]: crate::MD_STEP_SHADOW
+    pub md_shadow_writes: u32,
     /// Coprocessor instructions fetched per visit — the static multiplier
     /// for the non-cached scheme's forced per-op miss.
     pub coproc_ops: u32,
@@ -133,19 +141,14 @@ pub struct BlockSummary {
 impl BlockSummary {
     /// CFG successor addresses (callee return paths flow through the
     /// `ret` continuation of a linking jump; indirect jumps end the walk).
-    pub fn successors(&self) -> Vec<u32> {
-        match self.exit {
-            BlockExit::FallThrough { next } => vec![next],
-            BlockExit::Branch { target, fall, .. } => vec![target, fall],
-            BlockExit::Jump { target, link, ret } => {
-                let mut s: Vec<u32> = target.into_iter().collect();
-                if link {
-                    s.push(ret);
-                }
-                s
-            }
-            BlockExit::Halt => vec![],
-        }
+    pub fn successors(&self) -> impl Iterator<Item = u32> {
+        let (a, b) = match self.exit {
+            BlockExit::FallThrough { next } => (Some(next), None),
+            BlockExit::Branch { target, fall, .. } => (Some(target), Some(fall)),
+            BlockExit::Jump { target, link, ret } => (target, link.then_some(ret)),
+            BlockExit::Halt => (None, None),
+        };
+        a.into_iter().chain(b)
     }
 
     /// Delay-slot instructions killed when the terminator resolves with
@@ -217,6 +220,7 @@ impl BlockSummary {
             load_pad_nops: self.load_pad_nops + other.load_pad_nops,
             would_interlock: self.would_interlock + other.would_interlock,
             md_steps: self.md_steps + other.md_steps,
+            md_shadow_writes: self.md_shadow_writes + other.md_shadow_writes,
             coproc_ops: self.coproc_ops + other.coproc_ops,
             coproc_result_hazards: self.coproc_result_hazards + other.coproc_result_hazards,
             def_mask: self.def_mask | other.def_mask,
@@ -229,11 +233,65 @@ impl BlockSummary {
     }
 }
 
+/// The basic-block partition of a scheduled image: every block the entry
+/// reaches, ascending by start address, with its block-local facts
+/// (`live_in`/`live_out` stay zero — liveness is a whole-program pass).
+///
+/// This is the one partitioner: [`TimingAnalysis::of`] builds its CFG,
+/// liveness and loop weights on it, and a block compiler that needs only
+/// the blocks runs it alone.
+///
+/// [`TimingAnalysis::of`]: crate::TimingAnalysis::of
+#[derive(Clone, Debug)]
+pub struct Partition {
+    /// Every basic block, ascending by start address.
+    pub blocks: Vec<BlockSummary>,
+    /// The partition invariants failed somewhere; per-visit cost claims
+    /// are unreliable for the flagged blocks.
+    pub irregular: bool,
+    /// The per-word analysis the blocks were cut from: the decoded image
+    /// plus the tables the hazard verifier reads.
+    pub(crate) analysis: Analysis,
+}
+
+impl Partition {
+    /// Partition `program`, scheduled for `config.branch_delay_slots`.
+    pub fn of(program: &Program, config: &VerifyConfig) -> Partition {
+        Partition::of_image(program.decoded(), program.entry, config)
+    }
+
+    /// Partition an already decoded image entered at `entry`.
+    pub fn of_image(code: DecodedImage, entry: u32, config: &VerifyConfig) -> Partition {
+        let analysis = Analysis::new(code, entry, config);
+        let (blocks, irregular) = build_blocks(&analysis);
+        Partition {
+            blocks,
+            irregular,
+            analysis,
+        }
+    }
+
+    /// The decoded image the partition was cut from.
+    pub fn image(&self) -> &DecodedImage {
+        &self.analysis.code
+    }
+
+    /// Index of the block starting exactly at `addr`.
+    pub fn block_at(&self, addr: u32) -> Option<usize> {
+        self.blocks.binary_search_by_key(&addr, |b| b.start).ok()
+    }
+
+    /// The decoded entries of a block of this partition, in address order.
+    pub fn entries(&self, block: &BlockSummary) -> &[DecodedEntry] {
+        self.analysis.run(block.start, block.len)
+    }
+}
+
 /// Partition the reachable image into basic blocks and compute every
 /// block-local fact. `live_in`/`live_out` are left zero for the
 /// whole-program pass. The second return is the global irregularity flag
 /// (true when the partition invariants do not hold somewhere).
-pub(crate) fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
+fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
     let slots = a.slots;
     let origin = a.code.origin();
     let mut global_irregular = false;
@@ -247,8 +305,11 @@ pub(crate) fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
         }
     };
     lead(a.entry);
-    for addr in a.reachable() {
-        match a.at(addr).instr {
+    for (addr, e) in a.code.iter() {
+        if !(e.meta.is_control || e.is_halt()) || a.reachable_index(addr).is_none() {
+            continue;
+        }
+        match e.instr {
             Instr::Branch { disp, .. } => {
                 lead(addr.wrapping_add(disp as u32));
                 lead(addr + slots + 1);
@@ -268,76 +329,80 @@ pub(crate) fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
             _ => {}
         }
     }
-    let is_leader = |addr: u32| a.code.index(addr).is_some_and(|i| leaders[i]);
+    let entries = a.code.entries();
 
-    let mut blocks = Vec::new();
+    let mut blocks = Vec::with_capacity(leaders.iter().filter(|&&l| l).count());
     let mut covered = vec![false; a.code.len()];
+    // One bypass plan buffer, copied out at its exact size per block.
+    let mut hazards = Vec::new();
     for start in (0..leaders.len()).filter(|&i| leaders[i]) {
         if covered[start] {
             // A branch targets the inside of an already-consumed window.
             global_irregular = true;
             continue;
         }
-        let start = origin + start as u32;
         let mut irregular = false;
-        let mut addr = start;
-        let (term_addr, window, exit) = loop {
-            covered[(addr - origin) as usize] = true;
-            let entry = a.at(addr);
-            if entry.is_halt() {
-                break (Some(addr), 0, BlockExit::Halt);
+        let mut i = start;
+        let start = origin + start as u32;
+        let (addr, term_addr, window, exit) = loop {
+            covered[i] = true;
+            let addr = origin + i as u32;
+            let entry = &entries[i];
+            if !entry.meta.is_control && !entry.is_halt() {
+                let next = i + 1;
+                if next < entries.len() && leaders[next] {
+                    break (addr, None, 0, BlockExit::FallThrough { next: addr + 1 });
+                }
+                if next == entries.len() || !a.reachable[next] {
+                    // Straight-line code ending without a halt: off the map.
+                    irregular = true;
+                    break (addr, None, 0, BlockExit::FallThrough { next: addr + 1 });
+                }
+                i = next;
+                continue;
             }
-            if entry.meta.is_control {
-                // The window belongs to this block.
-                let mut window = 0;
-                for k in 1..=slots {
-                    let s = addr + k;
-                    match a.code.get(s) {
-                        Some(e) => {
-                            if e.meta.is_control {
-                                // e.g. the jpc restart chain.
-                                irregular = true;
-                            }
-                            covered[(s - origin) as usize] = true;
-                            window += 1;
-                        }
-                        None => {
-                            // Window runs off the image (SlotRunoff).
+            if entry.is_halt() {
+                break (addr, Some(addr), 0, BlockExit::Halt);
+            }
+            // A control transfer: the window belongs to this block.
+            let mut window = 0;
+            for k in 1..=slots {
+                let s = addr + k;
+                match a.code.get(s) {
+                    Some(e) => {
+                        if e.meta.is_control {
+                            // e.g. the jpc restart chain.
                             irregular = true;
                         }
+                        covered[(s - origin) as usize] = true;
+                        window += 1;
+                    }
+                    None => {
+                        // Window runs off the image (SlotRunoff).
+                        irregular = true;
                     }
                 }
-                let exit = match entry.instr {
-                    Instr::Branch { squash, disp, .. } => BlockExit::Branch {
-                        squash,
-                        target: addr.wrapping_add(disp as u32),
-                        fall: addr + slots + 1,
-                    },
-                    Instr::Jspci { rs1, rd, imm } => BlockExit::Jump {
-                        target: rs1.is_zero().then_some(imm as u32),
-                        link: !rd.is_zero(),
-                        ret: addr + slots + 1,
-                    },
-                    // jpc/jpcrs: the restart chain's successor is carried
-                    // in the PC chain, unknowable statically.
-                    _ => BlockExit::Jump {
-                        target: None,
-                        link: false,
-                        ret: addr + slots + 1,
-                    },
-                };
-                break (Some(addr), window, exit);
             }
-            let next = addr + 1;
-            if is_leader(next) {
-                break (None, 0, BlockExit::FallThrough { next });
-            }
-            if a.reachable_index(next).is_none() {
-                // Straight-line code ending without a halt: off the map.
-                irregular = true;
-                break (None, 0, BlockExit::FallThrough { next });
-            }
-            addr = next;
+            let exit = match entry.instr {
+                Instr::Branch { squash, disp, .. } => BlockExit::Branch {
+                    squash,
+                    target: addr.wrapping_add(disp as u32),
+                    fall: addr + slots + 1,
+                },
+                Instr::Jspci { rs1, rd, imm } => BlockExit::Jump {
+                    target: rs1.is_zero().then_some(imm as u32),
+                    link: !rd.is_zero(),
+                    ret: addr + slots + 1,
+                },
+                // jpc/jpcrs: the restart chain's successor is carried
+                // in the PC chain, unknowable statically.
+                _ => BlockExit::Jump {
+                    target: None,
+                    link: false,
+                    ret: addr + slots + 1,
+                },
+            };
+            break (addr, Some(addr), window, exit);
         };
         // The block is the contiguous run from its leader through the
         // last instruction walked and the window slots inside the image.
@@ -350,6 +415,7 @@ pub(crate) fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
             window,
             exit,
             irregular,
+            &mut hazards,
         ));
     }
 
@@ -360,7 +426,8 @@ pub(crate) fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
     (blocks, global_irregular)
 }
 
-/// Compute the block-local facts for one partitioned block.
+/// Compute the block-local facts for one partitioned block; `hazards` is
+/// scratch for its bypass plan.
 fn summarize(
     start: u32,
     entries: &[DecodedEntry],
@@ -368,6 +435,7 @@ fn summarize(
     window: u32,
     exit: BlockExit,
     irregular: bool,
+    hazards: &mut Vec<HazardRef>,
 ) -> BlockSummary {
     let len = entries.len() as u32;
     let slots = match exit {
@@ -394,6 +462,7 @@ fn summarize(
         load_pad_nops: 0,
         would_interlock: 0,
         md_steps: 0,
+        md_shadow_writes: 0,
         coproc_ops: 0,
         coproc_result_hazards: 0,
         def_mask: 0,
@@ -403,6 +472,9 @@ fn summarize(
         hazards: Vec::new(),
         irregular,
     };
+    hazards.clear();
+    // Fetches since the block's last step, saturating at the shadow.
+    let mut since_step = MD_STEP_SHADOW;
 
     for (i, e) in entries.iter().enumerate() {
         let m = &e.meta;
@@ -428,20 +500,25 @@ fn summarize(
         if m.is_coproc {
             s.coproc_ops += 1;
         }
-        if matches!(
-            m.md_role,
-            mipsx_isa::MdRole::Mstep | mipsx_isa::MdRole::Dstep
-        ) {
-            s.md_steps += 1;
+        match m.md_role {
+            MdRole::Mstep | MdRole::Dstep => {
+                s.md_steps += 1;
+                since_step = 0;
+            }
+            MdRole::WritesMd if since_step < MD_STEP_SHADOW => s.md_shadow_writes += 1,
+            _ => {}
         }
+        since_step = (since_step + 1).min(MD_STEP_SHADOW);
         if i + 1 < entries.len() {
             let n = &entries[i + 1];
             if m.late_def.is_some_and(|d| n.meta.alu_uses(d)) {
                 s.would_interlock += 1;
             }
-            if let (Instr::Cpop { cop, .. }, Instr::Mvfc { cop: c2, .. }) = (e.instr, n.instr) {
-                if cop == c2 {
-                    s.coproc_result_hazards += 1;
+            if m.is_coproc && n.meta.is_coproc {
+                if let (Instr::Cpop { cop, .. }, Instr::Mvfc { cop: c2, .. }) = (e.instr, n.instr) {
+                    if cop == c2 {
+                        s.coproc_result_hazards += 1;
+                    }
                 }
             }
         }
@@ -452,22 +529,18 @@ fn summarize(
         }
         // Pre-resolved bypass plan: nearest producer within forwarding
         // reach for every register this instruction reads.
-        for reg in InstrMeta::mask_regs(m.use_mask) {
-            for dist in 1..=2u32 {
-                let Some(j) = i.checked_sub(dist as usize) else {
-                    break;
-                };
-                if entries[j].meta.defines(reg) {
-                    s.hazards.push(HazardRef {
-                        at: i as u32,
-                        reg,
-                        dist,
-                        late: entries[j].meta.mem_result,
-                    });
-                    break;
-                }
-            }
+        let def_at = |dist: usize| i.checked_sub(dist).map_or(0, |j| entries[j].meta.def_mask);
+        let (near, far) = (def_at(1), def_at(2));
+        for reg in InstrMeta::mask_regs(m.use_mask & (near | far)) {
+            let dist = if near & reg.mask_bit() != 0 { 1 } else { 2 };
+            hazards.push(HazardRef {
+                at: i as u32,
+                reg,
+                dist,
+                late: entries[i - dist as usize].meta.mem_result,
+            });
         }
     }
+    s.hazards = hazards.to_vec();
     s
 }

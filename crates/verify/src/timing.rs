@@ -1,10 +1,10 @@
 //! Whole-program static timing analysis.
 //!
-//! Builds on the per-block [`BlockSummary`] records: reconstructs the
-//! block-level CFG, solves backward liveness (filling `live_in`/`live_out`),
-//! finds natural loops via dominators and weights each block by its loop
-//! nesting depth, and from that emits a per-block cost table and a
-//! **static CPI lower bound**.
+//! Builds on the block [`Partition`] and its per-block [`BlockSummary`]
+//! records: reconstructs the block-level CFG, solves backward liveness
+//! (filling `live_in`/`live_out`), finds natural loops via dominators and
+//! weights each block by its loop nesting depth, and from that emits a
+//! per-block cost table and a **static CPI lower bound**.
 //!
 //! ## What the static bound does and does not cover
 //!
@@ -27,16 +27,16 @@
 //! bound but an identity: the differential in [`crate::attrib`] checks it
 //! *exactly* per block.
 
-use crate::analysis::Analysis;
-use crate::summary::{build_blocks, BlockExit, BlockSummary, ALL_REGS};
+use crate::summary::{BlockExit, Partition, ALL_REGS};
 use crate::VerifyConfig;
-use mipsx_asm::{DecodedImage, Program};
+use mipsx_asm::Program;
 use mipsx_isa::InstrMeta;
+use std::ops::Deref;
 
 /// One row of the per-block cost table.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BlockCost {
-    /// Block index into [`TimingAnalysis::blocks`].
+    /// Block index into [`Partition::blocks`].
     pub index: usize,
     /// Word address of the block head.
     pub start: u32,
@@ -52,65 +52,53 @@ pub struct BlockCost {
     pub worst_wasted: u32,
 }
 
-/// The whole-program static timing analysis of one scheduled image.
+/// The whole-program static timing analysis of one scheduled image. It
+/// dereferences to its block [`Partition`] (`blocks`, with liveness solved
+/// here, `irregular`, `image()`, `block_at`).
 #[derive(Clone, Debug)]
 pub struct TimingAnalysis {
     /// Program entry address.
     pub entry: u32,
     /// Branch delay slots the image was scheduled for.
     pub slots: u32,
-    /// Every basic block, ascending by start address, with liveness solved.
-    pub blocks: Vec<BlockSummary>,
     /// Loop nesting depth per block.
     pub loop_depth: Vec<u32>,
     /// Static visit weight per block (`10^depth`).
     pub weights: Vec<u64>,
-    /// The partition invariants failed somewhere; per-visit cost claims
-    /// are unreliable for the flagged blocks.
-    pub irregular: bool,
     /// CFG successor block indices per block.
-    succs: Vec<Vec<usize>>,
-    /// CFG predecessor block indices per block, without repeats.
-    preds: Vec<Vec<usize>>,
-    /// The per-word analysis the blocks were cut from: the decoded image
-    /// plus the tables the hazard verifier reads.
-    pub(crate) analysis: Analysis,
+    succs: Adjacency,
+    /// CFG predecessor block indices per block, without repeats, ascending.
+    preds: Adjacency,
+    /// The blocks, their per-word analysis and the decoded image.
+    partition: Partition,
+}
+
+impl Deref for TimingAnalysis {
+    type Target = Partition;
+
+    fn deref(&self) -> &Partition {
+        &self.partition
+    }
 }
 
 impl TimingAnalysis {
     /// Analyze a program scheduled for `config.branch_delay_slots`.
     pub fn of(program: &Program, config: &VerifyConfig) -> TimingAnalysis {
-        let analysis = Analysis::new(program, config);
-        let (blocks, irregular) = build_blocks(&analysis);
+        let partition = Partition::of(program, config);
+        let mut succs = Adjacency::default();
+        for b in &partition.blocks {
+            succs.push(b.successors().filter_map(|addr| partition.block_at(addr)));
+        }
+        let preds = succs.reversed();
         let mut ta = TimingAnalysis {
-            entry: analysis.entry,
-            slots: analysis.slots,
-            blocks,
+            entry: partition.analysis.entry,
+            slots: partition.analysis.slots,
             loop_depth: Vec::new(),
             weights: Vec::new(),
-            irregular,
-            succs: Vec::new(),
-            preds: Vec::new(),
-            analysis,
+            succs,
+            preds,
+            partition,
         };
-        ta.succs = ta
-            .blocks
-            .iter()
-            .map(|b| {
-                b.successors()
-                    .into_iter()
-                    .filter_map(|addr| ta.block_at(addr))
-                    .collect()
-            })
-            .collect();
-        ta.preds = vec![Vec::new(); ta.blocks.len()];
-        for (i, succs) in ta.succs.iter().enumerate() {
-            for &s in succs {
-                if !ta.preds[s].contains(&i) {
-                    ta.preds[s].push(i);
-                }
-            }
-        }
         ta.solve_liveness();
         ta.loop_depth = ta.loop_depths();
         ta.weights = ta
@@ -119,11 +107,6 @@ impl TimingAnalysis {
             .map(|&d| 10u64.saturating_pow(d.min(12)))
             .collect();
         ta
-    }
-
-    /// Index of the block starting exactly at `addr`.
-    pub fn block_at(&self, addr: u32) -> Option<usize> {
-        self.blocks.binary_search_by_key(&addr, |b| b.start).ok()
     }
 
     /// Index of the block *containing* `addr`.
@@ -139,34 +122,33 @@ impl TimingAnalysis {
     /// CFG successor block indices (successor addresses that are not block
     /// heads — possible only in irregular programs — are dropped).
     pub fn successors(&self, i: usize) -> &[usize] {
-        &self.succs[i]
+        self.succs.of(i)
     }
 
-    /// CFG predecessors per block.
-    pub fn predecessors(&self) -> &[Vec<usize>] {
-        &self.preds
-    }
-
-    /// The decoded image the analysis was built from.
-    pub fn image(&self) -> &DecodedImage {
-        &self.analysis.code
+    /// CFG predecessor block indices of block `i`, without repeats,
+    /// ascending.
+    pub fn predecessors(&self, i: usize) -> &[usize] {
+        self.preds.of(i)
     }
 
     /// Backward liveness fixpoint over the block graph. Unknowable exits
     /// (indirect jumps, calls — the callee/continuation dataflow is not
     /// tracked interprocedurally) are conservatively all-live.
     fn solve_liveness(&mut self) {
+        let blocks = &mut self.partition.blocks;
         loop {
             let mut changed = false;
-            for i in (0..self.blocks.len()).rev() {
-                let live_out = match self.blocks[i].exit {
+            for i in (0..blocks.len()).rev() {
+                let live_out = match blocks[i].exit {
                     BlockExit::Halt => 0,
                     BlockExit::Jump { target, link, .. } if link || target.is_none() => ALL_REGS,
-                    _ => self.succs[i]
+                    _ => self
+                        .succs
+                        .of(i)
                         .iter()
-                        .fold(0u32, |m, &s| m | self.blocks[s].live_in),
+                        .fold(0u32, |m, &s| m | blocks[s].live_in),
                 };
-                let b = &mut self.blocks[i];
+                let b = &mut blocks[i];
                 let live_in = b.use_mask | (live_out & !b.def_mask);
                 if live_out != b.live_out || live_in != b.live_in {
                     b.live_out = live_out;
@@ -201,12 +183,12 @@ impl TimingAnalysis {
         loop {
             let mut changed = false;
             for b in 0..n {
-                if b == entry || preds[b].is_empty() {
+                if b == entry || preds.of(b).is_empty() {
                     // Unreachable from entry through the CFG: leave ⊤.
                     continue;
                 }
                 new.fill(u64::MAX);
-                for &p in &preds[b] {
+                for &p in preds.of(b) {
                     for (w, &d) in new.iter_mut().zip(&dom[row(p)]) {
                         *w &= d;
                     }
@@ -233,14 +215,14 @@ impl TimingAnalysis {
                 continue;
             }
             reached[b] = true;
-            stack.extend(succs[b].iter().copied());
+            stack.extend(succs.of(b).iter().copied());
         }
 
         // Natural loop bodies, merged per header.
         let mut bodies: Vec<Option<Vec<bool>>> = vec![None; n];
-        for u in 0..n {
-            for &h in &succs[u] {
-                if !reached[u] || !dominates(h, u) {
+        for u in (0..n).filter(|&u| reached[u]) {
+            for &h in succs.of(u) {
+                if !dominates(h, u) {
                     continue;
                 }
                 let body = bodies[h].get_or_insert_with(|| vec![false; n]);
@@ -251,7 +233,7 @@ impl TimingAnalysis {
                         continue;
                     }
                     body[b] = true;
-                    stack.extend(preds[b].iter().copied());
+                    stack.extend(preds.of(b).iter().copied());
                 }
             }
         }
@@ -401,6 +383,65 @@ impl TimingAnalysis {
             self.static_cpi_bound()
         ));
         out
+    }
+}
+
+/// Per-block neighbour lists in one array: block `i`'s neighbours are
+/// `list[start[i]..start[i + 1]]`.
+#[derive(Clone, Debug)]
+struct Adjacency {
+    start: Vec<usize>,
+    list: Vec<usize>,
+}
+
+impl Default for Adjacency {
+    fn default() -> Adjacency {
+        Adjacency {
+            start: vec![0],
+            list: Vec::new(),
+        }
+    }
+}
+
+impl Adjacency {
+    /// Append the next block's neighbours.
+    fn push(&mut self, neighbours: impl Iterator<Item = usize>) {
+        self.list.extend(neighbours);
+        self.start.push(self.list.len());
+    }
+
+    /// The neighbours of block `i`.
+    fn of(&self, i: usize) -> &[usize] {
+        &self.list[self.start[i]..self.start[i + 1]]
+    }
+
+    /// The reverse graph, each list without repeats and ascending.
+    fn reversed(&self) -> Adjacency {
+        let n = self.start.len() - 1;
+        let mut count = vec![0usize; n + 1];
+        let mut mark = vec![usize::MAX; n];
+        for i in 0..n {
+            for &s in self.of(i) {
+                if std::mem::replace(&mut mark[s], i) != i {
+                    count[s + 1] += 1;
+                }
+            }
+        }
+        for k in 0..n {
+            count[k + 1] += count[k];
+        }
+        let mut list = vec![0; count[n]];
+        let mut next = count.clone();
+        mark.fill(usize::MAX);
+        for i in 0..n {
+            for &s in self.of(i) {
+                if std::mem::replace(&mut mark[s], i) != i {
+                    list[next[s]] = i;
+                    next[s] += 1;
+                }
+            }
+        }
+        Adjacency { start: count, list }
     }
 }
 

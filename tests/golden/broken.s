@@ -14,6 +14,43 @@ squashy:
         beqsq r1, r2, chain
         st r2, 2(r20)         ; a store cannot be annulled
         addi r0, r1, 1        ; writes the hardwired zero register
+; A multiply that runs to completion, then an MD write one fetch behind
+; its last step (on the fall-through path of the branch above).
+        movtos md, r1
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        mstep r11, r12, r11
+        movtos md, r13        ; overwritten by the last step's MD write-back
+        add r14, r12, r12
 chain:  movtos md, r1
         mstep r4, r5, r4
         mstep r4, r5, r4

@@ -17,7 +17,9 @@ use mipsx_workloads::random_scheduled_program;
 use proptest::prelude::*;
 
 fn summaries(p: &Program, slots: usize) -> Vec<BlockSummary> {
-    TimingAnalysis::of(p, &VerifyConfig::for_slots(slots)).blocks
+    TimingAnalysis::of(p, &VerifyConfig::for_slots(slots))
+        .blocks
+        .clone()
 }
 
 fn arb_reg() -> impl Strategy<Value = Reg> {
