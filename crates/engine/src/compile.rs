@@ -46,7 +46,8 @@
 //!   `mstep`/`dstep` is overwritten in the pipeline by the step's later
 //!   write-back, while eager commit keeps program order. A block holding
 //!   the shape demotes; a block whose executed tail steps into such a
-//!   successor head is marked like an entry hazard.
+//!   successor head, or into an unknowable landing such as a return's, is
+//!   marked like an entry hazard. Both read the rule from [`MdShadow`].
 //! - **Halt shadow**: after `halt` is fetched the pipeline keeps fetching
 //!   for four advances, and runoff words can still act before the retire
 //!   stops the clock (a store reaches MEM, `movtos` commits at ALU, a
@@ -58,7 +59,7 @@ use crate::FallbackCause;
 use mipsx_asm::{DecodedEntry, DecodedImage};
 use mipsx_core::{InterlockPolicy, MachineConfig};
 use mipsx_isa::{ComputeOp, Cond, Instr, MdRole, Reg, SpecialReg};
-use mipsx_verify::{BlockExit, BlockSummary, Partition, VerifyConfig, MD_STEP_SHADOW};
+use mipsx_verify::{BlockExit, BlockSummary, MdShadow, Partition, VerifyConfig};
 
 /// Map sentinel: address holds no compiled code.
 const NONE: u32 = u32::MAX;
@@ -742,51 +743,22 @@ fn make_tail(b: &BlockSummary, taken: bool) -> TailSeed {
     seed
 }
 
-/// The executed-tail late-def mask of a block under outcome `taken`: the
-/// register (if any) whose value would still be in flight — deliverable
-/// only as MEM data, stale at an ALU consumer one slot later — when
-/// control crosses into a successor.
-fn tail_late_mask(b: &BlockSummary, taken: bool, image: &DecodedImage) -> u32 {
-    if b.len == 0 || matches!(b.exit, BlockExit::Halt) {
-        return 0;
+/// What a visit with outcome `taken` hands its successor: the late-def
+/// mask of its executed tail — the register (if any) whose value would
+/// still be in flight, deliverable only as MEM data and stale at an ALU
+/// consumer one slot later — and the step shadow of its fetches. Annulled
+/// slots deliver nothing: operand resolution skips them, the bypass reach
+/// ends before any live producer, and they write no MD back.
+fn tail(b: &BlockSummary, entries: &[DecodedEntry], taken: bool) -> (u32, MdShadow) {
+    let executed = (b.len - b.squashed_when(taken)) as usize;
+    let mut shadow = MdShadow::CLEAR;
+    for (k, e) in entries.iter().enumerate().filter(|_| b.md_steps > 0) {
+        let role = e.meta.md_role;
+        shadow.fetch(if k < executed { role } else { MdRole::None });
     }
-    if b.squashed_when(taken) > 0 {
-        // Annulled slots are skipped by operand resolution, and the bypass
-        // reach ends before any live producer: successors read the file.
-        return 0;
-    }
-    let last = b.start.wrapping_add(b.len).wrapping_sub(1);
-    image
-        .meta_at(last)
-        .and_then(|m| m.late_def)
-        .map_or(0, |r| 1u32 << r.index())
-}
-
-/// Fetches after which a step's MD write-back no longer overtakes a
-/// `movtos md`; eager program-order commit is wrong inside that shadow.
-const STEP_SHADOW: usize = MD_STEP_SHADOW as usize;
-
-/// The fetch distance from the last step a visit with outcome `taken`
-/// executes to the end of its block (1: the last word), if a successor's
-/// head can still be in that step's shadow.
-fn tail_step_distance(b: &BlockSummary, entries: &[DecodedEntry], taken: bool) -> Option<usize> {
-    if matches!(b.exit, BlockExit::Halt) {
-        return None;
-    }
-    // Annulled slots write nothing back.
-    let executed = if b.squashed_when(taken) > 0 {
-        entries.len() - b.slots as usize
-    } else {
-        entries.len()
-    };
-    (1..STEP_SHADOW)
-        .filter(|&d| d <= entries.len() && entries.len() - d < executed)
-        .find(|&d| {
-            matches!(
-                entries[entries.len() - d].meta.md_role,
-                MdRole::Mstep | MdRole::Dstep
-            )
-        })
+    let last = entries.last().filter(|_| executed == entries.len());
+    let late = last.and_then(|e| e.meta.late_def);
+    (late.map_or(0, |r| 1 << r.index()), shadow)
 }
 
 /// Mark every block whose executed tail feeds a distance-1 load-use, or a
@@ -803,45 +775,33 @@ fn mark_entry_hazards(part: &Partition, blocks: &mut [CompiledBlock]) {
         .collect();
     for (i, b) in part.blocks.iter().enumerate() {
         for taken in [false, true] {
-            let mask = tail_late_mask(b, taken, image);
-            let step = tail_step_distance(b, part.entries(b), taken);
-            if mask == 0 && step.is_none() {
+            let (mask, tail) = tail(b, part.entries(b), taken);
+            if mask == 0 && tail.is_clear() {
                 continue;
             }
-            let edges: &[Option<u32>] = match b.exit {
-                BlockExit::FallThrough { next } if !taken => &[Some(next)],
-                BlockExit::Branch { target, fall, .. } => {
-                    if taken {
-                        &[Some(target)]
-                    } else {
-                        &[Some(fall)]
-                    }
-                }
+            let edge = match b.exit {
+                BlockExit::FallThrough { next } if !taken => Some(next),
+                BlockExit::Branch { target, fall, .. } => Some(if taken { target } else { fall }),
                 // The `ret` continuation of a linking jump is reached via
                 // the callee's own return jump, not this edge.
-                BlockExit::Jump { target, .. } if !taken => &[target],
-                _ => &[],
+                BlockExit::Jump { target, .. } if !taken => target,
+                _ => continue,
             };
             // Landings outside the partition, and indirect jumps, are
             // unknowable: hazardous.
-            let successors = || edges.iter().map(|t| t.and_then(|addr| part.block_at(addr)));
-            if mask != 0 && successors().any(|j| j.is_none_or(|j| head_alu[j] & mask != 0)) {
+            let landing = edge.and_then(|addr| part.block_at(addr));
+            let late = mask != 0 && landing.is_none_or(|j| head_alu[j] & mask != 0);
+            // The tail's shadow runs on into the successor's head; a head
+            // too short to clear it counts as a hit.
+            let clobbers = |j: usize| {
+                let mut shadow = tail;
+                let head = part.entries(&part.blocks[j]);
+                head.iter()
+                    .any(|e| !shadow.is_clear() && shadow.fetch(e.meta.md_role).is_some())
+                    || !shadow.is_clear()
+            };
+            if late || (!tail.is_clear() && landing.is_none_or(clobbers)) {
                 blocks[i].fallback.get_or_insert(FallbackCause::EntryHazard);
-            }
-            if let Some(d) = step {
-                // The successor's first `STEP_SHADOW - d` words are in the
-                // shadow; one too short to show them all counts as a hit.
-                let within = STEP_SHADOW - d;
-                let hit = |j: usize| {
-                    let head = part.entries(&part.blocks[j]);
-                    head.len() < within
-                        || head[..within]
-                            .iter()
-                            .any(|e| e.meta.md_role == MdRole::WritesMd)
-                };
-                if successors().any(|j| j.is_none_or(hit)) {
-                    blocks[i].fallback.get_or_insert(FallbackCause::EntryHazard);
-                }
             }
         }
     }

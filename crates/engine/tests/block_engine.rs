@@ -48,12 +48,17 @@ fn e11(mem_latency: u32) -> MachineConfig {
     }
 }
 
-fn machine_on(base: MachineConfig, scheme: &BranchScheme) -> Machine {
-    Machine::new(MachineConfig {
+/// `base` with `scheme`'s delay slots, detecting load-use hazards.
+fn detect_on(base: MachineConfig, scheme: &BranchScheme) -> MachineConfig {
+    MachineConfig {
         branch_delay_slots: scheme.slots,
         interlock: InterlockPolicy::Detect,
         ..base
-    })
+    }
+}
+
+fn machine_on(base: MachineConfig, scheme: &BranchScheme) -> Machine {
+    Machine::new(detect_on(base, scheme))
 }
 
 fn machine_for(scheme: &BranchScheme) -> Machine {
@@ -124,13 +129,18 @@ fn lockstep_on(
     scheme: &BranchScheme,
     label: &str,
 ) -> (Machine, BlockEngine) {
-    let mut interp = machine_on(base, scheme);
+    lockstep_with(detect_on(base, scheme), program, label)
+}
+
+/// [`lockstep_on`] on exactly `cfg`.
+fn lockstep_with(cfg: MachineConfig, program: &Program, label: &str) -> (Machine, BlockEngine) {
+    let mut interp = Machine::new(cfg);
     interp.load_program(program);
     let interp_stats = interp
         .run(BUDGET)
         .unwrap_or_else(|e| panic!("{label}: interpreter failed: {e}"));
 
-    let mut fast = machine_on(base, scheme);
+    let mut fast = Machine::new(cfg);
     fast.load_program(program);
     let mut engine = BlockEngine::new(program, &fast);
     let fast_stats = engine
@@ -739,7 +749,10 @@ fn loads_deep_in_a_long_block_owe_their_reads_at_their_own_fetch_offsets() {
 /// the chain's last step in a branch window and the `movtos` at the
 /// target's head — the engine demotes it (the block holding the write as a
 /// fallback op, the branch's block as an entry hazard) and runs it as the
-/// stepper does, on the ideal configuration and on the board.
+/// stepper does, on the ideal configuration and on the board. So does the
+/// return probe `tests/golden/md_after_return.s` (the callee's block, whose
+/// return lands unknowably, as an entry hazard), with load-use hazards
+/// trusted as `mipsx run --trust` does.
 #[test]
 fn md_writes_in_a_steps_shadow_run_like_the_stepper() {
     let count = |e: &BlockEngine, c: FallbackCause| e.stats().fallback_exits[c.index()];
@@ -775,5 +788,17 @@ fn md_writes_in_a_steps_shadow_run_like_the_stepper() {
         let label = format!("{name} across a branch");
         let (_, engine) = lockstep_on(base, &program, &scheme, &label);
         assert_eq!(count(&engine, FallbackCause::EntryHazard), 1, "{label}");
+
+        let src = include_str!("../../../tests/golden/md_after_return.s");
+        let program = assemble(src).expect("assembles");
+        let label = format!("{name} across a return");
+        let trust = MachineConfig {
+            interlock: InterlockPolicy::Trust,
+            ..base
+        };
+        let (m, engine) = lockstep_with(trust, &program, &label);
+        assert_eq!(count(&engine, FallbackCause::EntryHazard), 1, "{label}");
+        assert_ne!(m.cpu().md, 7, "{label}: the step's write-back wins");
+        assert!(engine.stats().fast_cycles > 0, "{label}: never ran fast");
     }
 }

@@ -1,11 +1,12 @@
 //! Lockstep validation: the cycle-accurate pipeline against the
 //! functional reference model, through the `checked` backend, over every
-//! workload kernel, with and without injected faults — plus the mutation
-//! check proving a broken restart path is actually caught.
+//! workload kernel and over unpadded MD step chains, with and without
+//! injected faults — plus the mutation check proving a broken restart path
+//! is actually caught.
 
-use mipsx_asm::assemble_at;
+use mipsx_asm::{assemble, assemble_at, Program};
 use mipsx_core::{FaultPlan, Machine, MachineConfig, NullSink, RunError, RunStats};
-use mipsx_exec::{CheckedBackend, ExecBackend, ExecError};
+use mipsx_exec::{AnyBackend, CheckedBackend, EngineKind, ExecBackend, ExecError};
 use mipsx_isa::SpecialReg;
 use mipsx_ref::NULL_HANDLER;
 use mipsx_reorg::{BranchScheme, Reorganizer};
@@ -136,4 +137,94 @@ fn corrupted_restart_path_is_caught() {
         }
         other => panic!("expected a divergence report, got: {other}"),
     }
+}
+
+/// Programs whose 32-step `mstep` chain runs straight into an MD access
+/// with no padding: a `movtos md` zero to two fetches behind the last step
+/// (and a `movfrs md` and a next chain's step reading MD after it), a bare
+/// `movfrs md`, the chain's last steps in a branch window or in a return's
+/// delay slots with the landing writing MD, and a squashing branch that
+/// annuls the last step.
+fn unpadded_md_programs() -> Vec<(String, Program)> {
+    let chain = |n: usize| {
+        "li r1, 21\nli r2, 2\nmovtos md, r2\nli r3, 0\n".to_string()
+            + &"mstep r3, r1, r3\n".repeat(n)
+    };
+    let after = "movfrs r4, md\nli r5, 5\nmstep r6, r5, r0\nmovfrs r7, md\nhalt";
+    let mut sources = Vec::new();
+    for gap in 0..3 {
+        let pad = "add r9, r1, r1\n".repeat(gap);
+        sources.push((
+            format!("movtos gap {gap}"),
+            chain(32) + &pad + "movtos md, r1\n" + after,
+        ));
+        sources.push((format!("movfrs gap {gap}"), chain(32) + &pad + after));
+    }
+    for branch in ["beq", "beqsq", "beqsqg"] {
+        sources.push((
+            format!("{branch} window"),
+            chain(30)
+                + branch
+                + " r0, r0, t\nmstep r3, r1, r3\nmstep r3, r1, r3\nt: movtos md, r1\n"
+                + after,
+        ));
+    }
+    sources.push((
+        "return".into(),
+        include_str!("../../../tests/golden/md_after_return.s").into(),
+    ));
+    sources
+        .into_iter()
+        .map(|(label, src)| {
+            let program = assemble(&src).unwrap_or_else(|e| panic!("{label}: {e}"));
+            (label, program)
+        })
+        .collect()
+}
+
+/// The reference model follows the step shadow as the pipeline does: the
+/// unpadded programs run clean under the checked backend, fault-free and
+/// under random fault plans, and the block engine matches the stepper on
+/// them, on the ideal configuration and on the board.
+#[test]
+fn unpadded_md_chains_agree_across_engines() {
+    let mut exceptions = 0;
+    for (name, base) in [
+        ("cache_ideal", MachineConfig::cache_ideal()),
+        ("board", MachineConfig::mipsx()),
+    ] {
+        let cfg = MachineConfig {
+            exception_vector: VECTOR,
+            ..base
+        };
+        let handler = assemble_at(NULL_HANDLER, VECTOR).expect("handler assembles");
+        for (label, program) in unpadded_md_programs() {
+            let label = format!("{name} {label}");
+            for seed in 0..4u64 {
+                let mut m = Machine::new(cfg);
+                m.load_program(&program);
+                let mut checked = CheckedBackend::new(&m, &program);
+                checked.install_handler(&mut m, &handler);
+                checked.enable_interrupts(&mut m);
+                let mut plan = match seed {
+                    0 => FaultPlan::none(),
+                    _ => FaultPlan::random(seed, 60, 3),
+                };
+                exceptions += checked
+                    .run_with_faults(&mut m, 100_000, &mut NullSink, &mut plan)
+                    .and_then(|stats| checked.final_check(&m).map(|()| stats.exceptions))
+                    .unwrap_or_else(|e| panic!("{label} [seed {seed}]: {e}"));
+            }
+            let run = |kind| {
+                let mut m = Machine::new(cfg);
+                m.load_program(&program);
+                AnyBackend::new(kind, &program, &m)
+                    .run(&mut m, 100_000)
+                    .unwrap_or_else(|e| panic!("{label}: {kind} engine: {e}"));
+                (*m.stats(), m.cpu().regs_snapshot(), m.cpu().md)
+            };
+            assert_eq!(run(EngineKind::Interp), run(EngineKind::Block), "{label}");
+        }
+    }
+    assert!(exceptions > 0, "no plan ever took an exception");
 }

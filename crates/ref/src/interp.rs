@@ -12,7 +12,12 @@
 //! - the **PC shift chain** — on exception entry the three uncompleted
 //!   instruction addresses become architectural state, and the
 //!   `jpc`/`jpc`/`jpcrs` return sequence replays them;
-//! - the **PSW rules** for exception entry and return.
+//! - the **PSW rules** for exception entry and return;
+//! - the **`mstep`/`dstep` write-back shadow** — a step writes MD two
+//!   positions after it executes, as the pipeline's WB trails its ALU, so
+//!   a `movtos md` one or two positions behind it is overwritten, and
+//!   later MD readers see the step's value over the MEM/WB bypass.
+//!   Annulled positions count, as fetches do.
 //!
 //! Everything else (bypassing, delayed write-back, cache misses, frozen
 //! cycles, coprocessor busy stalls) is supposed to be *invisible* at this
@@ -84,7 +89,13 @@ pub struct RefMachine {
     pc: u32,
     psw: Psw,
     psw_old: Psw,
+    /// MD as written back so far: committed steps two positions late, a
+    /// `movtos md` at once.
     md: u32,
+    /// Step MD write-backs in flight, youngest first: the position being
+    /// consumed, then the two before it. The oldest lands after the
+    /// current position executes.
+    md_wb: [Option<u32>; 3],
     /// The architectural PC chain: written on exception entry (from the
     /// model's own lookahead), read by `movfrs`, rotated by the special
     /// jumps. Frozen while PC shifting is disabled.
@@ -123,6 +134,7 @@ impl RefMachine {
             psw: Psw::reset(),
             psw_old: Psw::reset(),
             md: 0,
+            md_wb: [None; 3],
             chain: [PcChainEntry::default(); REDIRECT_DEPTH],
             mem: HashMap::new(),
             decoded: DecodedMem::new(),
@@ -173,9 +185,10 @@ impl RefMachine {
         self.pc
     }
 
-    /// The multiply/divide step register.
+    /// The multiply/divide step register, as the next MD reader sees it:
+    /// the youngest step write-back in flight, else the register.
     pub fn md(&self) -> u32 {
-        self.md
+        self.md_wb[1].or(self.md_wb[2]).unwrap_or(self.md)
     }
 
     /// Whether `halt` has committed.
@@ -255,14 +268,18 @@ impl RefMachine {
             .fetch_with(addr, || mem.get(&addr).copied().unwrap_or(0))
     }
 
-    /// End-of-position bookkeeping: fire the oldest pending redirect and
-    /// shift the delay line.
+    /// End-of-position bookkeeping: fire the oldest pending redirect, land
+    /// the oldest step write-back, and shift both delay lines.
     fn finish_position(&mut self) {
         if let Some(r) = self.pending[0].take() {
             self.pc = r.target;
             self.fetch_kill = r.kill;
         }
         self.pending = [self.pending[1].take(), self.pending[2].take(), None];
+        if let Some(md) = self.md_wb[2] {
+            self.md = md;
+        }
+        self.md_wb = [None, self.md_wb[0], self.md_wb[1]];
     }
 
     /// Architectural effect of one committed instruction.
@@ -283,12 +300,10 @@ impl RefMachine {
             } => {
                 let a = self.reg(rs1);
                 let b = if op.uses_rs2() { self.reg(rs2) } else { 0 };
-                let md = if op.touches_md() { self.md } else { 0 };
+                let md = if op.touches_md() { self.md() } else { 0 };
                 let (v, _overflow, md_out) = op.execute(a, b, shamt, md);
                 self.set(rd, v);
-                if let Some(m) = md_out {
-                    self.md = m;
-                }
+                self.md_wb[0] = md_out;
             }
             Instr::Ld { rs1, rd, offset } => {
                 let addr = self.reg(rs1).wrapping_add(offset as u32);
@@ -368,7 +383,7 @@ impl RefMachine {
         match sreg {
             SpecialReg::Psw => self.psw.bits(),
             SpecialReg::PswOld => self.psw_old.bits(),
-            SpecialReg::Md => self.md,
+            SpecialReg::Md => self.md(),
             SpecialReg::PcChain0 => self.chain[0].to_word(),
             SpecialReg::PcChain1 => self.chain[1].to_word(),
             SpecialReg::PcChain2 => self.chain[2].to_word(),
@@ -495,6 +510,10 @@ impl RefMachine {
             self.chain.copy_from_slice(&entries[..REDIRECT_DEPTH]);
         }
         self.drain = entries.iter().map(|e| e.pc).collect();
+        // Every consumed position has written back by the time the
+        // handler runs.
+        self.md = self.md();
+        self.md_wb = [None; 3];
         self.psw_old = self.psw;
         self.psw.record_cause(cause);
         self.psw.set_mode(Mode::System);

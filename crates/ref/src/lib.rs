@@ -8,8 +8,9 @@
 //!
 //! - [`RefMachine`] — a functional interpreter of the MIPS-X ISA with no
 //!   pipeline, caches or stalls. It knows only what the ISA makes
-//!   architectural: delay slots, squashing, the PC chain, and the PSW
-//!   exception rules.
+//!   architectural: delay slots, squashing, the PC chain, the PSW
+//!   exception rules, and the `mstep`/`dstep` MD write-back shadow that
+//!   software must schedule around.
 //! - [`Shadow`] — follows a caller-owned cycle-accurate pipeline with the
 //!   reference model over the same program and the same injected-fault
 //!   schedule (interrupts, NMIs, Icache parity refetches, Ecache latency

@@ -138,6 +138,33 @@ impl RawProgram {
         self.blocks.iter().map(|b| b.instrs.len()).sum()
     }
 
+    /// Where each block's `Return` lands: the continuation of every call
+    /// whose target reaches the return. The walk steps over nested calls to
+    /// their own continuations, so the set is context-insensitive but not
+    /// transitive. Blocks ending otherwise land nowhere here.
+    pub(crate) fn return_landings(&self) -> Vec<Vec<BlockId>> {
+        let mut landings = vec![Vec::new(); self.len()];
+        let mut seen = vec![usize::MAX; self.len()];
+        let mut work = Vec::new();
+        for (call, term) in self.terms.iter().enumerate() {
+            let Terminator::Call { target, ret_to, .. } = *term else {
+                continue;
+            };
+            work.push(target);
+            while let Some(b) = work.pop() {
+                if std::mem::replace(&mut seen[b], call) == call {
+                    continue;
+                }
+                match self.terms[b] {
+                    Terminator::Return { .. } => landings[b].push(ret_to),
+                    Terminator::Call { ret_to, .. } => work.push(ret_to),
+                    t => work.extend(t.successors()),
+                }
+            }
+        }
+        landings
+    }
+
     /// Check the layout invariants.
     ///
     /// # Panics

@@ -27,6 +27,7 @@ use std::fmt;
 
 use mipsx_asm::{Asm, AsmError, Program};
 use mipsx_isa::{Instr, InstrMeta, MdRole, Reg, SquashMode};
+use mipsx_verify::MdShadow;
 
 use crate::liveness::{self, RegSet};
 use crate::{BlockId, BranchScheme, RawProgram, SquashPolicy, Terminator};
@@ -792,58 +793,57 @@ fn schedule_bodies(
     bodies
 }
 
-/// The blocks whose fetch stream puts a `movtos md` within
-/// [`MD_STEP_SHADOW`](mipsx_verify::MD_STEP_SHADOW) fetches of an executed
-/// `mstep`/`dstep` — in the block, or across an exit into the first
-/// fetches of its landing (a call's return continuation starts afresh, as
-/// the verifier has it).
+/// The blocks whose fetch stream puts a `movtos md` in the [`MdShadow`] of
+/// an executed `mstep`/`dstep` — in the block, or across an exit into the
+/// first fetches of its landing. A return lands at the continuation of
+/// every call that reaches it ([`RawProgram::return_landings`]).
 fn md_shadow_blocks(raw: &RawProgram, bodies: &Bodies, plan: &Plan) -> Vec<BlockId> {
-    let shadow = usize::from(mipsx_verify::MD_STEP_SHADOW);
-    let is_step = |i: &Item| matches!(i.meta.md_role, MdRole::Mstep | MdRole::Dstep);
-    let writes_md = |i: Option<&Item>| i.is_some_and(|i| i.meta.md_role == MdRole::WritesMd);
-    // Fetch `h` of block `b` entered past its first `skip` instructions:
-    // the body, the terminator (`None`), then the delay slots.
-    let fetch = |b: BlockId, skip: usize, h: usize| {
+    // Block `b`'s fetch stream entered past its first `skip` instructions:
+    // the body, the terminator, then the delay slots.
+    let fetches = |b: BlockId, skip: usize| {
+        let role = |i: &Item| i.meta.md_role;
         let body = &bodies.get(b)[skip.min(bodies.len(b))..];
-        match h.checked_sub(body.len()) {
-            None => Some(&body[h]),
-            Some(0) => None,
-            Some(k) => plan.slot_fill[b].as_slice().get(k - 1),
-        }
+        let slots = plan.slot_fill[b].as_slice();
+        body.iter()
+            .map(role)
+            .chain([MdRole::None])
+            .chain(slots.iter().map(role))
     };
+    let mut returns = None;
     let mut flagged = Vec::new();
     for (x, term) in raw.terms.iter().enumerate() {
-        let body = bodies.get(x);
-        let slots = plan.slot_fill[x].as_slice();
-        let len = body.len() + 1 + slots.len();
-        let steps = (0..len).filter(|&i| fetch(x, 0, i).is_some_and(is_step));
-        if steps.clone().next().is_none() {
+        let mut items = bodies.get(x).iter().chain(plan.slot_fill[x].as_slice());
+        if !items.any(|i| matches!(i.meta.md_role, MdRole::Mstep | MdRole::Dstep)) {
             continue;
         }
-        let within = steps
-            .clone()
-            .any(|i| (i + 1..(i + shadow).min(len)).any(|j| writes_md(fetch(x, 0, j))));
-        let edges: [Option<(BlockId, usize, bool)>; 2] = match *term {
+        // The exit shadows with the slots run and annulled.
+        let (mut run, mut annulled) = (MdShadow::CLEAR, MdShadow::CLEAR);
+        let mut within = false;
+        for (k, role) in fetches(x, 0).enumerate() {
+            within |= run.fetch(role).is_some();
+            let in_body = k < bodies.len(x);
+            annulled.fetch(if in_body { role } else { MdRole::None });
+        }
+        // Whether the landing's stream clobbers a `movtos md` before the
+        // exit's shadow clears.
+        let lands = |t: BlockId, skip: usize, slots_run: bool| {
+            let mut shadow = if slots_run { run } else { annulled };
+            fetches(t, skip).any(|role| !shadow.is_clear() && shadow.fetch(role).is_some())
+        };
+        let across = match *term {
             Terminator::Branch { taken, fall, .. } => {
                 let mode = plan.squash_mode[x];
-                [
-                    Some((taken, plan.retarget[x], mode.slots_execute(true))),
-                    Some((fall, 0, mode.slots_execute(false))),
-                ]
+                lands(taken, plan.retarget[x], mode.slots_execute(true))
+                    || lands(fall, 0, mode.slots_execute(false))
             }
             Terminator::Jump(t) | Terminator::Call { target: t, .. } => {
-                [Some((t, plan.retarget[x], true)), None]
+                lands(t, plan.retarget[x], true)
             }
-            Terminator::Halt | Terminator::Return { .. } => [None, None],
+            Terminator::Return { .. } => returns.get_or_insert_with(|| raw.return_landings())[x]
+                .iter()
+                .any(|&c| lands(c, 0, true)),
+            Terminator::Halt => false,
         };
-        let across = edges.into_iter().flatten().any(|(t, skip, slots_run)| {
-            // The last step this edge executes; the landing's fetch `h`
-            // comes `len - i + h` fetches after it.
-            let executed = if slots_run { len } else { body.len() };
-            steps.clone().rfind(|&i| i < executed).is_some_and(|i| {
-                (0..(shadow + i).saturating_sub(len)).any(|h| writes_md(fetch(t, skip, h)))
-            })
-        });
         if within || across {
             flagged.push(x);
         }

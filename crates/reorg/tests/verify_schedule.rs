@@ -239,7 +239,8 @@ fn call_return_and_diamond_shapes_verify_clean() {
 /// hoisting the last steps into the delay slots (or moving the landing's
 /// `movtos md` in behind them) would put the write inside the steps'
 /// write-back shadow. Jumps to a head with one predecessor (moved) and
-/// with two (hoisted onto it), both branch landings, and a call's callee.
+/// with two (hoisted onto it), both branch landings, a call's callee, and
+/// a callee's return onto the call's continuation.
 #[test]
 fn chains_ending_at_an_md_writing_landing_verify_clean() {
     let ends_in_steps = || {
@@ -311,4 +312,22 @@ fn chains_ending_at_an_md_writing_landing_verify_clean() {
         ],
     );
     assert_verifies_clean(&call);
+    // A callee that ends in its chain, returning onto an MD write.
+    let ret = RawProgram::new(
+        vec![
+            RawBlock::new(vec![addi(10, 0, 1)]),
+            RawBlock::new(writes_md()),
+            RawBlock::new(md_chain_body()),
+        ],
+        vec![
+            Terminator::Call {
+                target: 2,
+                link: Reg::LINK,
+                ret_to: 1,
+            },
+            Terminator::Halt,
+            Terminator::Return { link: Reg::LINK },
+        ],
+    );
+    assert_verifies_clean(&ret);
 }

@@ -21,9 +21,16 @@
 //! indexed like the image, by `addr - origin`; an address outside the
 //! image is simply in no set.
 
-use crate::{DiagKind, Diagnostic, VerifyConfig, MD_STEP_SHADOW};
+use crate::{BlockExit, DiagKind, Diagnostic, MdShadow, VerifyConfig};
 use mipsx_asm::{DecodedEntry, DecodedImage};
 use mipsx_isa::{Instr, MdRole, SquashMode};
+
+/// Whether `c`, issued right after `p`, reads back the result of the
+/// coprocessor operation `p` launches on the same unit, which may still be
+/// busy.
+pub(crate) fn reads_back(p: Instr, c: Instr) -> bool {
+    matches!((p, c), (Instr::Cpop { cop, .. }, Instr::Mvfc { cop: c2, .. }) if cop == c2)
+}
 
 /// Abstract MD-register state for the step-chain rule.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,34 +55,24 @@ impl Md {
 }
 
 /// The abstract MD state at one instruction: the chain in progress, and
-/// how many fetches ago the last executed step issued (saturating at
-/// [`MD_STEP_SHADOW`], "long enough").
+/// the step shadow it is fetched in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct MdState {
     chain: Md,
-    since_step: u8,
+    shadow: MdShadow,
 }
 
 impl MdState {
     const START: MdState = MdState {
         chain: Md::Idle,
-        since_step: MD_STEP_SHADOW,
+        shadow: MdShadow::CLEAR,
     };
 
-    /// Paths join: the chains merge, and the nearest step counts.
+    /// Paths join: the chains merge, and so do the shadows.
     fn merge(self, other: MdState) -> MdState {
         MdState {
             chain: self.chain.merge(other.chain),
-            since_step: self.since_step.min(other.since_step),
-        }
-    }
-
-    /// The state `n` fetches later with no step among them (annulled slots
-    /// are still fetched).
-    fn after_fetches(self, n: u32) -> MdState {
-        MdState {
-            since_step: (u32::from(self.since_step) + n).min(u32::from(MD_STEP_SHADOW)) as u8,
-            ..self
+            shadow: self.shadow.merge(other.shadow),
         }
     }
 }
@@ -109,34 +106,16 @@ impl Analysis {
                 if std::mem::replace(&mut reachable[i], true) {
                     break;
                 }
-                let e = &code.entries()[i];
-                if !e.meta.is_control && !e.is_halt() {
+                let Some(exit) = BlockExit::of(code.entries()[i].instr, addr, slots) else {
                     addr += 1;
                     continue;
+                };
+                if exit != BlockExit::Halt {
+                    work.extend((1..=slots).map(|k| addr + k));
                 }
-                match e.instr {
-                    Instr::Branch { disp, .. } => {
-                        work.extend((1..=slots).map(|k| addr + k));
-                        work.push(addr.wrapping_add(disp as u32));
-                        work.push(addr + slots + 1);
-                    }
-                    Instr::Jspci { rs1, rd, imm } => {
-                        work.extend((1..=slots).map(|k| addr + k));
-                        if rs1.is_zero() {
-                            // Absolute jump/call: target is the immediate.
-                            work.push(imm as u32);
-                        }
-                        if !rd.is_zero() {
-                            // A call: the callee returns to the saved link,
-                            // which points just past the delay slots.
-                            work.push(addr + slots + 1);
-                        }
-                    }
-                    Instr::Jpc | Instr::Jpcrs => {
-                        work.extend((1..=slots).map(|k| addr + k));
-                    }
-                    _ => {} // `halt`
-                }
+                // A call's callee returns to the saved link, which points
+                // just past the delay slots.
+                work.extend(exit.successors());
                 break;
             }
         }
@@ -201,14 +180,10 @@ impl Analysis {
         &self.code.entries()[i..i + len as usize]
     }
 
-    fn entry_at(&self, addr: u32) -> Option<&DecodedEntry> {
-        self.code.get(addr)
-    }
-
     /// Report a load-delay hazard if `c_addr` can issue right after
     /// `p_addr` and ALU-consumes `p_addr`'s late-arriving load result.
     fn check_pair(&self, p_addr: u32, c_addr: u32, diags: &mut Vec<Diagnostic>) {
-        let (Some(p), Some(c)) = (self.entry_at(p_addr), self.entry_at(c_addr)) else {
+        let (Some(p), Some(c)) = (self.code.get(p_addr), self.code.get(c_addr)) else {
             return;
         };
         let Some(d) = p.meta.late_def else { return };
@@ -318,7 +293,7 @@ impl Analysis {
                     // Indirect transfer (`jspci` through a register,
                     // `jpc`, `jpcrs`): the successor is unknowable, so a
                     // late def in the final slot is conservatively wrong.
-                    if let Some(d) = self.entry_at(final_slot).and_then(|e| e.meta.late_def) {
+                    if let Some(d) = self.code.get(final_slot).and_then(|e| e.meta.late_def) {
                         diags.push(Diagnostic {
                             kind: DiagKind::LoadDelay,
                             addr: final_slot,
@@ -360,14 +335,12 @@ impl Analysis {
                     });
                 }
                 Instr::Cpop { cop, .. } => {
-                    if let Some(Instr::Mvfc { cop: c2, .. }) =
-                        self.entry_at(addr + 1).map(|e| e.instr)
-                    {
-                        if c2 == cop {
+                    if let Some(next) = self.code.get(addr + 1) {
+                        if reads_back(instr, next.instr) {
                             diags.push(Diagnostic {
                                 kind: DiagKind::CoprocResultTiming,
                                 addr: addr + 1,
-                                instr: self.at(addr + 1).instr,
+                                instr: next.instr,
                                 detail: format!(
                                     "reads coprocessor {cop} the cycle after `cpop` issues; the unit may still be busy and will stall the pipe"
                                 ),
@@ -382,10 +355,11 @@ impl Analysis {
 
     /// Forward abstract interpretation of the MD register: `mstep`/`dstep`
     /// chains must run 32 same-kind steps to completion without an
-    /// intervening `movtos md`, and no `movtos md` may issue within the
-    /// [`MD_STEP_SHADOW`] of a step (the step's later write-back would clobber
-    /// it). Delay windows are folded at their owning transfer so a squashed
-    /// outcome skips the annulled slots.
+    /// intervening `movtos md`, and no `movtos md` may issue in a step's
+    /// [`MdShadow`] (the step's later write-back would clobber it). Delay
+    /// windows are folded at their owning transfer so a squashed outcome
+    /// skips the annulled slots, and a return carries its shadow to the
+    /// continuation of every call that reaches it.
     fn check_md_chains(&self, diags: &mut Vec<Diagnostic>) {
         // Fixpoint over node states. Nodes are reachable addresses that
         // are not delay slots (slots are folded through their window).
@@ -393,6 +367,7 @@ impl Analysis {
             return;
         }
         let origin = self.code.origin();
+        let returns = self.return_edges();
         let mut states: Vec<Option<MdState>> = vec![None; self.reachable.len()];
         let mut work: Vec<u32> = vec![self.entry];
         let mut succs = Vec::new();
@@ -400,7 +375,7 @@ impl Analysis {
 
         while let Some(addr) = work.pop() {
             let state = states[(addr - origin) as usize].expect("queued nodes have a state");
-            self.md_successors(addr, state, None, &mut succs);
+            self.md_successors(addr, state, &returns, None, &mut succs);
             for &(succ, out) in &succs {
                 let Some(i) = self.reachable_index(succ) else {
                     continue;
@@ -416,9 +391,50 @@ impl Analysis {
         // Deterministic reporting pass over the converged states.
         for (i, state) in states.into_iter().enumerate() {
             if let Some(state) = state {
-                self.md_successors(origin + i as u32, state, Some(diags), &mut succs);
+                let addr = origin + i as u32;
+                self.md_successors(addr, state, &returns, Some(diags), &mut succs);
             }
         }
+    }
+
+    /// The return edges, as sorted `(return, continuation)` pairs: every
+    /// return (an indirect jump that links nothing) reachable from a direct
+    /// call's target reaches that call's continuation. The walk steps over
+    /// nested calls to their own continuations, so the set is
+    /// context-insensitive but not transitive.
+    fn return_edges(&self) -> Vec<(u32, u32)> {
+        let mut edges = Vec::new();
+        let mut seen = vec![u32::MAX; self.code.len()];
+        let mut work = Vec::new();
+        for call in self.reachable() {
+            let Some(BlockExit::Jump {
+                target: Some(target),
+                link: true,
+                ret,
+            }) = BlockExit::of(self.at(call).instr, call, self.slots)
+            else {
+                continue;
+            };
+            work.push(target);
+            while let Some(addr) = work.pop() {
+                let Some(i) = self.reachable_index(addr) else {
+                    continue;
+                };
+                if std::mem::replace(&mut seen[i], call) == call {
+                    continue;
+                }
+                match BlockExit::of(self.at(addr).instr, addr, self.slots) {
+                    None => work.push(addr + 1),
+                    Some(BlockExit::Jump {
+                        link: true, ret, ..
+                    }) => work.push(ret),
+                    Some(BlockExit::Jump { target: None, .. }) => edges.push((addr, ret)),
+                    Some(exit) => work.extend(exit.successors()),
+                }
+            }
+        }
+        edges.sort_unstable();
+        edges
     }
 
     /// Apply the MD transfer function at `addr` (folding the delay window
@@ -429,69 +445,69 @@ impl Analysis {
         &self,
         addr: u32,
         state: MdState,
+        returns: &[(u32, u32)],
         mut diags: Option<&mut Vec<Diagnostic>>,
         out: &mut Vec<(u32, MdState)>,
     ) {
         out.clear();
-        let Some(&entry) = self.entry_at(addr) else {
+        let Some(&entry) = self.code.get(addr) else {
             return;
         };
-        if !entry.meta.is_control {
-            if !matches!(entry.instr, Instr::Halt) {
-                let next = self.md_transfer(state, addr, diags.as_deref_mut());
-                out.push((addr + 1, next));
-            }
-            return;
-        }
+        let exit = match BlockExit::of(entry.instr, addr, self.slots) {
+            None => return out.push((addr + 1, self.md_transfer(state, addr, diags))),
+            Some(BlockExit::Halt) => return,
+            Some(exit) => exit,
+        };
 
         // Fold the window once; outcomes that squash the slots keep the
         // pre-window chain, the slots only counting as fetches.
-        let mut folded = state.after_fetches(1);
+        let issued = self.md_transfer(state, addr, None);
+        let (mut folded, mut squashed) = (issued, issued);
         for s in (1..=self.slots).map(|k| addr + k) {
-            folded = if self.code.get(s).is_some() {
-                self.md_transfer(folded, s, diags.as_deref_mut())
+            squashed.shadow.fetch(MdRole::None);
+            if self.code.get(s).is_some() {
+                folded = self.md_transfer(folded, s, diags.as_deref_mut());
             } else {
-                folded.after_fetches(1)
-            };
+                folded.shadow.fetch(MdRole::None);
+            }
         }
-        let squashed = state.after_fetches(1 + self.slots);
-        match entry.instr {
-            Instr::Branch { squash, disp, .. } => {
-                let target = addr.wrapping_add(disp as u32);
-                out.push((
-                    target,
-                    if squash.slots_execute(true) {
+        // Whatever a callee does to the chain is out of scope for a
+        // per-image analysis; its returns bring their shadows.
+        let resumed = |shadow| MdState {
+            chain: Md::Top,
+            shadow,
+        };
+        match exit {
+            BlockExit::Branch {
+                squash,
+                target,
+                fall,
+            } => {
+                let outcome = |taken| {
+                    if squash.slots_execute(taken) {
                         folded
                     } else {
                         squashed
-                    },
-                ));
-                out.push((
-                    addr + self.slots + 1,
-                    if squash.slots_execute(false) {
-                        folded
-                    } else {
-                        squashed
-                    },
-                ));
+                    }
+                };
+                out.extend([(target, outcome(true)), (fall, outcome(false))]);
             }
-            Instr::Jspci { rs1, rd, imm } => {
-                if rs1.is_zero() {
-                    out.push((imm as u32, folded));
-                }
-                if !rd.is_zero() {
-                    // Whatever the callee did to MD is out of scope for a
-                    // per-image analysis; resume conservatively.
-                    out.push((
-                        addr + self.slots + 1,
-                        MdState {
-                            chain: Md::Top,
-                            since_step: MD_STEP_SHADOW,
-                        },
-                    ));
-                }
+            BlockExit::Jump {
+                link: true,
+                ret,
+                target,
+            } => {
+                out.extend(target.map(|t| (t, folded)));
+                out.push((ret, resumed(MdShadow::CLEAR)));
             }
-            _ => {}
+            BlockExit::Jump {
+                target: Some(t), ..
+            } => out.push((t, folded)),
+            _ => {
+                let from = returns.partition_point(|&(r, _)| r < addr);
+                let landings = returns[from..].iter().take_while(|&&(r, _)| r == addr);
+                out.extend(landings.map(|&(_, cont)| (cont, resumed(folded.shadow))));
+            }
         }
     }
 
@@ -503,74 +519,67 @@ impl Analysis {
         diags: Option<&mut Vec<Diagnostic>>,
     ) -> MdState {
         let entry = self.at(addr);
-        let chain = match entry.meta.md_role {
-            MdRole::Mstep | MdRole::Dstep => {
-                let mul = entry.meta.md_role == MdRole::Mstep;
-                let chain = match state.chain {
-                    Md::Idle => Md::Chain { mul, count: 1 },
-                    Md::Chain { mul: m, count } if m == mul => {
-                        if count + 1 == 32 {
-                            Md::Idle
-                        } else {
-                            Md::Chain {
-                                mul,
-                                count: count + 1,
-                            }
-                        }
-                    }
-                    Md::Chain { mul: m, count } => {
-                        if let Some(diags) = diags {
-                            diags.push(Diagnostic {
-                                kind: DiagKind::MdChainBroken,
-                                addr,
-                                instr: entry.instr,
-                                detail: format!(
-                                    "{} interrupts a {} chain {count} step(s) in — the partial product/remainder in MD is clobbered",
-                                    if mul { "mstep" } else { "dstep" },
-                                    if m { "mstep" } else { "dstep" },
-                                ),
-                            });
-                        }
-                        Md::Chain { mul, count: 1 }
-                    }
-                    Md::Top => Md::Top,
-                };
-                return MdState {
-                    chain,
-                    since_step: 1,
-                };
-            }
-            MdRole::WritesMd => {
-                if let Some(diags) = diags {
-                    // A write inside a chain is a chain break; the shadow
-                    // rule covers the writes the chain rule accepts (right
-                    // after a completed chain, or where paths disagree).
-                    if let Md::Chain { mul, count } = state.chain {
-                        diags.push(Diagnostic {
-                            kind: DiagKind::MdChainBroken,
-                            addr,
-                            instr: entry.instr,
-                            detail: format!(
-                                "writes MD in the middle of a {} chain ({count} of 32 steps done)",
-                                if mul { "mstep" } else { "dstep" },
-                            ),
-                        });
-                    } else if state.since_step < MD_STEP_SHADOW {
-                        diags.push(Diagnostic {
-                            kind: DiagKind::MdWriteAfterStep,
-                            addr,
-                            instr: entry.instr,
-                            detail: format!(
-                                "writes MD {} fetch(es) after an mstep/dstep — the step's MD write-back lands later and overwrites this value",
-                                state.since_step
-                            ),
-                        });
-                    }
-                }
-                Md::Idle
-            }
-            MdRole::None => state.chain,
+        let role = entry.meta.md_role;
+        let mut shadow = state.shadow;
+        let clobbered = shadow.fetch(role);
+        let mul = role == MdRole::Mstep;
+        let name = |mul| if mul { "mstep" } else { "dstep" };
+        let (chain, finding) = match (role, state.chain) {
+            (MdRole::None, chain) => (chain, None),
+            // A write inside a chain is a chain break; the shadow rule
+            // covers the writes the chain rule accepts (right after a
+            // completed chain, or where paths disagree).
+            (MdRole::WritesMd, Md::Chain { mul, count }) => (
+                Md::Idle,
+                Some((
+                    DiagKind::MdChainBroken,
+                    format!(
+                        "writes MD in the middle of a {} chain ({count} of 32 steps done)",
+                        name(mul)
+                    ),
+                )),
+            ),
+            (MdRole::WritesMd, _) => (
+                Md::Idle,
+                clobbered.map(|since| {
+                    (
+                        DiagKind::MdWriteAfterStep,
+                        format!(
+                            "writes MD {since} fetch(es) after an mstep/dstep — the step's MD write-back lands later and overwrites this value"
+                        ),
+                    )
+                }),
+            ),
+            (_, Md::Top) => (Md::Top, None),
+            (_, Md::Idle) => (Md::Chain { mul, count: 1 }, None),
+            (_, Md::Chain { mul: m, count }) if m != mul => (
+                Md::Chain { mul, count: 1 },
+                Some((
+                    DiagKind::MdChainBroken,
+                    format!(
+                        "{} interrupts a {} chain {count} step(s) in — the partial product/remainder in MD is clobbered",
+                        name(mul),
+                        name(m),
+                    ),
+                )),
+            ),
+            (_, Md::Chain { count: 31, .. }) => (Md::Idle, None),
+            (_, Md::Chain { count, .. }) => (
+                Md::Chain {
+                    mul,
+                    count: count + 1,
+                },
+                None,
+            ),
         };
-        MdState { chain, ..state }.after_fetches(1)
+        if let (Some(diags), Some((kind, detail))) = (diags, finding) {
+            diags.push(Diagnostic {
+                kind,
+                addr,
+                instr: entry.instr,
+                detail,
+            });
+        }
+        MdState { chain, shadow }
     }
 }

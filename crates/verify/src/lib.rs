@@ -64,7 +64,7 @@ pub use timing::{BlockCost, TimingAnalysis};
 
 use mipsx_asm::Program;
 use mipsx_core::probe::json_escape;
-use mipsx_isa::Instr;
+use mipsx_isa::{Instr, MdRole};
 use std::fmt;
 
 /// Parameters the verifier needs from the active
@@ -107,12 +107,55 @@ pub enum Severity {
     Error,
 }
 
-/// Fetches after which an `mstep`/`dstep`'s MD write-back can no longer
-/// land on a later `movtos md`: the step writes MD at WB, two stages after
-/// its ALU, while `movtos` commits at ALU, so a write issued one or two
-/// fetches behind the step is overwritten by it
-/// ([`DiagKind::MdWriteAfterStep`]).
-pub const MD_STEP_SHADOW: u8 = 3;
+/// The `mstep`/`dstep` write-back shadow along a fetch stream. A step
+/// writes MD at WB, two stages after its ALU, while `movtos` commits at
+/// ALU, so a `movtos md` fetched one or two fetches behind an executed
+/// step is overwritten by it ([`DiagKind::MdWriteAfterStep`]).
+///
+/// This is the one definition of the rule. The verifier, the block
+/// summaries ([`BlockSummary::md_shadow_writes`]), the block engine's
+/// entry-hazard marks and the reorganizer each fold their own fetch stream
+/// through it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MdShadow {
+    /// Fetches since the last executed step, saturating at [`Self::REACH`].
+    since: u8,
+}
+
+impl MdShadow {
+    /// Fetches after which a step's write-back can no longer land on a
+    /// later `movtos md`.
+    const REACH: u8 = 3;
+
+    /// No step in reach: the start of a run, or far enough past a step.
+    pub const CLEAR: MdShadow = MdShadow { since: Self::REACH };
+
+    /// Fold one fetch. `role` is the fetched instruction's MD role if it
+    /// executes, and [`MdRole::None`] for an annulled slot, which still
+    /// takes a fetch but writes nothing back. Returns how many fetches
+    /// behind a step this fetch is, if it is a `movtos md` that the step's
+    /// write-back clobbers.
+    pub fn fetch(&mut self, role: MdRole) -> Option<u8> {
+        let since = self.since;
+        self.since = match role {
+            MdRole::Mstep | MdRole::Dstep => 1,
+            _ => (since + 1).min(Self::REACH),
+        };
+        (role == MdRole::WritesMd && since < Self::REACH).then_some(since)
+    }
+
+    /// Two paths join: the nearer step counts.
+    pub fn merge(self, other: MdShadow) -> MdShadow {
+        MdShadow {
+            since: self.since.min(other.since),
+        }
+    }
+
+    /// Whether no step's write-back is still in reach.
+    pub fn is_clear(self) -> bool {
+        self.since == Self::REACH
+    }
+}
 
 /// The typed rule a diagnostic comes from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -562,6 +605,47 @@ mod tests {
             + &"mstep r4, r5, r4\n".repeat(32)
             + "a:     halt";
         assert!(lint(&src).is_clean());
+    }
+
+    #[test]
+    fn md_shadow_follows_returns_to_every_call_continuation() {
+        // `f` is called from two sites and has two return paths; only the
+        // first ends its chain in the return's delay slots. The return
+        // edges are context-insensitive, so both continuations' MD writes
+        // are one fetch behind that step.
+        let callee = |tail: &str| {
+            "       call f\n\
+                    nop\n\
+                    nop\n\
+                    movtos md, r6\n\
+                    call f\n\
+                    nop\n\
+                    nop\n\
+                    movtos md, r7\n\
+                    halt\n\
+             f:     beq r1, r2, plain\n\
+                    nop\n\
+                    nop\n\
+                    movtos md, r1\n"
+                .to_string()
+                + &"mstep r4, r5, r4\n".repeat(30)
+                + tail
+                + "plain: ret\nnop\nnop"
+        };
+        let r = lint(&callee("ret\nmstep r4, r5, r4\nmstep r4, r5, r4\n"));
+        assert_eq!(
+            kinds(&r),
+            vec![
+                (DiagKind::MdWriteAfterStep, 3),
+                (DiagKind::MdWriteAfterStep, 7)
+            ],
+            "{r}"
+        );
+        // The chain done before the return leaves both landings clear.
+        let r = lint(&callee(
+            "mstep r4, r5, r4\nmstep r4, r5, r4\nret\nnop\nnop\n",
+        ));
+        assert!(r.diagnostics.is_empty(), "{r}");
     }
 
     #[test]

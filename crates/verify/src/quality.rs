@@ -24,6 +24,7 @@
 //!
 //! [`Severity::Warning`]: crate::Severity::Warning
 
+use crate::analysis::reads_back;
 use crate::summary::{BlockExit, BlockSummary};
 use crate::timing::TimingAnalysis;
 use crate::{DiagKind, Diagnostic, LintReport, VerifyConfig};
@@ -130,12 +131,7 @@ fn redundant_and_avoidable(
         let prev = &entries[p - 1];
         let next = &entries[p + 1];
         let load_pad = prev.meta.late_def.is_some_and(|d| next.meta.alu_uses(d));
-        let coproc_pad = match (prev.instr, next.instr) {
-            (mipsx_isa::Instr::Cpop { cop, .. }, mipsx_isa::Instr::Mvfc { cop: c2, .. }) => {
-                cop == c2
-            }
-            _ => false,
-        };
+        let coproc_pad = reads_back(prev.instr, next.instr);
         let addr = b.start + p as u32;
         if !load_pad && !coproc_pad {
             diags.push(Diagnostic {

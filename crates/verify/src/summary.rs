@@ -23,8 +23,8 @@
 //! *cross-boundary* pair facts (adjacency hazards spanning the split) are
 //! a property of the unsplit analysis and are not re-synthesized.
 
-use crate::analysis::Analysis;
-use crate::{VerifyConfig, MD_STEP_SHADOW};
+use crate::analysis::{reads_back, Analysis};
+use crate::{MdShadow, VerifyConfig};
 use mipsx_asm::{DecodedEntry, DecodedImage, Program};
 use mipsx_isa::{Instr, InstrMeta, MdRole, Reg, SquashMode};
 
@@ -57,6 +57,47 @@ pub enum BlockExit {
     },
     /// `halt` ends the block (and the program).
     Halt,
+}
+
+impl BlockExit {
+    /// How the word `instr` at `addr` ends a block scheduled for `slots`
+    /// delay slots; `None` for straight-line code.
+    pub(crate) fn of(instr: Instr, addr: u32, slots: u32) -> Option<BlockExit> {
+        let past = addr + slots + 1;
+        Some(match instr {
+            Instr::Branch { squash, disp, .. } => BlockExit::Branch {
+                squash,
+                target: addr.wrapping_add(disp as u32),
+                fall: past,
+            },
+            Instr::Jspci { rs1, rd, imm } => BlockExit::Jump {
+                target: rs1.is_zero().then_some(imm as u32),
+                link: !rd.is_zero(),
+                ret: past,
+            },
+            // jpc/jpcrs: the restart chain's successor is carried in the
+            // PC chain, unknowable statically.
+            Instr::Jpc | Instr::Jpcrs => BlockExit::Jump {
+                target: None,
+                link: false,
+                ret: past,
+            },
+            Instr::Halt => BlockExit::Halt,
+            _ => return None,
+        })
+    }
+
+    /// CFG successor addresses (callee return paths flow through the
+    /// `ret` continuation of a linking jump; indirect jumps end the walk).
+    pub fn successors(self) -> impl Iterator<Item = u32> {
+        let (a, b) = match self {
+            BlockExit::FallThrough { next } => (Some(next), None),
+            BlockExit::Branch { target, fall, .. } => (Some(target), Some(fall)),
+            BlockExit::Jump { target, link, ret } => (target, link.then_some(ret)),
+            BlockExit::Halt => (None, None),
+        };
+        a.into_iter().chain(b)
+    }
 }
 
 /// One pre-resolved bypass: the instruction at block-relative index `at`
@@ -106,12 +147,10 @@ pub struct BlockSummary {
     pub would_interlock: u32,
     /// `mstep`/`dstep` instructions (MD busy-chain length contribution).
     pub md_steps: u32,
-    /// `movtos md` instructions fetched within [`MD_STEP_SHADOW`] of an
-    /// earlier step in the block, whose write-back then overwrites them:
-    /// the stepper's MD differs from a program-order commit. Zero in
+    /// `movtos md` instructions fetched in the [`MdShadow`] of an earlier
+    /// step in the block, whose write-back then overwrites them: the
+    /// stepper's MD differs from a program-order commit. Zero in
     /// verifier-clean code.
-    ///
-    /// [`MD_STEP_SHADOW`]: crate::MD_STEP_SHADOW
     pub md_shadow_writes: u32,
     /// Coprocessor instructions fetched per visit — the static multiplier
     /// for the non-cached scheme's forced per-op miss.
@@ -139,18 +178,6 @@ pub struct BlockSummary {
 }
 
 impl BlockSummary {
-    /// CFG successor addresses (callee return paths flow through the
-    /// `ret` continuation of a linking jump; indirect jumps end the walk).
-    pub fn successors(&self) -> impl Iterator<Item = u32> {
-        let (a, b) = match self.exit {
-            BlockExit::FallThrough { next } => (Some(next), None),
-            BlockExit::Branch { target, fall, .. } => (Some(target), Some(fall)),
-            BlockExit::Jump { target, link, ret } => (target, link.then_some(ret)),
-            BlockExit::Halt => (None, None),
-        };
-        a.into_iter().chain(b)
-    }
-
     /// Delay-slot instructions killed when the terminator resolves with
     /// outcome `taken` (0 for every non-branch exit).
     pub fn squashed_when(&self, taken: bool) -> u32 {
@@ -305,28 +332,11 @@ fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
         }
     };
     lead(a.entry);
-    for (addr, e) in a.code.iter() {
-        if !(e.meta.is_control || e.is_halt()) || a.reachable_index(addr).is_none() {
-            continue;
-        }
-        match e.instr {
-            Instr::Branch { disp, .. } => {
-                lead(addr.wrapping_add(disp as u32));
-                lead(addr + slots + 1);
-            }
-            Instr::Jspci { rs1, imm, .. } => {
-                if rs1.is_zero() {
-                    lead(imm as u32);
-                }
-                lead(addr + slots + 1);
-            }
-            Instr::Jpc | Instr::Jpcrs => {
-                lead(addr + slots + 1);
-            }
-            Instr::Halt => {
-                lead(addr + 1);
-            }
-            _ => {}
+    for addr in a.reachable() {
+        if let Some(exit) = BlockExit::of(a.at(addr).instr, addr, slots) {
+            exit.successors().for_each(&mut lead);
+            // The first address past the window, or past the `halt`.
+            lead(addr + 1 + if exit == BlockExit::Halt { 0 } else { slots });
         }
     }
     let entries = a.code.entries();
@@ -347,8 +357,7 @@ fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
         let (addr, term_addr, window, exit) = loop {
             covered[i] = true;
             let addr = origin + i as u32;
-            let entry = &entries[i];
-            if !entry.meta.is_control && !entry.is_halt() {
+            let Some(exit) = BlockExit::of(entries[i].instr, addr, slots) else {
                 let next = i + 1;
                 if next < entries.len() && leaders[next] {
                     break (addr, None, 0, BlockExit::FallThrough { next: addr + 1 });
@@ -360,9 +369,9 @@ fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
                 }
                 i = next;
                 continue;
-            }
-            if entry.is_halt() {
-                break (addr, Some(addr), 0, BlockExit::Halt);
+            };
+            if exit == BlockExit::Halt {
+                break (addr, Some(addr), 0, exit);
             }
             // A control transfer: the window belongs to this block.
             let mut window = 0;
@@ -383,25 +392,6 @@ fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
                     }
                 }
             }
-            let exit = match entry.instr {
-                Instr::Branch { squash, disp, .. } => BlockExit::Branch {
-                    squash,
-                    target: addr.wrapping_add(disp as u32),
-                    fall: addr + slots + 1,
-                },
-                Instr::Jspci { rs1, rd, imm } => BlockExit::Jump {
-                    target: rs1.is_zero().then_some(imm as u32),
-                    link: !rd.is_zero(),
-                    ret: addr + slots + 1,
-                },
-                // jpc/jpcrs: the restart chain's successor is carried
-                // in the PC chain, unknowable statically.
-                _ => BlockExit::Jump {
-                    target: None,
-                    link: false,
-                    ret: addr + slots + 1,
-                },
-            };
             break (addr, Some(addr), window, exit);
         };
         // The block is the contiguous run from its leader through the
@@ -473,8 +463,7 @@ fn summarize(
         irregular,
     };
     hazards.clear();
-    // Fetches since the block's last step, saturating at the shadow.
-    let mut since_step = MD_STEP_SHADOW;
+    let mut shadow = MdShadow::CLEAR;
 
     for (i, e) in entries.iter().enumerate() {
         let m = &e.meta;
@@ -500,26 +489,19 @@ fn summarize(
         if m.is_coproc {
             s.coproc_ops += 1;
         }
-        match m.md_role {
-            MdRole::Mstep | MdRole::Dstep => {
-                s.md_steps += 1;
-                since_step = 0;
-            }
-            MdRole::WritesMd if since_step < MD_STEP_SHADOW => s.md_shadow_writes += 1,
-            _ => {}
+        if matches!(m.md_role, MdRole::Mstep | MdRole::Dstep) {
+            s.md_steps += 1;
         }
-        since_step = (since_step + 1).min(MD_STEP_SHADOW);
+        if shadow.fetch(m.md_role).is_some() {
+            s.md_shadow_writes += 1;
+        }
         if i + 1 < entries.len() {
             let n = &entries[i + 1];
             if m.late_def.is_some_and(|d| n.meta.alu_uses(d)) {
                 s.would_interlock += 1;
             }
-            if m.is_coproc && n.meta.is_coproc {
-                if let (Instr::Cpop { cop, .. }, Instr::Mvfc { cop: c2, .. }) = (e.instr, n.instr) {
-                    if cop == c2 {
-                        s.coproc_result_hazards += 1;
-                    }
-                }
+            if m.is_coproc && reads_back(e.instr, n.instr) {
+                s.coproc_result_hazards += 1;
             }
         }
         // Upward-exposed uses and must-defs.

@@ -87,7 +87,7 @@ impl TimingAnalysis {
         let partition = Partition::of(program, config);
         let mut succs = Adjacency::default();
         for b in &partition.blocks {
-            succs.push(b.successors().filter_map(|addr| partition.block_at(addr)));
+            succs.push(b.exit.successors().filter_map(|a| partition.block_at(a)));
         }
         let preds = succs.reversed();
         let mut ta = TimingAnalysis {
@@ -107,16 +107,6 @@ impl TimingAnalysis {
             .map(|&d| 10u64.saturating_pow(d.min(12)))
             .collect();
         ta
-    }
-
-    /// Index of the block *containing* `addr`.
-    pub fn block_of(&self, addr: u32) -> Option<usize> {
-        let i = self
-            .blocks
-            .partition_point(|b| b.start <= addr)
-            .checked_sub(1)?;
-        let b = &self.blocks[i];
-        (addr < b.start + b.len).then_some(i)
     }
 
     /// CFG successor block indices (successor addresses that are not block
@@ -168,7 +158,7 @@ impl TimingAnalysis {
     fn loop_depths(&self) -> Vec<u32> {
         let n = self.blocks.len();
         let mut depth = vec![0; n];
-        let Some(entry) = self.block_of(self.entry) else {
+        let Some(entry) = self.block_at(self.entry) else {
             return depth;
         };
         let (succs, preds) = (&self.succs, &self.preds);
