@@ -18,8 +18,8 @@
 //!    pipeline's forwarding paths deliver — *except* for stale load-delay
 //!    reads, which compilation refuses (see the hazard guards below).
 //! 2. **Per-visit [`Delta`]s** — closed-form `RunStats` increments per
-//!    branch outcome, derived from the same [`BlockSummary`] facts the
-//!    static/dynamic differential proves exact against the stepper.
+//!    branch outcome: the [`BlockSummary::delta`] pair the static/dynamic
+//!    differential proves exact against the stepper.
 //! 3. **A fallback verdict** — any instruction or hazard outside the fast
 //!    model marks the whole block: the engine demotes to the cycle-accurate
 //!    stepper *at the block boundary, before executing any of it*, so the
@@ -59,7 +59,7 @@ use crate::FallbackCause;
 use mipsx_asm::{DecodedEntry, DecodedImage};
 use mipsx_core::{InterlockPolicy, MachineConfig};
 use mipsx_isa::{ComputeOp, Cond, Instr, MdRole, Reg, SpecialReg};
-use mipsx_verify::{BlockExit, BlockSummary, MdShadow, Partition, VerifyConfig};
+use mipsx_verify::{BlockExit, BlockSummary, Delta, MdShadow, Partition, VerifyConfig};
 
 /// Map sentinel: address holds no compiled code.
 const NONE: u32 = u32::MAX;
@@ -208,26 +208,6 @@ impl LoadAt {
     }
 }
 
-/// Closed-form `RunStats` increments for one block visit under one branch
-/// outcome (index 0 = not taken / non-branch, 1 = taken). Each is at most
-/// the block's length, so `u32` holds it.
-// Not a full `RunStats`: two 24-field deltas per block raised `ideal_block`'s peak RSS by 25 %.
-// `u32` rather than `u64` fields halve what a visit reads here and cut
-// `ideal_block`'s peak RSS by about 8 %.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct Delta {
-    pub instructions: u32,
-    pub nops: u32,
-    pub squashed: u32,
-    pub branches: u32,
-    pub branches_taken: u32,
-    pub branch_slot_nops: u32,
-    pub branch_slot_squashed: u32,
-    pub jumps: u32,
-    pub loads: u32,
-    pub stores: u32,
-}
-
 /// How a compiled block transfers control.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Exit {
@@ -298,7 +278,8 @@ pub(crate) struct CompiledBlock {
     /// Superops in the delay window (empty for fall-through/halt blocks).
     pub window: Box<[Op]>,
     pub exit: Exit,
-    /// Per-outcome stats increments.
+    /// Per-outcome stats increments (index 0 = not taken / non-branch,
+    /// 1 = taken).
     pub delta: [Delta; 2],
     /// Per-outcome PC-chain seed records.
     pub tail: [TailSeed; 2],
@@ -625,7 +606,7 @@ fn compile_block(
                 rs2,
                 target,
                 fall,
-                kills: [b.squashed_when(false) > 0, b.squashed_when(true) > 0],
+                kills: [false, true].map(|taken| b.delta(taken).squashed > 0),
             },
             _ => {
                 demote(FallbackCause::IrregularBlock, &mut fallback);
@@ -655,12 +636,7 @@ fn compile_block(
         },
     };
 
-    let window_from = entries.len() - b.slots as usize;
-    let (body_mem, window_mem) = (
-        mem_ops(&entries[..window_from]),
-        mem_ops(&entries[window_from..]),
-    );
-    let delta = [false, true].map(|taken| make_delta(b, taken, term, body_mem, window_mem));
+    let delta = [b.delta(false), b.delta(true)];
     let tail = [make_tail(b, false), make_tail(b, true)];
     let loads = delta[0].loads.max(delta[1].loads);
 
@@ -678,60 +654,12 @@ fn compile_block(
     }
 }
 
-/// The loads and stores among `entries`. (WB's classification chain is
-/// nop, else load, else store; no nop is either.)
-fn mem_ops(entries: &[DecodedEntry]) -> (u32, u32) {
-    entries.iter().fold((0, 0), |(loads, stores), e| {
-        (
-            loads + u32::from(e.meta.is_load),
-            stores + u32::from(e.meta.is_store),
-        )
-    })
-}
-
-/// The `RunStats` increments of one visit with branch outcome `taken`,
-/// mirroring the stepper's write-back and resolve-stage accounting, given
-/// the [`mem_ops`] of the block before its delay window and of the window.
-fn make_delta(
-    b: &BlockSummary,
-    taken: bool,
-    term: Option<Instr>,
-    (body_loads, body_stores): (u32, u32),
-    (window_loads, window_stores): (u32, u32),
-) -> Delta {
-    let squashed = b.squashed_when(taken);
-    let is_branch = matches!(b.exit, BlockExit::Branch { .. });
-    let is_jspci = matches!(term, Some(Instr::Jspci { .. }));
-    // Annulled window slots retire nothing.
-    let (loads, stores) = if squashed > 0 {
-        (body_loads, body_stores)
-    } else {
-        (body_loads + window_loads, body_stores + window_stores)
-    };
-    Delta {
-        instructions: b.len - squashed,
-        nops: b.nops_when(taken),
-        squashed,
-        branches: u32::from(is_branch),
-        branches_taken: u32::from(is_branch && taken),
-        branch_slot_nops: if is_branch && squashed == 0 {
-            b.slot_nops
-        } else {
-            0
-        },
-        branch_slot_squashed: if is_branch { squashed } else { 0 },
-        jumps: u32::from(is_jspci),
-        loads,
-        stores,
-    }
-}
-
 /// The last up-to-three fetched `(pc, killed)` records of a visit with
 /// outcome `taken`, oldest first (fetch order — the window is fetched even
 /// on a taken branch; annulment only marks it killed).
 fn make_tail(b: &BlockSummary, taken: bool) -> TailSeed {
     let n = b.len.min(3);
-    let squashes = b.squashed_when(taken) > 0;
+    let squashes = b.delta(taken).squashed > 0;
     let window_from = b.start.wrapping_add(b.len).wrapping_sub(b.slots);
     let mut seed = TailSeed::default();
     for j in 0..n {
@@ -750,7 +678,7 @@ fn make_tail(b: &BlockSummary, taken: bool) -> TailSeed {
 /// slots deliver nothing: operand resolution skips them, the bypass reach
 /// ends before any live producer, and they write no MD back.
 fn tail(b: &BlockSummary, entries: &[DecodedEntry], taken: bool) -> (u32, MdShadow) {
-    let executed = (b.len - b.squashed_when(taken)) as usize;
+    let executed = b.delta(taken).instructions as usize;
     let mut shadow = MdShadow::CLEAR;
     for (k, e) in entries.iter().enumerate().filter(|_| b.md_steps > 0) {
         let role = e.meta.md_role;

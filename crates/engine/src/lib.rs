@@ -565,16 +565,7 @@ impl BlockEngine {
                 if n == 0 {
                     continue;
                 }
-                s.instructions += n * u64::from(d.instructions);
-                s.nops += n * u64::from(d.nops);
-                s.squashed += n * u64::from(d.squashed);
-                s.branches += n * u64::from(d.branches);
-                s.branches_taken += n * u64::from(d.branches_taken);
-                s.branch_slot_nops += n * u64::from(d.branch_slot_nops);
-                s.branch_slot_squashed += n * u64::from(d.branch_slot_squashed);
-                s.jumps += n * u64::from(d.jumps);
-                s.loads += n * u64::from(d.loads);
-                s.stores += n * u64::from(d.stores);
+                d.book(n, s);
                 self.stats.block_visits += n;
                 self.stats.fast_instructions += n * u64::from(d.instructions);
             }

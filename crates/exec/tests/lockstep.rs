@@ -143,8 +143,11 @@ fn corrupted_restart_path_is_caught() {
 /// with no padding: a `movtos md` zero to two fetches behind the last step
 /// (and a `movfrs md` and a next chain's step reading MD after it), a bare
 /// `movfrs md`, the chain's last steps in a branch window or in a return's
-/// delay slots with the landing writing MD, and a squashing branch that
-/// annuls the last step.
+/// delay slots with the landing writing MD, a squashing branch that
+/// annuls the last step, and words fetched behind the `halt` that act
+/// before it retires: `movtos` to MD (over the bypass, and against a step
+/// in flight), the PSWs, a `jpcrs`, and stores (only the first shadow
+/// word reaches MEM).
 fn unpadded_md_programs() -> Vec<(String, Program)> {
     let chain = |n: usize| {
         "li r1, 21\nli r2, 2\nmovtos md, r2\nli r3, 0\n".to_string()
@@ -173,6 +176,24 @@ fn unpadded_md_programs() -> Vec<(String, Program)> {
         "return".into(),
         include_str!("../../../tests/golden/md_after_return.s").into(),
     ));
+    sources.push((
+        "halt shadow".into(),
+        include_str!("../../../tests/golden/md_after_halt.s").into(),
+    ));
+    for (label, shadow) in [
+        ("bypass", "addi r1, r0, 9\nmovtos md, r1"),
+        ("step", "mstep r3, r1, r3\nmovtos md, r1"),
+        ("psw", "nop\nmovtos pswold, r20"),
+        ("jpcrs", "jpcrs"),
+        ("stores", "stf f1, 0(r20)\nst r20, 1(r20)"),
+    ] {
+        sources.push((
+            format!("halt shadow {label}"),
+            "li r20, 3000\nli r1, 7\nst r1, 0(r20)\nst r1, 1(r20)\nmovtos pswold, r1\nhalt\n"
+                .to_string()
+                + shadow,
+        ));
+    }
     sources
         .into_iter()
         .map(|(label, src)| {
@@ -182,10 +203,10 @@ fn unpadded_md_programs() -> Vec<(String, Program)> {
         .collect()
 }
 
-/// The reference model follows the step shadow as the pipeline does: the
-/// unpadded programs run clean under the checked backend, fault-free and
-/// under random fault plans, and the block engine matches the stepper on
-/// them, on the ideal configuration and on the board.
+/// The reference model follows the step and halt shadows as the pipeline
+/// does: the unpadded programs run clean under the checked backend,
+/// fault-free and under random fault plans, and the block engine matches
+/// the stepper on them, on the ideal configuration and on the board.
 #[test]
 fn unpadded_md_chains_agree_across_engines() {
     let mut exceptions = 0;

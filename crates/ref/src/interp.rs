@@ -17,7 +17,11 @@
 //!   positions after it executes, as the pipeline's WB trails its ALU, so
 //!   a `movtos md` one or two positions behind it is overwritten, and
 //!   later MD readers see the step's value over the MEM/WB bypass.
-//!   Annulled positions count, as fetches do.
+//!   Annulled positions count, as fetches do;
+//! - the **`halt` fetch shadow** — the two positions behind a committed
+//!   `halt` are in flight when it retires: both reach ALU (a `movtos`
+//!   commits, a special jump resolves) and the older one MEM (a store
+//!   writes memory), while their register and MD write-backs never land.
 //!
 //! Everything else (bypassing, delayed write-back, cache misses, frozen
 //! cycles, coprocessor busy stalls) is supposed to be *invisible* at this
@@ -233,31 +237,52 @@ impl RefMachine {
                 killed: true,
             };
         }
+        let (this_pc, instr, killed) = self.consume();
+        if !killed {
+            self.execute(this_pc, instr);
+            self.committed += 1;
+        }
+        self.finish_position();
+        if !killed && instr == Instr::Halt {
+            self.follow_halt_shadow();
+        }
+        RetireStep {
+            pc: this_pc,
+            instr: Some(instr),
+            killed,
+        }
+    }
+
+    /// Consume the next stream position: its address, instruction and
+    /// whether it is killed.
+    fn consume(&mut self) -> (u32, Instr, bool) {
         let this_pc = self.pc;
         let instr = self.fetch_decoded(this_pc).instr;
         self.pc = this_pc.wrapping_add(1);
         // Both kill sources apply to the same position when a squashing
         // branch is replayed through the chain: consuming only one would
         // leak the other onto a later position.
-        let mut killed = false;
-        if self.fetch_kill {
-            self.fetch_kill = false;
-            killed = true;
+        let killed = std::mem::take(&mut self.fetch_kill) | (self.squash_next > 0);
+        self.squash_next = self.squash_next.saturating_sub(1);
+        (this_pc, instr, killed)
+    }
+
+    /// Run the two positions behind a committed `halt` as far as the
+    /// pipeline takes them before the halt retires: both through ALU and
+    /// control resolution, the older one through MEM too. Their results
+    /// reach each other over the bypass, but no register or MD write-back
+    /// lands.
+    fn follow_halt_shadow(&mut self) {
+        let regs = self.regs;
+        for k in 0..2 {
+            let (this_pc, instr, killed) = self.consume();
+            if !killed && (k == 0 || !instr.is_store()) {
+                self.execute(this_pc, instr);
+            }
+            self.finish_position();
         }
-        if self.squash_next > 0 {
-            self.squash_next -= 1;
-            killed = true;
-        }
-        if !killed {
-            self.execute(this_pc, instr);
-            self.committed += 1;
-        }
-        self.finish_position();
-        RetireStep {
-            pc: this_pc,
-            instr: Some(instr),
-            killed,
-        }
+        self.regs = regs;
+        self.md_wb = [None; 3];
     }
 
     /// Fetch the decoded entry at `addr` through the decode-once side-car,

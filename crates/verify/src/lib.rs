@@ -59,7 +59,7 @@ mod timing;
 
 pub use attrib::{differential, BlockAttribution, DynBlock, PIPE_FILL};
 pub use quality::{quality, verify_with_timing};
-pub use summary::{BlockExit, BlockSummary, HazardRef, Partition, ALL_REGS};
+pub use summary::{BlockExit, BlockSummary, Delta, Partition, ALL_REGS};
 pub use timing::{BlockCost, TimingAnalysis};
 
 use mipsx_asm::Program;

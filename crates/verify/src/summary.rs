@@ -1,32 +1,28 @@
 //! Per-basic-block static summaries — the unit record of the timing
 //! analyzer.
 //!
-//! A [`BlockSummary`] condenses one basic block into exactly the facts a
-//! block-based execution engine (ROADMAP item 1) or a static cost model
-//! needs: local def/use masks and (after the whole-program liveness pass in
-//! [`crate::timing`]) live-in/live-out sets, fillable-vs-wasted delay-slot
-//! accounting, per-cause static stall event counts, and a pre-resolved
-//! bypass plan ([`HazardRef`]) saying which operands arrive over the
-//! forwarding network instead of the register file.
+//! A [`BlockSummary`] condenses one basic block into exactly the facts the
+//! block engine and the static cost model need: local def/use masks and
+//! (after the whole-program liveness pass in [`crate::timing`])
+//! live-in/live-out sets, fillable-vs-wasted delay-slot accounting,
+//! per-cause static stall event counts, the number of operands the
+//! forwarding network delivers, and the one rule for what a visit books:
+//! [`BlockSummary::delta`], the per-outcome [`Delta`] the block engine
+//! books and the static/dynamic differential in [`crate::attrib`] holds
+//! to the stepper.
 //!
 //! **Block shape.** Leaders are the program entry, every branch/jump
 //! target, and the first address past every delay window; a control
 //! transfer *and its delay slots* terminate the block that contains them,
 //! so a block is fetched — and, fault-free, drained — as a unit. That
-//! invariant is what makes the dynamic differential in [`crate::attrib`]
-//! exact: per visit, a block costs exactly `len` advancing cycles.
-//!
-//! Summaries of two blocks split at a non-branch boundary can be
-//! [`merged`](BlockSummary::merge) back together. The merge composes the
-//! positional and mask facts exactly and concatenates the bypass plans; it
-//! is associative (the property test in `tests/` checks this), though
-//! *cross-boundary* pair facts (adjacency hazards spanning the split) are
-//! a property of the unsplit analysis and are not re-synthesized.
+//! invariant is what makes the dynamic differential exact: per visit, a
+//! block costs exactly `len` advancing cycles.
 
 use crate::analysis::{reads_back, Analysis};
 use crate::{MdShadow, VerifyConfig};
 use mipsx_asm::{DecodedEntry, DecodedImage, Program};
-use mipsx_isa::{Instr, InstrMeta, MdRole, Reg, SquashMode};
+use mipsx_core::RunStats;
+use mipsx_isa::{Instr, MdRole, SquashMode};
 
 /// Mask of every register that can carry dataflow (`r1`..`r31`).
 pub const ALL_REGS: u32 = 0xFFFF_FFFE;
@@ -100,21 +96,46 @@ impl BlockExit {
     }
 }
 
-/// One pre-resolved bypass: the instruction at block-relative index `at`
-/// reads `reg` from the forwarding network, not the register file, because
-/// a producer `dist` instructions earlier in the same block defines it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HazardRef {
-    /// Consumer's index within the block.
-    pub at: u32,
-    /// The forwarded register.
-    pub reg: Reg,
-    /// Issue distance to the producer (1 or 2 — bypass reach).
-    pub dist: u32,
-    /// The producer is load-class: its value arrives from MEM, one stage
-    /// later than an ALU result (`dist == 1` + ALU consumption would be
-    /// the load-delay hazard the verifier rejects).
-    pub late: bool,
+/// The `RunStats` increments of one block visit under one branch outcome,
+/// mirroring the stepper's write-back and resolve-stage accounting. Each
+/// is at most the block's length, so `u32` holds it.
+// Not a full `RunStats`: the block engine keeps two per compiled block,
+// and two 24-field deltas raised `ideal_block`'s peak RSS by 25 %; `u32`
+// rather than `u64` fields halve what a visit reads and cut it by 8 %.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Delta {
+    pub instructions: u32,
+    pub nops: u32,
+    pub squashed: u32,
+    pub branches: u32,
+    pub branches_taken: u32,
+    pub branch_slot_nops: u32,
+    pub branch_slot_squashed: u32,
+    pub jumps: u32,
+    pub loads: u32,
+    pub stores: u32,
+}
+
+impl Delta {
+    /// Book `n` visits into `s`.
+    #[inline]
+    pub fn book(&self, n: u64, s: &mut RunStats) {
+        s.instructions += n * u64::from(self.instructions);
+        s.nops += n * u64::from(self.nops);
+        s.squashed += n * u64::from(self.squashed);
+        s.branches += n * u64::from(self.branches);
+        s.branches_taken += n * u64::from(self.branches_taken);
+        s.branch_slot_nops += n * u64::from(self.branch_slot_nops);
+        s.branch_slot_squashed += n * u64::from(self.branch_slot_squashed);
+        s.jumps += n * u64::from(self.jumps);
+        s.loads += n * u64::from(self.loads);
+        s.stores += n * u64::from(self.stores);
+    }
+
+    /// Wasted issue slots: squashed drains plus surviving nops.
+    pub fn wasted(&self) -> u32 {
+        self.squashed + self.nops
+    }
 }
 
 /// Static summary of one basic block.
@@ -136,6 +157,12 @@ pub struct BlockSummary {
     pub slot_filled: u32,
     /// Explicit nops outside the delay window.
     pub body_nops: u32,
+    /// Loads and stores outside the delay window.
+    pub body_loads: u32,
+    pub body_stores: u32,
+    /// Loads and stores in the delay window.
+    pub slot_loads: u32,
+    pub slot_stores: u32,
     /// Subset of `body_nops` that pad a load delay (removing them would
     /// create the distance-1 hazard) — wasted cycles the schedule *needs*.
     pub load_pad_nops: u32,
@@ -168,8 +195,10 @@ pub struct BlockSummary {
     pub live_in: u32,
     /// Registers live on exit (filled by the whole-program pass).
     pub live_out: u32,
-    /// Pre-resolved bypass plan, consumer order.
-    pub hazards: Vec<HazardRef>,
+    /// Operands read over the forwarding network: registers an
+    /// instruction reads that one of the two before it in the block
+    /// defines.
+    pub bypasses: u32,
     /// The block's shape violates the clean-partition invariants (a leader
     /// inside a delay window, a window running off the image, or a control
     /// transfer inside a window, e.g. the `jpc` restart chain). Static
@@ -178,29 +207,29 @@ pub struct BlockSummary {
 }
 
 impl BlockSummary {
-    /// Delay-slot instructions killed when the terminator resolves with
-    /// outcome `taken` (0 for every non-branch exit).
-    pub fn squashed_when(&self, taken: bool) -> u32 {
-        match self.exit {
+    /// What one visit books when its terminator resolves with outcome
+    /// `taken` (`false` for every non-branch exit): the whole block
+    /// retires but the slots a squash annuls, which retire nothing.
+    pub fn delta(&self, taken: bool) -> Delta {
+        let branch = matches!(self.exit, BlockExit::Branch { .. });
+        let squashed = match self.exit {
             BlockExit::Branch { squash, .. } if !squash.slots_execute(taken) => self.slots,
             _ => 0,
+        };
+        // Whether the window retires.
+        let window = u32::from(squashed == 0);
+        Delta {
+            instructions: self.len - squashed,
+            nops: self.body_nops + window * self.slot_nops,
+            squashed,
+            branches: u32::from(branch),
+            branches_taken: u32::from(branch && taken),
+            branch_slot_nops: u32::from(branch) * window * self.slot_nops,
+            branch_slot_squashed: squashed,
+            jumps: u32::from(matches!(self.exit, BlockExit::Jump { .. })),
+            loads: self.body_loads + window * self.slot_loads,
+            stores: self.body_stores + window * self.slot_stores,
         }
-    }
-
-    /// Nops that retire (un-annulled) per visit with outcome `taken`.
-    pub fn nops_when(&self, taken: bool) -> u32 {
-        self.body_nops
-            + if self.squashed_when(taken) > 0 {
-                0
-            } else {
-                self.slot_nops
-            }
-    }
-
-    /// Wasted issue slots per visit (squashed drains + surviving nops) for
-    /// outcome `taken`.
-    pub fn wasted_when(&self, taken: bool) -> u32 {
-        self.squashed_when(taken) + self.nops_when(taken)
     }
 
     /// Per-visit static stall *event* counts, indexed by
@@ -218,45 +247,6 @@ impl BlockSummary {
             u64::from(self.coproc_ops),
             u64::from(self.would_interlock),
         ]
-    }
-
-    /// Merge two summaries split at a non-branch boundary: `self` must
-    /// fall through directly into `other`. Positional counts add, masks
-    /// compose left-to-right, bypass plans concatenate (cross-boundary
-    /// pairs are a property of the unsplit analysis). Returns `None` when
-    /// the blocks are not split-adjacent.
-    pub fn merge(&self, other: &BlockSummary) -> Option<BlockSummary> {
-        match self.exit {
-            BlockExit::FallThrough { next } if next == other.start => {}
-            _ => return None,
-        }
-        let mut hazards = self.hazards.clone();
-        hazards.extend(other.hazards.iter().map(|h| HazardRef {
-            at: h.at + self.len,
-            ..*h
-        }));
-        Some(BlockSummary {
-            start: self.start,
-            len: self.len + other.len,
-            exit: other.exit,
-            term_addr: other.term_addr,
-            slots: other.slots,
-            slot_nops: other.slot_nops,
-            slot_filled: other.slot_filled,
-            body_nops: self.body_nops + other.body_nops,
-            load_pad_nops: self.load_pad_nops + other.load_pad_nops,
-            would_interlock: self.would_interlock + other.would_interlock,
-            md_steps: self.md_steps + other.md_steps,
-            md_shadow_writes: self.md_shadow_writes + other.md_shadow_writes,
-            coproc_ops: self.coproc_ops + other.coproc_ops,
-            coproc_result_hazards: self.coproc_result_hazards + other.coproc_result_hazards,
-            def_mask: self.def_mask | other.def_mask,
-            use_mask: self.use_mask | (other.use_mask & !self.def_mask),
-            live_in: self.live_in,
-            live_out: other.live_out,
-            hazards,
-            irregular: self.irregular || other.irregular,
-        })
     }
 }
 
@@ -343,8 +333,6 @@ fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
 
     let mut blocks = Vec::with_capacity(leaders.iter().filter(|&&l| l).count());
     let mut covered = vec![false; a.code.len()];
-    // One bypass plan buffer, copied out at its exact size per block.
-    let mut hazards = Vec::new();
     for start in (0..leaders.len()).filter(|&i| leaders[i]) {
         if covered[start] {
             // A branch targets the inside of an already-consumed window.
@@ -405,7 +393,6 @@ fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
             window,
             exit,
             irregular,
-            &mut hazards,
         ));
     }
 
@@ -416,8 +403,7 @@ fn build_blocks(a: &Analysis) -> (Vec<BlockSummary>, bool) {
     (blocks, global_irregular)
 }
 
-/// Compute the block-local facts for one partitioned block; `hazards` is
-/// scratch for its bypass plan.
+/// Compute the block-local facts for one partitioned block.
 fn summarize(
     start: u32,
     entries: &[DecodedEntry],
@@ -425,7 +411,6 @@ fn summarize(
     window: u32,
     exit: BlockExit,
     irregular: bool,
-    hazards: &mut Vec<HazardRef>,
 ) -> BlockSummary {
     let len = entries.len() as u32;
     let slots = match exit {
@@ -449,6 +434,10 @@ fn summarize(
         slot_nops: 0,
         slot_filled: 0,
         body_nops: 0,
+        body_loads: 0,
+        body_stores: 0,
+        slot_loads: 0,
+        slot_stores: 0,
         load_pad_nops: 0,
         would_interlock: 0,
         md_steps: 0,
@@ -459,10 +448,9 @@ fn summarize(
         use_mask: 0,
         live_in: 0,
         live_out: 0,
-        hazards: Vec::new(),
+        bypasses: 0,
         irregular,
     };
-    hazards.clear();
     let mut shadow = MdShadow::CLEAR;
 
     for (i, e) in entries.iter().enumerate() {
@@ -486,6 +474,13 @@ fn summarize(
         } else if in_window {
             s.slot_filled += 1;
         }
+        let (loads, stores) = if in_window {
+            (&mut s.slot_loads, &mut s.slot_stores)
+        } else {
+            (&mut s.body_loads, &mut s.body_stores)
+        };
+        *loads += u32::from(m.is_load);
+        *stores += u32::from(m.is_store);
         if m.is_coproc {
             s.coproc_ops += 1;
         }
@@ -509,20 +504,9 @@ fn summarize(
         if !(in_window && slots_may_squash) {
             s.def_mask |= m.def_mask;
         }
-        // Pre-resolved bypass plan: nearest producer within forwarding
-        // reach for every register this instruction reads.
+        // Registers read from a producer within forwarding reach.
         let def_at = |dist: usize| i.checked_sub(dist).map_or(0, |j| entries[j].meta.def_mask);
-        let (near, far) = (def_at(1), def_at(2));
-        for reg in InstrMeta::mask_regs(m.use_mask & (near | far)) {
-            let dist = if near & reg.mask_bit() != 0 { 1 } else { 2 };
-            hazards.push(HazardRef {
-                at: i as u32,
-                reg,
-                dist,
-                late: entries[i - dist as usize].meta.mem_result,
-            });
-        }
+        s.bypasses += (m.use_mask & (def_at(1) | def_at(2)) & ALL_REGS).count_ones();
     }
-    s.hazards = hazards.to_vec();
     s
 }

@@ -201,36 +201,32 @@ impl TimingAnalysis {
         let mut reached = vec![false; n];
         let mut stack = vec![entry];
         while let Some(b) = stack.pop() {
-            if reached[b] {
-                continue;
+            if !reached[b] {
+                reached[b] = true;
+                stack.extend(succs.of(b));
             }
-            reached[b] = true;
-            stack.extend(succs.of(b).iter().copied());
         }
 
-        // Natural loop bodies, merged per header.
-        let mut bodies: Vec<Option<Vec<bool>>> = vec![None; n];
-        for u in (0..n).filter(|&u| reached[u]) {
-            for &h in succs.of(u) {
-                if !dominates(h, u) {
-                    continue;
-                }
-                let body = bodies[h].get_or_insert_with(|| vec![false; n]);
-                body[h] = true;
-                let mut stack = vec![u];
-                while let Some(b) = stack.pop() {
-                    if body[b] {
-                        continue;
-                    }
-                    body[b] = true;
-                    stack.extend(preds.of(b).iter().copied());
+        // Natural loop bodies, one header at a time, merged over its back
+        // edges: `mark[b] == h` once `b` is in the loop headed by `h`.
+        let mut mark = vec![usize::MAX; n];
+        for h in 0..n {
+            // The tails of the back edges into `h`.
+            for &u in preds.of(h) {
+                if reached[u] && dominates(h, u) {
+                    stack.push(u);
                 }
             }
-        }
-        for body in bodies.iter().flatten() {
-            for (b, &inside) in body.iter().enumerate() {
-                if inside {
+            if stack.is_empty() {
+                continue;
+            }
+            mark[h] = h;
+            depth[h] += 1;
+            while let Some(b) = stack.pop() {
+                if mark[b] != h {
+                    mark[b] = h;
                     depth[b] += 1;
+                    stack.extend(preds.of(b));
                 }
             }
         }
@@ -243,7 +239,7 @@ impl TimingAnalysis {
             .iter()
             .enumerate()
             .map(|(i, b)| {
-                let (w0, w1) = (b.wasted_when(false), b.wasted_when(true));
+                let (w0, w1) = (b.delta(false).wasted(), b.delta(true).wasted());
                 BlockCost {
                     index: i,
                     start: b.start,
@@ -331,7 +327,7 @@ impl TimingAnalysis {
                 b.live_in,
                 b.live_out,
                 b.md_steps,
-                b.hazards.len(),
+                b.bypasses,
                 st[2],
                 st[3],
                 st[4],
