@@ -195,6 +195,11 @@ impl Machine {
         &self.ecache
     }
 
+    /// Main memory (verification reads every resident word).
+    pub fn main_memory(&self) -> &MainMemory {
+        &self.mem
+    }
+
     /// The squash FSM's instrumentation (Figure 3).
     pub fn squash_fsm(&self) -> &SquashFsm {
         &self.squash_fsm

@@ -49,6 +49,22 @@
 //! The memos are cleared at every region entry, because the machine may
 //! have been reset or restored between runs.
 //!
+//! # Loops pay once
+//!
+//! A block whose chained successor is itself keeps iterating inside one
+//! dispatch while the dispatch's own checks would pass — no watched store
+//! landed, and the next visit fits the cycle budget — so a budget demotes
+//! at the same block boundary as it would between dispatches. On a
+//! cache-driving configuration, once a visit's fetches missed nothing and
+//! the block's memo covers its run, later visits leave the Icache alone,
+//! and the loop's exit books the skipped passes in closed form with one
+//! [`Icache::replay`](mipsx_mem::Icache::replay). That is exact: an
+//! all-hit pass moves no tag or valid bit, so each later pass would hit
+//! on the same lines, and the visits between touch no Icache state — their
+//! Ecache reads and their stores touch none. A streaming loop's loads and
+//! stores land on one data page, which main memory keeps in its hot slot
+//! ahead of its page directory.
+//!
 //! # The cycle-splice contract
 //!
 //! Fast execution must be *invisible* in the books. The handshake with the
@@ -302,6 +318,31 @@ impl Trail {
     }
 }
 
+/// The caller's cycle budget for one fast region.
+#[derive(Clone, Copy, Debug)]
+struct Budget {
+    /// `RunStats::cycles` at region entry, the ramp charge included.
+    start: u64,
+    /// The caller's `max_cycles`.
+    max: u64,
+}
+
+impl Budget {
+    /// Fast cycles consumed since region entry (ramp charge excluded).
+    #[inline]
+    fn used(self, m: &Machine) -> u64 {
+        m.stats().cycles - self.start
+    }
+
+    /// Whether a visit to a block whose cost bound is `cost` may start: a
+    /// contiguous run retires its last drain by relative cycle `work +
+    /// ramp + cost`; past the budget, it could stop at `CycleLimit` first.
+    #[inline]
+    fn fits(self, m: &Machine, cost: u64) -> bool {
+        self.used(m) + Machine::PIPE_FILL_CYCLES + cost <= self.max
+    }
+}
+
 /// The block-at-a-time execution engine. Construct once per program +
 /// machine configuration; run against a freshly loaded [`Machine`].
 pub struct BlockEngine {
@@ -475,8 +516,11 @@ impl BlockEngine {
         self.trail = Trail::EMPTY;
         self.fetched = 0;
         self.owed.clear();
-        let start_cycles = m.stats().cycles; // includes the entry ramp charge
-        self.booked_cycles = start_cycles;
+        let budget = Budget {
+            start: m.stats().cycles,
+            max: max_cycles,
+        };
+        self.booked_cycles = budget.start;
         // The machine may have been reset or restored since the last run.
         self.reset_blocks();
 
@@ -499,40 +543,19 @@ impl BlockEngine {
                 }
                 match self.code.block_at(m.pc()) {
                     Some(bi) => bi,
-                    None => {
-                        return self.demote(
-                            m,
-                            max_cycles,
-                            start_cycles,
-                            sink,
-                            plan,
-                            FallbackCause::ColdCode,
-                        )
-                    }
+                    None => return self.demote(m, budget, sink, plan, FallbackCause::ColdCode),
                 }
             };
             if let Some(cause) = self.code.blocks[bi].fallback {
-                return self.demote(m, max_cycles, start_cycles, sink, plan, cause);
+                return self.demote(m, budget, sink, plan, cause);
             }
-            // A contiguous run retires this block's last drain by relative
-            // cycle `work + ramp + cost_bound`; past the budget, it could
-            // stop at `CycleLimit` first.
-            let ramp = Machine::PIPE_FILL_CYCLES;
-            let cost = self.code.blocks[bi].cost_bound;
-            if self.stats_used(m, start_cycles) + ramp + cost > max_cycles {
-                return self.demote(
-                    m,
-                    max_cycles,
-                    start_cycles,
-                    sink,
-                    plan,
-                    FallbackCause::CycleBudget,
-                );
+            if !budget.fits(m, self.code.blocks[bi].cost_bound) {
+                return self.demote(m, budget, sink, plan, FallbackCause::CycleBudget);
             }
             chained = if self.cached {
-                self.execute::<true>(m, bi)
+                self.execute::<true>(m, bi, budget)
             } else {
-                self.execute::<false>(m, bi)
+                self.execute::<false>(m, bi, budget)
             };
         }
     }
@@ -578,12 +601,6 @@ impl BlockEngine {
         });
     }
 
-    /// Fast cycles consumed since region entry (ramp charge excluded).
-    #[inline]
-    fn stats_used(&self, m: &Machine, start_cycles: u64) -> u64 {
-        m.stats().cycles - start_cycles
-    }
-
     /// Run-granular blockers, checked before entering the fast region.
     fn entry_blocker<S: TraceSink>(&self, m: &Machine, plan: &FaultPlan) -> Option<FallbackCause> {
         if S::ENABLED {
@@ -616,8 +633,7 @@ impl BlockEngine {
     fn demote<S: TraceSink>(
         &mut self,
         m: &mut Machine,
-        max_cycles: u64,
-        start_cycles: u64,
+        budget: Budget,
         sink: &mut S,
         plan: &mut FaultPlan,
         cause: FallbackCause,
@@ -627,14 +643,14 @@ impl BlockEngine {
         // Fast work on the books (ramp excluded); the block-dispatch budget
         // check guarantees `used + ramp <= max_cycles`, and the demoted
         // stepper re-pays the ramp out of the remainder as it refills.
-        let used = self.stats_used(m, start_cycles);
+        let used = budget.used(m);
         let pc = m.pc();
         m.exit_block_region(pc, &self.recent.seed());
-        let budget = max_cycles - used;
+        let left = budget.max - used;
         let refill_start = m.stats().cycles;
-        self.replay_owed_loads(m, budget, sink, plan)?;
+        self.replay_owed_loads(m, left, sink, plan)?;
         let spent = m.stats().cycles - refill_start;
-        interpret(m, budget - spent, sink, plan, max_cycles)
+        interpret(m, left - spent, sink, plan, budget.max)
     }
 
     /// Give the stepper's refill the Ecache reads the region still owes:
@@ -692,12 +708,47 @@ impl BlockEngine {
         Ok(())
     }
 
-    /// Execute one compiled (non-fallback) block against architectural
-    /// state, count the visit under its outcome for
-    /// [`BlockEngine::book_visits`] and put its length on the clock.
-    /// `CACHED` drives the cache models as well. Returns the block's
-    /// statically known successor for that outcome, or [`NO_BLOCK`].
-    fn execute<const CACHED: bool>(&mut self, m: &mut Machine, bi: usize) -> u32 {
+    /// Execute one compiled (non-fallback) block that passed the dispatch
+    /// checks, and keep executing it in place while it chains to itself and
+    /// the dispatch's own checks would pass again: no watched store landed
+    /// and the next visit fits the `budget`. Returns the statically known
+    /// successor of the last visit's outcome, or [`NO_BLOCK`].
+    ///
+    /// `CACHED` drives the cache models as well. Once a visit's fetches
+    /// missed nothing and the block's [`HitMemo`] covers its run, later
+    /// visits leave the Icache alone and only count their passes, which
+    /// the loop's exit books with one
+    /// [`Icache::replay`](mipsx_mem::Icache::replay). That is exact: the
+    /// pass that armed it moved no tag or valid bit, so every later pass
+    /// hits on the same lines, and until the exit nothing else touches the
+    /// Icache — the visits' Ecache reads and stores touch no Icache state.
+    fn execute<const CACHED: bool>(&mut self, m: &mut Machine, bi: usize, budget: Budget) -> u32 {
+        let mut deferred = None;
+        loop {
+            let next = self.visit::<CACHED>(m, bi, &mut deferred);
+            if next as usize != bi || self.dirty || !budget.fits(m, self.code.blocks[bi].cost_bound)
+            {
+                if let Some(passes @ 1..) = deferred {
+                    m.memory_mut().0.replay(&self.memos[bi], passes);
+                }
+                return next;
+            }
+        }
+    }
+
+    /// Execute one visit to compiled block `bi` against architectural
+    /// state, count it under its outcome for [`BlockEngine::book_visits`]
+    /// and put its length on the clock. `CACHED` drives the cache models as
+    /// well, with the Icache passes `deferred` as
+    /// [`BlockEngine::book_caches`] says. Returns the block's statically
+    /// known successor for that outcome, or [`NO_BLOCK`].
+    #[inline(always)]
+    fn visit<const CACHED: bool>(
+        &mut self,
+        m: &mut Machine,
+        bi: usize,
+        deferred: &mut Option<u64>,
+    ) -> u32 {
         enum Next {
             Goto(u32),
             Stop(u32),
@@ -755,7 +806,7 @@ impl BlockEngine {
                 let addr = m.cpu().reg(rs1).wrapping_add(offset as u32);
                 self.owed.push((base + u64::from(b.len), addr));
             }
-            self.book_caches(m, bi);
+            self.book_caches(m, bi, deferred);
         }
         let b = &self.code.blocks[bi];
         let o = usize::from(taken);
@@ -792,10 +843,15 @@ impl BlockEngine {
     /// Stalls add, so most go straight onto the clock. A `halt` retires in
     /// the cycle of its last shadow fetch, which is also when the first
     /// shadow word's load reads: those two stalls start but never freeze.
+    ///
+    /// `deferred` is the in-place loop's Icache deferral (see
+    /// [`BlockEngine::execute`]): `None` books the fetches, and arms it
+    /// with `Some(0)` if they missed nothing and the memo covers the run;
+    /// once armed, a visit only counts its pass there.
     // Inlined into its one caller: as a call it cost `board_pipeline`
     // about 6 % (6 of 6 alternating perfbench pairs).
     #[inline(always)]
-    fn book_caches(&mut self, m: &mut Machine, bi: usize) {
+    fn book_caches(&mut self, m: &mut Machine, bi: usize, deferred: &mut Option<u64>) {
         let b = &self.code.blocks[bi];
         let fetches = b.fetches();
         let start = self.fetched;
@@ -823,10 +879,20 @@ impl BlockEngine {
                 next += 1;
             }
         };
-        self.missed.clear();
-        m.memory_mut()
-            .0
-            .fetch_run(b.start, fetches, &mut self.memos[bi], &mut self.missed);
+        match deferred {
+            Some(passes) => *passes += 1,
+            None => {
+                self.missed.clear();
+                let memo = &mut self.memos[bi];
+                m.memory_mut()
+                    .0
+                    .fetch_run(b.start, fetches, memo, &mut self.missed);
+                if self.missed.is_empty() && memo.covers(b.start, fetches) {
+                    *deferred = Some(0);
+                }
+            }
+        }
+        // Empty while deferred: the pass that armed it missed nothing.
         for &k in &self.missed {
             let f = start + u64::from(k);
             read_before(m, f);

@@ -802,3 +802,109 @@ fn md_writes_in_a_steps_shadow_run_like_the_stepper() {
         assert!(engine.stats().fast_cycles > 0, "{label}: never ran fast");
     }
 }
+
+/// Self-looping blocks: a read-modify-write stream loop (E11's shape), a
+/// loop body of eleven 4-word lines (more than a `HitMemo` records), and
+/// `tests/golden/selfloop_store.s`, which stores into its own body on
+/// every trip. The engine iterates each in place, deferring the Icache
+/// once a trip hits throughout.
+fn self_looping_programs() -> Vec<(&'static str, Program)> {
+    let long_body = format!(
+        ".entry main\n\
+         main: li r1, 4\n\
+         loop: {}\
+               addi r1, r1, -1\n\
+               bne r1, r0, loop\n\
+               nop\n\
+               nop\n\
+               halt",
+        "addi r3, r3, 1\n".repeat(38)
+    );
+    [
+        (
+            "stream",
+            ".entry main\n\
+             main: li r20, 3000\n\
+                   li r1, 24\n\
+             loop: ld r2, 0(r20)\n\
+                   addi r1, r1, -1\n\
+                   add r2, r2, r1\n\
+                   st r2, 0(r20)\n\
+                   bne r1, r0, loop\n\
+                   addi r20, r20, 1\n\
+                   nop\n\
+                   halt"
+                .to_string(),
+        ),
+        ("long body", long_body),
+        (
+            "stores into its body",
+            include_str!("../../../tests/golden/selfloop_store.s").to_string(),
+        ),
+    ]
+    .into_iter()
+    .map(|(name, src)| (name, assemble(&src).expect("assembles")))
+    .collect()
+}
+
+/// Self-looping blocks on the board run as the stepper does — books,
+/// registers, and the final Icache and Ecache state — under FIFO, LRU and
+/// random replacement, with 16- and 4-word lines (a long body then spans
+/// more lines than a memo records) and with the Icache disabled, and when
+/// a cycle cap cuts the run at every cycle of a few trips and it resumes.
+/// The store into the loop's own body ends the in-place loop dirty, and
+/// the next dispatch recompiles.
+#[test]
+fn self_looping_blocks_run_like_the_stepper() {
+    let mut configs: Vec<(String, MachineConfig)> = Vec::new();
+    for (policy, replacement) in [
+        ("FIFO", Replacement::Fifo),
+        ("LRU", Replacement::Lru),
+        ("random", Replacement::Random),
+    ] {
+        for block_words in [16, 4] {
+            let mut cfg = MachineConfig::mipsx();
+            cfg.icache.replacement = replacement;
+            cfg.icache.block_words = block_words;
+            configs.push((format!("{policy}, {block_words}-word lines"), cfg));
+        }
+    }
+    let mut off = MachineConfig::mipsx();
+    off.icache.enabled = false;
+    configs.push(("Icache off".to_string(), off));
+    configs.push(("e11 mem_latency=10".to_string(), e11(10)));
+
+    let scheme = BranchScheme::mipsx();
+    for (program_name, program) in self_looping_programs() {
+        for (cfg_name, base) in &configs {
+            let label = format!("{program_name} on {cfg_name}");
+            let (_, engine) = lockstep_on(*base, &program, &scheme, &label);
+            assert!(engine.stats().fast_cycles > 0, "{label}: never ran fast");
+            if program_name == "stores into its body" {
+                assert_eq!(engine.stats().recompiles, 5, "{label}: recompiles");
+            }
+            let full = {
+                let mut m = machine_on(*base, &scheme);
+                m.load_program(&program);
+                m.run(BUDGET).expect("baseline").cycles
+            };
+            for cap in 0..=full.min(400) {
+                let label = format!("{label} cap {cap}");
+                let mut interp = machine_on(*base, &scheme);
+                interp.load_program(&program);
+                let r1 = interp.run(cap);
+                let mut fast = machine_on(*base, &scheme);
+                fast.load_program(&program);
+                let mut engine = BlockEngine::new(&program, &fast);
+                let r2 = engine.run(&mut fast, cap);
+                assert_eq!(r1, r2, "{label}: outcome");
+                assert_same_run(&interp, &fast, &label);
+                if r1.is_err() {
+                    interp.run(BUDGET).expect("interp resume");
+                    engine.run(&mut fast, BUDGET).expect("engine resume");
+                    assert_same_run(&interp, &fast, &format!("{label} resumed"));
+                }
+            }
+        }
+    }
+}

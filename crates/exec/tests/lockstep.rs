@@ -101,6 +101,60 @@ fn parsed_fault_spec_agrees() {
     }
 }
 
+/// The halt check reads memory on both sides: after a clean run, a word
+/// the reference model never stored to but the machine holds — patched
+/// in beside the program's image, or on a page of its own — is a
+/// divergence, and so is a word the model stored to and the machine lost.
+#[test]
+fn halt_check_sees_a_store_either_side_made_alone() {
+    let kernels = all_kernels();
+    let kernel = kernels.iter().find(|k| k.name == "memcpy").expect("memcpy");
+    let image_end = {
+        let (m, _) = checked_for(kernel);
+        (0..VECTOR)
+            .rev()
+            .find(|&a| m.read_word(a) != 0)
+            .expect("an image")
+            + 1
+    };
+    for (addr, label) in [
+        (image_end + 5, "beside the image"),
+        (0x40_0000, "on a page of its own"),
+    ] {
+        let (mut m, mut checked) = checked_for(kernel);
+        checked
+            .run_with_faults(&mut m, 5_000_000, &mut NullSink, &mut FaultPlan::none())
+            .expect("clean run");
+        checked.final_check(&m).expect("clean at halt");
+        assert!(
+            checked.shadow().oracle().written_addrs().all(|a| a != addr),
+            "{label}: the model stored to {addr:#x}"
+        );
+        m.write_word(addr, m.read_word(addr) ^ 1);
+        let err = checked.final_check(&m).expect_err(label).to_string();
+        assert!(
+            err.contains(&format!("memory word {addr:#x}")),
+            "{label}: {err}"
+        );
+    }
+    let (mut m, mut checked) = checked_for(kernel);
+    checked
+        .run_with_faults(&mut m, 5_000_000, &mut NullSink, &mut FaultPlan::none())
+        .expect("clean run");
+    let stored = checked
+        .shadow()
+        .oracle()
+        .written_addrs()
+        .next()
+        .expect("the kernel stores");
+    m.write_word(stored, m.read_word(stored) ^ 1);
+    let err = checked
+        .final_check(&m)
+        .expect_err("a lost store")
+        .to_string();
+    assert!(err.contains(&format!("memory word {stored:#x}")), "{err}");
+}
+
 #[test]
 fn corrupted_restart_path_is_caught() {
     // Mutation check: take an exception, then corrupt the saved restart

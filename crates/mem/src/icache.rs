@@ -170,6 +170,15 @@ pub struct HitMemo {
 }
 
 impl HitMemo {
+    /// Whether the memo records the run of `len` fetches from `start`:
+    /// after a pass over that run that missed nothing, the cache holds
+    /// every line it recorded with the run's words valid, so
+    /// [`Icache::replay`] books further passes exactly.
+    #[inline]
+    pub fn covers(&self, start: u32, len: u32) -> bool {
+        self.start == start && self.len == len
+    }
+
     /// Whether every recorded line of the run is still resident in its
     /// block with the run's words valid, so the run hits throughout.
     #[inline]
@@ -444,15 +453,8 @@ impl Icache {
         mut missed: impl FnMut(u32, u64),
     ) -> u32 {
         if let Some(memo) = memo.as_deref_mut() {
-            if memo.start == start && memo.len == len && memo.holds(self) {
-                // `book_hits` per line, with the statistics booked once:
-                // the lines' words add up to the run.
-                for line in 0..usize::from(memo.lines) {
-                    self.clock += u64::from(memo.words[line]);
-                    self.stamps[memo.index[line] as usize] = self.clock;
-                }
-                self.stats.accesses += u64::from(len);
-                self.stats.hits += u64::from(len);
+            if memo.covers(start, len) && memo.holds(self) {
+                self.replay(memo, 1);
                 return 0;
             }
         }
@@ -494,6 +496,30 @@ impl Icache {
             (memo.start, memo.len, memo.lines) = (start, len, lines as u8);
         }
         misses
+    }
+
+    /// Book `passes` more passes over the run `memo` records, each hitting
+    /// throughout, as `passes` [`Icache::fetch_run`]s replaying the memo
+    /// would: every fetch a hit, the clock one further per fetch, and each
+    /// recorded line stamped as the last pass leaves it, so the first
+    /// `passes − 1` passes are only their length on the clock. The caller
+    /// vouches that the memo holds — it [`covers`](HitMemo::covers) a run
+    /// whose last pass missed nothing, and no fill or invalidation has
+    /// come since — because hits move no tag, valid bit or victim pointer.
+    pub fn replay(&mut self, memo: &HitMemo, passes: u64) {
+        if passes == 0 {
+            return;
+        }
+        let len = u64::from(memo.len);
+        self.clock += (passes - 1) * len;
+        // `book_hits` per line, with the statistics booked once: the
+        // lines' words add up to the run.
+        for line in 0..usize::from(memo.lines) {
+            self.clock += u64::from(memo.words[line]);
+            self.stamps[memo.index[line] as usize] = self.clock;
+        }
+        self.stats.accesses += passes * len;
+        self.stats.hits += passes * len;
     }
 
     /// Install `addr` (allocating a block if its tag is absent) and mark its
@@ -714,7 +740,9 @@ impl Icache {
     /// no block, and the memo checks each line's tag and valid words before
     /// it replays. Recording on the trip before a repeat lets a loop whose
     /// first trip merged into the run before it record on its second trip
-    /// and replay from its third.
+    /// and replay from its third. Once a trip through the memo has hit
+    /// throughout, the repeats right after it hit throughout too, so they
+    /// are booked together by one [`Icache::replay`].
     fn simulate_trips(&mut self, runs: impl Iterator<Item = (u32, u32)>) -> CacheStats {
         let mut memo = HitMemo::default();
         let mut runs = runs.peekable();
@@ -722,7 +750,15 @@ impl Icache {
         while let Some(run @ (start, len)) = runs.next() {
             // Two calls, so that each inlined copy folds its memo branches.
             let misses = if last == Some(run) || runs.peek() == Some(&run) {
-                self.book_lines(start, len, Some(&mut memo), |_, _| {})
+                let misses = self.book_lines(start, len, Some(&mut memo), |_, _| {});
+                if misses == 0 && memo.covers(start, len) {
+                    let mut repeats = 0;
+                    while runs.next_if_eq(&run).is_some() {
+                        repeats += 1;
+                    }
+                    self.replay(&memo, repeats);
+                }
+                misses
             } else {
                 self.book_lines(start, len, None, |_, _| {})
             };

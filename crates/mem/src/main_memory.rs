@@ -23,27 +23,39 @@ type Leaf = [Option<Box<Page>>; LEAF_PAGES];
 /// loads away, with no hashing, and walking the directory visits pages in
 /// ascending order.
 ///
+/// The page written last sits in a hot slot ahead of the directory, moved
+/// out of its directory entry, so reads and writes to it (a loop's data
+/// page) skip the walk. A write to another page moves the hot page back
+/// and takes that one's place. Where a page sits is invisible outside:
+/// [`MainMemory::snapshot_state`] lists every resident page, hot or not,
+/// in ascending order.
+///
 /// `latency_cycles` is the number of processor cycles a fetch spends in main
 /// memory once the Ecache has detected a miss — each of those cycles is one
 /// trip around the late-miss retry loop.
 #[derive(Clone, Debug)]
 pub struct MainMemory {
     leaves: Box<[Option<Box<Leaf>>; LEAF_PAGES]>,
+    /// The page written last, as `(page number, page)`; its directory
+    /// entry is empty while it is here.
+    hot: Option<(u32, Box<Page>)>,
     /// Cycles per access once an Ecache miss is detected.
     pub latency_cycles: u32,
     reads: u64,
     writes: u64,
 }
 
-/// `addr`'s leaf, page within the leaf, and word within the page.
+/// `addr`'s page number and word within the page.
 #[inline]
-fn split(addr: u32) -> (usize, usize, usize) {
-    let addr = addr as usize;
-    (
-        addr >> 22,
-        (addr >> 12) % LEAF_PAGES,
-        addr % PAGE_WORDS as usize,
-    )
+fn split(addr: u32) -> (u32, usize) {
+    (addr / PAGE_WORDS, (addr % PAGE_WORDS) as usize)
+}
+
+/// Page `number`'s leaf and page within the leaf.
+#[inline]
+fn place(number: u32) -> (usize, usize) {
+    let number = number as usize;
+    (number / LEAF_PAGES, number % LEAF_PAGES)
 }
 
 impl MainMemory {
@@ -64,6 +76,7 @@ impl MainMemory {
     pub fn with_latency(latency_cycles: u32) -> MainMemory {
         MainMemory {
             leaves: Box::new([const { None }; LEAF_PAGES]),
+            hot: None,
             latency_cycles,
             reads: 0,
             writes: 0,
@@ -85,34 +98,79 @@ impl MainMemory {
     #[inline]
     pub fn write(&mut self, addr: u32, word: u32) {
         self.writes += 1;
-        let (leaf, page, offset) = split(addr);
-        self.page_mut(leaf, page)[offset] = word;
+        let (number, offset) = split(addr);
+        match &mut self.hot {
+            Some((hot, page)) if *hot == number => page[offset] = word,
+            _ => self.heat(number)[offset] = word,
+        }
     }
 
     /// Read without counting as an access (debug/verification use).
     #[inline]
     pub fn peek(&self, addr: u32) -> u32 {
-        let (leaf, page, offset) = split(addr);
-        match &self.leaves[leaf] {
-            Some(pages) => pages[page].as_ref().map_or(0, |p| p[offset]),
-            None => 0,
+        let (number, offset) = split(addr);
+        match &self.hot {
+            Some((hot, page)) if *hot == number => page[offset],
+            _ => {
+                let (leaf, page) = place(number);
+                match &self.leaves[leaf] {
+                    Some(pages) => pages[page].as_ref().map_or(0, |p| p[offset]),
+                    None => 0,
+                }
+            }
         }
     }
 
-    /// Page `page` of leaf `leaf`, allocating both (zeroed) if absent.
-    fn page_mut(&mut self, leaf: usize, page: usize) -> &mut Page {
-        self.leaves[leaf].get_or_insert_with(|| Box::new([const { None }; LEAF_PAGES]))[page]
-            .get_or_insert_with(|| Box::new([0; PAGE_WORDS as usize]))
+    /// Make page `number` the hot page, allocating it (zeroed) if absent,
+    /// and put the page it replaces back in the directory.
+    fn heat(&mut self, number: u32) -> &mut Page {
+        if let Some((cold, page)) = self.hot.take() {
+            *self.entry(cold) = Some(page);
+        }
+        let page = self
+            .entry(number)
+            .take()
+            .unwrap_or_else(|| Box::new([0; PAGE_WORDS as usize]));
+        &mut self.hot.insert((number, page)).1
     }
 
-    /// The resident pages as `(page number, page)`, ascending by number.
+    /// Page `number`'s directory entry, allocating its leaf if absent.
+    fn entry(&mut self, number: u32) -> &mut Option<Box<Page>> {
+        let (leaf, page) = place(number);
+        &mut self.leaves[leaf].get_or_insert_with(|| Box::new([const { None }; LEAF_PAGES]))[page]
+    }
+
+    /// The resident pages as `(page number, page)`, ascending by number:
+    /// the directory's, with the hot page in its place among them.
     fn pages(&self) -> impl Iterator<Item = (u32, &Page)> {
-        self.leaves.iter().enumerate().flat_map(|(l, leaf)| {
-            leaf.iter().flat_map(move |pages| {
-                pages.iter().enumerate().filter_map(move |(p, page)| {
-                    Some(((l * LEAF_PAGES + p) as u32, page.as_deref()?))
+        let mut hot = self.hot.as_ref().map(|(n, page)| (*n, &**page));
+        let mut directory = self
+            .leaves
+            .iter()
+            .enumerate()
+            .flat_map(|(l, leaf)| {
+                leaf.iter().flat_map(move |pages| {
+                    pages.iter().enumerate().filter_map(move |(p, page)| {
+                        Some(((l * LEAF_PAGES + p) as u32, page.as_deref()?))
+                    })
                 })
             })
+            .peekable();
+        std::iter::from_fn(move || match (hot, directory.peek()) {
+            (Some((n, _)), Some(&(d, _))) if d < n => directory.next(),
+            (Some(_), _) => hot.take(),
+            (None, _) => directory.next(),
+        })
+    }
+
+    /// Every word of every resident page with its address, ascending: the
+    /// words ever written, and the zeros that share a page with them.
+    pub fn resident_words(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.pages().flat_map(|(n, page)| {
+            let base = n * PAGE_WORDS;
+            page.iter()
+                .enumerate()
+                .map(move |(i, &word)| (base + i as u32, word))
         })
     }
 
@@ -145,11 +203,13 @@ impl MainMemory {
     /// are the only sizable allocation here, so keeping them turns each
     /// reset into a handful of `memset`s.
     pub fn reset(&mut self, latency_cycles: u32) {
+        let hot = self.hot.iter_mut().map(|(_, page)| page);
         for page in self
             .leaves
             .iter_mut()
             .flatten()
             .flat_map(|l| l.iter_mut().flatten())
+            .chain(hot)
         {
             page.fill(0);
         }
@@ -211,9 +271,9 @@ impl MainMemory {
         self.reads = state.reads;
         self.writes = state.writes;
         self.leaves.fill_with(|| None);
+        self.hot = None;
         for (n, words) in &state.pages {
-            let (leaf, page, _) = split(n * PAGE_WORDS);
-            self.page_mut(leaf, page).copy_from_slice(words);
+            self.heat(*n).copy_from_slice(words);
         }
         Ok(())
     }
@@ -321,6 +381,46 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(numbers, sorted);
         assert_eq!(numbers.len(), 6);
+    }
+
+    /// Moving pages in and out of the hot slot changes nothing a reader
+    /// sees: after every write, every written word, the resident page
+    /// numbers in ascending order and a restored copy agree with a plain
+    /// map of the writes, across leaves and at the top of the space.
+    #[test]
+    fn the_hot_page_is_invisible() {
+        let addrs = [
+            5 * PAGE_WORDS + 3,
+            5 * PAGE_WORDS + 4,
+            7,
+            u32::MAX,
+            5 * PAGE_WORDS + 3,
+            1024 * PAGE_WORDS,
+            1024 * PAGE_WORDS - 1,
+            8,
+        ];
+        let mut m = MainMemory::new();
+        let mut want = std::collections::BTreeMap::new();
+        for (i, &addr) in addrs.iter().enumerate() {
+            m.write(addr, i as u32 + 1);
+            want.insert(addr, i as u32 + 1);
+            for (&a, &w) in &want {
+                assert_eq!(m.peek(a), w, "word {a:#x} after write {i}");
+            }
+            let mut numbers: Vec<u32> = want.keys().map(|a| a / PAGE_WORDS).collect();
+            numbers.dedup();
+            let state = m.snapshot_state();
+            let got: Vec<u32> = state.pages.iter().map(|(n, _)| *n).collect();
+            assert_eq!(got, numbers, "pages after write {i}");
+            assert_eq!(m.resident_pages(), numbers.len());
+            let mut restored = MainMemory::new();
+            restored.write(addr ^ PAGE_WORDS, 9);
+            restored.restore_state(&state).unwrap();
+            assert_eq!(restored.snapshot_state(), state, "restore after write {i}");
+        }
+        m.reset(5);
+        assert!(addrs.iter().all(|&a| m.peek(a) == 0));
+        assert_eq!(m.resident_pages(), 5);
     }
 
     #[test]

@@ -276,6 +276,44 @@ proptest! {
     }
 }
 
+proptest! {
+    /// `n` repeats of one run through `simulate_runs` book what `n` passes
+    /// of word-by-word fetches and fills book under LRU, whose victims read
+    /// the stamps: the same statistics, clock and per-block stamps. The
+    /// repeats after the first trip that hits throughout are booked
+    /// together by one `Icache::replay`, so a pass too many or too few, or
+    /// stamps from the wrong pass, show here. Runs span up to eleven lines,
+    /// past what a memo records, and other runs come before and after.
+    #[test]
+    fn repeated_runs_replay_like_word_by_word_under_lru(
+        before in prop::collection::vec((0u32..256, 0u32..24), 0..6),
+        run in (0u32..256, 1u32..44),
+        repeats in 1usize..24,
+        after in prop::collection::vec((0u32..256, 0u32..24), 0..3),
+        rows in prop::sample::select(vec![1u32, 2, 4]),
+        ways in 1u32..=8,
+        block_words in prop::sample::select(vec![2u32, 4, 8, 16]),
+        fetch_words in 1u32..=2,
+    ) {
+        let cfg = IcacheConfig {
+            rows,
+            ways,
+            block_words,
+            fetch_words,
+            replacement: Replacement::Lru,
+            ..IcacheConfig::mipsx()
+        };
+        let mut runs = before;
+        runs.extend(std::iter::repeat_n(run, repeats));
+        runs.extend(after);
+        let words: Vec<u32> = runs.iter().flat_map(|&(s, l)| s..s + l).collect();
+        let reference = word_by_word(cfg, &words);
+        let mut by_runs = Icache::new(cfg);
+        prop_assert_eq!(by_runs.simulate_runs(&runs), reference.stats);
+        prop_assert_eq!(by_runs.snapshot_state(), reference);
+    }
+}
+
 /// An Icache with the Ecache and memory behind it.
 #[derive(Clone)]
 struct Hierarchy {

@@ -7,7 +7,9 @@
 //! - every drained instruction's `(pc, killed)` pair — the reference
 //!   model predicts not just what commits but what the pipeline squashes;
 //! - the full register file after every committed instruction;
-//! - registers, PSW, PSWold, MD and every stored-to memory word at halt.
+//! - registers, PSW, PSWold, MD and memory at halt: every word the
+//!   reference model stored to and every word of the pipeline's resident
+//!   pages.
 //!
 //! Exceptions are synchronized by *event*, not by cycle count: when the
 //! pipeline reports one through its trace probe, the same cause is
@@ -207,7 +209,9 @@ impl Shadow {
     }
 
     /// The final architectural comparison at halt: registers, PSW, PSWold,
-    /// MD and every memory word the reference model stored to.
+    /// MD and memory — every word the reference model stored to, and every
+    /// word of the pipeline's resident pages, so that a store only one
+    /// side made shows whichever side made it.
     pub fn final_check(&self, machine: &Machine, plan: &FaultPlan) -> Result<(), Box<Divergence>> {
         if !self.oracle.halted() {
             return Err(self.diverge(
@@ -260,8 +264,11 @@ impl Shadow {
                 ),
             ));
         }
-        for addr in self.oracle.written_addrs() {
-            let mv = machine.read_word(addr);
+        let written = self
+            .oracle
+            .written_addrs()
+            .map(|addr| (addr, machine.read_word(addr)));
+        for (addr, mv) in written.chain(machine.main_memory().resident_words()) {
             let ov = self.oracle.mem_word(addr);
             if mv != ov {
                 return Err(self.diverge(

@@ -199,6 +199,29 @@ impl Analysis {
         }
     }
 
+    /// Report an illegal word in the fetch shadow of the `halt` at
+    /// `halt`: the two words behind it are fetched before it retires and
+    /// reach ALU, which traps on a word that does not decode, although the
+    /// program never flows into them. (A reachable word is reported as
+    /// such.)
+    fn check_halt_shadow(&self, halt: u32, diags: &mut Vec<Diagnostic>) {
+        for addr in halt + 1..=halt + 2 {
+            let Some(entry) = self.code.get(addr) else {
+                return;
+            };
+            if let (Instr::Illegal(word), None) = (entry.instr, self.reachable_index(addr)) {
+                diags.push(Diagnostic {
+                    kind: DiagKind::IllegalInstr,
+                    addr,
+                    instr: entry.instr,
+                    detail: format!(
+                        "word {word:#010x} in the fetch shadow of the halt at {halt:#07x} does not decode; it reaches ALU before the halt retires and traps"
+                    ),
+                });
+            }
+        }
+    }
+
     /// Delay-window shape rules plus every execution-adjacent pair check.
     fn check_windows_and_pairs(&self, diags: &mut Vec<Diagnostic>) {
         let in_slot = self.in_slot();
@@ -209,7 +232,12 @@ impl Analysis {
                 // windows are handled by the owning transfer below, and
                 // `halt` has no successor.
                 let in_slot = in_slot[(addr - self.code.origin()) as usize];
-                if !in_slot && !matches!(entry.instr, Instr::Halt) {
+                if in_slot {
+                    // A slot's halt fetches the rest of the window and the
+                    // successor next, all reachable and linted as such.
+                } else if matches!(entry.instr, Instr::Halt) {
+                    self.check_halt_shadow(addr, diags);
+                } else {
                     self.check_pair(addr, addr + 1, diags);
                 }
                 continue;

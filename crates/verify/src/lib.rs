@@ -24,8 +24,9 @@
 //! - **MD step chains** — `mstep`/`dstep` sequences broken by an
 //!   intervening write to the MD special register, and MD writes issued
 //!   so soon after a step that its write-back overwrites them;
-//! - plus lints for reachable illegal encodings, writes to the hardwired
-//!   `r0`, and coprocessor results read back while the unit may be busy.
+//! - plus lints for illegal encodings the machine executes (reachable, or
+//!   in a `halt`'s fetch shadow), writes to the hardwired `r0`, and
+//!   coprocessor results read back while the unit may be busy.
 //!
 //! Diagnostics are typed ([`DiagKind`]), carry the faulting address and
 //! disassembly, and come back sorted in a deterministic order so listings
@@ -175,7 +176,9 @@ pub enum DiagKind {
     /// An `mstep`/`dstep` chain is broken by an intervening MD write
     /// before its 32 steps complete.
     MdChainBroken,
-    /// A reachable word does not decode; executing it traps.
+    /// A word the machine executes does not decode; executing it traps.
+    /// That is a reachable word, or one of the two words in a `halt`'s
+    /// fetch shadow, which reach ALU before the `halt` retires.
     IllegalInstr,
     /// An instruction writes the hardwired zero register (the result is
     /// silently discarded — almost always a compiler or generator bug).
@@ -652,8 +655,17 @@ mod tests {
     fn reachable_illegal_word_is_flagged_unreachable_is_not() {
         let r = lint(".word 0xffffffff\nhalt");
         assert_eq!(kinds(&r), vec![(DiagKind::IllegalInstr, 0)]);
-        // Data after the halt never executes.
-        assert!(lint("halt\n.word 0xffffffff").is_clean());
+        // The two words behind a halt reach ALU before it retires, and
+        // trap there; data further out never executes.
+        for gap in 0..2 {
+            let src = format!("halt\n{}.word 0xffffffff", "nop\n".repeat(gap));
+            assert_eq!(
+                kinds(&lint(&src)),
+                vec![(DiagKind::IllegalInstr, 1 + gap as u32)],
+                "gap {gap}"
+            );
+        }
+        assert!(lint("halt\nnop\nnop\n.word 0xffffffff").is_clean());
     }
 
     #[test]

@@ -4,33 +4,41 @@
 //! short program; the expected diagnostic listing is frozen in
 //! `tests/golden/broken.lint`. The listing is sorted and deterministic, so
 //! any change to diagnostic text, ordering, or rule coverage shows up as a
-//! diff here. Regenerate intentionally with `UPDATE_GOLDEN=1`.
+//! diff here. `tests/golden/illegal_after_halt.s` is a probe with a listing
+//! of its own. Regenerate intentionally with `UPDATE_GOLDEN=1`.
 
 use mipsx::asm::assemble;
-use mipsx::verify::{verify, verify_with_timing, VerifyConfig};
+use mipsx::verify::{verify, verify_with_timing, LintReport, VerifyConfig};
 
-#[test]
-fn broken_program_lint_listing_matches_golden() {
-    let source_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/broken.s");
-    let source = std::fs::read_to_string(source_path).expect("read broken.s");
-    let program = assemble(&source).expect("broken.s still assembles — it is broken, not invalid");
+/// Lint `tests/golden/<stem>.s` and compare its listing with
+/// `tests/golden/<stem>.lint`; returns the report for further checks.
+fn listing_matches_golden(stem: &str) -> LintReport {
+    let golden = |ext: &str| format!("{}/tests/golden/{stem}.{ext}", env!("CARGO_MANIFEST_DIR"));
+    let source = std::fs::read_to_string(golden("s")).expect("read the probe");
+    let program = assemble(&source).expect("the probe assembles — it is broken, not invalid");
 
     let report = verify(&program, &VerifyConfig::default());
-    // The program is broken on purpose; make sure it stays broken in the
-    // ways the listing documents.
-    assert!(!report.is_clean(), "broken.s unexpectedly lints clean");
     let got = format!("{report}\n");
 
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/broken.lint");
+    let golden_path = golden("lint");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path, &got).expect("write golden");
+        std::fs::write(&golden_path, &got).expect("write golden");
     }
-    let want = std::fs::read_to_string(golden_path)
+    let want = std::fs::read_to_string(&golden_path)
         .expect("golden file missing — run with UPDATE_GOLDEN=1 to regenerate");
     assert_eq!(
         got, want,
         "lint listing changed; if intentional, regenerate with UPDATE_GOLDEN=1"
     );
+    report
+}
+
+#[test]
+fn broken_program_lint_listing_matches_golden() {
+    let report = listing_matches_golden("broken");
+    // The program is broken on purpose; make sure it stays broken in the
+    // ways the listing documents.
+    assert!(!report.is_clean(), "broken.s unexpectedly lints clean");
 }
 
 /// The `--json` report (correctness + scheduling-quality diagnostics) is
@@ -70,4 +78,13 @@ fn broken_program_json_report_matches_golden_byte_for_byte() {
         got, want,
         "JSON lint report changed; if intentional, regenerate with UPDATE_GOLDEN=1"
     );
+}
+
+/// An illegal word in a `halt`'s fetch shadow faults the run, so the lint
+/// reports it: the probe's listing is one `illegal-instr` error on the word
+/// behind the `halt`.
+#[test]
+fn illegal_word_in_the_halt_shadow_lint_listing_matches_golden() {
+    let report = listing_matches_golden("illegal_after_halt");
+    assert_eq!(report.error_count(), 1, "{report}");
 }
